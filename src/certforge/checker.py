@@ -1,10 +1,20 @@
 """Kernel certificate replay.
 
-step() applies one kernel rule to a task and either returns the child tasks
-or raises CheckError naming the violated side condition. ccheck() walks a
-whole certificate with it. Every task a rule produces is typechecked on the
-spot, so a defect in the rule logic surfaces as a failure at the offending
-node instead of as a bogus derived leaf.
+step() applies one kernel rule to a well-typed task and either returns the
+child tasks or raises CheckError naming the violated side condition.
+ccheck() typechecks the initial task in full, then walks the certificate
+with step().
+
+Every task a rule produces is typechecked on the spot, as far as it can
+differ from its well-typed parent. A child that keeps the parent's signature
+and type signature (the same tuples) has only the premises the rule
+introduced typechecked: the premises it kept are the parent's own Premise
+objects, already of type prop under that very (I, Sigma). A child whose
+signature or type signature grew is typechecked in full, since a new symbol
+can make a kept premise ill-typed (a binder may not shadow a declared
+symbol). By induction from the initial task, every task of the replay is
+well-typed, so a defect in the rule logic surfaces as a failure at the
+offending node instead of as a bogus derived leaf.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .core import (
     Var,
     all_idents,
     alpha_equal,
+    annotate,
     app,
     check_type,
     conj,
@@ -40,11 +51,10 @@ from .core import (
     imp,
     subst_term,
     subst_type,
-    typecheck,
-    typecheck_against,
     var,
 )
-from .task import Premise, Task, TaskError, task_alpha_equal, task_list_alpha_equal, well_typed
+from .task import (Premise, Task, TaskError, premises_are_props,
+                   task_alpha_equal, task_list_alpha_equal, well_typed)
 from .theories import apply_context, is_reserved
 
 
@@ -70,7 +80,11 @@ class CheckError(Exception):
 
 
 def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
-    """One rule application: the tasks the node's children must discharge."""
+    """One rule application: the tasks the node's children must discharge.
+
+    T must be well-typed (see well_typed); ccheck establishes this for the
+    initial task and step preserves it for every child it returns.
+    """
     rule = type(node).__name__
 
     def fail(message: str):
@@ -100,7 +114,7 @@ def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
 
     def typed(t: Term, expected) -> None:
         try:
-            typecheck_against(T.types_map(), T.sig_map(), t, expected)
+            annotate(T.types_map(), T.sig_map(), t, expected)
         except TypingError as e:
             fail(str(e))
 
@@ -109,8 +123,14 @@ def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
                           typed)
     except TaskError as e:
         fail(str(e))
+    kept = {id(p) for p in T.premises()}
     for child in children:
-        if not well_typed(child):
+        if child.sig is T.sig and child.types is T.types:
+            ok = premises_are_props(
+                child, [p for p in child.premises() if id(p) not in kept])
+        else:
+            ok = well_typed(child)
+        if not ok:
             fail("produced an ill-typed task")
     return children
 
@@ -142,7 +162,7 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
     if isinstance(node, cert.KAssert):
         fresh_premise(node.name)
         try:
-            ty = typecheck(T.types_map(), T.sig_map(), node.formula)
+            ty = annotate(T.types_map(), T.sig_map(), node.formula).type
         except TypingError as e:
             fail(str(e))
         if ty != PROP:
@@ -338,7 +358,10 @@ def ccheck(c: cert.KernelCert, T: Task) -> CheckReport:
         except CheckError as e:
             return CheckReport(False, [], e.failure)
         children = cert.cert_children(node)
-        assert len(children) == len(tasks)
+        if len(children) != len(tasks):
+            return CheckReport(False, [], CheckFailure(
+                type(node).__name__, path,
+                f"{len(children)} subcertificates for {len(tasks)} tasks"))
         for i in range(len(children) - 1, -1, -1):
             todo.append((children[i], tasks[i], path + (i,)))
     return CheckReport(True, leaves, None)

@@ -11,7 +11,7 @@ Everything here is immutable and hashable; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 
 class TypingError(Exception):
@@ -303,14 +303,6 @@ def eq(a: Term, b: Term) -> Term:
 
 # ---------------------------------------------------------------------------
 # Syntactic audits
-
-def binder_children(t: Term) -> Optional[tuple[Ident, Term]]:
-    if isinstance(t, (Lam, Exists, Forall)):
-        return t.var, t.body
-    if isinstance(t, PiType):
-        return t.var, t.body
-    return None
-
 
 def subterms(t: Term) -> Iterator[Term]:
     yield t
@@ -639,8 +631,6 @@ def check_type(I: TypeSignature, ty: Type, *, allow_vars: bool) -> None:
     Type symbols must be declared (int is interpreted) and fully applied at
     their declared arity; with allow_vars=False the type must be ground.
     """
-    from . import theories
-
     if isinstance(ty, TVar):
         if not allow_vars:
             raise TypingError(f"type variable {ty.name} not allowed here")
@@ -679,9 +669,10 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
 
     With `expected` given, the result must unify with it, so instance
     choices are made against the required type instead of the default.
-    """
-    from . import theories
 
+    The signature itself is taken as well-formed under I; check it once
+    with check_signature, as typecheck and typecheck_against do.
+    """
     if not is_prenex(t):
         raise TypingError("type quantifier occurs under another constructor")
 
@@ -755,8 +746,6 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             raise TypingError("type quantifier occurs under another constructor")
         raise TypeError(f"unknown term node {t!r}")
 
-    for name, scheme in sig.items():
-        check_type(I2, scheme, allow_vars=True)
     top = infer(body, dict(sig), ())
     if alphas:
         uni.unify(top, PROP, "type quantifier body")
@@ -770,12 +759,25 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     return info
 
 
+def check_signature(I: TypeSignature, sig: Signature) -> None:
+    """Every signature scheme is a well-formed type under I (variables allowed)."""
+    for scheme in sig.values():
+        check_type(I, scheme, allow_vars=True)
+
+
 def typecheck(I: TypeSignature, sig: Signature, t: Term) -> Type:
     """The type of t under (I, sig), or TypingError if none derivable."""
+    check_signature(I, sig)
     return annotate(I, sig, t).type
 
 
 def typecheck_against(I: TypeSignature, sig: Signature, t: Term,
                       expected: Type) -> Type:
     """Typecheck t requiring the result to be an instance of `expected`."""
+    check_signature(I, sig)
     return annotate(I, sig, t, expected=expected).type
+
+
+# theories imports this module, so it is bound last, once every name above
+# exists; the typing functions only read it at call time.
+from . import theories  # noqa: E402

@@ -27,11 +27,12 @@ from .core import (
     Var,
     all_idents,
     alpha_equal,
+    annotate,
+    check_signature,
     free_vars,
     ident,
     imp,
     type_vars,
-    typecheck,
     var,
 )
 
@@ -144,11 +145,25 @@ class Task:
 
 
 def well_typed(T: Task) -> bool:
-    """True iff every premise formula has type prop under (I, Sigma)."""
+    """True iff Sigma is well-formed under I and every premise has type prop."""
+    try:
+        check_signature(T.types_map(), T.sig_map())
+    except TypingError:
+        return False
+    return premises_are_props(T, T.premises())
+
+
+def premises_are_props(T: Task,
+                       premises: list[Premise] | tuple[Premise, ...]) -> bool:
+    """True iff each of `premises` has type prop under T's (I, Sigma).
+
+    T's signature must already be known to be well-formed under I (see
+    well_typed); it is not checked again here.
+    """
     I, sig = T.types_map(), T.sig_map()
-    for p in T.premises():
+    for p in premises:
         try:
-            if typecheck(I, sig, p.formula) != PROP:
+            if annotate(I, sig, p.formula).type != PROP:
                 return False
         except TypingError:
             return False

@@ -51,6 +51,7 @@ from certforge.task import (
     gen_chain_task,
     prop_valid_oracle,
     task_alpha_equal,
+    well_typed,
 )
 from certforge.transforms import TransformError
 
@@ -135,6 +136,51 @@ def test_criterion_1_checked_applications_are_sound():
     assert took < 60.0, f"criterion 1 overran: {took:.1f}s"
     print(f"criterion 1 PASS: {applications} checked applications sound "
           f"in {took:.1f}s")
+
+
+def _replay_typing_every_task(k: cert.KernelCert, T: Task) -> int:
+    """Replay k node by node; every task step derives must be well-typed."""
+    todo = [(k, T, ())]
+    nodes = 0
+    while todo:
+        node, task, path = todo.pop()
+        assert well_typed(task), (path, task)
+        if isinstance(node, cert.KHole):
+            continue
+        nodes += 1
+        tasks = checker.step(task, node, path)
+        for i, (child, t) in enumerate(zip(cert.cert_children(node), tasks)):
+            todo.append((child, t, path + (i,)))
+    return nodes
+
+
+def test_incremental_step_typing_agrees_with_well_typed():
+    # step typechecks only the premises a rule introduces; the full
+    # judgment must agree on every task it derives
+    rng = random.Random(20261017)
+    sig = tuple((a.name, PROP) for a in _ATOMS)
+    blasted = applied = nodes = 0
+    while blasted < 120 or applied < 300:
+        blast = blasted < 120
+        if blast:
+            T = Task(sig=sig, hyps=(Premise(ident("H"), _formula(rng, 3)),),
+                     goals=(Premise(ident("G"), _formula(rng, 3)),))
+        else:
+            T = _rand_task(rng)
+        try:
+            _, k = _ok(T, tr.t_blast(T) if blast
+                       else _rand_application(rng, T))
+        except (TransformError, IndexError):
+            continue
+        nodes += _replay_typing_every_task(k, T)
+        if blast:
+            blasted += 1
+        else:
+            applied += 1
+    T = gen_chain_task(12)
+    _, k = _ok(T, tr.t_blast(T))
+    nodes += _replay_typing_every_task(k, T)
+    assert nodes > 1500, nodes
 
 
 # ---------------------------------------------------------------------------

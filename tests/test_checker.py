@@ -293,6 +293,28 @@ def test_intro_quant_freshness():
         "reserved")
 
 
+def test_intro_quant_fresh_name_bound_in_a_kept_premise():
+    # y occurs in H only as a binder, so it is fresh; but declaring it makes
+    # H's binder shadow a declared symbol, and the opened task is ill-typed
+    sig = ((ident("p"), Arrow(INT, PROP)), (ident("q"), Arrow(INT, PROP)))
+    qx = Lam(x, INT, app(var("q"), var("x")))
+    T = Task(sig=sig,
+             hyps=(Premise(H, Forall(y, INT, app(var("p"), var("y")))),),
+             goals=(Premise(G, Forall(x, INT, app(var("q"), var("x")))),))
+    bad(T, c.KIntroQuant(True, INT, qx, G, y, c.KHole(T)), "ill-typed")
+
+
+def test_intro_quant_may_reuse_the_opened_binder():
+    # the premise that bound y is the one replaced, so no binder shadows it
+    sig = ((ident("q"), Arrow(INT, PROP)),)
+    T = Task(sig=sig,
+             goals=(Premise(G, Forall(y, INT, app(var("q"), var("y")))),))
+    qy = Lam(y, INT, app(var("q"), var("y")))
+    (t,) = step(T, c.KIntroQuant(True, INT, qy, G, y, c.KHole(T)), ())
+    assert t.goals[0].formula == app(var("q"), var("y"))
+    ok(T, c.KIntroQuant(True, INT, qy, G, y, c.KHole(t)))
+
+
 def test_intro_quant_shape_checks():
     T = qtask(goals=[("G", Forall(x, INT, app(var("p"), var("x"))))])
     bad(T, c.KIntroQuant(True, INT, app(var("p"), var("c")), G, y, c.KHole(T)),
@@ -536,6 +558,16 @@ def test_root_task_must_be_well_typed():
     rep = ccheck(c.KHole(T), T)
     assert not rep.ok
     assert "not well-typed" in rep.failure.message
+
+
+def test_subcertificate_count_must_match_the_tasks(monkeypatch):
+    T = ptask(goals=[("G", conj(P, Q))])
+    node = c.KSplit(True, P, Q, G, c.KHole(T), c.KHole(T))
+    monkeypatch.setattr(c, "cert_children", lambda n: (c.KHole(T),))
+    rep = ccheck(node, T)
+    assert not rep.ok
+    assert (rep.failure.rule, rep.failure.path) == ("KSplit", ())
+    assert "1 subcertificates for 2 tasks" in rep.failure.message
 
 
 def test_leaves_come_back_in_order():

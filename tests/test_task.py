@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certforge.cert import KHole
+from certforge.checker import ccheck
 from certforge.core import (
     INT,
     PROP,
     BinOp,
     Bottom,
     Forall,
+    Ident,
     Not,
     PiType,
     TApp,
@@ -145,6 +148,18 @@ def test_well_typed_rejects_non_prop_premise():
 def test_well_typed_rejects_unbound():
     T = Task(goals=(Premise(ident("G"), Var(ident("nope"))),))
     assert not well_typed(T)
+
+
+def test_well_typed_checks_the_signature_against_the_declared_types():
+    # typing the goal renames its prenex a to a fresh type name, a#1; that
+    # name is local to the goal and does not declare a#1 for the signature
+    a1 = TApp(Ident("a", 1), ())
+    goal = PiType(ident("a"), Forall(ident("x"), TVar(ident("a")), Top()))
+    T = Task(sig=((ident("z"), a1),), goals=(Premise(ident("G"), goal),))
+    assert not well_typed(T)
+    rep = ccheck(KHole(T), T)
+    assert not rep.ok
+    assert "not well-typed" in rep.failure.message
 
 
 # ---------------------------------------------------------------------------
