@@ -41,7 +41,7 @@ from .core import (
     subst_term,
     typecheck,
 )
-from .task import Task, task_alpha_equal
+from .task import Task
 
 
 class CertError(Exception):
@@ -59,10 +59,6 @@ class KernelCert:
 @dataclass(frozen=True, slots=True)
 class KHole(KernelCert):
     task: Task
-
-
-# elaboration output sometimes reads nicer with this name; same node
-EHole = KHole
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,28 +414,6 @@ def leaves(c: KernelCert) -> list[Task]:
     out: list[Task] = []
     for child in cert_children(c):
         out.extend(leaves(child))
-    return out
-
-
-def compose(c: KernelCert, at: Task, c2: KernelCert) -> KernelCert:
-    """Replace the first (in-order) hole matching `at` by c2."""
-
-    def rec(node):
-        if isinstance(node, KHole):
-            if task_alpha_equal(node.task, at):
-                return c2, True
-            return node, False
-        kids = cert_children(node)
-        for i, kid in enumerate(kids):
-            new, found = rec(kid)
-            if found:
-                return _with_children(
-                    node, kids[:i] + (new,) + kids[i + 1:]), True
-        return node, False
-
-    out, found = rec(c)
-    if not found:
-        raise CertError("no hole matches the given task")
     return out
 
 

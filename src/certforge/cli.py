@@ -25,8 +25,9 @@ from pathlib import Path
 from . import sexpr
 from . import transforms as tr
 from .cert import CertError, KHole, cert_dumps, cert_loads, elaborate
-from .checker import ccheck
-from .core import PROP, Ident, Term, Type, TypingError, ident, typecheck
+from .checker import CheckFailure, ccheck
+from .core import (PROP, Ident, Term, Type, TypingError, annotate,
+                   check_signature, ident)
 from .lp_export import ExportError, emit_module, emit_preamble
 from .sexpr import SexprError
 from .task import Task, TaskError, gen_chain_task
@@ -59,8 +60,9 @@ def parse_task(text: str) -> Task:
     """One (task ...) datum, checked: every premise must be a proposition."""
     T = sexpr.task_from_sexpr(sexpr.loads(text))
     I, sig = T.types_map(), T.sig_map()
+    check_signature(I, sig)
     for p in T.premises():
-        ty = typecheck(I, sig, p.formula)
+        ty = annotate(I, sig, p.formula).type
         if ty != PROP:
             raise TypingError(
                 f"premise {p.name} has type "
@@ -189,6 +191,12 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _rejected(f: CheckFailure) -> int:
+    print(f"error: certificate rejected: {f.rule} at {list(f.path)}: "
+          f"{f.message}", file=sys.stderr)
+    return 1
+
+
 def cmd_transform(ns) -> int:
     doc = read_task_file(ns.file)
     name = ns.name.replace("_", "-")
@@ -201,10 +209,7 @@ def cmd_transform(ns) -> int:
     k = elaborate(s, doc.task)
     report = ccheck(k, doc.task)
     if not report.ok:
-        f = report.failure
-        print(f"error: certificate rejected: {f.rule} at "
-              f"{list(f.path)}: {f.message}", file=sys.stderr)
-        return 1
+        return _rejected(report.failure)
     src = Path(ns.file)
     out_dir = Path(ns.out_dir) if ns.out_dir else src.parent
     for i, t in enumerate(tasks, 1):
@@ -223,10 +228,7 @@ def cmd_check(ns) -> int:
     k = cert_loads(Path(ns.cert).read_text(encoding="utf-8"))
     report = ccheck(k, doc.task)
     if not report.ok:
-        f = report.failure
-        print(f"error: certificate rejected: {f.rule} at "
-              f"{list(f.path)}: {f.message}", file=sys.stderr)
-        return 1
+        return _rejected(report.failure)
     print(f"ok: {len(report.derived_leaves)} open task(s)")
     return 0
 
@@ -247,10 +249,7 @@ def cmd_export(ns) -> int:
         k = KHole(doc.task)
     report = ccheck(k, doc.task)
     if not report.ok:
-        f = report.failure
-        print(f"error: certificate rejected: {f.rule} at "
-              f"{list(f.path)}: {f.message}", file=sys.stderr)
-        return 1
+        return _rejected(report.failure)
     module = emit_module(doc.task, report.derived_leaves, k)
     if ns.out:
         _write(Path(ns.out), module)

@@ -10,7 +10,7 @@ Everything here is immutable and hashable; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
@@ -138,8 +138,21 @@ def type_vars(ty: Type) -> tuple[Ident, ...]:
     return tuple(out)
 
 
-def type_is_ground(ty: Type) -> bool:
-    return not type_vars(ty)
+def type_heads(ty: Type) -> set[Ident]:
+    """Heads of the type-symbol applications in `ty`, int() included."""
+    out: set[Ident] = set()
+
+    def walk(t: Type) -> None:
+        if isinstance(t, Arrow):
+            walk(t.left)
+            walk(t.right)
+        elif isinstance(t, TApp):
+            out.add(t.head)
+            for a in t.args:
+                walk(a)
+
+    walk(ty)
+    return out
 
 
 def subst_in_type(ty: Type, mapping: Mapping[Ident, Type]) -> Type:
@@ -358,28 +371,6 @@ def free_vars(t: Term) -> frozenset[Ident]:
     return frozenset(out)
 
 
-def free_type_vars(t: Term) -> frozenset[Ident]:
-    out: set[Ident] = set()
-
-    def walk(t: Term, bound: frozenset[Ident]) -> None:
-        if isinstance(t, (Lam, Exists, Forall)):
-            out.update(v for v in type_vars(t.ty) if v not in bound)
-            walk(t.body, bound)
-        elif isinstance(t, PiType):
-            walk(t.body, bound | {t.var})
-        elif isinstance(t, Not):
-            walk(t.body, bound)
-        elif isinstance(t, BinOp):
-            walk(t.left, bound)
-            walk(t.right, bound)
-        elif isinstance(t, App):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
-
-    walk(t, frozenset())
-    return frozenset(out)
-
-
 def all_idents(t: Term) -> frozenset[Ident]:
     """Every ident occurring anywhere in t, bound or free, term or type level."""
     out: set[Ident] = set()
@@ -542,19 +533,23 @@ class _Meta(Type):
     id: int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Typing:
     """Result of annotate(): the derived type plus per-occurrence instances.
 
-    inst maps the path of each Var node (tuple of child indices from the
-    root, after the prenex prefix was stripped) to the instance types chosen
-    for the type variables of its signature scheme, in scheme order.
-    node_types maps every node path to its resolved type.
+    A prenex prefix is typed by renaming each of its type variables to a
+    fresh arity-0 type symbol; iotas lists those symbols in prefix order and
+    body is the formula below the prefix with the renaming applied (the
+    term itself when there is no prefix). inst maps the path of each Var
+    node of body (tuple of child indices from its root) to the instance
+    types chosen for the type variables of its signature scheme, in scheme
+    order.
     """
 
     type: Type
-    inst: dict[tuple[int, ...], tuple[Type, ...]] = field(default_factory=dict)
-    node_types: dict[tuple[int, ...], Type] = field(default_factory=dict)
+    inst: dict[tuple[int, ...], tuple[Type, ...]]
+    iotas: tuple[Ident, ...]
+    body: Term
 
 
 class _Unifier:
@@ -678,6 +673,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
 
     alphas, body = strip_prenex(t)
     I2 = dict(I)
+    iotas: list[Ident] = []
     if alphas:
         if len(set(alphas)) != len(alphas):
             raise TypingError("duplicate type variable in prenex prefix")
@@ -686,10 +682,11 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             iota = fresh_ident(a, frozenset(taken))
             taken.add(iota)
             I2[iota] = 0
+            iotas.append(iota)
             body = subst_type(body, a, TApp(iota, ()))
 
     uni = _Unifier()
-    info = Typing(type=PROP)
+    inst: dict[tuple[int, ...], tuple[Type, ...]] = {}
 
     def infer(t: Term, sig: dict[Ident, Type], path: tuple[int, ...]) -> Type:
         if isinstance(t, Var):
@@ -700,33 +697,27 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
                     raise TypingError(f"unbound variable {t.name}")
                 scheme = entry.type
             tvs = type_vars(scheme)
+            if not tvs:
+                return scheme
             metas = {v: uni.fresh() for v in tvs}
-            if tvs:
-                info.inst[path] = tuple(metas[v] for v in tvs)  # resolved later
-            ty = subst_in_type(scheme, metas)
-            info.node_types[path] = ty
-            return ty
+            inst[path] = tuple(metas[v] for v in tvs)  # resolved later
+            return subst_in_type(scheme, metas)
         if isinstance(t, IntLit):
-            info.node_types[path] = INT
             return INT
         if isinstance(t, (Top, Bottom)):
-            info.node_types[path] = PROP
             return PROP
         if isinstance(t, Not):
             uni.unify(infer(t.body, sig, path + (0,)), PROP, "negation")
-            info.node_types[path] = PROP
             return PROP
         if isinstance(t, BinOp):
             uni.unify(infer(t.left, sig, path + (0,)), PROP, f"{t.op} left")
             uni.unify(infer(t.right, sig, path + (1,)), PROP, f"{t.op} right")
-            info.node_types[path] = PROP
             return PROP
         if isinstance(t, App):
             tf = infer(t.fn, sig, path + (0,))
             ta = infer(t.arg, sig, path + (1,))
             res = uni.fresh()
             uni.unify(tf, Arrow(ta, res), "application")
-            info.node_types[path] = res
             return res
         if isinstance(t, (Lam, Exists, Forall)):
             check_type(I2, t.ty, allow_vars=False)
@@ -736,12 +727,9 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             inner[t.var] = t.ty
             tb = infer(t.body, inner, path + (0,))
             if isinstance(t, Lam):
-                ty = Arrow(t.ty, tb)
-            else:
-                uni.unify(tb, PROP, "quantifier body")
-                ty = PROP
-            info.node_types[path] = ty
-            return ty
+                return Arrow(t.ty, tb)
+            uni.unify(tb, PROP, "quantifier body")
+            return PROP
         if isinstance(t, PiType):
             raise TypingError("type quantifier occurs under another constructor")
         raise TypeError(f"unknown term node {t!r}")
@@ -753,10 +741,9 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
         uni.unify(top, expected, "required type")
 
     result = uni.default_ground(top)
-    info.type = result
-    info.inst = {p: tuple(uni.default_ground(m) for m in ms) for p, ms in info.inst.items()}
-    info.node_types = {p: uni.default_ground(ty) for p, ty in info.node_types.items()}
-    return info
+    return Typing(result,
+                  {p: tuple(uni.default_ground(m) for m in ms) for p, ms in inst.items()},
+                  tuple(iotas), body)
 
 
 def check_signature(I: TypeSignature, sig: Signature) -> None:

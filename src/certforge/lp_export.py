@@ -45,16 +45,14 @@ from .core import (
     Top,
     Type,
     Var,
-    all_idents,
     annotate,
     fresh_ident,
-    free_vars,
-    strip_prenex,
     subst_type,
+    type_heads,
     type_vars,
     typecheck,
 )
-from .task import Task
+from .task import Task, task_alpha_equal, used_declarations
 from .theories import lookup_interpreted
 
 
@@ -184,190 +182,6 @@ def lp_atoms(t: LpTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def lp_alpha_equal(a: LpTerm, b: LpTerm) -> bool:
-    def eq(a: LpTerm, b: LpTerm, ma: dict[str, int], mb: dict[str, int],
-           depth: int) -> bool:
-        if isinstance(a, LSort) and isinstance(b, LSort):
-            return True
-        if isinstance(a, (LConst, LVar)) and isinstance(b, (LConst, LVar)):
-            da, db = ma.get(a.name), mb.get(b.name)
-            if da is None and db is None:
-                return a.name == b.name
-            return da == db
-        if isinstance(a, LProd) and isinstance(b, LProd):
-            return eq(a.dom, b.dom, ma, mb, depth) and eq(
-                a.body, b.body, {**ma, a.var: depth}, {**mb, b.var: depth},
-                depth + 1)
-        if isinstance(a, LLam) and isinstance(b, LLam):
-            if (a.ann is None) != (b.ann is None):
-                return False
-            if a.ann is not None and not eq(a.ann, b.ann, ma, mb, depth):
-                return False
-            return eq(a.body, b.body, {**ma, a.var: depth},
-                      {**mb, b.var: depth}, depth + 1)
-        if isinstance(a, LArrow) and isinstance(b, LArrow):
-            return eq(a.left, b.left, ma, mb, depth) and eq(
-                a.right, b.right, ma, mb, depth)
-        if isinstance(a, LApp) and isinstance(b, LApp):
-            return eq(a.fn, b.fn, ma, mb, depth) and eq(
-                a.arg, b.arg, ma, mb, depth)
-        return False
-
-    return eq(a, b, {}, {}, 0)
-
-
-# ---------------------------------------------------------------------------
-# parsing (round-trip tests and the preamble self-check)
-
-@dataclass(frozen=True, slots=True)
-class LpRequire:
-    path: str
-
-
-@dataclass(frozen=True, slots=True)
-class LpSymbol:
-    name: str
-    ty: LpTerm | None
-    body: LpTerm | None
-
-
-@dataclass(frozen=True, slots=True)
-class LpRule:
-    lhs: LpTerm
-    rhs: LpTerm
-
-
-_TOKEN = re.compile(r"//[^\n]*|\$?[A-Za-z_][A-Za-z0-9_]*|[(),:;]|[Πλ→↪≔.]|\s+")
-
-
-def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"stray character {text[pos]!r} at offset {pos}")
-        pos = m.end()
-        tok = m.group()
-        if tok.strip() and not tok.startswith("//"):
-            toks.append(tok)
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
-
-    def term(self, bound: frozenset[str]) -> LpTerm:
-        tok = self.peek()
-        if tok == "Π":
-            self.next()
-            var = self.next()
-            self.expect(":")
-            dom = self.arrow(bound)
-            self.expect(",")
-            return LProd(var, dom, self.term(bound | {var}))
-        if tok == "λ":
-            self.next()
-            var = self.next()
-            ann = None
-            if self.peek() == ":":
-                self.next()
-                ann = self.arrow(bound)
-            self.expect(",")
-            return LLam(var, ann, self.term(bound | {var}))
-        return self.arrow(bound)
-
-    def arrow(self, bound: frozenset[str]) -> LpTerm:
-        left = self.app(bound)
-        if self.peek() == "→":
-            self.next()
-            return LArrow(left, self.term(bound))
-        return left
-
-    def app(self, bound: frozenset[str]) -> LpTerm:
-        t = self.atom(bound)
-        while True:
-            tok = self.peek()
-            if tok is None or tok in (")", ",", ";", "→", "↪", "≔", ":"):
-                return t
-            t = LApp(t, self.atom(bound))
-
-    def atom(self, bound: frozenset[str]) -> LpTerm:
-        tok = self.next()
-        if tok == "(":
-            t = self.term(bound)
-            self.expect(")")
-            return t
-        if tok == "TYPE":
-            return SORT
-        if not re.fullmatch(r"\$?[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise ValueError(f"unexpected token {tok!r}")
-        if tok in bound or tok.startswith("$"):
-            return LVar(tok)
-        return LConst(tok)
-
-
-def parse_lp_term(text: str) -> LpTerm:
-    p = _Parser(_tokenize(text))
-    t = p.term(frozenset())
-    if p.peek() is not None:
-        raise ValueError(f"trailing tokens at {p.peek()!r}")
-    return t
-
-
-def parse_lp(text: str) -> list[LpRequire | LpSymbol | LpRule]:
-    """Parse a module: require lines, symbol declarations, rewrite rules."""
-    p = _Parser(_tokenize(text))
-    out: list[LpRequire | LpSymbol | LpRule] = []
-    while p.peek() is not None:
-        tok = p.next()
-        if tok == "require":
-            p.expect("open")
-            parts = [p.next()]
-            while p.peek() == ".":
-                p.next()
-                parts.append(p.next())
-            p.expect(";")
-            out.append(LpRequire(".".join(parts)))
-        elif tok == "symbol":
-            name = p.next()
-            ty = body = None
-            if p.peek() == ":":
-                p.next()
-                ty = p.term(frozenset())
-            if p.peek() == "≔":
-                p.next()
-                body = p.term(frozenset())
-            p.expect(";")
-            out.append(LpSymbol(name, ty, body))
-        elif tok == "rule":
-            lhs = p.term(frozenset())
-            p.expect("↪")
-            rhs = p.term(frozenset())
-            p.expect(";")
-            out.append(LpRule(lhs, rhs))
-        else:
-            raise ValueError(f"unexpected declaration {tok!r}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # name mangling
 
@@ -456,23 +270,10 @@ def _encode_type(ty: Type, tvs: dict[Ident, str] | None = None) -> LpTerm:
     raise ExportError(f"unencodable type {ty!r}")
 
 
-def _type_heads(ty: Type, out: set[Ident]) -> None:
-    if isinstance(ty, Arrow):
-        _type_heads(ty.left, out)
-        _type_heads(ty.right, out)
-    elif isinstance(ty, TApp):
-        if ty != INT:
-            out.add(ty.head)
-        for a in ty.args:
-            _type_heads(a, out)
-
-
 def _encode_scheme(scheme: Type) -> LpTerm:
     """A signature entry: type variables become leading Π binders."""
     tvs = type_vars(scheme)
-    heads: set[Ident] = set()
-    _type_heads(scheme, heads)
-    avoid = frozenset(mangle(h) for h in heads) | {"int"}
+    avoid = frozenset(mangle(h) for h in type_heads(scheme) - {INT.head}) | {"int"}
     names: dict[Ident, str] = {}
     for a in tvs:
         names[a] = _freshen(mangle(a), avoid | frozenset(names.values()))
@@ -553,72 +354,20 @@ def encode_term(t: Term, I: dict[Ident, int] | None = None,
     """The impredicative encoding of a well-typed term.
 
     I and sig supply the typing environment; they default to empty. The
-    prenex type quantifiers become Π binders over TYPE, mirroring the
-    renaming the typechecker performs so recorded instances line up.
+    prenex type quantifiers become Π binders over TYPE, named after the
+    fresh type symbols annotate() renamed them to, so the instances it
+    recorded line up with the binders.
     """
-    I = dict(I or {})
     sig = dict(sig or {})
-    alphas, body = strip_prenex(t)
-    iotas: list[Ident] = []
-    if alphas:
-        # keep in lockstep with annotate(): same pool, same fresh_ident
-        from . import theories
-        taken = set(I) | set(theories.INTERPRETED.type_symbols) \
-            | all_idents(body) | set(alphas)
-        for a in alphas:
-            iota = fresh_ident(a, frozenset(taken))
-            taken.add(iota)
-            I[iota] = 0
-            iotas.append(iota)
-            body = subst_type(body, a, TApp(iota, ()))
-    info = annotate(I, sig, body)
-    out = _encode(body, (), info, sig)
-    for iota in reversed(iotas):
+    info = annotate(I or {}, sig, t)
+    out = _encode(info.body, (), info, sig)
+    for iota in reversed(info.iotas):
         out = LProd(mangle(iota), SORT, out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # encoding tasks
-
-def _support(T: Task) -> tuple[tuple[tuple[Ident, int], ...],
-                               tuple[tuple[Ident, Type], ...]]:
-    """Declarations some premise actually touches, in declaration order."""
-    used: set[Ident] = set()
-    for p in T.premises():
-        used |= free_vars(p.formula)
-    ssyms = tuple(e for e in T.sig if e[0] in used)
-    heads: set[Ident] = set()
-    for _, scheme in ssyms:
-        _type_heads(scheme, heads)
-    for p in T.premises():
-        for ann in _binder_annotations(p.formula):
-            _type_heads(ann, heads)
-    tsyms = tuple(e for e in T.types if e[0] in heads)
-    return tsyms, ssyms
-
-
-def _binder_annotations(t: Term) -> list[Type]:
-    out: list[Type] = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, (Lam, Exists, Forall)):
-            out.append(t.ty)
-            walk(t.body)
-        elif isinstance(t, Not):
-            walk(t.body)
-        elif isinstance(t, BinOp):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, PiType):
-            walk(t.body)
-
-    walk(t)
-    return out
-
 
 def encode_task(T: Task, *, prune: bool = False) -> LpTerm:
     """A task as the type: symbols imply premises imply absurdity.
@@ -629,7 +378,7 @@ def encode_task(T: Task, *, prune: bool = False) -> LpTerm:
     certificate may introduce formulas over symbols no premise mentions).
     """
     I, sig = T.types_map(), T.sig_map()
-    tsyms, ssyms = _support(T) if prune else (T.types, T.sig)
+    tsyms, ssyms = used_declarations(T) if prune else (T.types, T.sig)
     out = LP_BOT
     for g in reversed(T.goals):
         out = LArrow(neg(encode_term(g.formula, I, sig)), out)
@@ -655,7 +404,7 @@ def app_correctness_type(T: Task, L: list[Task]) -> LpTerm:
 
 def _hole_application(index: int, task: Task,
                       scope: dict[Ident, LpTerm]) -> LpTerm:
-    tsyms, ssyms = _support(task)
+    tsyms, ssyms = used_declarations(task)
     args: list[LpTerm] = [LVar(mangle(n)) for n, _ in tsyms]
     args += [LVar(mangle(n)) for n, _ in ssyms]
     args += [scope[p.name] for p in task.premises()]
@@ -669,7 +418,9 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
     function symbols and premise names; each rule application becomes its
     preamble combinator applied to the formulas the node records, and a
     hole becomes its identifier applied to the symbols and premises of its
-    task in declaration order.
+    task in L, in that task's declaration order, so the application matches
+    the task's encoding. Each task in L must be alpha-equal to the task the
+    certificate derives at its hole; ExportError otherwise.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
     counter = [0]
@@ -681,7 +432,15 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
              scope: dict[Ident, LpTerm]) -> LpTerm:
         if isinstance(node, cert.KHole):
             counter[0] += 1
-            return _hole_application(counter[0], task, scope)
+            if counter[0] > len(L):
+                raise ExportError(
+                    f"certificate has more holes than the {len(L)} tasks given")
+            leaf = L[counter[0] - 1]
+            if not task_alpha_equal(task, leaf):
+                raise ExportError(
+                    f"task {counter[0]} differs from the task the certificate "
+                    f"derives at {list(path)}")
+            return _hole_application(counter[0], leaf, scope)
 
         children = checker.step(task, node, path)
 

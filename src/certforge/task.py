@@ -13,18 +13,15 @@ from . import theories
 from .core import (
     PROP,
     Arrow,
-    BinOp,
-    Bottom,
+    Exists,
+    Forall,
     Ident,
-    Not,
-    Prop,
+    Lam,
     TApp,
     TVar,
     Term,
-    Top,
     Type,
     TypingError,
-    Var,
     all_idents,
     alpha_equal,
     annotate,
@@ -32,6 +29,8 @@ from .core import (
     free_vars,
     ident,
     imp,
+    subterms,
+    type_heads,
     type_vars,
     var,
 )
@@ -189,41 +188,25 @@ def _scheme_canon(ty: Type) -> Type:
     return walk(ty)
 
 
-def _support(T: Task) -> frozenset[Ident]:
-    out: set[Ident] = set()
-    for p in T.premises():
-        out |= free_vars(p.formula)
-    return frozenset(out)
+def used_declarations(T: Task) -> tuple[tuple[tuple[Ident, int], ...],
+                                         tuple[tuple[Ident, Type], ...]]:
+    """The (types, sig) entries T's premises use, in declaration order.
 
-
-def _type_heads(T: Task, supported: frozenset[Ident]) -> frozenset[Ident]:
+    A symbol is used when it occurs free in some premise; a type symbol
+    when it heads a type in the scheme of a used symbol or in a binder
+    annotation of some premise.
+    """
+    used: set[Ident] = set()
     heads: set[Ident] = set()
-
-    def walk_ty(ty: Type) -> None:
-        if isinstance(ty, Arrow):
-            walk_ty(ty.left)
-            walk_ty(ty.right)
-        elif isinstance(ty, TApp):
-            heads.add(ty.head)
-            for a in ty.args:
-                walk_ty(a)
-
-    sig = T.sig_map()
-    for name in supported:
-        if name in sig:
-            walk_ty(sig[name])
     for p in T.premises():
-        for s in _annotation_types(p.formula):
-            walk_ty(s)
-    return frozenset(heads)
-
-
-def _annotation_types(t: Term):
-    from .core import Exists, Forall, Lam, subterms
-
-    for s in subterms(t):
-        if isinstance(s, (Lam, Exists, Forall)):
-            yield s.ty
+        used |= free_vars(p.formula)
+        for s in subterms(p.formula):
+            if isinstance(s, (Lam, Exists, Forall)):
+                heads |= type_heads(s.ty)
+    ssyms = tuple(e for e in T.sig if e[0] in used)
+    for _, scheme in ssyms:
+        heads |= type_heads(scheme)
+    return tuple(e for e in T.types if e[0] in heads), ssyms
 
 
 def task_alpha_equal(T1: Task, T2: Task) -> bool:
@@ -245,92 +228,17 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
     for name in g1:
         if not alpha_equal(g1[name], g2[name]):
             return False
-    sup1, sup2 = _support(T1), _support(T2)
-    sig1, sig2 = T1.sig_map(), T2.sig_map()
-    for name in sup1 | sup2:
-        if theories.lookup_interpreted(str(name)) is not None:
-            continue
-        t1, t2 = sig1.get(name), sig2.get(name)
-        if (t1 is None) != (t2 is None):
-            return False
-        if t1 is not None and _scheme_canon(t1) != _scheme_canon(t2):
-            return False
-    ty1, ty2 = T1.types_map(), T2.types_map()
-    for head in _type_heads(T1, sup1) | _type_heads(T2, sup2):
-        if head in theories.INTERPRETED.type_symbols:
-            continue
-        if ty1.get(head) != ty2.get(head):
-            return False
-    return True
+    types1, sig1 = used_declarations(T1)
+    types2, sig2 = used_declarations(T2)
+    if dict(types1) != dict(types2):
+        return False
+    s1, s2 = dict(sig1), dict(sig2)
+    return s1.keys() == s2.keys() and all(
+        _scheme_canon(s1[name]) == _scheme_canon(s2[name]) for name in s1)
 
 
 def task_list_alpha_equal(L1: list[Task] | tuple[Task, ...], L2: list[Task] | tuple[Task, ...]) -> bool:
     return len(L1) == len(L2) and all(task_alpha_equal(a, b) for a, b in zip(L1, L2))
-
-
-# ---------------------------------------------------------------------------
-# Propositional validity oracle
-
-ORACLE_ATOM_CAP = 20  # 2^20 truth-table rows bounds desk-scale runtime
-
-
-def prop_valid_oracle(T: Task) -> bool | None:
-    """Brute-force validity on the propositional fragment.
-
-    Returns True/False when every premise is built from prop-typed variables
-    and the propositional connectives only; None (not applicable) on
-    quantifiers, lambdas, applications, type quantification, interpreted
-    symbols, or more than ORACLE_ATOM_CAP atoms.
-    """
-    sig = T.sig_map()
-    atoms: set[Ident] = set()
-
-    def scan(t: Term) -> bool:
-        if isinstance(t, Var):
-            if sig.get(t.name) != PROP:
-                return False
-            atoms.add(t.name)
-            return True
-        if isinstance(t, (Top, Bottom)):
-            return True
-        if isinstance(t, Not):
-            return scan(t.body)
-        if isinstance(t, BinOp):
-            return scan(t.left) and scan(t.right)
-        return False
-
-    for p in T.premises():
-        if not scan(p.formula):
-            return None
-    order = sorted(atoms, key=lambda n: (n.name, n.uid))
-    if len(order) > ORACLE_ATOM_CAP:
-        return None
-
-    def eval_term(t: Term, env: dict[Ident, bool]) -> bool:
-        if isinstance(t, Var):
-            return env[t.name]
-        if isinstance(t, Top):
-            return True
-        if isinstance(t, Bottom):
-            return False
-        if isinstance(t, Not):
-            return not eval_term(t.body, env)
-        assert isinstance(t, BinOp)
-        l, r = eval_term(t.left, env), eval_term(t.right, env)
-        if t.op == "and":
-            return l and r
-        if t.op == "or":
-            return l or r
-        if t.op == "imp":
-            return (not l) or r
-        return l == r  # iff
-
-    for bits in itertools.product((False, True), repeat=len(order)):
-        env = dict(zip(order, bits))
-        if all(eval_term(p.formula, env) for p in T.hyps):
-            if not any(eval_term(p.formula, env) for p in T.goals):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import certforge.cert as cert
 from certforge import checker
@@ -16,7 +14,6 @@ from certforge.cert import (
     SurfaceCert,
     cert_dumps,
     cert_loads,
-    compose,
     count_holes,
     elaborate,
     fill_holes,
@@ -26,7 +23,6 @@ from certforge.core import (
     INT,
     PROP,
     Arrow,
-    Bottom,
     Forall,
     IntLit,
     Lam,
@@ -42,7 +38,7 @@ from certforge.core import (
     imp,
     var,
 )
-from certforge.task import Premise, Task, task_alpha_equal
+from certforge.task import Premise, Task
 
 H, G = ident("H"), ident("G")
 
@@ -52,46 +48,14 @@ def goal_task(formula, name=G) -> Task:
                 goals=(Premise(name, formula),))
 
 
-# a pool with two alpha-equal but structurally distinct members at the end
 _POOL = [
     goal_task(var("p")),
     goal_task(var("q")),
     goal_task(conj(var("p"), var("q"))),
-    goal_task(Forall(ident("x"), INT, eq(var("x"), var("x")))),
-    goal_task(Forall(ident("y"), INT, eq(var("y"), var("y")))),
 ]
 
 
-# -- leaves / compose / fill_holes --------------------------------------------
-
-
-def ref_leaves(c: KernelCert) -> list[Task]:
-    if isinstance(c, KHole):
-        return [c.task]
-    out = []
-    for child in cert.cert_children(c):
-        out.extend(ref_leaves(child))
-    return out
-
-
-def ref_compose(c: KernelCert, at: Task, c2: KernelCert) -> KernelCert:
-    done = False
-
-    def go(node):
-        nonlocal done
-        if done:
-            return node
-        if isinstance(node, KHole):
-            if task_alpha_equal(node.task, at):
-                done = True
-                return c2
-            return node
-        return cert._with_children(node, [go(k) for k in cert.cert_children(node)])
-
-    out = go(c)
-    if not done:
-        raise CertError("no hole")
-    return out
+# -- leaves / fill_holes ------------------------------------------------------
 
 
 def _tree(h1, h2, h3):
@@ -104,51 +68,6 @@ def _tree(h1, h2, h3):
 def test_leaves_in_order():
     c = _tree(_POOL[0], _POOL[1], _POOL[2])
     assert leaves(c) == [_POOL[0], _POOL[1], _POOL[2]]
-
-
-def test_compose_replaces_first_match():
-    c = _tree(_POOL[0], _POOL[1], _POOL[0])
-    got = compose(c, _POOL[0], cert.KTrivial(True, G))
-    # only the first of the two matching holes is filled
-    assert leaves(got) == [_POOL[1], _POOL[0]]
-
-
-def test_compose_matches_up_to_alpha():
-    c = _tree(_POOL[3], _POOL[0], _POOL[1])
-    got = compose(c, _POOL[4], cert.KTrivial(True, G))
-    assert leaves(got) == [_POOL[0], _POOL[1]]
-
-
-def test_compose_no_match():
-    c = _tree(_POOL[0], _POOL[1], _POOL[2])
-    with pytest.raises(CertError):
-        compose(c, goal_task(Bottom()), cert.KTrivial(True, G))
-
-
-_trees = st.recursive(
-    st.sampled_from(_POOL).map(KHole),
-    lambda c: st.one_of(
-        c.map(lambda k: cert.KClear(False, var("p"), H, k)),
-        st.tuples(c, c).map(lambda p: cert.KAssert(H, var("p"), p[0], p[1])),
-    ),
-    max_leaves=6,
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(_trees, st.sampled_from(_POOL), _trees)
-def test_compose_splice_law(c, at, c2):
-    try:
-        expected = ref_compose(c, at, c2)
-    except CertError:
-        with pytest.raises(CertError):
-            compose(c, at, c2)
-        return
-    got = compose(c, at, c2)
-    assert got == expected
-    ls = ref_leaves(c)
-    k = next(i for i, leaf in enumerate(ls) if task_alpha_equal(leaf, at))
-    assert leaves(got) == ls[:k] + ref_leaves(c2) + ls[k + 1:]
 
 
 def test_count_and_fill_holes():
@@ -277,7 +196,7 @@ def test_elaborate_split_golden():
     T1 = dataclasses.replace(T, hyps=(Premise(H, x1),))
     T2 = dataclasses.replace(T, hyps=(Premise(H, x2),))
     got = elaborate(cert.SSplit(H, SHole(), SHole()), T)
-    assert got == cert.KSplit(False, x1, x2, H, cert.EHole(T1), cert.EHole(T2))
+    assert got == cert.KSplit(False, x1, x2, H, KHole(T1), KHole(T2))
 
 
 def test_elaborate_shole_carries_task():

@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+import lp_parser as lpp
 from certforge import sexpr
 from certforge.cli import (
     BenchRow,
@@ -89,7 +90,15 @@ def test_parse_rejects_non_propositional_premise(tmp_path, capsys):
     f.write_text("(task (types) (sig) (hyps) (goals (G 3)))",
                  encoding="utf-8")
     assert main(["parse", str(f)]) == 1
-    assert "not prop" in capsys.readouterr().err
+    assert "premise G has type (int), not prop" in capsys.readouterr().err
+
+
+def test_parse_checks_the_signature_without_premises(tmp_path, capsys):
+    f = tmp_path / "t.tsk"
+    f.write_text("(task (types) (sig (e (set a))) (hyps) (goals))",
+                 encoding="utf-8")
+    assert main(["parse", str(f)]) == 1
+    assert "undeclared type symbol set" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +141,6 @@ def test_transform_blast_closes_chain_task(tmp_path, capsys):
 
 
 def test_transform_emits_checked_artifacts(tmp_path, capsys):
-    from certforge import lp_export as lp
     f = tmp_path / "t.tsk"
     f.write_text(SPLIT, encoding="utf-8")
     code = main(["transform", str(f), "--name", "split", "--premise", "H",
@@ -140,8 +148,8 @@ def test_transform_emits_checked_artifacts(tmp_path, capsys):
                  "--emit-cert", str(tmp_path / "t.cert")])
     assert code == 0
     capsys.readouterr()
-    decls = lp.parse_lp((tmp_path / "t.lp").read_text(encoding="utf-8"))
-    assert isinstance(decls[0], lp.LpRequire)
+    decls = lpp.parse_lp((tmp_path / "t.lp").read_text(encoding="utf-8"))
+    assert isinstance(decls[0], lpp.LpRequire)
     # the two written tasks parse back through the same pipeline
     for i in (1, 2):
         assert main(["parse", str(tmp_path / f"t.{i}.tsk")]) == 0
@@ -192,13 +200,12 @@ def test_check_rejects_certificate_for_another_task(tmp_path, capsys):
 # export
 
 def test_export_identity_module(tmp_path, capsys):
-    from certforge import lp_export as lp
     f = tmp_path / "t.tsk"
     f.write_text(SPLIT, encoding="utf-8")
     assert main(["export", str(f)]) == 0
     text = capsys.readouterr().out
-    decls = lp.parse_lp(text)
-    names = [d.name for d in decls if isinstance(d, lp.LpSymbol)]
+    decls = lpp.parse_lp(text)
+    names = [d.name for d in decls if isinstance(d, lpp.LpSymbol)]
     assert names == ["task1", "initial", "proof"]
 
 

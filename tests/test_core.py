@@ -32,7 +32,6 @@ from certforge.core import (
     arrow,
     conj,
     eq,
-    free_type_vars,
     free_vars,
     fresh_ident,
     ident,
@@ -41,7 +40,6 @@ from certforge.core import (
     subst_term,
     subst_type,
     typecheck,
-    type_is_ground,
     type_vars,
 )
 from oracles import db_term
@@ -264,7 +262,7 @@ def test_subst_type_in_annotations():
     t = Forall(x, TVar(a), eq(Var(x), Var(x)))
     got = subst_type(t, a, INT)
     assert got == Forall(x, INT, eq(Var(x), Var(x)))
-    assert a not in free_type_vars(got)
+    assert a not in type_vars(got.ty)
 
 
 def test_subst_type_respects_pi_shadowing():
@@ -277,8 +275,7 @@ def test_type_utilities():
     a, b = ident("a"), ident("b")
     ty = arrow(TVar(a), TApp(ident("set"), (TVar(b),)), TVar(a))
     assert type_vars(ty) == (a, b)
-    assert not type_is_ground(ty)
-    assert type_is_ground(subst_in_type(ty, {a: INT, b: PROP}))
+    assert not type_vars(subst_in_type(ty, {a: INT, b: PROP}))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,7 @@ def test_annotate_defaults_unconstrained_to_int():
     assert info.type == PROP
     for inst in info.inst.values():
         for ty in inst:
-            assert type_is_ground(ty)
+            assert not type_vars(ty)
 
 
 def test_prenex_quantification_scopes_body():

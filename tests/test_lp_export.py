@@ -1,5 +1,6 @@
 """λΠ export: encodings, proof terms, the preamble, and emitted modules."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_parser as lpp
 from certforge import cert, checker, transforms as tr
 from certforge import lp_export as lp
 from certforge.core import (
@@ -25,6 +27,7 @@ from certforge.core import (
     TVar,
     Top,
     Var,
+    annotate,
     app,
     conj,
     disj,
@@ -153,8 +156,23 @@ def test_encode_prenex_prefix():
     t = PiType(al, Forall(ident("u"), TVar(al),
                           eq(Var(ident("u")), Var(ident("u")))))
     got = lp.encode_term(t)
-    want = lp.parse_lp_term("Π a : TYPE, Π u : a, eq a u u")
-    assert lp.lp_alpha_equal(got, want)
+    want = lpp.parse_lp_term("Π a : TYPE, Π u : a, eq a u u")
+    assert lpp.lp_alpha_equal(got, want)
+
+
+def test_encode_prenex_prefix_uses_the_typecheckers_fresh_name():
+    # alpha is already a declared type symbol, so annotate() renames the
+    # prenex variable; the Π binder and the eq instance must both carry the
+    # name it picked, not the source name
+    al = ident("alpha")
+    t = PiType(al, Forall(ident("u"), TVar(al),
+                          eq(Var(ident("u")), Var(ident("u")))))
+    I = {al: 0}
+    (iota,) = annotate(I, {}, t).iotas
+    assert iota != al
+    got = lp.encode_term(t, I, {})
+    name = lp.mangle(iota)
+    assert lp.lp_format(got) == f"Π {name} : TYPE, Π u : {name}, eq {name} u u"
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +218,7 @@ def test_encode_task_color_set():
             var("green"), add2(var("red"), add2(var("green"), var("empty"))))),),
     )
     got = lp.encode_task(T)
-    want = lp.parse_lp_term(
+    want = lpp.parse_lp_term(
         "Π color : TYPE, Π set : (TYPE → TYPE),"
         "Π red : color, Π green : color, Π blue : color,"
         "Π empty : (Π a : TYPE, set a),"
@@ -211,7 +229,7 @@ def test_encode_task_color_set():
         "(Π b : TYPE, Π x : b, Π s : set b, mem b x (add b x s)) →"
         "(mem color green (add color red (add color green (empty color))) →"
         " Π C : TYPE, C) → Π C : TYPE, C")
-    assert lp.lp_alpha_equal(got, want)
+    assert lpp.lp_alpha_equal(got, want)
 
 
 def test_encode_task_pruning_drops_untouched_symbols():
@@ -229,7 +247,7 @@ def test_app_correctness_identity():
     got = lp.app_correctness_type(T, [T])
     t_hat = lp.encode_task(T)
     assert got == lp.LArrow(lp.encode_task(T, prune=True), t_hat)
-    assert lp.lp_alpha_equal(got.left, got.right)
+    assert lpp.lp_alpha_equal(got.left, got.right)
 
 
 # ---------------------------------------------------------------------------
@@ -250,40 +268,40 @@ def test_split_application_type():
     T, L, c = split_application()
     checked(T, c)
     got = lp.app_correctness_type(T, L)
-    want = lp.parse_lp_term(
+    want = lpp.parse_lp_term(
         "(Π x1 : TYPE, Π x : TYPE, x1 → (x → Π C : TYPE, C) → Π C : TYPE, C) →"
         "(Π x2 : TYPE, Π x : TYPE, x2 → (x → Π C : TYPE, C) → Π C : TYPE, C) →"
         "Π x1 : TYPE, Π x2 : TYPE, Π x : TYPE,"
         "(Π C : TYPE, (x1 → C) → (x2 → C) → C) →"
         "(x → Π C : TYPE, C) → Π C : TYPE, C")
-    assert lp.lp_alpha_equal(got, want)
+    assert lpp.lp_alpha_equal(got, want)
 
 
 def test_split_application_term():
     T, L, c = split_application()
     checked(T, c)
     got = lp.proof_term(c, T, L)
-    want = lp.parse_lp_term(
+    want = lpp.parse_lp_term(
         "λ s1, λ s2, λ x1, λ x2, λ x, λ H, λ G,"
         "split x1 x2 (λ H, s1 x1 x H G) (λ H, s2 x2 x H G) H")
-    assert lp.lp_alpha_equal(got, want)
+    assert lpp.lp_alpha_equal(got, want)
 
 
 def test_split_combinator_type_in_preamble():
-    decls = {d.name: d for d in lp.parse_lp(lp.emit_preamble())
-             if isinstance(d, lp.LpSymbol)}
-    want = lp.parse_lp_term(
+    decls = {d.name: d for d in lpp.parse_lp(lp.emit_preamble())
+             if isinstance(d, lpp.LpSymbol)}
+    want = lpp.parse_lp_term(
         "Π t1 : TYPE, Π t2 : TYPE, (t1 → Π C : TYPE, C) → (t2 → Π C : TYPE, C)"
         "→ (Π C : TYPE, (t1 → C) → (t2 → C) → C) → Π C : TYPE, C")
-    assert lp.lp_alpha_equal(decls["split"].ty, want)
+    assert lpp.lp_alpha_equal(decls["split"].ty, want)
 
 
 def test_identity_proof_term():
     T = Task(sig=prop_sig("x"), goals=(Premise(ident("G"), var("x")),))
     c = cert.KHole(T)
     got = lp.proof_term(c, T, [T])
-    want = lp.parse_lp_term("λ t, λ x, λ G, t x G")
-    assert lp.lp_alpha_equal(got, want)
+    want = lpp.parse_lp_term("λ t, λ x, λ G, t x G")
+    assert lpp.lp_alpha_equal(got, want)
 
 
 def test_trivial_hypothesis_is_the_witness():
@@ -293,13 +311,42 @@ def test_trivial_hypothesis_is_the_witness():
     c = cert.KTrivial(False, ident("H"))
     checked(T, c)
     got = lp.proof_term(c, T, [])
-    assert lp.lp_alpha_equal(got, lp.parse_lp_term("λ x, λ H, λ G, H"))
+    assert lpp.lp_alpha_equal(got, lpp.parse_lp_term("λ x, λ H, λ G, H"))
 
 
 def test_proof_term_hole_count_mismatch():
     T, L, c = split_application()
     with pytest.raises(lp.ExportError, match="holes"):
         lp.proof_term(c, T, L[:1])
+
+
+def _split_with_bystander():
+    # H : x1 \/ x2, K : y |- G : x, split on H
+    T = Task(sig=prop_sig("x1", "x2", "y", "x"),
+             hyps=(Premise(ident("H"), disj(var("x1"), var("x2"))),
+                   Premise(ident("K"), var("y"))),
+             goals=(Premise(ident("G"), var("x")),))
+    k, leaves = via_transform(T, tr.t_split(T, ident("H")))
+    return T, leaves, k
+
+
+def test_hole_application_follows_the_given_task_order():
+    # the resulting tasks list their hypotheses in another order than the
+    # replay derives them; each s_i must take its arguments in the order of
+    # task_i's own binders, or the module is ill-typed
+    T, derived, k = _split_with_bystander()
+    L = [dataclasses.replace(t, hyps=t.hyps[::-1]) for t in derived]
+    assert checker.check_application(T, L, k)
+    mod = lp.emit_module(T, L, k)
+    assert ("symbol task1 : TYPE ≔ Π x1 : TYPE, Π y : TYPE, Π x : TYPE, "
+            "y → x1 → (x → Π C : TYPE, C) → Π C : TYPE, C;") in mod
+    assert "(λ H, s1 x1 y x K H G) (λ H, s2 x2 y x K H G)" in mod
+
+
+def test_proof_term_rejects_tasks_the_certificate_does_not_derive():
+    T, derived, k = _split_with_bystander()
+    with pytest.raises(lp.ExportError, match="task 1 differs"):
+        lp.proof_term(k, T, derived[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +358,16 @@ def test_preamble_is_static():
 
 
 def test_preamble_declares_exactly_its_advertised_names():
-    decls = lp.parse_lp(lp.emit_preamble())
-    names = {d.name for d in decls if isinstance(d, lp.LpSymbol)}
+    decls = lpp.parse_lp(lp.emit_preamble())
+    names = {d.name for d in decls if isinstance(d, lpp.LpSymbol)}
     assert names == set(lp.PREAMBLE_NAMES)
 
 
 def test_preamble_eq_refl():
-    decls = {d.name: d for d in lp.parse_lp(lp.emit_preamble())
-             if isinstance(d, lp.LpSymbol)}
-    want = lp.parse_lp_term("λ t, λ x, λ Q, λ q, q")
-    assert lp.lp_alpha_equal(decls["eq_refl"].body, want)
+    decls = {d.name: d for d in lpp.parse_lp(lp.emit_preamble())
+             if isinstance(d, lpp.LpSymbol)}
+    want = lpp.parse_lp_term("λ t, λ x, λ Q, λ q, q")
+    assert lpp.lp_alpha_equal(decls["eq_refl"].body, want)
 
 
 _DATA = {"cmp", "CEq", "CLt", "CGt", "pos", "xH", "xO", "xI",
@@ -334,23 +381,23 @@ _RULE_DEFINED = {"psucc", "pdbl", "padd", "paddc", "pmul", "dblm", "sdblm",
 def test_preamble_trust_surface_is_three_axioms():
     # everything without a definition is a datatype constructor, an operation
     # defined by rewrite rules, or one of the three axioms
-    decls = {d.name: d for d in lp.parse_lp(lp.emit_preamble())
-             if isinstance(d, lp.LpSymbol)}
+    decls = {d.name: d for d in lpp.parse_lp(lp.emit_preamble())
+             if isinstance(d, lpp.LpSymbol)}
     no_body = {n for n, d in decls.items() if d.body is None}
     assert no_body == _DATA | _RULE_DEFINED | {"em", "le_gt_cases", "int_ind"}
 
 
 def test_preamble_definitions_are_closed():
-    decls = lp.parse_lp(lp.emit_preamble())
+    decls = lpp.parse_lp(lp.emit_preamble())
     known = set()
     for d in decls:
-        if isinstance(d, lp.LpSymbol):
+        if isinstance(d, lpp.LpSymbol):
             if d.ty is not None:
                 assert lp.lp_atoms(d.ty) <= known, d.name
             if d.body is not None:
                 assert lp.lp_atoms(d.body) <= known, d.name
             known.add(d.name)
-        elif isinstance(d, lp.LpRule):
+        elif isinstance(d, lpp.LpRule):
             free = {n for n in lp.lp_atoms(d.lhs) if not n.startswith("$")}
             free |= {n for n in lp.lp_atoms(d.rhs) if not n.startswith("$")}
             assert free <= known
@@ -360,7 +407,7 @@ def test_preamble_definitions_are_closed():
 # integer rules, checked by a tiny first-order rewrite engine
 
 def _rules():
-    return [d for d in lp.parse_lp(lp.emit_preamble()) if isinstance(d, lp.LpRule)]
+    return [d for d in lpp.parse_lp(lp.emit_preamble()) if isinstance(d, lpp.LpRule)]
 
 
 def _match(pat, t, binds):
@@ -548,10 +595,10 @@ def test_modules_are_well_scoped():
     # emit_module audits internally; re-check through the parser to make the
     # guarantee independent of the emitter's own bookkeeping
     for mod in MODULES:
-        decls = lp.parse_lp(mod)
+        decls = lpp.parse_lp(mod)
         known = set(lp.PREAMBLE_NAMES)
         for d in decls:
-            if isinstance(d, lp.LpSymbol):
+            if isinstance(d, lpp.LpSymbol):
                 for side in (d.ty, d.body):
                     if side is not None:
                         assert lp.lp_atoms(side) <= known, (d.name, mod)
@@ -560,13 +607,13 @@ def test_modules_are_well_scoped():
 
 def test_modules_parse_and_roundtrip():
     for mod in MODULES:
-        decls = lp.parse_lp(mod)
-        assert isinstance(decls[0], lp.LpRequire)
+        decls = lpp.parse_lp(mod)
+        assert isinstance(decls[0], lpp.LpRequire)
         assert decls[0].path == "certforge.preamble"
         for d in decls[1:]:
-            assert isinstance(d, lp.LpSymbol)
-            again = lp.parse_lp_term(lp.lp_format(d.body))
-            assert lp.lp_alpha_equal(d.body, again)
+            assert isinstance(d, lpp.LpSymbol)
+            again = lpp.parse_lp_term(lp.lp_format(d.body))
+            assert lpp.lp_alpha_equal(d.body, again)
 
 
 def test_module_bytes_are_deterministic():
@@ -610,7 +657,7 @@ def test_mangle_is_injective_on_awkward_names():
     rendered = [lp.mangle(n) for n in names]
     assert len(set(rendered)) == len(rendered)
     for r in rendered:
-        assert lp.parse_lp_term(r) == lp.LConst(r)
+        assert lpp.parse_lp_term(r) == lp.LConst(r)
 
 
 def test_mangle_avoids_the_preamble():
@@ -619,7 +666,7 @@ def test_mangle_avoids_the_preamble():
         out = lp.mangle(Ident(taken))
         assert out not in lp.PREAMBLE_NAMES
         assert out not in ("C", "Q", "initial", "proof", "TYPE")
-        assert lp.parse_lp_term(out) == lp.LConst(out)
+        assert lpp.parse_lp_term(out) == lp.LConst(out)
 
 
 # ---------------------------------------------------------------------------

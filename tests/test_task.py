@@ -30,12 +30,10 @@ from certforge.core import (
     var,
 )
 from certforge.task import (
-    ORACLE_ATOM_CAP,
     Premise,
     Task,
     TaskError,
     gen_chain_task,
-    prop_valid_oracle,
     task_alpha_equal,
     task_list_alpha_equal,
     well_typed,
@@ -163,56 +161,30 @@ def test_well_typed_checks_the_signature_against_the_declared_types():
 
 
 # ---------------------------------------------------------------------------
-# Propositional validity oracle, frozen against hand-checked truth tables
+# The truth-table oracle of tests/oracles.py, frozen against hand-checked rows
 
 HAND_TABLE = [
-    # (atoms, hyps, goals, expected)
-    (["p"], [], [disj(P, Not(P))], True),
-    (["p"], [], [P], False),
-    (["p", "q"], [conj(P, Q)], [P], True),
-    (["p", "q"], [disj(P, Q)], [P], False),
-    (["p", "q"], [imp(P, Q), P], [Q], True),
-    (["p", "q"], [disj(P, Q)], [P, Q], True),  # goals read disjunctively
-    (["p"], [P], [], False),
-    (["p"], [conj(P, Not(P))], [], True),  # unsatisfiable hypotheses
-    (["p", "q"], [], [iff(iff(P, Q), iff(Q, P))], True),
-    (["q"], [Bottom()], [Q], True),
-    ([], [], [Top()], True),
-    (["p"], [Not(Not(P))], [P], True),
-    (["p", "q"], [imp(P, Q)], [imp(Q, P)], False),
+    # (hyps, goals, expected)
+    ([], [disj(P, Not(P))], True),
+    ([], [P], False),
+    ([conj(P, Q)], [P], True),
+    ([disj(P, Q)], [P], False),
+    ([imp(P, Q), P], [Q], True),
+    ([disj(P, Q)], [P, Q], True),  # goals read disjunctively
+    ([P], [], False),
+    ([conj(P, Not(P))], [], True),  # unsatisfiable hypotheses
+    ([], [iff(iff(P, Q), iff(Q, P))], True),
+    ([Bottom()], [Q], True),
+    ([], [Top()], True),
+    ([Not(Not(P))], [P], True),
+    ([imp(P, Q)], [imp(Q, P)], False),
 ]
 
 
-@pytest.mark.parametrize("atoms,hyps,goals,expected", HAND_TABLE,
+@pytest.mark.parametrize("hyps,goals,expected", HAND_TABLE,
                          ids=[f"row{k}" for k in range(len(HAND_TABLE))])
-def test_oracle_hand_table(atoms, hyps, goals, expected):
-    T = mk_task(atoms, hyps, goals)
-    assert prop_valid_oracle(T) is expected
+def test_oracle_hand_table(hyps, goals, expected):
     assert brute_force_valid(list(hyps), list(goals)) is expected
-
-
-def test_oracle_not_applicable():
-    quantified = mk_task([], goals=[Forall(ident("x"), INT, eq(Var(ident("x")), Var(ident("x"))))])
-    assert prop_valid_oracle(quantified) is None
-
-    applied = Task(
-        sig=((ident("p"), arrow(INT, PROP)), (ident("x"), INT)),
-        goals=(Premise(ident("G"), app(var("p"), var("x"))),))
-    assert prop_valid_oracle(applied) is None
-
-    non_prop_atom = Task(
-        sig=((ident("x"), INT),),
-        goals=(Premise(ident("G"), Var(ident("x"))),))
-    assert prop_valid_oracle(non_prop_atom) is None
-
-
-def test_oracle_atom_cap():
-    n = ORACLE_ATOM_CAP + 1
-    atoms = [f"p{i}" for i in range(1, n + 1)]
-    big = Var(ident(atoms[0]))
-    for a in atoms[1:]:
-        big = disj(big, Var(ident(a)))
-    assert prop_valid_oracle(mk_task(atoms, goals=[big])) is None
 
 
 _atoms4 = st.sampled_from([P, Q, R, S])
@@ -226,23 +198,13 @@ _prop_terms = st.recursive(
     max_leaves=10)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_prop_terms, max_size=3), st.lists(_prop_terms, max_size=2))
-def test_oracle_agrees_with_brute_force(hyps, goals):
-    T = mk_task(["p", "q", "r", "s"], hyps, goals)
-    assert prop_valid_oracle(T) is brute_force_valid(hyps, goals)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_prop_terms, max_size=2), st.lists(_prop_terms, min_size=1, max_size=2),
        _prop_terms)
 def test_oracle_weakening_monotone(hyps, goals, extra):
-    T = mk_task(["p", "q", "r", "s"], hyps, goals)
-    if prop_valid_oracle(T):
-        stronger = mk_task(["p", "q", "r", "s"], list(hyps) + [extra], goals)
-        wider = mk_task(["p", "q", "r", "s"], hyps, list(goals) + [extra])
-        assert prop_valid_oracle(stronger) is True
-        assert prop_valid_oracle(wider) is True
+    if brute_force_valid(hyps, goals):
+        assert brute_force_valid(hyps + [extra], goals) is True
+        assert brute_force_valid(hyps, goals + [extra]) is True
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +227,7 @@ def test_chain_task_shape():
 def test_chain_task_valid_and_typed(n):
     T = gen_chain_task(n)
     assert well_typed(T)
-    assert prop_valid_oracle(T) is True
+    assert brute_force_valid([], [T.goals[0].formula]) is True
 
 
 def test_chain_task_rejects_bad_n():
