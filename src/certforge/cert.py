@@ -2,9 +2,15 @@
 
 Kernel certificates spell out every formula they touch and are what the
 checker replays. Surface certificates are the terse form transformations
-produce: premise names only, no carried tasks except none at all (SHole is
-bare). Elaboration turns the latter into the former by replaying the
-certificate against the initial task and reading the payloads off it.
+produce: premise names only, no carried tasks (SHole is bare).
+
+Elaboration turns the latter into the former. At task T, each surface
+constructor's kernel(T) returns the kernel node, or the nest of kernel
+nodes, it stands for: a skeleton whose formulas are read off T and whose
+open children are the constructor's own surface subcertificates. One
+replay steps the skeleton with checker.step and elaborates each child
+against the task that step derived for it; SHole becomes the KHole of that
+task.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .core import (
     Var,
     all_idents,
     alpha_equal,
+    annotate,
     conj,
     disj,
     eq,
@@ -39,7 +46,6 @@ from .core import (
     fresh_ident,
     ident,
     subst_term,
-    typecheck,
 )
 from .task import Task
 
@@ -232,6 +238,13 @@ class KInduction(KernelCert):
 class SurfaceCert:
     __slots__ = ()
 
+    def kernel(self, T: Task) -> KernelCert:
+        """The kernel skeleton this certificate stands for at task T: its
+        formulas read off T, this certificate's own subcertificates where
+        the kernel children go (see elaborate). CertError when T lacks the
+        premises it names or they have the wrong shape."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True, slots=True)
 class SHole(SurfaceCert):
@@ -242,11 +255,19 @@ class SHole(SurfaceCert):
 class STrivial(SurfaceCert):
     name: Ident
 
+    def kernel(self, T):
+        is_goal, _ = _premise(T, self.name)
+        return KTrivial(is_goal, self.name)
+
 
 @dataclass(frozen=True, slots=True)
 class SAxiom(SurfaceCert):
     hyp: Ident
     goal: Ident
+
+    def kernel(self, T):
+        _, hyp = _premise(T, self.hyp, want_goal=False)
+        return KAxiom(hyp.formula, self.hyp, self.goal)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,12 +277,21 @@ class SAssert(SurfaceCert):
     proof: SurfaceCert
     rest: SurfaceCert
 
+    def kernel(self, T):
+        return KAssert(self.name, self.formula, self.proof, self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SSplit(SurfaceCert):
     name: Ident
     first: SurfaceCert
     second: SurfaceCert
+
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        f = _shaped(prem, "and" if is_goal else "or", "SSplit")
+        return KSplit(is_goal, f.left, f.right, self.name, self.first,
+                      self.second)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,6 +301,12 @@ class SDestruct(SurfaceCert):
     right_name: Ident
     rest: SurfaceCert
 
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        f = _shaped(prem, "or" if is_goal else "and", "SDestruct")
+        return KDestruct(is_goal, f.left, f.right, self.name, self.left_name,
+                         self.right_name, self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SConstruct(SurfaceCert):
@@ -279,11 +315,34 @@ class SConstruct(SurfaceCert):
     name: Ident
     rest: SurfaceCert
 
+    def kernel(self, T):
+        g1, p1 = _premise(T, self.left_name)
+        g2, p2 = _premise(T, self.right_name)
+        if g1 != g2:
+            raise CertError("SConstruct: premises are on different sides")
+        t1, t2 = p1.formula, p2.formula
+        l, r, n = self.left_name, self.right_name, self.name
+        if g1:
+            # the merged disjunction closes against the two original goals
+            return KAssert(
+                n, disj(t1, t2),
+                KClear(True, t1, l, KClear(True, t2, r, self.rest)),
+                KSplit(False, t1, t2, n, KAxiom(t1, n, l), KAxiom(t2, n, r)))
+        # hypothesis side: the merged conjunction is proved from the originals
+        return KAssert(
+            n, conj(t1, t2),
+            KSplit(True, t1, t2, n, KAxiom(t1, l, n), KAxiom(t2, r, n)),
+            KClear(False, t1, l, KClear(False, t2, r, self.rest)))
+
 
 @dataclass(frozen=True, slots=True)
 class SClear(SurfaceCert):
     name: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        return KClear(is_goal, prem.formula, self.name, self.rest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,12 +350,23 @@ class SSwapNeg(SurfaceCert):
     name: Ident
     rest: SurfaceCert
 
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        if not isinstance(prem.formula, Not):
+            raise CertError(f"SSwapNeg: premise {self.name} is not a negation")
+        return KSwapNeg(is_goal, prem.formula.body, self.name, self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SIntroImp(SurfaceCert):
     name: Ident
     hyp_name: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        _, prem = _premise(T, self.name, want_goal=True)
+        f = _shaped(prem, "imp", "SIntroImp")
+        return KIntroImp(f.left, f.right, self.name, self.hyp_name, self.rest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,11 +376,22 @@ class SSplitImp(SurfaceCert):
     side: SurfaceCert
     rest: SurfaceCert
 
+    def kernel(self, T):
+        _, prem = _premise(T, self.name, want_goal=False)
+        f = _shaped(prem, "imp", "SSplitImp")
+        return KSplitImp(f.left, f.right, self.name, self.goal_name,
+                         self.side, self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SUnfoldIff(SurfaceCert):
     name: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        f = _shaped(prem, "iff", "SUnfoldIff")
+        return KUnfoldIff(is_goal, f.left, f.right, self.name, self.rest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,12 +400,30 @@ class SRevert(SurfaceCert):
     goal: Ident
     rest: SurfaceCert
 
+    def kernel(self, T):
+        _, hyp = _premise(T, self.hyp, want_goal=False)
+        _, goal = _premise(T, self.goal, want_goal=True)
+        return KRevert(hyp.formula, goal.formula, self.hyp, self.goal,
+                       self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SIntroQuant(SurfaceCert):
     name: Ident
     fresh: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        f = prem.formula
+        if isinstance(f, PiType):
+            raise CertError(f"SIntroQuant: premise {self.name} is "
+                            "type-quantified; use SIntroType")
+        if not isinstance(f, Forall if is_goal else Exists):
+            raise CertError(f"SIntroQuant: premise {self.name} is not "
+                            f"{'universal' if is_goal else 'existential'}")
+        return KIntroQuant(is_goal, f.ty, Lam(f.var, f.ty, f.body), self.name,
+                           self.fresh, self.rest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,12 +433,31 @@ class SInstQuant(SurfaceCert):
     witness: Term
     rest: SurfaceCert
 
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        f = prem.formula
+        if isinstance(f, PiType):
+            raise CertError(f"SInstQuant: premise {self.name} is "
+                            "type-quantified; use SInstType")
+        if not isinstance(f, Exists if is_goal else Forall):
+            raise CertError(f"SInstQuant: premise {self.name} is not "
+                            f"{'existential' if is_goal else 'universal'}")
+        return KInstQuant(is_goal, f.ty, Lam(f.var, f.ty, f.body), self.name,
+                          self.inst_name, self.witness, self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SIntroType(SurfaceCert):
     name: Ident
     iota: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        _, prem = _premise(T, self.name, want_goal=True)
+        if not isinstance(prem.formula, PiType):
+            raise CertError(f"SIntroType: premise {self.name} is not "
+                            "type-quantified")
+        return KIntroType(prem.formula, self.name, self.iota, self.rest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,16 +467,56 @@ class SInstType(SurfaceCert):
     ty: Type
     rest: SurfaceCert
 
+    def kernel(self, T):
+        _, prem = _premise(T, self.name, want_goal=False)
+        if not isinstance(prem.formula, PiType):
+            raise CertError(f"SInstType: premise {self.name} is not "
+                            "type-quantified")
+        return KInstType(prem.formula, self.name, self.inst_name, self.ty,
+                         self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SEqRefl(SurfaceCert):
     name: Ident
+
+    def kernel(self, T):
+        _, goal = _premise(T, self.name, want_goal=True)
+        a, _b = _eq_parts(goal, "SEqRefl")
+        return KEqRefl(a, self.name)
 
 
 @dataclass(frozen=True, slots=True)
 class SEqSym(SurfaceCert):
     name: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        is_goal, prem = _premise(T, self.name)
+        a, b = _eq_parts(prem, "SEqSym")
+        orig, flip = eq(a, b), eq(b, a)
+        ty = _term_type(T, a)
+        n = self.name
+        tmp = fresh_ident(f"{n.name}_sym", T.premise_names())
+        if not is_goal:
+            # prove b = a from a = b, then rename it into the old premise
+            z = fresh_ident("z", all_idents(b))
+            return KAssert(
+                tmp, flip,
+                KRewrite(True, a, b, Lam(z, ty, eq(b, Var(z))), tmp, n,
+                         KEqRefl(b, tmp)),
+                KClear(False, orig, n, KAssert(
+                    n, flip, KAxiom(flip, tmp, n),
+                    KClear(False, flip, tmp, self.rest))))
+        # goal premise: the continuation lives in the assertion's goal branch
+        z = fresh_ident("z", all_idents(a))
+        return KAssert(
+            tmp, flip,
+            KClear(True, orig, n, KAssert(
+                n, flip, KClear(True, flip, tmp, self.rest),
+                KAxiom(flip, n, tmp))),
+            KRewrite(True, b, a, Lam(z, ty, eq(a, Var(z))), n, tmp,
+                     KEqRefl(a, n)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,6 +526,21 @@ class SEqTrans(SurfaceCert):
     name: Ident
     rest: SurfaceCert
 
+    def kernel(self, T):
+        _, p1 = _premise(T, self.first, want_goal=False)
+        _, p2 = _premise(T, self.second, want_goal=False)
+        a, b = _eq_parts(p1, "SEqTrans")
+        b2, c = _eq_parts(p2, "SEqTrans")
+        if not alpha_equal(b, b2):
+            raise CertError("SEqTrans: the middle terms differ")
+        z = fresh_ident("z", all_idents(c))
+        return KAssert(
+            self.name, eq(a, c),
+            KRewrite(True, a, b, Lam(z, _term_type(T, a), eq(Var(z), c)),
+                     self.name, self.first,
+                     KAxiom(eq(b, c), self.second, self.name)),
+            self.rest)
+
 
 @dataclass(frozen=True, slots=True)
 class SRewrite(SurfaceCert):
@@ -375,6 +548,24 @@ class SRewrite(SurfaceCert):
     eq_name: Ident
     name: Ident
     rest: SurfaceCert
+
+    def kernel(self, T):
+        _, heq = _premise(T, self.eq_name, want_goal=False)
+        l, r = _eq_parts(heq, "SRewrite")
+        is_goal, target = _premise(T, self.name)
+        if not self.right_to_left:
+            return KRewrite(is_goal, l, r, _abstract(T, target.formula, l),
+                            self.name, self.eq_name, self.rest)
+        # flip the equation into a temporary hypothesis, rewrite, drop it
+        flip = eq(r, l)
+        tmp = fresh_ident(f"{self.eq_name.name}_sym", T.premise_names())
+        z = fresh_ident("z", all_idents(r))
+        return KAssert(
+            tmp, flip,
+            KRewrite(True, l, r, Lam(z, _term_type(T, l), eq(r, Var(z))),
+                     tmp, self.eq_name, KEqRefl(r, tmp)),
+            KRewrite(is_goal, r, l, _abstract(T, target.formula, r),
+                     self.name, tmp, KClear(False, flip, tmp, self.rest)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,23 +577,42 @@ class SInduction(SurfaceCert):
     base: SurfaceCert
     rec: SurfaceCert
 
+    def kernel(self, T):
+        if len(T.goals) != 1:
+            raise CertError("SInduction needs exactly one goal")
+        g, i = T.goals[0], self.var
+        for p in reversed(T.hyps):
+            if i in free_vars(p.formula):
+                # the last hypothesis mentioning i goes into the goal, and
+                # comes back as a hypothesis in both cases
+                inner = dataclasses.replace(
+                    self, base=SIntroImp(g.name, p.name, self.base),
+                    rec=SIntroImp(g.name, p.name, self.rec))
+                return KRevert(p.formula, g.formula, p.name, g.name, inner)
+        n = fresh_ident("n", T.formula_idents() | {i})
+        context = Lam(n, INT, subst_term(g.formula, i, Var(n)))
+        return KInduction(i, self.bound, context, g.name, self.hyp_name,
+                          self.rec_name, self.base, self.rec)
+
 
 # ---------------------------------------------------------------------------
 # Tree plumbing
 
-
-def _child_fields(node) -> list[str]:
-    base = KernelCert if isinstance(node, KernelCert) else SurfaceCert
-    return [f.name for f in dataclasses.fields(node)
-            if isinstance(getattr(node, f.name), base)]
+_BY_NAME = {cls.__name__: cls for base in (KernelCert, SurfaceCert)
+            for cls in base.__subclasses__()}
+# Subcertificate fields per constructor, read off the declared field types:
+# a skeleton's kernel nodes hold surface certificates there.
+_CHILD_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)
+                            if f.type in ("KernelCert", "SurfaceCert"))
+                 for cls in _BY_NAME.values()}
 
 
 def cert_children(node):
-    return tuple(getattr(node, n) for n in _child_fields(node))
+    return tuple(getattr(node, n) for n in _CHILD_FIELDS[type(node)])
 
 
 def _with_children(node, new):
-    names = _child_fields(node)
+    names = _CHILD_FIELDS[type(node)]
     assert len(names) == len(new)
     return dataclasses.replace(node, **dict(zip(names, new)))
 
@@ -442,19 +652,6 @@ def fill_holes(s: SurfaceCert, fillers) -> SurfaceCert:
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-_KERNEL_CLASSES = [
-    KHole, KTrivial, KAxiom, KAssert, KSplit, KDestruct, KClear, KSwapNeg,
-    KIntroImp, KSplitImp, KUnfoldIff, KRevert, KIntroQuant, KInstQuant,
-    KIntroType, KInstType, KEqRefl, KRewrite, KInduction,
-]
-_SURFACE_CLASSES = [
-    SHole, STrivial, SAxiom, SAssert, SSplit, SDestruct, SConstruct, SClear,
-    SSwapNeg, SIntroImp, SSplitImp, SUnfoldIff, SRevert, SIntroQuant,
-    SInstQuant, SIntroType, SInstType, SEqRefl, SEqSym, SEqTrans, SRewrite,
-    SInduction,
-]
-_BY_NAME = {cls.__name__: cls for cls in _KERNEL_CLASSES + _SURFACE_CLASSES}
 
 
 def _encode_field(v):
@@ -497,7 +694,10 @@ def _decode_field(form, kind: type):
     if kind is Task:
         return sexpr.task_from_sexpr(form)
     if kind in (KernelCert, SurfaceCert):
-        return cert_from_sexpr(form)
+        c = cert_from_sexpr(form)
+        if not isinstance(c, kind):
+            raise CertError(f"{type(c).__name__} is not a {kind.__name__}")
+        return c
     raise CertError(f"unhandled payload kind {kind!r}")
 
 
@@ -538,16 +738,6 @@ _OPNAME = {"and": "a conjunction", "or": "a disjunction",
            "imp": "an implication", "iff": "an equivalence"}
 
 
-def _steps(T: Task, node: KernelCert) -> list[Task]:
-    """Run one kernel step during elaboration; CertError on rule violation."""
-    from . import checker
-
-    try:
-        return checker.step(T, node, ())
-    except checker.CheckError as e:
-        raise CertError(e.failure.message) from e
-
-
 def _premise(T: Task, name: Ident, want_goal: bool | None = None):
     found = T.find(name)
     if found is None:
@@ -579,13 +769,10 @@ def _eq_parts(prem, who: str) -> tuple[Term, Term]:
     raise CertError(f"{who}: premise {prem.name} is not an equality")
 
 
-def _fresh_premise(T: Task, base: str) -> Ident:
-    return fresh_ident(base, T.premise_names())
-
-
 def _term_type(T: Task, t: Term) -> Type:
+    # T is well-typed, so its signature needs no second check
     try:
-        return typecheck(T.types_map(), T.sig_map(), t)
+        return annotate(T.types_map(), T.sig_map(), t).type
     except TypingError as e:
         raise CertError(str(e)) from e
 
@@ -622,372 +809,42 @@ def _abstract(T: Task, formula: Term, needle: Term) -> Term:
     return Lam(z, _term_type(T, needle), body)
 
 
+def _replay(c, T: Task) -> KernelCert:
+    """Step the skeleton c against T and elaborate its children in turn."""
+    if isinstance(c, SurfaceCert):
+        if isinstance(c, SHole):
+            return KHole(T)
+        c = c.kernel(T)
+    try:
+        tasks = checker.step(T, c, ())
+    except checker.CheckError as e:
+        raise CertError(e.failure.message) from e
+    names = _CHILD_FIELDS[type(c)]
+    if not names:
+        return c
+    kids = []
+    for name, t in zip(names, tasks):
+        kids.append(_replay(getattr(c, name), t))
+    return _with_children(c, kids)
+
+
 def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
     """Replay s against T, filling in the formulas each rule touches.
 
-    T must be well-typed. Raises CertError when a premise is missing, has
-    the wrong shape for the certificate applied to it, or a side condition
-    fails; the resulting kernel certificate passes ccheck against T.
+    T must be well-typed. Each surface node is expanded into its kernel
+    skeleton at the task it applies to, and every kernel node of the
+    skeleton is stepped once by checker.step; its children are elaborated
+    against the tasks that step derives. Raises CertError at the first
+    failing rule in depth-first, left-to-right order: a missing premise,
+    a premise of the wrong shape for the certificate applied to it, or a
+    failed side condition. The resulting kernel certificate passes ccheck
+    against T.
     """
-    if isinstance(s, SHole):
-        return KHole(T)
-
-    if isinstance(s, STrivial):
-        is_goal, _ = _premise(T, s.name)
-        node = KTrivial(is_goal, s.name)
-        _steps(T, node)
-        return node
-
-    if isinstance(s, SAxiom):
-        _, hyp = _premise(T, s.hyp, want_goal=False)
-        node = KAxiom(hyp.formula, s.hyp, s.goal)
-        _steps(T, node)
-        return node
-
-    if isinstance(s, SEqRefl):
-        _, goal = _premise(T, s.name, want_goal=True)
-        a, _b = _eq_parts(goal, "SEqRefl")
-        node = KEqRefl(a, s.name)
-        _steps(T, node)
-        return node
-
-    if isinstance(s, SAssert):
-        node = KAssert(s.name, s.formula, KHole(T), KHole(T))
-        t1, t2 = _steps(T, node)
-        return dataclasses.replace(node, proof=elaborate(s.proof, t1),
-                                   rest=elaborate(s.rest, t2))
-
-    if isinstance(s, SSplit):
-        is_goal, prem = _premise(T, s.name)
-        f = _shaped(prem, "and" if is_goal else "or", "SSplit")
-        node = KSplit(is_goal, f.left, f.right, s.name, KHole(T), KHole(T))
-        t1, t2 = _steps(T, node)
-        return dataclasses.replace(node, first=elaborate(s.first, t1),
-                                   second=elaborate(s.second, t2))
-
-    if isinstance(s, SDestruct):
-        is_goal, prem = _premise(T, s.name)
-        f = _shaped(prem, "or" if is_goal else "and", "SDestruct")
-        node = KDestruct(is_goal, f.left, f.right, s.name,
-                         s.left_name, s.right_name, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SClear):
-        is_goal, prem = _premise(T, s.name)
-        node = KClear(is_goal, prem.formula, s.name, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SSwapNeg):
-        is_goal, prem = _premise(T, s.name)
-        f = prem.formula
-        if not isinstance(f, Not):
-            raise CertError(f"SSwapNeg: premise {s.name} is not a negation")
-        node = KSwapNeg(is_goal, f.body, s.name, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SIntroImp):
-        _, prem = _premise(T, s.name, want_goal=True)
-        f = _shaped(prem, "imp", "SIntroImp")
-        node = KIntroImp(f.left, f.right, s.name, s.hyp_name, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SSplitImp):
-        _, prem = _premise(T, s.name, want_goal=False)
-        f = _shaped(prem, "imp", "SSplitImp")
-        node = KSplitImp(f.left, f.right, s.name, s.goal_name,
-                         KHole(T), KHole(T))
-        t1, t2 = _steps(T, node)
-        return dataclasses.replace(node, side=elaborate(s.side, t1),
-                                   rest=elaborate(s.rest, t2))
-
-    if isinstance(s, SUnfoldIff):
-        is_goal, prem = _premise(T, s.name)
-        f = _shaped(prem, "iff", "SUnfoldIff")
-        node = KUnfoldIff(is_goal, f.left, f.right, s.name, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SRevert):
-        _, hyp = _premise(T, s.hyp, want_goal=False)
-        _, goal = _premise(T, s.goal, want_goal=True)
-        node = KRevert(hyp.formula, goal.formula, s.hyp, s.goal, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SIntroQuant):
-        is_goal, prem = _premise(T, s.name)
-        f = prem.formula
-        want = Forall if is_goal else Exists
-        if isinstance(f, PiType):
-            raise CertError(f"SIntroQuant: premise {s.name} is "
-                            "type-quantified; use SIntroType")
-        if not isinstance(f, want):
-            raise CertError(f"SIntroQuant: premise {s.name} is not "
-                            f"{'universal' if is_goal else 'existential'}")
-        pred = Lam(f.var, f.ty, f.body)
-        node = KIntroQuant(is_goal, f.ty, pred, s.name, s.fresh, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SInstQuant):
-        is_goal, prem = _premise(T, s.name)
-        f = prem.formula
-        want = Exists if is_goal else Forall
-        if isinstance(f, PiType):
-            raise CertError(f"SInstQuant: premise {s.name} is "
-                            "type-quantified; use SInstType")
-        if not isinstance(f, want):
-            raise CertError(f"SInstQuant: premise {s.name} is not "
-                            f"{'existential' if is_goal else 'universal'}")
-        pred = Lam(f.var, f.ty, f.body)
-        node = KInstQuant(is_goal, f.ty, pred, s.name, s.inst_name,
-                          s.witness, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SIntroType):
-        _, prem = _premise(T, s.name, want_goal=True)
-        if not isinstance(prem.formula, PiType):
-            raise CertError(f"SIntroType: premise {s.name} is not "
-                            "type-quantified")
-        node = KIntroType(prem.formula, s.name, s.iota, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SInstType):
-        _, prem = _premise(T, s.name, want_goal=False)
-        if not isinstance(prem.formula, PiType):
-            raise CertError(f"SInstType: premise {s.name} is not "
-                            "type-quantified")
-        node = KInstType(prem.formula, s.name, s.inst_name, s.ty, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    if isinstance(s, SConstruct):
-        return _elab_construct(s, T)
-    if isinstance(s, SEqSym):
-        return _elab_eq_sym(s, T)
-    if isinstance(s, SEqTrans):
-        return _elab_eq_trans(s, T)
-    if isinstance(s, SRewrite):
-        return _elab_rewrite(s, T)
-    if isinstance(s, SInduction):
-        return _elab_induction(s, T)
-
-    raise CertError(f"unknown surface certificate {s!r}")
+    if not isinstance(s, SurfaceCert):
+        raise CertError(f"unknown surface certificate {s!r}")
+    return _replay(s, T)
 
 
-def _elab_construct(s: SConstruct, T: Task) -> KernelCert:
-    g1, p1 = _premise(T, s.left_name)
-    g2, p2 = _premise(T, s.right_name)
-    if g1 != g2:
-        raise CertError("SConstruct: premises are on different sides")
-    t1, t2 = p1.formula, p2.formula
-    merged = disj(t1, t2) if g1 else conj(t1, t2)
-    shell = KAssert(s.name, merged, KHole(T), KHole(T))
-    t_goal, t_hyp = _steps(T, shell)
-
-    if g1:
-        # the merged disjunction closes against the two original goals
-        sp = KSplit(False, t1, t2, s.name, KHole(T), KHole(T))
-        tx, ty = _steps(t_hyp, sp)
-        ax1 = KAxiom(t1, s.name, s.left_name)
-        _steps(tx, ax1)
-        ax2 = KAxiom(t2, s.name, s.right_name)
-        _steps(ty, ax2)
-        closing = dataclasses.replace(sp, first=ax1, second=ax2)
-        cl1 = KClear(True, t1, s.left_name, KHole(T))
-        (ta,) = _steps(t_goal, cl1)
-        cl2 = KClear(True, t2, s.right_name, KHole(T))
-        (tb,) = _steps(ta, cl2)
-        child = elaborate(s.rest, tb)
-        continuing = dataclasses.replace(
-            cl1, rest=dataclasses.replace(cl2, rest=child))
-        return dataclasses.replace(shell, proof=continuing, rest=closing)
-
-    # hypothesis side: the merged conjunction is proved from the originals
-    sp = KSplit(True, t1, t2, s.name, KHole(T), KHole(T))
-    tx, ty = _steps(t_goal, sp)
-    ax1 = KAxiom(t1, s.left_name, s.name)
-    _steps(tx, ax1)
-    ax2 = KAxiom(t2, s.right_name, s.name)
-    _steps(ty, ax2)
-    closing = dataclasses.replace(sp, first=ax1, second=ax2)
-    cl1 = KClear(False, t1, s.left_name, KHole(T))
-    (ta,) = _steps(t_hyp, cl1)
-    cl2 = KClear(False, t2, s.right_name, KHole(T))
-    (tb,) = _steps(ta, cl2)
-    child = elaborate(s.rest, tb)
-    continuing = dataclasses.replace(
-        cl1, rest=dataclasses.replace(cl2, rest=child))
-    return dataclasses.replace(shell, proof=closing, rest=continuing)
-
-
-def _elab_eq_sym(s: SEqSym, T: Task) -> KernelCert:
-    is_goal, prem = _premise(T, s.name)
-    a, b = _eq_parts(prem, "SEqSym")
-    orig, flip = eq(a, b), eq(b, a)
-    ty = _term_type(T, a)
-    tmp = _fresh_premise(T, f"{s.name.name}_sym")
-    shell = KAssert(tmp, flip, KHole(T), KHole(T))
-    t_goal, t_hyp = _steps(T, shell)
-
-    if not is_goal:
-        # prove b = a from a = b, then rename it into the old premise
-        z = fresh_ident("z", all_idents(b))
-        rw = KRewrite(True, a, b, Lam(z, ty, eq(b, Var(z))), tmp, s.name,
-                      KHole(T))
-        (t_rw,) = _steps(t_goal, rw)
-        refl = KEqRefl(b, tmp)
-        _steps(t_rw, refl)
-        proof = dataclasses.replace(rw, rest=refl)
-
-        cl1 = KClear(False, orig, s.name, KHole(T))
-        (ta,) = _steps(t_hyp, cl1)
-        ren = KAssert(s.name, flip, KHole(T), KHole(T))
-        tb1, tb2 = _steps(ta, ren)
-        ax = KAxiom(flip, tmp, s.name)
-        _steps(tb1, ax)
-        cl2 = KClear(False, flip, tmp, KHole(T))
-        (tc,) = _steps(tb2, cl2)
-        child = elaborate(s.rest, tc)
-        rest = dataclasses.replace(cl1, rest=dataclasses.replace(
-            ren, proof=ax, rest=dataclasses.replace(cl2, rest=child)))
-        return dataclasses.replace(shell, proof=proof, rest=rest)
-
-    # goal premise: the continuation lives in the assertion's goal branch
-    cl1 = KClear(True, orig, s.name, KHole(T))
-    (ta,) = _steps(t_goal, cl1)
-    ren = KAssert(s.name, flip, KHole(T), KHole(T))
-    tb1, tb2 = _steps(ta, ren)
-    cl2 = KClear(True, flip, tmp, KHole(T))
-    (tc,) = _steps(tb1, cl2)
-    ax = KAxiom(flip, s.name, tmp)
-    _steps(tb2, ax)
-    child = elaborate(s.rest, tc)
-    proof = dataclasses.replace(cl1, rest=dataclasses.replace(
-        ren, proof=dataclasses.replace(cl2, rest=child), rest=ax))
-
-    z = fresh_ident("z", all_idents(a))
-    rw = KRewrite(True, b, a, Lam(z, ty, eq(a, Var(z))), s.name, tmp,
-                  KHole(T))
-    (t_rw,) = _steps(t_hyp, rw)
-    refl = KEqRefl(a, s.name)
-    _steps(t_rw, refl)
-    rest = dataclasses.replace(rw, rest=refl)
-    return dataclasses.replace(shell, proof=proof, rest=rest)
-
-
-def _elab_eq_trans(s: SEqTrans, T: Task) -> KernelCert:
-    _, p1 = _premise(T, s.first, want_goal=False)
-    _, p2 = _premise(T, s.second, want_goal=False)
-    a, b = _eq_parts(p1, "SEqTrans")
-    b2, c = _eq_parts(p2, "SEqTrans")
-    if not alpha_equal(b, b2):
-        raise CertError("SEqTrans: the middle terms differ")
-    ty = _term_type(T, a)
-    shell = KAssert(s.name, eq(a, c), KHole(T), KHole(T))
-    t_goal, t_rest = _steps(T, shell)
-
-    z = fresh_ident("z", all_idents(c))
-    rw = KRewrite(True, a, b, Lam(z, ty, eq(Var(z), c)), s.name, s.first,
-                  KHole(T))
-    (t_rw,) = _steps(t_goal, rw)
-    ax = KAxiom(eq(b, c), s.second, s.name)
-    _steps(t_rw, ax)
-    proof = dataclasses.replace(rw, rest=ax)
-    child = elaborate(s.rest, t_rest)
-    return dataclasses.replace(shell, proof=proof, rest=child)
-
-
-def _elab_rewrite(s: SRewrite, T: Task) -> KernelCert:
-    _, heq = _premise(T, s.eq_name, want_goal=False)
-    l, r = _eq_parts(heq, "SRewrite")
-    is_goal, target = _premise(T, s.name)
-
-    if not s.right_to_left:
-        ctx = _abstract(T, target.formula, l)
-        node = KRewrite(is_goal, l, r, ctx, s.name, s.eq_name, KHole(T))
-        (t1,) = _steps(T, node)
-        return dataclasses.replace(node, rest=elaborate(s.rest, t1))
-
-    # flip the equation into a temporary hypothesis, rewrite, drop it
-    flip = eq(r, l)
-    ty = _term_type(T, l)
-    tmp = _fresh_premise(T, f"{s.eq_name.name}_sym")
-    shell = KAssert(tmp, flip, KHole(T), KHole(T))
-    t_goal, t_rest = _steps(T, shell)
-
-    z = fresh_ident("z", all_idents(r))
-    rw1 = KRewrite(True, l, r, Lam(z, ty, eq(r, Var(z))), tmp, s.eq_name,
-                   KHole(T))
-    (t_rw,) = _steps(t_goal, rw1)
-    refl = KEqRefl(r, tmp)
-    _steps(t_rw, refl)
-    proof = dataclasses.replace(rw1, rest=refl)
-
-    ctx = _abstract(T, target.formula, r)
-    rw2 = KRewrite(is_goal, r, l, ctx, s.name, tmp, KHole(T))
-    (t2,) = _steps(t_rest, rw2)
-    cl = KClear(False, flip, tmp, KHole(T))
-    (t3,) = _steps(t2, cl)
-    child = elaborate(s.rest, t3)
-    rest = dataclasses.replace(rw2, rest=dataclasses.replace(cl, rest=child))
-    return dataclasses.replace(shell, proof=proof, rest=rest)
-
-
-def _elab_induction(s: SInduction, T: Task) -> KernelCert:
-    if len(T.goals) != 1:
-        raise CertError("SInduction needs exactly one goal")
-    gname = T.goals[0].name
-    i = s.var
-
-    # premises depending on i go into the goal first (and come back after)
-    deps = [p for p in T.hyps if i in free_vars(p.formula)]
-    cur = T
-    reverts = []
-    for p in reversed(deps):
-        gf = cur.goals[0].formula
-        node = KRevert(p.formula, gf, p.name, gname, KHole(cur))
-        (cur,) = _steps(cur, node)
-        reverts.append((p.formula, gf, p.name))
-
-    goal_f = cur.goals[0].formula
-    n = fresh_ident("n", cur.formula_idents() | {i})
-    context = Lam(n, INT, subst_term(goal_f, i, Var(n)))
-    shell = KInduction(i, s.bound, context, gname, s.hyp_name, s.rec_name,
-                       KHole(cur), KHole(cur))
-    t_base, t_rec = _steps(cur, shell)
-
-    def reintro(t: Task):
-        intros = []
-        for p in deps:
-            found = t.find(gname)
-            assert found is not None
-            f = found[2].formula
-            if not (isinstance(f, BinOp) and f.op == "imp"):
-                raise CertError("SInduction: reverted goal lost its shape")
-            node = KIntroImp(f.left, f.right, gname, p.name, KHole(t))
-            (t,) = _steps(t, node)
-            intros.append((f.left, f.right, p.name))
-        return intros, t
-
-    base_intros, t_base2 = reintro(t_base)
-    rec_intros, t_rec2 = reintro(t_rec)
-
-    def nest(intros, child):
-        for left, right, hyp in reversed(intros):
-            child = KIntroImp(left, right, gname, hyp, child)
-        return child
-
-    out: KernelCert = dataclasses.replace(
-        shell,
-        base=nest(base_intros, elaborate(s.base, t_base2)),
-        rec=nest(rec_intros, elaborate(s.rec, t_rec2)))
-    for hf, gf, hn in reversed(reverts):
-        out = KRevert(hf, gf, hn, gname, out)
-    return out
+# checker imports this module, so it is bound last; elaboration only reads
+# it at call time.
+from . import checker  # noqa: E402

@@ -30,7 +30,8 @@ from .core import (PROP, Ident, Term, Type, TypingError, annotate,
                    check_signature, ident)
 from .lp_export import ExportError, emit_module, emit_preamble
 from .sexpr import SexprError
-from .task import Task, TaskError, gen_chain_task
+from .task import (Task, TaskError, gen_chain_task,
+                   task_list_alpha_equal)
 from .transforms import TransformError
 
 
@@ -210,6 +211,10 @@ def cmd_transform(ns) -> int:
     report = ccheck(k, doc.task)
     if not report.ok:
         return _rejected(report.failure)
+    if not task_list_alpha_equal(report.derived_leaves, tasks):
+        raise TransformError(
+            f"{name}: the checked certificate does not derive the tasks "
+            "the transformation returned")
     src = Path(ns.file)
     out_dir = Path(ns.out_dir) if ns.out_dir else src.parent
     for i, t in enumerate(tasks, 1):

@@ -50,7 +50,6 @@ from .core import (
     subst_type,
     type_heads,
     type_vars,
-    typecheck,
 )
 from .task import Task, task_alpha_equal, used_declarations
 from .theories import lookup_interpreted
@@ -466,7 +465,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
                         scope[node.hyp], scope[node.goal])
 
         if isinstance(node, cert.KEqRefl):
-            tau = typecheck(task.types_map(), task.sig_map(), node.term)
+            tau = annotate(task.types_map(), task.sig_map(), node.term).type
             witness = lapp(LConst("eq_refl"), _encode_type(tau),
                            enc(node.term, task))
             return LApp(scope[node.name], witness)

@@ -171,6 +171,11 @@ def test_cert_loads_rejects_garbage():
         cert_loads("(KNothing 1 2)")
     with pytest.raises(CertError):
         cert_loads("(KTrivial #t)")
+    # a kernel subcertificate must be kernel, a surface one surface
+    with pytest.raises(CertError, match="SHole is not a KernelCert"):
+        cert_loads("(KClear #t p G SHole)")
+    with pytest.raises(CertError, match="KTrivial is not a SurfaceCert"):
+        cert_loads("(SClear G (KTrivial #t G))")
 
 
 def test_elaborated_tree_roundtrips():
@@ -393,3 +398,139 @@ def test_induction_needs_single_goal():
              goals=(Premise(G, Top()), Premise(ident("G2"), Top())))
     with pytest.raises(CertError, match="exactly one goal"):
         elaborate(cert.SInduction(_i, IntLit(0), _Hi, _Hr, SHole(), SHole()), T)
+
+
+# exact kernel output of the composite surface certificates
+
+_F = var("f")
+_DEPS = ((_i, INT),) + tuple((ident(n), Arrow(INT, PROP)) for n in "pqrs")
+
+
+def _induction_task(*more):
+    # D and the hypotheses in `more` mention i; E, between them, does not
+    hyps = ((ident("D"), app(var("q"), var("i"))),
+            (ident("E"), app(var("p"), IntLit(0))))
+    hyps += tuple((ident(n), app(var(pred), var("i"))) for n, pred in more)
+    return Task(sig=_DEPS, hyps=tuple(Premise(n, f) for n, f in hyps),
+                goals=(Premise(G, app(var("p"), var("i"))),))
+
+
+_INDUCTION = cert.SInduction(_i, IntLit(0), _Hi, _Hr, SHole(), SHole())
+
+COMPOSITES = {
+    "construct_hyps": (
+        Task(sig=((ident("p"), PROP), (ident("q"), PROP)),
+             hyps=(Premise(_H1, _P), Premise(_H2, _Q)),
+             goals=(Premise(G, conj(_P, _Q)),)),
+        cert.SConstruct(_H1, _H2, H, SHole())),
+    "construct_goals": (
+        Task(sig=((ident("p"), PROP), (ident("q"), PROP)),
+             hyps=(Premise(H, disj(_P, _Q)),),
+             goals=(Premise(ident("G1"), _P), Premise(ident("G2"), _Q))),
+        cert.SConstruct(ident("G1"), ident("G2"), G, SHole())),
+    "eq_sym_hyp": (
+        _arith_task([("H", eq(A, app(_F, A)))], [("G", eq(app(_F, A), A))]),
+        cert.SEqSym(H, SHole())),
+    "eq_sym_goal": (
+        _arith_task([("H", eq(app(_F, A), A))], [("G", eq(A, app(_F, A)))]),
+        cert.SEqSym(G, SHole())),
+    "eq_trans": (
+        _arith_task([("H1", eq(A, B)), ("H2", eq(B, C))], [("G", eq(A, C))]),
+        cert.SEqTrans(_H1, _H2, ident("H3"), SHole())),
+    "rewrite_left_to_right": (
+        _arith_task([("H", eq(A, B))], [("G", eq(app(_F, A), B))]),
+        cert.SRewrite(False, H, G, SHole())),
+    "rewrite_right_to_left": (
+        _arith_task([("H", eq(A, B))], [("G", eq(app(_F, A), B))]),
+        cert.SRewrite(True, H, G, SHole())),
+    "induction_two_deps": (
+        _induction_task(("F", "r")), _INDUCTION),
+    "induction_three_deps": (
+        _induction_task(("F", "r"), ("K", "s")), _INDUCTION),
+}
+
+GOLDEN = {
+    "construct_hyps": (
+        "(KAssert H (and p q) (KSplit #t p q H (KAxiom p H1 H) (KAxiom q H2"
+        " H)) (KClear #f p H1 (KClear #f q H2 (KHole (task (types) (sig (p "
+        "prop) (q prop)) (hyps (H (and p q))) (goals (G (and p q))))))))"
+    ),
+    "construct_goals": (
+        "(KAssert G (or p q) (KClear #t p G1 (KClear #t q G2 (KHole (task "
+        "(types) (sig (p prop) (q prop)) (hyps (H (or p q))) (goals (G (or "
+        "p q))))))) (KSplit #f p q G (KAxiom p G G1) (KAxiom q G G2)))"
+    ),
+    "eq_sym_hyp": (
+        "(KAssert H_sym (= (f a) a) (KRewrite #t a (f a) (lam (z (int)) (= "
+        "(f a) z)) H_sym H (KEqRefl (f a) H_sym)) (KClear #f (= a (f a)) H "
+        "(KAssert H (= (f a) a) (KAxiom (= (f a) a) H_sym H) (KClear #f (= "
+        "(f a) a) H_sym (KHole (task (types) (sig (a (int)) (b (int)) (c "
+        "(int)) (f (-> (int) (int)))) (hyps (H (= (f a) a))) (goals (G (= "
+        "(f a) a)))))))))"
+    ),
+    "eq_sym_goal": (
+        "(KAssert G_sym (= (f a) a) (KClear #t (= a (f a)) G (KAssert G (= "
+        "(f a) a) (KClear #t (= (f a) a) G_sym (KHole (task (types) (sig (a"
+        " (int)) (b (int)) (c (int)) (f (-> (int) (int)))) (hyps (H (= (f "
+        "a) a))) (goals (G (= (f a) a)))))) (KAxiom (= (f a) a) G G_sym))) "
+        "(KRewrite #t (f a) a (lam (z (int)) (= a z)) G G_sym (KEqRefl a "
+        "G)))"
+    ),
+    "eq_trans": (
+        "(KAssert H3 (= a c) (KRewrite #t a b (lam (z (int)) (= z c)) H3 H1"
+        " (KAxiom (= b c) H2 H3)) (KHole (task (types) (sig (a (int)) (b "
+        "(int)) (c (int)) (f (-> (int) (int)))) (hyps (H1 (= a b)) (H2 (= b"
+        " c)) (H3 (= a c))) (goals (G (= a c))))))"
+    ),
+    "rewrite_left_to_right": (
+        "(KRewrite #t a b (lam (z (int)) (= (f z) b)) G H (KHole (task "
+        "(types) (sig (a (int)) (b (int)) (c (int)) (f (-> (int) (int)))) "
+        "(hyps (H (= a b))) (goals (G (= (f b) b))))))"
+    ),
+    "rewrite_right_to_left": (
+        "(KAssert H_sym (= b a) (KRewrite #t a b (lam (z (int)) (= b z)) "
+        "H_sym H (KEqRefl b H_sym)) (KRewrite #t b a (lam (z (int)) (= (f "
+        "a) z)) G H_sym (KClear #f (= b a) H_sym (KHole (task (types) (sig "
+        "(a (int)) (b (int)) (c (int)) (f (-> (int) (int)))) (hyps (H (= a "
+        "b))) (goals (G (= (f a) a))))))))"
+    ),
+    "induction_two_deps": (
+        "(KRevert (r i) (p i) F G (KRevert (q i) (imp (r i) (p i)) D G "
+        "(KInduction i 0 (lam (n (int)) (imp (q n) (imp (r n) (p n)))) G Hi"
+        " Hr (KIntroImp (q i) (imp (r i) (p i)) G D (KIntroImp (r i) (p i) "
+        "G F (KHole (task (types) (sig (i (int)) (p (-> (int) prop)) (q (->"
+        " (int) prop)) (r (-> (int) prop)) (s (-> (int) prop))) (hyps (E (p"
+        " 0)) (Hi (<= i 0)) (D (q i)) (F (r i))) (goals (G (p i))))))) "
+        "(KIntroImp (q i) (imp (r i) (p i)) G D (KIntroImp (r i) (p i) G F "
+        "(KHole (task (types) (sig (i (int)) (p (-> (int) prop)) (q (-> "
+        "(int) prop)) (r (-> (int) prop)) (s (-> (int) prop))) (hyps (E (p "
+        "0)) (Hi (> i 0)) (Hr (forall (n#1 (int)) (imp (< n#1 i) (imp (q "
+        "n#1) (imp (r n#1) (p n#1)))))) (D (q i)) (F (r i))) (goals (G (p "
+        "i))))))))))"
+    ),
+    "induction_three_deps": (
+        "(KRevert (s i) (p i) K G (KRevert (r i) (imp (s i) (p i)) F G "
+        "(KRevert (q i) (imp (r i) (imp (s i) (p i))) D G (KInduction i 0 "
+        "(lam (n (int)) (imp (q n) (imp (r n) (imp (s n) (p n))))) G Hi Hr "
+        "(KIntroImp (q i) (imp (r i) (imp (s i) (p i))) G D (KIntroImp (r "
+        "i) (imp (s i) (p i)) G F (KIntroImp (s i) (p i) G K (KHole (task "
+        "(types) (sig (i (int)) (p (-> (int) prop)) (q (-> (int) prop)) (r "
+        "(-> (int) prop)) (s (-> (int) prop))) (hyps (E (p 0)) (Hi (<= i "
+        "0)) (D (q i)) (F (r i)) (K (s i))) (goals (G (p i)))))))) "
+        "(KIntroImp (q i) (imp (r i) (imp (s i) (p i))) G D (KIntroImp (r "
+        "i) (imp (s i) (p i)) G F (KIntroImp (s i) (p i) G K (KHole (task "
+        "(types) (sig (i (int)) (p (-> (int) prop)) (q (-> (int) prop)) (r "
+        "(-> (int) prop)) (s (-> (int) prop))) (hyps (E (p 0)) (Hi (> i 0))"
+        " (Hr (forall (n#1 (int)) (imp (< n#1 i) (imp (q n#1) (imp (r n#1) "
+        "(imp (s n#1) (p n#1))))))) (D (q i)) (F (r i)) (K (s i))) (goals "
+        "(G (p i))))))))))))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+def test_composite_kernel_output(name):
+    T, s = COMPOSITES[name]
+    k = elaborate(s, T)
+    assert cert_dumps(k) == GOLDEN[name]
+    assert checker.ccheck(k, T).ok

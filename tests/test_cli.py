@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 import lp_parser as lpp
-from certforge import sexpr
+from certforge import cli, sexpr
 from certforge.cli import (
     BenchRow,
     bench_ladder,
@@ -14,8 +14,8 @@ from certforge.cli import (
     main,
     parse_task,
 )
-from certforge.core import Top
-from certforge.task import gen_chain_task, task_alpha_equal
+from certforge.core import Top, ident, var
+from certforge.task import Premise, gen_chain_task, task_alpha_equal
 
 EX1 = """
 (task (types)
@@ -154,6 +154,28 @@ def test_transform_emits_checked_artifacts(tmp_path, capsys):
     for i in (1, 2):
         assert main(["parse", str(tmp_path / f"t.{i}.tsk")]) == 0
         capsys.readouterr()
+
+
+def test_transform_writes_nothing_its_certificate_does_not_derive(
+        tmp_path, capsys, monkeypatch):
+    # a transformation whose tasks differ from what its certificate derives
+    op, usage = cli._TRANSFORMS["split"]
+
+    def bogus(T, ns):
+        tasks, s = op(T, ns)
+        extra = Premise(ident("Bogus"), var("q"))
+        return [t.append(False, extra) for t in tasks], s
+
+    monkeypatch.setitem(cli._TRANSFORMS, "split", (bogus, usage))
+    f = tmp_path / "t.tsk"
+    f.write_text("(task (types) (sig (p prop) (q prop)) (hyps)"
+                 " (goals (G (and p q))))", encoding="utf-8")
+    assert main(["transform", str(f), "--name", "split",
+                 "--premise", "G"]) == 1
+    captured = capsys.readouterr()
+    assert "does not derive" in captured.err
+    assert "ok:" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsk"]
 
 
 def test_transform_missing_argument(tmp_path, capsys):
