@@ -42,6 +42,7 @@ from .core import (
     conj,
     disj,
     eq,
+    eq_sides,
     free_vars,
     fresh_ident,
     ident,
@@ -762,11 +763,10 @@ def _shaped(prem, want: str, who: str) -> BinOp:
 
 
 def _eq_parts(prem, who: str) -> tuple[Term, Term]:
-    f = prem.formula
-    if (isinstance(f, App) and isinstance(f.fn, App)
-            and isinstance(f.fn.fn, Var) and str(f.fn.fn.name) == "="):
-        return f.fn.arg, f.arg
-    raise CertError(f"{who}: premise {prem.name} is not an equality")
+    sides = eq_sides(prem.formula)
+    if sides is None:
+        raise CertError(f"{who}: premise {prem.name} is not an equality")
+    return sides
 
 
 def _term_type(T: Task, t: Term) -> Type:

@@ -25,6 +25,7 @@ from . import cert
 from .core import (
     INT,
     PROP,
+    RESERVED,
     Bottom,
     Exists,
     Forall,
@@ -55,7 +56,6 @@ from .core import (
 )
 from .task import (Premise, Task, TaskError, premises_are_props,
                    task_alpha_equal, task_list_alpha_equal, well_typed)
-from .theories import apply_context, is_reserved
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +77,13 @@ class CheckError(Exception):
         super().__init__(
             f"{failure.rule} at {list(failure.path)}: {failure.message}")
         self.failure = failure
+
+
+def _apply_context(ctx: Lam, arg: Term) -> Term:
+    """The t[u] notation of the quantifier, rewrite and induction rules:
+    ctx = lam x. t applied to u is t[x -> u]. Every caller has checked
+    that ctx is a lambda abstraction."""
+    return subst_term(ctx.body, ctx.var, arg)
 
 
 def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
@@ -241,11 +248,11 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
         match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
               f"premise {node.name}")
         y = node.fresh
-        if is_reserved(y.name):
+        if y.name in RESERVED:
             fail(f"{y} is interpreted and reserved")
         if y in T.formula_idents():
             fail(f"{y} is not fresh for the task")
-        opened = Premise(node.name, apply_context(node.pred, Var(y)))
+        opened = Premise(node.name, _apply_context(node.pred, Var(y)))
         return [T.extend_sig(y, node.ty).replace(side, idx, (opened,))]
 
     if isinstance(node, cert.KInstQuant):
@@ -260,7 +267,7 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
               f"premise {node.name}")
         fresh_premise(node.inst_name)
         typed(node.witness, node.ty)
-        inst = Premise(node.inst_name, apply_context(node.pred, node.witness))
+        inst = Premise(node.inst_name, _apply_context(node.pred, node.witness))
         return [T.append(side, inst)]
 
     if isinstance(node, cert.KIntroType):
@@ -268,7 +275,7 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
         if not isinstance(node.formula, PiType):
             fail("the carried formula is not type-quantified")
         match(prem.formula, node.formula, f"goal {node.name}")
-        if node.iota in T.types_map() or is_reserved(node.iota.name) \
+        if node.iota in T.types_map() or node.iota.name in RESERVED \
                 or node.iota.name == "prop":
             fail(f"type name {node.iota} is not fresh")
         fixed = subst_type(node.formula.body, node.formula.var,
@@ -296,9 +303,10 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
         typed(node.left, node.context.ty)
         typed(node.right, node.context.ty)
         side, idx, prem = find(node.name, node.goal)
-        match(prem.formula, apply_context(node.context, node.left),
+        match(prem.formula, _apply_context(node.context, node.left),
               f"premise {node.name}")
-        rewritten = Premise(node.name, apply_context(node.context, node.right))
+        rewritten = Premise(node.name,
+                            _apply_context(node.context, node.right))
         return [T.replace(side, idx, (rewritten,))]
 
     if isinstance(node, cert.KInduction):
@@ -315,7 +323,7 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
         if i in free_vars(node.context):
             fail(f"the context must abstract every occurrence of {i}")
         _, _, goal = find(node.goal_name, True)
-        match(goal.formula, apply_context(node.context, Var(i)),
+        match(goal.formula, _apply_context(node.context, Var(i)),
               f"goal {node.goal_name}")
         for p in T.premises():
             if p.name != node.goal_name and i in free_vars(p.formula):

@@ -36,12 +36,6 @@ from .transforms import TransformError
 
 
 @dataclass(frozen=True, slots=True)
-class TaskDocument:
-    task: Task
-    source: str
-
-
-@dataclass(frozen=True, slots=True)
 class BenchRow:
     n: int
     transform_s: float
@@ -71,9 +65,8 @@ def parse_task(text: str) -> Task:
     return T
 
 
-def read_task_file(path: str) -> TaskDocument:
-    return TaskDocument(parse_task(Path(path).read_text(encoding="utf-8")),
-                        path)
+def read_task_file(path: str) -> Task:
+    return parse_task(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +175,8 @@ _TRANSFORMS = {
 # Commands
 
 def cmd_parse(ns) -> int:
-    doc = read_task_file(ns.file)
-    print(sexpr.dumps(sexpr.task_to_sexpr(doc.task)))
+    T = read_task_file(ns.file)
+    print(sexpr.dumps(sexpr.task_to_sexpr(T)))
     return 0
 
 
@@ -199,16 +192,16 @@ def _rejected(f: CheckFailure) -> int:
 
 
 def cmd_transform(ns) -> int:
-    doc = read_task_file(ns.file)
+    T = read_task_file(ns.file)
     name = ns.name.replace("_", "-")
     entry = _TRANSFORMS.get(name)
     if entry is None:
         known = " ".join(sorted(_TRANSFORMS))
         raise TransformError(f"unknown transformation {ns.name}; one of: {known}")
     op, _ = entry
-    tasks, s = op(doc.task, ns)
-    k = elaborate(s, doc.task)
-    report = ccheck(k, doc.task)
+    tasks, s = op(T, ns)
+    k = elaborate(s, T)
+    report = ccheck(k, T)
     if not report.ok:
         return _rejected(report.failure)
     if not task_list_alpha_equal(report.derived_leaves, tasks):
@@ -223,15 +216,15 @@ def cmd_transform(ns) -> int:
     if ns.emit_cert:
         _write(Path(ns.emit_cert), cert_dumps(k) + "\n")
     if ns.emit_lp:
-        _write(Path(ns.emit_lp), emit_module(doc.task, report.derived_leaves, k))
+        _write(Path(ns.emit_lp), emit_module(T, report.derived_leaves, k))
     print(f"ok: {len(tasks)} resulting task(s)")
     return 0
 
 
 def cmd_check(ns) -> int:
-    doc = read_task_file(ns.file)
+    T = read_task_file(ns.file)
     k = cert_loads(Path(ns.cert).read_text(encoding="utf-8"))
-    report = ccheck(k, doc.task)
+    report = ccheck(k, T)
     if not report.ok:
         return _rejected(report.failure)
     print(f"ok: {len(report.derived_leaves)} open task(s)")
@@ -247,15 +240,15 @@ def cmd_export(ns) -> int:
                   file=sys.stderr)
             return 1
         return 0
-    doc = read_task_file(ns.file)
+    T = read_task_file(ns.file)
     if ns.cert:
         k = cert_loads(Path(ns.cert).read_text(encoding="utf-8"))
     else:
-        k = KHole(doc.task)
-    report = ccheck(k, doc.task)
+        k = KHole(T)
+    report = ccheck(k, T)
     if not report.ok:
         return _rejected(report.failure)
-    module = emit_module(doc.task, report.derived_leaves, k)
+    module = emit_module(T, report.derived_leaves, k)
     if ns.out:
         _write(Path(ns.out), module)
     else:

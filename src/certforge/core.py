@@ -3,7 +3,8 @@
 Types and terms of a higher-order logic with prenex type quantification.
 Type symbols are always fully applied; arrows associate right; binders carry
 explicit (variable-free) type annotations. The type quantifier Pi may only
-appear in prenex position and only over formulas.
+appear in prenex position and only over formulas. Equality and integer
+arithmetic are interpreted: their typing is fixed here, not declared by tasks.
 
 Everything here is immutable and hashable; all operations are pure.
 """
@@ -310,8 +311,19 @@ def iff(a: Term, b: Term) -> Term:
     return BinOp(IFF, a, b)
 
 
+_EQ = Ident("=")
+
+
 def eq(a: Term, b: Term) -> Term:
-    return app(var("="), a, b)
+    return app(Var(_EQ), a, b)
+
+
+def eq_sides(t: Term) -> tuple[Term, Term] | None:
+    """(a, b) when t is the equation eq(a, b), else None."""
+    if (isinstance(t, App) and isinstance(t.fn, App)
+            and isinstance(t.fn.fn, Var) and t.fn.fn.name == _EQ):
+        return t.fn.arg, t.arg
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +341,6 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(t.arg)
     elif isinstance(t, (Lam, Exists, Forall, PiType)):
         yield from subterms(t.body)
-
-
-def is_prenex(t: Term) -> bool:
-    """Pi nodes may only form a prefix at the root."""
-    while isinstance(t, PiType):
-        t = t.body
-    return all(not isinstance(s, PiType) for s in subterms(t))
 
 
 def strip_prenex(t: Term) -> tuple[tuple[Ident, ...], Term]:
@@ -525,6 +530,23 @@ def alpha_equal(t1: Term, t2: Term) -> bool:
 TypeSignature = Mapping[Ident, int]
 Signature = Mapping[Ident, Type]
 
+# The interpreted signature: equality and integer arithmetic belong to the
+# typing judgment itself. Their symbols resolve against these tables, never
+# against a task's signature, and no task may declare a name in RESERVED.
+_A = TVar(Ident("a"))
+INTERPRETED_TYPES: dict[Ident, int] = {INT.head: 0}
+INTERPRETED: dict[Ident, Type] = {
+    _EQ: arrow(_A, _A, PROP),
+    Ident("+"): arrow(INT, INT, INT),
+    Ident("*"): arrow(INT, INT, INT),
+    Ident("-"): arrow(INT, INT, INT),
+    Ident(">"): arrow(INT, INT, PROP),
+    Ident("<"): arrow(INT, INT, PROP),
+    Ident(">="): arrow(INT, INT, PROP),
+    Ident("<="): arrow(INT, INT, PROP),
+}
+RESERVED = frozenset(i.name for i in (*INTERPRETED_TYPES, *INTERPRETED))
+
 
 @dataclass(frozen=True, slots=True)
 class _Meta(Type):
@@ -637,7 +659,7 @@ def check_type(I: TypeSignature, ty: Type, *, allow_vars: bool) -> None:
         check_type(I, ty.right, allow_vars=allow_vars)
         return
     if isinstance(ty, TApp):
-        arity = theories.INTERPRETED.type_symbols.get(ty.head)
+        arity = INTERPRETED_TYPES.get(ty.head)
         if arity is None:
             arity = I.get(ty.head)
         if arity is None:
@@ -666,18 +688,15 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     choices are made against the required type instead of the default.
 
     The signature itself is taken as well-formed under I; check it once
-    with check_signature, as typecheck and typecheck_against do.
+    with check_signature, as typecheck does.
     """
-    if not is_prenex(t):
-        raise TypingError("type quantifier occurs under another constructor")
-
     alphas, body = strip_prenex(t)
     I2 = dict(I)
     iotas: list[Ident] = []
     if alphas:
         if len(set(alphas)) != len(alphas):
             raise TypingError("duplicate type variable in prenex prefix")
-        taken = set(I2) | set(theories.INTERPRETED.type_symbols) | all_idents(body) | set(alphas)
+        taken = set(I2) | set(INTERPRETED_TYPES) | all_idents(body) | set(alphas)
         for a in alphas:
             iota = fresh_ident(a, frozenset(taken))
             taken.add(iota)
@@ -692,10 +711,9 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
         if isinstance(t, Var):
             scheme = sig.get(t.name)
             if scheme is None:
-                entry = theories.lookup_interpreted(str(t.name))
-                if entry is None:
+                scheme = INTERPRETED.get(t.name)
+                if scheme is None:
                     raise TypingError(f"unbound variable {t.name}")
-                scheme = entry.type
             tvs = type_vars(scheme)
             if not tvs:
                 return scheme
@@ -721,7 +739,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             return res
         if isinstance(t, (Lam, Exists, Forall)):
             check_type(I2, t.ty, allow_vars=False)
-            if t.var in sig or theories.lookup_interpreted(str(t.var)) is not None:
+            if t.var in sig or t.var in INTERPRETED:
                 raise TypingError(f"binder {t.var} shadows a declared symbol")
             inner = dict(sig)
             inner[t.var] = t.ty
@@ -756,15 +774,3 @@ def typecheck(I: TypeSignature, sig: Signature, t: Term) -> Type:
     """The type of t under (I, sig), or TypingError if none derivable."""
     check_signature(I, sig)
     return annotate(I, sig, t).type
-
-
-def typecheck_against(I: TypeSignature, sig: Signature, t: Term,
-                      expected: Type) -> Type:
-    """Typecheck t requiring the result to be an instance of `expected`."""
-    check_signature(I, sig)
-    return annotate(I, sig, t, expected=expected).type
-
-
-# theories imports this module, so it is bound last, once every name above
-# exists; the typing functions only read it at call time.
-from . import theories  # noqa: E402

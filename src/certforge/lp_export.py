@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from . import cert, checker
 from .core import (
     INT,
+    INTERPRETED,
     App,
     Arrow,
     BinOp,
@@ -52,7 +53,6 @@ from .core import (
     type_vars,
 )
 from .task import Task, task_alpha_equal, used_declarations
-from .theories import lookup_interpreted
 
 
 class ExportError(Exception):
@@ -194,7 +194,7 @@ _LP_KEYWORDS = frozenset({
 _EMITTER_NAMES = frozenset({"C", "Q", "initial", "proof"})
 
 
-def _is_reserved_lp(name: str) -> bool:
+def _lp_reserved(name: str) -> bool:
     return (name in _LP_KEYWORDS or name in _EMITTER_NAMES
             or name in PREAMBLE_NAMES
             or re.fullmatch(r"(s|task)[0-9]+", name) is not None)
@@ -216,7 +216,7 @@ def mangle(name: Ident) -> str:
     base = "".join(out) or "_5f"
     if name.uid:
         base += f"_u{name.uid}"
-    if _is_reserved_lp(base) or base.startswith("u_"):
+    if _lp_reserved(base) or base.startswith("u_"):
         base = "u_" + base
     return base
 
@@ -296,7 +296,7 @@ def _bind_c(avoid_under: tuple[LpTerm, ...]) -> str:
 
 def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpTerm:
     if isinstance(t, Var):
-        if t.name not in sig and lookup_interpreted(str(t.name)) is not None:
+        if t.name not in sig and t.name in INTERPRETED:
             if str(t.name) == "=":
                 tau = info.inst[path][0]
                 return LApp(LConst("eq"), _encode_type(tau))

@@ -9,9 +9,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from . import theories
 from .core import (
     PROP,
+    RESERVED,
     Arrow,
     Exists,
     Forall,
@@ -56,7 +56,7 @@ class Task:
     def __post_init__(self) -> None:
         seen_ty: set[Ident] = set()
         for name, arity in self.types:
-            if theories.is_reserved(name.name):
+            if name.name in RESERVED:
                 raise TaskError(f"type symbol {name} is interpreted and reserved")
             if name in seen_ty:
                 raise TaskError(f"type symbol {name} declared twice")
@@ -65,7 +65,7 @@ class Task:
             seen_ty.add(name)
         seen_sig: set[Ident] = set()
         for name, _ in self.sig:
-            if theories.is_reserved(name.name):
+            if name.name in RESERVED:
                 raise TaskError(f"symbol {name} is interpreted and reserved")
             if name in seen_sig:
                 raise TaskError(f"symbol {name} declared twice")

@@ -15,9 +15,10 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from . import cert, theories
+from . import cert
 from .cert import CertError, SurfaceCert
 from .core import (
+    RESERVED,
     App,
     BinOp,
     Bottom,
@@ -32,9 +33,9 @@ from .core import (
     Top,
     Var,
     alpha_equal,
+    eq_sides,
     free_vars,
     fresh_ident,
-    ident,
     subst_term,
 )
 from .task import Premise, Task
@@ -65,11 +66,7 @@ def transform(op, /, *args, name: str | None = None) -> CertifyingTransform:
 # Shared plumbing
 
 # names the freshness side conditions refuse outright
-_RESERVED = frozenset(
-    {ident(s) for s in theories.INTERPRETED.term_symbols}
-    | set(theories.INTERPRETED.type_symbols)
-    | {ident("prop")}
-)
+_RESERVED = frozenset(Ident(name) for name in RESERVED | {"prop"})
 
 
 def _certify(T: Task, s: SurfaceCert) -> Result:
@@ -190,13 +187,6 @@ def t_intro(T: Task, P: Ident) -> Result:
 # ---------------------------------------------------------------------------
 # Rewriting
 
-def _eq_sides(f: Term) -> tuple[Term, Term] | None:
-    if (isinstance(f, App) and isinstance(f.fn, App)
-            and isinstance(f.fn.fn, Var) and f.fn.fn.name == ident("=")):
-        return f.fn.arg, f.arg
-    return None
-
-
 def _eq_spine(f: Term) -> tuple[list, Term, Term]:
     """Strip the forall/condition prefix down to the equation.
 
@@ -213,7 +203,7 @@ def _eq_spine(f: Term) -> tuple[list, Term, Term]:
             f = f.right
         else:
             break
-    sides = _eq_sides(f)
+    sides = eq_sides(f)
     if sides is None:
         raise TransformError(
             "t_rewrite: the premise does not end in an equality")

@@ -406,8 +406,19 @@ def test_preamble_definitions_are_closed():
 # ---------------------------------------------------------------------------
 # integer rules, checked by a tiny first-order rewrite engine
 
+def _head(t):
+    while isinstance(t, lp.LApp):
+        t = t.fn
+    return t
+
+
 def _rules():
-    return [d for d in lpp.parse_lp(lp.emit_preamble()) if isinstance(d, lpp.LpRule)]
+    """The preamble's rules, grouped by the head constant of their lhs."""
+    by_head = {}
+    for d in lpp.parse_lp(lp.emit_preamble()):
+        if isinstance(d, lpp.LpRule):
+            by_head.setdefault(_head(d.lhs), []).append(d)
+    return by_head
 
 
 def _match(pat, t, binds):
@@ -423,34 +434,31 @@ def _match(pat, t, binds):
     return pat == t
 
 
-def _subst(t, binds):
-    if isinstance(t, lp.LVar) and t.name.startswith("$"):
-        return binds[t.name]
-    if isinstance(t, lp.LApp):
-        return lp.LApp(_subst(t.fn, binds), _subst(t.arg, binds))
-    return t
-
-
 def normalize(t, rules, fuel=100000):
-    while fuel > 0:
-        t, changed, fuel = _step(t, rules, fuel)
-        if not changed:
-            return t
-    raise AssertionError("rewrite fuel exhausted")
+    """Innermost normal form of t; each rule application burns one fuel."""
+    left = fuel
 
+    def rewrite(t):
+        # the arguments of t are already normal
+        nonlocal left
+        for r in rules.get(_head(t), ()):
+            binds = {}
+            if _match(r.lhs, t, binds):
+                if left <= 0:
+                    raise AssertionError("rewrite fuel exhausted")
+                left -= 1
+                return build(r.rhs, binds)
+        return t
 
-def _step(t, rules, fuel):
-    if isinstance(t, lp.LApp):
-        fn, ch1, fuel = _step(t.fn, rules, fuel)
-        arg, ch2, fuel = _step(t.arg, rules, fuel)
-        t = lp.LApp(fn, arg)
-        if ch1 or ch2:
-            return t, True, fuel
-    for r in rules:
-        binds = {}
-        if _match(r.lhs, t, binds):
-            return _subst(r.rhs, binds), True, fuel - 1
-    return t, False, fuel
+    def build(t, binds):
+        # t with its pattern variables bound to normal terms, normalized
+        if isinstance(t, lp.LVar) and t.name.startswith("$"):
+            return binds[t.name]
+        if isinstance(t, lp.LApp):
+            t = lp.LApp(build(t.fn, binds), build(t.arg, binds))
+        return rewrite(t)
+
+    return build(t, {})
 
 
 RULES = _rules()

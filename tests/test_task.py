@@ -9,6 +9,7 @@ from certforge.checker import ccheck
 from certforge.core import (
     INT,
     PROP,
+    RESERVED,
     BinOp,
     Bottom,
     Forall,
@@ -56,12 +57,14 @@ def mk_task(atoms, hyps=(), goals=()):
 
 
 def test_reserved_names_rejected():
-    with pytest.raises(TaskError):
-        Task(types=((ident("int"), 0),))
-    with pytest.raises(TaskError):
-        Task(sig=((ident("="), arrow(INT, INT, PROP)),))
-    with pytest.raises(TaskError):
-        Task(sig=((ident("+"), arrow(INT, INT, INT)),))
+    names = ["int", "=", "+", "*", "-", ">", "<", ">=", "<="]
+    assert RESERVED == set(names)
+    # a name is reserved whatever its disambiguator
+    for name in [Ident(n, uid) for n in names for uid in (0, 2)]:
+        with pytest.raises(TaskError, match="interpreted and reserved"):
+            Task(types=((name, 0),))
+        with pytest.raises(TaskError, match="interpreted and reserved"):
+            Task(sig=((name, arrow(INT, INT, PROP)),))
 
 
 def test_duplicate_declarations_rejected():

@@ -116,6 +116,11 @@ NEGATIVE = [
     ("pi", {}, {}, Not(PiType(ident("a"), Top()))),  # quantifier not prenex
     ("pi", {}, {}, PiType(ident("a"), Lam(ident("x"), A, var("x")))),  # not prop
     ("pi", {}, {}, PiType(ident("a"), PiType(ident("a"), Top()))),  # duplicate
+    # a quantifier anywhere below the prefix is refused by inference itself
+    ("pi", {}, {}, Forall(ident("x"), INT, PiType(ident("a"), Top()))),
+    ("pi", {}, {ident("p"): arrow(PROP, PROP)},
+     app(var("p"), PiType(ident("a"), Top()))),
+    ("pi", {}, {}, PiType(ident("a"), conj(Top(), PiType(ident("b"), Top())))),
 ]
 
 RULES = sorted({c[0] for c in POSITIVE} | {c[0] for c in NEGATIVE})
