@@ -729,7 +729,12 @@ def cert_dumps(c) -> str:
 
 
 def cert_loads(text: str):
-    return cert_from_sexpr(sexpr.loads(text))
+    """The certificate `text` spells; CertError for text that spells none,
+    truncated or unbalanced text included."""
+    try:
+        return cert_from_sexpr(sexpr.loads(text))
+    except sexpr.SexprError as e:
+        raise CertError(f"malformed certificate text: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,21 @@
 
 step() applies one kernel rule to a well-typed task and either returns the
 child tasks or raises CheckError naming the violated side condition.
-ccheck() typechecks the initial task in full, then walks the certificate
-with step().
+ccheck() judges the initial task with well_typed, then walks the
+certificate with step().
 
-Every task a rule produces is typechecked on the spot, as far as it can
-differ from its well-typed parent. A child that keeps the parent's signature
-and type signature (the same tuples) has only the premises the rule
-introduced typechecked: the premises it kept are the parent's own Premise
-objects, already of type prop under that very (I, Sigma). A child whose
-signature or type signature grew is typechecked in full, since a new symbol
-can make a kept premise ill-typed (a binder may not shadow a declared
-symbol). By induction from the initial task, every task of the replay is
-well-typed, so a defect in the rule logic surfaces as a failure at the
-offending node instead of as a bogus derived leaf.
+Every task a rule produces is judged by well_typed on the spot, one
+typing rule for all children. well_typed is incremental through the task's
+typing context: a child that keeps its parent's signature and type signature
+(the same tuples, edited by Task.replace/append) shares the parent's context,
+where the parent's premise formulas are already recorded as of type prop, so
+only the formulas the rule introduced are typed. A child whose signature or
+type signature grew gets a fresh context and is typechecked in full, since a
+new symbol can make a kept premise ill-typed (a binder may not shadow a
+declared symbol). Same tuples, same judgment. By induction from the initial
+task, every task of the replay is well-typed, so a defect in the rule logic
+surfaces as a failure at the offending node instead of as a bogus derived
+leaf.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .core import (
     subst_type,
     var,
 )
-from .task import (Premise, Task, TaskError, premises_are_props,
-                   task_alpha_equal, task_list_alpha_equal, well_typed)
+from .task import (Premise, Task, TaskError, task_alpha_equal,
+                   task_list_alpha_equal, well_typed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,14 +132,8 @@ def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
                           typed)
     except TaskError as e:
         fail(str(e))
-    kept = {id(p) for p in T.premises()}
     for child in children:
-        if child.sig is T.sig and child.types is T.types:
-            ok = premises_are_props(
-                child, [p for p in child.premises() if id(p) not in kept])
-        else:
-            ok = well_typed(child)
-        if not ok:
+        if not well_typed(child):
             fail("produced an ill-typed task")
     return children
 

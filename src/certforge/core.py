@@ -486,8 +486,13 @@ def _type_alpha(a: Type, b: Type, env_a: dict[Ident, int], env_b: dict[Ident, in
 def alpha_equal(t1: Term, t2: Term) -> bool:
     """Equality up to renaming of bound term and type variables."""
 
+    # same: every binder pair entered so far binds one name on both sides,
+    # so the binder maps are equal and a term is alpha-equal to itself
     def walk(a: Term, b: Term, va: dict[Ident, int], vb: dict[Ident, int],
-             ta: dict[Ident, int], tb: dict[Ident, int], depth: int) -> bool:
+             ta: dict[Ident, int], tb: dict[Ident, int], depth: int,
+             same: bool) -> bool:
+        if a is b and same:
+            return True
         if type(a) is not type(b):
             return False
         if isinstance(a, Var):
@@ -500,26 +505,29 @@ def alpha_equal(t1: Term, t2: Term) -> bool:
         if isinstance(a, (Top, Bottom)):
             return True
         if isinstance(a, Not):
-            return walk(a.body, b.body, va, vb, ta, tb, depth)
+            return walk(a.body, b.body, va, vb, ta, tb, depth, same)
         if isinstance(a, BinOp):
-            return a.op == b.op and walk(a.left, b.left, va, vb, ta, tb, depth) \
-                and walk(a.right, b.right, va, vb, ta, tb, depth)
+            return a.op == b.op \
+                and walk(a.left, b.left, va, vb, ta, tb, depth, same) \
+                and walk(a.right, b.right, va, vb, ta, tb, depth, same)
         if isinstance(a, App):
-            return walk(a.fn, b.fn, va, vb, ta, tb, depth) \
-                and walk(a.arg, b.arg, va, vb, ta, tb, depth)
+            return walk(a.fn, b.fn, va, vb, ta, tb, depth, same) \
+                and walk(a.arg, b.arg, va, vb, ta, tb, depth, same)
         if isinstance(a, (Lam, Exists, Forall)):
             if not _type_alpha(a.ty, b.ty, ta, tb):
                 return False
             va2 = dict(va); va2[a.var] = depth
             vb2 = dict(vb); vb2[b.var] = depth
-            return walk(a.body, b.body, va2, vb2, ta, tb, depth + 1)
+            return walk(a.body, b.body, va2, vb2, ta, tb, depth + 1,
+                        same and a.var == b.var)
         if isinstance(a, PiType):
             ta2 = dict(ta); ta2[a.var] = depth
             tb2 = dict(tb); tb2[b.var] = depth
-            return walk(a.body, b.body, va, vb, ta2, tb2, depth + 1)
+            return walk(a.body, b.body, va, vb, ta2, tb2, depth + 1,
+                        same and a.var == b.var)
         raise TypeError(f"unknown term node {a!r}")
 
-    return walk(t1, t2, {}, {}, {}, {}, 0)
+    return walk(t1, t2, {}, {}, {}, {}, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +715,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     uni = _Unifier()
     inst: dict[tuple[int, ...], tuple[Type, ...]] = {}
 
-    def infer(t: Term, sig: dict[Ident, Type], path: tuple[int, ...]) -> Type:
+    def infer(t: Term, sig: Mapping[Ident, Type], path: tuple[int, ...]) -> Type:
         if isinstance(t, Var):
             scheme = sig.get(t.name)
             if scheme is None:
@@ -752,7 +760,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             raise TypingError("type quantifier occurs under another constructor")
         raise TypeError(f"unknown term node {t!r}")
 
-    top = infer(body, dict(sig), ())
+    top = infer(body, sig, ())
     if alphas:
         uni.unify(top, PROP, "type quantifier body")
     if expected is not None:

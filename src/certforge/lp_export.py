@@ -289,9 +289,11 @@ def _type_power(arity: int) -> LpTerm:
     return out
 
 
-def _bind_c(avoid_under: tuple[LpTerm, ...]) -> str:
-    free = frozenset().union(*(lp_atoms(t) for t in avoid_under))
-    return _freshen("C", free)
+# The binder of the and/or/iff/exists encodings. No encoding has a free C,
+# so this binder captures nothing it scopes over: a free name is a preamble
+# constant (C is none) or comes from mangle, which renders an object symbol
+# C as u_C, perhaps with _freshen's _v suffix.
+_C = "C"
 
 
 def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpTerm:
@@ -318,15 +320,14 @@ def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpT
         r = _encode(t.right, path + (1,), info, sig)
         if t.op == "imp":
             return LArrow(l, r)
-        c = _bind_c((l, r))
+        c = LVar(_C)
         if t.op == "and":
-            return LProd(c, SORT, LArrow(arrows(l, r, LVar(c)), LVar(c)))
+            return LProd(_C, SORT, LArrow(arrows(l, r, c), c))
         if t.op == "or":
-            return LProd(c, SORT, arrows(
-                LArrow(l, LVar(c)), LArrow(r, LVar(c)), LVar(c)))
+            return LProd(_C, SORT, arrows(LArrow(l, c), LArrow(r, c), c))
         if t.op == "iff":
-            return LProd(c, SORT, LArrow(
-                arrows(LArrow(l, r), LArrow(r, l), LVar(c)), LVar(c)))
+            return LProd(_C, SORT, LArrow(
+                arrows(LArrow(l, r), LArrow(r, l), c), c))
         raise ExportError(f"unknown connective {t.op}")
     if isinstance(t, App):
         return LApp(_encode(t.fn, path + (0,), info, sig),
@@ -336,10 +337,9 @@ def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpT
         return LProd(mangle(t.var), _encode_type(t.ty), body)
     if isinstance(t, Exists):
         body = _encode(t.body, path + (0,), info, sig)
-        x = mangle(t.var)
-        c = _bind_c((body, _encode_type(t.ty)))
-        return LProd(c, SORT, LArrow(
-            LProd(x, _encode_type(t.ty), LArrow(body, LVar(c))), LVar(c)))
+        c = LVar(_C)
+        return LProd(_C, SORT, LArrow(
+            LProd(mangle(t.var), _encode_type(t.ty), LArrow(body, c)), c))
     if isinstance(t, Lam):
         body = _encode(t.body, path + (0,), info, sig)
         return LLam(mangle(t.var), _encode_type(t.ty), body)

@@ -7,7 +7,9 @@ set semantics is recovered by name-keyed lookup wherever equality matters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import (
     PROP,
@@ -46,12 +48,46 @@ class Premise:
     formula: Term
 
 
+class _TypingContext:
+    """Typing facts about one (types, sig) pair of tuples.
+
+    Every task derived by Task.replace/append keeps its parent's tuples and
+    shares its parent's context, so a fact recorded here holds for all of
+    them: same tuples, same judgment. The memo lives as long as the context.
+    """
+
+    __slots__ = ("types", "sig", "_types_map", "_sig_map", "sig_checked",
+                 "props")
+
+    def __init__(self, types: tuple[tuple[Ident, int], ...],
+                 sig: tuple[tuple[Ident, Type], ...]) -> None:
+        self.types, self.sig = types, sig
+        self._types_map: Mapping[Ident, int] | None = None
+        self._sig_map: Mapping[Ident, Type] | None = None
+        self.sig_checked = False
+        # id -> the formula judged prop; holding the formula keeps its id
+        # from being reused while the context lives
+        self.props: dict[int, Term] = {}
+
+    def types_map(self) -> Mapping[Ident, int]:
+        if self._types_map is None:
+            self._types_map = MappingProxyType(dict(self.types))
+        return self._types_map
+
+    def sig_map(self) -> Mapping[Ident, Type]:
+        if self._sig_map is None:
+            self._sig_map = MappingProxyType(dict(self.sig))
+        return self._sig_map
+
+
 @dataclass(frozen=True, slots=True)
 class Task:
     types: tuple[tuple[Ident, int], ...] = ()
     sig: tuple[tuple[Ident, Type], ...] = ()
     hyps: tuple[Premise, ...] = ()
     goals: tuple[Premise, ...] = ()
+    _ctx: _TypingContext = field(init=False, repr=False, compare=False)
+    _names: frozenset[Ident] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen_ty: set[Ident] = set()
@@ -75,20 +111,24 @@ class Task:
             if p.name in names:
                 raise TaskError(f"premise name {p.name} used twice")
             names.add(p.name)
+        object.__setattr__(self, "_ctx", _TypingContext(self.types, self.sig))
+        object.__setattr__(self, "_names", frozenset(names))
 
     # -- lookups ------------------------------------------------------------
 
-    def types_map(self) -> dict[Ident, int]:
-        return dict(self.types)
+    def types_map(self) -> Mapping[Ident, int]:
+        """The type signature as a read-only mapping."""
+        return self._ctx.types_map()
 
-    def sig_map(self) -> dict[Ident, Type]:
-        return dict(self.sig)
+    def sig_map(self) -> Mapping[Ident, Type]:
+        """The signature as a read-only mapping."""
+        return self._ctx.sig_map()
 
     def premises(self) -> tuple[Premise, ...]:
         return self.hyps + self.goals
 
     def premise_names(self) -> frozenset[Ident]:
-        return frozenset(p.name for p in self.premises())
+        return self._names
 
     def find(self, name: Ident | str) -> tuple[bool, int, Premise] | None:
         """Locate a premise by name; the bool is True for a goal."""
@@ -102,17 +142,41 @@ class Task:
         return None
 
     # -- functional edits (used by replay and by the transformations) -------
+    #
+    # replace and append keep this task's types and sig tuples, so the task
+    # they build shares this task's typing context (see well_typed) and only
+    # the premise names they add are checked. extend_sig and extend_types
+    # change a tuple: they build the task with Task(...), which validates it
+    # in full and gives it a fresh context.
 
     def replace(self, is_goal: bool, index: int, new: tuple[Premise, ...]) -> Task:
         """Splice `new` in place of the premise at `index` on the given side."""
         side = self.goals if is_goal else self.hyps
         spliced = side[:index] + new + side[index + 1:]
-        return replace(self, goals=spliced) if is_goal else replace(self, hyps=spliced)
+        names = self._names - {side[index].name}
+        if is_goal:
+            return self._derive(self.hyps, spliced, names, new)
+        return self._derive(spliced, self.goals, names, new)
 
     def append(self, is_goal: bool, p: Premise) -> Task:
         if is_goal:
-            return replace(self, goals=self.goals + (p,))
-        return replace(self, hyps=self.hyps + (p,))
+            return self._derive(self.hyps, self.goals + (p,), self._names, (p,))
+        return self._derive(self.hyps + (p,), self.goals, self._names, (p,))
+
+    def _derive(self, hyps: tuple[Premise, ...], goals: tuple[Premise, ...],
+                names: frozenset[Ident], added: tuple[Premise, ...]) -> Task:
+        """This task's declarations over new premises: `names` are those of
+        the premises kept from this task, `added` the premises new to it."""
+        for p in added:
+            if p.name in names:
+                raise TaskError(f"premise name {p.name} used twice")
+            names = names | {p.name}
+        out = object.__new__(Task)
+        for attr, value in (("types", self.types), ("sig", self.sig),
+                            ("hyps", hyps), ("goals", goals),
+                            ("_ctx", self._ctx), ("_names", names)):
+            object.__setattr__(out, attr, value)
+        return out
 
     def extend_sig(self, name: Ident, ty: Type) -> Task:
         return replace(self, sig=self.sig + ((name, ty),))
@@ -144,28 +208,33 @@ class Task:
 
 
 def well_typed(T: Task) -> bool:
-    """True iff Sigma is well-formed under I and every premise has type prop."""
-    try:
-        check_signature(T.types_map(), T.sig_map())
-    except TypingError:
-        return False
-    return premises_are_props(T, T.premises())
+    """True iff Sigma is well-formed under I and every premise has type prop.
 
-
-def premises_are_props(T: Task,
-                       premises: list[Premise] | tuple[Premise, ...]) -> bool:
-    """True iff each of `premises` has type prop under T's (I, Sigma).
-
-    T's signature must already be known to be well-formed under I (see
-    well_typed); it is not checked again here.
+    Incremental through T's typing context, which the tasks replace and
+    append derive share since they keep the same types and sig tuples: the
+    signature is checked once per context, and each formula object is typed
+    once per context. Same tuples, same judgment; the memo lives as long as
+    the context. A task built by Task(...), extend_sig or extend_types has
+    a fresh context and is judged in full.
     """
-    I, sig = T.types_map(), T.sig_map()
-    for p in premises:
+    ctx = T._ctx
+    I, sig = ctx.types_map(), ctx.sig_map()
+    if not ctx.sig_checked:
         try:
-            if annotate(I, sig, p.formula).type != PROP:
+            check_signature(I, sig)
+        except TypingError:
+            return False
+        ctx.sig_checked = True
+    for p in T.premises():
+        f = p.formula
+        if id(f) in ctx.props:
+            continue
+        try:
+            if annotate(I, sig, f).type != PROP:
                 return False
         except TypingError:
             return False
+        ctx.props[id(f)] = f
     return True
 
 

@@ -36,6 +36,7 @@ from .core import (
     eq_sides,
     free_vars,
     fresh_ident,
+    ident,
     subst_term,
 )
 from .task import Premise, Task
@@ -65,8 +66,8 @@ def transform(op, /, *args, name: str | None = None) -> CertifyingTransform:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-# names the freshness side conditions refuse outright
-_RESERVED = frozenset(Ident(name) for name in RESERVED | {"prop"})
+# names the freshness side conditions refuse outright, whatever the uid
+_RESERVED = RESERVED | {"prop"}
 
 
 def _certify(T: Task, s: SurfaceCert) -> Result:
@@ -85,8 +86,19 @@ def _premise(T: Task, name: Ident, who: str) -> tuple[bool, Premise]:
     return is_goal, prem
 
 
+def _fresh(base: str | Ident, avoid: frozenset[Ident] | set[Ident]) -> Ident:
+    """fresh_ident, skipping every ident whose name is reserved.
+
+    base#k shares base's name, so a reserved base gives way to base_.
+    """
+    base = ident(base)
+    if base.name in _RESERVED:
+        base = Ident(base.name + "_")
+    return fresh_ident(base, avoid)
+
+
 def _fresh_name(base: str, used: set[Ident]) -> Ident:
-    out = fresh_ident(base, used | _RESERVED)
+    out = _fresh(base, used)
     used.add(out)
     return out
 
@@ -173,12 +185,10 @@ def t_intro(T: Task, P: Ident) -> Result:
             raise TransformError(
                 f"t_intro: {P} is a type-quantified hypothesis; "
                 "instantiate it instead")
-        iota = fresh_ident(
-            f.var,
-            T.every_ident() | {n for n, _ in T.types} | _RESERVED)
+        iota = _fresh(f.var, T.every_ident())
         return _certify(T, cert.SIntroType(P, iota, cert.SHole()))
     if isinstance(f, Forall if is_goal else Exists):
-        fresh = fresh_ident(f.var, T.every_ident() | _RESERVED)
+        fresh = _fresh(f.var, T.every_ident())
         return _certify(T, cert.SIntroQuant(P, fresh, cert.SHole()))
     side = "goal" if is_goal else "hypothesis"
     raise TransformError(f"t_intro: {side} {P} does not start with a binder")

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ import lp_parser as lpp
 import oracles
 import typing_cases
 
-from certforge import cert, checker
+from certforge import cert, checker, cli
 from certforge import lp_export as lp
 from certforge import transforms as tr
 from certforge.checker import check_application
@@ -31,6 +32,7 @@ from certforge.core import (
     Lam,
     Not,
     PiType,
+    TApp,
     TVar,
     Top,
     TypingError,
@@ -138,25 +140,64 @@ def test_criterion_1_checked_applications_are_sound():
           f"in {took:.1f}s")
 
 
-def _replay_typing_every_task(k: cert.KernelCert, T: Task) -> int:
-    """Replay k node by node; every task step derives must be well-typed."""
+def _replay_typing_every_task(k: cert.KernelCert, T: Task) -> Counter:
+    """Replay k node by node; every task step derives must pass the full
+    Task(...) validation and be well-typed judged from a fresh context,
+    not from the memo it shares with the task it was derived from.
+    Returns the number of nodes stepped per rule."""
     todo = [(k, T, ())]
-    nodes = 0
+    rules: Counter = Counter()
     while todo:
         node, task, path = todo.pop()
-        assert well_typed(task), (path, task)
+        rebuilt = Task(task.types, task.sig, task.hyps, task.goals)
+        assert rebuilt == task, path
+        assert rebuilt.types_map() == task.types_map(), path
+        assert rebuilt.sig_map() == task.sig_map(), path
+        assert rebuilt.premise_names() == task.premise_names(), path
+        assert well_typed(rebuilt), (path, task)
         if isinstance(node, cert.KHole):
             continue
-        nodes += 1
+        rules[type(node).__name__] += 1
         tasks = checker.step(task, node, path)
         for i, (child, t) in enumerate(zip(cert.cert_children(node), tasks)):
             todo.append((child, t, path + (i,)))
-    return nodes
+    return rules
+
+
+_FOL_TASK = """(task (types (box 1) (elem 0))
+  (sig (f (-> (int) (int))) (p (-> (int) prop))
+       (wrap (-> a (box a))) (q (-> (box a) prop)) (c0 (int)) (c1 (int)))
+  (hyps
+    (Hpoly (pi a (forall (x a) (q (wrap x)))))
+    (Hall (forall (k (int)) (imp (>= k c0) (p (+ k 3)))))
+    (Heq (forall (y (int)) (imp (>= y 2) (= (f y) (+ y 5)))))
+    (Hex (exists (v (int)) (= (f v) c1))))
+  (goals (Gpoly (pi b (forall (u b) (q (wrap u)))))
+         (G (forall (n (int)) (p (f n))))))"""
+
+
+def _fol_script():
+    """(transformation, index of the resulting task fed on) for each step."""
+    G, Gpoly = ident("G"), ident("Gpoly")
+    return [
+        (lambda T: tr.t_intro(T, Gpoly), 0),               # KIntroType
+        (lambda T: tr.t_intro(T, Gpoly), 0),               # KIntroQuant
+        (lambda T: tr.t_intro(T, ident("Hex")), 0),        # on a hypothesis
+        (lambda T: tr.t_intro(T, G), 0),
+        (lambda T: tr.t_inst_type(T, ident("Hpoly"),
+                                  TApp(ident("elem"), ())), 0),
+        (lambda T: tr.t_instantiate(T, ident("Hall"), var("c1")), 0),
+        (lambda T: tr.t_rewrite(T, ident("Heq"), G), 1),
+        (lambda T: tr.t_clear(T, Gpoly), 0),
+        # the variable the intro of G put in the signature
+        (lambda T: tr.t_induction(T, G, T.sig[-1][0], IntLit(0)), 0),
+    ]
 
 
 def test_incremental_step_typing_agrees_with_well_typed():
-    # step typechecks only the premises a rule introduces; the full
-    # judgment must agree on every task it derives
+    # step judges its children through a typing context shared with their
+    # parent; the full judgment from a fresh context must agree on every
+    # task it derives
     rng = random.Random(20261017)
     sig = tuple((a.name, PROP) for a in _ATOMS)
     blasted = applied = nodes = 0
@@ -172,15 +213,24 @@ def test_incremental_step_typing_agrees_with_well_typed():
                        else _rand_application(rng, T))
         except (TransformError, IndexError):
             continue
-        nodes += _replay_typing_every_task(k, T)
+        nodes += _replay_typing_every_task(k, T).total()
         if blast:
             blasted += 1
         else:
             applied += 1
     T = gen_chain_task(12)
     _, k = _ok(T, tr.t_blast(T))
-    nodes += _replay_typing_every_task(k, T)
+    nodes += _replay_typing_every_task(k, T).total()
     assert nodes > 1500, nodes
+    # first-order steps, each fed on a task derived by the one before
+    T = cli.parse_task(_FOL_TASK)
+    rules: Counter = Counter()
+    for apply, feed in _fol_script():
+        tasks, k = _ok(T, apply(T))
+        rules += _replay_typing_every_task(k, T)
+        T = tasks[feed]
+    assert {"KIntroType", "KIntroQuant", "KInstType", "KInstQuant",
+            "KRewrite", "KInduction"} <= rules.keys(), rules
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from certforge.core import (
     Forall,
     IntLit,
     Lam,
+    Not,
     PiType,
     TVar,
     Top,
@@ -35,10 +36,12 @@ from certforge.core import (
     disj,
     eq,
     ident,
+    iff,
     imp,
     var,
 )
 from certforge.task import Premise, Task
+from certforge.transforms import t_blast
 
 H, G = ident("H"), ident("G")
 
@@ -176,6 +179,23 @@ def test_cert_loads_rejects_garbage():
         cert_loads("(KClear #t p G SHole)")
     with pytest.raises(CertError, match="KTrivial is not a SurfaceCert"):
         cert_loads("(SClear G (KTrivial #t G))")
+
+
+def test_cert_loads_refuses_every_truncation():
+    T = Task(sig=((ident("p"), PROP), (ident("q"), PROP)),
+             hyps=(Premise(H, disj(_P, Not(_P))),),
+             goals=(Premise(G, iff(conj(_P, _Q), conj(_Q, _P))),))
+    tasks, s = t_blast(T)
+    assert tasks == []
+    text = cert_dumps(elaborate(s, T))
+    loaded = 0
+    for n in range(len(text) + 1):
+        try:
+            cert_loads(text[:n])
+        except CertError:
+            continue
+        loaded += 1
+    assert loaded >= 1
 
 
 def test_elaborated_tree_roundtrips():

@@ -107,11 +107,17 @@ def test_encode_quantifiers():
 
 
 def test_encode_binder_dodges_captured_c():
-    # a propositional atom named C must not be captured by the encoding binder
+    # a propositional atom named C must not be captured by the encoding
+    # binders, at the top or nested under and/or/exists
     s = {ident("C"): PROP, ident("x"): PROP}
-    got = lp.encode_term(conj(Var(ident("C")), var("x")), {}, s)
-    assert lp.lp_atoms(got) == {"u_C", "x"}
-    assert isinstance(got, lp.LProd) and got.var not in ("u_C", "x")
+    C = Var(ident("C"))
+    for formula, atoms in [
+            (conj(C, var("x")), {"u_C", "x"}),
+            (Exists(ident("y"), INT, disj(conj(var("x"), C), C)),
+             {"u_C", "x", "int"})]:
+        got = lp.encode_term(formula, {}, s)
+        assert lp.lp_atoms(got) == atoms
+        assert isinstance(got, lp.LProd) and got.var not in atoms
 
 
 def test_encode_eq_carries_the_instance_type():

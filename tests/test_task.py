@@ -75,8 +75,16 @@ def test_duplicate_declarations_rejected():
 
 
 def test_duplicate_premise_names_rejected():
-    with pytest.raises(TaskError):
-        mk_task(["p"], hyps=[P], goals=[Q]).append(False, Premise(ident("H1"), P))
+    T = mk_task(["p"], hyps=[P], goals=[Q])
+    with pytest.raises(TaskError, match="H1 used twice"):
+        T.append(False, Premise(ident("H1"), P))
+    with pytest.raises(TaskError, match="G1 used twice"):
+        T.replace(False, 0, (Premise(ident("K"), P), Premise(ident("G1"), P)))
+    with pytest.raises(TaskError, match="K used twice"):
+        T.replace(True, 0, (Premise(ident("K"), P), Premise(ident("K"), P)))
+    # the premise replaced gives its name up
+    assert T.replace(False, 0, (Premise(ident("H1"), Q),)).premise_names() \
+        == {ident("H1"), ident("G1")}
     with pytest.raises(TaskError):
         Task(sig=((ident("p"), PROP),),
              hyps=(Premise(ident("H"), P),),
@@ -138,6 +146,20 @@ def test_well_typed_polymorphic_sets_task():
         ),
     )
     assert well_typed(T)
+
+
+def test_extend_sig_types_kept_formulas_again():
+    # F is prop under T's signature, and judging T records it in T's typing
+    # context; declaring x makes F's binder shadow a declared symbol, so the
+    # extended task, which starts a context of its own, must type F again
+    F = Forall(ident("x"), INT, P)
+    T = mk_task(["p"], goals=[F])
+    assert well_typed(T)
+    T2 = T.extend_sig(ident("x"), INT)
+    assert T2.goals[0].formula is F
+    assert not well_typed(T2)
+    assert not well_typed(T2.append(False, Premise(ident("H9"), P)))
+    assert well_typed(T.append(False, Premise(ident("H9"), P)))
 
 
 def test_well_typed_rejects_non_prop_premise():

@@ -12,6 +12,7 @@ from certforge.checker import ccheck
 from certforge.core import (
     INT,
     PROP,
+    RESERVED,
     Arrow,
     Bottom,
     Forall,
@@ -313,6 +314,23 @@ def test_intro_freshness_audit():
         (t,) = certified(T, tr.t_intro(T, G))
         introduced = t.sig[-1][0]
         assert introduced not in before
+
+
+_INT_VAR = Var(ident("int"))
+
+
+@pytest.mark.parametrize("goal", [
+    Forall(ident("int"), INT, eq(_INT_VAR, _INT_VAR)),
+    PiType(ident("int"), Forall(ident("x0"), TVar(ident("int")),
+                                eq(Var(ident("x0")), Var(ident("x0"))))),
+])
+def test_intro_skips_reserved_names(goal):
+    # a binder may be named int, but no declaration may; nor may int#1,
+    # which has the same name
+    T = Task(goals=(Premise(G, goal),))
+    (t,) = certified(T, tr.t_intro(T, G))
+    ((introduced, _),) = t.sig + t.types
+    assert introduced.name not in RESERVED
 
 
 # -- rewriting ---------------------------------------------------------------
