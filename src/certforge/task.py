@@ -56,28 +56,16 @@ class _TypingContext:
     them: same tuples, same judgment. The memo lives as long as the context.
     """
 
-    __slots__ = ("types", "sig", "_types_map", "_sig_map", "sig_checked",
-                 "props")
+    __slots__ = ("types_map", "sig_map", "sig_checked", "props")
 
-    def __init__(self, types: tuple[tuple[Ident, int], ...],
-                 sig: tuple[tuple[Ident, Type], ...]) -> None:
-        self.types, self.sig = types, sig
-        self._types_map: Mapping[Ident, int] | None = None
-        self._sig_map: Mapping[Ident, Type] | None = None
+    def __init__(self, types_map: dict[Ident, int],
+                 sig_map: dict[Ident, Type]) -> None:
+        self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
+        self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
         # id -> the formula judged prop; holding the formula keeps its id
         # from being reused while the context lives
         self.props: dict[int, Term] = {}
-
-    def types_map(self) -> Mapping[Ident, int]:
-        if self._types_map is None:
-            self._types_map = MappingProxyType(dict(self.types))
-        return self._types_map
-
-    def sig_map(self) -> Mapping[Ident, Type]:
-        if self._sig_map is None:
-            self._sig_map = MappingProxyType(dict(self.sig))
-        return self._sig_map
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,39 +78,39 @@ class Task:
     _names: frozenset[Ident] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen_ty: set[Ident] = set()
+        types: dict[Ident, int] = {}
         for name, arity in self.types:
             if name.name in RESERVED:
                 raise TaskError(f"type symbol {name} is interpreted and reserved")
-            if name in seen_ty:
+            if name in types:
                 raise TaskError(f"type symbol {name} declared twice")
             if arity < 0:
                 raise TaskError(f"negative arity for {name}")
-            seen_ty.add(name)
-        seen_sig: set[Ident] = set()
-        for name, _ in self.sig:
+            types[name] = arity
+        sig: dict[Ident, Type] = {}
+        for name, ty in self.sig:
             if name.name in RESERVED:
                 raise TaskError(f"symbol {name} is interpreted and reserved")
-            if name in seen_sig:
+            if name in sig:
                 raise TaskError(f"symbol {name} declared twice")
-            seen_sig.add(name)
+            sig[name] = ty
         names: set[Ident] = set()
         for p in itertools.chain(self.hyps, self.goals):
             if p.name in names:
                 raise TaskError(f"premise name {p.name} used twice")
             names.add(p.name)
-        object.__setattr__(self, "_ctx", _TypingContext(self.types, self.sig))
+        object.__setattr__(self, "_ctx", _TypingContext(types, sig))
         object.__setattr__(self, "_names", frozenset(names))
 
     # -- lookups ------------------------------------------------------------
 
     def types_map(self) -> Mapping[Ident, int]:
         """The type signature as a read-only mapping."""
-        return self._ctx.types_map()
+        return self._ctx.types_map
 
     def sig_map(self) -> Mapping[Ident, Type]:
         """The signature as a read-only mapping."""
-        return self._ctx.sig_map()
+        return self._ctx.sig_map
 
     def premises(self) -> tuple[Premise, ...]:
         return self.hyps + self.goals
@@ -218,7 +206,7 @@ def well_typed(T: Task) -> bool:
     a fresh context and is judged in full.
     """
     ctx = T._ctx
-    I, sig = ctx.types_map(), ctx.sig_map()
+    I, sig = ctx.types_map, ctx.sig_map
     if not ctx.sig_checked:
         try:
             check_signature(I, sig)
