@@ -175,6 +175,14 @@ def test_alpha_shadowing():
     t3 = Lam(ident("u"), INT, Lam(ident("v"), INT, Var(ident("u"))))
     assert alpha_equal(t1, t2)
     assert not alpha_equal(t1, t3)
+    # one body object under binders of different names: x, or the type
+    # variable a, is bound on one side only, so the same object on both
+    # sides is not alpha-equal to itself there
+    a, body = ident("a"), Var(x)
+    assert not alpha_equal(Lam(x, INT, body), Lam(ident("y"), INT, body))
+    assert alpha_equal(Lam(x, INT, body), Lam(x, INT, body))
+    pbody = Forall(x, TVar(a), Top())
+    assert not alpha_equal(PiType(a, pbody), PiType(ident("b"), pbody))
 
 
 @settings(max_examples=200, deadline=None)
