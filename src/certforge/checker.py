@@ -2,8 +2,9 @@
 
 step() applies one kernel rule to a well-typed task and either returns the
 child tasks or raises CheckError naming the violated side condition.
-ccheck() judges the initial task with well_typed, then walks the
-certificate with step().
+ccheck() and the λΠ exporter both replay through derive(), the one walker:
+it judges the initial task with well_typed, then walks the certificate with
+step(), which also checks each KHole's stored task against the task at hand.
 
 Every task a rule produces is judged by well_typed on the spot, one
 typing rule for all children. well_typed is incremental through the task's
@@ -21,6 +22,7 @@ leaf.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import cert
@@ -66,6 +68,9 @@ class CheckFailure:
     path: tuple[int, ...]
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.rule} at {list(self.path)}: {self.message}"
+
 
 @dataclass(frozen=True, slots=True)
 class CheckReport:
@@ -76,8 +81,7 @@ class CheckReport:
 
 class CheckError(Exception):
     def __init__(self, failure: CheckFailure):
-        super().__init__(
-            f"{failure.rule} at {list(failure.path)}: {failure.message}")
+        super().__init__(str(failure))
         self.failure = failure
 
 
@@ -141,7 +145,10 @@ def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
 def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
            ground, typed) -> list[Task]:
     if isinstance(node, cert.KHole):
-        fail("KHole has no rule; it closes nothing")
+        # a hole closes the task it stores, which must be the task at hand
+        if not task_alpha_equal(node.task, T):
+            fail("stored task differs from the derived one")
+        return []
 
     if isinstance(node, cert.KTrivial):
         _, _, prem = find(node.name, node.goal)
@@ -342,32 +349,36 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
     fail(f"unknown kernel certificate {node!r}")
 
 
-def ccheck(c: cert.KernelCert, T: Task) -> CheckReport:
-    """Replay c against T; collect the tasks at the holes, in order."""
+def derive(c: cert.KernelCert, T: Task) -> Iterator[
+        tuple[tuple[int, ...], cert.KernelCert, Task]]:
+    """Replay c against T: each node with its path and the task it applies
+    to, depth-first, left to right, so the KHole nodes come in leaf order.
+    Raises CheckError if T is not well-typed, or at the first node that fails.
+    """
     if not well_typed(T):
-        return CheckReport(False, [], CheckFailure(
+        raise CheckError(CheckFailure(
             type(c).__name__, (), "the initial task is not well-typed"))
-    leaves: list[Task] = []
     todo: list[tuple[cert.KernelCert, Task, tuple[int, ...]]] = [(c, T, ())]
     while todo:
         node, task, path = todo.pop()
-        if isinstance(node, cert.KHole):
-            if not task_alpha_equal(node.task, task):
-                return CheckReport(False, [], CheckFailure(
-                    "KHole", path, "stored task differs from the derived one"))
-            leaves.append(task)
-            continue
-        try:
-            tasks = step(task, node, path)
-        except CheckError as e:
-            return CheckReport(False, [], e.failure)
+        tasks = step(task, node, path)
         children = cert.cert_children(node)
         if len(children) != len(tasks):
-            return CheckReport(False, [], CheckFailure(
+            raise CheckError(CheckFailure(
                 type(node).__name__, path,
                 f"{len(children)} subcertificates for {len(tasks)} tasks"))
         for i in range(len(children) - 1, -1, -1):
             todo.append((children[i], tasks[i], path + (i,)))
+        yield path, node, task
+
+
+def ccheck(c: cert.KernelCert, T: Task) -> CheckReport:
+    """Replay c against T; collect the tasks at the holes, in order."""
+    try:
+        leaves = [task for _, node, task in derive(c, T)
+                  if isinstance(node, cert.KHole)]
+    except CheckError as e:
+        return CheckReport(False, [], e.failure)
     return CheckReport(True, leaves, None)
 
 

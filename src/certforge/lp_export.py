@@ -11,6 +11,9 @@ T -> L as a single deterministic text file:
     symbol initial : TYPE = (the initial task, encoded)
     symbol proof : task1 -> ... -> taskN -> initial = (the certificate)
 
+emit_module raises ExportError for every certificate ccheck refuses and
+every L that differs from the leaves the certificate derives.
+
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, a free-name audit before emission, and optionally an external
 checker (see tests). The preamble's trust surface is three axioms: excluded
@@ -56,7 +59,7 @@ from .task import Task, task_alpha_equal, used_declarations
 
 
 class ExportError(Exception):
-    """Emission failed an internal consistency check (scope audit)."""
+    """Not a checked application, or a failed consistency check (scope audit)."""
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +285,6 @@ def _encode_scheme(scheme: Type) -> LpTerm:
     return body
 
 
-def _type_power(arity: int) -> LpTerm:
-    out: LpTerm = SORT
-    for _ in range(arity):
-        out = LArrow(SORT, out)
-    return out
-
-
 # The binder of the and/or/iff/exists encodings. No encoding has a free C,
 # so this binder captures nothing it scopes over: a free name is a preamble
 # constant (C is none) or comes from mangle, which renders an object symbol
@@ -378,24 +374,20 @@ def encode_task(T: Task, *, prune: bool = False) -> LpTerm:
     """
     I, sig = T.types_map(), T.sig_map()
     tsyms, ssyms = used_declarations(T) if prune else (T.types, T.sig)
-    out = LP_BOT
-    for g in reversed(T.goals):
-        out = LArrow(neg(encode_term(g.formula, I, sig)), out)
-    for h in reversed(T.hyps):
-        out = LArrow(encode_term(h.formula, I, sig), out)
+    out = arrows(*(encode_term(h.formula, I, sig) for h in T.hyps),
+                 *(neg(encode_term(g.formula, I, sig)) for g in T.goals),
+                 LP_BOT)
     for name, scheme in reversed(ssyms):
         out = LProd(mangle(name), _encode_scheme(scheme), out)
     for name, arity in reversed(tsyms):
-        out = LProd(mangle(name), _type_power(arity), out)
+        out = LProd(mangle(name), arrows(*[SORT] * (arity + 1)), out)
     return out
 
 
 def app_correctness_type(T: Task, L: list[Task]) -> LpTerm:
     """The statement that the resulting tasks entail the initial one."""
-    out = encode_task(T)
-    for leaf in reversed(L):
-        out = LArrow(encode_task(leaf, prune=True), out)
-    return out
+    return arrows(*(encode_task(leaf, prune=True) for leaf in L),
+                  encode_task(T))
 
 
 # ---------------------------------------------------------------------------
@@ -418,34 +410,35 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
     preamble combinator applied to the formulas the node records, and a
     hole becomes its identifier applied to the symbols and premises of its
     task in L, in that task's declaration order, so the application matches
-    the task's encoding. Each task in L must be alpha-equal to the task the
-    certificate derives at its hole; ExportError otherwise.
+    the task's encoding. The task at each node comes from checker.derive.
+    ExportError for anything ccheck refuses ("certificate rejected: ..."),
+    and for an L that is not alpha-equal, task by task, to the leaves.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
-    counter = [0]
+    try:
+        replay = list(checker.derive(c, T))
+    except checker.CheckError as e:
+        raise ExportError(f"certificate rejected: {e.failure}") from e
+    tasks = {path: task for path, _, task in replay}
+    holes = [path for path, node, _ in replay if isinstance(node, cert.KHole)]
+    if len(holes) != len(L):
+        raise ExportError(
+            f"certificate has {len(holes)} holes, {len(L)} tasks given")
+    for i, path in enumerate(holes):
+        if not task_alpha_equal(tasks[path], L[i]):
+            raise ExportError(f"task {i + 1} differs from the task the "
+                              f"certificate derives at {list(path)}")
+    leaves = iter(enumerate(L, 1))
 
     def enc(f: Term, task: Task) -> LpTerm:
         return encode_term(f, task.types_map(), task.sig_map())
 
-    def walk(node: cert.KernelCert, task: Task, path: tuple[int, ...],
+    def walk(node: cert.KernelCert, path: tuple[int, ...],
              scope: dict[Ident, LpTerm]) -> LpTerm:
+        task = tasks[path]
         if isinstance(node, cert.KHole):
-            counter[0] += 1
-            if counter[0] > len(L):
-                raise ExportError(
-                    f"certificate has more holes than the {len(L)} tasks given")
-            leaf = L[counter[0] - 1]
-            if not task_alpha_equal(task, leaf):
-                raise ExportError(
-                    f"task {counter[0]} differs from the task the certificate "
-                    f"derives at {list(path)}")
-            return _hole_application(counter[0], leaf, scope)
-
-        children = checker.step(task, node, path)
-
-        def sub(k: int, child_node: cert.KernelCert,
-                scope2: dict[Ident, LpTerm]) -> LpTerm:
-            return walk(child_node, children[k], path + (k,), scope2)
+            # holes come in leaf order, each checked against its task above
+            return _hole_application(*next(leaves), scope)
 
         def rebind(*names: Ident, drop: tuple[Ident, ...] = ()) -> dict[Ident, LpTerm]:
             out = dict(scope)
@@ -471,18 +464,18 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
             return LApp(scope[node.name], witness)
 
         if isinstance(node, cert.KAssert):
-            n = mangle(node.name)
+            n, scope2 = mangle(node.name), rebind(node.name)
             return lapp(LConst("cut"), enc(node.formula, task),
-                        LLam(n, None, sub(0, node.proof, rebind(node.name))),
-                        LLam(n, None, sub(1, node.rest, rebind(node.name))))
+                        LLam(n, None, walk(node.proof, path + (0,), scope2)),
+                        LLam(n, None, walk(node.rest, path + (1,), scope2)))
 
         if isinstance(node, cert.KSplit):
-            n = mangle(node.name)
+            n, scope2 = mangle(node.name), rebind(node.name)
             comb = "split_goal" if node.goal else "split"
             return lapp(LConst(comb), enc(node.left, task),
                         enc(node.right, task),
-                        LLam(n, None, sub(0, node.first, rebind(node.name))),
-                        LLam(n, None, sub(1, node.second, rebind(node.name))),
+                        LLam(n, None, walk(node.first, path + (0,), scope2)),
+                        LLam(n, None, walk(node.second, path + (1,), scope2)),
                         scope[node.name])
 
         if isinstance(node, cert.KDestruct):
@@ -491,47 +484,47 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
                             drop=(node.name,))
             cont = LLam(mangle(node.left_name), None,
                         LLam(mangle(node.right_name), None,
-                             sub(0, node.rest, scope2)))
+                             walk(node.rest, path + (0,), scope2)))
             return lapp(LConst(comb), enc(node.left, task),
                         enc(node.right, task), cont, scope[node.name])
 
         if isinstance(node, cert.KClear):
-            return sub(0, node.rest, rebind(drop=(node.name,)))
+            return walk(node.rest, path + (0,), rebind(drop=(node.name,)))
 
         if isinstance(node, cert.KSwapNeg):
             if not node.goal:
                 # a negated hypothesis and the goal it becomes share the
                 # encoding, so the premise variable carries over unchanged
-                return sub(0, node.rest, dict(scope))
+                return walk(node.rest, path + (0,), dict(scope))
             return lapp(LConst("swapneg_goal"), enc(node.formula, task),
                         LLam(mangle(node.name), None,
-                             sub(0, node.rest, rebind(node.name))),
+                             walk(node.rest, path + (0,), rebind(node.name))),
                         scope[node.name])
 
         if isinstance(node, cert.KIntroImp):
             cont = LLam(mangle(node.hyp_name), None,
                         LLam(mangle(node.name), None,
-                             sub(0, node.rest,
-                                 rebind(node.name, node.hyp_name))))
+                             walk(node.rest, path + (0,),
+                                  rebind(node.name, node.hyp_name))))
             return lapp(LConst("intro_imp"), enc(node.left, task),
                         enc(node.right, task), cont, scope[node.name])
 
         if isinstance(node, cert.KSplitImp):
             side_scope = rebind(node.goal_name, drop=(node.name,))
             side = LLam(mangle(node.goal_name), None,
-                        sub(0, node.side, side_scope))
+                        walk(node.side, path + (0,), side_scope))
             rest = LLam(mangle(node.name), None,
-                        sub(1, node.rest, rebind(node.name)))
+                        walk(node.rest, path + (1,), rebind(node.name)))
             return lapp(LConst("split_imp"), enc(node.left, task),
                         enc(node.right, task), side, rest, scope[node.name])
 
         if isinstance(node, cert.KUnfoldIff):
             # the iff encoding already is the conjunction of both arrows
-            return sub(0, node.rest, dict(scope))
+            return walk(node.rest, path + (0,), dict(scope))
 
         if isinstance(node, cert.KRevert):
-            cont = LLam(mangle(node.goal), None,
-                        sub(0, node.rest, rebind(node.goal, drop=(node.hyp,))))
+            cont = LLam(mangle(node.goal), None, walk(
+                node.rest, path + (0,), rebind(node.goal, drop=(node.hyp,))))
             return lapp(LConst("revert"), enc(node.hyp_formula, task),
                         enc(node.goal_formula, task), scope[node.hyp],
                         scope[node.goal], cont)
@@ -540,28 +533,26 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
             comb = "intro_all" if node.goal else "intro_ex"
             cont = LLam(mangle(node.fresh), None,
                         LLam(mangle(node.name), None,
-                             sub(0, node.rest, rebind(node.name))))
+                             walk(node.rest, path + (0,), rebind(node.name))))
             return lapp(LConst(comb), _encode_type(node.ty),
                         enc(node.pred, task), cont, scope[node.name])
 
         if isinstance(node, cert.KInstQuant):
             comb = "inst_ex" if node.goal else "inst_all"
             cont = LLam(mangle(node.inst_name), None,
-                        sub(0, node.rest, rebind(node.inst_name)))
+                        walk(node.rest, path + (0,), rebind(node.inst_name)))
             return lapp(LConst(comb), _encode_type(node.ty),
                         enc(node.pred, task), enc(node.witness, task), cont,
                         scope[node.name])
 
         if isinstance(node, cert.KIntroType):
-            body = subst_type(node.formula.body, node.formula.var,
-                              TApp(node.iota, ()))
-            I2 = dict(task.types_map())
-            I2[node.iota] = 0
+            # the child task declares iota and holds the opened goal
+            child = tasks[path + (0,)]
             pred = LLam(mangle(node.iota), None,
-                        encode_term(body, I2, task.sig_map()))
+                        enc(child.find(node.name)[2].formula, child))
             cont = LLam(mangle(node.iota), None,
                         LLam(mangle(node.name), None,
-                             sub(0, node.rest, rebind(node.name))))
+                             walk(node.rest, path + (0,), rebind(node.name))))
             return lapp(LConst("intro_ty"), pred, cont, scope[node.name])
 
         if isinstance(node, cert.KInstType):
@@ -573,7 +564,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
             pred = LLam(mangle(b), None,
                         encode_term(body, I2, task.sig_map()))
             cont = LLam(mangle(node.inst_name), None,
-                        sub(0, node.rest, rebind(node.inst_name)))
+                        walk(node.rest, path + (0,), rebind(node.inst_name)))
             return lapp(LConst("inst_ty"), pred, _encode_type(node.ty), cont,
                         scope[node.name])
 
@@ -583,9 +574,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
                          enc(node.left, task), enc(node.right, task),
                          enc(node.context, task), scope[node.eq_name],
                          scope[node.name])
-            scope2 = dict(scope)
-            scope2[node.name] = moved
-            return sub(0, node.rest, scope2)
+            return walk(node.rest, path + (0,), {**scope, node.name: moved})
 
         if isinstance(node, cert.KInduction):
             # the λ binders reuse the symbol's and the goal's own names, so
@@ -595,9 +584,9 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
             base_scope = rebind(node.goal_name, node.hyp_name)
             rec_scope = rebind(node.goal_name, node.hyp_name, node.rec_name)
             base = LLam(v, None, LLam(g, None, LLam(
-                h, None, sub(0, node.base, base_scope))))
+                h, None, walk(node.base, path + (0,), base_scope))))
             rec = LLam(v, None, LLam(g, None, LLam(h, None, LLam(
-                rc, None, sub(1, node.rec, rec_scope)))))
+                rc, None, walk(node.rec, path + (1,), rec_scope)))))
             return lapp(LConst("sind"), enc(node.context, task),
                         enc(node.bound, task), base, rec,
                         LVar(mangle(node.var)), scope[node.goal_name])
@@ -605,18 +594,12 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
         raise ExportError(f"untranslatable certificate node {node!r}")
 
     scope0 = {p.name: LVar(mangle(p.name)) for p in T.premises()}
-    out = walk(c, T, (), scope0)
-    if counter[0] != len(L):
-        raise ExportError(
-            f"certificate has {counter[0]} holes, {len(L)} tasks given")
-    for p in reversed(T.premises()):
-        out = LLam(mangle(p.name), None, out)
-    for name, _ in reversed(T.sig):
-        out = LLam(mangle(name), None, out)
-    for name, _ in reversed(T.types):
-        out = LLam(mangle(name), None, out)
-    for i in reversed(range(len(L))):
-        out = LLam(f"s{i + 1}", None, out)
+    out = walk(c, (), scope0)
+    binders = [f"s{i + 1}" for i in range(len(L))]
+    binders += [mangle(name) for name, _ in T.types + T.sig]
+    binders += [mangle(p.name) for p in T.premises()]
+    for name in reversed(binders):
+        out = LLam(name, None, out)
     return out
 
 
@@ -634,28 +617,27 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
 
     The output is a pure function of the inputs: fixed bytes, LF endings,
     one require of the shared preamble, one symbol per resulting task, and
-    the proof definition.
+    the proof definition. proof_term runs first, so a certificate ccheck
+    refuses, or whose leaves differ from L, raises ExportError before any
+    task is encoded.
     """
     known = PREAMBLE_NAMES
+    body = proof_term(c, T, L)
     lines = [
         "// generated by certforge; edit the source task, not this file",
         "require open certforge.preamble;",
         "",
     ]
-    declared: list[str] = []
     for i, leaf in enumerate(L):
         ty = encode_task(leaf, prune=True)
         _audit(ty, known, f"task{i + 1}")
         lines.append(f"symbol task{i + 1} : TYPE ≔ {lp_format(ty)};")
-        declared.append(f"task{i + 1}")
     initial = encode_task(T)
     _audit(initial, known, "initial")
     lines.append(f"symbol initial : TYPE ≔ {lp_format(initial)};")
 
-    ty: LpTerm = LConst("initial")
-    for name in reversed(declared):
-        ty = LArrow(LConst(name), ty)
-    body = proof_term(c, T, L)
+    ty = arrows(*(LConst(f"task{i + 1}") for i in range(len(L))),
+                LConst("initial"))
     _audit(body, known, "proof")
     lines.append(f"symbol proof : {lp_format(ty)} ≔ {lp_format(body)};")
     lines.append("")

@@ -285,6 +285,9 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
     for name in g1:
         if not alpha_equal(g1[name], g2[name]):
             return False
+    # alpha-equal premises use the same declarations of equal tuples
+    if T1.types == T2.types and T1.sig == T2.sig:
+        return True
     types1, sig1 = used_declarations(T1)
     types2, sig2 = used_declarations(T2)
     if dict(types1) != dict(types2):

@@ -15,7 +15,7 @@ from certforge.cli import (
     parse_task,
 )
 from certforge.core import Top, ident, var
-from certforge.task import Premise, gen_chain_task, task_alpha_equal
+from certforge.task import Premise, TaskError, gen_chain_task, task_alpha_equal
 
 EX1 = """
 (task (types)
@@ -55,6 +55,13 @@ def test_parse_print_parse_is_alpha_stable(text):
     T2 = parse_task(printed)
     assert task_alpha_equal(T, T2)
     assert sexpr.dumps(sexpr.task_to_sexpr(T2)) == printed
+
+
+def test_parse_task_refuses_every_truncation():
+    text = EX2.strip()
+    for k in range(len(text)):
+        with pytest.raises(TaskError):
+            parse_task(text[:k])
 
 
 def test_parse_true_goal():
@@ -221,6 +228,22 @@ def test_check_rejects_certificate_for_another_task(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # export
 
+def test_export_refuses_a_certificate_for_another_task(tmp_path, capsys):
+    a = tmp_path / "a.tsk"
+    a.write_text(SPLIT, encoding="utf-8")
+    b = tmp_path / "b.tsk"
+    b.write_text("(task (types) (sig (x prop)) (hyps) (goals (G x)))",
+                 encoding="utf-8")
+    assert main(["transform", str(a), "--name", "split", "--premise", "H",
+                 "--emit-cert", str(tmp_path / "a.cert")]) == 0
+    capsys.readouterr()
+    assert main(["export", str(b), "--cert", str(tmp_path / "a.cert")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: certificate rejected: KSplit at []: "
+                            "no premise named H\n")
+
+
 def test_export_identity_module(tmp_path, capsys):
     f = tmp_path / "t.tsk"
     f.write_text(SPLIT, encoding="utf-8")
@@ -268,6 +291,20 @@ def test_bench_row_validation():
         BenchRow(0, 0.1, 10, 0.1)
     with pytest.raises(ValueError):
         BenchRow(5, -0.1, 10, 0.1)
+
+
+def test_bench_prints_each_row_as_it_is_measured(monkeypatch, capsys):
+    printed_before = []
+
+    def row(n, runs):
+        printed_before.append(capsys.readouterr().out)
+        return BenchRow(n, 0.5, 100 * n, 0.25)
+
+    monkeypatch.setattr(cli, "bench_row", row)
+    assert main(["bench", "--max-n", "10"]) == 0
+    assert printed_before == ["n,transform_s,cert_bytes,check_s\n",
+                              "5,0.500000,500,0.250000\n"]
+    assert capsys.readouterr().out == "10,0.500000,1000,0.250000\n"
 
 
 def test_bench_csv_schema(tmp_path, capsys):

@@ -355,6 +355,45 @@ def test_proof_term_rejects_tasks_the_certificate_does_not_derive():
         lp.proof_term(k, T, derived[::-1])
 
 
+def _refused_by_a_rule():
+    T, L, _ = split_application()
+    # G : x is no truth, so the second branch cannot be closed this way
+    c = cert.KSplit(False, var("x1"), var("x2"), ident("H"),
+                    cert.KHole(L[0]), cert.KTrivial(True, ident("G")))
+    return T, L, c
+
+
+def _hole_storing_the_wrong_task():
+    T, L, _ = split_application()
+    c = cert.KSplit(False, var("x1"), var("x2"), ident("H"),
+                    cert.KHole(L[0]), cert.KHole(L[0]))
+    return T, L, c
+
+
+def _ill_typed_initial_task():
+    T = Task(hyps=(Premise(ident("H"), IntLit(3)),),
+             goals=(Premise(ident("G"), Top()),))
+    return T, [T], cert.KHole(T)
+
+
+@pytest.mark.parametrize("make, where", [
+    (_refused_by_a_rule, "KTrivial at [1]"),
+    (_hole_storing_the_wrong_task, "KHole at [1]"),
+    (_ill_typed_initial_task, "KHole at []"),
+])
+@pytest.mark.parametrize("export", [
+    lambda T, L, c: lp.emit_module(T, L, c),
+    lambda T, L, c: lp.proof_term(c, T, L),
+], ids=["emit_module", "proof_term"])
+def test_export_refuses_what_ccheck_refuses(make, where, export):
+    T, L, c = make()
+    failure = checker.ccheck(c, T).failure
+    assert str(failure).startswith(where + ": ")
+    with pytest.raises(lp.ExportError) as e:
+        export(T, L, c)
+    assert str(e.value) == f"certificate rejected: {failure}"
+
+
 # ---------------------------------------------------------------------------
 # the preamble
 

@@ -274,6 +274,24 @@ def test_task_alpha_equal_basic():
     assert not task_alpha_equal(T, renamed_premise)
 
 
+def test_task_alpha_equal_on_equal_declarations():
+    # equal types and sig tuples, premises alpha-equal but distinct objects;
+    # the reversed signature takes the comparison of used declarations
+    s = TApp(ident("s"), ())
+    types = ((ident("s"), 0),)
+    sig = ((ident("p"), arrow(s, PROP)), (ident("q"), PROP))
+
+    def task(x, goal, sig=sig):
+        hyp = Forall(ident(x), s, app(var("p"), var(x)))
+        return Task(types, sig, (Premise(ident("H"), hyp),),
+                    (Premise(ident("G"), goal),))
+
+    T = task("x", var("q"))
+    for decls in (sig, sig[::-1]):
+        assert task_alpha_equal(T, task("y", var("q"), decls))
+        assert not task_alpha_equal(T, task("y", Not(var("q")), decls))
+
+
 def test_task_alpha_equal_ignores_premise_order():
     T1 = mk_task(["p", "q"], hyps=[P, Q])
     T2 = Task(sig=T1.sig, hyps=(T1.hyps[1], T1.hyps[0]))
