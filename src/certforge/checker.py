@@ -125,9 +125,9 @@ def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
         except TypingError as e:
             fail(str(e))
 
-    def typed(t: Term, expected) -> None:
+    def typed(t: Term, expected):
         try:
-            annotate(T.types_map(), T.sig_map(), t, expected)
+            return annotate(T.types_map(), T.sig_map(), t, expected)
         except TypingError as e:
             fail(str(e))
 
@@ -172,10 +172,9 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
     if isinstance(node, cert.KAssert):
         fresh_premise(node.name)
         try:
-            ty = annotate(T.types_map(), T.sig_map(), node.formula).type
-        except TypingError as e:
-            fail(str(e))
-        if ty != PROP:
+            annotate(T.types_map(), T.sig_map(), node.formula, PROP)
+        except TypingError:
+            ty = typed(node.formula, None).type
             fail(f"asserted formula has type {ty}, not prop")
         p = Premise(node.name, node.formula)
         return [T.append(True, p), T.append(False, p)]

@@ -61,11 +61,14 @@ def parse_task(text: str) -> Task:
     I, sig = T.types_map(), T.sig_map()
     check_signature(I, sig)
     for p in T.premises():
-        ty = annotate(I, sig, p.formula).type
-        if ty != PROP:
+        try:
+            annotate(I, sig, p.formula, PROP)
+        except TypingError:
+            # name the type the premise has, if it has one
+            ty = annotate(I, sig, p.formula).type
             raise TypingError(
                 f"premise {p.name} has type "
-                f"{sexpr.dumps(sexpr.type_to_sexpr(ty))}, not prop")
+                f"{sexpr.dumps(sexpr.type_to_sexpr(ty))}, not prop") from None
     return T
 
 

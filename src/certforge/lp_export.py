@@ -14,6 +14,16 @@ T -> L as a single deterministic text file:
 emit_module raises ExportError for every certificate ccheck refuses and
 every L that differs from the leaves the certificate derives.
 
+One Encoder per emit_module call serves the proof term and every task
+statement, and encodes each formula object once per typing context. Its
+key is (the task's typing context, the formula object, whether the
+formula is judged against prop). A negation or connective judged prop is
+built from its operands' encodings: each operand is prop under the same
+declarations with no binder above it, so typing it alone against prop
+picks the instances typing the whole formula picks. Only the other nodes
+are typed, by encode_term; a chain task's n atoms are typed once each
+rather than once per formula that contains them.
+
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, a free-name audit before emission, and optionally an external
 checker (see tests). The preamble's trust surface is three axioms: excluded
@@ -26,11 +36,13 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from typing import Mapping
 
 from . import cert, checker
 from .core import (
     INT,
     INTERPRETED,
+    PROP,
     App,
     Arrow,
     BinOp,
@@ -48,6 +60,7 @@ from .core import (
     Term,
     Top,
     Type,
+    TypingError,
     Var,
     annotate,
     fresh_ident,
@@ -197,10 +210,13 @@ _LP_KEYWORDS = frozenset({
 _EMITTER_NAMES = frozenset({"C", "Q", "initial", "proof"})
 
 
+# the names emit_module gives hole identifiers and resulting tasks
+_NUMBERED = re.compile(r"(s|task)[0-9]+")
+
+
 def _lp_reserved(name: str) -> bool:
     return (name in _LP_KEYWORDS or name in _EMITTER_NAMES
-            or name in PREAMBLE_NAMES
-            or re.fullmatch(r"(s|task)[0-9]+", name) is not None)
+            or name in PREAMBLE_NAMES or _NUMBERED.fullmatch(name) is not None)
 
 
 def mangle(name: Ident) -> str:
@@ -210,13 +226,15 @@ def mangle(name: Ident) -> str:
     escapes, a nonzero uid becomes a _u<digits> suffix, and collisions with
     reserved emitter names get a uniform u_ prefix.
     """
-    out = []
-    for k, ch in enumerate(name.name):
-        if (ch.isascii() and ch.isalnum()) and not (k == 0 and ch.isdigit()):
-            out.append(ch)
-        else:
-            out.append("_%02x" % ord(ch))
-    base = "".join(out) or "_5f"
+    base = name.name
+    if not (base.isascii() and base.isalnum()) or base[0].isdigit():
+        out = []
+        for k, ch in enumerate(base):
+            if (ch.isascii() and ch.isalnum()) and not (k == 0 and ch.isdigit()):
+                out.append(ch)
+            else:
+                out.append("_%02x" % ord(ch))
+        base = "".join(out) or "_5f"
     if name.uid:
         base += f"_u{name.uid}"
     if _lp_reserved(base) or base.startswith("u_"):
@@ -292,7 +310,20 @@ def _encode_scheme(scheme: Type) -> LpTerm:
 _C = "C"
 
 
-def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpTerm:
+def _connective(op: str, l: LpTerm, r: LpTerm) -> LpTerm:
+    if op == "imp":
+        return LArrow(l, r)
+    c = LVar(_C)
+    if op == "and":
+        return LProd(_C, SORT, LArrow(arrows(l, r, c), c))
+    if op == "or":
+        return LProd(_C, SORT, arrows(LArrow(l, c), LArrow(r, c), c))
+    if op == "iff":
+        return LProd(_C, SORT, LArrow(arrows(LArrow(l, r), LArrow(r, l), c), c))
+    raise ExportError(f"unknown connective {op}")
+
+
+def _encode(t: Term, path: tuple[int, ...], info, sig: Mapping[Ident, Type]) -> LpTerm:
     if isinstance(t, Var):
         if t.name not in sig and t.name in INTERPRETED:
             if str(t.name) == "=":
@@ -312,19 +343,8 @@ def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpT
     if isinstance(t, Not):
         return neg(_encode(t.body, path + (0,), info, sig))
     if isinstance(t, BinOp):
-        l = _encode(t.left, path + (0,), info, sig)
-        r = _encode(t.right, path + (1,), info, sig)
-        if t.op == "imp":
-            return LArrow(l, r)
-        c = LVar(_C)
-        if t.op == "and":
-            return LProd(_C, SORT, LArrow(arrows(l, r, c), c))
-        if t.op == "or":
-            return LProd(_C, SORT, arrows(LArrow(l, c), LArrow(r, c), c))
-        if t.op == "iff":
-            return LProd(_C, SORT, LArrow(
-                arrows(LArrow(l, r), LArrow(r, l), c), c))
-        raise ExportError(f"unknown connective {t.op}")
+        return _connective(t.op, _encode(t.left, path + (0,), info, sig),
+                           _encode(t.right, path + (1,), info, sig))
     if isinstance(t, App):
         return LApp(_encode(t.fn, path + (0,), info, sig),
                     _encode(t.arg, path + (1,), info, sig))
@@ -344,38 +364,97 @@ def _encode(t: Term, path: tuple[int, ...], info, sig: dict[Ident, Type]) -> LpT
     raise ExportError(f"unencodable term {t!r}")
 
 
-def encode_term(t: Term, I: dict[Ident, int] | None = None,
-                sig: dict[Ident, Type] | None = None) -> LpTerm:
+def encode_term(t: Term, I: Mapping[Ident, int] | None = None,
+                sig: Mapping[Ident, Type] | None = None,
+                expected: Type | None = None) -> LpTerm:
     """The impredicative encoding of a well-typed term.
 
-    I and sig supply the typing environment; they default to empty. The
-    prenex type quantifiers become Π binders over TYPE, named after the
-    fresh type symbols annotate() renamed them to, so the instances it
-    recorded line up with the binders.
+    I and sig supply the typing environment; they default to empty and are
+    only read. Instances are chosen as annotate(I, sig, t, expected)
+    chooses them: pass expected=PROP for a formula, so that a polymorphic
+    symbol standing for a proposition is encoded at TYPE. The prenex type
+    quantifiers become Π binders over TYPE, named after the fresh type
+    symbols annotate() renamed them to, so the instances it recorded line
+    up with the binders.
     """
-    sig = dict(sig or {})
-    info = annotate(I or {}, sig, t)
+    sig = {} if sig is None else sig
+    info = annotate(I or {}, sig, t, expected)
     out = _encode(info.body, (), info, sig)
     for iota in reversed(info.iotas):
         out = LProd(mangle(iota), SORT, out)
     return out
 
 
+class Encoder:
+    """The encodings of one export, each formula object encoded once.
+
+    Called as enc(f, task) for a formula judged against prop, and as
+    enc(t, task, prop=False) for a term typed on its own (a witness, a
+    rewriting or induction context, an equation side). The memo key is
+    (task's typing context, id of f, prop): tasks that share a typing
+    context have the same types and sig tuples, and the memo holds f, so
+    the same key always stands for the same judgment.
+
+    A negation or connective judged prop is built from its operands'
+    encodings. Each operand is itself prop under the same declarations,
+    and no binder or type quantifier sits above it, so
+    annotate(I, sig, operand, PROP) makes exactly the instance choices
+    annotating the whole formula makes below it: the two share no
+    metavariable. Only the other nodes (atoms, applications, quantifiers,
+    λs, a prenex prefix, terms) go through encode_term. An operand, and the
+    LpTerm built from it, is then shared by every formula containing it;
+    the memo lives as long as the Encoder, which emit_module makes once
+    per call.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[object, int, bool], tuple[Term, LpTerm]] = {}
+
+    def __call__(self, f: Term, task: Task, prop: bool = True) -> LpTerm:
+        key = (task._ctx, id(f), prop)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit[1]
+        if prop and isinstance(f, Not):
+            out = neg(self._operand(f.body, task))
+        elif prop and isinstance(f, BinOp):
+            out = _connective(f.op, self._operand(f.left, task),
+                              self._operand(f.right, task))
+        else:
+            out = encode_term(f, task.types_map(), task.sig_map(),
+                              PROP if prop else None)
+        self._memo[key] = (f, out)
+        return out
+
+    def _operand(self, f: Term, task: Task) -> LpTerm:
+        if isinstance(f, PiType):
+            # a prefix may only head a whole formula (see annotate)
+            raise TypingError("type quantifier occurs under another constructor")
+        return self(f, task)
+
+
 # ---------------------------------------------------------------------------
 # encoding tasks
 
-def encode_task(T: Task, *, prune: bool = False) -> LpTerm:
+def encode_task(T: Task, *, prune: bool = False,
+                encoder: Encoder | None = None) -> LpTerm:
     """A task as the type: symbols imply premises imply absurdity.
 
     With prune=True only declarations mentioned by some premise are
     quantified; hole tasks are encoded that way so their statements stay
     minimal, while an initial task keeps its full declaration list (a
     certificate may introduce formulas over symbols no premise mentions).
+    Each premise is encoded as a formula judged against prop, through
+    encoder (a fresh Encoder by default): emit_module passes the one its
+    proof term used, so a formula the certificate already encoded under
+    this task's typing context is not encoded again.
     """
-    I, sig = T.types_map(), T.sig_map()
+    enc = Encoder() if encoder is None else encoder
     tsyms, ssyms = used_declarations(T) if prune else (T.types, T.sig)
-    out = arrows(*(encode_term(h.formula, I, sig) for h in T.hyps),
-                 *(neg(encode_term(g.formula, I, sig)) for g in T.goals),
+    out = arrows(*(enc(h.formula, T) for h in T.hyps),
+                 *(neg(enc(g.formula, T)) for g in T.goals),
                  LP_BOT)
     for name, scheme in reversed(ssyms):
         out = LProd(mangle(name), _encode_scheme(scheme), out)
@@ -402,7 +481,8 @@ def _hole_application(index: int, task: Task,
     return lapp(LVar(f"s{index}"), *args)
 
 
-def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
+def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
+               encoder: Encoder | None = None) -> LpTerm:
     """The certificate as a λ-term of type app_correctness_type(T, L).
 
     Hole identifiers come first, then the initial task's type symbols,
@@ -413,6 +493,8 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
     the task's encoding. The task at each node comes from checker.derive.
     ExportError for anything ccheck refuses ("certificate rejected: ..."),
     and for an L that is not alpha-equal, task by task, to the leaves.
+    Formulas are encoded through encoder (a fresh Encoder by default),
+    under the typing context of the task at their node.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
     try:
@@ -429,9 +511,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
             raise ExportError(f"task {i + 1} differs from the task the "
                               f"certificate derives at {list(path)}")
     leaves = iter(enumerate(L, 1))
-
-    def enc(f: Term, task: Task) -> LpTerm:
-        return encode_term(f, task.types_map(), task.sig_map())
+    enc = Encoder() if encoder is None else encoder
 
     def walk(node: cert.KernelCert, path: tuple[int, ...],
              scope: dict[Ident, LpTerm]) -> LpTerm:
@@ -460,7 +540,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
         if isinstance(node, cert.KEqRefl):
             tau = annotate(task.types_map(), task.sig_map(), node.term).type
             witness = lapp(LConst("eq_refl"), _encode_type(tau),
-                           enc(node.term, task))
+                           enc(node.term, task, prop=False))
             return LApp(scope[node.name], witness)
 
         if isinstance(node, cert.KAssert):
@@ -535,14 +615,16 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
                         LLam(mangle(node.name), None,
                              walk(node.rest, path + (0,), rebind(node.name))))
             return lapp(LConst(comb), _encode_type(node.ty),
-                        enc(node.pred, task), cont, scope[node.name])
+                        enc(node.pred, task, prop=False), cont,
+                        scope[node.name])
 
         if isinstance(node, cert.KInstQuant):
             comb = "inst_ex" if node.goal else "inst_all"
             cont = LLam(mangle(node.inst_name), None,
                         walk(node.rest, path + (0,), rebind(node.inst_name)))
             return lapp(LConst(comb), _encode_type(node.ty),
-                        enc(node.pred, task), enc(node.witness, task), cont,
+                        enc(node.pred, task, prop=False),
+                        enc(node.witness, task, prop=False), cont,
                         scope[node.name])
 
         if isinstance(node, cert.KIntroType):
@@ -562,7 +644,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
             I2 = dict(task.types_map())
             I2[b] = 0
             pred = LLam(mangle(b), None,
-                        encode_term(body, I2, task.sig_map()))
+                        encode_term(body, I2, task.sig_map(), PROP))
             cont = LLam(mangle(node.inst_name), None,
                         walk(node.rest, path + (0,), rebind(node.inst_name)))
             return lapp(LConst("inst_ty"), pred, _encode_type(node.ty), cont,
@@ -571,8 +653,9 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
         if isinstance(node, cert.KRewrite):
             comb = "rewrite_goal" if node.goal else "rewrite_hyp"
             moved = lapp(LConst(comb), _encode_type(node.context.ty),
-                         enc(node.left, task), enc(node.right, task),
-                         enc(node.context, task), scope[node.eq_name],
+                         enc(node.left, task, prop=False),
+                         enc(node.right, task, prop=False),
+                         enc(node.context, task, prop=False), scope[node.eq_name],
                          scope[node.name])
             return walk(node.rest, path + (0,), {**scope, node.name: moved})
 
@@ -587,8 +670,8 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task]) -> LpTerm:
                 h, None, walk(node.base, path + (0,), base_scope))))
             rec = LLam(v, None, LLam(g, None, LLam(h, None, LLam(
                 rc, None, walk(node.rec, path + (1,), rec_scope)))))
-            return lapp(LConst("sind"), enc(node.context, task),
-                        enc(node.bound, task), base, rec,
+            return lapp(LConst("sind"), enc(node.context, task, prop=False),
+                        enc(node.bound, task, prop=False), base, rec,
                         LVar(mangle(node.var)), scope[node.goal_name])
 
         raise ExportError(f"untranslatable certificate node {node!r}")
@@ -619,20 +702,22 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     one require of the shared preamble, one symbol per resulting task, and
     the proof definition. proof_term runs first, so a certificate ccheck
     refuses, or whose leaves differ from L, raises ExportError before any
-    task is encoded.
+    task is encoded. The proof term and the task statements share one
+    Encoder, which lives for this call only.
     """
     known = PREAMBLE_NAMES
-    body = proof_term(c, T, L)
+    enc = Encoder()
+    body = proof_term(c, T, L, enc)
     lines = [
         "// generated by certforge; edit the source task, not this file",
         "require open certforge.preamble;",
         "",
     ]
     for i, leaf in enumerate(L):
-        ty = encode_task(leaf, prune=True)
+        ty = encode_task(leaf, prune=True, encoder=enc)
         _audit(ty, known, f"task{i + 1}")
         lines.append(f"symbol task{i + 1} : TYPE ≔ {lp_format(ty)};")
-    initial = encode_task(T)
+    initial = encode_task(T, encoder=enc)
     _audit(initial, known, "initial")
     lines.append(f"symbol initial : TYPE ≔ {lp_format(initial)};")
 

@@ -198,6 +198,10 @@ class Task:
 def well_typed(T: Task) -> bool:
     """True iff Sigma is well-formed under I and every premise has type prop.
 
+    Each premise is judged against prop (annotate with expected=PROP), so a
+    premise such as `choose` with choose : 'a is prop at the instance prop,
+    not ill-typed at the defaulted instance int.
+
     Incremental through T's typing context, which the tasks replace and
     append derive share since they keep the same types and sig tuples: the
     signature is checked once per context, and each formula object is typed
@@ -218,8 +222,8 @@ def well_typed(T: Task) -> bool:
         if id(f) in ctx.props:
             continue
         try:
-            if annotate(I, sig, f).type != PROP:
-                return False
+            # against prop, so a polymorphic atom is instantiated at prop
+            annotate(I, sig, f, PROP)
         except TypingError:
             return False
         ctx.props[id(f)] = f

@@ -1,0 +1,114 @@
+"""The per-formula λΠ encoding, kept as a reference for lp_export.Encoder.
+
+Before the exporter shared one memoized encoder per emit_module call, it
+annotated and walked every formula it met as a whole: one annotate over
+the formula, then one walk that reads the instance of each symbol
+occurrence at its path. That definition is frozen here. The only change is
+the judgment: a formula judged against prop is annotated with
+expected=PROP, as well_typed judges premises.
+
+per_formula has the Encoder's call signature, so proof_term and
+encode_task can be run with either and their results compared. It borrows
+the λΠ term classes and the leaf renderings (mangle, types, numerals) from
+lp_export, and nothing of the encoder it judges.
+"""
+
+from __future__ import annotations
+
+from certforge.core import (
+    INTERPRETED,
+    PROP,
+    App,
+    BinOp,
+    Bottom,
+    Exists,
+    Forall,
+    IntLit,
+    Lam,
+    Not,
+    PiType,
+    Top,
+    Var,
+    annotate,
+)
+from certforge.lp_export import (
+    LP_BOT,
+    LP_TOP,
+    SORT,
+    LApp,
+    LArrow,
+    LConst,
+    LLam,
+    LProd,
+    LVar,
+    _encode_type,
+    _int_term,
+    arrows,
+    mangle,
+    neg,
+)
+
+_INTERP_CONST = {"+": "add", "*": "mul", "-": "sub",
+                 "<": "lt", ">": "gt", "<=": "le", ">=": "ge"}
+
+
+def _walk(t, path, info, sig):
+    if isinstance(t, Var):
+        if t.name not in sig and t.name in INTERPRETED:
+            if str(t.name) == "=":
+                return LApp(LConst("eq"), _encode_type(info.inst[path][0]))
+            return LConst(_INTERP_CONST[str(t.name)])
+        head = LVar(mangle(t.name))
+        for tau in info.inst.get(path, ()):
+            head = LApp(head, _encode_type(tau))
+        return head
+    if isinstance(t, IntLit):
+        return _int_term(t.value)
+    if isinstance(t, Bottom):
+        return LP_BOT
+    if isinstance(t, Top):
+        return LP_TOP
+    if isinstance(t, Not):
+        return neg(_walk(t.body, path + (0,), info, sig))
+    if isinstance(t, BinOp):
+        l = _walk(t.left, path + (0,), info, sig)
+        r = _walk(t.right, path + (1,), info, sig)
+        if t.op == "imp":
+            return LArrow(l, r)
+        c = LVar("C")
+        if t.op == "and":
+            return LProd("C", SORT, LArrow(arrows(l, r, c), c))
+        if t.op == "or":
+            return LProd("C", SORT, arrows(LArrow(l, c), LArrow(r, c), c))
+        return LProd("C", SORT, LArrow(arrows(LArrow(l, r), LArrow(r, l), c), c))
+    if isinstance(t, App):
+        return LApp(_walk(t.fn, path + (0,), info, sig),
+                    _walk(t.arg, path + (1,), info, sig))
+    if isinstance(t, Forall):
+        return LProd(mangle(t.var), _encode_type(t.ty),
+                     _walk(t.body, path + (0,), info, sig))
+    if isinstance(t, Exists):
+        c = LVar("C")
+        return LProd("C", SORT, LArrow(
+            LProd(mangle(t.var), _encode_type(t.ty),
+                  LArrow(_walk(t.body, path + (0,), info, sig), c)), c))
+    if isinstance(t, Lam):
+        return LLam(mangle(t.var), _encode_type(t.ty),
+                    _walk(t.body, path + (0,), info, sig))
+    assert not isinstance(t, PiType), "type quantifier below the prefix"
+    raise AssertionError(f"unencodable term {t!r}")
+
+
+def encode_whole(t, I, sig, expected=None):
+    """One annotate over all of t, then one walk."""
+    info = annotate(I, sig, t, expected)
+    out = _walk(info.body, (), info, sig)
+    for iota in reversed(info.iotas):
+        out = LProd(mangle(iota), SORT, out)
+    return out
+
+
+def per_formula(f, task, prop=True):
+    """The Encoder's call signature: f encoded as a whole, every time."""
+    return encode_whole(f, task.types_map(), task.sig_map(),
+                        PROP if prop else None)

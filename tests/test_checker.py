@@ -133,6 +133,16 @@ def test_assert_rejects_bad_formula():
     bad(T, c.KAssert(G, P, c.KHole(T), c.KHole(T)), "already used")
 
 
+def test_assert_judges_the_formula_against_prop():
+    T = Task(sig=PSIG + ((ident("choose"), TVar(ident("a"))),),
+             goals=(Premise(G, P),))
+    t1, t2 = step(T, c.KAssert(H1, var("choose"),
+                               c.KHole(T), c.KHole(T)), ())
+    assert t2.hyps[-1].formula == var("choose")
+    bad(T, c.KAssert(H1, app(var("+"), var("choose"), IntLit(1)),
+                     c.KHole(T), c.KHole(T)), "has type int(), not prop")
+
+
 def test_assert_accepts_quantified_formula():
     al = ident("al")
     f = PiType(al, Forall(x, TVar(al), eq(var("x"), var("x"))))

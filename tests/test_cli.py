@@ -14,7 +14,7 @@ from certforge.cli import (
     main,
     parse_task,
 )
-from certforge.core import Top, ident, var
+from certforge.core import Top, TypingError, ident, var
 from certforge.task import Premise, TaskError, gen_chain_task, task_alpha_equal
 
 EX1 = """
@@ -98,6 +98,15 @@ def test_parse_rejects_non_propositional_premise(tmp_path, capsys):
                  encoding="utf-8")
     assert main(["parse", str(f)]) == 1
     assert "premise G has type (int), not prop" in capsys.readouterr().err
+
+
+def test_parse_task_judges_premises_against_prop():
+    T = parse_task("(task (types) (sig (choose a)) (hyps) (goals (G choose)))")
+    assert T.goals[0].formula == var("choose")
+    # a premise no instance makes prop still names the type it has
+    with pytest.raises(TypingError,
+                       match=r"premise G has type \(-> \(int\) \(int\)\), not prop"):
+        parse_task("(task (types) (sig (f (-> a a))) (hyps) (goals (G (f f))))")
 
 
 def test_parse_checks_the_signature_without_premises(tmp_path, capsys):

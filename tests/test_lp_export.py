@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_parser as lpp
-from certforge import cert, checker, transforms as tr
+from certforge import cert, checker, cli, sexpr, transforms as tr
 from certforge import lp_export as lp
 from certforge.core import (
     INT,
@@ -26,6 +28,7 @@ from certforge.core import (
     TApp,
     TVar,
     Top,
+    TypingError,
     Var,
     annotate,
     app,
@@ -35,9 +38,12 @@ from certforge.core import (
     ident,
     iff,
     imp,
+    subterms,
     var,
 )
 from certforge.task import Premise, Task, gen_chain_task
+from lp_oracle import per_formula
+from test_acceptance import _FOL_TASK, _fol_script
 
 sys.setrecursionlimit(40000)
 
@@ -697,6 +703,177 @@ def test_hole_application_order_follows_declarations():
 
 
 # ---------------------------------------------------------------------------
+# the memoized encoder against the per-formula encoding
+
+def _agrees_with_the_oracle(T, L, k):
+    # one Encoder for all three, in emit_module's order
+    enc = lp.Encoder()
+    assert lp.proof_term(k, T, L, enc) == lp.proof_term(k, T, L, per_formula)
+    for leaf in L:
+        assert lp.encode_task(leaf, prune=True, encoder=enc) == \
+            lp.encode_task(leaf, prune=True, encoder=per_formula)
+    assert lp.encode_task(T, encoder=enc) == \
+        lp.encode_task(T, encoder=per_formula)
+
+
+_ATOMS = tuple(var(c) for c in "abcd")
+
+
+def _shared_formula(rng, depth, pool):
+    # reuses formulas built before, so premises share subformula objects
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.3:
+        f = rng.choice(_ATOMS + (Top(), Bottom()))
+    elif rng.random() < 0.2:
+        f = Not(_shared_formula(rng, depth - 1, pool))
+    else:
+        op = rng.choice((conj, disj, imp, iff))
+        f = op(_shared_formula(rng, depth - 1, pool),
+               _shared_formula(rng, depth - 1, pool))
+    pool.append(f)
+    return f
+
+
+def _applications(T):
+    n1, n2 = ident("N1"), ident("N2")
+    for p in T.premises():
+        yield lambda: tr.t_split(T, p.name)
+        yield lambda: tr.t_destruct(T, p.name, n1, n2)
+        yield lambda: tr.t_intro_imp(T, p.name)
+        yield lambda: tr.t_split_imp(T, p.name)
+        yield lambda: tr.t_swap_neg(T, p.name)
+        yield lambda: tr.t_unfold_iff(T, p.name)
+        yield lambda: tr.t_trivial(T, p.name)
+        yield lambda: tr.t_clear(T, p.name)
+    yield lambda: tr.t_assert(T, n1, T.premises()[0].formula)
+    yield lambda: tr.t_blast(T)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_encoder_agrees_with_the_per_formula_encoding_on_prop_tasks(seed):
+    rng = random.Random(seed)
+    pool = []
+    T = Task(sig=tuple((a.name, PROP) for a in _ATOMS),
+             hyps=tuple(Premise(ident(f"H{i}"), _shared_formula(rng, 3, pool))
+                        for i in range(rng.randrange(3))),
+             goals=tuple(Premise(ident(f"G{i}"), _shared_formula(rng, 3, pool))
+                         for i in range(1, rng.randrange(1, 3) + 1)))
+    applied = 0
+    for apply in _applications(T):
+        try:
+            k, L = via_transform(T, apply())
+        except tr.TransformError:
+            continue
+        _agrees_with_the_oracle(T, L, k)
+        applied += 1
+    assert applied > 0
+
+
+def test_encoder_agrees_with_the_per_formula_encoding_on_the_fol_script():
+    T = cli.parse_task(_FOL_TASK)
+    for apply, feed in _fol_script():
+        L, s = apply(T)
+        k = cert.elaborate(s, T)
+        _agrees_with_the_oracle(T, checked(T, k), k)
+        T = L[feed]
+
+
+@pytest.mark.parametrize("parse", [False, True], ids=["built", "parsed"])
+def test_encoder_agrees_with_the_per_formula_encoding_on_chain(parse):
+    # a parsed task holds one object per atom occurrence, a built one shares
+    T = gen_chain_task(12)
+    if parse:
+        T = cli.parse_task(sexpr.dumps(sexpr.task_to_sexpr(T)))
+    k, L = via_transform(T, tr.t_blast(T))
+    _agrees_with_the_oracle(T, L, k)
+
+
+def _choose_task(goal):
+    A = TVar(ident("a"))
+    return Task(sig=((ident("choose"), A), (ident("p"), Arrow(INT, PROP))),
+                hyps=(Premise(ident("H"), Forall(ident("x"), INT,
+                                                 app(var("p"), var("x")))),),
+                goals=(Premise(ident("G"), goal),))
+
+
+_CHOOSE = var("choose")
+
+
+@pytest.mark.parametrize("goal, apply", [
+    (_CHOOSE, lambda T: tr.t_instantiate(T, ident("H"), IntLit(0))),
+    (conj(_CHOOSE, Top()), lambda T: tr.t_split(T, ident("G"))),
+    (Not(_CHOOSE), lambda T: tr.t_swap_neg(T, ident("G"))),
+], ids=["top", "operand", "negated"])
+def test_polymorphic_formula_encodes_at_type(goal, apply):
+    # choose : 'a standing for a proposition is prop at the instance prop,
+    # TYPE in λΠ, at the top of a formula and as an operand alike
+    T = _choose_task(goal)
+    k, L = via_transform(T, apply(T))
+    _agrees_with_the_oracle(T, L, k)
+    module = lp.emit_module(T, L, k)
+    assert "choose TYPE" in module and "choose int" not in module
+
+
+def test_the_memo_key_separates_prop_from_term_judgments():
+    # the same choose object is a witness of type int and a goal operand of
+    # type prop; under one key the first encoding would serve both
+    choose = _CHOOSE
+    T = _choose_task(conj(choose, app(var("p"), choose)))
+    k, L = via_transform(T, tr.t_instantiate(T, ident("H"), choose))
+    assert k.witness is choose and T.goals[0].formula.left is choose
+    _agrees_with_the_oracle(T, L, k)
+    enc = lp.Encoder()
+    body = lp.lp_format(lp.proof_term(k, T, L, enc))
+    initial = lp.lp_format(lp.encode_task(T, encoder=enc))
+    assert "inst_all int (λ x : int, p x) (choose int)" in body
+    assert "(choose TYPE → p (choose int) → C)" in initial
+
+
+def test_encode_task_refuses_a_type_quantifier_below_a_connective():
+    # a prefix heads a whole formula only; as an operand it is no prenex
+    T = Task(sig=prop_sig("x"),
+             goals=(Premise(ident("G"), conj(PiType(ident("a"), Top()),
+                                             var("x"))),))
+    with pytest.raises(TypingError, match="under another constructor"):
+        lp.encode_task(T)
+
+
+def test_the_memo_key_separates_typing_contexts():
+    # opening G declares the type b#1, so the same H object, kept in the
+    # resulting task, renames its prefix to b#2 there and to b#1 in the
+    # initial task
+    T = cli.parse_task("""(task (types) (sig (q (-> b prop)))
+        (hyps (H (pi b (forall (u b) (q u)))))
+        (goals (G (pi b (forall (u b) (q u))))))""")
+    k, L = via_transform(T, tr.t_intro(T, ident("G")))
+    assert L[0].hyps[0].formula is T.hyps[0].formula
+    _agrees_with_the_oracle(T, L, k)
+    module = lp.emit_module(T, L, k)
+    assert "(Π b_u2 : TYPE, Π u : b_u2, q b_u2 u) → ((Π u : b_u1" in module
+    assert "(Π b_u1 : TYPE, Π u : b_u1, q b_u1 u) → ((Π b_u1" in module
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_emit_module_annotates_each_chain_atom_once(n, monkeypatch):
+    # the per-formula encoding handed annotate 975 nodes at n=20 and 3555 at
+    # n=40, quadratic in n
+    T = gen_chain_task(n)
+    k, L = via_transform(T, tr.t_blast(T))
+    nodes = []
+    real = lp.annotate
+
+    def counting(I, sig, t, *args):
+        nodes.append(sum(1 for _ in subterms(t)))
+        return real(I, sig, t, *args)
+
+    monkeypatch.setattr(lp, "annotate", counting)
+    lp.emit_module(T, L, k)
+    assert 0 < sum(nodes) <= 2 * n, sum(nodes)
+
+
+# ---------------------------------------------------------------------------
 # mangling
 
 def test_mangle_is_injective_on_awkward_names():
@@ -711,6 +888,41 @@ def test_mangle_is_injective_on_awkward_names():
     assert len(set(rendered)) == len(rendered)
     for r in rendered:
         assert lpp.parse_lp_term(r) == lp.LConst(r)
+
+
+def _mangle_reference(name):
+    # the per-character definition mangle's fast path must agree with
+    out = []
+    for k, ch in enumerate(name.name):
+        if (ch.isascii() and ch.isalnum()) and not (k == 0 and ch.isdigit()):
+            out.append(ch)
+        else:
+            out.append("_%02x" % ord(ch))
+    base = "".join(out) or "_5f"
+    if name.uid:
+        base += f"_u{name.uid}"
+    if (base in lp._LP_KEYWORDS or base in lp._EMITTER_NAMES
+            or base in lp.PREAMBLE_NAMES
+            or re.fullmatch(r"(s|task)[0-9]+", base) is not None
+            or base.startswith("u_")):
+        base = "u_" + base
+    return base
+
+
+_NAME_PARTS = st.one_of(
+    st.text("abcxyzACQ019_", max_size=6),
+    st.text(max_size=4),
+    st.sampled_from(["", "1", "1x", "x1", "λ", "é", "u", "u_", "u_x", "s", "s1",
+                     "s01", "task", "task12", "tasks1", "split", "TYPE", "C",
+                     "proof", "int", "initial", "Q", "xH", "_", "H.1"]),
+)
+
+
+@given(st.lists(_NAME_PARTS, min_size=1, max_size=2).map("".join),
+       st.one_of(st.just(0), st.integers(0, 30)))
+@settings(max_examples=500, deadline=None)
+def test_mangle_agrees_with_the_per_character_reference(name, uid):
+    assert lp.mangle(Ident(name, uid)) == _mangle_reference(Ident(name, uid))
 
 
 def test_mangle_avoids_the_preamble():

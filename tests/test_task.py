@@ -168,6 +168,19 @@ def test_well_typed_rejects_non_prop_premise():
     assert not well_typed(T)
 
 
+def test_well_typed_judges_premises_against_prop():
+    # choose : 'a is prop at the instance prop; typed alone it would default
+    # to int and fail
+    choose = Var(ident("choose"))
+    sig = ((ident("choose"), TVar(ident("a"))),)
+    for goal in (choose, conj(choose, Top()), Not(choose)):
+        assert well_typed(Task(sig=sig, goals=(Premise(ident("G"), goal),)))
+    f = ident("f")
+    T = Task(sig=((f, arrow(TVar(ident("a")), TVar(ident("a")))),),
+             goals=(Premise(ident("G"), app(Var(f), Var(f))),))
+    assert not well_typed(T)
+
+
 def test_well_typed_rejects_unbound():
     T = Task(goals=(Premise(ident("G"), Var(ident("nope"))),))
     assert not well_typed(T)

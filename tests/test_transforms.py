@@ -40,6 +40,7 @@ from certforge.task import (
     gen_chain_task,
     task_alpha_equal,
     task_list_alpha_equal,
+    well_typed,
 )
 from certforge.transforms import TransformError
 from oracles import brute_force_valid
@@ -112,6 +113,18 @@ def test_split_goal_conjunction():
     assert tasks[0].goals[0].formula == P
     assert tasks[1].goals[0].formula == Q
     assert names(tasks[0].goals) == names(tasks[1].goals) == ["G", "G2"]
+
+
+def test_split_a_polymorphic_operand():
+    # choose : 'a is prop at the instance prop; each leaf keeps it as a
+    # premise of its own, judged against prop like the conjunction was
+    T = Task(sig=((ident("choose"), TVar(ident("a"))),),
+             goals=(Premise(G, conj(var("choose"), Top())),))
+    assert well_typed(T)
+    tasks = certified(T, tr.t_split(T, G))
+    assert [t.goals[0].formula for t in tasks] == [var("choose"), Top()]
+    for t in tasks:
+        assert well_typed(Task(t.types, t.sig, t.hyps, t.goals))
 
 
 def test_split_hypothesis_disjunction():
