@@ -20,9 +20,10 @@ key is (the task's typing context, the formula object, whether the
 formula is judged against prop). A negation or connective judged prop is
 built from its operands' encodings: each operand is prop under the same
 declarations with no binder above it, so typing it alone against prop
-picks the instances typing the whole formula picks. Only the other nodes
-are typed, by encode_term; a chain task's n atoms are typed once each
-rather than once per formula that contains them.
+picks the instances typing the whole formula picks. Only atoms,
+applications, quantifiers, λs, prenex prefixes and terms are typed, by
+encode_term; a chain task's n atoms are typed once each rather than once
+per formula that contains them.
 
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, a free-name audit before emission, and optionally an external
@@ -396,15 +397,9 @@ class Encoder:
     the same key always stands for the same judgment.
 
     A negation or connective judged prop is built from its operands'
-    encodings. Each operand is itself prop under the same declarations,
-    and no binder or type quantifier sits above it, so
-    annotate(I, sig, operand, PROP) makes exactly the instance choices
-    annotating the whole formula makes below it: the two share no
-    metavariable. Only the other nodes (atoms, applications, quantifiers,
-    λs, a prenex prefix, terms) go through encode_term. An operand, and the
-    LpTerm built from it, is then shared by every formula containing it;
-    the memo lives as long as the Encoder, which emit_module makes once
-    per call.
+    encodings. Typing the whole formula unifies each operand's type with
+    prop and shares no metavariable between operands, so
+    annotate(I, sig, operand, PROP) makes the same instance choices.
     """
 
     __slots__ = ("_memo",)

@@ -222,7 +222,6 @@ def well_typed(T: Task) -> bool:
         if id(f) in ctx.props:
             continue
         try:
-            # against prop, so a polymorphic atom is instantiated at prop
             annotate(I, sig, f, PROP)
         except TypingError:
             return False

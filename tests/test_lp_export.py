@@ -738,16 +738,12 @@ def _shared_formula(rng, depth, pool):
 def _applications(T):
     n1, n2 = ident("N1"), ident("N2")
     for p in T.premises():
-        yield lambda: tr.t_split(T, p.name)
-        yield lambda: tr.t_destruct(T, p.name, n1, n2)
-        yield lambda: tr.t_intro_imp(T, p.name)
-        yield lambda: tr.t_split_imp(T, p.name)
-        yield lambda: tr.t_swap_neg(T, p.name)
-        yield lambda: tr.t_unfold_iff(T, p.name)
-        yield lambda: tr.t_trivial(T, p.name)
-        yield lambda: tr.t_clear(T, p.name)
-    yield lambda: tr.t_assert(T, n1, T.premises()[0].formula)
-    yield lambda: tr.t_blast(T)
+        for t in (tr.t_split, tr.t_intro_imp, tr.t_split_imp, tr.t_swap_neg,
+                  tr.t_unfold_iff, tr.t_trivial, tr.t_clear):
+            yield t, (T, p.name)
+        yield tr.t_destruct, (T, p.name, n1, n2)
+    yield tr.t_assert, (T, n1, T.premises()[0].formula)
+    yield tr.t_blast, (T,)
 
 
 @given(st.integers(0, 2 ** 32))
@@ -761,9 +757,9 @@ def test_encoder_agrees_with_the_per_formula_encoding_on_prop_tasks(seed):
              goals=tuple(Premise(ident(f"G{i}"), _shared_formula(rng, 3, pool))
                          for i in range(1, rng.randrange(1, 3) + 1)))
     applied = 0
-    for apply in _applications(T):
+    for t, args in _applications(T):
         try:
-            k, L = via_transform(T, apply())
+            k, L = via_transform(T, t(*args))
         except tr.TransformError:
             continue
         _agrees_with_the_oracle(T, L, k)
