@@ -92,221 +92,209 @@ def _apply_context(ctx: Lam, arg: Term) -> Term:
     return subst_term(ctx.body, ctx.var, arg)
 
 
+class _Refused(Exception):
+    """A side condition of the rule at hand failed; step names the node."""
+
+
+def _find(T: Task, name: Ident, goal: bool | None) -> tuple[bool, int, Premise]:
+    found = T.find(name)
+    if found is None:
+        raise _Refused(f"no premise named {name}")
+    if goal is not None and found[0] != goal:
+        raise _Refused(f"{name} is not a {'goal' if goal else 'hypothesis'}")
+    return found
+
+
+def _fresh_premise(T: Task, name: Ident) -> None:
+    if name in T.premise_names():
+        raise _Refused(f"premise name {name} is already used")
+
+
+def _match(actual: Term, expected: Term, what: str) -> None:
+    if not alpha_equal(actual, expected):
+        raise _Refused(f"{what} does not match the task")
+
+
 def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
     """One rule application: the tasks the node's children must discharge.
 
     T must be well-typed (see well_typed); ccheck establishes this for the
-    initial task and step preserves it for every child it returns.
+    initial task and step preserves it for every child it returns. Every
+    refusal raises CheckError with the rule, the path and the message.
     """
-    rule = type(node).__name__
-
-    def fail(message: str):
-        raise CheckError(CheckFailure(rule, path, message))
-
-    def find(name: Ident, goal: bool | None) -> tuple[bool, int, Premise]:
-        found = T.find(name)
-        if found is None:
-            fail(f"no premise named {name}")
-        if goal is not None and found[0] != goal:
-            fail(f"{name} is not a {'goal' if goal else 'hypothesis'}")
-        return found
-
-    def fresh_premise(name: Ident) -> None:
-        if name in T.premise_names():
-            fail(f"premise name {name} is already used")
-
-    def match(actual: Term, expected: Term, what: str) -> None:
-        if not alpha_equal(actual, expected):
-            fail(f"{what} does not match the task")
-
-    def ground(ty) -> None:
-        try:
-            check_type(T.types_map(), ty, allow_vars=False)
-        except TypingError as e:
-            fail(str(e))
-
-    def typed(t: Term, expected):
-        try:
-            return annotate(T.types_map(), T.sig_map(), t, expected)
-        except TypingError as e:
-            fail(str(e))
-
     try:
-        children = _apply(T, node, fail, find, fresh_premise, match, ground,
-                          typed)
-    except TaskError as e:
-        fail(str(e))
-    for child in children:
-        if not well_typed(child):
-            fail("produced an ill-typed task")
+        children = _apply(T, node)
+        if not all(map(well_typed, children)):
+            raise _Refused("produced an ill-typed task")
+    except (_Refused, TaskError, TypingError) as e:
+        raise CheckError(CheckFailure(type(node).__name__, path, str(e))) from e
     return children
 
 
-def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
-           ground, typed) -> list[Task]:
+def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
     if isinstance(node, cert.KHole):
         # a hole closes the task it stores, which must be the task at hand
         if not task_alpha_equal(node.task, T):
-            fail("stored task differs from the derived one")
+            raise _Refused("stored task differs from the derived one")
         return []
 
     if isinstance(node, cert.KTrivial):
-        _, _, prem = find(node.name, node.goal)
+        _, _, prem = _find(T, node.name, node.goal)
         want = Top if node.goal else Bottom
         if not isinstance(prem.formula, want):
-            fail(f"{node.name} is not {'truth' if node.goal else 'falsity'}")
+            raise _Refused(f"{node.name} is not {'truth' if node.goal else 'falsity'}")
         return []
 
     if isinstance(node, cert.KAxiom):
-        _, _, hyp = find(node.hyp, False)
-        _, _, goal = find(node.goal, True)
-        match(hyp.formula, node.formula, f"hypothesis {node.hyp}")
-        match(goal.formula, node.formula, f"goal {node.goal}")
+        _, _, hyp = _find(T, node.hyp, False)
+        _, _, goal = _find(T, node.goal, True)
+        _match(hyp.formula, node.formula, f"hypothesis {node.hyp}")
+        _match(goal.formula, node.formula, f"goal {node.goal}")
         return []
 
     if isinstance(node, cert.KEqRefl):
-        _, _, goal = find(node.name, True)
-        match(goal.formula, eq(node.term, node.term), f"goal {node.name}")
+        _, _, goal = _find(T, node.name, True)
+        _match(goal.formula, eq(node.term, node.term), f"goal {node.name}")
         return []
 
     if isinstance(node, cert.KAssert):
-        fresh_premise(node.name)
+        _fresh_premise(T, node.name)
         try:
             annotate(T.types_map(), T.sig_map(), node.formula, PROP)
         except TypingError:
-            ty = typed(node.formula, None).type
-            fail(f"asserted formula has type {ty}, not prop")
+            ty = annotate(T.types_map(), T.sig_map(), node.formula, None).type
+            raise _Refused(f"asserted formula has type {ty}, not prop")
         p = Premise(node.name, node.formula)
         return [T.append(True, p), T.append(False, p)]
 
     if isinstance(node, cert.KSplit):
-        side, idx, prem = find(node.name, node.goal)
+        side, idx, prem = _find(T, node.name, node.goal)
         make = conj if node.goal else disj
-        match(prem.formula, make(node.left, node.right), f"premise {node.name}")
+        _match(prem.formula, make(node.left, node.right), f"premise {node.name}")
         return [T.replace(side, idx, (Premise(node.name, node.left),)),
                 T.replace(side, idx, (Premise(node.name, node.right),))]
 
     if isinstance(node, cert.KDestruct):
-        side, idx, prem = find(node.name, node.goal)
+        side, idx, prem = _find(T, node.name, node.goal)
         make = disj if node.goal else conj
-        match(prem.formula, make(node.left, node.right), f"premise {node.name}")
+        _match(prem.formula, make(node.left, node.right), f"premise {node.name}")
         if node.left_name == node.right_name:
-            fail("the two part names coincide")
-        fresh_premise(node.left_name)
-        fresh_premise(node.right_name)
+            raise _Refused("the two part names coincide")
+        _fresh_premise(T, node.left_name)
+        _fresh_premise(T, node.right_name)
         return [T.replace(side, idx, (Premise(node.left_name, node.left),
                                       Premise(node.right_name, node.right)))]
 
     if isinstance(node, cert.KClear):
-        side, idx, prem = find(node.name, node.goal)
-        match(prem.formula, node.formula, f"premise {node.name}")
+        side, idx, prem = _find(T, node.name, node.goal)
+        _match(prem.formula, node.formula, f"premise {node.name}")
         return [T.replace(side, idx, ())]
 
     if isinstance(node, cert.KSwapNeg):
-        side, idx, prem = find(node.name, node.goal)
-        match(prem.formula, Not(node.formula), f"premise {node.name}")
+        side, idx, prem = _find(T, node.name, node.goal)
+        _match(prem.formula, Not(node.formula), f"premise {node.name}")
         moved = Premise(node.name, node.formula)
         return [T.replace(side, idx, ()).append(not side, moved)]
 
     if isinstance(node, cert.KIntroImp):
-        _, idx, prem = find(node.name, True)
-        match(prem.formula, imp(node.left, node.right), f"goal {node.name}")
-        fresh_premise(node.hyp_name)
+        _, idx, prem = _find(T, node.name, True)
+        _match(prem.formula, imp(node.left, node.right), f"goal {node.name}")
+        _fresh_premise(T, node.hyp_name)
         t = T.replace(True, idx, (Premise(node.name, node.right),))
         return [t.append(False, Premise(node.hyp_name, node.left))]
 
     if isinstance(node, cert.KSplitImp):
-        _, idx, prem = find(node.name, False)
-        match(prem.formula, imp(node.left, node.right),
-              f"hypothesis {node.name}")
-        fresh_premise(node.goal_name)
+        _, idx, prem = _find(T, node.name, False)
+        _match(prem.formula, imp(node.left, node.right),
+               f"hypothesis {node.name}")
+        _fresh_premise(T, node.goal_name)
         t_side = T.replace(False, idx, ()).append(
             True, Premise(node.goal_name, node.left))
         t_rest = T.replace(False, idx, (Premise(node.name, node.right),))
         return [t_side, t_rest]
 
     if isinstance(node, cert.KUnfoldIff):
-        side, idx, prem = find(node.name, node.goal)
-        match(prem.formula, iff(node.left, node.right), f"premise {node.name}")
+        side, idx, prem = _find(T, node.name, node.goal)
+        _match(prem.formula, iff(node.left, node.right), f"premise {node.name}")
         unfolded = conj(imp(node.left, node.right), imp(node.right, node.left))
         return [T.replace(side, idx, (Premise(node.name, unfolded),))]
 
     if isinstance(node, cert.KRevert):
-        _, hidx, hyp = find(node.hyp, False)
-        _, gidx, goal = find(node.goal, True)
-        match(hyp.formula, node.hyp_formula, f"hypothesis {node.hyp}")
-        match(goal.formula, node.goal_formula, f"goal {node.goal}")
+        _, hidx, hyp = _find(T, node.hyp, False)
+        _, gidx, goal = _find(T, node.goal, True)
+        _match(hyp.formula, node.hyp_formula, f"hypothesis {node.hyp}")
+        _match(goal.formula, node.goal_formula, f"goal {node.goal}")
         merged = Premise(node.goal, imp(node.hyp_formula, node.goal_formula))
         return [T.replace(False, hidx, ()).replace(True, gidx, (merged,))]
 
     if isinstance(node, cert.KIntroQuant):
         if not isinstance(node.pred, Lam):
-            fail("the predicate is not a lambda abstraction")
+            raise _Refused("the predicate is not a lambda abstraction")
         if node.pred.ty != node.ty:
-            fail("the predicate's annotation differs from the carried type")
-        ground(node.ty)
-        side, idx, prem = find(node.name, node.goal)
+            raise _Refused("the predicate's annotation differs from the carried type")
+        check_type(T.types_map(), node.ty, allow_vars=False)
+        side, idx, prem = _find(T, node.name, node.goal)
         make = Forall if node.goal else Exists
-        match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
-              f"premise {node.name}")
+        _match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
+               f"premise {node.name}")
         y = node.fresh
         if y.name in RESERVED:
-            fail(f"{y} is interpreted and reserved")
+            raise _Refused(f"{y} is interpreted and reserved")
         if y in T.formula_idents():
-            fail(f"{y} is not fresh for the task")
+            raise _Refused(f"{y} is not fresh for the task")
         opened = Premise(node.name, _apply_context(node.pred, Var(y)))
         return [T.extend_sig(y, node.ty).replace(side, idx, (opened,))]
 
     if isinstance(node, cert.KInstQuant):
         if not isinstance(node.pred, Lam):
-            fail("the predicate is not a lambda abstraction")
+            raise _Refused("the predicate is not a lambda abstraction")
         if node.pred.ty != node.ty:
-            fail("the predicate's annotation differs from the carried type")
-        ground(node.ty)
-        side, idx, prem = find(node.name, node.goal)
+            raise _Refused("the predicate's annotation differs from the carried type")
+        check_type(T.types_map(), node.ty, allow_vars=False)
+        side, idx, prem = _find(T, node.name, node.goal)
         make = Exists if node.goal else Forall
-        match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
-              f"premise {node.name}")
-        fresh_premise(node.inst_name)
-        typed(node.witness, node.ty)
+        _match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
+               f"premise {node.name}")
+        _fresh_premise(T, node.inst_name)
+        annotate(T.types_map(), T.sig_map(), node.witness, node.ty)
         inst = Premise(node.inst_name, _apply_context(node.pred, node.witness))
         return [T.append(side, inst)]
 
     if isinstance(node, cert.KIntroType):
-        _, idx, prem = find(node.name, True)
+        _, idx, prem = _find(T, node.name, True)
         if not isinstance(node.formula, PiType):
-            fail("the carried formula is not type-quantified")
-        match(prem.formula, node.formula, f"goal {node.name}")
+            raise _Refused("the carried formula is not type-quantified")
+        _match(prem.formula, node.formula, f"goal {node.name}")
         if node.iota in T.types_map() or node.iota.name in RESERVED \
                 or node.iota.name == "prop":
-            fail(f"type name {node.iota} is not fresh")
+            raise _Refused(f"type name {node.iota} is not fresh")
         fixed = subst_type(node.formula.body, node.formula.var,
                            TApp(node.iota, ()))
         t = T.extend_types(node.iota, 0)
         return [t.replace(True, idx, (Premise(node.name, fixed),))]
 
     if isinstance(node, cert.KInstType):
-        _, idx, prem = find(node.name, False)
+        _, idx, prem = _find(T, node.name, False)
         if not isinstance(node.formula, PiType):
-            fail("the carried formula is not type-quantified")
-        match(prem.formula, node.formula, f"hypothesis {node.name}")
-        ground(node.ty)
-        fresh_premise(node.inst_name)
+            raise _Refused("the carried formula is not type-quantified")
+        _match(prem.formula, node.formula, f"hypothesis {node.name}")
+        check_type(T.types_map(), node.ty, allow_vars=False)
+        _fresh_premise(T, node.inst_name)
         inst = subst_type(node.formula.body, node.formula.var, node.ty)
         return [T.append(False, Premise(node.inst_name, inst))]
 
     if isinstance(node, cert.KRewrite):
-        _, _, heq = find(node.eq_name, False)
-        match(heq.formula, eq(node.left, node.right),
-              f"hypothesis {node.eq_name}")
+        _, _, heq = _find(T, node.eq_name, False)
+        _match(heq.formula, eq(node.left, node.right),
+               f"hypothesis {node.eq_name}")
         if not isinstance(node.context, Lam):
-            fail("the rewriting context is not a lambda abstraction")
-        ground(node.context.ty)
-        typed(node.left, node.context.ty)
-        typed(node.right, node.context.ty)
-        side, idx, prem = find(node.name, node.goal)
-        match(prem.formula, _apply_context(node.context, node.left),
-              f"premise {node.name}")
+            raise _Refused("the rewriting context is not a lambda abstraction")
+        check_type(T.types_map(), node.context.ty, allow_vars=False)
+        annotate(T.types_map(), T.sig_map(), node.left, node.context.ty)
+        annotate(T.types_map(), T.sig_map(), node.right, node.context.ty)
+        side, idx, prem = _find(T, node.name, node.goal)
+        _match(prem.formula, _apply_context(node.context, node.left),
+               f"premise {node.name}")
         rewritten = Premise(node.name,
                             _apply_context(node.context, node.right))
         return [T.replace(side, idx, (rewritten,))]
@@ -314,26 +302,26 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
     if isinstance(node, cert.KInduction):
         i = node.var
         if T.sig_map().get(i) != INT:
-            fail(f"{i} is not declared with type int")
-        typed(node.bound, INT)
+            raise _Refused(f"{i} is not declared with type int")
+        annotate(T.types_map(), T.sig_map(), node.bound, INT)
         if i in free_vars(node.bound):
-            fail(f"the bound mentions {i}")
+            raise _Refused(f"the bound mentions {i}")
         if not isinstance(node.context, Lam):
-            fail("the induction context is not a lambda abstraction")
+            raise _Refused("the induction context is not a lambda abstraction")
         if node.context.ty != INT:
-            fail("the induction context does not abstract an int")
+            raise _Refused("the induction context does not abstract an int")
         if i in free_vars(node.context):
-            fail(f"the context must abstract every occurrence of {i}")
-        _, _, goal = find(node.goal_name, True)
-        match(goal.formula, _apply_context(node.context, Var(i)),
-              f"goal {node.goal_name}")
+            raise _Refused(f"the context must abstract every occurrence of {i}")
+        _, _, goal = _find(T, node.goal_name, True)
+        _match(goal.formula, _apply_context(node.context, Var(i)),
+               f"goal {node.goal_name}")
         for p in T.premises():
             if p.name != node.goal_name and i in free_vars(p.formula):
-                fail(f"{i} occurs free in premise {p.name}")
+                raise _Refused(f"{i} occurs free in premise {p.name}")
         if node.hyp_name == node.rec_name:
-            fail("the two hypothesis names coincide")
-        fresh_premise(node.hyp_name)
-        fresh_premise(node.rec_name)
+            raise _Refused("the two hypothesis names coincide")
+        _fresh_premise(T, node.hyp_name)
+        _fresh_premise(T, node.rec_name)
         base_t = T.append(False, Premise(
             node.hyp_name, app(var("<="), Var(i), node.bound)))
         m = fresh_ident("n", all_idents(node.context.body)
@@ -345,7 +333,7 @@ def _apply(T: Task, node: cert.KernelCert, fail, find, fresh_premise, match,
         rec_t = rec_t.append(False, Premise(node.rec_name, rec_f))
         return [base_t, rec_t]
 
-    fail(f"unknown kernel certificate {node!r}")
+    raise _Refused(f"unknown kernel certificate {node!r}")
 
 
 def derive(c: cert.KernelCert, T: Task) -> Iterator[

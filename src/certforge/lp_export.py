@@ -16,8 +16,9 @@ every L that differs from the leaves the certificate derives.
 
 One Encoder per emit_module call serves the proof term and every task
 statement, and encodes each formula object once per typing context. Its
-key is (the task's typing context, the formula object, whether the
-formula is judged against prop). A negation or connective judged prop is
+key is (the task's typing context, the formula object, the type it is
+judged against: prop for a formula, the type its node gives a carried
+term). A negation or connective judged prop is
 built from its operands' encodings: each operand is prop under the same
 declarations with no binder above it, so typing it alone against prop
 picks the instances typing the whole formula picks. Only atoms,
@@ -26,10 +27,11 @@ encode_term; a chain task's n atoms are typed once each rather than once
 per formula that contains them.
 
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
-golden tests, a free-name audit before emission, and optionally an external
-checker (see tests). The preamble's trust surface is three axioms: excluded
-middle, totality of <= versus > on int, and bounded course-of-values
-induction; every other combinator is a definition.
+golden tests, premise λs named apart from every symbol, the free-name audit
+of the walk that prints each statement, and optionally an external checker
+(see tests). The preamble's trust surface is three axioms: excluded middle,
+totality of <= versus > on int, and bounded course-of-values induction;
+every other combinator is a definition.
 """
 
 from __future__ import annotations
@@ -149,53 +151,33 @@ def neg(t: LpTerm) -> LpTerm:
 
 # printing precedence: 0 admits everything, 1 an arrow operand (arrows and
 # binders get parentheses), 2 an application head, 3 an application argument
-def lp_format(t: LpTerm, prec: int = 0) -> str:
+def lp_format(t: LpTerm) -> str:
+    return _format(t, 0, frozenset(), set())
+
+
+def _format(t: LpTerm, prec: int, bound: frozenset[str], free: set[str]) -> str:
+    """lp_format, adding to free every name t uses that bound does not bind."""
+    if isinstance(t, (LConst, LVar)):
+        if t.name not in bound:
+            free.add(t.name)
+        return t.name
+    if isinstance(t, LApp):
+        s = f"{_format(t.fn, 2, bound, free)} {_format(t.arg, 3, bound, free)}"
+        return f"({s})" if prec > 2 else s
     if isinstance(t, LSort):
         return "TYPE"
-    if isinstance(t, (LConst, LVar)):
-        return t.name
-    if isinstance(t, LProd):
-        s = f"Π {t.var} : {lp_format(t.dom, 1)}, {lp_format(t.body)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(t, LLam):
-        if t.ann is None:
-            s = f"λ {t.var}, {lp_format(t.body)}"
-        else:
-            s = f"λ {t.var} : {lp_format(t.ann, 1)}, {lp_format(t.body)}"
-        return f"({s})" if prec > 0 else s
     if isinstance(t, LArrow):
-        s = f"{lp_format(t.left, 1)} → {lp_format(t.right)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(t, LApp):
-        s = f"{lp_format(t.fn, 2)} {lp_format(t.arg, 3)}"
-        return f"({s})" if prec > 2 else s
-    raise TypeError(f"unknown λΠ node {t!r}")
-
-
-def lp_atoms(t: LpTerm) -> frozenset[str]:
-    """Names occurring free, constants and variables alike."""
-    out: set[str] = set()
-
-    def walk(t: LpTerm, bound: frozenset[str]) -> None:
-        if isinstance(t, (LConst, LVar)):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, LProd):
-            walk(t.dom, bound)
-            walk(t.body, bound | {t.var})
-        elif isinstance(t, LLam):
-            if t.ann is not None:
-                walk(t.ann, bound)
-            walk(t.body, bound | {t.var})
-        elif isinstance(t, LArrow):
-            walk(t.left, bound)
-            walk(t.right, bound)
-        elif isinstance(t, LApp):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
-
-    walk(t, frozenset())
-    return frozenset(out)
+        s = (f"{_format(t.left, 1, bound, free)} → "
+             f"{_format(t.right, 0, bound, free)}")
+    elif isinstance(t, LProd):
+        s = (f"Π {t.var} : {_format(t.dom, 1, bound, free)}, "
+             f"{_format(t.body, 0, bound | {t.var}, free)}")
+    elif isinstance(t, LLam):
+        ann = "" if t.ann is None else f" : {_format(t.ann, 1, bound, free)}"
+        s = f"λ {t.var}{ann}, {_format(t.body, 0, bound | {t.var}, free)}"
+    else:
+        raise TypeError(f"unknown λΠ node {t!r}")
+    return f"({s})" if prec > 0 else s
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +372,11 @@ class Encoder:
     """The encodings of one export, each formula object encoded once.
 
     Called as enc(f, task) for a formula judged against prop, and as
-    enc(t, task, prop=False) for a term typed on its own (a witness, a
-    rewriting or induction context, an equation side). The memo key is
-    (task's typing context, id of f, prop): tasks that share a typing
-    context have the same types and sig tuples, and the memo holds f, so
-    the same key always stands for the same judgment.
+    enc(t, task, expected) for a term a node carries, judged against the
+    type the node gives it (None for KEqRefl's term, typed on its own).
+    The memo key is (task's typing context, id of f, expected): tasks that
+    share a typing context have the same types and sig tuples, and the memo
+    holds f, so the same key always stands for the same judgment.
 
     A negation or connective judged prop is built from its operands'
     encodings. Typing the whole formula unifies each operand's type with
@@ -405,21 +387,21 @@ class Encoder:
     __slots__ = ("_memo",)
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[object, int, bool], tuple[Term, LpTerm]] = {}
+        self._memo: dict[tuple, tuple[Term, LpTerm]] = {}
 
-    def __call__(self, f: Term, task: Task, prop: bool = True) -> LpTerm:
-        key = (task._ctx, id(f), prop)
+    def __call__(self, f: Term, task: Task,
+                 expected: Type | None = PROP) -> LpTerm:
+        key = (task._ctx, id(f), expected)
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        if prop and isinstance(f, Not):
+        if expected == PROP and isinstance(f, Not):
             out = neg(self._operand(f.body, task))
-        elif prop and isinstance(f, BinOp):
+        elif expected == PROP and isinstance(f, BinOp):
             out = _connective(f.op, self._operand(f.left, task),
                               self._operand(f.right, task))
         else:
-            out = encode_term(f, task.types_map(), task.sig_map(),
-                              PROP if prop else None)
+            out = encode_term(f, task.types_map(), task.sig_map(), expected)
         self._memo[key] = (f, out)
         return out
 
@@ -467,15 +449,6 @@ def app_correctness_type(T: Task, L: list[Task]) -> LpTerm:
 # ---------------------------------------------------------------------------
 # proof terms
 
-def _hole_application(index: int, task: Task,
-                      scope: dict[Ident, LpTerm]) -> LpTerm:
-    tsyms, ssyms = used_declarations(task)
-    args: list[LpTerm] = [LVar(mangle(n)) for n, _ in tsyms]
-    args += [LVar(mangle(n)) for n, _ in ssyms]
-    args += [scope[p.name] for p in task.premises()]
-    return lapp(LVar(f"s{index}"), *args)
-
-
 def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
                encoder: Encoder | None = None) -> LpTerm:
     """The certificate as a λ-term of type app_correctness_type(T, L).
@@ -490,6 +463,10 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
     and for an L that is not alpha-equal, task by task, to the leaves.
     Formulas are encoded through encoder (a fresh Encoder by default),
     under the typing context of the task at their node.
+
+    A premise is the variable of the λ that bound it (derive has checked
+    it is in scope) or the term KRewrite replaced it by. That λ is named
+    mangle(name), freshened against every symbol the derivation declares.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
     try:
@@ -507,188 +484,178 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
                               f"certificate derives at {list(path)}")
     leaves = iter(enumerate(L, 1))
     enc = Encoder() if encoder is None else encoder
+    declared = [mangle(name) for name, _ in T.types + T.sig]
+    symbols = frozenset(declared).union(
+        mangle(node.fresh if isinstance(node, cert.KIntroQuant) else node.iota)
+        for _, node, _ in replay
+        if isinstance(node, (cert.KIntroQuant, cert.KIntroType)))
+    premise_vars: dict[Ident, LVar] = {}
+
+    def premise_var(name: Ident) -> LVar:
+        if name not in premise_vars:
+            premise_vars[name] = LVar(_freshen(mangle(name), symbols))
+        return premise_vars[name]
+
+    def ref(name: Ident, moved: dict[Ident, LpTerm]) -> LpTerm:
+        return moved.get(name) or premise_var(name)
+
+    def under(child: cert.KernelCert, path: tuple[int, ...],
+              moved: dict[Ident, LpTerm], *names: Ident) -> LpTerm:
+        # the child's term under one λ per premise it binds, in order
+        out = walk(child, path,
+                   {n: t for n, t in moved.items() if n not in names})
+        for n in reversed(names):
+            out = LLam(premise_var(n).name, None, out)
+        return out
 
     def walk(node: cert.KernelCert, path: tuple[int, ...],
-             scope: dict[Ident, LpTerm]) -> LpTerm:
-        task = tasks[path]
+             moved: dict[Ident, LpTerm]) -> LpTerm:
+        task, first, second = tasks[path], path + (0,), path + (1,)
+
         if isinstance(node, cert.KHole):
             # holes come in leaf order, each checked against its task above
-            return _hole_application(*next(leaves), scope)
-
-        def rebind(*names: Ident, drop: tuple[Ident, ...] = ()) -> dict[Ident, LpTerm]:
-            out = dict(scope)
-            for n in drop:
-                out.pop(n, None)
-            for n in names:
-                out[n] = LVar(mangle(n))
-            return out
+            i, leaf = next(leaves)
+            tsyms, ssyms = used_declarations(leaf)
+            return lapp(LVar(f"s{i}"),
+                        *(LVar(mangle(n)) for n, _ in tsyms + ssyms),
+                        *(ref(p.name, moved) for p in leaf.premises()))
 
         if isinstance(node, cert.KTrivial):
             if node.goal:
-                return LApp(LConst("triv"), scope[node.name])
-            return scope[node.name]
+                return LApp(LConst("triv"), ref(node.name, moved))
+            return ref(node.name, moved)
 
         if isinstance(node, cert.KAxiom):
             return lapp(LConst("axm"), enc(node.formula, task),
-                        scope[node.hyp], scope[node.goal])
+                        ref(node.hyp, moved), ref(node.goal, moved))
 
         if isinstance(node, cert.KEqRefl):
             tau = annotate(task.types_map(), task.sig_map(), node.term).type
             witness = lapp(LConst("eq_refl"), _encode_type(tau),
-                           enc(node.term, task, prop=False))
-            return LApp(scope[node.name], witness)
+                           enc(node.term, task, None))
+            return LApp(ref(node.name, moved), witness)
 
         if isinstance(node, cert.KAssert):
-            n, scope2 = mangle(node.name), rebind(node.name)
             return lapp(LConst("cut"), enc(node.formula, task),
-                        LLam(n, None, walk(node.proof, path + (0,), scope2)),
-                        LLam(n, None, walk(node.rest, path + (1,), scope2)))
+                        under(node.proof, first, moved, node.name),
+                        under(node.rest, second, moved, node.name))
 
         if isinstance(node, cert.KSplit):
-            n, scope2 = mangle(node.name), rebind(node.name)
             comb = "split_goal" if node.goal else "split"
             return lapp(LConst(comb), enc(node.left, task),
                         enc(node.right, task),
-                        LLam(n, None, walk(node.first, path + (0,), scope2)),
-                        LLam(n, None, walk(node.second, path + (1,), scope2)),
-                        scope[node.name])
+                        under(node.first, first, moved, node.name),
+                        under(node.second, second, moved, node.name),
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KDestruct):
             comb = "destruct_goal" if node.goal else "destruct"
-            scope2 = rebind(node.left_name, node.right_name,
-                            drop=(node.name,))
-            cont = LLam(mangle(node.left_name), None,
-                        LLam(mangle(node.right_name), None,
-                             walk(node.rest, path + (0,), scope2)))
             return lapp(LConst(comb), enc(node.left, task),
-                        enc(node.right, task), cont, scope[node.name])
+                        enc(node.right, task),
+                        under(node.rest, first, moved, node.left_name,
+                              node.right_name),
+                        ref(node.name, moved))
 
-        if isinstance(node, cert.KClear):
-            return walk(node.rest, path + (0,), rebind(drop=(node.name,)))
+        if isinstance(node, (cert.KClear, cert.KUnfoldIff)) or (
+                isinstance(node, cert.KSwapNeg) and not node.goal):
+            # a cleared premise is never named again; the iff encoding is
+            # already the conjunction of both arrows; a negated hypothesis
+            # and the goal it becomes share the encoding
+            return walk(node.rest, first, moved)
 
         if isinstance(node, cert.KSwapNeg):
-            if not node.goal:
-                # a negated hypothesis and the goal it becomes share the
-                # encoding, so the premise variable carries over unchanged
-                return walk(node.rest, path + (0,), dict(scope))
             return lapp(LConst("swapneg_goal"), enc(node.formula, task),
-                        LLam(mangle(node.name), None,
-                             walk(node.rest, path + (0,), rebind(node.name))),
-                        scope[node.name])
+                        under(node.rest, first, moved, node.name),
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KIntroImp):
-            cont = LLam(mangle(node.hyp_name), None,
-                        LLam(mangle(node.name), None,
-                             walk(node.rest, path + (0,),
-                                  rebind(node.name, node.hyp_name))))
             return lapp(LConst("intro_imp"), enc(node.left, task),
-                        enc(node.right, task), cont, scope[node.name])
+                        enc(node.right, task),
+                        under(node.rest, first, moved, node.hyp_name,
+                              node.name),
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KSplitImp):
-            side_scope = rebind(node.goal_name, drop=(node.name,))
-            side = LLam(mangle(node.goal_name), None,
-                        walk(node.side, path + (0,), side_scope))
-            rest = LLam(mangle(node.name), None,
-                        walk(node.rest, path + (1,), rebind(node.name)))
             return lapp(LConst("split_imp"), enc(node.left, task),
-                        enc(node.right, task), side, rest, scope[node.name])
-
-        if isinstance(node, cert.KUnfoldIff):
-            # the iff encoding already is the conjunction of both arrows
-            return walk(node.rest, path + (0,), dict(scope))
+                        enc(node.right, task),
+                        under(node.side, first, moved, node.goal_name),
+                        under(node.rest, second, moved, node.name),
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KRevert):
-            cont = LLam(mangle(node.goal), None, walk(
-                node.rest, path + (0,), rebind(node.goal, drop=(node.hyp,))))
             return lapp(LConst("revert"), enc(node.hyp_formula, task),
-                        enc(node.goal_formula, task), scope[node.hyp],
-                        scope[node.goal], cont)
+                        enc(node.goal_formula, task), ref(node.hyp, moved),
+                        ref(node.goal, moved),
+                        under(node.rest, first, moved, node.goal))
 
         if isinstance(node, cert.KIntroQuant):
             comb = "intro_all" if node.goal else "intro_ex"
             cont = LLam(mangle(node.fresh), None,
-                        LLam(mangle(node.name), None,
-                             walk(node.rest, path + (0,), rebind(node.name))))
+                        under(node.rest, first, moved, node.name))
             return lapp(LConst(comb), _encode_type(node.ty),
-                        enc(node.pred, task, prop=False), cont,
-                        scope[node.name])
+                        enc(node.pred, task, Arrow(node.ty, PROP)), cont,
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KInstQuant):
             comb = "inst_ex" if node.goal else "inst_all"
-            cont = LLam(mangle(node.inst_name), None,
-                        walk(node.rest, path + (0,), rebind(node.inst_name)))
             return lapp(LConst(comb), _encode_type(node.ty),
-                        enc(node.pred, task, prop=False),
-                        enc(node.witness, task, prop=False), cont,
-                        scope[node.name])
+                        enc(node.pred, task, Arrow(node.ty, PROP)),
+                        enc(node.witness, task, node.ty),
+                        under(node.rest, first, moved, node.inst_name),
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KIntroType):
             # the child task declares iota and holds the opened goal
-            child = tasks[path + (0,)]
-            pred = LLam(mangle(node.iota), None,
+            child = tasks[first]
+            iota = mangle(node.iota)
+            pred = LLam(iota, None,
                         enc(child.find(node.name)[2].formula, child))
-            cont = LLam(mangle(node.iota), None,
-                        LLam(mangle(node.name), None,
-                             walk(node.rest, path + (0,), rebind(node.name))))
-            return lapp(LConst("intro_ty"), pred, cont, scope[node.name])
+            cont = LLam(iota, None, under(node.rest, first, moved, node.name))
+            return lapp(LConst("intro_ty"), pred, cont, ref(node.name, moved))
 
         if isinstance(node, cert.KInstType):
             b = fresh_ident(node.formula.var,
                             frozenset(task.every_ident()) | {node.formula.var})
             body = subst_type(node.formula.body, node.formula.var, TApp(b, ()))
-            I2 = dict(task.types_map())
-            I2[b] = 0
-            pred = LLam(mangle(b), None,
-                        encode_term(body, I2, task.sig_map(), PROP))
-            cont = LLam(mangle(node.inst_name), None,
-                        walk(node.rest, path + (0,), rebind(node.inst_name)))
-            return lapp(LConst("inst_ty"), pred, _encode_type(node.ty), cont,
-                        scope[node.name])
+            pred = LLam(mangle(b), None, encode_term(
+                body, {**task.types_map(), b: 0}, task.sig_map(), PROP))
+            return lapp(LConst("inst_ty"), pred, _encode_type(node.ty),
+                        under(node.rest, first, moved, node.inst_name),
+                        ref(node.name, moved))
 
         if isinstance(node, cert.KRewrite):
             comb = "rewrite_goal" if node.goal else "rewrite_hyp"
-            moved = lapp(LConst(comb), _encode_type(node.context.ty),
-                         enc(node.left, task, prop=False),
-                         enc(node.right, task, prop=False),
-                         enc(node.context, task, prop=False), scope[node.eq_name],
-                         scope[node.name])
-            return walk(node.rest, path + (0,), {**scope, node.name: moved})
+            ty = node.context.ty
+            rewritten = lapp(LConst(comb), _encode_type(ty),
+                             enc(node.left, task, ty), enc(node.right, task, ty),
+                             enc(node.context, task, Arrow(ty, PROP)),
+                             ref(node.eq_name, moved), ref(node.name, moved))
+            return walk(node.rest, first, {**moved, node.name: rewritten})
 
         if isinstance(node, cert.KInduction):
             # the λ binders reuse the symbol's and the goal's own names, so
             # occurrences inside the branches rebind to the current case
-            v, g = mangle(node.var), mangle(node.goal_name)
-            h, rc = mangle(node.hyp_name), mangle(node.rec_name)
-            base_scope = rebind(node.goal_name, node.hyp_name)
-            rec_scope = rebind(node.goal_name, node.hyp_name, node.rec_name)
-            base = LLam(v, None, LLam(g, None, LLam(
-                h, None, walk(node.base, path + (0,), base_scope))))
-            rec = LLam(v, None, LLam(g, None, LLam(h, None, LLam(
-                rc, None, walk(node.rec, path + (1,), rec_scope)))))
-            return lapp(LConst("sind"), enc(node.context, task, prop=False),
-                        enc(node.bound, task, prop=False), base, rec,
-                        LVar(mangle(node.var)), scope[node.goal_name])
+            v = mangle(node.var)
+            base = under(node.base, first, moved, node.goal_name,
+                         node.hyp_name)
+            rec = under(node.rec, second, moved, node.goal_name,
+                        node.hyp_name, node.rec_name)
+            return lapp(LConst("sind"),
+                        enc(node.context, task, Arrow(INT, PROP)),
+                        enc(node.bound, task, INT), LLam(v, None, base),
+                        LLam(v, None, rec), LVar(v),
+                        ref(node.goal_name, moved))
 
         raise ExportError(f"untranslatable certificate node {node!r}")
 
-    scope0 = {p.name: LVar(mangle(p.name)) for p in T.premises()}
-    out = walk(c, (), scope0)
-    binders = [f"s{i + 1}" for i in range(len(L))]
-    binders += [mangle(name) for name, _ in T.types + T.sig]
-    binders += [mangle(p.name) for p in T.premises()]
-    for name in reversed(binders):
+    out = under(c, (), {}, *(p.name for p in T.premises()))
+    for name in reversed([f"s{i + 1}" for i in range(len(L))] + declared):
         out = LLam(name, None, out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # module emission
-
-def _audit(term: LpTerm, known: frozenset[str], what: str) -> None:
-    loose = lp_atoms(term) - known
-    if loose:
-        raise ExportError(f"{what} escapes its scope: {sorted(loose)}")
-
 
 def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     """One self-contained λΠ module for a checked application.
@@ -698,28 +665,31 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     the proof definition. proof_term runs first, so a certificate ccheck
     refuses, or whose leaves differ from L, raises ExportError before any
     task is encoded. The proof term and the task statements share one
-    Encoder, which lives for this call only.
+    Encoder, which lives for this call only. Printing a statement collects
+    its free names: ExportError if the preamble and earlier ones bind none.
     """
-    known = PREAMBLE_NAMES
     enc = Encoder()
     body = proof_term(c, T, L, enc)
+    statements = [(f"task{i + 1}", SORT,
+                   encode_task(leaf, prune=True, encoder=enc))
+                  for i, leaf in enumerate(L)]
+    statements.append(("initial", SORT, encode_task(T, encoder=enc)))
+    statements.append(("proof", arrows(*(LConst(name) for name, _, _ in
+                                         statements)), body))
     lines = [
         "// generated by certforge; edit the source task, not this file",
         "require open certforge.preamble;",
         "",
     ]
-    for i, leaf in enumerate(L):
-        ty = encode_task(leaf, prune=True, encoder=enc)
-        _audit(ty, known, f"task{i + 1}")
-        lines.append(f"symbol task{i + 1} : TYPE ≔ {lp_format(ty)};")
-    initial = encode_task(T, encoder=enc)
-    _audit(initial, known, "initial")
-    lines.append(f"symbol initial : TYPE ≔ {lp_format(initial)};")
-
-    ty = arrows(*(LConst(f"task{i + 1}") for i in range(len(L))),
-                LConst("initial"))
-    _audit(body, known, "proof")
-    lines.append(f"symbol proof : {lp_format(ty)} ≔ {lp_format(body)};")
+    known = set(PREAMBLE_NAMES)
+    for name, ty, term in statements:
+        free: set[str] = set()
+        lines.append(f"symbol {name} : {_format(ty, 0, frozenset(), free)} ≔ "
+                     f"{_format(term, 0, frozenset(), free)};")
+        if free - known:
+            raise ExportError(
+                f"{name} escapes its scope: {sorted(free - known)}")
+        known.add(name)
     lines.append("")
     return "\n".join(lines)
 

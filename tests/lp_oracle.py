@@ -4,8 +4,8 @@ Before the exporter shared one memoized encoder per emit_module call, it
 annotated and walked every formula it met as a whole: one annotate over
 the formula, then one walk that reads the instance of each symbol
 occurrence at its path. That definition is frozen here. The only change is
-the judgment: a formula judged against prop is annotated with
-expected=PROP, as well_typed judges premises.
+the judgment: a formula is annotated against prop, as well_typed judges
+premises, and a term a node carries against the type the node gives it.
 
 per_formula has the Encoder's call signature, so proof_term and
 encode_task can be run with either and their results compared. It borrows
@@ -108,7 +108,6 @@ def encode_whole(t, I, sig, expected=None):
     return out
 
 
-def per_formula(f, task, prop=True):
+def per_formula(f, task, expected=PROP):
     """The Encoder's call signature: f encoded as a whole, every time."""
-    return encode_whole(f, task.types_map(), task.sig_map(),
-                        PROP if prop else None)
+    return encode_whole(f, task.types_map(), task.sig_map(), expected)

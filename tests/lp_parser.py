@@ -1,9 +1,10 @@
 """A reader for the λΠ text emit_module and emit_preamble produce.
 
 Parses modules (require lines, symbol declarations, rewrite rules) and
-single terms back into certforge.lp_export's term classes, and compares
-terms up to renaming of bound variables. The tests use it for round trips,
-scope audits and golden comparisons of emitted text.
+single terms back into certforge.lp_export's term classes, compares
+terms up to renaming of bound variables, and lists a term's free names.
+The tests use it for round trips, scope audits and golden comparisons of
+emitted text.
 """
 
 from __future__ import annotations
@@ -54,6 +55,32 @@ def lp_alpha_equal(a: LpTerm, b: LpTerm) -> bool:
         return False
 
     return eq(a, b, {}, {}, 0)
+
+
+def lp_atoms(t: LpTerm) -> frozenset[str]:
+    """Names occurring free, constants and variables alike."""
+    out: set[str] = set()
+
+    def walk(t: LpTerm, bound: frozenset[str]) -> None:
+        if isinstance(t, (LConst, LVar)):
+            if t.name not in bound:
+                out.add(t.name)
+        elif isinstance(t, LProd):
+            walk(t.dom, bound)
+            walk(t.body, bound | {t.var})
+        elif isinstance(t, LLam):
+            if t.ann is not None:
+                walk(t.ann, bound)
+            walk(t.body, bound | {t.var})
+        elif isinstance(t, LArrow):
+            walk(t.left, bound)
+            walk(t.right, bound)
+        elif isinstance(t, LApp):
+            walk(t.fn, bound)
+            walk(t.arg, bound)
+
+    walk(t, frozenset())
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -526,7 +526,7 @@ def test_criterion_7_lambda_pi_goldens():
             if isinstance(d, lpp.LpSymbol):
                 for side in (d.ty, d.body):
                     if side is not None:
-                        assert lp.lp_atoms(side) <= known
+                        assert lpp.lp_atoms(side) <= known
                 known.add(d.name)
         audited += 1
     print(f"criterion 7 PASS: encoding table exact, split application "

@@ -23,6 +23,7 @@ from certforge.core import (
     Forall,
     Ident,
     IntLit,
+    Lam,
     Not,
     PiType,
     TApp,
@@ -122,7 +123,7 @@ def test_encode_binder_dodges_captured_c():
             (Exists(ident("y"), INT, disj(conj(var("x"), C), C)),
              {"u_C", "x", "int"})]:
         got = lp.encode_term(formula, {}, s)
-        assert lp.lp_atoms(got) == atoms
+        assert lpp.lp_atoms(got) == atoms
         assert isinstance(got, lp.LProd) and got.var not in atoms
 
 
@@ -400,6 +401,162 @@ def test_export_refuses_what_ccheck_refuses(make, where, export):
     assert str(e.value) == f"certificate rejected: {failure}"
 
 
+def _proof_of(module):
+    decls = lpp.parse_lp(module)
+    return next(d.body for d in decls
+                if isinstance(d, lpp.LpSymbol) and d.name == "proof")
+
+
+def _binders_at_holes(proof, L):
+    """The λs that the holes' symbol and premise arguments refer to."""
+    symbols, premises = set(), set()
+
+    def walk(t, env):
+        if isinstance(t, lp.LLam):
+            walk(t.body, {**env, t.var: id(t)})
+            return
+        args = []
+        while isinstance(t, lp.LApp):
+            args.insert(0, t.arg)
+            t = t.fn
+        if isinstance(t, lp.LVar) and re.fullmatch("s[0-9]+", t.name):
+            k = len(args) - len(L[int(t.name[1:]) - 1].premises())
+            for found, part in ((symbols, args[:k]), (premises, args[k:])):
+                found.update(env[a.name] for a in part
+                             if isinstance(a, lp.LVar))
+        else:
+            for a in args:
+                walk(a, env)
+
+    walk(proof, {})
+    return symbols, premises
+
+
+def _applied(text, apply):
+    T = cli.parse_task(text)
+    return T, via_transform(T, apply(T))[0]
+
+
+def _hyp_named_like_an_opened_symbol():
+    # KIntroQuant declares y, then KIntroImp names its hypothesis y
+    T = cli.parse_task("""(task (types) (sig (p (-> (int) prop)) (q prop))
+        (hyps) (goals (G (forall (y (int)) (imp (p y) q)))))""")
+    y, G = ident("y"), ident("G")
+    py = app(var("p"), var("y"))
+    opened = cert.KIntroQuant(True, INT, Lam(y, INT, imp(py, var("q"))), G,
+                              y, cert.KHole(T))
+    (t1,) = checker.step(T, opened, ())
+    intro = cert.KIntroImp(py, var("q"), G, y, cert.KHole(T))
+    (t2,) = checker.step(t1, intro, (0,))
+    return T, dataclasses.replace(
+        opened, rest=dataclasses.replace(intro, rest=cert.KHole(t2)))
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: _applied(
+        "(task (types) (sig (H prop)) (hyps (H H)) (goals (G H)))",
+        lambda T: tr.t_axiom(T, ident("H"), ident("G"))),
+     "λ H, λ h, λ G, axm H h G"),
+    (lambda: _applied(
+        "(task (types) (sig (x prop)) (hyps) (goals (G x)))",
+        lambda T: tr.t_assert(T, ident("x"), var("x"))),
+     "λ s1, λ s2, λ x, λ G, cut x (λ y, s1 x G y) (λ y, s2 x y G)"),
+    (lambda: _applied(
+        "(task (types) (sig (G.1 prop) (x prop)) (hyps) (goals (G (imp G.1 x))))",
+        lambda T: tr.t_intro_imp(T, ident("G"))),
+     "λ s1, λ g, λ x, λ G, intro_imp g x (λ h, λ G, s1 g x h G) G"),
+    (_hyp_named_like_an_opened_symbol,
+     "λ s1, λ p, λ q, λ G, intro_all int (λ y : int, p y → q)"
+     " (λ y, λ G, intro_imp (p y) q (λ h, λ G, s1 p q y h G) G) G"),
+], ids=["initial", "asserted", "introduced", "opened"])
+def test_premise_binders_do_not_capture_symbols(make, want):
+    # a premise named like a symbol gets a λ of its own, at the top and
+    # where a rule adds it, so the symbol stays in reach
+    T, k = make()
+    L = checked(T, k)
+    proof = _proof_of(lp.emit_module(T, L, k))
+    assert lpp.lp_alpha_equal(proof, lpp.parse_lp_term(want))
+    symbols, premises = _binders_at_holes(proof, L)
+    assert not symbols & premises
+
+
+def _rewrite_a_polymorphic_side():
+    # t_rewrite types e on its own (box int), so the kernel node is built
+    T = cli.parse_task("""(task (types (box 1) (elem 0))
+        (sig (e (box a)) (f (box (elem))) (p (-> (box (elem)) prop)))
+        (hyps (E (= e f)) (H (p e))) (goals (G (p f))))""")
+    box = TApp(ident("box"), (TApp(ident("elem"), ()),))
+    node = cert.KRewrite(False, var("e"), var("f"),
+                         Lam(ident("x"), box, app(var("p"), var("x"))),
+                         ident("H"), ident("E"), cert.KHole(T))
+    (child,) = checker.step(T, node, ())
+    return T, dataclasses.replace(node, rest=cert.KHole(child))
+
+
+def _instantiate_at_a_polymorphic_witness():
+    T = cli.parse_task("""(task (types (box 1) (elem 0))
+        (sig (e (box a)) (p (-> (box (elem)) prop)))
+        (hyps (H (forall (x (box (elem))) (p x)))) (goals (G (p e))))""")
+    return T, via_transform(T, tr.t_instantiate(T, ident("H"), var("e")))[0]
+
+
+@pytest.mark.parametrize("make, want", [
+    (_instantiate_at_a_polymorphic_witness,
+     "inst_all (box elem) (λ x : box elem, p x) (e elem)"),
+    (_rewrite_a_polymorphic_side,
+     "rewrite_hyp (box elem) (e elem) f (λ x : box elem, p x) E H"),
+], ids=["instantiate", "rewrite"])
+def test_carried_terms_are_typed_at_the_carried_type(make, want):
+    # typed on its own, e : box 'a defaults to box int, an ill-typed witness
+    T, k = make()
+    L = checked(T, k)
+    _agrees_with_the_oracle(T, L, k)
+    module = lp.emit_module(T, L, k)
+    assert want in module and "e int" not in module
+
+
+def test_a_premise_bound_again_is_no_longer_the_rewritten_term():
+    # H is rewritten, then split: inside the branches H is the split's λ
+    T = cli.parse_task("""(task (types) (sig (a (int)) (b (int))
+        (p (-> (int) prop)) (q prop)) (hyps (E (= a b)) (H (or (p a) q)))
+        (goals (G q)))""")
+    ctx = Lam(ident("x"), INT, disj(app(var("p"), var("x")), var("q")))
+    rw = cert.KRewrite(False, var("a"), var("b"), ctx, ident("H"),
+                       ident("E"), cert.KHole(T))
+    (t1,) = checker.step(T, rw, ())
+    sp = cert.KSplit(False, app(var("p"), var("b")), var("q"), ident("H"),
+                     cert.KHole(T), cert.KHole(T))
+    l1, l2 = checker.step(t1, sp, (0,))
+    k = dataclasses.replace(rw, rest=dataclasses.replace(
+        sp, first=cert.KHole(l1), second=cert.KHole(l2)))
+    want = lpp.parse_lp_term(
+        "λ s1, λ s2, λ a, λ b, λ p, λ q, λ E, λ H, λ G, split (p b) q"
+        " (λ H, s1 a b p q E H G) (λ H, s2 a b q E H G)"
+        " (rewrite_hyp int a b (λ x : int, Π C : TYPE, (p x → C) → (q → C)"
+        " → C) E H)")
+    assert lpp.lp_alpha_equal(_proof_of(lp.emit_module(T, [l1, l2], k)), want)
+
+
+@pytest.mark.parametrize("what", ["task1", "initial", "proof"])
+def test_emit_module_refuses_a_statement_with_a_free_name(what, monkeypatch):
+    # each statement is audited as it is printed: one name leaked into it
+    T, L, c = split_application()
+    real_task, real_proof = lp.encode_task, lp.proof_term
+
+    def leak(t):
+        return lp.LArrow(lp.LVar("leaked"), t)
+
+    if what == "proof":
+        monkeypatch.setattr(lp, "proof_term", lambda *a: leak(real_proof(*a)))
+    else:
+        target = L[0] if what == "task1" else T
+        monkeypatch.setattr(lp, "encode_task", lambda task, **kw: (
+            leak if task is target else lambda t: t)(real_task(task, **kw)))
+    with pytest.raises(lp.ExportError) as e:
+        lp.emit_module(T, L, c)
+    assert str(e.value) == f"{what} escapes its scope: ['leaked']"
+
+
 # ---------------------------------------------------------------------------
 # the preamble
 
@@ -444,13 +601,13 @@ def test_preamble_definitions_are_closed():
     for d in decls:
         if isinstance(d, lpp.LpSymbol):
             if d.ty is not None:
-                assert lp.lp_atoms(d.ty) <= known, d.name
+                assert lpp.lp_atoms(d.ty) <= known, d.name
             if d.body is not None:
-                assert lp.lp_atoms(d.body) <= known, d.name
+                assert lpp.lp_atoms(d.body) <= known, d.name
             known.add(d.name)
         elif isinstance(d, lpp.LpRule):
-            free = {n for n in lp.lp_atoms(d.lhs) if not n.startswith("$")}
-            free |= {n for n in lp.lp_atoms(d.rhs) if not n.startswith("$")}
+            free = {n for n in lpp.lp_atoms(d.lhs) if not n.startswith("$")}
+            free |= {n for n in lpp.lp_atoms(d.rhs) if not n.startswith("$")}
             assert free <= known
 
 
@@ -660,7 +817,7 @@ def test_modules_are_well_scoped():
             if isinstance(d, lpp.LpSymbol):
                 for side in (d.ty, d.body):
                     if side is not None:
-                        assert lp.lp_atoms(side) <= known, (d.name, mod)
+                        assert lpp.lp_atoms(side) <= known, (d.name, mod)
                 known.add(d.name)
 
 
