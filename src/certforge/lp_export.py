@@ -558,9 +558,9 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
 
         if isinstance(node, (cert.KClear, cert.KUnfoldIff)) or (
                 isinstance(node, cert.KSwapNeg) and not node.goal):
-            # a cleared premise is never named again; the iff encoding is
-            # already the conjunction of both arrows; a negated hypothesis
-            # and the goal it becomes share the encoding
+            # a cleared premise is named again only under a λ rebinding it;
+            # the iff encoding is already both arrows' conjunction; a negated
+            # hypothesis and the goal it becomes share the encoding
             return walk(node.rest, first, moved)
 
         if isinstance(node, cert.KSwapNeg):
