@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import sexpr
 from .core import (
     INT,
+    PROP,
     App,
     BinOp,
     Bottom,
@@ -34,7 +35,6 @@ from .core import (
     Term,
     Top,
     Type,
-    TypingError,
     Var,
     all_idents,
     alpha_equal,
@@ -496,28 +496,23 @@ class SEqSym(SurfaceCert):
         is_goal, prem = _premise(T, self.name)
         a, b = _eq_parts(prem, "SEqSym")
         orig, flip = eq(a, b), eq(b, a)
-        ty = _term_type(T, a)
+        ty = _eq_type(T, prem)
         n = self.name
         tmp = fresh_ident(f"{n.name}_sym", T.premise_names())
         if not is_goal:
             # prove b = a from a = b, then rename it into the old premise
-            z = fresh_ident("z", all_idents(b))
             return KAssert(
-                tmp, flip,
-                KRewrite(True, a, b, Lam(z, ty, eq(b, Var(z))), tmp, n,
-                         KEqRefl(b, tmp)),
+                tmp, flip, _symmetry(a, b, ty, tmp, n),
                 KClear(False, orig, n, KAssert(
                     n, flip, KAxiom(flip, tmp, n),
                     KClear(False, flip, tmp, self.rest))))
         # goal premise: the continuation lives in the assertion's goal branch
-        z = fresh_ident("z", all_idents(a))
         return KAssert(
             tmp, flip,
             KClear(True, orig, n, KAssert(
                 n, flip, KClear(True, flip, tmp, self.rest),
                 KAxiom(flip, n, tmp))),
-            KRewrite(True, b, a, Lam(z, ty, eq(a, Var(z))), n, tmp,
-                     KEqRefl(a, n)))
+            _symmetry(b, a, ty, n, tmp))
 
 
 @dataclass(frozen=True, slots=True)
@@ -537,7 +532,7 @@ class SEqTrans(SurfaceCert):
         z = fresh_ident("z", all_idents(c))
         return KAssert(
             self.name, eq(a, c),
-            KRewrite(True, a, b, Lam(z, _term_type(T, a), eq(Var(z), c)),
+            KRewrite(True, a, b, Lam(z, _eq_type(T, p1), eq(Var(z), c)),
                      self.name, self.first,
                      KAxiom(eq(b, c), self.second, self.name)),
             self.rest)
@@ -553,19 +548,17 @@ class SRewrite(SurfaceCert):
     def kernel(self, T):
         _, heq = _premise(T, self.eq_name, want_goal=False)
         l, r = _eq_parts(heq, "SRewrite")
+        ty = _eq_type(T, heq)
         is_goal, target = _premise(T, self.name)
         if not self.right_to_left:
-            return KRewrite(is_goal, l, r, _abstract(T, target.formula, l),
+            return KRewrite(is_goal, l, r, _abstract(target.formula, l, ty),
                             self.name, self.eq_name, self.rest)
         # flip the equation into a temporary hypothesis, rewrite, drop it
         flip = eq(r, l)
         tmp = fresh_ident(f"{self.eq_name.name}_sym", T.premise_names())
-        z = fresh_ident("z", all_idents(r))
         return KAssert(
-            tmp, flip,
-            KRewrite(True, l, r, Lam(z, _term_type(T, l), eq(r, Var(z))),
-                     tmp, self.eq_name, KEqRefl(r, tmp)),
-            KRewrite(is_goal, r, l, _abstract(T, target.formula, r),
+            tmp, flip, _symmetry(l, r, ty, tmp, self.eq_name),
+            KRewrite(is_goal, r, l, _abstract(target.formula, r, ty),
                      self.name, tmp, KClear(False, flip, tmp, self.rest)))
 
 
@@ -774,17 +767,25 @@ def _eq_parts(prem, who: str) -> tuple[Term, Term]:
     return sides
 
 
-def _term_type(T: Task, t: Term) -> Type:
-    # T is well-typed, so its signature needs no second check
-    try:
-        return annotate(T.types_map(), T.sig_map(), t).type
-    except TypingError as e:
-        raise CertError(str(e)) from e
+def _eq_type(T: Task, prem) -> Type:
+    """The type the equation prem equates at: the instance of its =."""
+    # T is well-typed, so prem types against prop
+    info = annotate(T.types_map(), T.sig_map(), prem.formula, PROP)
+    return info.inst[(0, 0)][0]
 
 
-def _abstract(T: Task, formula: Term, needle: Term) -> Term:
+def _symmetry(a: Term, b: Term, ty: Type, goal: Ident,
+              hyp: Ident) -> KernelCert:
+    """Close the goal b = a with the hypothesis a = b: rewrite the goal
+    to b = b, which reflexivity closes."""
+    z = fresh_ident("z", all_idents(b))
+    return KRewrite(True, a, b, Lam(z, ty, eq(b, Var(z))), goal, hyp,
+                    KEqRefl(b, goal))
+
+
+def _abstract(formula: Term, needle: Term, ty: Type) -> Term:
     """The rewriting context: formula with every free occurrence of needle
-    abstracted into a fresh bound variable."""
+    (of type ty) abstracted into a fresh bound variable."""
     needed = free_vars(needle)
     z = fresh_ident("z", all_idents(formula) | all_idents(needle))
     count = 0
@@ -811,7 +812,7 @@ def _abstract(T: Task, formula: Term, needle: Term) -> Term:
     body = walk(formula, frozenset())
     if count == 0:
         raise CertError("no occurrence of the equation side in the premise")
-    return Lam(z, _term_type(T, needle), body)
+    return Lam(z, ty, body)
 
 
 def _replay(c, T: Task) -> KernelCert:

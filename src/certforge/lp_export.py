@@ -464,8 +464,9 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
     Formulas are encoded through encoder (a fresh Encoder by default),
     under the typing context of the task at their node.
 
-    A premise is the variable of the λ that bound it (derive has checked
-    it is in scope) or the term KRewrite replaced it by. That λ is named
+    A premise is the variable of the λ that bound it: derive has checked
+    it is in scope, and a rule that changes a premise's encoding, KRewrite
+    included, binds the new premise in its continuation. That λ is named
     mangle(name), freshened against every symbol the derivation declares.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
@@ -496,20 +497,15 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
             premise_vars[name] = LVar(_freshen(mangle(name), symbols))
         return premise_vars[name]
 
-    def ref(name: Ident, moved: dict[Ident, LpTerm]) -> LpTerm:
-        return moved.get(name) or premise_var(name)
-
     def under(child: cert.KernelCert, path: tuple[int, ...],
-              moved: dict[Ident, LpTerm], *names: Ident) -> LpTerm:
+              *names: Ident) -> LpTerm:
         # the child's term under one λ per premise it binds, in order
-        out = walk(child, path,
-                   {n: t for n, t in moved.items() if n not in names})
+        out = walk(child, path)
         for n in reversed(names):
             out = LLam(premise_var(n).name, None, out)
         return out
 
-    def walk(node: cert.KernelCert, path: tuple[int, ...],
-             moved: dict[Ident, LpTerm]) -> LpTerm:
+    def walk(node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
         task, first, second = tasks[path], path + (0,), path + (1,)
 
         if isinstance(node, cert.KHole):
@@ -518,91 +514,90 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
             tsyms, ssyms = used_declarations(leaf)
             return lapp(LVar(f"s{i}"),
                         *(LVar(mangle(n)) for n, _ in tsyms + ssyms),
-                        *(ref(p.name, moved) for p in leaf.premises()))
+                        *(premise_var(p.name) for p in leaf.premises()))
 
         if isinstance(node, cert.KTrivial):
             if node.goal:
-                return LApp(LConst("triv"), ref(node.name, moved))
-            return ref(node.name, moved)
+                return LApp(LConst("triv"), premise_var(node.name))
+            return premise_var(node.name)
 
         if isinstance(node, cert.KAxiom):
             return lapp(LConst("axm"), enc(node.formula, task),
-                        ref(node.hyp, moved), ref(node.goal, moved))
+                        premise_var(node.hyp), premise_var(node.goal))
 
         if isinstance(node, cert.KEqRefl):
             tau = annotate(task.types_map(), task.sig_map(), node.term).type
             witness = lapp(LConst("eq_refl"), _encode_type(tau),
                            enc(node.term, task, None))
-            return LApp(ref(node.name, moved), witness)
+            return LApp(premise_var(node.name), witness)
 
         if isinstance(node, cert.KAssert):
             return lapp(LConst("cut"), enc(node.formula, task),
-                        under(node.proof, first, moved, node.name),
-                        under(node.rest, second, moved, node.name))
+                        under(node.proof, first, node.name),
+                        under(node.rest, second, node.name))
 
         if isinstance(node, cert.KSplit):
             comb = "split_goal" if node.goal else "split"
             return lapp(LConst(comb), enc(node.left, task),
                         enc(node.right, task),
-                        under(node.first, first, moved, node.name),
-                        under(node.second, second, moved, node.name),
-                        ref(node.name, moved))
+                        under(node.first, first, node.name),
+                        under(node.second, second, node.name),
+                        premise_var(node.name))
 
         if isinstance(node, cert.KDestruct):
             comb = "destruct_goal" if node.goal else "destruct"
             return lapp(LConst(comb), enc(node.left, task),
                         enc(node.right, task),
-                        under(node.rest, first, moved, node.left_name,
+                        under(node.rest, first, node.left_name,
                               node.right_name),
-                        ref(node.name, moved))
+                        premise_var(node.name))
 
         if isinstance(node, (cert.KClear, cert.KUnfoldIff)) or (
                 isinstance(node, cert.KSwapNeg) and not node.goal):
             # a cleared premise is named again only under a λ rebinding it;
             # the iff encoding is already both arrows' conjunction; a negated
             # hypothesis and the goal it becomes share the encoding
-            return walk(node.rest, first, moved)
+            return walk(node.rest, first)
 
         if isinstance(node, cert.KSwapNeg):
             return lapp(LConst("swapneg_goal"), enc(node.formula, task),
-                        under(node.rest, first, moved, node.name),
-                        ref(node.name, moved))
+                        under(node.rest, first, node.name),
+                        premise_var(node.name))
 
         if isinstance(node, cert.KIntroImp):
             return lapp(LConst("intro_imp"), enc(node.left, task),
                         enc(node.right, task),
-                        under(node.rest, first, moved, node.hyp_name,
-                              node.name),
-                        ref(node.name, moved))
+                        under(node.rest, first, node.hyp_name, node.name),
+                        premise_var(node.name))
 
         if isinstance(node, cert.KSplitImp):
             return lapp(LConst("split_imp"), enc(node.left, task),
                         enc(node.right, task),
-                        under(node.side, first, moved, node.goal_name),
-                        under(node.rest, second, moved, node.name),
-                        ref(node.name, moved))
+                        under(node.side, first, node.goal_name),
+                        under(node.rest, second, node.name),
+                        premise_var(node.name))
 
         if isinstance(node, cert.KRevert):
             return lapp(LConst("revert"), enc(node.hyp_formula, task),
-                        enc(node.goal_formula, task), ref(node.hyp, moved),
-                        ref(node.goal, moved),
-                        under(node.rest, first, moved, node.goal))
+                        enc(node.goal_formula, task), premise_var(node.hyp),
+                        premise_var(node.goal),
+                        under(node.rest, first, node.goal))
 
         if isinstance(node, cert.KIntroQuant):
             comb = "intro_all" if node.goal else "intro_ex"
             cont = LLam(mangle(node.fresh), None,
-                        under(node.rest, first, moved, node.name))
+                        under(node.rest, first, node.name))
             return lapp(LConst(comb), _encode_type(node.ty),
                         enc(node.pred, task, Arrow(node.ty, PROP)), cont,
-                        ref(node.name, moved))
+                        premise_var(node.name))
 
         if isinstance(node, cert.KInstQuant):
             comb = "inst_ex" if node.goal else "inst_all"
             return lapp(LConst(comb), _encode_type(node.ty),
                         enc(node.pred, task, Arrow(node.ty, PROP)),
                         enc(node.witness, task, node.ty),
-                        under(node.rest, first, moved, node.inst_name),
-                        ref(node.name, moved))
+                        under(node.rest, first, node.inst_name),
+                        premise_var(node.name))
 
         if isinstance(node, cert.KIntroType):
             # the child task declares iota and holds the opened goal
@@ -610,8 +605,8 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
             iota = mangle(node.iota)
             pred = LLam(iota, None,
                         enc(child.find(node.name)[2].formula, child))
-            cont = LLam(iota, None, under(node.rest, first, moved, node.name))
-            return lapp(LConst("intro_ty"), pred, cont, ref(node.name, moved))
+            cont = LLam(iota, None, under(node.rest, first, node.name))
+            return lapp(LConst("intro_ty"), pred, cont, premise_var(node.name))
 
         if isinstance(node, cert.KInstType):
             b = fresh_ident(node.formula.var,
@@ -620,35 +615,34 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
             pred = LLam(mangle(b), None, encode_term(
                 body, {**task.types_map(), b: 0}, task.sig_map(), PROP))
             return lapp(LConst("inst_ty"), pred, _encode_type(node.ty),
-                        under(node.rest, first, moved, node.inst_name),
-                        ref(node.name, moved))
+                        under(node.rest, first, node.inst_name),
+                        premise_var(node.name))
 
         if isinstance(node, cert.KRewrite):
             comb = "rewrite_goal" if node.goal else "rewrite_hyp"
             ty = node.context.ty
-            rewritten = lapp(LConst(comb), _encode_type(ty),
-                             enc(node.left, task, ty), enc(node.right, task, ty),
-                             enc(node.context, task, Arrow(ty, PROP)),
-                             ref(node.eq_name, moved), ref(node.name, moved))
-            return walk(node.rest, first, {**moved, node.name: rewritten})
+            return lapp(LConst(comb), _encode_type(ty),
+                        enc(node.left, task, ty), enc(node.right, task, ty),
+                        enc(node.context, task, Arrow(ty, PROP)),
+                        premise_var(node.eq_name), premise_var(node.name),
+                        under(node.rest, first, node.name))
 
         if isinstance(node, cert.KInduction):
             # the λ binders reuse the symbol's and the goal's own names, so
             # occurrences inside the branches rebind to the current case
             v = mangle(node.var)
-            base = under(node.base, first, moved, node.goal_name,
-                         node.hyp_name)
-            rec = under(node.rec, second, moved, node.goal_name,
+            base = under(node.base, first, node.goal_name, node.hyp_name)
+            rec = under(node.rec, second, node.goal_name,
                         node.hyp_name, node.rec_name)
             return lapp(LConst("sind"),
                         enc(node.context, task, Arrow(INT, PROP)),
                         enc(node.bound, task, INT), LLam(v, None, base),
                         LLam(v, None, rec), LVar(v),
-                        ref(node.goal_name, moved))
+                        premise_var(node.goal_name))
 
         raise ExportError(f"untranslatable certificate node {node!r}")
 
-    out = under(c, (), {}, *(p.name for p in T.premises()))
+    out = under(c, (), *(p.name for p in T.premises()))
     for name in reversed([f"s{i + 1}" for i in range(len(L))] + declared):
         out = LLam(name, None, out)
     return out
@@ -793,11 +787,11 @@ symbol inst_ty : Π p : (TYPE → TYPE), Π a : TYPE,
   λ p, λ a, λ s, λ h, s (h a);
 
 symbol rewrite_hyp : Π t : TYPE, Π l : t, Π r : t, Π C : (t → TYPE),
-    eq t l r → C l → C r ≔
-  λ t, λ l, λ r, λ C, λ e, λ h, e C h;
+    eq t l r → C l → (C r → {_PB}) → {_B} ≔
+  λ t, λ l, λ r, λ C, λ e, λ h, λ k, k (e C h);
 symbol rewrite_goal : Π t : TYPE, Π l : t, Π r : t, Π C : (t → TYPE),
-    eq t l r → (C l → {_PB}) → C r → {_B} ≔
-  λ t, λ l, λ r, λ C, λ e, λ g, e (λ z, C z → {_PB}) g;
+    eq t l r → (C l → {_PB}) → ((C r → {_PB}) → {_PB}) → {_B} ≔
+  λ t, λ l, λ r, λ C, λ e, λ g, λ k, k (e (λ z, C z → {_PB}) g);
 
 // binary integers -----------------------------------------------------------
 

@@ -430,60 +430,57 @@ def _prop_kind(p: Premise) -> str:
     raise TransformError(f"t_blast: premise {p.name} is not propositional")
 
 
-def _blast_action(T: Task) -> CertifyingTransform:
+def _blast_step(T: Task) -> Result:
     """One tableau step: close if possible, else decompose goals, then hyps."""
     for p in T.hyps:
         if isinstance(p.formula, Bottom):
-            return transform(t_trivial, p.name)
+            return t_trivial(T, p.name)
     for p in T.goals:
         if isinstance(p.formula, Top):
-            return transform(t_trivial, p.name)
+            return t_trivial(T, p.name)
     for h in T.hyps:
         for g in T.goals:
             if alpha_equal(h.formula, g.formula):
-                return transform(t_axiom, h.name, g.name)
+                return t_axiom(T, h.name, g.name)
     used = set(T.premise_names())
     for p in T.goals:
         kind = _prop_kind(p)
         if kind == "and":
-            return transform(t_split, p.name)
+            return t_split(T, p.name)
         if kind == "or":
-            return transform(t_destruct, p.name,
-                             _fresh_name(f"{p.name}.1", used),
-                             _fresh_name(f"{p.name}.2", used))
+            return t_destruct(T, p.name,
+                              _fresh_name(f"{p.name}.1", used),
+                              _fresh_name(f"{p.name}.2", used))
         if kind == "imp":
-            return transform(t_intro_imp, p.name)
+            return t_intro_imp(T, p.name)
         if kind == "not":
-            return transform(t_swap_neg, p.name)
+            return t_swap_neg(T, p.name)
         if kind == "iff":
-            return transform(t_unfold_iff, p.name)
+            return t_unfold_iff(T, p.name)
         if kind == "bottom":
-            return transform(t_clear, p.name)
+            return t_clear(T, p.name)
     for p in T.hyps:
         kind = _prop_kind(p)
         if kind == "and":
-            return transform(t_destruct, p.name,
-                             _fresh_name(f"{p.name}.1", used),
-                             _fresh_name(f"{p.name}.2", used))
+            return t_destruct(T, p.name,
+                              _fresh_name(f"{p.name}.1", used),
+                              _fresh_name(f"{p.name}.2", used))
         if kind == "or":
-            return transform(t_split, p.name)
+            return t_split(T, p.name)
         if kind == "imp":
-            return transform(t_split_imp, p.name)
+            return t_split_imp(T, p.name)
         if kind == "not":
-            return transform(t_swap_neg, p.name)
+            return t_swap_neg(T, p.name)
         if kind == "iff":
-            return transform(t_unfold_iff, p.name)
+            return t_unfold_iff(T, p.name)
         if kind == "top":
-            return transform(t_clear, p.name)
+            return t_clear(T, p.name)
     raise TransformError("t_blast: cannot close the task")
 
 
-def _blast() -> CertifyingTransform:
-    def apply(T: Task) -> Result:
-        step = _blast_action(T)
-        return compose_transforms(step, lambda _i, _t: _blast()).apply(T)
-
-    return CertifyingTransform("blast", apply)
+def _blast(T: Task) -> SurfaceCert:
+    tasks, s = _blast_step(T)
+    return cert.fill_holes(s, [_blast(t) for t in tasks])
 
 
 def t_blast(T: Task) -> Result:
@@ -492,8 +489,8 @@ def t_blast(T: Task) -> Result:
     Goal-directed: every step first tries to close the branch with an
     axiom or truth/falsity, then decomposes the leftmost compound goal,
     then the leftmost compound hypothesis.  Each step is an elementary
-    certifying transformation and the steps are glued together with
-    compose_transforms, so the certificate is exactly the trace.
+    certifying transformation; the blast of each task it leaves fills the
+    matching hole, so the certificate is exactly the trace.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
-    return _blast().apply(T)
+    return [], _blast(T)

@@ -19,6 +19,7 @@ from certforge.cert import (
     fill_holes,
     leaves,
 )
+from certforge.cli import parse_task
 from certforge.core import (
     INT,
     PROP,
@@ -41,7 +42,7 @@ from certforge.core import (
     var,
 )
 from certforge.task import Premise, Task
-from certforge.transforms import t_blast
+from certforge.transforms import t_blast, t_rewrite
 
 H, G = ident("H"), ident("G")
 
@@ -377,10 +378,40 @@ def test_abstract_skips_captured_occurrences():
     # hit a capture; the helper still must not abstract a bound occurrence
     T = _arith_task([], [("G", Top())])
     bound = Forall(ident("b"), INT, eq(var("b"), var("b")))
-    ctx = cert._abstract(T, conj(bound, eq(B, C)), B)
+    ctx = cert._abstract(conj(bound, eq(B, C)), B, INT)
     assert isinstance(ctx, Lam)
     assert alpha_equal(ctx.body,
                        conj(bound, eq(var(str(ctx.var)), C)))
+
+
+_POLY_SIDE = """(task (types (box 1) (elem 0))
+    (sig (e (box a)) (f (box (elem))) (p (-> (box (elem)) prop)))
+    (hyps {}) (goals {}))"""
+
+
+@pytest.mark.parametrize("hyps, goals, apply", [
+    ("(E (= e f)) (H (p e))", "(G (p f))",
+     lambda T: t_rewrite(T, ident("E"), H)[1]),
+    ("(E (= e f)) (H (p e))", "(G (p f))",
+     lambda T: t_rewrite(T, ident("E"), G, right_to_left=True)[1]),
+    ("(E (= e f))", "(G (= f e))",
+     lambda T: cert.SEqSym(ident("E"), cert.SAxiom(ident("E"), G))),
+    ("(E (= f e))", "(G (= e f))",
+     lambda T: cert.SEqSym(G, cert.SAxiom(ident("E"), G))),
+    ("(E (= e f)) (F (= f f))", "(G (= e f))",
+     lambda T: cert.SEqTrans(ident("E"), ident("F"), H, cert.SAxiom(H, G))),
+], ids=["rewrite_left_to_right", "rewrite_right_to_left", "eq_sym_hyp",
+        "eq_sym_goal", "eq_trans"])
+def test_an_equation_is_rewritten_at_the_type_of_its_equality(hyps, goals,
+                                                              apply):
+    # e : box 'a typed on its own defaults to box int; the equation with
+    # f : box elem fixes it, and every context abstracts a box elem
+    T = parse_task(_POLY_SIDE.format(hyps, goals))
+    k = elaborate(apply(T), T)
+    assert checker.ccheck(k, T).ok
+    wire = cert_dumps(k)
+    assert wire.count("(lam (z (box (elem))) ") == wire.count("(KRewrite ")
+    assert "int" not in wire
 
 
 def test_rewrite_under_binder():

@@ -481,16 +481,10 @@ def test_premise_binders_do_not_capture_symbols(make, want):
 
 
 def _rewrite_a_polymorphic_side():
-    # t_rewrite types e on its own (box int), so the kernel node is built
     T = cli.parse_task("""(task (types (box 1) (elem 0))
         (sig (e (box a)) (f (box (elem))) (p (-> (box (elem)) prop)))
         (hyps (E (= e f)) (H (p e))) (goals (G (p f))))""")
-    box = TApp(ident("box"), (TApp(ident("elem"), ()),))
-    node = cert.KRewrite(False, var("e"), var("f"),
-                         Lam(ident("x"), box, app(var("p"), var("x"))),
-                         ident("H"), ident("E"), cert.KHole(T))
-    (child,) = checker.step(T, node, ())
-    return T, dataclasses.replace(node, rest=cert.KHole(child))
+    return T, via_transform(T, tr.t_rewrite(T, ident("E"), ident("H")))[0]
 
 
 def _instantiate_at_a_polymorphic_witness():
@@ -504,7 +498,7 @@ def _instantiate_at_a_polymorphic_witness():
     (_instantiate_at_a_polymorphic_witness,
      "inst_all (box elem) (λ x : box elem, p x) (e elem)"),
     (_rewrite_a_polymorphic_side,
-     "rewrite_hyp (box elem) (e elem) f (λ x : box elem, p x) E H"),
+     "rewrite_hyp (box elem) (e elem) f (λ z : box elem, p z) E H"),
 ], ids=["instantiate", "rewrite"])
 def test_carried_terms_are_typed_at_the_carried_type(make, want):
     # typed on its own, e : box 'a defaults to box int, an ill-typed witness
@@ -513,6 +507,51 @@ def test_carried_terms_are_typed_at_the_carried_type(make, want):
     _agrees_with_the_oracle(T, L, k)
     module = lp.emit_module(T, L, k)
     assert want in module and "e int" not in module
+
+
+def _instantiate_after_a_rewrite():
+    # the rewrite's temporary Heq_inst is cleared, and the instantiation
+    # after it reuses the name for another equation
+    T = cli.parse_task("""(task (types) (sig (a (int)) (b (int))
+        (p (-> (int) prop))) (hyps (Heq (forall (x (int)) (= x b)))
+        (H (p a))) (goals (G (p b))))""")
+    rewrite = tr.transform(tr.t_rewrite, ident("Heq"), ident("H"), False,
+                           [var("a")])
+    then = tr.compose_transforms(rewrite, lambda _i, _t: tr.transform(
+        tr.t_instantiate, ident("Heq"), var("b")))
+    return T, via_transform(T, then.apply(T))[0]
+
+
+def _induction_after_a_rewrite():
+    # the equation mentions i, and the induction's cases rebind i
+    T = cli.parse_task("""(task (types) (sig (i (int)) (p (-> (int) prop))
+        (q (-> (int) prop))) (hyps (E (= i 0)) (H (p i))) (goals (G (q i))))""")
+    s = cert.SRewrite(False, ident("E"), ident("H"), cert.SClear(
+        ident("E"), cert.SInduction(ident("i"), IntLit(0), ident("Hb"),
+                                    ident("Hr"), cert.SHole(), cert.SHole())))
+    return T, cert.elaborate(s, T)
+
+
+@pytest.mark.parametrize("make, want", [
+    (_instantiate_after_a_rewrite,
+     "λ s1, λ a, λ b, λ p, λ Heq, λ H, λ G, inst_all int"
+     " (λ x : int, eq int x b) a (λ Heq_5finst, rewrite_hyp int a b"
+     " (λ z : int, p z) Heq_5finst H (λ H, inst_all int"
+     " (λ x : int, eq int x b) b (λ Heq_5finst, s1 b p Heq H Heq_5finst G)"
+     " Heq)) Heq"),
+    (_induction_after_a_rewrite,
+     "λ s1, λ s2, λ i, λ p, λ q, λ E, λ H, λ G, rewrite_hyp int i Z0"
+     " (λ z : int, p z) E H (λ H, sind (λ n : int, q n) Z0"
+     " (λ i, λ G, λ Hb, s1 i p q H Hb G)"
+     " (λ i, λ G, λ Hb, λ Hr, s2 i p q H Hb Hr G) i G)"),
+], ids=["instantiate", "induction"])
+def test_a_rewritten_premise_is_bound_where_it_is_rewritten(make, want):
+    # a rewrite binds its premise in a continuation, as every rule does, so
+    # no later λ captures a name the rewrite used
+    T, k = make()
+    L = checked(T, k)
+    assert lpp.lp_alpha_equal(_proof_of(lp.emit_module(T, L, k)),
+                              lpp.parse_lp_term(want))
 
 
 def test_a_premise_bound_again_is_no_longer_the_rewritten_term():
@@ -530,10 +569,9 @@ def test_a_premise_bound_again_is_no_longer_the_rewritten_term():
     k = dataclasses.replace(rw, rest=dataclasses.replace(
         sp, first=cert.KHole(l1), second=cert.KHole(l2)))
     want = lpp.parse_lp_term(
-        "λ s1, λ s2, λ a, λ b, λ p, λ q, λ E, λ H, λ G, split (p b) q"
-        " (λ H, s1 a b p q E H G) (λ H, s2 a b q E H G)"
-        " (rewrite_hyp int a b (λ x : int, Π C : TYPE, (p x → C) → (q → C)"
-        " → C) E H)")
+        "λ s1, λ s2, λ a, λ b, λ p, λ q, λ E, λ H, λ G, rewrite_hyp int a b"
+        " (λ x : int, Π C : TYPE, (p x → C) → (q → C) → C) E H"
+        " (λ H, split (p b) q (λ H, s1 a b p q E H G) (λ H, s2 a b q E H G) H)")
     assert lpp.lp_alpha_equal(_proof_of(lp.emit_module(T, [l1, l2], k)), want)
 
 
