@@ -48,7 +48,7 @@ from .core import (
     ident,
     subst_term,
 )
-from .task import Task
+from .task import Task, TaskError
 
 
 class CertError(Exception):
@@ -672,7 +672,7 @@ def cert_to_sexpr(c):
                      for f in dataclasses.fields(c)]
 
 
-def _decode_field(form, kind: type):
+def _decode_field(form, kind: type, reader: sexpr.Reader):
     if kind is bool:
         if not isinstance(form, bool):
             raise CertError(f"expected #t/#f, got {form!r}")
@@ -682,39 +682,67 @@ def _decode_field(form, kind: type):
             raise CertError(f"expected an identifier, got {form!r}")
         return ident(form)
     if kind is Term:
-        return sexpr.term_from_sexpr(form)
+        return reader.term(form)
     if kind is Type:
-        return sexpr.type_from_sexpr(form)
+        return reader.type(form)
     if kind is Task:
-        return sexpr.task_from_sexpr(form)
-    if kind in (KernelCert, SurfaceCert):
-        c = cert_from_sexpr(form)
-        if not isinstance(c, kind):
-            raise CertError(f"{type(c).__name__} is not a {kind.__name__}")
-        return c
+        return reader.task(form)
     raise CertError(f"unhandled payload kind {kind!r}")
 
 
 # field annotations name the payload kinds; this is the wire schema
 _KINDS = {"bool": bool, "Ident": Ident, "Term": Term, "Type": Type,
           "Task": Task, "KernelCert": KernelCert, "SurfaceCert": SurfaceCert}
+_PAYLOADS = {cls: tuple(_KINDS[f.type] for f in dataclasses.fields(cls))
+             for cls in _BY_NAME.values()}
+# cert_from_sexpr passes a node's subcertificates after its other payloads
+assert all(tuple(f.name for f in dataclasses.fields(cls))
+           [len(_PAYLOADS[cls]) - len(names):] == names
+           for cls, names in _CHILD_FIELDS.items())
 
 
 def cert_from_sexpr(form):
-    if form == "SHole":
-        return SHole()
-    if not (isinstance(form, list) and form and isinstance(form[0], str)):
-        raise CertError(f"bad certificate syntax {form!r}")
-    cls = _BY_NAME.get(form[0])
-    if cls is None:
-        raise CertError(f"unknown certificate constructor {form[0]}")
-    fields = dataclasses.fields(cls)
-    if len(form) != len(fields) + 1:
-        raise CertError(
-            f"{form[0]} takes {len(fields)} payloads, got {len(form) - 1}")
-    args = [_decode_field(f, _KINDS[fld.type])
-            for f, fld in zip(form[1:], fields)]
-    return cls(*args)
+    """The certificate the parsed form spells, read with an explicit stack.
+    One sexpr.Reader builds all of its formulas, so structurally identical
+    subterms anywhere in it are one object."""
+    reader = sexpr.Reader()
+    done: list = []
+    # (form, kind the result must have) reads a subcertificate: its other
+    # payloads at once, then its children; (cls, payloads, kind) builds the
+    # node once its children are the last entries of done
+    todo: list[tuple] = [(form, None)]
+    while todo:
+        step = todo.pop()
+        if len(step) == 2:
+            form, want = step
+            if form == "SHole":
+                todo.append((SHole, (), want))
+                continue
+            if not (isinstance(form, list) and form
+                    and isinstance(form[0], str)):
+                raise CertError(f"bad certificate syntax {form!r}")
+            cls = _BY_NAME.get(form[0])
+            if cls is None:
+                raise CertError(f"unknown certificate constructor {form[0]}")
+            kinds = _PAYLOADS[cls]
+            if len(form) != len(kinds) + 1:
+                raise CertError(f"{form[0]} takes {len(kinds)} payloads, "
+                                f"got {len(form) - 1}")
+            split = len(form) - len(_CHILD_FIELDS[cls])
+            args = [_decode_field(f, kind, reader)
+                    for f, kind in zip(form[1:split], kinds)]
+            todo.append((cls, args, want))
+            todo.extend(zip(reversed(form[split:]),
+                            reversed(kinds[split - 1:])))
+            continue
+        cls, args, want = step
+        split = len(done) - len(_CHILD_FIELDS[cls])
+        c = cls(*args, *done[split:])
+        del done[split:]
+        if want is not None and not isinstance(c, want):
+            raise CertError(f"{cls.__name__} is not a {want.__name__}")
+        done.append(c)
+    return done[0]
 
 
 def cert_dumps(c) -> str:
@@ -726,7 +754,7 @@ def cert_loads(text: str):
     truncated or unbalanced text included."""
     try:
         return cert_from_sexpr(sexpr.loads(text))
-    except sexpr.SexprError as e:
+    except (sexpr.SexprError, TaskError) as e:
         raise CertError(f"malformed certificate text: {e}") from e
 
 

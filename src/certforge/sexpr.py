@@ -10,10 +10,18 @@ Terms:   (forall (x (int)) body)  (exists ...)  (lam ...)  (pi a body)
 Types:   prop  |  a (type variable)  |  (color)  |  (set ty)  |  (-> a b c)
 Tasks:   (task (types (c 0) ...) (sig (x ty) ...)
                (hyps (H t) ...) (goals (G t) ...))
+
+Text is split into tokens by one compiled regular expression; a line:col
+position is computed from a token's offset only for an error. The reader,
+the printer and the conversions from data to types, terms and tasks work
+with explicit stacks, so nesting depth costs no Python recursion. A Reader
+hash-conses what it builds: within one load, structurally identical
+subterms are one object, as in the trees elaboration builds in memory.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -35,7 +43,6 @@ from .core import (
     Top,
     Type,
     Var,
-    app,
     ident,
 )
 from .task import Premise, Task
@@ -54,36 +61,30 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
-_DELIMS = "()"
+# One token per match: a parenthesis, a symbol, or a comment to skip. Only
+# the characters " \t\r\n;()" end a symbol, not everything \s matches.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n;()]+|;[^\n]*")
+_UNPRINTABLE = re.compile(r"[ \t\r\n;()]")
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _DELIMS:
-            yield ch, Pos(line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            p = Pos(line, col)
-            while i < n and text[i] not in " \t\r\n;()":
-                i += 1
-            tok = text[start:i]
-            col += len(tok)
-            yield tok, p
+def _pos(text: str, offset: int) -> Pos:
+    return Pos(text.count("\n", 0, offset) + 1,
+               offset - text.rfind("\n", 0, offset))
+
+
+def _unbalanced(text: str) -> SexprError:
+    """The error for text whose parentheses do not balance, at the first
+    parenthesis that shows it."""
+    opens: list[int] = []
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            opens.append(m.start())
+        elif tok == ")":
+            if not opens:
+                return SexprError(f"{_pos(text, m.start())}: unmatched )")
+            opens.pop()
+    return SexprError(f"{_pos(text, opens[-1])}: unclosed (")
 
 
 def _atom(tok: str):
@@ -92,30 +93,35 @@ def _atom(tok: str):
     if tok == "#f":
         return False
     body = tok[1:] if tok[0] in "+-" and len(tok) > 1 else tok
-    if body.isdigit():
+    if body.isascii() and body.isdigit():
         return int(tok)
     return tok
 
 
 def loads_many(text: str) -> list:
-    """All toplevel data in text. Symbols come back as plain strings."""
-    stack: list[list] = []
+    """All toplevel data in text. Symbols come back as plain strings, lists
+    as fresh lists: no two share a list object."""
     out: list = []
-    last_open: list[Pos] = []
-    for tok, pos in _tokenize(text):
+    top = out
+    stack: list[list] = []
+    atoms: dict[str, object] = {}
+    for tok in _TOKEN.findall(text):
         if tok == "(":
-            stack.append([])
-            last_open.append(pos)
+            inner: list = []
+            top.append(inner)
+            stack.append(top)
+            top = inner
         elif tok == ")":
             if not stack:
-                raise SexprError(f"{pos}: unmatched )")
-            done = stack.pop()
-            last_open.pop()
-            (stack[-1] if stack else out).append(done)
-        else:
-            (stack[-1] if stack else out).append(_atom(tok))
+                raise _unbalanced(text)
+            top = stack.pop()
+        elif tok[0] != ";":
+            a = atoms.get(tok)
+            if a is None:
+                a = atoms[tok] = _atom(tok)
+            top.append(a)
     if stack:
-        raise SexprError(f"{last_open[-1]}: unclosed (")
+        raise _unbalanced(text)
     return out
 
 
@@ -126,20 +132,40 @@ def loads(text: str):
     return data[0]
 
 
+# markers on dumps' stack for the text between a list's elements and after it
+_SPACE, _CLOSE = object(), object()
+
+
 def dumps(value) -> str:
-    if value is True:
-        return "#t"
-    if value is False:
-        return "#f"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        if not value or any(c in value for c in " \t\r\n;()"):
-            raise SexprError(f"not a printable symbol: {value!r}")
-        return value
-    if isinstance(value, (list, tuple)):
-        return "(" + " ".join(dumps(v) for v in value) + ")"
-    raise SexprError(f"cannot print {value!r}")
+    out: list[str] = []
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if v is _SPACE:
+            out.append(" ")
+        elif v is _CLOSE:
+            out.append(")")
+        elif isinstance(v, str):
+            if not v or _UNPRINTABLE.search(v):
+                raise SexprError(f"not a printable symbol: {v!r}")
+            out.append(v)
+        elif v is True:
+            out.append("#t")
+        elif v is False:
+            out.append("#f")
+        elif isinstance(v, int):
+            out.append(str(v))
+        elif isinstance(v, (list, tuple)):
+            out.append("(")
+            todo.append(_CLOSE)
+            for i in range(len(v) - 1, 0, -1):
+                todo.append(v[i])
+                todo.append(_SPACE)
+            if v:
+                todo.append(v[0])
+        else:
+            raise SexprError(f"cannot print {v!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -164,33 +190,11 @@ def type_to_sexpr(ty: Type):
 
 
 def type_from_sexpr(form) -> Type:
-    if form == "prop":
-        return PROP
-    if isinstance(form, str):
-        return TVar(ident(form))
-    if isinstance(form, list) and form:
-        if form[0] == "->":
-            if len(form) < 3:
-                raise SexprError("-> needs at least two types")
-            tys = [type_from_sexpr(f) for f in form[1:]]
-            out = tys[-1]
-            for t in reversed(tys[:-1]):
-                out = Arrow(t, out)
-            return out
-        head = form[0]
-        if not isinstance(head, str):
-            raise SexprError(f"bad type head {head!r}")
-        return TApp(ident(head), tuple(type_from_sexpr(f) for f in form[1:]))
-    raise SexprError(f"bad type syntax {form!r}")
+    return Reader().type(form)
 
 
 # ---------------------------------------------------------------------------
 # Terms
-
-_BINOPS = {"and", "or", "imp", "iff"}
-_BINDERS = {"forall": Forall, "exists": Exists, "lam": Lam}
-_KEYWORDS = _BINOPS | set(_BINDERS) | {"not", "pi", "=", "true", "false"}
-
 
 def term_to_sexpr(t: Term):
     if isinstance(t, Var):
@@ -221,45 +225,7 @@ def term_to_sexpr(t: Term):
 
 
 def term_from_sexpr(form) -> Term:
-    if isinstance(form, bool):
-        raise SexprError("booleans are not terms; use true/false")
-    if isinstance(form, int):
-        return IntLit(form)
-    if isinstance(form, str):
-        if form == "true":
-            return Top()
-        if form == "false":
-            return Bottom()
-        return Var(ident(form))
-    if not isinstance(form, list) or not form:
-        raise SexprError(f"bad term syntax {form!r}")
-    head = form[0]
-    if head == "not":
-        if len(form) != 2:
-            raise SexprError("not takes one argument")
-        return Not(term_from_sexpr(form[1]))
-    if isinstance(head, str) and head in _BINOPS:
-        if len(form) != 3:
-            raise SexprError(f"{head} takes two arguments")
-        return BinOp(head, term_from_sexpr(form[1]), term_from_sexpr(form[2]))
-    if isinstance(head, str) and head in _BINDERS:
-        if len(form) != 3 or not (isinstance(form[1], list) and len(form[1]) == 2
-                                  and isinstance(form[1][0], str)):
-            raise SexprError(f"{head} expects ({head} (x type) body)")
-        name, tyf = form[1]
-        return _BINDERS[head](ident(name), type_from_sexpr(tyf),
-                              term_from_sexpr(form[2]))
-    if head == "pi":
-        if len(form) != 3 or not isinstance(form[1], str):
-            raise SexprError("pi expects (pi a body)")
-        return PiType(ident(form[1]), term_from_sexpr(form[2]))
-    if head == "=":
-        if len(form) != 3:
-            raise SexprError("= takes two arguments")
-        return app(Var(ident("=")), term_from_sexpr(form[1]),
-                   term_from_sexpr(form[2]))
-    # plain application, left-associated
-    return app(term_from_sexpr(head), *(term_from_sexpr(f) for f in form[1:]))
+    return Reader().term(form)
 
 
 # ---------------------------------------------------------------------------
@@ -273,46 +239,210 @@ def task_to_sexpr(T: Task):
             ["goals"] + [[str(p.name), term_to_sexpr(p.formula)] for p in T.goals]]
 
 
-def _section(form, key: str):
-    for part in form[1:]:
-        if isinstance(part, list) and part and part[0] == key:
-            return part[1:]
-    return []
-
-
 def task_from_sexpr(form) -> Task:
-    if not (isinstance(form, list) and form and form[0] == "task"):
-        raise SexprError("task form must start with (task ...)")
-    seen = []
-    for part in form[1:]:
-        if not (isinstance(part, list) and part
-                and part[0] in ("types", "sig", "hyps", "goals")):
-            raise SexprError(f"unknown task section {part!r}")
-        seen.append(part[0])
-    if seen != ["types", "sig", "hyps", "goals"]:
-        raise SexprError("a task needs exactly the sections "
-                         "(types ...) (sig ...) (hyps ...) (goals ...)")
-    types = []
-    for entry in _section(form, "types"):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str) and isinstance(entry[1], int)):
-            raise SexprError(f"bad type declaration {entry!r}")
-        types.append((ident(entry[0]), entry[1]))
-    sig = []
-    for entry in _section(form, "sig"):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str)):
-            raise SexprError(f"bad signature entry {entry!r}")
-        sig.append((ident(entry[0]), type_from_sexpr(entry[1])))
+    return Reader().task(form)
 
-    def premises(key):
-        out = []
-        for entry in _section(form, key):
+
+# ---------------------------------------------------------------------------
+# Reading: one Reader per load
+
+_BINOPS = {"and", "or", "imp", "iff"}
+_BINDERS = {"forall": Forall, "exists": Exists, "lam": Lam}
+
+# Steps on a reader's stack: each sits above the form it applies to. _READ
+# reads the form; the others build the node of an already read list form
+# from the finished nodes the form's elements left.
+_READ, _ARROWS, _TAPP, _NOT, _BINOP, _BINDER, _PI, _APP = range(8)
+
+
+class Reader:
+    """Builds types, terms and tasks from parsed data, bottom-up with an
+    explicit stack (no recursion per nesting level), and hash-conses what
+    it builds: structurally identical subterms and types come out as one
+    object, as they are in the trees elaboration builds. Keys hold the ids
+    of the children, which the memo keeps alive. Use one Reader per load;
+    its memo lives as long as it does.
+    """
+
+    __slots__ = ("_types", "_terms")
+
+    def __init__(self) -> None:
+        self._types: dict = {}
+        self._terms: dict = {}
+
+    def type(self, form) -> Type:
+        memo = self._types
+        done: list[Type] = []
+        todo = [form, _READ]
+        while todo:
+            step = todo.pop()
+            f = todo.pop()
+            if step == _READ:
+                if f == "prop":
+                    done.append(PROP)
+                elif isinstance(f, str):
+                    ty = memo.get(f)
+                    if ty is None:
+                        ty = memo[f] = TVar(ident(f))
+                    done.append(ty)
+                elif not (isinstance(f, list) and f):
+                    raise SexprError(f"bad type syntax {f!r}")
+                elif f[0] == "->":
+                    if len(f) < 3:
+                        raise SexprError("-> needs at least two types")
+                    todo += (f, _ARROWS)
+                    for g in reversed(f[1:]):
+                        todo += (g, _READ)
+                elif not isinstance(f[0], str):
+                    raise SexprError(f"bad type head {f[0]!r}")
+                else:
+                    todo += (f, _TAPP)
+                    for g in reversed(f[1:]):
+                        todo += (g, _READ)
+                continue
+            n = len(f) - 1
+            args = done[-n:] if n else []
+            del done[len(done) - n:]
+            if step == _ARROWS:
+                ty = args[-1]
+                for left in reversed(args[:-1]):
+                    key = (Arrow, id(left), id(ty))
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = Arrow(left, ty)
+                    ty = got
+            else:
+                key = (f[0], *map(id, args))
+                ty = memo.get(key)
+                if ty is None:
+                    ty = memo[key] = TApp(ident(f[0]), tuple(args))
+            done.append(ty)
+        return done[0]
+
+    def term(self, form) -> Term:
+        memo = self._terms
+        done: list[Term] = []
+        todo = [form, _READ]
+        while todo:
+            step = todo.pop()
+            f = todo.pop()
+            if step == _READ:
+                if isinstance(f, bool):
+                    raise SexprError("booleans are not terms; use true/false")
+                if isinstance(f, (int, str)):
+                    t = memo.get(f)
+                    if t is None:
+                        t = memo[f] = (
+                            IntLit(f) if isinstance(f, int)
+                            else Top() if f == "true"
+                            else Bottom() if f == "false"
+                            else Var(ident(f)))
+                    done.append(t)
+                    continue
+                if not isinstance(f, list) or not f:
+                    raise SexprError(f"bad term syntax {f!r}")
+                head = f[0]
+                if head == "not":
+                    if len(f) != 2:
+                        raise SexprError("not takes one argument")
+                    todo += (f, _NOT, f[1], _READ)
+                elif isinstance(head, str) and head in _BINOPS:
+                    if len(f) != 3:
+                        raise SexprError(f"{head} takes two arguments")
+                    todo += (f, _BINOP, f[2], _READ, f[1], _READ)
+                elif isinstance(head, str) and head in _BINDERS:
+                    if len(f) != 3 or not (isinstance(f[1], list)
+                                           and len(f[1]) == 2
+                                           and isinstance(f[1][0], str)):
+                        raise SexprError(
+                            f"{head} expects ({head} (x type) body)")
+                    binder = (_BINDERS[head], f[1][0], self.type(f[1][1]))
+                    todo += (binder, _BINDER, f[2], _READ)
+                elif head == "pi":
+                    if len(f) != 3 or not isinstance(f[1], str):
+                        raise SexprError("pi expects (pi a body)")
+                    todo += (f[1], _PI, f[2], _READ)
+                else:
+                    if head == "=" and len(f) != 3:
+                        raise SexprError("= takes two arguments")
+                    # plain application, left-associated
+                    todo += (f, _APP)
+                    for g in reversed(f):
+                        todo += (g, _READ)
+                continue
+            if step == _APP:
+                n = len(f)
+                args = done[-n:]
+                del done[-n:]
+                t = args[0]
+                for a in args[1:]:
+                    key = (App, id(t), id(a))
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = App(t, a)
+                    t = got
+                done.append(t)
+                continue
+            body = done.pop()
+            if step == _NOT:
+                key = (Not, id(body))
+            elif step == _BINOP:
+                left = done.pop()
+                key = (f[0], id(left), id(body))
+            elif step == _BINDER:
+                key = (f[0], f[1], id(f[2]), id(body))
+            else:
+                key = (PiType, f, id(body))
+            t = memo.get(key)
+            if t is None:
+                if step == _NOT:
+                    t = Not(body)
+                elif step == _BINOP:
+                    t = BinOp(f[0], left, body)
+                elif step == _BINDER:
+                    t = f[0](ident(f[1]), f[2], body)
+                else:
+                    t = PiType(ident(f), body)
+                memo[key] = t
+            done.append(t)
+        return done[0]
+
+    def task(self, form) -> Task:
+        if not (isinstance(form, list) and form and form[0] == "task"):
+            raise SexprError("task form must start with (task ...)")
+        seen = []
+        for part in form[1:]:
+            if not (isinstance(part, list) and part
+                    and part[0] in ("types", "sig", "hyps", "goals")):
+                raise SexprError(f"unknown task section {part!r}")
+            seen.append(part[0])
+        if seen != ["types", "sig", "hyps", "goals"]:
+            raise SexprError("a task needs exactly the sections "
+                             "(types ...) (sig ...) (hyps ...) (goals ...)")
+        types_f, sig_f, hyps_f, goals_f = (part[1:] for part in form[1:])
+        types = []
+        for entry in types_f:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and isinstance(entry[0], str)
+                    and isinstance(entry[1], int)):
+                raise SexprError(f"bad type declaration {entry!r}")
+            types.append((ident(entry[0]), entry[1]))
+        sig = []
+        for entry in sig_f:
             if not (isinstance(entry, list) and len(entry) == 2
                     and isinstance(entry[0], str)):
-                raise SexprError(f"bad premise {entry!r}")
-            out.append(Premise(ident(entry[0]), term_from_sexpr(entry[1])))
-        return tuple(out)
+                raise SexprError(f"bad signature entry {entry!r}")
+            sig.append((ident(entry[0]), self.type(entry[1])))
 
-    return Task(types=tuple(types), sig=tuple(sig),
-                hyps=premises("hyps"), goals=premises("goals"))
+        def premises(entries):
+            out = []
+            for entry in entries:
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and isinstance(entry[0], str)):
+                    raise SexprError(f"bad premise {entry!r}")
+                out.append(Premise(ident(entry[0]),
+                                   self.term(entry[1])))
+            return tuple(out)
+
+        return Task(types=tuple(types), sig=tuple(sig),
+                    hyps=premises(hyps_f), goals=premises(goals_f))

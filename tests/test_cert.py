@@ -1,11 +1,14 @@
 """Certificate trees: hole bookkeeping, serialization, elaboration."""
 
+import contextlib
 import dataclasses
+import random
+import sys
 
 import pytest
 
 import certforge.cert as cert
-from certforge import checker
+from certforge import checker, sexpr
 from certforge.cert import (
     CertError,
     KHole,
@@ -41,8 +44,10 @@ from certforge.core import (
     imp,
     var,
 )
-from certforge.task import Premise, Task
-from certforge.transforms import t_blast, t_rewrite
+from certforge.task import Premise, Task, gen_chain_task
+from certforge.transforms import TransformError, t_blast, t_rewrite
+from test_acceptance import (_FOL_TASK, _fol_script, _rand_application,
+                             _rand_task)
 
 H, G = ident("H"), ident("G")
 
@@ -180,6 +185,10 @@ def test_cert_loads_rejects_garbage():
         cert_loads("(KClear #t p G SHole)")
     with pytest.raises(CertError, match="KTrivial is not a SurfaceCert"):
         cert_loads("(SClear G (KTrivial #t G))")
+    # so is a carried task that Task() refuses
+    with pytest.raises(CertError, match="premise name H used twice"):
+        cert_loads("(KHole (task (types) (sig) (hyps (H true)) "
+                   "(goals (H true))))")
 
 
 def test_cert_loads_refuses_every_truncation():
@@ -585,3 +594,120 @@ def test_composite_kernel_output(name):
     k = elaborate(s, T)
     assert cert_dumps(k) == GOLDEN[name]
     assert checker.ccheck(k, T).ok
+
+
+# -- loading: the wire corpus, shared subterms, depth --------------------------
+
+
+def _wire_corpus():
+    """Serialized kernel certificates of the families the benchmark runs:
+    a blasted chain, random propositional applications, the first-order
+    script, and the composite certificates above."""
+    T = gen_chain_task(12)
+    out = {"chain": [cert_dumps(elaborate(t_blast(T)[1], T))]}
+    rng = random.Random(9)
+    prop = out["prop"] = []
+    while len(prop) < 40:
+        T = _rand_task(rng)
+        try:
+            _, s = _rand_application(rng, T)
+        except (TransformError, IndexError):
+            continue
+        prop.append(cert_dumps(elaborate(s, T)))
+    T = parse_task(_FOL_TASK)
+    fol = out["fol"] = []
+    for apply, feed in _fol_script():
+        tasks, s = apply(T)
+        fol.append(cert_dumps(elaborate(s, T)))
+        T = tasks[feed]
+    out["composite"] = [cert_dumps(elaborate(s, T))
+                        for T, s in COMPOSITES.values()]
+    return out
+
+
+_WIRE = _wire_corpus()
+
+
+@pytest.mark.parametrize("family", sorted(_WIRE))
+def test_loaded_certificates_print_byte_identically(family):
+    for text in _WIRE[family]:
+        assert cert_dumps(cert_loads(text)) == text
+
+
+def _nodes(k):
+    todo = [k]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(cert.cert_children(node))
+
+
+def test_a_loaded_chain_shares_the_operands_each_node_matches():
+    # each KIntroImp leaves its right side as the goal; the next one matches
+    # that goal against (imp left right), so a load that shares subterms
+    # gives it the goal's own operand objects and alpha_equal stops at `is`
+    k = cert_loads(_WIRE["chain"][0])
+    pairs = 0
+    for node in _nodes(k):
+        if isinstance(node, cert.KIntroImp) \
+                and isinstance(node.rest, cert.KIntroImp):
+            assert node.rest.left is node.right.left
+            assert node.rest.right is node.right.right
+            pairs += 1
+    assert pairs == 11
+
+
+def test_parsed_data_shares_no_list():
+    # cert_loads shares equal subterms; the data sexpr.loads hands out may
+    # be edited in place, so equal siblings must stay separate lists
+    text = cert_dumps(cert.KSplit(False, conj(_P, _Q), conj(_P, _Q), H,
+                                  KHole(_T0), KHole(_T0)))
+    data = sexpr.loads(text)
+    assert data[2] == data[3] and data[5] == data[6]
+    data[2].append("r")
+    data[5][1][4].append(["G2", "true"])
+    assert data[3] == ["and", "p", "q"]
+    assert data[6] == sexpr.loads(text)[6]
+    k = cert_loads(text)
+    assert k.left is k.right
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+_DEEP = 30_000
+
+
+def _deep(opener, inner, depth=_DEEP):
+    return opener * depth + inner + ")" * depth
+
+
+_DEEP_TEXTS = {
+    "certificate": _deep("(KClear #t p G ", "(KTrivial #t G)"),
+    "negation": "(KAxiom " + _deep("(not ", "p") + " H G)",
+    "application": "(KAxiom " + _deep("(f ", "x") + " H G)",
+    "binder": "(KAxiom " + _deep("(forall (x (int)) ", "p") + " H G)",
+    "type": "(SInstType H H1 " + _deep("(set ", "(int)") + " SHole)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP_TEXTS))
+def test_cert_loads_reads_deep_nesting_without_recursion(name):
+    # the limit is far below the nesting depth: a reader that recursed per
+    # level fails (caught here, as pytest renders such tracebacks slowly)
+    text = _DEEP_TEXTS[name]
+    outcomes = []
+    with _recursion_limit(1000):
+        for t in (text, text[:-1]):
+            try:
+                outcomes.append(type(cert_loads(t)).__name__)
+            except (CertError, RecursionError) as e:
+                outcomes.append(type(e).__name__)
+    assert outcomes == [text[1:text.index(" ")], "CertError"]

@@ -77,6 +77,22 @@ def test_parse_command_prints_canonical_form(tmp_path, capsys):
     assert out == sexpr.dumps(sexpr.task_to_sexpr(parse_task(SPLIT)))
 
 
+def test_parse_command_prints_a_deeply_nested_goal(tmp_path, capsys):
+    depth = 30_000
+    text = ("(task (types) (sig (p prop)) (hyps) (goals (G "
+            + "(not " * depth + "p" + ")" * depth + ")))")
+    f = tmp_path / "deep.tsk"
+    f.write_text(text, encoding="utf-8")
+    try:
+        code = main(["parse", str(f)])
+    except RecursionError:
+        # caught: pytest renders a traceback this deep very slowly
+        code = "RecursionError"
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert printed == text + "\n", "not the canonical form"
+
+
 def test_parse_rejects_reserved_int(tmp_path, capsys):
     f = tmp_path / "t.tsk"
     f.write_text("(task (types (int 0)) (sig) (hyps) (goals))",

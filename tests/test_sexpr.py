@@ -68,13 +68,46 @@ def test_loads_many():
 def test_unclosed_paren_reports_position():
     with pytest.raises(SexprError) as e:
         loads("(a (b)")
-    assert "1" in str(e.value)
+    assert str(e.value) == "1:1: unclosed ("
 
 
 def test_unmatched_close_reports_position():
     with pytest.raises(SexprError) as e:
         loads_many("(a)\n )")
-    assert "2" in str(e.value)
+    assert str(e.value) == "2:2: unmatched )"
+
+
+# a tab and a \r count one column each, a comment none: it runs to the \n
+@pytest.mark.parametrize("text, message", [
+    ("\t(a", "1:2: unclosed ("),
+    ("(a)\r\n\t)", "2:2: unmatched )"),
+    ("(a)\r\n(b\t(c)", "2:1: unclosed ("),
+    ("; note (\n  )", "2:3: unmatched )"),
+    ("(a ; )\n(b)", "1:1: unclosed ("),
+    ("x ;)\n\t\t)", "2:3: unmatched )"),
+], ids=["tab", "crlf-close", "crlf-open", "comment-open", "comment-close",
+        "comment-tabs"])
+def test_error_position_is_line_and_column(text, message):
+    with pytest.raises(SexprError) as e:
+        loads_many(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\xa0"])
+def test_only_space_tab_cr_lf_end_a_symbol(ch):
+    # whitespace to str.split and to \s in a regex, yet a symbol character
+    symbol = f"a{ch}b"
+    assert loads(symbol) == symbol
+    assert loads(f"(f {symbol})") == ["f", symbol]
+    assert dumps(symbol) == symbol
+    assert loads(dumps(["f", symbol])) == ["f", symbol]
+
+
+def test_integers_are_ascii_digits():
+    # other characters str.isdigit accepts are symbols, not an int() crash
+    assert loads("-12") == -12
+    assert loads("\u00b2") == "\u00b2"
+    assert loads("-\u0661\u0662") == "-\u0661\u0662"
 
 
 def test_loads_wants_exactly_one():
