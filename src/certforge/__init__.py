@@ -25,11 +25,9 @@ from .core import (
     fresh_ident,
     subst_term,
     subst_type,
-    typecheck,
 )
 from .lp_export import (
     ExportError,
-    app_correctness_type,
     emit_module,
     emit_preamble,
     encode_task,
@@ -78,7 +76,6 @@ __all__ = [
     "Type",
     "TypingError",
     "alpha_equal",
-    "app_correctness_type",
     "ccheck",
     "cert_dumps",
     "cert_loads",
@@ -114,7 +111,6 @@ __all__ = [
     "t_trivial",
     "t_unfold_iff",
     "transform",
-    "typecheck",
     "well_typed",
 ]
 

@@ -659,17 +659,36 @@ def _encode_field(v):
         return sexpr.type_to_sexpr(v)
     if isinstance(v, Task):
         return sexpr.task_to_sexpr(v)
-    if isinstance(v, (KernelCert, SurfaceCert)):
-        return cert_to_sexpr(v)
     raise CertError(f"cannot serialize payload {v!r}")
 
 
 def cert_to_sexpr(c):
-    if isinstance(c, SHole):
-        return "SHole"
-    name = type(c).__name__
-    return [name] + [_encode_field(getattr(c, f.name))
-                     for f in dataclasses.fields(c)]
+    """The form cert_from_sexpr reads back as c, built with an explicit
+    stack as that reads it: a node's other payloads at once, then its
+    subcertificates, which are its last fields."""
+    done: list = []
+    # a certificate is printed; (form, n) completes a node's form with its
+    # n subcertificates' forms, the last entries of done
+    todo: list = [c]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            form, n = node
+            split = len(done) - n
+            form += done[split:]
+            del done[split:]
+            done.append(form)
+        elif isinstance(node, SHole):
+            done.append("SHole")
+        else:
+            names = _CHILD_FIELDS[type(node)]
+            fields = dataclasses.fields(node)
+            form = [type(node).__name__]
+            form += [_encode_field(getattr(node, f.name))
+                     for f in fields[:len(fields) - len(names)]]
+            todo.append((form, len(names)))
+            todo.extend(getattr(node, name) for name in reversed(names))
+    return done[0]
 
 
 def _decode_field(form, kind: type, reader: sexpr.Reader):

@@ -10,9 +10,12 @@ Every task a rule produces is judged by well_typed on the spot, one
 typing rule for all children. well_typed is incremental through the task's
 typing context: a child that keeps its parent's signature and type signature
 (the same tuples, edited by Task.replace/append) shares the parent's context,
-where the parent's premise formulas are already recorded as of type prop, so
-only the formulas the rule introduced are typed. A child whose signature or
-type signature grew gets a fresh context and is typechecked in full, since a
+where the parent's premise formulas, and every operand along their
+negation/connective spines, are already recorded as of type prop. So a
+formula is typed only if the rule built it anew (an asserted formula, an
+instantiated body, a rewritten premise); an operand the rule leaves as a
+premise of its own (KIntroImp, KSplit, KDestruct, ...) is found recorded.
+A child whose signature or type signature grew gets a fresh context and is typechecked in full, since a
 new symbol can make a kept premise ill-typed (a binder may not shadow a
 declared symbol). Same tuples, same judgment. By induction from the initial
 task, every task of the replay is well-typed, so a defect in the rule logic

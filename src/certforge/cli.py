@@ -31,7 +31,7 @@ from .core import (PROP, Ident, Term, Type, TypingError, annotate,
 from .lp_export import ExportError, emit_module, emit_preamble
 from .sexpr import SexprError
 from .task import (Task, TaskError, gen_chain_task,
-                   task_list_alpha_equal)
+                   task_list_alpha_equal, well_typed)
 from .transforms import TransformError
 
 
@@ -53,11 +53,15 @@ class BenchRow:
 
 def parse_task(text: str) -> Task:
     """One (task ...) datum, checked: every premise must be a proposition.
-    TaskError for text that spells no task."""
+    TaskError for text that spells no task. The task is judged by
+    well_typed, so the kernel finds its premises already recorded; a
+    refusal is worded by typing it again."""
     try:
         T = sexpr.task_from_sexpr(sexpr.loads(text))
     except SexprError as e:
         raise TaskError(f"malformed task text: {e}") from e
+    if well_typed(T):
+        return T
     I, sig = T.types_map(), T.sig_map()
     check_signature(I, sig)
     for p in T.premises():
@@ -69,7 +73,7 @@ def parse_task(text: str) -> Task:
             raise TypingError(
                 f"premise {p.name} has type "
                 f"{sexpr.dumps(sexpr.type_to_sexpr(ty))}, not prop") from None
-    return T
+    raise TypingError("task is not well-typed")
 
 
 def read_task_file(path: str) -> Task:

@@ -696,7 +696,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     choices are made against the required type instead of the default.
 
     The signature itself is taken as well-formed under I; check it once
-    with check_signature, as typecheck does.
+    with check_signature, as task.well_typed does.
     """
     alphas, body = strip_prenex(t)
     I2 = dict(I)
@@ -715,7 +715,12 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     uni = _Unifier()
     inst: dict[tuple[int, ...], tuple[Type, ...]] = {}
 
-    def infer(t: Term, sig: Mapping[Ident, Type], path: tuple[int, ...]) -> Type:
+    # the occurrence path of the node at hand: infer extends it by a child
+    # index before descending and cuts it back after, and takes a tuple of
+    # it only where it records an instance
+    path: list[int] = []
+
+    def infer(t: Term, sig: Mapping[Ident, Type]) -> Type:
         if isinstance(t, Var):
             scheme = sig.get(t.name)
             if scheme is None:
@@ -726,22 +731,30 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             if not tvs:
                 return scheme
             metas = {v: uni.fresh() for v in tvs}
-            inst[path] = tuple(metas[v] for v in tvs)  # resolved later
+            inst[tuple(path)] = tuple(metas[v] for v in tvs)  # resolved later
             return subst_in_type(scheme, metas)
         if isinstance(t, IntLit):
             return INT
         if isinstance(t, (Top, Bottom)):
             return PROP
         if isinstance(t, Not):
-            uni.unify(infer(t.body, sig, path + (0,)), PROP, "negation")
+            path.append(0)
+            uni.unify(infer(t.body, sig), PROP, "negation")
+            path.pop()
             return PROP
         if isinstance(t, BinOp):
-            uni.unify(infer(t.left, sig, path + (0,)), PROP, f"{t.op} left")
-            uni.unify(infer(t.right, sig, path + (1,)), PROP, f"{t.op} right")
+            path.append(0)
+            uni.unify(infer(t.left, sig), PROP, f"{t.op} left")
+            path[-1] = 1
+            uni.unify(infer(t.right, sig), PROP, f"{t.op} right")
+            path.pop()
             return PROP
         if isinstance(t, App):
-            tf = infer(t.fn, sig, path + (0,))
-            ta = infer(t.arg, sig, path + (1,))
+            path.append(0)
+            tf = infer(t.fn, sig)
+            path[-1] = 1
+            ta = infer(t.arg, sig)
+            path.pop()
             res = uni.fresh()
             uni.unify(tf, Arrow(ta, res), "application")
             return res
@@ -751,7 +764,9 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
                 raise TypingError(f"binder {t.var} shadows a declared symbol")
             inner = dict(sig)
             inner[t.var] = t.ty
-            tb = infer(t.body, inner, path + (0,))
+            path.append(0)
+            tb = infer(t.body, inner)
+            path.pop()
             if isinstance(t, Lam):
                 return Arrow(t.ty, tb)
             uni.unify(tb, PROP, "quantifier body")
@@ -760,7 +775,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             raise TypingError("type quantifier occurs under another constructor")
         raise TypeError(f"unknown term node {t!r}")
 
-    top = infer(body, sig, ())
+    top = infer(body, sig)
     if alphas:
         uni.unify(top, PROP, "type quantifier body")
     if expected is not None:
@@ -776,9 +791,3 @@ def check_signature(I: TypeSignature, sig: Signature) -> None:
     """Every signature scheme is a well-formed type under I (variables allowed)."""
     for scheme in sig.values():
         check_type(I, scheme, allow_vars=True)
-
-
-def typecheck(I: TypeSignature, sig: Signature, t: Term) -> Type:
-    """The type of t under (I, sig), or TypingError if none derivable."""
-    check_signature(I, sig)
-    return annotate(I, sig, t).type

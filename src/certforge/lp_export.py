@@ -18,13 +18,11 @@ One Encoder per emit_module call serves the proof term and every task
 statement, and encodes each formula object once per typing context. Its
 key is (the task's typing context, the formula object, the type it is
 judged against: prop for a formula, the type its node gives a carried
-term). A negation or connective judged prop is
-built from its operands' encodings: each operand is prop under the same
-declarations with no binder above it, so typing it alone against prop
-picks the instances typing the whole formula picks. Only atoms,
-applications, quantifiers, λs, prenex prefixes and terms are typed, by
-encode_term; a chain task's n atoms are typed once each rather than once
-per formula that contains them.
+term). A negation or connective that the task's typing context records as
+prop (task.well_typed records the operands of each premise it judges) is
+built from its operands' encodings; every other formula and term is typed
+whole by encode_term. A chain task's n atoms are typed once each rather
+than once per formula that contains them.
 
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, premise λs named apart from every symbol, the free-name audit
@@ -63,7 +61,6 @@ from .core import (
     Term,
     Top,
     Type,
-    TypingError,
     Var,
     annotate,
     fresh_ident,
@@ -378,10 +375,10 @@ class Encoder:
     share a typing context have the same types and sig tuples, and the memo
     holds f, so the same key always stands for the same judgment.
 
-    A negation or connective judged prop is built from its operands'
-    encodings. Typing the whole formula unifies each operand's type with
-    prop and shares no metavariable between operands, so
-    annotate(I, sig, operand, PROP) makes the same instance choices.
+    A negation or connective judged against prop is built from its
+    operands' encodings when task's typing context records it as prop (see
+    task.well_typed); otherwise it is typed whole, so annotate refuses
+    what the context never judged.
     """
 
     __slots__ = ("_memo",)
@@ -395,21 +392,15 @@ class Encoder:
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        if expected == PROP and isinstance(f, Not):
-            out = neg(self._operand(f.body, task))
-        elif expected == PROP and isinstance(f, BinOp):
-            out = _connective(f.op, self._operand(f.left, task),
-                              self._operand(f.right, task))
+        judged = expected == PROP and id(f) in task._ctx.props
+        if judged and isinstance(f, Not):
+            out = neg(self(f.body, task))
+        elif judged and isinstance(f, BinOp):
+            out = _connective(f.op, self(f.left, task), self(f.right, task))
         else:
             out = encode_term(f, task.types_map(), task.sig_map(), expected)
         self._memo[key] = (f, out)
         return out
-
-    def _operand(self, f: Term, task: Task) -> LpTerm:
-        if isinstance(f, PiType):
-            # a prefix may only head a whole formula (see annotate)
-            raise TypingError("type quantifier occurs under another constructor")
-        return self(f, task)
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +431,13 @@ def encode_task(T: Task, *, prune: bool = False,
     return out
 
 
-def app_correctness_type(T: Task, L: list[Task]) -> LpTerm:
-    """The statement that the resulting tasks entail the initial one."""
-    return arrows(*(encode_task(leaf, prune=True) for leaf in L),
-                  encode_task(T))
-
-
 # ---------------------------------------------------------------------------
 # proof terms
 
 def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
                encoder: Encoder | None = None) -> LpTerm:
-    """The certificate as a λ-term of type app_correctness_type(T, L).
+    """The certificate as a λ-term of the type stating that the tasks of L
+    entail T: each leaf encoded with prune=True, then T (see encode_task).
 
     Hole identifiers come first, then the initial task's type symbols,
     function symbols and premise names; each rule application becomes its

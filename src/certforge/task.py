@@ -15,10 +15,12 @@ from .core import (
     PROP,
     RESERVED,
     Arrow,
+    BinOp,
     Exists,
     Forall,
     Ident,
     Lam,
+    Not,
     TApp,
     TVar,
     Term,
@@ -63,8 +65,9 @@ class _TypingContext:
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
-        # id -> the formula judged prop; holding the formula keeps its id
-        # from being reused while the context lives
+        # id -> a formula judged prop (a premise, or an operand along its
+        # connective spine, see well_typed); holding the formula keeps its
+        # id from being reused while the context lives
         self.props: dict[int, Term] = {}
 
 
@@ -208,6 +211,16 @@ def well_typed(T: Task) -> bool:
     once per context. Same tuples, same judgment; the memo lives as long as
     the context. A task built by Task(...), extend_sig or extend_types has
     a fresh context and is judged in full.
+
+    A premise judged prop also records every operand along its Not/BinOp
+    spine, stopping at binders and type quantifiers: such an operand is
+    prop under the same declarations with no binder above it, and the
+    whole formula shares no metavariable between operands, so typing the
+    operand alone against prop picks the instances typing the whole picks.
+    A rule that leaves an operand as a new premise (KIntroImp, KSplit,
+    KDestruct, ...) finds it recorded, and lp_export's Encoder builds a
+    recorded formula from its operands' encodings, relying on this record
+    rather than restating the rule.
     """
     ctx = T._ctx
     I, sig = ctx.types_map, ctx.sig_map
@@ -225,7 +238,15 @@ def well_typed(T: Task) -> bool:
             annotate(I, sig, f, PROP)
         except TypingError:
             return False
-        ctx.props[id(f)] = f
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if id(g) not in ctx.props:
+                ctx.props[id(g)] = g
+                if isinstance(g, Not):
+                    todo.append(g.body)
+                elif isinstance(g, BinOp):
+                    todo += (g.left, g.right)
     return True
 
 

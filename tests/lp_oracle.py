@@ -11,6 +11,9 @@ per_formula has the Encoder's call signature, so proof_term and
 encode_task can be run with either and their results compared. It borrows
 the λΠ term classes and the leaf renderings (mangle, types, numerals) from
 lp_export, and nothing of the encoder it judges.
+
+app_correctness_type states what a proof term proves: the resulting
+tasks entail the initial one.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from certforge.lp_export import (
     _encode_type,
     _int_term,
     arrows,
+    encode_task,
     mangle,
     neg,
 )
@@ -111,3 +115,9 @@ def encode_whole(t, I, sig, expected=None):
 def per_formula(f, task, expected=PROP):
     """The Encoder's call signature: f encoded as a whole, every time."""
     return encode_whole(f, task.types_map(), task.sig_map(), expected)
+
+
+def app_correctness_type(T, L):
+    """The statement that the resulting tasks entail the initial one."""
+    return arrows(*(encode_task(leaf, prune=True) for leaf in L),
+                  encode_task(T))

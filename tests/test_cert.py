@@ -711,3 +711,15 @@ def test_cert_loads_reads_deep_nesting_without_recursion(name):
             except (CertError, RecursionError) as e:
                 outcomes.append(type(e).__name__)
     assert outcomes == [text[1:text.index(" ")], "CertError"]
+
+
+def test_cert_dumps_prints_deep_nesting_without_recursion():
+    # cert_dumps prints back what cert_loads reads, at a depth far beyond
+    # the recursion limit
+    text = _deep("(KClear #t p G ", "(KTrivial #t G)", 15_000)
+    with _recursion_limit(1000):
+        try:
+            printed = cert_dumps(cert_loads(text))
+        except RecursionError as e:
+            printed = type(e).__name__
+    assert printed == text

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import typing_cases
+from typing_cases import typecheck
 from certforge.core import (
     INT,
     PROP,
@@ -39,7 +40,6 @@ from certforge.core import (
     subst_in_type,
     subst_term,
     subst_type,
-    typecheck,
     type_vars,
 )
 from oracles import db_term

@@ -43,7 +43,7 @@ from certforge.core import (
     var,
 )
 from certforge.task import Premise, Task, gen_chain_task
-from lp_oracle import per_formula
+from lp_oracle import app_correctness_type, per_formula
 from test_acceptance import _FOL_TASK, _fol_script
 
 sys.setrecursionlimit(40000)
@@ -257,7 +257,7 @@ def test_encode_task_pruning_drops_untouched_symbols():
 
 def test_app_correctness_identity():
     T = Task(sig=prop_sig("x"), goals=(Premise(ident("G"), var("x")),))
-    got = lp.app_correctness_type(T, [T])
+    got = app_correctness_type(T, [T])
     t_hat = lp.encode_task(T)
     assert got == lp.LArrow(lp.encode_task(T, prune=True), t_hat)
     assert lpp.lp_alpha_equal(got.left, got.right)
@@ -280,7 +280,7 @@ def split_application():
 def test_split_application_type():
     T, L, c = split_application()
     checked(T, c)
-    got = lp.app_correctness_type(T, L)
+    got = app_correctness_type(T, L)
     want = lpp.parse_lp_term(
         "(Π x1 : TYPE, Π x : TYPE, x1 → (x → Π C : TYPE, C) → Π C : TYPE, C) →"
         "(Π x2 : TYPE, Π x : TYPE, x2 → (x → Π C : TYPE, C) → Π C : TYPE, C) →"

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certforge.cert import KHole
+import certforge.task as task_mod
+from certforge import transforms as tr
+from certforge.cert import KHole, cert_dumps, cert_loads, elaborate
 from certforge.checker import ccheck
 from certforge.core import (
     INT,
@@ -179,6 +181,34 @@ def test_well_typed_judges_premises_against_prop():
     T = Task(sig=((f, arrow(TVar(ident("a")), TVar(ident("a")))),),
              goals=(Premise(ident("G"), app(Var(f), Var(f))),))
     assert not well_typed(T)
+
+
+def test_kernel_types_no_operand_of_a_judged_premise_again(monkeypatch):
+    # each KIntroImp leaves an operand of a goal already judged prop as the
+    # new goal; well_typed finds it recorded, so the annotate calls of a
+    # replay do not grow with the chain (59 at n=20 and 119 at n=40 when
+    # only whole premises were recorded)
+    calls = []
+    real = task_mod.annotate
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(task_mod, "annotate", counting)
+
+    def counts(n):
+        calls.clear()
+        T = gen_chain_task(n)
+        _, s = tr.t_blast(T)
+        k = elaborate(s, T)
+        assert ccheck(k, T).ok
+        built = len(calls)
+        calls.clear()
+        assert ccheck(cert_loads(cert_dumps(k)), gen_chain_task(n)).ok
+        return built, len(calls)
+
+    assert counts(20) == counts(40)
 
 
 def test_well_typed_rejects_unbound():

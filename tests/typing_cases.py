@@ -3,7 +3,8 @@
 Each POSITIVE entry is (rule, types, sig, term, expected type) and must
 typecheck to exactly that type. Each NEGATIVE entry is (rule, types, sig,
 term) and must raise TypingError, with the violated premise belonging to
-the named rule. Every rule appears in both tables.
+the named rule. Every rule appears in both tables. typecheck is the
+judgment they are checked against.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from certforge.core import (
     TApp,
     TVar,
     Top,
+    annotate,
     app,
     arrow,
+    check_signature,
     conj,
     disj,
     eq,
@@ -31,6 +34,13 @@ from certforge.core import (
     imp,
     var,
 )
+
+
+def typecheck(I, sig, t):
+    """The type of t under (I, sig), or TypingError if none derivable."""
+    check_signature(I, sig)
+    return annotate(I, sig, t).type
+
 
 COLOR = TApp(ident("color"), ())
 
