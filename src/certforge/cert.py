@@ -48,7 +48,7 @@ from .core import (
     ident,
     subst_term,
 )
-from .task import Task, TaskError
+from .task import Task, TaskError, well_typed
 
 
 class CertError(Exception):
@@ -884,17 +884,21 @@ def _replay(c, T: Task) -> KernelCert:
 def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
     """Replay s against T, filling in the formulas each rule touches.
 
-    T must be well-typed. Each surface node is expanded into its kernel
-    skeleton at the task it applies to, and every kernel node of the
-    skeleton is stepped once by checker.step; its children are elaborated
-    against the tasks that step derives. Raises CertError at the first
-    failing rule in depth-first, left-to-right order: a missing premise,
-    a premise of the wrong shape for the certificate applied to it, or a
-    failed side condition. The resulting kernel certificate passes ccheck
-    against T.
+    T is judged first (CertError if it is not well-typed), so its premises
+    and their operands are recorded in its typing context before any rule
+    leaves one of them as a premise of its own. Each surface node is
+    expanded into its kernel skeleton at the task it applies to, and every
+    kernel node of the skeleton is stepped once by checker.step; its
+    children are elaborated against the tasks that step derives. Raises
+    CertError at the first failing rule in depth-first, left-to-right
+    order: a missing premise, a premise of the wrong shape for the
+    certificate applied to it, or a failed side condition. The resulting
+    kernel certificate passes ccheck against T.
     """
     if not isinstance(s, SurfaceCert):
         raise CertError(f"unknown surface certificate {s!r}")
+    if not well_typed(T):
+        raise CertError("the task is not well-typed")
     return _replay(s, T)
 
 

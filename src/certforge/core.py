@@ -687,10 +687,11 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
 
     Implements the typing rules: a prenex Pi prefix is replaced by fresh
     arity-0 type symbols and the body must be prop; a variable's type is a
-    ground instance of its scheme; binder annotations are variable-free and
-    may not shadow the signature. Instances an occurrence leaves
-    unconstrained are defaulted to int(), which always yields a valid
-    ground derivation and keeps results deterministic.
+    ground instance of its scheme; binder annotations are variable-free,
+    and a binder may shadow neither the signature nor an outer binder.
+    Instances an occurrence leaves unconstrained are defaulted to int(),
+    which always yields a valid ground derivation and keeps results
+    deterministic.
 
     With `expected` given, the result must unify with it, so instance
     choices are made against the required type instead of the default.
@@ -719,14 +720,20 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     # index before descending and cuts it back after, and takes a tuple of
     # it only where it records an instance
     path: list[int] = []
+    # the binders above the node at hand, each with its (ground) type: set
+    # on entering a binder, deleted on leaving it; a binder shadows
+    # nothing, so there is no outer entry to restore
+    bound: dict[Ident, Type] = {}
 
-    def infer(t: Term, sig: Mapping[Ident, Type]) -> Type:
+    def infer(t: Term) -> Type:
         if isinstance(t, Var):
             scheme = sig.get(t.name)
             if scheme is None:
                 scheme = INTERPRETED.get(t.name)
                 if scheme is None:
-                    raise TypingError(f"unbound variable {t.name}")
+                    scheme = bound.get(t.name)
+                    if scheme is None:
+                        raise TypingError(f"unbound variable {t.name}")
             tvs = type_vars(scheme)
             if not tvs:
                 return scheme
@@ -739,34 +746,34 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             return PROP
         if isinstance(t, Not):
             path.append(0)
-            uni.unify(infer(t.body, sig), PROP, "negation")
+            uni.unify(infer(t.body), PROP, "negation")
             path.pop()
             return PROP
         if isinstance(t, BinOp):
             path.append(0)
-            uni.unify(infer(t.left, sig), PROP, f"{t.op} left")
+            uni.unify(infer(t.left), PROP, f"{t.op} left")
             path[-1] = 1
-            uni.unify(infer(t.right, sig), PROP, f"{t.op} right")
+            uni.unify(infer(t.right), PROP, f"{t.op} right")
             path.pop()
             return PROP
         if isinstance(t, App):
             path.append(0)
-            tf = infer(t.fn, sig)
+            tf = infer(t.fn)
             path[-1] = 1
-            ta = infer(t.arg, sig)
+            ta = infer(t.arg)
             path.pop()
             res = uni.fresh()
             uni.unify(tf, Arrow(ta, res), "application")
             return res
         if isinstance(t, (Lam, Exists, Forall)):
             check_type(I2, t.ty, allow_vars=False)
-            if t.var in sig or t.var in INTERPRETED:
+            if t.var in bound or t.var in sig or t.var in INTERPRETED:
                 raise TypingError(f"binder {t.var} shadows a declared symbol")
-            inner = dict(sig)
-            inner[t.var] = t.ty
+            bound[t.var] = t.ty
             path.append(0)
-            tb = infer(t.body, inner)
+            tb = infer(t.body)
             path.pop()
+            del bound[t.var]
             if isinstance(t, Lam):
                 return Arrow(t.ty, tb)
             uni.unify(tb, PROP, "quantifier body")
@@ -775,7 +782,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
             raise TypingError("type quantifier occurs under another constructor")
         raise TypeError(f"unknown term node {t!r}")
 
-    top = infer(body, sig)
+    top = infer(body)
     if alphas:
         uni.unify(top, PROP, "type quantifier body")
     if expected is not None:

@@ -18,11 +18,14 @@ One Encoder per emit_module call serves the proof term and every task
 statement, and encodes each formula object once per typing context. Its
 key is (the task's typing context, the formula object, the type it is
 judged against: prop for a formula, the type its node gives a carried
-term). A negation or connective that the task's typing context records as
-prop (task.well_typed records the operands of each premise it judges) is
-built from its operands' encodings; every other formula and term is typed
-whole by encode_term. A chain task's n atoms are typed once each rather
-than once per formula that contains them.
+term). The typing context keeps the Typing of each premise that
+task.well_typed judged, and records each operand along the premise's
+negation/connective spine as judged with it. The Encoder reads that
+typing instead of typing again: a recorded formula is encoded from its
+premise's Typing at its path there, a negation or connective from its
+operands' encodings. Only the terms a certificate carries (witnesses,
+predicates, rewrite sides) and formulas no context judged are typed, whole,
+by encode_term; a chain export types nothing.
 
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, premise λs named apart from every symbol, the free-name audit
@@ -61,6 +64,7 @@ from .core import (
     Term,
     Top,
     Type,
+    Typing,
     Var,
     annotate,
     fresh_ident,
@@ -358,7 +362,12 @@ def encode_term(t: Term, I: Mapping[Ident, int] | None = None,
     up with the binders.
     """
     sig = {} if sig is None else sig
-    info = annotate(I or {}, sig, t, expected)
+    return _encode_typing(annotate(I or {}, sig, t, expected), sig)
+
+
+def _encode_typing(info: Typing, sig: Mapping[Ident, Type]) -> LpTerm:
+    """The encoding of the term info types: its body under one Π binder
+    over TYPE per type symbol its prefix was renamed to."""
     out = _encode(info.body, (), info, sig)
     for iota in reversed(info.iotas):
         out = LProd(mangle(iota), SORT, out)
@@ -375,32 +384,65 @@ class Encoder:
     share a typing context have the same types and sig tuples, and the memo
     holds f, so the same key always stands for the same judgment.
 
-    A negation or connective judged against prop is built from its
-    operands' encodings when task's typing context records it as prop (see
-    task.well_typed); otherwise it is typed whole, so annotate refuses
-    what the context never judged.
+    A formula judged against prop that task's typing context records as
+    prop is not typed again: task.well_typed kept the Typing of the premise
+    it was judged as, and an operand on that premise's Not/BinOp spine is
+    encoded from it at the operand's path, a negation or connective from
+    its operands' encodings. The paths come from one walk of each premise's
+    spine per export. Every other formula, and every term a node carries,
+    is typed whole by encode_term, so annotate refuses what the context
+    never judged.
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_memo", "_at")
 
     def __init__(self) -> None:
         self._memo: dict[tuple, tuple[Term, LpTerm]] = {}
+        # (typing context, id of a recorded formula) -> the Typing of its
+        # premise and its path there; the context's premises hold the ids
+        self._at: dict[tuple, tuple[Typing, tuple[int, ...]]] = {}
 
     def __call__(self, f: Term, task: Task,
                  expected: Type | None = PROP) -> LpTerm:
-        key = (task._ctx, id(f), expected)
+        ctx = task._ctx
+        key = (ctx, id(f), expected)
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        judged = expected == PROP and id(f) in task._ctx.props
-        if judged and isinstance(f, Not):
-            out = neg(self(f.body, task))
-        elif judged and isinstance(f, BinOp):
-            out = _connective(f.op, self(f.left, task), self(f.right, task))
+        if expected == PROP and id(f) in ctx.props:
+            if isinstance(f, Not):
+                out = neg(self(f.body, task))
+            elif isinstance(f, BinOp):
+                out = _connective(f.op, self(f.left, task),
+                                  self(f.right, task))
+            else:
+                info, path = self._judged(f, ctx)
+                # an operand's premise has no type prefix: it is no PiType
+                out = (_encode(f, path, info, ctx.sig_map) if path
+                       else _encode_typing(info, ctx.sig_map))
         else:
-            out = encode_term(f, task.types_map(), task.sig_map(), expected)
+            out = encode_term(f, ctx.types_map, ctx.sig_map, expected)
         self._memo[key] = (f, out)
         return out
+
+    def _judged(self, f: Term, ctx) -> tuple[Typing, tuple[int, ...]]:
+        """The Typing f was judged under and f's path in its premise."""
+        at = self._at.get((ctx, id(f)))
+        if at is None:
+            premise = ctx.props[id(f)]
+            info = ctx.typings[id(premise)]
+            todo = [(premise, ())]
+            while todo:
+                g, path = todo.pop()
+                if (ctx, id(g)) in self._at:
+                    continue
+                self._at[ctx, id(g)] = (info, path)
+                if isinstance(g, Not):
+                    todo.append((g.body, path + (0,)))
+                elif isinstance(g, BinOp):
+                    todo += ((g.left, path + (0,)), (g.right, path + (1,)))
+            at = self._at[ctx, id(f)]
+        return at
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +457,21 @@ def encode_task(T: Task, *, prune: bool = False,
     minimal, while an initial task keeps its full declaration list (a
     certificate may introduce formulas over symbols no premise mentions).
     Each premise is encoded as a formula judged against prop, through
-    encoder (a fresh Encoder by default): emit_module passes the one its
-    proof term used, so a formula the certificate already encoded under
-    this task's typing context is not encoded again.
+    encoder (a fresh Encoder by default): emit_module encodes its task
+    statements with the one its proof term used, so a formula the
+    certificate already encoded under this task's typing context is not
+    encoded again.
     """
-    enc = Encoder() if encoder is None else encoder
-    tsyms, ssyms = used_declarations(T) if prune else (T.types, T.sig)
+    decls = used_declarations(T) if prune else (T.types, T.sig)
+    return _task_type(T, decls, Encoder() if encoder is None else encoder)
+
+
+_Decls = tuple[tuple[tuple[Ident, int], ...], tuple[tuple[Ident, Type], ...]]
+
+
+def _task_type(T: Task, decls: _Decls, enc: Encoder) -> LpTerm:
+    """encode_task, quantifying the (types, sig) entries decls lists."""
+    tsyms, ssyms = decls
     out = arrows(*(enc(h.formula, T) for h in T.hyps),
                  *(neg(enc(g.formula, T)) for g in T.goals),
                  LP_BOT)
@@ -455,6 +506,14 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
     included, binds the new premise in its continuation. That λ is named
     mangle(name), freshened against every symbol the derivation declares.
     """
+    return _proof_term(c, T, L, Encoder() if encoder is None else encoder)[0]
+
+
+def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
+                enc: Encoder) -> tuple[LpTerm, list[_Decls]]:
+    """proof_term, and the declarations each task of L uses (see
+    used_declarations), in L's order, computed once for the proof term
+    and the task statements."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
     try:
         replay = list(checker.derive(c, T))
@@ -469,8 +528,8 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
         if not task_alpha_equal(tasks[path], L[i]):
             raise ExportError(f"task {i + 1} differs from the task the "
                               f"certificate derives at {list(path)}")
+    used = [used_declarations(leaf) for leaf in L]
     leaves = iter(enumerate(L, 1))
-    enc = Encoder() if encoder is None else encoder
     declared = [mangle(name) for name, _ in T.types + T.sig]
     symbols = frozenset(declared).union(
         mangle(node.fresh if isinstance(node, cert.KIntroQuant) else node.iota)
@@ -497,7 +556,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
         if isinstance(node, cert.KHole):
             # holes come in leaf order, each checked against its task above
             i, leaf = next(leaves)
-            tsyms, ssyms = used_declarations(leaf)
+            tsyms, ssyms = used[i - 1]
             return lapp(LVar(f"s{i}"),
                         *(LVar(mangle(n)) for n, _ in tsyms + ssyms),
                         *(premise_var(p.name) for p in leaf.premises()))
@@ -631,7 +690,7 @@ def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
     out = under(c, (), *(p.name for p in T.premises()))
     for name in reversed([f"s{i + 1}" for i in range(len(L))] + declared):
         out = LLam(name, None, out)
-    return out
+    return out, used
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +704,13 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     the proof definition. proof_term runs first, so a certificate ccheck
     refuses, or whose leaves differ from L, raises ExportError before any
     task is encoded. The proof term and the task statements share one
-    Encoder, which lives for this call only. Printing a statement collects
+    Encoder, which lives for this call only, and the declarations each
+    resulting task uses, computed once. Printing a statement collects
     its free names: ExportError if the preamble and earlier ones bind none.
     """
     enc = Encoder()
-    body = proof_term(c, T, L, enc)
-    statements = [(f"task{i + 1}", SORT,
-                   encode_task(leaf, prune=True, encoder=enc))
+    body, used = _proof_term(c, T, L, enc)
+    statements = [(f"task{i + 1}", SORT, _task_type(leaf, used[i], enc))
                   for i, leaf in enumerate(L)]
     statements.append(("initial", SORT, encode_task(T, encoder=enc)))
     statements.append(("proof", arrows(*(LConst(name) for name, _, _ in

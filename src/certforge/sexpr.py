@@ -13,8 +13,9 @@ Tasks:   (task (types (c 0) ...) (sig (x ty) ...)
 
 Text is split into tokens by one compiled regular expression; a line:col
 position is computed from a token's offset only for an error. The reader,
-the printer and the conversions from data to types, terms and tasks work
-with explicit stacks, so nesting depth costs no Python recursion. A Reader
+the printer and the conversions between data and types, terms and tasks,
+both ways, work with explicit stacks, so nesting depth costs no Python
+recursion. A Reader
 hash-conses what it builds: within one load, structurally identical
 subterms are one object, as in the trees elaboration builds in memory.
 """
@@ -171,22 +172,35 @@ def dumps(value) -> str:
 # ---------------------------------------------------------------------------
 # Types
 
+# type_to_sexpr and term_to_sexpr print with an explicit stack of
+# (form, index, node): the node's form goes into form[index]. A list form is
+# made with a slot per element as soon as its node is popped, and its
+# children are pushed to fill the slots, leftmost on top.
+
 def type_to_sexpr(ty: Type):
-    if isinstance(ty, Prop):
-        return "prop"
-    if isinstance(ty, TVar):
-        return str(ty.name)
-    if isinstance(ty, TApp):
-        return [str(ty.head)] + [type_to_sexpr(a) for a in ty.args]
-    if isinstance(ty, Arrow):
-        parts = []
-        cur: Type = ty
-        while isinstance(cur, Arrow):
-            parts.append(type_to_sexpr(cur.left))
-            cur = cur.right
-        parts.append(type_to_sexpr(cur))
-        return ["->"] + parts
-    raise SexprError(f"cannot print type {ty!r}")
+    out = [None]
+    todo: list = [(out, 0, ty)]
+    while todo:
+        form, i, t = todo.pop()
+        if isinstance(t, Prop):
+            form[i] = "prop"
+        elif isinstance(t, TVar):
+            form[i] = str(t.name)
+        elif isinstance(t, (TApp, Arrow)):
+            if isinstance(t, TApp):
+                head, parts = str(t.head), t.args
+            else:
+                head, parts = "->", []
+                while isinstance(t, Arrow):
+                    parts.append(t.left)
+                    t = t.right
+                parts.append(t)
+            form[i] = sub = [head] + [None] * len(parts)
+            for j in range(len(parts), 0, -1):
+                todo.append((sub, j, parts[j - 1]))
+        else:
+            raise SexprError(f"cannot print type {t!r}")
+    return out[0]
 
 
 def type_from_sexpr(form) -> Type:
@@ -196,32 +210,48 @@ def type_from_sexpr(form) -> Type:
 # ---------------------------------------------------------------------------
 # Terms
 
+_BINDER_KEYWORDS = {Lam: "lam", Exists: "exists", Forall: "forall"}
+
+
 def term_to_sexpr(t: Term):
-    if isinstance(t, Var):
-        return str(t.name)
-    if isinstance(t, IntLit):
-        return t.value
-    if isinstance(t, Top):
-        return "true"
-    if isinstance(t, Bottom):
-        return "false"
-    if isinstance(t, Not):
-        return ["not", term_to_sexpr(t.body)]
-    if isinstance(t, BinOp):
-        return [t.op, term_to_sexpr(t.left), term_to_sexpr(t.right)]
-    if isinstance(t, App):
-        args = []
-        cur: Term = t
-        while isinstance(cur, App):
-            args.append(term_to_sexpr(cur.arg))
-            cur = cur.fn
-        return [term_to_sexpr(cur)] + list(reversed(args))
-    if isinstance(t, (Lam, Exists, Forall)):
-        kw = {Lam: "lam", Exists: "exists", Forall: "forall"}[type(t)]
-        return [kw, [str(t.var), type_to_sexpr(t.ty)], term_to_sexpr(t.body)]
-    if isinstance(t, PiType):
-        return ["pi", str(t.var), term_to_sexpr(t.body)]
-    raise SexprError(f"cannot print term {t!r}")
+    out = [None]
+    todo: list = [(out, 0, t)]
+    while todo:
+        form, i, t = todo.pop()
+        if isinstance(t, Var):
+            form[i] = str(t.name)
+        elif isinstance(t, App):
+            args = []
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fn
+            form[i] = sub = [None] * (len(args) + 1)
+            # args runs from the last argument back to the first
+            for j, a in enumerate(args):
+                todo.append((sub, len(args) - j, a))
+            todo.append((sub, 0, t))
+        elif isinstance(t, BinOp):
+            form[i] = sub = [t.op, None, None]
+            todo += ((sub, 2, t.right), (sub, 1, t.left))
+        elif isinstance(t, Not):
+            form[i] = sub = ["not", None]
+            todo.append((sub, 1, t.body))
+        elif isinstance(t, IntLit):
+            form[i] = t.value
+        elif isinstance(t, Top):
+            form[i] = "true"
+        elif isinstance(t, Bottom):
+            form[i] = "false"
+        elif isinstance(t, (Lam, Exists, Forall)):
+            form[i] = sub = [_BINDER_KEYWORDS[type(t)],
+                             [str(t.var), type_to_sexpr(t.ty)], None]
+            todo.append((sub, 2, t.body))
+        elif isinstance(t, PiType):
+            form[i] = sub = ["pi", str(t.var), None]
+            todo.append((sub, 2, t.body))
+        else:
+            raise SexprError(f"cannot print term {t!r}")
+    return out[0]
 
 
 def term_from_sexpr(form) -> Term:

@@ -25,6 +25,7 @@ from .core import (
     TVar,
     Term,
     Type,
+    Typing,
     TypingError,
     all_idents,
     alpha_equal,
@@ -58,17 +59,20 @@ class _TypingContext:
     them: same tuples, same judgment. The memo lives as long as the context.
     """
 
-    __slots__ = ("types_map", "sig_map", "sig_checked", "props")
+    __slots__ = ("types_map", "sig_map", "sig_checked", "props", "typings")
 
     def __init__(self, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
-        # id -> a formula judged prop (a premise, or an operand along its
-        # connective spine, see well_typed); holding the formula keeps its
-        # id from being reused while the context lives
+        # id of a formula judged prop -> the premise it was judged as: the
+        # formula itself, or the premise along whose connective spine it is
+        # an operand (see well_typed); holding the premise keeps the ids of
+        # its subterms from being reused while the context lives
         self.props: dict[int, Term] = {}
+        # id of a premise in props -> the Typing annotate gave it
+        self.typings: dict[int, Typing] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,15 +216,18 @@ def well_typed(T: Task) -> bool:
     the context. A task built by Task(...), extend_sig or extend_types has
     a fresh context and is judged in full.
 
-    A premise judged prop also records every operand along its Not/BinOp
-    spine, stopping at binders and type quantifiers: such an operand is
-    prop under the same declarations with no binder above it, and the
+    A premise judged prop keeps the Typing annotate gave it (typings), and
+    records every operand along its Not/BinOp spine, stopping at binders
+    and type quantifiers, as judged with it: props maps the operand to the
+    premise's formula, and nothing is built per operand. Such an operand
+    is prop under the same declarations with no binder above it, and the
     whole formula shares no metavariable between operands, so typing the
-    operand alone against prop picks the instances typing the whole picks.
-    A rule that leaves an operand as a new premise (KIntroImp, KSplit,
-    KDestruct, ...) finds it recorded, and lp_export's Encoder builds a
-    recorded formula from its operands' encodings, relying on this record
-    rather than restating the rule.
+    operand alone against prop picks the instances typing the whole picks:
+    the ones the premise's Typing holds at the operand's path. A rule that
+    leaves an operand as a new premise (KIntroImp, KSplit, KDestruct, ...)
+    finds it recorded, and lp_export's Encoder encodes a recorded formula
+    from the premise's Typing, relying on this record rather than
+    restating the rule or typing the formula again.
     """
     ctx = T._ctx
     I, sig = ctx.types_map, ctx.sig_map
@@ -235,14 +242,14 @@ def well_typed(T: Task) -> bool:
         if id(f) in ctx.props:
             continue
         try:
-            annotate(I, sig, f, PROP)
+            ctx.typings[id(f)] = annotate(I, sig, f, PROP)
         except TypingError:
             return False
         todo = [f]
         while todo:
             g = todo.pop()
             if id(g) not in ctx.props:
-                ctx.props[id(g)] = g
+                ctx.props[id(g)] = f
                 if isinstance(g, Not):
                     todo.append(g.body)
                 elif isinstance(g, BinOp):

@@ -239,6 +239,15 @@ def test_elaborate_shole_carries_task():
     assert elaborate(SHole(), T) == KHole(T)
 
 
+def test_elaborate_refuses_an_ill_typed_task():
+    # the goal is an int, not a proposition; elaborate judges its task
+    # before it steps, so even a hole, which no rule types, is refused
+    T = Task(sig=((ident("c"), INT),), goals=(Premise(G, var("c")),))
+    for s in (SHole(), cert.STrivial(G)):
+        with pytest.raises(CertError, match="the task is not well-typed"):
+            elaborate(s, T)
+
+
 def test_elaborate_missing_premise():
     with pytest.raises(CertError, match="no premise"):
         elaborate(cert.STrivial(ident("nope")), goal_task(Top()))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -339,6 +340,45 @@ def test_annotate_records_instances():
     # mem, add, add, empty: four scheme occurrences, all at color
     assert len(info.inst) == 4
     assert all(inst == (color,) for inst in info.inst.values())
+
+
+@pytest.mark.parametrize("term", [
+    Forall(ident("c"), INT, Top()),
+    Forall(ident("x"), INT, conj(Top(), Exists(ident("x"), INT, Top()))),
+], ids=["declared-symbol", "outer-binder"])
+def test_annotate_refuses_a_shadowing_binder(term):
+    with pytest.raises(TypingError,
+                       match=r"^binder \S+ shadows a declared symbol$"):
+        annotate({}, {ident("c"): INT}, term)
+
+
+def test_a_binder_leaves_scope_with_its_body():
+    # sibling binders may reuse a name, and a name bound on the left is
+    # unbound on the right
+    x = ident("x")
+    body = eq(Var(x), IntLit(0))
+    assert annotate({}, {}, conj(Forall(x, INT, body),
+                                 Exists(x, INT, body))).type == PROP
+    with pytest.raises(TypingError, match="unbound variable x"):
+        annotate({}, {}, conj(Forall(x, INT, body), body))
+
+
+def test_annotate_types_a_deep_binder_nest():
+    # one scope map for every binder, not a copy of the environment per
+    # binder (quadratic: 0.13 s at depth 2 000, 3.3 s at 8 000)
+    depth = 2000
+    xs = [ident(f"x{i}") for i in range(depth)]
+    t = eq(Var(xs[0]), Var(xs[-1]))
+    for x in reversed(xs):
+        t = Forall(x, INT, t)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 4 * depth))
+    try:
+        info = annotate({}, {}, t)
+    finally:
+        sys.setrecursionlimit(old)
+    assert info.type == PROP
+    assert info.inst == {(0,) * depth + (0, 0): (INT,)}
 
 
 def test_annotate_defaults_unconstrained_to_int():

@@ -579,17 +579,18 @@ def test_a_premise_bound_again_is_no_longer_the_rewritten_term():
 def test_emit_module_refuses_a_statement_with_a_free_name(what, monkeypatch):
     # each statement is audited as it is printed: one name leaked into it
     T, L, c = split_application()
-    real_task, real_proof = lp.encode_task, lp.proof_term
+    real_task, real_proof = lp._task_type, lp._proof_term
 
     def leak(t):
         return lp.LArrow(lp.LVar("leaked"), t)
 
     if what == "proof":
-        monkeypatch.setattr(lp, "proof_term", lambda *a: leak(real_proof(*a)))
+        monkeypatch.setattr(lp, "_proof_term", lambda *a: (
+            lambda term, used: (leak(term), used))(*real_proof(*a)))
     else:
         target = L[0] if what == "task1" else T
-        monkeypatch.setattr(lp, "encode_task", lambda task, **kw: (
-            leak if task is target else lambda t: t)(real_task(task, **kw)))
+        monkeypatch.setattr(lp, "_task_type", lambda task, *a: (
+            leak if task is target else lambda t: t)(real_task(task, *a)))
     with pytest.raises(lp.ExportError) as e:
         lp.emit_module(T, L, c)
     assert str(e.value) == f"{what} escapes its scope: ['leaked']"
@@ -1048,9 +1049,11 @@ def test_the_memo_key_separates_typing_contexts():
 
 
 @pytest.mark.parametrize("n", [20, 40])
-def test_emit_module_annotates_each_chain_atom_once(n, monkeypatch):
-    # the per-formula encoding handed annotate 975 nodes at n=20 and 3555 at
-    # n=40, quadratic in n
+def test_emit_module_annotates_no_chain_formula(n, monkeypatch):
+    # every formula of a chain export is a premise the replay judged, or an
+    # operand along its spine, so the exporter reads the typing the replay
+    # kept; the per-formula encoding handed annotate 975 nodes at n=20 and
+    # 3555 at n=40, and typing each atom apart 2n
     T = gen_chain_task(n)
     k, L = via_transform(T, tr.t_blast(T))
     nodes = []
@@ -1062,7 +1065,69 @@ def test_emit_module_annotates_each_chain_atom_once(n, monkeypatch):
 
     monkeypatch.setattr(lp, "annotate", counting)
     lp.emit_module(T, L, k)
-    assert 0 < sum(nodes) <= 2 * n, sum(nodes)
+    assert sum(nodes) == 0, sum(nodes)
+
+
+_POLY_TASK = """(task (types (box 1) (elem 0))
+  (sig (f (-> (int) (int))) (p (-> (int) prop))
+       (wrap (-> a (box a))) (q (-> (box a) prop)) (e0 (elem)))
+  (hyps
+    (Hpoly (pi a (forall (x a) (q (wrap x)))))
+    (Heq (forall (y (int)) (imp (>= y 2) (= (f y) (+ y 5)))))
+    (Hw (and (q (wrap e0)) (not (= (wrap e0) (wrap e0))))))
+  (goals (G (forall (n (int)) (imp (q (wrap e0)) (p (f n)))))))"""
+
+# the node fields holding a term the certificate carries rather than a
+# formula some task holds as a premise
+_CARRIED = {cert.KIntroQuant: ("pred",), cert.KInstQuant: ("pred", "witness"),
+            cert.KRewrite: ("left", "right", "context"),
+            cert.KEqRefl: ("term",), cert.KInduction: ("context", "bound")}
+
+
+def test_emit_module_annotates_only_carried_terms_on_a_first_order_script(
+        monkeypatch):
+    # wrap and q are polymorphic and = is interpreted, so every premise
+    # holds instances; the exporter reads them from the typing the replay
+    # kept, and types on its own only the terms the certificate carries
+    # and the predicate it builds for KInstType. A fresh task and a loaded
+    # certificate, whose formulas no typing context judged, go through
+    # encode_term and must give the same module.
+    real = lp.annotate
+    calls = []
+
+    def recording(I, sig, t, *args):
+        calls.append(t)
+        return real(I, sig, t, *args)
+
+    def fresh(task):
+        return sexpr.task_from_sexpr(sexpr.task_to_sexpr(task))
+
+    T = cli.parse_task(_POLY_TASK)
+    script = [(lambda T: tr.t_intro(T, ident("G")), 0),
+              (lambda T: tr.t_inst_type(T, ident("Hpoly"),
+                                        TApp(ident("elem"), ())), 0),
+              (lambda T: tr.t_rewrite(T, ident("Heq"), ident("G")), 1)]
+    rules = set()
+    for apply, feed in script:
+        k, L = via_transform(T, apply(T))
+        nodes = [node for _, node, _ in checker.derive(k, T)]
+        rules |= {type(node) for node in nodes}
+        carried = {id(getattr(node, name)) for node in nodes
+                   for name in _CARRIED.get(type(node), ())}
+        calls.clear()
+        monkeypatch.setattr(lp, "annotate", recording)
+        module = lp.emit_module(T, L, k)
+        own = len(calls)
+        built = [t for t in calls if id(t) not in carried]
+        assert len(built) == sum(isinstance(n, cert.KInstType) for n in nodes)
+        again = lp.emit_module(fresh(T), [fresh(leaf) for leaf in L],
+                               cert.cert_loads(cert.cert_dumps(k)))
+        monkeypatch.setattr(lp, "annotate", real)
+        assert again == module
+        assert len(calls) - own > own
+        _agrees_with_the_oracle(T, L, k)
+        T = L[feed]
+    assert {cert.KIntroQuant, cert.KInstType, cert.KRewrite} <= rules
 
 
 # ---------------------------------------------------------------------------

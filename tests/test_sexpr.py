@@ -1,5 +1,7 @@
 """S-expression reader, printer and the AST converters."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -276,3 +278,63 @@ def test_task_sexpr_sections_checked():
         task_from_sexpr(loads("(task (types) (sig) (hyps) (oops))"))
     with pytest.raises(SexprError):
         task_from_sexpr(loads("(job (types) (sig) (hyps) (goals))"))
+
+
+# ---------------------------------------------------------------------------
+# printing deep nesting
+
+_DEEP = 30_000
+
+
+def _print_under_default_limit(show, value):
+    # the default limit is far below the nesting depth, and the suite may
+    # have raised it; a printer that recursed per level fails (caught here,
+    # as pytest renders such tracebacks slowly)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return show(value)
+    except RecursionError as e:
+        return type(e).__name__
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_a_deep_goal_prints_without_recursion():
+    goal = var("p")
+    for _ in range(_DEEP):
+        goal = Not(goal)
+    T = Task(sig=((ident("p"), PROP),), goals=(Premise(ident("G"), goal),))
+    printed = _print_under_default_limit(
+        lambda T: dumps(task_to_sexpr(T)), T)
+    assert printed == ("(task (types) (sig (p prop)) (hyps) (goals (G "
+                       + "(not " * _DEEP + "p" + ")" * _DEEP + ")))")
+
+
+def _nest(wrap, leaf):
+    t = leaf
+    for _ in range(_DEEP):
+        t = wrap(t)
+    return t
+
+
+@pytest.mark.parametrize("term, text", [
+    (_nest(lambda t: app(var("f"), t), var("x")),
+     "(f " * _DEEP + "x" + ")" * _DEEP),
+    (_nest(lambda t: Forall(ident("x"), INT, t), Top()),
+     "(forall (x (int)) " * _DEEP + "true" + ")" * _DEEP),
+], ids=["application", "binder"])
+def test_a_deep_term_prints_without_recursion(term, text):
+    assert _print_under_default_limit(
+        lambda t: dumps(term_to_sexpr(t)), term) == text
+
+
+@pytest.mark.parametrize("ty, text", [
+    (_nest(lambda t: Arrow(t, INT), INT),
+     "(-> " * _DEEP + "(int)" + " (int))" * _DEEP),
+    (_nest(lambda t: TApp(ident("box"), (t,)), TVar(ident("a"))),
+     "(box " * _DEEP + "a" + ")" * _DEEP),
+], ids=["arrow", "constructor"])
+def test_a_deep_type_prints_without_recursion(ty, text):
+    assert _print_under_default_limit(
+        lambda ty: dumps(type_to_sexpr(ty)), ty) == text

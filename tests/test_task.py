@@ -211,6 +211,27 @@ def test_kernel_types_no_operand_of_a_judged_premise_again(monkeypatch):
     assert counts(20) == counts(40)
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_blast_elaborate_and_ccheck_type_the_chain_goal_once(n, monkeypatch):
+    # elaborate judges its task before it steps, so the goal is typed whole
+    # once and every operand a rule leaves as a goal is found recorded;
+    # when only the children were judged, t_blast's first steps typed p1
+    # and the goal's tail on their own before the goal (3 calls)
+    calls = []
+    real = task_mod.annotate
+
+    def recording(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(task_mod, "annotate", recording)
+    T = gen_chain_task(n)
+    _, s = tr.t_blast(T)
+    k = elaborate(s, T)
+    assert ccheck(k, T).ok
+    assert calls == [T.goals[0].formula]
+
+
 def test_well_typed_rejects_unbound():
     T = Task(goals=(Premise(ident("G"), Var(ident("nope"))),))
     assert not well_typed(T)
