@@ -1053,7 +1053,7 @@ def test_emit_module_annotates_no_chain_formula(n, monkeypatch):
     # every formula of a chain export is a premise the replay judged, or an
     # operand along its spine, so the exporter reads the typing the replay
     # kept; the per-formula encoding handed annotate 975 nodes at n=20 and
-    # 3555 at n=40, and typing each atom apart 2n
+    # 3555 at n=40, and typing each atom on its own up to 2n
     T = gen_chain_task(n)
     k, L = via_transform(T, tr.t_blast(T))
     nodes = []
