@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from . import sexpr
 from .core import (
     INT,
-    PROP,
     App,
     BinOp,
     Bottom,
@@ -38,7 +37,6 @@ from .core import (
     Var,
     all_idents,
     alpha_equal,
-    annotate,
     conj,
     disj,
     eq,
@@ -48,7 +46,7 @@ from .core import (
     ident,
     subst_term,
 )
-from .task import Task, TaskError, well_typed
+from .task import Task, TaskError, typing_of, well_typed
 
 
 class CertError(Exception):
@@ -815,10 +813,11 @@ def _eq_parts(prem, who: str) -> tuple[Term, Term]:
 
 
 def _eq_type(T: Task, prem) -> Type:
-    """The type the equation prem equates at: the instance of its =."""
-    # T is well-typed, so prem types against prop
-    info = annotate(T.types_map(), T.sig_map(), prem.formula, PROP)
-    return info.inst[(0, 0)][0]
+    """The type the equation prem equates at: the instance of its =, as
+    T's typing context judged it. T is judged: elaborate judges the root
+    task and checker.step every task it derives."""
+    info, path = typing_of(T, prem.formula)
+    return info.inst[path + (0, 0)][0]
 
 
 def _symmetry(a: Term, b: Term, ty: Type, goal: Ident,

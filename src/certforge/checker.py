@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from . import cert
 from .core import (
     INT,
-    PROP,
     RESERVED,
     Bottom,
     Exists,
@@ -162,13 +161,12 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
 
     if isinstance(node, cert.KAssert):
         _fresh_premise(T, node.name)
-        try:
-            annotate(T.types_map(), T.sig_map(), node.formula, PROP)
-        except TypingError:
+        p = Premise(node.name, node.formula)
+        goal_side = T.append(True, p)
+        if not well_typed(goal_side):
             ty = annotate(T.types_map(), T.sig_map(), node.formula, None).type
             raise _Refused(f"asserted formula has type {ty}, not prop")
-        p = Premise(node.name, node.formula)
-        return [T.append(True, p), T.append(False, p)]
+        return [goal_side, T.append(False, p)]
 
     if isinstance(node, cert.KSplit):
         side, idx, prem = _find(T, node.name, node.goal)

@@ -464,7 +464,12 @@ def subst_type(t: Term, alpha: Ident, tau: Type) -> Term:
 # ---------------------------------------------------------------------------
 # Alpha-equivalence
 
-def _type_alpha(a: Type, b: Type, env_a: dict[Ident, int], env_b: dict[Ident, int]) -> bool:
+# a binder map of alpha_equal: each bound name to the depth that bound it,
+# None for a name no binder in scope binds
+_Depths = dict[Ident, int | None]
+
+
+def _type_alpha(a: Type, b: Type, env_a: _Depths, env_b: _Depths) -> bool:
     if isinstance(a, TVar) and isinstance(b, TVar):
         la, lb = env_a.get(a.name), env_b.get(b.name)
         if la is None and lb is None:
@@ -485,49 +490,52 @@ def _type_alpha(a: Type, b: Type, env_a: dict[Ident, int], env_b: dict[Ident, in
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
     """Equality up to renaming of bound term and type variables."""
+    return _alpha(t1, t2, {}, {}, {}, {}, 0, True)
 
-    # same: every binder pair entered so far binds one name on both sides,
-    # so the binder maps are equal and a term is alpha-equal to itself
-    def walk(a: Term, b: Term, va: dict[Ident, int], vb: dict[Ident, int],
-             ta: dict[Ident, int], tb: dict[Ident, int], depth: int,
-             same: bool) -> bool:
-        if a is b and same:
-            return True
-        if type(a) is not type(b):
+
+def _alpha(a: Term, b: Term, va: _Depths, vb: _Depths, ta: _Depths,
+           tb: _Depths, depth: int, same: bool) -> bool:
+    """alpha_equal below binders: va/vb (ta/tb) are each side's binder maps
+    of term (type) variables above a and b. A binder sets its entry and
+    restores the one it shadowed, so the maps are never copied. same:
+    every binder pair entered so far binds one name on both sides, so the
+    maps are equal and a term is alpha-equal to itself."""
+    if a is b and same:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        la, lb = va.get(a.name), vb.get(b.name)
+        if la is None and lb is None:
+            return a.name == b.name
+        return la is not None and la == lb
+    if isinstance(a, IntLit):
+        return a.value == b.value
+    if isinstance(a, (Top, Bottom)):
+        return True
+    if isinstance(a, Not):
+        return _alpha(a.body, b.body, va, vb, ta, tb, depth, same)
+    if isinstance(a, BinOp):
+        return a.op == b.op \
+            and _alpha(a.left, b.left, va, vb, ta, tb, depth, same) \
+            and _alpha(a.right, b.right, va, vb, ta, tb, depth, same)
+    if isinstance(a, App):
+        return _alpha(a.fn, b.fn, va, vb, ta, tb, depth, same) \
+            and _alpha(a.arg, b.arg, va, vb, ta, tb, depth, same)
+    if isinstance(a, (Lam, Exists, Forall)):
+        if not _type_alpha(a.ty, b.ty, ta, tb):
             return False
-        if isinstance(a, Var):
-            la, lb = va.get(a.name), vb.get(b.name)
-            if la is None and lb is None:
-                return a.name == b.name
-            return la is not None and la == lb
-        if isinstance(a, IntLit):
-            return a.value == b.value
-        if isinstance(a, (Top, Bottom)):
-            return True
-        if isinstance(a, Not):
-            return walk(a.body, b.body, va, vb, ta, tb, depth, same)
-        if isinstance(a, BinOp):
-            return a.op == b.op \
-                and walk(a.left, b.left, va, vb, ta, tb, depth, same) \
-                and walk(a.right, b.right, va, vb, ta, tb, depth, same)
-        if isinstance(a, App):
-            return walk(a.fn, b.fn, va, vb, ta, tb, depth, same) \
-                and walk(a.arg, b.arg, va, vb, ta, tb, depth, same)
-        if isinstance(a, (Lam, Exists, Forall)):
-            if not _type_alpha(a.ty, b.ty, ta, tb):
-                return False
-            va2 = dict(va); va2[a.var] = depth
-            vb2 = dict(vb); vb2[b.var] = depth
-            return walk(a.body, b.body, va2, vb2, ta, tb, depth + 1,
-                        same and a.var == b.var)
-        if isinstance(a, PiType):
-            ta2 = dict(ta); ta2[a.var] = depth
-            tb2 = dict(tb); tb2[b.var] = depth
-            return walk(a.body, b.body, va, vb, ta2, tb2, depth + 1,
-                        same and a.var == b.var)
+        da, db = va, vb
+    elif isinstance(a, PiType):
+        da, db = ta, tb
+    else:
         raise TypeError(f"unknown term node {a!r}")
-
-    return walk(t1, t2, {}, {}, {}, {}, 0, True)
+    x, y = a.var, b.var
+    old_x, old_y = da.get(x), db.get(y)
+    da[x] = db[y] = depth
+    ok = _alpha(a.body, b.body, va, vb, ta, tb, depth + 1, same and x == y)
+    da[x], db[y] = old_x, old_y
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +599,16 @@ class _Unifier:
         self.next_id += 1
         return _Meta(self.next_id)
 
-    def resolve(self, ty: Type) -> Type:
+    def walk(self, ty: Type) -> Type:
+        """ty with the bindings at its head followed; its parts are left
+        as they are, so nothing is built."""
         while isinstance(ty, _Meta) and ty.id in self.bind:
             ty = self.bind[ty.id]
+        return ty
+
+    def resolve(self, ty: Type) -> Type:
+        """ty with every binding followed, for a refusal's message."""
+        ty = self.walk(ty)
         if isinstance(ty, Arrow):
             return Arrow(self.resolve(ty.left), self.resolve(ty.right))
         if isinstance(ty, TApp):
@@ -601,7 +616,7 @@ class _Unifier:
         return ty
 
     def _occurs(self, m: _Meta, ty: Type) -> bool:
-        ty = self.resolve(ty)
+        ty = self.walk(ty)
         if isinstance(ty, _Meta):
             return ty.id == m.id
         if isinstance(ty, Arrow):
@@ -611,7 +626,9 @@ class _Unifier:
         return False
 
     def unify(self, a: Type, b: Type, where: str) -> None:
-        a, b = self.resolve(a), self.resolve(b)
+        # bindings are followed one level at a time, at the head of each
+        # part compared: no resolved copy of either side is built
+        a, b = self.walk(a), self.walk(b)
         if isinstance(a, _Meta) and isinstance(b, _Meta) and a.id == b.id:
             return
         if isinstance(a, _Meta):
@@ -635,11 +652,13 @@ class _Unifier:
             for x, y in zip(a.args, b.args):
                 self.unify(x, y, where)
             return
-        raise TypingError(f"cannot unify {a} with {b} in {where}")
+        raise TypingError(f"cannot unify {self.resolve(a)} with "
+                          f"{self.resolve(b)} in {where}")
 
     def default_ground(self, ty: Type) -> Type:
-        """Replace unconstrained metas by int(); see the defaulting note in annotate."""
-        ty = self.resolve(ty)
+        """Resolve ty in full, binding every unconstrained meta to int();
+        see the defaulting note in annotate."""
+        ty = self.walk(ty)
         if isinstance(ty, _Meta):
             self.bind[ty.id] = INT
             return INT

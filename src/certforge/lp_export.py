@@ -18,14 +18,13 @@ One Encoder per emit_module call serves the proof term and every task
 statement, and encodes each formula object once per typing context. Its
 key is (the task's typing context, the formula object, the type it is
 judged against: prop for a formula, the type its node gives a carried
-term). The typing context keeps the Typing of each premise that
-task.well_typed judged, and records each operand along the premise's
-negation/connective spine as judged with it. The Encoder reads that
-typing instead of typing again: a recorded formula is encoded from its
-premise's Typing at its path there, a negation or connective from its
-operands' encodings. Only the terms a certificate carries (witnesses,
-predicates, rewrite sides) and formulas no context judged are typed, whole,
-by encode_term; a chain export types nothing.
+term). The Encoder reads the typing the replay already did instead of
+typing again: task.typing_of gives the Typing under which the task's
+typing context judged a formula and the formula's path in its premise,
+and the formula is encoded from that Typing at that path, a negation or
+connective from its operands' encodings. Only the terms a certificate
+carries (witnesses, predicates, rewrite sides, a reflexivity term) and
+formulas no context judged are typed, whole; a chain export types nothing.
 
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, premise λs named apart from every symbol, the free-name audit
@@ -67,12 +66,10 @@ from .core import (
     Typing,
     Var,
     annotate,
-    fresh_ident,
-    subst_type,
     type_heads,
     type_vars,
 )
-from .task import Task, task_alpha_equal, used_declarations
+from .task import Task, task_alpha_equal, typing_of, used_declarations
 
 
 class ExportError(Exception):
@@ -153,13 +150,14 @@ def neg(t: LpTerm) -> LpTerm:
 # printing precedence: 0 admits everything, 1 an arrow operand (arrows and
 # binders get parentheses), 2 an application head, 3 an application argument
 def lp_format(t: LpTerm) -> str:
-    return _format(t, 0, frozenset(), set())
+    return _format(t, 0, {}, set())
 
 
-def _format(t: LpTerm, prec: int, bound: frozenset[str], free: set[str]) -> str:
-    """lp_format, adding to free every name t uses that bound does not bind."""
+def _format(t: LpTerm, prec: int, bound: dict[str, int], free: set[str]) -> str:
+    """lp_format, adding to free every name t uses that no binder above it
+    binds; bound counts the open binders of each name."""
     if isinstance(t, (LConst, LVar)):
-        if t.name not in bound:
+        if not bound.get(t.name):
             free.add(t.name)
         return t.name
     if isinstance(t, LApp):
@@ -170,12 +168,14 @@ def _format(t: LpTerm, prec: int, bound: frozenset[str], free: set[str]) -> str:
     if isinstance(t, LArrow):
         s = (f"{_format(t.left, 1, bound, free)} → "
              f"{_format(t.right, 0, bound, free)}")
-    elif isinstance(t, LProd):
-        s = (f"Π {t.var} : {_format(t.dom, 1, bound, free)}, "
-             f"{_format(t.body, 0, bound | {t.var}, free)}")
-    elif isinstance(t, LLam):
-        ann = "" if t.ann is None else f" : {_format(t.ann, 1, bound, free)}"
-        s = f"λ {t.var}{ann}, {_format(t.body, 0, bound | {t.var}, free)}"
+    elif isinstance(t, (LProd, LLam)):
+        # Π x : dom, body; λ x, body or λ x : ann, body
+        ann = t.dom if isinstance(t, LProd) else t.ann
+        ann = "" if ann is None else f" : {_format(ann, 1, bound, free)}"
+        bound[t.var] = bound.get(t.var, 0) + 1
+        s = (f"{'Π' if isinstance(t, LProd) else 'λ'} {t.var}{ann}, "
+             f"{_format(t.body, 0, bound, free)}")
+        bound[t.var] -= 1
     else:
         raise TypeError(f"unknown λΠ node {t!r}")
     return f"({s})" if prec > 0 else s
@@ -379,70 +379,44 @@ class Encoder:
 
     Called as enc(f, task) for a formula judged against prop, and as
     enc(t, task, expected) for a term a node carries, judged against the
-    type the node gives it (None for KEqRefl's term, typed on its own).
-    The memo key is (task's typing context, id of f, expected): tasks that
-    share a typing context have the same types and sig tuples, and the memo
-    holds f, so the same key always stands for the same judgment.
+    type the node gives it. The memo key is (task's typing context, id of
+    f, expected): tasks that share a typing context have the same types and
+    sig tuples, and the memo holds f, so the same key always stands for the
+    same judgment.
 
-    A formula judged against prop that task's typing context records as
-    prop is not typed again: task.well_typed kept the Typing of the premise
-    it was judged as, and an operand on that premise's Not/BinOp spine is
-    encoded from it at the operand's path, a negation or connective from
-    its operands' encodings. The paths come from one walk of each premise's
-    spine per export. Every other formula, and every term a node carries,
-    is typed whole by encode_term, so annotate refuses what the context
-    never judged.
+    A formula judged against prop that task's typing context judged (see
+    task.typing_of) is not typed again: it is encoded from the Typing
+    typing_of gives at its path, a negation or connective from its
+    operands' encodings. Every other formula, and every term a node
+    carries, is typed whole by encode_term, so annotate refuses what the
+    context never judged.
     """
 
-    __slots__ = ("_memo", "_at")
+    __slots__ = ("_memo",)
 
     def __init__(self) -> None:
         self._memo: dict[tuple, tuple[Term, LpTerm]] = {}
-        # (typing context, id of a recorded formula) -> the Typing of its
-        # premise and its path there; the context's premises hold the ids
-        self._at: dict[tuple, tuple[Typing, tuple[int, ...]]] = {}
 
     def __call__(self, f: Term, task: Task,
                  expected: Type | None = PROP) -> LpTerm:
-        ctx = task._ctx
-        key = (ctx, id(f), expected)
+        key = (task._ctx, id(f), expected)
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        if expected == PROP and id(f) in ctx.props:
-            if isinstance(f, Not):
-                out = neg(self(f.body, task))
-            elif isinstance(f, BinOp):
-                out = _connective(f.op, self(f.left, task),
-                                  self(f.right, task))
-            else:
-                info, path = self._judged(f, ctx)
-                # an operand's premise has no type prefix: it is no PiType
-                out = (_encode(f, path, info, ctx.sig_map) if path
-                       else _encode_typing(info, ctx.sig_map))
+        judged = typing_of(task, f) if expected == PROP else None
+        if judged is None:
+            out = encode_term(f, task.types_map(), task.sig_map(), expected)
+        elif isinstance(f, Not):
+            out = neg(self(f.body, task))
+        elif isinstance(f, BinOp):
+            out = _connective(f.op, self(f.left, task), self(f.right, task))
         else:
-            out = encode_term(f, ctx.types_map, ctx.sig_map, expected)
+            info, path = judged
+            # an operand's premise has no type prefix: it is no PiType
+            out = (_encode(f, path, info, task.sig_map()) if path
+                   else _encode_typing(info, task.sig_map()))
         self._memo[key] = (f, out)
         return out
-
-    def _judged(self, f: Term, ctx) -> tuple[Typing, tuple[int, ...]]:
-        """The Typing f was judged under and f's path in its premise."""
-        at = self._at.get((ctx, id(f)))
-        if at is None:
-            premise = ctx.props[id(f)]
-            info = ctx.typings[id(premise)]
-            todo = [(premise, ())]
-            while todo:
-                g, path = todo.pop()
-                if (ctx, id(g)) in self._at:
-                    continue
-                self._at[ctx, id(g)] = (info, path)
-                if isinstance(g, Not):
-                    todo.append((g.body, path + (0,)))
-                elif isinstance(g, BinOp):
-                    todo += ((g.left, path + (0,)), (g.right, path + (1,)))
-            at = self._at[ctx, id(f)]
-        return at
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +545,9 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
                         premise_var(node.hyp), premise_var(node.goal))
 
         if isinstance(node, cert.KEqRefl):
-            tau = annotate(task.types_map(), task.sig_map(), node.term).type
-            witness = lapp(LConst("eq_refl"), _encode_type(tau),
-                           enc(node.term, task, None))
+            info = annotate(task.types_map(), task.sig_map(), node.term)
+            witness = lapp(LConst("eq_refl"), _encode_type(info.type),
+                           _encode_typing(info, task.sig_map()))
             return LApp(premise_var(node.name), witness)
 
         if isinstance(node, cert.KAssert):
@@ -654,11 +628,10 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
             return lapp(LConst("intro_ty"), pred, cont, premise_var(node.name))
 
         if isinstance(node, cert.KInstType):
-            b = fresh_ident(node.formula.var,
-                            frozenset(task.every_ident()) | {node.formula.var})
-            body = subst_type(node.formula.body, node.formula.var, TApp(b, ()))
-            pred = LLam(mangle(b), None, encode_term(
-                body, {**task.types_map(), b: 0}, task.sig_map(), PROP))
+            # the hypothesis is Π ι : TYPE, body over the type symbol ι its
+            # prefix was renamed to; the predicate is λ ι, body
+            judged = enc(node.formula, task)
+            pred = LLam(judged.var, None, judged.body)
             return lapp(LConst("inst_ty"), pred, _encode_type(node.ty),
                         under(node.rest, first, node.inst_name),
                         premise_var(node.name))
@@ -723,8 +696,8 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     known = set(PREAMBLE_NAMES)
     for name, ty, term in statements:
         free: set[str] = set()
-        lines.append(f"symbol {name} : {_format(ty, 0, frozenset(), free)} ≔ "
-                     f"{_format(term, 0, frozenset(), free)};")
+        lines.append(f"symbol {name} : {_format(ty, 0, {}, free)} ≔ "
+                     f"{_format(term, 0, {}, free)};")
         if free - known:
             raise ExportError(
                 f"{name} escapes its scope: {sorted(free - known)}")

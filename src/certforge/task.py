@@ -14,19 +14,20 @@ from typing import Mapping
 from .core import (
     PROP,
     RESERVED,
-    Arrow,
+    App,
     BinOp,
     Exists,
     Forall,
     Ident,
     Lam,
     Not,
-    TApp,
+    PiType,
     TVar,
     Term,
     Type,
     Typing,
     TypingError,
+    Var,
     all_idents,
     alpha_equal,
     annotate,
@@ -34,7 +35,7 @@ from .core import (
     free_vars,
     ident,
     imp,
-    subterms,
+    subst_in_type,
     type_heads,
     type_vars,
     var,
@@ -59,20 +60,22 @@ class _TypingContext:
     them: same tuples, same judgment. The memo lives as long as the context.
     """
 
-    __slots__ = ("types_map", "sig_map", "sig_checked", "props", "typings")
+    __slots__ = ("types_map", "sig_map", "sig_checked", "props", "paths")
 
     def __init__(self, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
-        # id of a formula judged prop -> the premise it was judged as: the
-        # formula itself, or the premise along whose connective spine it is
-        # an operand (see well_typed); holding the premise keeps the ids of
-        # its subterms from being reused while the context lives
-        self.props: dict[int, Term] = {}
-        # id of a premise in props -> the Typing annotate gave it
-        self.typings: dict[int, Typing] = {}
+        # id of a formula judged prop -> the premise it was judged as, and
+        # the Typing annotate gave that premise: the premise is the formula
+        # itself, or the one along whose connective spine it is an operand
+        # (see well_typed); holding the premise keeps the ids of its
+        # subterms from being reused while the context lives
+        self.props: dict[int, tuple[Term, Typing]] = {}
+        # id of a formula in props -> the Typing it was judged under and its
+        # path there (see typing_of), filled one premise spine at a time
+        self.paths: dict[int, tuple[Typing, tuple[int, ...]]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,18 +219,16 @@ def well_typed(T: Task) -> bool:
     the context. A task built by Task(...), extend_sig or extend_types has
     a fresh context and is judged in full.
 
-    A premise judged prop keeps the Typing annotate gave it (typings), and
-    records every operand along its Not/BinOp spine, stopping at binders
-    and type quantifiers, as judged with it: props maps the operand to the
-    premise's formula, and nothing is built per operand. Such an operand
-    is prop under the same declarations with no binder above it, and the
-    whole formula shares no metavariable between operands, so typing the
-    operand alone against prop picks the instances typing the whole picks:
-    the ones the premise's Typing holds at the operand's path. A rule that
-    leaves an operand as a new premise (KIntroImp, KSplit, KDestruct, ...)
-    finds it recorded, and lp_export's Encoder encodes a recorded formula
-    from the premise's Typing, relying on this record rather than
-    restating the rule or typing the formula again.
+    A premise judged prop keeps the Typing annotate gave it, and records
+    every operand along its Not/BinOp spine, stopping at binders and type
+    quantifiers, as judged with it; nothing is built per operand. Such an
+    operand is prop under the same declarations with no binder above it,
+    and the whole formula shares no metavariable between operands, so
+    typing the operand alone against prop picks the instances typing the
+    whole picks: the ones the premise's Typing holds at the operand's
+    path. A rule that leaves an operand as a new premise (KIntroImp,
+    KSplit, KDestruct, ...) finds it recorded, and typing_of answers how
+    any recorded formula was typed, so no caller types it again.
     """
     ctx = T._ctx
     I, sig = ctx.types_map, ctx.sig_map
@@ -242,14 +243,14 @@ def well_typed(T: Task) -> bool:
         if id(f) in ctx.props:
             continue
         try:
-            ctx.typings[id(f)] = annotate(I, sig, f, PROP)
+            judged = (f, annotate(I, sig, f, PROP))
         except TypingError:
             return False
         todo = [f]
         while todo:
             g = todo.pop()
             if id(g) not in ctx.props:
-                ctx.props[id(g)] = f
+                ctx.props[id(g)] = judged
                 if isinstance(g, Not):
                     todo.append(g.body)
                 elif isinstance(g, BinOp):
@@ -257,23 +258,40 @@ def well_typed(T: Task) -> bool:
     return True
 
 
+def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
+    """The Typing under which T's typing context judged f prop, and f's
+    path in the premise it was judged as; None if the context never did.
+
+    f is judged when well_typed judged it as a premise or recorded it as
+    an operand on a premise's Not/BinOp spine (see well_typed): its
+    instances are those the Typing holds at the path. The first question
+    about a premise's spine walks that spine once and keeps every
+    operand's path in the context.
+    """
+    ctx = T._ctx
+    if id(f) not in ctx.paths:
+        if id(f) not in ctx.props:
+            return None
+        premise, info = ctx.props[id(f)]
+        todo: list[tuple[Term, tuple[int, ...]]] = [(premise, ())]
+        while todo:
+            g, path = todo.pop()
+            if id(g) not in ctx.paths:
+                ctx.paths[id(g)] = (info, path)
+                if isinstance(g, Not):
+                    todo.append((g.body, path + (0,)))
+                elif isinstance(g, BinOp):
+                    todo += ((g.left, path + (0,)), (g.right, path + (1,)))
+    return ctx.paths[id(f)]
+
+
 # ---------------------------------------------------------------------------
 # Alpha-equality of whole tasks
 
 def _scheme_canon(ty: Type) -> Type:
     """Rename type variables in first-occurrence order for comparison."""
-    mapping = {v: TVar(Ident("a", i + 1)) for i, v in enumerate(type_vars(ty))}
-
-    def walk(t: Type) -> Type:
-        if isinstance(t, TVar):
-            return mapping[t.name]
-        if isinstance(t, Arrow):
-            return Arrow(walk(t.left), walk(t.right))
-        if isinstance(t, TApp):
-            return TApp(t.head, tuple(walk(a) for a in t.args))
-        return t
-
-    return walk(ty)
+    return subst_in_type(ty, {v: TVar(Ident("a", i + 1))
+                              for i, v in enumerate(type_vars(ty))})
 
 
 def used_declarations(T: Task) -> tuple[tuple[tuple[Ident, int], ...],
@@ -286,11 +304,27 @@ def used_declarations(T: Task) -> tuple[tuple[tuple[Ident, int], ...],
     """
     used: set[Ident] = set()
     heads: set[Ident] = set()
-    for p in T.premises():
-        used |= free_vars(p.formula)
-        for s in subterms(p.formula):
-            if isinstance(s, (Lam, Exists, Forall)):
-                heads |= type_heads(s.ty)
+    # one explicit-stack walk of the premises; an Ident on the stack closes
+    # the binder of that name, and bound counts the open binders of each
+    bound: dict[Ident, int] = {}
+    todo: list[Term | Ident] = [p.formula for p in T.premises()]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Ident):
+            bound[t] -= 1
+        elif isinstance(t, Var):
+            if not bound.get(t.name):
+                used.add(t.name)
+        elif isinstance(t, (Not, PiType)):
+            todo.append(t.body)
+        elif isinstance(t, BinOp):
+            todo += (t.left, t.right)
+        elif isinstance(t, App):
+            todo += (t.fn, t.arg)
+        elif isinstance(t, (Lam, Exists, Forall)):
+            heads |= type_heads(t.ty)
+            bound[t.var] = bound.get(t.var, 0) + 1
+            todo += (t.var, t.body)
     ssyms = tuple(e for e in T.sig if e[0] in used)
     for _, scheme in ssyms:
         heads |= type_heads(scheme)

@@ -1,4 +1,35 @@
+import importlib
+import pkgutil
 import sys
+from collections import defaultdict
+
+import pytest
+
+import certforge
+from certforge import core
 
 # deep blast certificates recurse past the default interpreter limit
 sys.setrecursionlimit(40000)
+
+
+@pytest.fixture
+def annotate_calls(monkeypatch):
+    """Every annotate call the test makes, by the certforge module making it.
+
+    Patches annotate in each certforge module that imports it, and maps the
+    module's short name ("task", "checker", ...) to the terms it typed, in
+    call order. Clear it to start counting afresh.
+    """
+    calls: defaultdict[str, list] = defaultdict(list)
+    for info in pkgutil.iter_modules(certforge.__path__):
+        module = importlib.import_module(f"certforge.{info.name}")
+        if module is core or getattr(module, "annotate", None) \
+                is not core.annotate:
+            continue
+
+        def recording(I, sig, t, *args, _name=info.name, **kwargs):
+            calls[_name].append(t)
+            return core.annotate(I, sig, t, *args, **kwargs)
+
+        monkeypatch.setattr(module, "annotate", recording)
+    return calls

@@ -432,6 +432,50 @@ def test_an_equation_is_rewritten_at_the_type_of_its_equality(hyps, goals,
     assert "int" not in wire
 
 
+_E, _F = ident("E"), ident("F")
+
+
+@pytest.mark.parametrize("hyps, goals, surface, equation", [
+    ("(E (= e f)) (H (p e))", "(G (p f))",
+     cert.SRewrite(False, _E, H, cert.SAxiom(H, G)), lambda T: T.hyps[0]),
+    ("(E (= e f)) (H (p e))", "(G (p f))",
+     cert.SRewrite(True, _E, G, cert.SAxiom(H, G)), lambda T: T.hyps[0]),
+    ("(E (= e f))", "(G (= f e))",
+     cert.SEqSym(_E, cert.SAxiom(_E, G)), lambda T: T.hyps[0]),
+    ("(E (= f e))", "(G (= e f))",
+     cert.SEqSym(G, cert.SAxiom(_E, G)), lambda T: T.goals[0]),
+    ("(E (= e f)) (F (= f f))", "(G (= e f))",
+     cert.SEqTrans(_E, _F, H, cert.SAxiom(H, G)), lambda T: T.hyps[0]),
+    # the equation is an operand of the goal, read at its path there
+    ("(H (p e))", "(G (imp (= e f) (p f)))",
+     cert.SIntroImp(G, _E, cert.SRewrite(False, _E, H, cert.SAxiom(H, G))),
+     lambda T: Premise(_E, T.goals[0].formula.left)),
+], ids=["rewrite_left_to_right", "rewrite_right_to_left", "eq_sym_hyp",
+        "eq_sym_goal", "eq_trans", "rewrite_an_operand"])
+def test_elaboration_reads_the_equality_instance_the_task_judged(
+        hyps, goals, surface, equation, annotate_calls):
+    # the instance of = comes from the judgment of the task at hand: what
+    # is typed is a premise the replay creates, judged by well_typed, or a
+    # rewrite side the kernel types against the context's type
+    T = parse_task(_POLY_SIDE.format(hyps, goals))
+    annotate_calls.clear()
+    k = elaborate(surface, T)
+    calls = dict(annotate_calls)
+    assert set(calls) <= {"task", "checker"}
+    assert not any(t is equation(T).formula for t in calls["task"])
+    replay = list(checker.derive(k, T))
+    created = [p.formula for _, _, task in replay for p in task.premises()]
+    assert all(any(alpha_equal(t, f) for f in created)
+               for t in calls["task"])
+    sides = [side for _, node, _ in replay if isinstance(node, cert.KRewrite)
+             for side in (node.left, node.right)]
+    assert all(any(t is side for side in sides)
+               for t in calls.get("checker", ()))
+    assert checker.ccheck(k, T).ok
+    wire = cert_dumps(k)
+    assert wire.count("(lam (z (box (elem))) ") == wire.count("(KRewrite ")
+
+
 def test_rewrite_under_binder():
     # a is free under the quantifier, so it rewrites there
     T = _arith_task([("H", eq(A, B))],

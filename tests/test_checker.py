@@ -28,7 +28,7 @@ from certforge.core import (
     imp,
     var,
 )
-from certforge.task import Premise, Task, task_alpha_equal
+from certforge.task import Premise, Task, task_alpha_equal, well_typed
 
 H, G = ident("H"), ident("G")
 H1, H2, H3 = ident("H1"), ident("H2"), ident("H3")
@@ -141,6 +141,23 @@ def test_assert_judges_the_formula_against_prop():
     assert t2.hyps[-1].formula == var("choose")
     bad(T, c.KAssert(H1, app(var("+"), var("choose"), IntLit(1)),
                      c.KHole(T), c.KHole(T)), "has type int(), not prop")
+
+
+def test_stepping_an_assertion_types_its_formula_once(annotate_calls):
+    # the goal-side child's judgment types the formula and the other child
+    # finds it recorded; the rule typed it first as well (two calls)
+    T = Task(sig=PSIG + ((ident("choose"), TVar(ident("a"))),),
+             goals=(Premise(G, P),))
+    assert well_typed(T)
+    f = conj(var("choose"), Q)
+    annotate_calls.clear()
+    step(T, c.KAssert(H1, f, c.KHole(T), c.KHole(T)), ())
+    assert dict(annotate_calls) == {"task": [f]}
+    # a refusal types the formula once more, for the type it names
+    three = IntLit(3)
+    annotate_calls.clear()
+    bad(T, c.KAssert(H1, three, c.KHole(T), c.KHole(T)), "int(), not prop")
+    assert dict(annotate_calls) == {"task": [three], "checker": [three]}
 
 
 def test_assert_accepts_quantified_formula():

@@ -186,6 +186,46 @@ def test_alpha_shadowing():
     assert not alpha_equal(PiType(a, pbody), PiType(ident("b"), pbody))
 
 
+def _binder_nest(depth, name, leaf_names):
+    """Two type binders over depth term binders, cycling lam/forall/exists
+    at int and the outer type variable; name(i) names the i-th binder and
+    the leaf equates the variables leaf_names names, and a free c."""
+    ta, tb = name("T", 0), name("T", 1)
+    kinds = (Lam, Forall, Exists)
+    t = conj(eq(Var(ident("c")), Var(ident("c"))),
+             app(*(Var(n) for n in leaf_names)))
+    for i in reversed(range(depth)):
+        t = kinds[i % 3](name("x", i), INT if i % 2 else TVar(ta), t)
+    return PiType(ta, PiType(tb, t))
+
+
+def test_alpha_compares_a_deep_binder_nest():
+    # binder maps are set and restored in place, not copied per binder;
+    # one side reuses seven names, so each binder shadows an outer one
+    depth = 2000
+    last = {i % 7: i for i in range(depth)}
+
+    def reused(prefix, i):
+        return ident(f"{prefix}{i % 7}")
+
+    def fresh(prefix, i):
+        return ident(f"{prefix.lower()}_{i}")
+
+    a = _binder_nest(depth, reused, [reused("x", k) for k in range(7)])
+    b = _binder_nest(depth, fresh, [fresh("x", last[k]) for k in range(7)])
+    changed = [fresh("x", last[k]) for k in range(7)]
+    changed[3] = fresh("x", last[3] - 7)
+    c = _binder_nest(depth, fresh, changed)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 4 * depth))
+    try:
+        outcomes = [alpha_equal(a, b), alpha_equal(b, a),
+                    alpha_equal(a, c), alpha_equal(c, b)]
+    finally:
+        sys.setrecursionlimit(old)
+    assert outcomes == [True, True, False, False]
+
+
 @settings(max_examples=200, deadline=None)
 @given(terms)
 def test_alpha_reflexive(t):

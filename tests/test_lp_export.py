@@ -39,7 +39,6 @@ from certforge.core import (
     ident,
     iff,
     imp,
-    subterms,
     var,
 )
 from certforge.task import Premise, Task, gen_chain_task
@@ -596,6 +595,30 @@ def test_emit_module_refuses_a_statement_with_a_free_name(what, monkeypatch):
     assert str(e.value) == f"{what} escapes its scope: ['leaked']"
 
 
+def test_a_name_used_after_its_binder_closes_is_reported(monkeypatch):
+    # the audit counts each open binder of a name: closing λ leaked leaves
+    # leaked free in the argument after it, and closing an inner binder of
+    # x leaves the outer one open
+    T, L, c = split_application()
+    real_proof = lp._proof_term
+    closed = lp.LLam("leaked", None, lp.LVar("leaked"))
+
+    def leak(t):
+        return lp.lapp(closed, lp.LVar("leaked"), t)
+
+    monkeypatch.setattr(lp, "_proof_term", lambda *a: (
+        lambda term, used: (leak(term), used))(*real_proof(*a)))
+    with pytest.raises(lp.ExportError) as e:
+        lp.emit_module(T, L, c)
+    assert str(e.value) == "proof escapes its scope: ['leaked']"
+    twice = lp.LLam("x", None, lp.LApp(lp.LLam("x", None, lp.LVar("x")),
+                                       lp.LVar("x")))
+    free: set[str] = set()
+    assert lp._format(lp.LApp(twice, lp.LVar("y")), 0, {}, free) == \
+        "(λ x, (λ x, x) x) y"
+    assert free == {"y"}
+
+
 # ---------------------------------------------------------------------------
 # the preamble
 
@@ -1049,23 +1072,16 @@ def test_the_memo_key_separates_typing_contexts():
 
 
 @pytest.mark.parametrize("n", [20, 40])
-def test_emit_module_annotates_no_chain_formula(n, monkeypatch):
+def test_emit_module_annotates_no_chain_formula(n, annotate_calls):
     # every formula of a chain export is a premise the replay judged, or an
     # operand along its spine, so the exporter reads the typing the replay
     # kept; the per-formula encoding handed annotate 975 nodes at n=20 and
     # 3555 at n=40, and typing each atom on its own up to 2n
     T = gen_chain_task(n)
     k, L = via_transform(T, tr.t_blast(T))
-    nodes = []
-    real = lp.annotate
-
-    def counting(I, sig, t, *args):
-        nodes.append(sum(1 for _ in subterms(t)))
-        return real(I, sig, t, *args)
-
-    monkeypatch.setattr(lp, "annotate", counting)
+    annotate_calls.clear()
     lp.emit_module(T, L, k)
-    assert sum(nodes) == 0, sum(nodes)
+    assert dict(annotate_calls) == {}
 
 
 _POLY_TASK = """(task (types (box 1) (elem 0))
@@ -1085,19 +1101,14 @@ _CARRIED = {cert.KIntroQuant: ("pred",), cert.KInstQuant: ("pred", "witness"),
 
 
 def test_emit_module_annotates_only_carried_terms_on_a_first_order_script(
-        monkeypatch):
+        annotate_calls):
     # wrap and q are polymorphic and = is interpreted, so every premise
     # holds instances; the exporter reads them from the typing the replay
-    # kept, and types on its own only the terms the certificate carries
-    # and the predicate it builds for KInstType. A fresh task and a loaded
+    # kept, KInstType's predicate included, and types on its own only the
+    # terms the certificate carries. A fresh task and a loaded
     # certificate, whose formulas no typing context judged, go through
     # encode_term and must give the same module.
-    real = lp.annotate
-    calls = []
-
-    def recording(I, sig, t, *args):
-        calls.append(t)
-        return real(I, sig, t, *args)
+    calls = annotate_calls["lp_export"]
 
     def fresh(task):
         return sexpr.task_from_sexpr(sexpr.task_to_sexpr(task))
@@ -1115,14 +1126,12 @@ def test_emit_module_annotates_only_carried_terms_on_a_first_order_script(
         carried = {id(getattr(node, name)) for node in nodes
                    for name in _CARRIED.get(type(node), ())}
         calls.clear()
-        monkeypatch.setattr(lp, "annotate", recording)
         module = lp.emit_module(T, L, k)
         own = len(calls)
         built = [t for t in calls if id(t) not in carried]
-        assert len(built) == sum(isinstance(n, cert.KInstType) for n in nodes)
+        assert built == []
         again = lp.emit_module(fresh(T), [fresh(leaf) for leaf in L],
                                cert.cert_loads(cert.cert_dumps(k)))
-        monkeypatch.setattr(lp, "annotate", real)
         assert again == module
         assert len(calls) - own > own
         _agrees_with_the_oracle(T, L, k)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import certforge.task as task_mod
+from certforge import cli
 from certforge import transforms as tr
 from certforge.cert import KHole, cert_dumps, cert_loads, elaborate
 from certforge.checker import ccheck
@@ -14,22 +16,28 @@ from certforge.core import (
     RESERVED,
     BinOp,
     Bottom,
+    Exists,
     Forall,
     Ident,
+    Lam,
     Not,
     PiType,
     TApp,
     TVar,
     Top,
     Var,
+    annotate,
     app,
     arrow,
     conj,
     disj,
     eq,
+    free_vars,
     ident,
     iff,
     imp,
+    subterms,
+    type_heads,
     var,
 )
 from certforge.task import (
@@ -39,9 +47,12 @@ from certforge.task import (
     gen_chain_task,
     task_alpha_equal,
     task_list_alpha_equal,
+    typing_of,
+    used_declarations,
     well_typed,
 )
 from oracles import brute_force_valid
+from test_acceptance import _FOL_TASK, _fol_script
 
 P, Q, R, S = (var(n) for n in ("p", "q", "r", "s"))
 
@@ -183,19 +194,12 @@ def test_well_typed_judges_premises_against_prop():
     assert not well_typed(T)
 
 
-def test_kernel_types_no_operand_of_a_judged_premise_again(monkeypatch):
+def test_kernel_types_no_operand_of_a_judged_premise_again(annotate_calls):
     # each KIntroImp leaves an operand of a goal already judged prop as the
     # new goal; well_typed finds it recorded, so the annotate calls of a
     # replay do not grow with the chain (59 at n=20 and 119 at n=40 when
     # only whole premises were recorded)
-    calls = []
-    real = task_mod.annotate
-
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(task_mod, "annotate", counting)
+    calls = annotate_calls["task"]
 
     def counts(n):
         calls.clear()
@@ -212,24 +216,131 @@ def test_kernel_types_no_operand_of_a_judged_premise_again(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [20, 40])
-def test_blast_elaborate_and_ccheck_type_the_chain_goal_once(n, monkeypatch):
+def test_blast_elaborate_and_ccheck_type_the_chain_goal_once(
+        n, annotate_calls):
     # elaborate judges its task before it steps, so the goal is typed whole
     # once and every operand a rule leaves as a goal is found recorded;
     # when only the children were judged, t_blast's first steps typed p1
     # and the goal's tail on their own before the goal (3 calls)
-    calls = []
-    real = task_mod.annotate
-
-    def recording(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(task_mod, "annotate", recording)
     T = gen_chain_task(n)
     _, s = tr.t_blast(T)
     k = elaborate(s, T)
     assert ccheck(k, T).ok
-    assert calls == [T.goals[0].formula]
+    assert dict(annotate_calls) == {"task": [T.goals[0].formula]}
+
+
+_WRAPPED = """(task (types (box 1) (elem 0))
+  (sig (wrap (-> a (box a))) (q (-> (box a) prop)) (e0 (elem))
+       (choose a))
+  (hyps (H (and (q (wrap e0)) (not (= (wrap e0) (wrap e0))))))
+  (goals (G (imp choose (or (= e0 e0) (q (wrap (wrap e0))))))))"""
+
+
+def test_typing_of_answers_only_for_what_the_context_judged(annotate_calls):
+    T = cli.parse_task(_WRAPPED)
+    H = T.hyps[0].formula
+    assert typing_of(T, H)[1] == ()
+    assert typing_of(T, H.right.body)[1] == (1, 0)
+    # an equal copy, a formula below an atom and a task never judged
+    copy = cli.parse_task(_WRAPPED)
+    for f in (copy.hyps[0].formula, H.left.arg):
+        assert typing_of(T, f) is None
+    assert typing_of(copy, copy.hyps[0].formula) is not None
+    fresh = Task(types=T.types, sig=T.sig, hyps=T.hyps)
+    assert typing_of(fresh, H) is None
+    # answering reads the judgment: it types nothing
+    assert dict(annotate_calls) == {"task": [H, T.goals[0].formula] * 2}
+
+
+def test_an_operand_is_read_at_the_instances_typing_it_alone_picks(
+        annotate_calls):
+    T = cli.parse_task(_WRAPPED)
+    annotate_calls.clear()
+    operands = []
+    for p in T.premises():
+        todo = [p.formula]
+        while todo:
+            g = todo.pop()
+            operands.append(g)
+            if isinstance(g, Not):
+                todo.append(g.body)
+            elif isinstance(g, BinOp):
+                todo += (g.left, g.right)
+    assert len(operands) == 9
+    for g in operands:
+        info, path = typing_of(T, g)
+        at = {p[len(path):]: inst for p, inst in info.inst.items()
+              if p[:len(path)] == path}
+        alone = annotate(T.types_map(), T.sig_map(), g, PROP)
+        assert at == alone.inst, g
+    # choose is read at prop, e0 = e0 at elem, wrap (wrap e0) at box elem
+    G = T.goals[0].formula
+    assert typing_of(T, G.left)[0].inst[(0,)] == (PROP,)
+    assert dict(annotate_calls) == {}
+
+
+def _used_by_two_walks(T):
+    """used_declarations as it was first written: free_vars of each
+    premise, then a walk of its subterms for the binder annotations."""
+    used, heads = set(), set()
+    for p in T.premises():
+        used |= free_vars(p.formula)
+        for s in subterms(p.formula):
+            if isinstance(s, (Lam, Exists, Forall)):
+                heads |= type_heads(s.ty)
+    ssyms = tuple(e for e in T.sig if e[0] in used)
+    for _, scheme in ssyms:
+        heads |= type_heads(scheme)
+    return tuple(e for e in T.types if e[0] in heads), ssyms
+
+
+def test_used_declarations_agrees_with_the_two_walk_definition():
+    tasks = [gen_chain_task(n) for n in (1, 5, 12)]
+    T = cli.parse_task(_FOL_TASK)
+    for apply, feed in _fol_script():
+        L, _ = apply(T)
+        tasks += L
+        T = L[feed]
+    # a name bound, then used free after its binder closes, then bound
+    # twice over itself
+    x, elem = ident("x"), TApp(ident("elem"), ())
+    box = TApp(ident("box"), (elem,))
+    tasks.append(Task(
+        types=((ident("box"), 1), (ident("elem"), 0), (ident("u"), 0)),
+        sig=((x, INT), (ident("p"), arrow(TVar(ident("a")), PROP))),
+        goals=(Premise(ident("G"), conj(
+            Forall(x, elem, app(var("p"), Var(x))),
+            conj(app(var("p"), Var(x)),
+                 Exists(x, box, Forall(x, elem, Top()))))),)))
+    for T in tasks:
+        assert used_declarations(T) == _used_by_two_walks(T)
+    assert len(tasks) == 15
+
+
+def test_used_declarations_walks_a_deep_premise_without_recursion():
+    x, elem = ident("x"), TApp(ident("elem"), ())
+    f = app(var("r"), var("y"))
+    for _ in range(10_000):
+        f = Forall(x, elem, conj(app(var("q"), Var(x)), Not(f)))
+    elem_q = arrow(elem, PROP)
+    box_elem = TApp(ident("box"), (elem,))
+    T = Task(types=((ident("unused"), 0), (ident("box"), 1),
+                    (ident("elem"), 0)),
+             sig=((ident("q"), elem_q), (ident("z"), INT),
+                  (ident("r"), arrow(box_elem, PROP)), (ident("y"), box_elem),
+                  (x, INT)),
+             hyps=(Premise(ident("H"), f),))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = used_declarations(T)
+    except RecursionError:
+        got = "RecursionError"
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == (((ident("box"), 1), (ident("elem"), 0)),
+                   ((ident("q"), elem_q), (ident("r"), arrow(box_elem, PROP)),
+                    (ident("y"), box_elem)))
 
 
 def test_well_typed_rejects_unbound():
