@@ -15,12 +15,12 @@ negation/connective spines, are already recorded as of type prop. So a
 formula is typed only if the rule built it anew (an asserted formula, an
 instantiated body, a rewritten premise); an operand the rule leaves as a
 premise of its own (KIntroImp, KSplit, KDestruct, ...) is found recorded.
-A child whose signature or type signature grew gets a fresh context and is typechecked in full, since a
-new symbol can make a kept premise ill-typed (a binder may not shadow a
-declared symbol). Same tuples, same judgment. By induction from the initial
-task, every task of the replay is well-typed, so a defect in the rule logic
-surfaces as a failure at the offending node instead of as a bogus derived
-leaf.
+A child whose declarations grew by one name keeps only the judgments the
+name cannot change: a kept premise that mentions it is typechecked again
+(a binder may not shadow a declared symbol; see well_typed). By induction
+from the initial task, every task of the replay is well-typed, so a defect
+in the rule logic surfaces as a failure at the offending node instead of as
+a bogus derived leaf.
 """
 
 from __future__ import annotations

@@ -120,40 +120,44 @@ def arrow(*types: Type) -> Type:
     return out
 
 
+# type_vars, type_heads and free_vars walk in module functions that take
+# their state as arguments: a nested function that calls itself is a
+# reference cycle, which only the cycle collector frees, on every call.
+
 def type_vars(ty: Type) -> tuple[Ident, ...]:
     """Type variables of `ty` in order of first occurrence."""
     out: list[Ident] = []
-
-    def walk(t: Type) -> None:
-        if isinstance(t, TVar):
-            if t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, Arrow):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, TApp):
-            for a in t.args:
-                walk(a)
-
-    walk(ty)
+    _type_vars(ty, out)
     return tuple(out)
+
+
+def _type_vars(t: Type, out: list[Ident]) -> None:
+    if isinstance(t, TVar):
+        if t.name not in out:
+            out.append(t.name)
+    elif isinstance(t, Arrow):
+        _type_vars(t.left, out)
+        _type_vars(t.right, out)
+    elif isinstance(t, TApp):
+        for a in t.args:
+            _type_vars(a, out)
 
 
 def type_heads(ty: Type) -> set[Ident]:
     """Heads of the type-symbol applications in `ty`, int() included."""
     out: set[Ident] = set()
-
-    def walk(t: Type) -> None:
-        if isinstance(t, Arrow):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, TApp):
-            out.add(t.head)
-            for a in t.args:
-                walk(a)
-
-    walk(ty)
+    _type_heads(ty, out)
     return out
+
+
+def _type_heads(t: Type, out: set[Ident]) -> None:
+    if isinstance(t, Arrow):
+        _type_heads(t.left, out)
+        _type_heads(t.right, out)
+    elif isinstance(t, TApp):
+        out.add(t.head)
+        for a in t.args:
+            _type_heads(a, out)
 
 
 def subst_in_type(ty: Type, mapping: Mapping[Ident, Type]) -> Type:
@@ -354,26 +358,26 @@ def strip_prenex(t: Term) -> tuple[tuple[Ident, ...], Term]:
 def free_vars(t: Term) -> frozenset[Ident]:
     """Free term variables (interpreted symbols included when they occur)."""
     out: set[Ident] = set()
-
-    def walk(t: Term, bound: frozenset[Ident]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, Not):
-            walk(t.body, bound)
-        elif isinstance(t, BinOp):
-            walk(t.left, bound)
-            walk(t.right, bound)
-        elif isinstance(t, App):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
-        elif isinstance(t, (Lam, Exists, Forall)):
-            walk(t.body, bound | {t.var})
-        elif isinstance(t, PiType):
-            walk(t.body, bound)
-
-    walk(t, frozenset())
+    _free_vars(t, frozenset(), out)
     return frozenset(out)
+
+
+def _free_vars(t: Term, bound: frozenset[Ident], out: set[Ident]) -> None:
+    if isinstance(t, Var):
+        if t.name not in bound:
+            out.add(t.name)
+    elif isinstance(t, Not):
+        _free_vars(t.body, bound, out)
+    elif isinstance(t, BinOp):
+        _free_vars(t.left, bound, out)
+        _free_vars(t.right, bound, out)
+    elif isinstance(t, App):
+        _free_vars(t.fn, bound, out)
+        _free_vars(t.arg, bound, out)
+    elif isinstance(t, (Lam, Exists, Forall)):
+        _free_vars(t.body, bound | {t.var}, out)
+    elif isinstance(t, PiType):
+        _free_vars(t.body, bound, out)
 
 
 def all_idents(t: Term) -> frozenset[Ident]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import cert, checker
 from .core import (
@@ -503,167 +503,184 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
             raise ExportError(f"task {i + 1} differs from the task the "
                               f"certificate derives at {list(path)}")
     used = [used_declarations(leaf) for leaf in L]
-    leaves = iter(enumerate(L, 1))
     declared = [mangle(name) for name, _ in T.types + T.sig]
     symbols = frozenset(declared).union(
         mangle(node.fresh if isinstance(node, cert.KIntroQuant) else node.iota)
         for _, node, _ in replay
         if isinstance(node, (cert.KIntroQuant, cert.KIntroType)))
-    premise_vars: dict[Ident, LVar] = {}
-
-    def premise_var(name: Ident) -> LVar:
-        if name not in premise_vars:
-            premise_vars[name] = LVar(_freshen(mangle(name), symbols))
-        return premise_vars[name]
-
-    def under(child: cert.KernelCert, path: tuple[int, ...],
-              *names: Ident) -> LpTerm:
-        # the child's term under one λ per premise it binds, in order
-        out = walk(child, path)
-        for n in reversed(names):
-            out = LLam(premise_var(n).name, None, out)
-        return out
-
-    def walk(node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
-        task, first, second = tasks[path], path + (0,), path + (1,)
-
-        if isinstance(node, cert.KHole):
-            # holes come in leaf order, each checked against its task above
-            i, leaf = next(leaves)
-            tsyms, ssyms = used[i - 1]
-            return lapp(LVar(f"s{i}"),
-                        *(LVar(mangle(n)) for n, _ in tsyms + ssyms),
-                        *(premise_var(p.name) for p in leaf.premises()))
-
-        if isinstance(node, cert.KTrivial):
-            if node.goal:
-                return LApp(LConst("triv"), premise_var(node.name))
-            return premise_var(node.name)
-
-        if isinstance(node, cert.KAxiom):
-            return lapp(LConst("axm"), enc(node.formula, task),
-                        premise_var(node.hyp), premise_var(node.goal))
-
-        if isinstance(node, cert.KEqRefl):
-            info = annotate(task.types_map(), task.sig_map(), node.term)
-            witness = lapp(LConst("eq_refl"), _encode_type(info.type),
-                           _encode_typing(info, task.sig_map()))
-            return LApp(premise_var(node.name), witness)
-
-        if isinstance(node, cert.KAssert):
-            return lapp(LConst("cut"), enc(node.formula, task),
-                        under(node.proof, first, node.name),
-                        under(node.rest, second, node.name))
-
-        if isinstance(node, cert.KSplit):
-            comb = "split_goal" if node.goal else "split"
-            return lapp(LConst(comb), enc(node.left, task),
-                        enc(node.right, task),
-                        under(node.first, first, node.name),
-                        under(node.second, second, node.name),
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KDestruct):
-            comb = "destruct_goal" if node.goal else "destruct"
-            return lapp(LConst(comb), enc(node.left, task),
-                        enc(node.right, task),
-                        under(node.rest, first, node.left_name,
-                              node.right_name),
-                        premise_var(node.name))
-
-        if isinstance(node, (cert.KClear, cert.KUnfoldIff)) or (
-                isinstance(node, cert.KSwapNeg) and not node.goal):
-            # a cleared premise is named again only under a λ rebinding it;
-            # the iff encoding is already both arrows' conjunction; a negated
-            # hypothesis and the goal it becomes share the encoding
-            return walk(node.rest, first)
-
-        if isinstance(node, cert.KSwapNeg):
-            return lapp(LConst("swapneg_goal"), enc(node.formula, task),
-                        under(node.rest, first, node.name),
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KIntroImp):
-            return lapp(LConst("intro_imp"), enc(node.left, task),
-                        enc(node.right, task),
-                        under(node.rest, first, node.hyp_name, node.name),
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KSplitImp):
-            return lapp(LConst("split_imp"), enc(node.left, task),
-                        enc(node.right, task),
-                        under(node.side, first, node.goal_name),
-                        under(node.rest, second, node.name),
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KRevert):
-            return lapp(LConst("revert"), enc(node.hyp_formula, task),
-                        enc(node.goal_formula, task), premise_var(node.hyp),
-                        premise_var(node.goal),
-                        under(node.rest, first, node.goal))
-
-        if isinstance(node, cert.KIntroQuant):
-            comb = "intro_all" if node.goal else "intro_ex"
-            cont = LLam(mangle(node.fresh), None,
-                        under(node.rest, first, node.name))
-            return lapp(LConst(comb), _encode_type(node.ty),
-                        enc(node.pred, task, Arrow(node.ty, PROP)), cont,
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KInstQuant):
-            comb = "inst_ex" if node.goal else "inst_all"
-            return lapp(LConst(comb), _encode_type(node.ty),
-                        enc(node.pred, task, Arrow(node.ty, PROP)),
-                        enc(node.witness, task, node.ty),
-                        under(node.rest, first, node.inst_name),
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KIntroType):
-            # the child task declares iota and holds the opened goal
-            child = tasks[first]
-            iota = mangle(node.iota)
-            pred = LLam(iota, None,
-                        enc(child.find(node.name)[2].formula, child))
-            cont = LLam(iota, None, under(node.rest, first, node.name))
-            return lapp(LConst("intro_ty"), pred, cont, premise_var(node.name))
-
-        if isinstance(node, cert.KInstType):
-            # the hypothesis is Π ι : TYPE, body over the type symbol ι its
-            # prefix was renamed to; the predicate is λ ι, body
-            judged = enc(node.formula, task)
-            pred = LLam(judged.var, None, judged.body)
-            return lapp(LConst("inst_ty"), pred, _encode_type(node.ty),
-                        under(node.rest, first, node.inst_name),
-                        premise_var(node.name))
-
-        if isinstance(node, cert.KRewrite):
-            comb = "rewrite_goal" if node.goal else "rewrite_hyp"
-            ty = node.context.ty
-            return lapp(LConst(comb), _encode_type(ty),
-                        enc(node.left, task, ty), enc(node.right, task, ty),
-                        enc(node.context, task, Arrow(ty, PROP)),
-                        premise_var(node.eq_name), premise_var(node.name),
-                        under(node.rest, first, node.name))
-
-        if isinstance(node, cert.KInduction):
-            # the λ binders reuse the symbol's and the goal's own names, so
-            # occurrences inside the branches rebind to the current case
-            v = mangle(node.var)
-            base = under(node.base, first, node.goal_name, node.hyp_name)
-            rec = under(node.rec, second, node.goal_name,
-                        node.hyp_name, node.rec_name)
-            return lapp(LConst("sind"),
-                        enc(node.context, task, Arrow(INT, PROP)),
-                        enc(node.bound, task, INT), LLam(v, None, base),
-                        LLam(v, None, rec), LVar(v),
-                        premise_var(node.goal_name))
-
-        raise ExportError(f"untranslatable certificate node {node!r}")
-
-    out = under(c, (), *(p.name for p in T.premises()))
+    st = _Walk(tasks, enc, iter(enumerate(L, 1)), used, symbols)
+    out = _under(st, c, (), *(p.name for p in T.premises()))
     for name in reversed([f"s{i + 1}" for i in range(len(L))] + declared):
         out = LLam(name, None, out)
     return out, used
+
+
+class _Walk:
+    """What _walk reads while it builds one proof term, and the λ variable
+    it names each premise by. The walkers are module functions that take
+    it as an argument: nested ones would close over each other, and the
+    cycle would keep the whole replay alive until the cycle collector ran."""
+
+    __slots__ = ("tasks", "enc", "leaves", "used", "symbols", "premise_vars")
+
+    def __init__(self, tasks: dict[tuple[int, ...], Task], enc: Encoder,
+                 leaves: Iterator[tuple[int, Task]], used: list[_Decls],
+                 symbols: frozenset[str]) -> None:
+        self.tasks, self.enc, self.leaves = tasks, enc, leaves
+        self.used, self.symbols = used, symbols
+        self.premise_vars: dict[Ident, LVar] = {}
+
+    def premise_var(self, name: Ident) -> LVar:
+        if name not in self.premise_vars:
+            self.premise_vars[name] = LVar(_freshen(mangle(name), self.symbols))
+        return self.premise_vars[name]
+
+
+def _under(st: _Walk, child: cert.KernelCert, path: tuple[int, ...],
+           *names: Ident) -> LpTerm:
+    """The child's term under one λ per premise it binds, in order."""
+    out = _walk(st, child, path)
+    for n in reversed(names):
+        out = LLam(st.premise_var(n).name, None, out)
+    return out
+
+
+def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
+    """The proof term of node, the certificate at path."""
+    task, first, second = st.tasks[path], path + (0,), path + (1,)
+
+    if isinstance(node, cert.KHole):
+        # holes come in leaf order, each checked against its task above
+        i, leaf = next(st.leaves)
+        tsyms, ssyms = st.used[i - 1]
+        return lapp(LVar(f"s{i}"),
+                    *(LVar(mangle(n)) for n, _ in tsyms + ssyms),
+                    *(st.premise_var(p.name) for p in leaf.premises()))
+
+    if isinstance(node, cert.KTrivial):
+        if node.goal:
+            return LApp(LConst("triv"), st.premise_var(node.name))
+        return st.premise_var(node.name)
+
+    if isinstance(node, cert.KAxiom):
+        return lapp(LConst("axm"), st.enc(node.formula, task),
+                    st.premise_var(node.hyp), st.premise_var(node.goal))
+
+    if isinstance(node, cert.KEqRefl):
+        info = annotate(task.types_map(), task.sig_map(), node.term)
+        witness = lapp(LConst("eq_refl"), _encode_type(info.type),
+                       _encode_typing(info, task.sig_map()))
+        return LApp(st.premise_var(node.name), witness)
+
+    if isinstance(node, cert.KAssert):
+        return lapp(LConst("cut"), st.enc(node.formula, task),
+                    _under(st, node.proof, first, node.name),
+                    _under(st, node.rest, second, node.name))
+
+    if isinstance(node, cert.KSplit):
+        comb = "split_goal" if node.goal else "split"
+        return lapp(LConst(comb), st.enc(node.left, task),
+                    st.enc(node.right, task),
+                    _under(st, node.first, first, node.name),
+                    _under(st, node.second, second, node.name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KDestruct):
+        comb = "destruct_goal" if node.goal else "destruct"
+        return lapp(LConst(comb), st.enc(node.left, task),
+                    st.enc(node.right, task),
+                    _under(st, node.rest, first, node.left_name,
+                           node.right_name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, (cert.KClear, cert.KUnfoldIff)) or (
+            isinstance(node, cert.KSwapNeg) and not node.goal):
+        # a cleared premise is named again only under a λ rebinding it;
+        # the iff encoding is already both arrows' conjunction; a negated
+        # hypothesis and the goal it becomes share the encoding
+        return _walk(st, node.rest, first)
+
+    if isinstance(node, cert.KSwapNeg):
+        return lapp(LConst("swapneg_goal"), st.enc(node.formula, task),
+                    _under(st, node.rest, first, node.name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KIntroImp):
+        return lapp(LConst("intro_imp"), st.enc(node.left, task),
+                    st.enc(node.right, task),
+                    _under(st, node.rest, first, node.hyp_name, node.name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KSplitImp):
+        return lapp(LConst("split_imp"), st.enc(node.left, task),
+                    st.enc(node.right, task),
+                    _under(st, node.side, first, node.goal_name),
+                    _under(st, node.rest, second, node.name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KRevert):
+        return lapp(LConst("revert"), st.enc(node.hyp_formula, task),
+                    st.enc(node.goal_formula, task), st.premise_var(node.hyp),
+                    st.premise_var(node.goal),
+                    _under(st, node.rest, first, node.goal))
+
+    if isinstance(node, cert.KIntroQuant):
+        comb = "intro_all" if node.goal else "intro_ex"
+        cont = LLam(mangle(node.fresh), None,
+                    _under(st, node.rest, first, node.name))
+        return lapp(LConst(comb), _encode_type(node.ty),
+                    st.enc(node.pred, task, Arrow(node.ty, PROP)), cont,
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KInstQuant):
+        comb = "inst_ex" if node.goal else "inst_all"
+        return lapp(LConst(comb), _encode_type(node.ty),
+                    st.enc(node.pred, task, Arrow(node.ty, PROP)),
+                    st.enc(node.witness, task, node.ty),
+                    _under(st, node.rest, first, node.inst_name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KIntroType):
+        # the child task declares iota and holds the opened goal
+        child = st.tasks[first]
+        iota = mangle(node.iota)
+        pred = LLam(iota, None,
+                    st.enc(child.find(node.name)[2].formula, child))
+        cont = LLam(iota, None, _under(st, node.rest, first, node.name))
+        return lapp(LConst("intro_ty"), pred, cont, st.premise_var(node.name))
+
+    if isinstance(node, cert.KInstType):
+        # the hypothesis is Π ι : TYPE, body over the type symbol ι its
+        # prefix was renamed to; the predicate is λ ι, body
+        judged = st.enc(node.formula, task)
+        pred = LLam(judged.var, None, judged.body)
+        return lapp(LConst("inst_ty"), pred, _encode_type(node.ty),
+                    _under(st, node.rest, first, node.inst_name),
+                    st.premise_var(node.name))
+
+    if isinstance(node, cert.KRewrite):
+        comb = "rewrite_goal" if node.goal else "rewrite_hyp"
+        ty = node.context.ty
+        return lapp(LConst(comb), _encode_type(ty),
+                    st.enc(node.left, task, ty), st.enc(node.right, task, ty),
+                    st.enc(node.context, task, Arrow(ty, PROP)),
+                    st.premise_var(node.eq_name), st.premise_var(node.name),
+                    _under(st, node.rest, first, node.name))
+
+    if isinstance(node, cert.KInduction):
+        # the λ binders reuse the symbol's and the goal's own names, so
+        # occurrences inside the branches rebind to the current case
+        v = mangle(node.var)
+        base = _under(st, node.base, first, node.goal_name, node.hyp_name)
+        rec = _under(st, node.rec, second, node.goal_name,
+                     node.hyp_name, node.rec_name)
+        return lapp(LConst("sind"),
+                    st.enc(node.context, task, Arrow(INT, PROP)),
+                    st.enc(node.bound, task, INT), LLam(v, None, base),
+                    LLam(v, None, rec), LVar(v),
+                    st.premise_var(node.goal_name))
+
+    raise ExportError(f"untranslatable certificate node {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ set semantics is recovered by name-keyed lookup wherever equality matters.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import KeysView, Mapping
 
 from .core import (
     PROP,
@@ -58,9 +57,13 @@ class _TypingContext:
     Every task derived by Task.replace/append keeps its parent's tuples and
     shares its parent's context, so a fact recorded here holds for all of
     them: same tuples, same judgment. The memo lives as long as the context.
+    A context that Task.extend_sig/extend_types starts for one declaration
+    more begins with the judgments of its parent's context that the new
+    declaration cannot change (see well_typed).
     """
 
-    __slots__ = ("types_map", "sig_map", "sig_checked", "props", "paths")
+    __slots__ = ("types_map", "sig_map", "sig_checked", "props", "paths",
+                 "mentions")
 
     def __init__(self, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
@@ -76,6 +79,54 @@ class _TypingContext:
         # id of a formula in props -> the Typing it was judged under and its
         # path there (see typing_of), filled one premise spine at a time
         self.paths: dict[int, tuple[Typing, tuple[int, ...]]] = {}
+        # id of a premise in props -> every ident it mentions and the iotas
+        # its Typing picked, filled when a declaration extends the context
+        self.mentions: dict[int, frozenset[Ident]] = {}
+
+    def extended(self, types_map: dict[Ident, int], sig_map: dict[Ident, Type],
+                 name: Ident, premises: tuple[Premise, ...]) -> _TypingContext:
+        """A context for these declarations, which add name to this
+        context's: it holds this context's judgments of premises, and of
+        the operands along their spines, whose judged premise neither
+        mentions name nor picked it as an iota (see well_typed)."""
+        out = _TypingContext(types_map, sig_map)
+        todo = [p.formula for p in premises]
+        while todo:
+            g = todo.pop()
+            judged = self.props.get(id(g))
+            if judged is None or id(g) in out.props:
+                continue
+            root, info = judged
+            mentions = self.mentions.get(id(root))
+            if mentions is None:
+                mentions = all_idents(root).union(info.iotas)
+                self.mentions[id(root)] = mentions
+            if name in mentions:
+                continue
+            out.props[id(g)] = judged
+            out.mentions[id(root)] = mentions
+            if isinstance(g, Not):
+                todo.append(g.body)
+            elif isinstance(g, BinOp):
+                todo += (g.left, g.right)
+        return out
+
+
+def _check_decl(sig: Mapping[Ident, Type], name: Ident) -> None:
+    if name.name in RESERVED:
+        raise TaskError(f"symbol {name} is interpreted and reserved")
+    if name in sig:
+        raise TaskError(f"symbol {name} declared twice")
+
+
+def _check_type_decl(types: Mapping[Ident, int], name: Ident,
+                     arity: int) -> None:
+    if name.name in RESERVED:
+        raise TaskError(f"type symbol {name} is interpreted and reserved")
+    if name in types:
+        raise TaskError(f"type symbol {name} declared twice")
+    if arity < 0:
+        raise TaskError(f"negative arity for {name}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,32 +136,33 @@ class Task:
     hyps: tuple[Premise, ...] = ()
     goals: tuple[Premise, ...] = ()
     _ctx: _TypingContext = field(init=False, repr=False, compare=False)
-    _names: frozenset[Ident] = field(init=False, repr=False, compare=False)
+    # premise name -> (is it a goal, the premise); never mutated, so a task
+    # with the same premises shares it
+    _by_name: Mapping[Ident, tuple[bool, Premise]] = field(
+        init=False, repr=False, compare=False)
+    # the premises well_typed has yet to judge: every other premise's
+    # formula is recorded in _ctx (see well_typed)
+    _unjudged: tuple[Premise, ...] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         types: dict[Ident, int] = {}
         for name, arity in self.types:
-            if name.name in RESERVED:
-                raise TaskError(f"type symbol {name} is interpreted and reserved")
-            if name in types:
-                raise TaskError(f"type symbol {name} declared twice")
-            if arity < 0:
-                raise TaskError(f"negative arity for {name}")
+            _check_type_decl(types, name, arity)
             types[name] = arity
         sig: dict[Ident, Type] = {}
         for name, ty in self.sig:
-            if name.name in RESERVED:
-                raise TaskError(f"symbol {name} is interpreted and reserved")
-            if name in sig:
-                raise TaskError(f"symbol {name} declared twice")
+            _check_decl(sig, name)
             sig[name] = ty
-        names: set[Ident] = set()
-        for p in itertools.chain(self.hyps, self.goals):
-            if p.name in names:
-                raise TaskError(f"premise name {p.name} used twice")
-            names.add(p.name)
+        by_name: dict[Ident, tuple[bool, Premise]] = {}
+        for is_goal, side in ((False, self.hyps), (True, self.goals)):
+            for p in side:
+                if p.name in by_name:
+                    raise TaskError(f"premise name {p.name} used twice")
+                by_name[p.name] = (is_goal, p)
         object.__setattr__(self, "_ctx", _TypingContext(types, sig))
-        object.__setattr__(self, "_names", frozenset(names))
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_unjudged", self.hyps + self.goals)
 
     # -- lookups ------------------------------------------------------------
 
@@ -125,62 +177,76 @@ class Task:
     def premises(self) -> tuple[Premise, ...]:
         return self.hyps + self.goals
 
-    def premise_names(self) -> frozenset[Ident]:
-        return self._names
+    def premise_names(self) -> KeysView[Ident]:
+        return self._by_name.keys()
 
     def find(self, name: Ident | str) -> tuple[bool, int, Premise] | None:
         """Locate a premise by name; the bool is True for a goal."""
-        name = ident(name)
-        for i, p in enumerate(self.hyps):
-            if p.name == name:
-                return False, i, p
-        for i, p in enumerate(self.goals):
-            if p.name == name:
-                return True, i, p
-        return None
+        found = self._by_name.get(ident(name))
+        if found is None:
+            return None
+        is_goal, p = found
+        side = self.goals if is_goal else self.hyps
+        # by identity, in C: tuple.index would call Premise.__eq__ on every
+        # premise before p
+        return is_goal, list(map(id, side)).index(id(p)), p
 
     # -- functional edits (used by replay and by the transformations) -------
     #
     # replace and append keep this task's types and sig tuples, so the task
     # they build shares this task's typing context (see well_typed) and only
     # the premise names they add are checked. extend_sig and extend_types
-    # change a tuple: they build the task with Task(...), which validates it
-    # in full and gives it a fresh context.
+    # add one declaration: the task they build keeps this task's premises
+    # and starts a context of its own with the judgments the new
+    # declaration cannot change.
 
     def replace(self, is_goal: bool, index: int, new: tuple[Premise, ...]) -> Task:
         """Splice `new` in place of the premise at `index` on the given side."""
         side = self.goals if is_goal else self.hyps
         spliced = side[:index] + new + side[index + 1:]
-        names = self._names - {side[index].name}
         if is_goal:
-            return self._derive(self.hyps, spliced, names, new)
-        return self._derive(spliced, self.goals, names, new)
+            return self._derive(self.hyps, spliced, is_goal, side[index], new)
+        return self._derive(spliced, self.goals, is_goal, side[index], new)
 
     def append(self, is_goal: bool, p: Premise) -> Task:
         if is_goal:
-            return self._derive(self.hyps, self.goals + (p,), self._names, (p,))
-        return self._derive(self.hyps + (p,), self.goals, self._names, (p,))
+            return self._derive(self.hyps, self.goals + (p,), is_goal, None, (p,))
+        return self._derive(self.hyps + (p,), self.goals, is_goal, None, (p,))
 
     def _derive(self, hyps: tuple[Premise, ...], goals: tuple[Premise, ...],
-                names: frozenset[Ident], added: tuple[Premise, ...]) -> Task:
-        """This task's declarations over new premises: `names` are those of
-        the premises kept from this task, `added` the premises new to it."""
+                is_goal: bool, removed: Premise | None,
+                added: tuple[Premise, ...]) -> Task:
+        """This task's declarations over new premises: this task's without
+        `removed`, and `added` on the given side."""
+        by_name = dict(self._by_name)
+        unjudged = self._unjudged
+        if removed is not None:
+            del by_name[removed.name]
+            if unjudged:
+                unjudged = tuple(p for p in unjudged if p is not removed)
         for p in added:
-            if p.name in names:
+            if p.name in by_name:
                 raise TaskError(f"premise name {p.name} used twice")
-            names = names | {p.name}
-        out = object.__new__(Task)
-        for attr, value in (("types", self.types), ("sig", self.sig),
-                            ("hyps", hyps), ("goals", goals),
-                            ("_ctx", self._ctx), ("_names", names)):
-            object.__setattr__(out, attr, value)
-        return out
+            by_name[p.name] = (is_goal, p)
+        return _build(self.types, self.sig, hyps, goals, self._ctx, by_name,
+                      unjudged + added)
 
     def extend_sig(self, name: Ident, ty: Type) -> Task:
-        return replace(self, sig=self.sig + ((name, ty),))
+        _check_decl(self._ctx.sig_map, name)
+        return self._extend(self.types, self.sig + ((name, ty),), name)
 
     def extend_types(self, name: Ident, arity: int) -> Task:
-        return replace(self, types=self.types + ((name, arity),))
+        _check_type_decl(self._ctx.types_map, name, arity)
+        return self._extend(self.types + ((name, arity),), self.sig, name)
+
+    def _extend(self, types: tuple[tuple[Ident, int], ...],
+                sig: tuple[tuple[Ident, Type], ...], name: Ident) -> Task:
+        """These premises under declarations that add name to this task's."""
+        premises = self.premises()
+        ctx = self._ctx.extended(dict(types), dict(sig), name, premises)
+        unjudged = tuple(p for p in premises if id(p.formula) not in ctx.props)
+        return _build(types, sig, self.hyps, self.goals, ctx, self._by_name,
+                      unjudged)
 
     # -- ident pools ---------------------------------------------------------
 
@@ -205,6 +271,20 @@ class Task:
         return frozenset(out)
 
 
+def _build(types: tuple[tuple[Ident, int], ...],
+           sig: tuple[tuple[Ident, Type], ...], hyps: tuple[Premise, ...],
+           goals: tuple[Premise, ...], ctx: _TypingContext,
+           by_name: Mapping[Ident, tuple[bool, Premise]],
+           unjudged: tuple[Premise, ...]) -> Task:
+    """A Task from parts an edit has already validated."""
+    out = object.__new__(Task)
+    for attr, value in (("types", types), ("sig", sig), ("hyps", hyps),
+                        ("goals", goals), ("_ctx", ctx),
+                        ("_by_name", by_name), ("_unjudged", unjudged)):
+        object.__setattr__(out, attr, value)
+    return out
+
+
 def well_typed(T: Task) -> bool:
     """True iff Sigma is well-formed under I and every premise has type prop.
 
@@ -212,12 +292,34 @@ def well_typed(T: Task) -> bool:
     premise such as `choose` with choose : 'a is prop at the instance prop,
     not ill-typed at the defaulted instance int.
 
-    Incremental through T's typing context, which the tasks replace and
+    Incremental in two ways, so a derived task pays for what its edit
+    added. First, through T's typing context, which the tasks replace and
     append derive share since they keep the same types and sig tuples: the
     signature is checked once per context, and each formula object is typed
     once per context. Same tuples, same judgment; the memo lives as long as
-    the context. A task built by Task(...), extend_sig or extend_types has
-    a fresh context and is judged in full.
+    the context. Second, T knows which of its premises may be unrecorded
+    in that context: all of them for a task built by Task(...), none once
+    well_typed(T) has held, and for a task replace or append derived, its
+    parent's unrecorded premises it keeps plus the ones the edit added. So
+    only those are looked at; a kept premise is the same object under the
+    same tuples, recorded when the parent was judged.
+
+    extend_sig and extend_types add one declaration of a name x and start
+    a context of their own, which begins with every judgment of the
+    parent's context whose judged premise mentions x nowhere (free, bound,
+    or as a type head or type variable) and whose Typing did not pick x as
+    an iota; every other premise is judged again. Such a judgment is
+    annotate's own under the new declarations. annotate reads the
+    signature only to look up a variable the premise mentions and to
+    refuse a binder of a declared name, so a new symbol x changes neither.
+    It reads the type signature to check the arity of a type head the
+    premise mentions, and to rename a type prefix to the first names not
+    declared: a new type symbol x moves that choice only if x was chosen.
+    So the typing, its instances and its iotas are the same, and the
+    operands along the premise's spine keep theirs. A kept premise that
+    binds x is judged again and refused, as a binder may not shadow a
+    declared symbol; KIntroQuant's freshness check looks only at free
+    names and the signature, so this case is real.
 
     A premise judged prop keeps the Typing annotate gave it, and records
     every operand along its Not/BinOp spine, stopping at binders and type
@@ -238,7 +340,7 @@ def well_typed(T: Task) -> bool:
         except TypingError:
             return False
         ctx.sig_checked = True
-    for p in T.premises():
+    for p in T._unjudged:
         f = p.formula
         if id(f) in ctx.props:
             continue
@@ -255,6 +357,7 @@ def well_typed(T: Task) -> bool:
                     todo.append(g.body)
                 elif isinstance(g, BinOp):
                     todo += (g.left, g.right)
+    object.__setattr__(T, "_unjudged", ())
     return True
 
 

@@ -1,6 +1,7 @@
 """λΠ export: encodings, proof terms, the preamble, and emitted modules."""
 
 import dataclasses
+import gc
 import os
 import random
 import re
@@ -353,6 +354,21 @@ def test_hole_application_follows_the_given_task_order():
     assert ("symbol task1 : TYPE ≔ Π x1 : TYPE, Π y : TYPE, Π x : TYPE, "
             "y → x1 → (x → Π C : TYPE, C) → Π C : TYPE, C;") in mod
     assert "(λ H, s1 x1 y x K H G) (λ H, s2 x2 y x K H G)" in mod
+
+
+def test_export_leaves_no_cyclic_garbage():
+    # the walk's state is an argument of module-level walkers, so nothing
+    # of the replay waits for the cycle collector once emit_module returns
+    T = gen_chain_task(20)
+    L, s = tr.t_blast(T)
+    k = cert.elaborate(s, T)
+    gc.collect()
+    gc.disable()
+    try:
+        lp.emit_module(T, L, k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_proof_term_rejects_tasks_the_certificate_does_not_derive():

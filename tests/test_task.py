@@ -19,6 +19,7 @@ from certforge.core import (
     Exists,
     Forall,
     Ident,
+    IntLit,
     Lam,
     Not,
     PiType,
@@ -173,6 +174,164 @@ def test_extend_sig_types_kept_formulas_again():
     assert not well_typed(T2)
     assert not well_typed(T2.append(False, Premise(ident("H9"), P)))
     assert well_typed(T.append(False, Premise(ident("H9"), P)))
+
+
+def test_extend_types_judges_again_a_premise_whose_iota_it_declares():
+    # typing the goal renames its prefix variable a to the type symbol a#1;
+    # once a#1 is declared, a fresh context picks a#2, and so must the
+    # extended task; the hypothesis neither mentions a#1 nor picked it
+    T = cli.parse_task("""(task (types (box 1))
+      (sig (wrap (-> a (box a))) (q (-> (box a) prop)) (k (int)))
+      (hyps (H (= k k)))
+      (goals (G (pi a (forall (u a) (q (wrap u)))))))""")
+    assert well_typed(T)
+    assert typing_of(T, T.goals[0].formula)[0].iotas == (ident("a#1"),)
+    E = T.extend_types(ident("a#1"), 0)
+    assert well_typed(E)
+    assert typing_of(E, E.goals[0].formula)[0].iotas == (ident("a#2"),)
+    assert typing_of(E, E.hyps[0].formula) == typing_of(T, T.hyps[0].formula)
+
+
+# random small tasks over one set of declarations, with the names an
+# extension may declare: x and n are bound by premises, d occurs free
+# undeclared, a and b are type prefix variables, a#1 and b#1 the iotas a
+# typing renames them to, t is an undeclared type symbol, and k and elem
+# are declared already
+_EXT_TERMS = [ident(n) for n in ("x", "n", "d", "k")]
+_EXT_TYPES = [ident(n) for n in ("a", "b", "a#1", "b#1", "t", "elem")]
+_ELEM = TApp(ident("elem"), ())
+_ext_ann = st.sampled_from([INT, _ELEM, TApp(ident("box"), (_ELEM,)),
+                            TApp(ident("t"), ())])
+_ext_int = st.one_of(st.sampled_from(_EXT_TERMS).map(Var),
+                     st.builds(lambda: IntLit(0)))
+_ext_any = st.one_of(_ext_int, st.sampled_from(["c", "u"]).map(var))
+_ext_atom = st.one_of(
+    _ext_int.map(lambda t: app(var("p"), t)),
+    _ext_any.map(lambda t: app(var("q"), app(var("wrap"), t))),
+    st.tuples(_ext_int, _ext_int).map(lambda t: eq(*t)),
+    st.builds(Top),
+)
+_ext_formula = st.recursive(_ext_atom, lambda inner: st.one_of(
+    inner.map(Not),
+    st.tuples(st.sampled_from(["and", "or", "imp"]), inner, inner)
+      .map(lambda t: BinOp(*t)),
+    st.tuples(st.sampled_from(_EXT_TERMS[:3]), _ext_ann, inner)
+      .map(lambda t: Forall(*t)),
+    st.tuples(st.sampled_from(_EXT_TERMS[:3]), _ext_ann, inner)
+      .map(lambda t: Exists(*t)),
+), max_leaves=6)
+_ext_premise = st.one_of(
+    _ext_formula,
+    st.tuples(st.sampled_from(_EXT_TYPES[:2]), _ext_formula).map(
+        lambda t: PiType(t[0], Forall(ident("u"), TVar(t[0]), t[1]))),
+)
+
+
+@st.composite
+def _ext_tasks(draw):
+    hyps = draw(st.lists(_ext_premise, max_size=3))
+    goals = draw(st.lists(_ext_premise, min_size=1, max_size=2))
+    return Task(
+        types=((ident("box"), 1), (ident("elem"), 0)),
+        sig=((ident("p"), arrow(INT, PROP)),
+             (ident("q"), arrow(TApp(ident("box"), (TVar(ident("a")),)), PROP)),
+             (ident("wrap"), arrow(TVar(ident("a")),
+                                   TApp(ident("box"), (TVar(ident("a")),)))),
+             (ident("c"), _ELEM), (ident("k"), INT)),
+        hyps=tuple(Premise(ident(f"H{i}"), f) for i, f in enumerate(hyps)),
+        goals=tuple(Premise(ident(f"G{i}"), f) for i, f in enumerate(goals)))
+
+
+def _spine(f):
+    """f and every operand along its Not/BinOp spine."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        if isinstance(g, Not):
+            todo.append(g.body)
+        elif isinstance(g, BinOp):
+            todo += (g.left, g.right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ext_tasks(), st.sampled_from(["judged", "unjudged"]),
+       st.one_of(st.tuples(st.just("sig"), st.sampled_from(_EXT_TERMS),
+                           st.sampled_from([INT, _ELEM])),
+                 st.tuples(st.just("types"), st.sampled_from(_EXT_TYPES),
+                           st.integers(0, 1))))
+def test_an_extension_judges_as_a_fresh_context(T, judged, extension):
+    # the extended task starts from its parent's judgments; a fresh
+    # context over the same tuples must reach the same verdict and type
+    # every premise and operand the same way
+    if judged == "judged":
+        well_typed(T)
+    kind, name, decl = extension
+    extend = T.extend_sig if kind == "sig" else T.extend_types
+    try:
+        E = extend(name, decl)
+    except TaskError:
+        with pytest.raises(TaskError):
+            Task(T.types + ((name, decl),) if kind == "types" else T.types,
+                 T.sig + ((name, decl),) if kind == "sig" else T.sig,
+                 T.hyps, T.goals)
+        return
+    fresh = Task(E.types, E.sig, E.hyps, E.goals)
+    assert well_typed(E) == well_typed(fresh)
+    if well_typed(fresh):
+        for p in E.premises():
+            for g in _spine(p.formula):
+                assert typing_of(E, g) == typing_of(fresh, g)
+
+
+def test_a_derived_task_is_judged_on_what_its_edit_added():
+    # H is ill-typed; a task derived before anything was judged still
+    # judges what it keeps, and one that drops H no longer holds it
+    H = Premise(ident("H"), Var(ident("x")))
+    T = Task(sig=((ident("x"), INT), (ident("p"), PROP)), hyps=(H,),
+             goals=(Premise(ident("G"), P),))
+    kept = T.append(False, Premise(ident("K"), P))
+    dropped = T.replace(False, 0, ())
+    assert not well_typed(kept)
+    assert well_typed(dropped)
+    assert not well_typed(T)
+    assert well_typed(dropped.append(True, Premise(ident("G2"), Not(P))))
+    assert not well_typed(dropped.append(True, H))
+
+
+def test_replaying_an_intro_does_not_grow_with_the_kept_premises(
+        annotate_calls):
+    # the opened goal is the one premise judged again under the new
+    # declaration; the kept quantified hypotheses keep their judgments
+    # (before, every replay typed each of them again)
+    calls = annotate_calls["task"]
+
+    def count(width):
+        extra = " ".join(
+            f"(W{j} (forall (z (int)) (imp (<= z {j}) (p (+ z 1)))))"
+            for j in range(width))
+        T = cli.parse_task(f"""(task (types (box 1) (elem 0))
+          (sig (p (-> (int) prop)) (wrap (-> a (box a)))
+               (q (-> (box a) prop)))
+          (hyps (Hpoly (pi a (forall (x a) (q (wrap x))))) {extra})
+          (goals (G (forall (n (int)) (p n)))))""")
+        assert well_typed(T)
+        calls.clear()
+        L, s = tr.t_intro(T, ident("G"))
+        k = elaborate(s, T)
+        assert ccheck(k, T).ok
+        return len(calls)
+
+    assert count(4) == count(16)
+
+
+def test_ccheck_of_an_elaborated_chain_types_nothing(annotate_calls):
+    T = gen_chain_task(20)
+    _, s = tr.t_blast(T)
+    k = elaborate(s, T)
+    annotate_calls.clear()
+    assert ccheck(k, T).ok
+    assert dict(annotate_calls) == {}
 
 
 def test_well_typed_rejects_non_prop_premise():
