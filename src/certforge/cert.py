@@ -235,7 +235,9 @@ class KInduction(KernelCert):
 
 
 class SurfaceCert:
-    __slots__ = ()
+    # (task, kernel certificate) a transformation elaborated this very
+    # certificate into on that very task (see keep_kernel); unset otherwise
+    __slots__ = ("_kept",)
 
     def kernel(self, T: Task) -> KernelCert:
         """The kernel skeleton this certificate stands for at task T: its
@@ -597,6 +599,10 @@ _BY_NAME = {cls.__name__: cls for base in (KernelCert, SurfaceCert)
 _CHILD_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)
                             if f.type in ("KernelCert", "SurfaceCert"))
                  for cls in _BY_NAME.values()}
+# The other fields, which come first (asserted below, for the wire schema).
+_OTHER_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)
+                            if f.name not in names)
+                 for cls, names in _CHILD_FIELDS.items()}
 
 
 def cert_children(node):
@@ -604,42 +610,74 @@ def cert_children(node):
 
 
 def _with_children(node, new):
-    names = _CHILD_FIELDS[type(node)]
-    assert len(names) == len(new)
-    return dataclasses.replace(node, **dict(zip(names, new)))
+    cls = type(node)
+    assert len(_CHILD_FIELDS[cls]) == len(new)
+    return cls(*[getattr(node, n) for n in _OTHER_FIELDS[cls]], *new)
 
 
 def leaves(c: KernelCert) -> list[Task]:
     """Tasks stored at KHole nodes, left to right."""
-    if isinstance(c, KHole):
-        return [c.task]
     out: list[Task] = []
-    for child in cert_children(c):
-        out.extend(leaves(child))
+    todo = [c]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, KHole):
+            out.append(node.task)
+        else:
+            todo.extend(reversed(cert_children(node)))
     return out
 
 
-def count_holes(s: SurfaceCert) -> int:
-    if isinstance(s, SHole):
-        return 1
-    return sum(count_holes(k) for k in cert_children(s))
-
-
-def fill_holes(s: SurfaceCert, fillers) -> SurfaceCert:
-    """Replace the i-th SHole (in-order) by fillers[i]."""
+def fill_holes(c, fillers):
+    """Replace the i-th hole (in-order) by fillers[i]: the SHole nodes of a
+    surface certificate, the KHole nodes of a kernel one. An explicit stack
+    walks c, and never enters a filler."""
+    hole = SHole if isinstance(c, SurfaceCert) else KHole
     fillers = list(fillers)
-    if count_holes(s) != len(fillers):
-        raise CertError(
-            f"certificate has {count_holes(s)} holes, got {len(fillers)} fillers")
     it = iter(fillers)
+    done: list = []
+    # (node, n) rebuilds node from its n children, the last entries of done
+    todo: list = [c]
+    used = 0
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            node, n = node
+            split = len(done) - n
+            kids = done[split:]
+            del done[split:]
+            done.append(_with_children(node, kids))
+        elif isinstance(node, hole):
+            used += 1
+            done.append(next(it, None))
+        else:
+            names = _CHILD_FIELDS[type(node)]
+            if names:
+                todo.append((node, len(names)))
+                todo.extend(getattr(node, name) for name in reversed(names))
+            else:
+                done.append(node)
+    if used != len(fillers):
+        raise CertError(
+            f"certificate has {used} holes, got {len(fillers)} fillers")
+    return done[0]
 
-    def rec(node):
-        if isinstance(node, SHole):
-            return next(it)
-        kids = cert_children(node)
-        return _with_children(node, tuple(rec(k) for k in kids))
 
-    return rec(s)
+def keep_kernel(s: SurfaceCert, T: Task, k: KernelCert) -> None:
+    """Keep k on s as s elaborated against T: elaborate(s, T) returns it for
+    this very s and this very T without a replay. The entry is an attribute
+    of s, so it is keyed by identity and dies with s. Elaboration is not
+    trusted, ccheck replays what it returns, so a transformation may keep
+    only the certificate elaborate would build."""
+    object.__setattr__(s, "_kept", (T, k))
+
+
+def kept_kernel(s, T: Task) -> KernelCert | None:
+    """The kernel certificate kept on s for this very T, or None."""
+    kept = getattr(s, "_kept", None)
+    if kept is None or kept[0] is not T:
+        return None
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +921,10 @@ def _replay(c, T: Task) -> KernelCert:
 def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
     """Replay s against T, filling in the formulas each rule touches.
 
+    A transformation keeps the kernel certificate it built for the
+    certificate it returns (keep_kernel); for that very s on that very T,
+    checked by identity, elaborate returns it, and replays otherwise.
+
     T is judged first (CertError if it is not well-typed), so its premises
     and their operands are recorded in its typing context before any rule
     leaves one of them as a premise of its own. Each surface node is
@@ -894,6 +936,9 @@ def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
     certificate applied to it, or a failed side condition. The resulting
     kernel certificate passes ccheck against T.
     """
+    kept = kept_kernel(s, T)
+    if kept is not None:
+        return kept
     if not isinstance(s, SurfaceCert):
         raise CertError(f"unknown surface certificate {s!r}")
     if not well_typed(T):

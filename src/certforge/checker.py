@@ -6,21 +6,21 @@ ccheck() and the λΠ exporter both replay through derive(), the one walker:
 it judges the initial task with well_typed, then walks the certificate with
 step(), which also checks each KHole's stored task against the task at hand.
 
-Every task a rule produces is judged by well_typed on the spot, one
-typing rule for all children. well_typed is incremental through the task's
-typing context: a child that keeps its parent's signature and type signature
-(the same tuples, edited by Task.replace/append) shares the parent's context,
+Every task a rule produces is judged by well_typed on the spot, one typing
+rule for all children. well_typed is incremental through the task's typing
+context: a child that keeps its parent's signature and type signature (the
+same tuples, edited by Task.replace/append) shares the parent's context,
 where the parent's premise formulas, and every operand along their
 negation/connective spines, are already recorded as of type prop. So a
 formula is typed only if the rule built it anew (an asserted formula, an
-instantiated body, a rewritten premise); an operand the rule leaves as a
-premise of its own (KIntroImp, KSplit, KDestruct, ...) is found recorded.
-A child whose declarations grew by one name keeps only the judgments the
-name cannot change: a kept premise that mentions it is typechecked again
-(a binder may not shadow a declared symbol; see well_typed). By induction
-from the initial task, every task of the replay is well-typed, so a defect
-in the rule logic surfaces as a failure at the offending node instead of as
-a bogus derived leaf.
+instantiated body, a rewritten premise) or it is KIntroImp's: a rule leaves
+the matched premise's operands, found recorded, but KIntroImp the node's,
+which the next node of a loaded chain matches by identity, not by a walk. A
+child whose declarations grew by one name keeps only the judgments the name
+cannot change: a kept premise that mentions it is typechecked again (a
+binder may not shadow a declared symbol; see well_typed). By induction from
+the initial task, every task of the replay is well-typed, so a defect in the
+rule logic fails at the offending node instead of as a bogus derived leaf.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
         side, idx, prem = _find(T, node.name, node.goal)
         make = conj if node.goal else disj
         _match(prem.formula, make(node.left, node.right), f"premise {node.name}")
-        return [T.replace(side, idx, (Premise(node.name, node.left),)),
-                T.replace(side, idx, (Premise(node.name, node.right),))]
+        return [T.replace(side, idx, (Premise(node.name, prem.formula.left),)),
+                T.replace(side, idx, (Premise(node.name, prem.formula.right),))]
 
     if isinstance(node, cert.KDestruct):
         side, idx, prem = _find(T, node.name, node.goal)
@@ -183,8 +183,8 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
             raise _Refused("the two part names coincide")
         _fresh_premise(T, node.left_name)
         _fresh_premise(T, node.right_name)
-        return [T.replace(side, idx, (Premise(node.left_name, node.left),
-                                      Premise(node.right_name, node.right)))]
+        return [T.replace(side, idx, (Premise(node.left_name, prem.formula.left),
+                                      Premise(node.right_name, prem.formula.right)))]
 
     if isinstance(node, cert.KClear):
         side, idx, prem = _find(T, node.name, node.goal)
@@ -194,7 +194,7 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
     if isinstance(node, cert.KSwapNeg):
         side, idx, prem = _find(T, node.name, node.goal)
         _match(prem.formula, Not(node.formula), f"premise {node.name}")
-        moved = Premise(node.name, node.formula)
+        moved = Premise(node.name, prem.formula.body)
         return [T.replace(side, idx, ()).append(not side, moved)]
 
     if isinstance(node, cert.KIntroImp):
@@ -210,8 +210,8 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
                f"hypothesis {node.name}")
         _fresh_premise(T, node.goal_name)
         t_side = T.replace(False, idx, ()).append(
-            True, Premise(node.goal_name, node.left))
-        t_rest = T.replace(False, idx, (Premise(node.name, node.right),))
+            True, Premise(node.goal_name, prem.formula.left))
+        t_rest = T.replace(False, idx, (Premise(node.name, prem.formula.right),))
         return [t_side, t_rest]
 
     if isinstance(node, cert.KUnfoldIff):

@@ -411,58 +411,62 @@ def all_idents(t: Term) -> frozenset[Ident]:
 
 def subst_term(t: Term, x: Ident, u: Term) -> Term:
     """Capture-avoiding substitution t[x -> u]."""
-    fvu = free_vars(u)
+    return _subst_term(t, x, u, free_vars(u))
 
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            return u if t.name == x else t
-        if isinstance(t, (Top, Bottom, IntLit)):
-            return t
-        if isinstance(t, Not):
-            return Not(walk(t.body))
-        if isinstance(t, BinOp):
-            return BinOp(t.op, walk(t.left), walk(t.right))
-        if isinstance(t, App):
-            return App(walk(t.fn), walk(t.arg))
-        if isinstance(t, (Lam, Exists, Forall)):
-            cls = type(t)
-            if t.var == x:
-                return t  # shadowed, no free x below
-            if t.var in fvu and x in free_vars(t.body):
-                avoid = fvu | free_vars(t.body) | {x}
-                v2 = fresh_ident(t.var, avoid)
-                body2 = subst_term(t.body, t.var, Var(v2))
-                return cls(v2, t.ty, walk(body2))
-            return cls(t.var, t.ty, walk(t.body))
-        if isinstance(t, PiType):
-            return PiType(t.var, walk(t.body))
-        raise TypeError(f"unknown term node {t!r}")
 
-    return walk(t)
+def _subst_term(t: Term, x: Ident, u: Term, fvu: frozenset[Ident]) -> Term:
+    """t[x -> u], where fvu holds u's free variables."""
+    if isinstance(t, Var):
+        return u if t.name == x else t
+    if isinstance(t, (Top, Bottom, IntLit)):
+        return t
+    if isinstance(t, Not):
+        return Not(_subst_term(t.body, x, u, fvu))
+    if isinstance(t, BinOp):
+        return BinOp(t.op, _subst_term(t.left, x, u, fvu),
+                     _subst_term(t.right, x, u, fvu))
+    if isinstance(t, App):
+        return App(_subst_term(t.fn, x, u, fvu), _subst_term(t.arg, x, u, fvu))
+    if isinstance(t, (Lam, Exists, Forall)):
+        cls = type(t)
+        if t.var == x:
+            return t  # shadowed, no free x below
+        if t.var in fvu and x in free_vars(t.body):
+            avoid = fvu | free_vars(t.body) | {x}
+            v2 = fresh_ident(t.var, avoid)
+            body2 = subst_term(t.body, t.var, Var(v2))
+            return cls(v2, t.ty, _subst_term(body2, x, u, fvu))
+        return cls(t.var, t.ty, _subst_term(t.body, x, u, fvu))
+    if isinstance(t, PiType):
+        return PiType(t.var, _subst_term(t.body, x, u, fvu))
+    raise TypeError(f"unknown term node {t!r}")
 
 
 def subst_type(t: Term, alpha: Ident, tau: Type) -> Term:
     """Type substitution t[alpha -> tau] over annotations and type applications."""
-    mapping = {alpha: tau}
+    return _subst_type(t, alpha, {alpha: tau})
 
-    def walk(t: Term) -> Term:
-        if isinstance(t, (Var, Top, Bottom, IntLit)):
-            return t
-        if isinstance(t, Not):
-            return Not(walk(t.body))
-        if isinstance(t, BinOp):
-            return BinOp(t.op, walk(t.left), walk(t.right))
-        if isinstance(t, App):
-            return App(walk(t.fn), walk(t.arg))
-        if isinstance(t, (Lam, Exists, Forall)):
-            return type(t)(t.var, subst_in_type(t.ty, mapping), walk(t.body))
-        if isinstance(t, PiType):
-            if t.var == alpha:
-                return t  # shadowed
-            return PiType(t.var, walk(t.body))
-        raise TypeError(f"unknown term node {t!r}")
 
-    return walk(t)
+def _subst_type(t: Term, alpha: Ident, mapping: Mapping[Ident, Type]) -> Term:
+    """t with mapping, which maps alpha alone, applied to its annotations."""
+    if isinstance(t, (Var, Top, Bottom, IntLit)):
+        return t
+    if isinstance(t, Not):
+        return Not(_subst_type(t.body, alpha, mapping))
+    if isinstance(t, BinOp):
+        return BinOp(t.op, _subst_type(t.left, alpha, mapping),
+                     _subst_type(t.right, alpha, mapping))
+    if isinstance(t, App):
+        return App(_subst_type(t.fn, alpha, mapping),
+                   _subst_type(t.arg, alpha, mapping))
+    if isinstance(t, (Lam, Exists, Forall)):
+        return type(t)(t.var, subst_in_type(t.ty, mapping),
+                       _subst_type(t.body, alpha, mapping))
+    if isinstance(t, PiType):
+        if t.var == alpha:
+            return t  # shadowed
+        return PiType(t.var, _subst_type(t.body, alpha, mapping))
+    raise TypeError(f"unknown term node {t!r}")
 
 
 # ---------------------------------------------------------------------------

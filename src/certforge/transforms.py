@@ -6,17 +6,20 @@ one code path: build the surface certificate, replay it with cert.elaborate
 against the input task, and read the resulting tasks off the kernel
 certificate's leaves.  A successful return has therefore already survived
 the rule-by-rule validation; the leaves and the task list cannot drift
-apart.
+apart.  The kernel certificate is kept on the surface one returned
+(cert.keep_kernel), so the caller's elaborate on the same pair returns it
+instead of replaying it again.
 """
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_, not_
 
 from . import cert
-from .cert import CertError, SurfaceCert
+from .cert import CertError, KernelCert, SurfaceCert
 from .core import (
     RESERVED,
     App,
@@ -70,11 +73,16 @@ def transform(op, /, *args, name: str | None = None) -> CertifyingTransform:
 _RESERVED = RESERVED | {"prop"}
 
 
-def _certify(T: Task, s: SurfaceCert) -> Result:
+def _elaborate(T: Task, s: SurfaceCert) -> KernelCert:
     try:
-        k = cert.elaborate(s, T)
+        return cert.elaborate(s, T)
     except CertError as e:
         raise TransformError(str(e)) from e
+
+
+def _certify(T: Task, s: SurfaceCert) -> Result:
+    k = _elaborate(T, s)
+    cert.keep_kernel(s, T, k)
     return cert.leaves(k), s
 
 
@@ -86,7 +94,7 @@ def _premise(T: Task, name: Ident, who: str) -> tuple[bool, Premise]:
     return is_goal, prem
 
 
-def _fresh(base: str | Ident, avoid: frozenset[Ident] | set[Ident]) -> Ident:
+def _fresh(base: str | Ident, avoid: Set[Ident]) -> Ident:
     """fresh_ident, skipping every ident whose name is reserved.
 
     base#k shares base's name, so a reserved base gives way to base_.
@@ -146,14 +154,12 @@ def t_swap_neg(T: Task, P: Ident) -> Result:
 
 
 def t_intro_imp(T: Task, P: Ident) -> Result:
-    used = set(T.premise_names())
-    hyp_name = _fresh_name(f"{P}.1", used)
+    hyp_name = _fresh(f"{P}.1", T.premise_names())
     return _certify(T, cert.SIntroImp(P, hyp_name, cert.SHole()))
 
 
 def t_split_imp(T: Task, P: Ident) -> Result:
-    used = set(T.premise_names())
-    goal_name = _fresh_name(f"{P}.1", used)
+    goal_name = _fresh(f"{P}.1", T.premise_names())
     return _certify(
         T, cert.SSplitImp(P, goal_name, cert.SHole(), cert.SHole()))
 
@@ -166,14 +172,12 @@ def t_unfold_iff(T: Task, P: Ident) -> Result:
 # Quantifiers
 
 def t_instantiate(T: Task, H: Ident, u: Term) -> Result:
-    used = set(T.premise_names())
-    inst_name = _fresh_name(f"{H}_inst", used)
+    inst_name = _fresh(f"{H}_inst", T.premise_names())
     return _certify(T, cert.SInstQuant(H, inst_name, u, cert.SHole()))
 
 
 def t_inst_type(T: Task, H: Ident, ty) -> Result:
-    used = set(T.premise_names())
-    inst_name = _fresh_name(f"{H}_inst", used)
+    inst_name = _fresh(f"{H}_inst", T.premise_names())
     return _certify(T, cert.SInstType(H, inst_name, ty, cert.SHole()))
 
 
@@ -398,16 +402,27 @@ def compose_transforms(t1: CertifyingTransform,
         tasks, s = t1.apply(T)
         out: list[Task] = []
         fillers: list[SurfaceCert] = []
+        kernels: list[KernelCert | None] = []
         for idx, task in enumerate(tasks):
             t2 = t2_selector(idx, task)
             if t2 is None:
                 out.append(task)
                 fillers.append(cert.SHole())
+                kernels.append(cert.KHole(task))
             else:
                 sub_tasks, sub_s = t2.apply(task)
                 out.extend(sub_tasks)
                 fillers.append(sub_s)
-        return out, cert.fill_holes(s, fillers)
+                kernels.append(cert.kept_kernel(sub_s, task))
+        filled = cert.fill_holes(s, fillers)
+        # splice the kernels only if each was built on the very task at
+        # its hole; otherwise the caller's elaborate replays
+        k = cert.kept_kernel(s, T)
+        if k is not None and all(kk is not None for kk in kernels):
+            holes = cert.leaves(k)
+            if len(holes) == len(tasks) and all(map(is_, holes, tasks)):
+                cert.keep_kernel(filled, T, cert.fill_holes(k, kernels))
+        return out, filled
 
     return CertifyingTransform(f"compose({t1.name})", apply)
 
@@ -430,57 +445,72 @@ def _prop_kind(p: Premise) -> str:
     raise TransformError(f"t_blast: premise {p.name} is not propositional")
 
 
-def _blast_step(T: Task) -> Result:
-    """One tableau step: close if possible, else decompose goals, then hyps."""
-    for p in T.hyps:
+def _added(old: tuple[Premise, ...],
+           new: tuple[Premise, ...]) -> list[Premise]:
+    """The premises of new that old lacks, in order: by identity, in C."""
+    kept = set(map(id, old))
+    return list(compress(new, map(not_, map(kept.__contains__,
+                                            map(id, new)))))
+
+
+def _blast_step(T: Task, parent: Task | None) -> SurfaceCert:
+    """One tableau step: close if possible, else decompose goals, then hyps.
+
+    parent is the task whose step derived T, if any. It was decomposed, so
+    it had no falsity hypothesis, no truth goal and no hypothesis equal to
+    a goal; T keeps the rest of its premises as the same objects on the
+    same sides, so only a premise the step added can close T. The axiom
+    scan keeps its hypothesis-major order over the pairs left.
+    """
+    if parent is None:
+        hyps, goals = T.hyps, T.goals
+    else:
+        hyps, goals = _added(parent.hyps, T.hyps), _added(parent.goals, T.goals)
+    for p in hyps:
         if isinstance(p.formula, Bottom):
-            return t_trivial(T, p.name)
-    for p in T.goals:
+            return cert.STrivial(p.name)
+    for p in goals:
         if isinstance(p.formula, Top):
-            return t_trivial(T, p.name)
-    for h in T.hyps:
-        for g in T.goals:
+            return cert.STrivial(p.name)
+    added = set(map(id, hyps))
+    for h in T.hyps if goals else hyps:
+        for g in T.goals if id(h) in added else goals:
             if alpha_equal(h.formula, g.formula):
-                return t_axiom(T, h.name, g.name)
-    used = set(T.premise_names())
+                return cert.SAxiom(h.name, g.name)
+    names = T.premise_names()
     for p in T.goals:
         kind = _prop_kind(p)
         if kind == "and":
-            return t_split(T, p.name)
+            return cert.SSplit(p.name, cert.SHole(), cert.SHole())
         if kind == "or":
-            return t_destruct(T, p.name,
-                              _fresh_name(f"{p.name}.1", used),
-                              _fresh_name(f"{p.name}.2", used))
+            return cert.SDestruct(p.name, _fresh(f"{p.name}.1", names),
+                                  _fresh(f"{p.name}.2", names), cert.SHole())
         if kind == "imp":
-            return t_intro_imp(T, p.name)
+            return cert.SIntroImp(p.name, _fresh(f"{p.name}.1", names),
+                                  cert.SHole())
         if kind == "not":
-            return t_swap_neg(T, p.name)
+            return cert.SSwapNeg(p.name, cert.SHole())
         if kind == "iff":
-            return t_unfold_iff(T, p.name)
+            return cert.SUnfoldIff(p.name, cert.SHole())
         if kind == "bottom":
-            return t_clear(T, p.name)
+            return cert.SClear(p.name, cert.SHole())
     for p in T.hyps:
         kind = _prop_kind(p)
         if kind == "and":
-            return t_destruct(T, p.name,
-                              _fresh_name(f"{p.name}.1", used),
-                              _fresh_name(f"{p.name}.2", used))
+            return cert.SDestruct(p.name, _fresh(f"{p.name}.1", names),
+                                  _fresh(f"{p.name}.2", names), cert.SHole())
         if kind == "or":
-            return t_split(T, p.name)
+            return cert.SSplit(p.name, cert.SHole(), cert.SHole())
         if kind == "imp":
-            return t_split_imp(T, p.name)
+            return cert.SSplitImp(p.name, _fresh(f"{p.name}.1", names),
+                                  cert.SHole(), cert.SHole())
         if kind == "not":
-            return t_swap_neg(T, p.name)
+            return cert.SSwapNeg(p.name, cert.SHole())
         if kind == "iff":
-            return t_unfold_iff(T, p.name)
+            return cert.SUnfoldIff(p.name, cert.SHole())
         if kind == "top":
-            return t_clear(T, p.name)
+            return cert.SClear(p.name, cert.SHole())
     raise TransformError("t_blast: cannot close the task")
-
-
-def _blast(T: Task) -> SurfaceCert:
-    tasks, s = _blast_step(T)
-    return cert.fill_holes(s, [_blast(t) for t in tasks])
 
 
 def t_blast(T: Task) -> Result:
@@ -489,8 +519,33 @@ def t_blast(T: Task) -> Result:
     Goal-directed: every step first tries to close the branch with an
     axiom or truth/falsity, then decomposes the leftmost compound goal,
     then the leftmost compound hypothesis.  Each step is an elementary
-    certifying transformation; the blast of each task it leaves fills the
-    matching hole, so the certificate is exactly the trace.
+    certifying step; the blast of each task it leaves fills the matching
+    hole, so the certificate is exactly the trace.  The search runs on an
+    explicit stack and builds the kernel certificate as it goes: each
+    step's skeleton is replayed once, against the task at hand, and the
+    kernel certificates of the tasks it leaves replace its KHole nodes.
     """
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
-    return [], _blast(T)
+    done: list[tuple[SurfaceCert, KernelCert]] = []
+    # (task, parent) takes a step; (s, k, n) fills the holes of a step's
+    # certificates with the n last entries of done
+    todo: list[tuple] = [(T, None)]
+    while todo:
+        entry = todo.pop()
+        if len(entry) == 2:
+            t, parent = entry
+            s = _blast_step(t, parent)
+            k = _elaborate(t, s)
+            tasks = cert.leaves(k)
+            todo.append((s, k, len(tasks)))
+            todo.extend((sub, t) for sub in reversed(tasks))
+            continue
+        s, k, n = entry
+        if n:
+            kids = done[len(done) - n:]
+            del done[len(done) - n:]
+            s = cert.fill_holes(s, [kid[0] for kid in kids])
+            k = cert.fill_holes(k, [kid[1] for kid in kids])
+        done.append((s, k))
+    s, k = done[0]
+    cert.keep_kernel(s, T, k)
+    return [], s

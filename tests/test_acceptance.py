@@ -19,7 +19,7 @@ import typing_cases
 from lp_oracle import app_correctness_type
 from typing_cases import typecheck
 
-from certforge import cert, checker, cli
+from certforge import cert, checker, cli, sexpr
 from certforge import lp_export as lp
 from certforge import transforms as tr
 from certforge.checker import check_application
@@ -434,7 +434,12 @@ def _blast_closes(T: Task) -> bool:
     except TransformError:
         return False
     assert tasks == []
-    assert check_application(T, [], cert.elaborate(s, T))
+    k = cert.elaborate(s, T)
+    assert check_application(T, [], k)
+    # the kernel t_blast built step by step is the one a replay of its
+    # surface certificate on a copy of T builds
+    copy = cli.parse_task(sexpr.dumps(sexpr.task_to_sexpr(T)))
+    assert cert.cert_dumps(cert.elaborate(s, copy)) == cert.cert_dumps(k)
     return True
 
 

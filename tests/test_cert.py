@@ -17,7 +17,6 @@ from certforge.cert import (
     SurfaceCert,
     cert_dumps,
     cert_loads,
-    count_holes,
     elaborate,
     fill_holes,
     leaves,
@@ -79,9 +78,13 @@ def test_leaves_in_order():
     assert leaves(c) == [_POOL[0], _POOL[1], _POOL[2]]
 
 
+def _holes(s):
+    return sum(isinstance(node, SHole) for node in _nodes(s))
+
+
 def test_count_and_fill_holes():
     s = cert.SSplit(G, SHole(), cert.SIntroImp(G, H, SHole()))
-    assert count_holes(s) == 2
+    assert _holes(s) == 2
     filled = fill_holes(s, [cert.STrivial(G), SHole()])
     assert filled == cert.SSplit(G, cert.STrivial(G),
                                  cert.SIntroImp(G, H, SHole()))
@@ -91,9 +94,19 @@ def test_count_and_fill_holes():
         fill_holes(s, [SHole(), SHole(), SHole()])
 
 
+def test_fill_holes_fills_kernel_holes_in_order():
+    c = _tree(_POOL[0], _POOL[1], _POOL[2])
+    fillers = [KHole(_POOL[2]), cert.KTrivial(True, G), KHole(_POOL[0])]
+    filled = fill_holes(c, fillers)
+    assert leaves(filled) == [_POOL[2], _POOL[0]]
+    assert filled.rest.first == cert.KTrivial(True, G)
+    with pytest.raises(CertError):
+        fill_holes(c, fillers[:2])
+
+
 def test_fill_holes_refill_identity():
     s = cert.SSplit(G, SHole(), cert.SIntroImp(G, H, SHole()))
-    assert fill_holes(s, [SHole()] * count_holes(s)) == s
+    assert fill_holes(s, [SHole()] * _holes(s)) == s
 
 
 # -- serialization -------------------------------------------------------------
@@ -764,6 +777,17 @@ def test_cert_loads_reads_deep_nesting_without_recursion(name):
             except (CertError, RecursionError) as e:
                 outcomes.append(type(e).__name__)
     assert outcomes == [text[1:text.index(" ")], "CertError"]
+
+
+def test_leaves_and_fill_holes_walk_deep_nesting_without_recursion():
+    text = _deep("(KClear #t p G ", cert_dumps(KHole(_POOL[0])), 15_000)
+    k = cert_loads(text)
+    with _recursion_limit(1000):
+        try:
+            got = leaves(fill_holes(k, [KHole(_POOL[1])]))
+        except RecursionError as e:
+            got = type(e).__name__
+    assert got == [_POOL[1]]
 
 
 def test_cert_dumps_prints_deep_nesting_without_recursion():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import sys
 
@@ -304,6 +305,24 @@ def test_subst_free_vars_equation(t, x):
     if x in free_vars(t):
         want = want | {ident("fresh_free")}
     assert got == want
+
+
+def test_substitution_leaves_no_cyclic_garbage():
+    # the walkers take their state as arguments: no closure refers to
+    # itself, so a call frees what it built without the cycle collector
+    x, y, a = ident("x"), ident("y"), ident("a")
+    p = Var(ident("p"))
+    body = Forall(y, TVar(a), app(p, Var(x), Var(y)))
+    gc.collect()
+    gc.disable()
+    try:
+        # the witness mentions y, so the binder is renamed on the way
+        assert subst_term(body, x, Var(y)).var != y
+        subst_type(PiType(a, body), a, INT)
+        subst_type(body, a, INT)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_subst_type_in_annotations():

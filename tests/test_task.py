@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certforge import cli
+from certforge import cli, core
 from certforge import transforms as tr
 from certforge.cert import KHole, cert_dumps, cert_loads, elaborate
 from certforge.checker import ccheck
@@ -372,6 +372,57 @@ def test_kernel_types_no_operand_of_a_judged_premise_again(annotate_calls):
         return built, len(calls)
 
     assert counts(20) == counts(40)
+
+
+_OPERANDS = Task(
+    sig=((ident("p"), PROP), (ident("q"), PROP), (ident("r"), PROP)),
+    hyps=(Premise(ident("H"), imp(var("p"), var("q"))),
+          Premise(ident("A"), conj(var("p"), var("r"))),
+          Premise(ident("O"), disj(var("q"), var("r"))),
+          Premise(ident("N"), Not(var("r")))),
+    goals=(Premise(ident("G"), imp(var("r"), var("q"))),))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda T: tr.t_split_imp(T, ident("H")),
+    lambda T: tr.t_destruct(T, ident("A"), ident("A1"), ident("A2")),
+    lambda T: tr.t_split(T, ident("O")),
+    lambda T: tr.t_swap_neg(T, ident("N")),
+], ids=["split_imp", "destruct", "split", "swap_neg"])
+def test_a_loaded_certificate_types_no_operand_it_leaves(apply,
+                                                        annotate_calls):
+    # the loaded node carries its own copies of the operands; the rule
+    # leaves the matched premise's, which the judged task has recorded
+    T = _OPERANDS
+    _, s = apply(T)
+    loaded = cert_loads(cert_dumps(elaborate(s, T)))
+    annotate_calls.clear()
+    assert ccheck(loaded, T).ok
+    assert dict(annotate_calls) == {}
+
+
+def test_a_loaded_chain_is_matched_in_linear_time(monkeypatch):
+    # KIntroImp leaves the node's own goal, the object the next node of a
+    # loaded chain holds, so that node matches it by identity; the goal's
+    # operand in the task would be walked in full at every node
+    calls = []
+    alpha = core._alpha
+
+    def counting(*args):
+        calls.append(None)
+        return alpha(*args)
+
+    monkeypatch.setattr(core, "_alpha", counting)
+
+    def walked(n):
+        T = gen_chain_task(n)
+        _, s = tr.t_blast(T)
+        loaded = cert_loads(cert_dumps(elaborate(s, T)))
+        calls.clear()
+        assert ccheck(loaded, T).ok
+        return len(calls)
+
+    assert walked(80) < 2.5 * walked(40)
 
 
 @pytest.mark.parametrize("n", [20, 40])

@@ -1,6 +1,8 @@
 """Certifying transformations: every application is re-checked end to end."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import certforge.cert as c
 import certforge.transforms as tr
+from certforge import checker, sexpr
 from certforge.checker import ccheck
 from certforge.core import (
     INT,
@@ -44,6 +47,8 @@ from certforge.task import (
 )
 from certforge.transforms import TransformError
 from oracles import brute_force_valid
+from test_acceptance import _c2_corpus
+from test_cert import _recursion_limit
 
 H, G = ident("H"), ident("G")
 P, Q, R = var("p"), var("q"), var("r")
@@ -57,10 +62,27 @@ def ptask(hyps=(), goals=()):
                 goals=tuple(Premise(ident(nm), f) for nm, f in goals))
 
 
+def reparsed(T):
+    """A copy of T read back from its text: no object of T is in it."""
+    return sexpr.task_from_sexpr(sexpr.loads(sexpr.dumps(
+        sexpr.task_to_sexpr(T))))
+
+
+def assert_kept_as_replayed(T, s):
+    """The transformation kept on s the kernel certificate that a replay of
+    s against a copy of T (which forces the replay) builds."""
+    kept = c.kept_kernel(s, T)
+    assert kept is not None
+    assert c.cert_dumps(kept) == c.cert_dumps(c.elaborate(s, reparsed(T)))
+    return kept
+
+
 def certified(T, result):
-    """The certifying contract: leaves(elaborate(s, T)) is the task list."""
+    """The certifying contract: leaves(elaborate(s, T)) is the task list,
+    and elaborate returns the kernel certificate the transformation kept."""
     tasks, s = result
     k = c.elaborate(s, T)
+    assert k is assert_kept_as_replayed(T, s)
     rep = ccheck(k, T)
     assert rep.ok, rep.failure
     assert task_list_alpha_equal(c.leaves(k), tasks)
@@ -574,6 +596,108 @@ def test_blast_agrees_with_oracle(seed):
     except TransformError:
         got = False
     assert got == want
+
+
+def test_blast_keeps_the_kernel_a_replay_builds_on_chains():
+    for n in range(1, 31):
+        T = gen_chain_task(n)
+        tasks, s = tr.t_blast(T)
+        assert tasks == []
+        assert_kept_as_replayed(T, s)
+
+
+def test_every_transformation_keeps_the_kernel_a_replay_builds():
+    corpus = _c2_corpus()
+    for name, T, (tasks, s) in corpus:
+        k = assert_kept_as_replayed(T, s)
+        assert task_list_alpha_equal(c.leaves(k), tasks), name
+    assert len({n.split("(")[0] for n, _, _ in corpus}) == 18
+
+
+def test_compose_splices_the_kernels_it_was_given():
+    T = ptask(hyps=[("H", disj(P, conj(Q, R)))], goals=[("G", P)])
+    blast = tr.CertifyingTransform("blast", tr.t_blast)
+    comp = tr.compose_transforms(
+        tr.transform(tr.t_split, H),
+        lambda i, t: blast if i == 0 else tr.transform(tr.t_destruct, H,
+                                                       ident("A"), ident("B")))
+    tasks, s = comp.apply(T)
+    assert len(tasks) == 1
+    assert_kept_as_replayed(T, s)
+
+
+def test_compose_keeps_no_kernel_it_cannot_splice():
+    # a component that keeps no kernel, or returns tasks that are not the
+    # ones its kernel's holes hold, leaves the composite without one, and
+    # elaborate replays it
+    T = ptask(goals=[("G", conj(P, Q))])
+    bare = tr.CertifyingTransform(
+        "bare", lambda T: ([reparsed(T)], c.SHole()))
+    for t1, t2 in ((bare, tr.transform(tr.t_split, G)),
+                   (tr.transform(tr.t_split, G), bare)):
+        comp = tr.compose_transforms(t1, lambda i, t, t2=t2: t2)
+        tasks, s = comp.apply(T)
+        assert c.kept_kernel(s, T) is None
+        k = c.elaborate(s, T)
+        assert ccheck(k, T).ok
+        assert task_list_alpha_equal(c.leaves(k), tasks)
+
+
+def test_elaborate_returns_the_kept_kernel_without_a_replay(
+        monkeypatch, annotate_calls):
+    T = gen_chain_task(10)
+    _, s = tr.t_blast(T)
+    steps = []
+    step = checker.step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(checker, "step", counting)
+    annotate_calls.clear()
+    k = c.elaborate(s, T)
+    assert steps == [] and dict(annotate_calls) == {}
+    # another task, even an alpha-equal one, is replayed
+    assert c.cert_dumps(c.elaborate(s, reparsed(T))) == c.cert_dumps(k)
+    assert steps
+
+
+def test_elaborate_replays_the_kept_certificate_on_another_task():
+    T = gen_chain_task(4)
+    _, s = tr.t_blast(T)
+    with pytest.raises(c.CertError, match="no premise named G"):
+        c.elaborate(s, Task(sig=T.sig))
+
+
+def test_the_kept_kernel_dies_with_its_certificate():
+    T = gen_chain_task(6)
+    _, s = tr.t_blast(T)
+    k = c.elaborate(s, T)
+    held = sys.getrefcount(k), sys.getrefcount(T)
+    del s
+    assert (sys.getrefcount(k), sys.getrefcount(T)) == (held[0] - 1,
+                                                         held[1] - 1)
+
+
+def test_blast_searches_without_recursion():
+    # a chain of 300 takes about 900 steps along one branch; the search
+    # keeps its own stack and leaves the interpreter's limit alone
+    T = gen_chain_task(300)
+    with _recursion_limit(1000):
+        tasks, s = tr.t_blast(T)
+        assert tasks == []
+        assert sys.getrecursionlimit() == 1000
+        assert ccheck(c.elaborate(s, T), T).ok
+
+
+def test_only_the_cli_and_the_exporter_set_the_recursion_limit():
+    # library code leaves interpreter-global state alone; the two left
+    # are still to go
+    src = Path(__file__).resolve().parent.parent / "src" / "certforge"
+    setting = sorted(f.name for f in src.glob("*.py")
+                     if "setrecursionlimit" in f.read_text(encoding="utf-8"))
+    assert set(setting) <= {"cli.py", "lp_export.py"}, setting
 
 
 # -- the polymorphism regression ---------------------------------------------
