@@ -542,7 +542,7 @@ def test_compose_failure_is_atomic():
 
 
 def test_blast_closes_chains():
-    for n in (1, 2, 5, 20):
+    for n in range(1, 31):
         T = gen_chain_task(n)
         tasks = certified(T, tr.t_blast(T))
         assert tasks == []
@@ -596,14 +596,6 @@ def test_blast_agrees_with_oracle(seed):
     except TransformError:
         got = False
     assert got == want
-
-
-def test_blast_keeps_the_kernel_a_replay_builds_on_chains():
-    for n in range(1, 31):
-        T = gen_chain_task(n)
-        tasks, s = tr.t_blast(T)
-        assert tasks == []
-        assert_kept_as_replayed(T, s)
 
 
 def test_every_transformation_keeps_the_kernel_a_replay_builds():
@@ -681,8 +673,8 @@ def test_the_kept_kernel_dies_with_its_certificate():
 
 
 def test_blast_searches_without_recursion():
-    # a chain of 300 takes about 900 steps along one branch; the search
-    # keeps its own stack and leaves the interpreter's limit alone
+    # the search of a chain of 300 is about 600 steps deep; it keeps its
+    # own stack and leaves the interpreter's limit alone
     T = gen_chain_task(300)
     with _recursion_limit(1000):
         tasks, s = tr.t_blast(T)
