@@ -11,6 +11,7 @@ Everything here is immutable and hashable; all operations are pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -383,24 +384,13 @@ def _free_vars(t: Term, bound: frozenset[Ident], out: set[Ident]) -> None:
 def all_idents(t: Term) -> frozenset[Ident]:
     """Every ident occurring anywhere in t, bound or free, term or type level."""
     out: set[Ident] = set()
-
-    def walk_ty(ty: Type) -> None:
-        if isinstance(ty, TVar):
-            out.add(ty.name)
-        elif isinstance(ty, Arrow):
-            walk_ty(ty.left)
-            walk_ty(ty.right)
-        elif isinstance(ty, TApp):
-            out.add(ty.head)
-            for a in ty.args:
-                walk_ty(a)
-
     for s in subterms(t):
         if isinstance(s, Var):
             out.add(s.name)
         elif isinstance(s, (Lam, Exists, Forall)):
             out.add(s.var)
-            walk_ty(s.ty)
+            out.update(type_vars(s.ty))
+            _type_heads(s.ty, out)
         elif isinstance(s, PiType):
             out.add(s.var)
     return frozenset(out)
@@ -599,9 +589,28 @@ class Typing:
 
 
 class _Unifier:
-    def __init__(self) -> None:
+    """The state of one annotate call: the metavariables and their
+    bindings, and what _infer keeps as it walks the term. _infer takes it
+    as an argument: a nested walker that calls itself would be a reference
+    cycle, which only the cycle collector frees, on every call."""
+
+    def __init__(self, I: TypeSignature, sig: Signature) -> None:
         self.next_id = 0
         self.bind: dict[int, Type] = {}
+        self.I, self.sig = I, sig
+        # the instances picked so far, as metas resolved when the walk ends
+        self.inst: dict[tuple[int, ...], tuple[Type, ...]] = {}
+        # the occurrence path of the node at hand: _infer extends it by a
+        # child index before descending and cuts it back after, and takes
+        # a tuple of it only where it records an instance
+        self.path: list[int] = []
+        # each name met so far with its scheme and the scheme's type
+        # variables, so a scheme's variables are found once per call, not
+        # at every occurrence. A binder's entry (its ground type, no
+        # variables) is set on entering it and deleted on leaving it; it
+        # hides no other entry, as a binder may not reuse a name in scope
+        # or declared
+        self.scope: dict[Ident, tuple[Type, tuple[Ident, ...]]] = {}
 
     def fresh(self) -> _Meta:
         self.next_id += 1
@@ -614,13 +623,22 @@ class _Unifier:
             ty = self.bind[ty.id]
         return ty
 
-    def resolve(self, ty: Type) -> Type:
-        """ty with every binding followed, for a refusal's message."""
+    def resolve(self, ty: Type, default: Type | None = None) -> Type:
+        """ty with every binding followed. With a default, each meta left
+        unbound is bound to it on the way (see the defaulting note in
+        annotate); without one, as for a refusal's message, nothing is
+        bound. A part that changes in neither way is returned as it is,
+        not rebuilt."""
         ty = self.walk(ty)
+        if isinstance(ty, _Meta) and default is not None:
+            self.bind[ty.id] = default
+            return default
         if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.left), self.resolve(ty.right))
+            l, r = self.resolve(ty.left, default), self.resolve(ty.right, default)
+            return ty if l is ty.left and r is ty.right else Arrow(l, r)
         if isinstance(ty, TApp):
-            return TApp(ty.head, tuple(self.resolve(a) for a in ty.args))
+            args = tuple(self.resolve(a, default) for a in ty.args)
+            return ty if all(map(operator.is_, args, ty.args)) else TApp(ty.head, args)
         return ty
 
     def _occurs(self, m: _Meta, ty: Type) -> bool:
@@ -635,9 +653,11 @@ class _Unifier:
 
     def unify(self, a: Type, b: Type, where: str) -> None:
         # bindings are followed one level at a time, at the head of each
-        # part compared: no resolved copy of either side is built
+        # part compared: no resolved copy of either side is built. Only
+        # fresh makes a _Meta, so a meta is one object, and a type unifies
+        # with itself binding nothing
         a, b = self.walk(a), self.walk(b)
-        if isinstance(a, _Meta) and isinstance(b, _Meta) and a.id == b.id:
+        if a is b:
             return
         if isinstance(a, _Meta):
             if self._occurs(a, b):
@@ -662,19 +682,6 @@ class _Unifier:
             return
         raise TypingError(f"cannot unify {self.resolve(a)} with "
                           f"{self.resolve(b)} in {where}")
-
-    def default_ground(self, ty: Type) -> Type:
-        """Resolve ty in full, binding every unconstrained meta to int();
-        see the defaulting note in annotate."""
-        ty = self.walk(ty)
-        if isinstance(ty, _Meta):
-            self.bind[ty.id] = INT
-            return INT
-        if isinstance(ty, Arrow):
-            return Arrow(self.default_ground(ty.left), self.default_ground(ty.right))
-        if isinstance(ty, TApp):
-            return TApp(ty.head, tuple(self.default_ground(a) for a in ty.args))
-        return ty
 
 
 def check_type(I: TypeSignature, ty: Type, *, allow_vars: bool) -> None:
@@ -723,102 +730,117 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     With `expected` given, the result must unify with it, so instance
     choices are made against the required type instead of the default.
 
+    An application checks its argument where the head's type is known and
+    infers only where it is not. _infer types the head, then the
+    argument (type a), then walks the head's type. If that is an arrow
+    d -> c, it unifies d with a, unless they are one object, and the
+    application has type c. Otherwise it unifies the head's type with
+    a -> ?r for a fresh meta ?r, and the application has type ?r.
+
+    This is the unification the rule "unify the head's type with a -> ?r"
+    makes for every application, in the same order, with one step left
+    out. Given an arrow d -> c, unify first unifies d with a. It then
+    unifies c with ?r, which cannot fail, as ?r is fresh and occurs
+    nowhere: it binds ?r to c, or, when c walks to an unbound meta m,
+    binds m to ?r. Typing the application as c instead of ?r only merges
+    the two names of one type, so every later unification succeeds or
+    fails as before, in the same order. The mgu is the same up to that
+    renaming, so resolving the result and the instances at the end picks
+    the same types, the defaulting to int() included. A refusal is
+    raised at the same step with the same message, up to the numbers of
+    the unresolved metas it prints. A variable's type is still a fresh
+    instance of its scheme at each occurrence; only the scheme's type
+    variables are found once per call.
+
     The signature itself is taken as well-formed under I; check it once
     with check_signature, as task.well_typed does.
     """
     alphas, body = strip_prenex(t)
-    I2 = dict(I)
     iotas: list[Ident] = []
     if alphas:
         if len(set(alphas)) != len(alphas):
             raise TypingError("duplicate type variable in prenex prefix")
-        taken = set(I2) | set(INTERPRETED_TYPES) | all_idents(body) | set(alphas)
+        I = dict(I)
+        taken = set(I) | set(INTERPRETED_TYPES) | all_idents(body) | set(alphas)
         for a in alphas:
             iota = fresh_ident(a, frozenset(taken))
             taken.add(iota)
-            I2[iota] = 0
+            I[iota] = 0
             iotas.append(iota)
             body = subst_type(body, a, TApp(iota, ()))
 
-    uni = _Unifier()
-    inst: dict[tuple[int, ...], tuple[Type, ...]] = {}
-
-    # the occurrence path of the node at hand: infer extends it by a child
-    # index before descending and cuts it back after, and takes a tuple of
-    # it only where it records an instance
-    path: list[int] = []
-    # the binders above the node at hand, each with its (ground) type: set
-    # on entering a binder, deleted on leaving it; a binder shadows
-    # nothing, so there is no outer entry to restore
-    bound: dict[Ident, Type] = {}
-
-    def infer(t: Term) -> Type:
-        if isinstance(t, Var):
-            scheme = sig.get(t.name)
-            if scheme is None:
-                scheme = INTERPRETED.get(t.name)
-                if scheme is None:
-                    scheme = bound.get(t.name)
-                    if scheme is None:
-                        raise TypingError(f"unbound variable {t.name}")
-            tvs = type_vars(scheme)
-            if not tvs:
-                return scheme
-            metas = {v: uni.fresh() for v in tvs}
-            inst[tuple(path)] = tuple(metas[v] for v in tvs)  # resolved later
-            return subst_in_type(scheme, metas)
-        if isinstance(t, IntLit):
-            return INT
-        if isinstance(t, (Top, Bottom)):
-            return PROP
-        if isinstance(t, Not):
-            path.append(0)
-            uni.unify(infer(t.body), PROP, "negation")
-            path.pop()
-            return PROP
-        if isinstance(t, BinOp):
-            path.append(0)
-            uni.unify(infer(t.left), PROP, f"{t.op} left")
-            path[-1] = 1
-            uni.unify(infer(t.right), PROP, f"{t.op} right")
-            path.pop()
-            return PROP
-        if isinstance(t, App):
-            path.append(0)
-            tf = infer(t.fn)
-            path[-1] = 1
-            ta = infer(t.arg)
-            path.pop()
-            res = uni.fresh()
-            uni.unify(tf, Arrow(ta, res), "application")
-            return res
-        if isinstance(t, (Lam, Exists, Forall)):
-            check_type(I2, t.ty, allow_vars=False)
-            if t.var in bound or t.var in sig or t.var in INTERPRETED:
-                raise TypingError(f"binder {t.var} shadows a declared symbol")
-            bound[t.var] = t.ty
-            path.append(0)
-            tb = infer(t.body)
-            path.pop()
-            del bound[t.var]
-            if isinstance(t, Lam):
-                return Arrow(t.ty, tb)
-            uni.unify(tb, PROP, "quantifier body")
-            return PROP
-        if isinstance(t, PiType):
-            raise TypingError("type quantifier occurs under another constructor")
-        raise TypeError(f"unknown term node {t!r}")
-
-    top = infer(body)
+    st = _Unifier(I, sig)
+    top = _infer(body, st)
     if alphas:
-        uni.unify(top, PROP, "type quantifier body")
+        st.unify(top, PROP, "type quantifier body")
     if expected is not None:
-        uni.unify(top, expected, "required type")
-
-    result = uni.default_ground(top)
-    return Typing(result,
-                  {p: tuple(uni.default_ground(m) for m in ms) for p, ms in inst.items()},
+        st.unify(top, expected, "required type")
+    return Typing(st.resolve(top, INT),
+                  {p: tuple(st.resolve(m, INT) for m in ms) for p, ms in st.inst.items()},
                   tuple(iotas), body)
+
+
+def _infer(t: Term, st: _Unifier) -> Type:
+    """The type of t, a node below annotate's prenex prefix."""
+    if isinstance(t, Var):
+        entry = st.scope.get(t.name)
+        if entry is None:
+            scheme = st.sig.get(t.name, INTERPRETED.get(t.name))
+            if scheme is None:
+                raise TypingError(f"unbound variable {t.name}")
+            entry = st.scope[t.name] = (scheme, type_vars(scheme))
+        scheme, tvs = entry
+        if not tvs:
+            return scheme
+        metas = {v: st.fresh() for v in tvs}
+        st.inst[tuple(st.path)] = tuple(metas.values())
+        return subst_in_type(scheme, metas)
+    if isinstance(t, App):
+        st.path.append(0)
+        tf = _infer(t.fn, st)
+        st.path[-1] = 1
+        ta = _infer(t.arg, st)
+        st.path.pop()
+        tf = st.walk(tf)
+        if isinstance(tf, Arrow):
+            if tf.left is not ta:
+                st.unify(tf.left, ta, "application")
+            return tf.right
+        res = st.fresh()
+        st.unify(tf, Arrow(ta, res), "application")
+        return res
+    if isinstance(t, IntLit):
+        return INT
+    if isinstance(t, (Top, Bottom)):
+        return PROP
+    if isinstance(t, Not):
+        st.path.append(0)
+        st.unify(_infer(t.body, st), PROP, "negation")
+        st.path.pop()
+        return PROP
+    if isinstance(t, BinOp):
+        st.path.append(0)
+        st.unify(_infer(t.left, st), PROP, f"{t.op} left")
+        st.path[-1] = 1
+        st.unify(_infer(t.right, st), PROP, f"{t.op} right")
+        st.path.pop()
+        return PROP
+    if isinstance(t, (Lam, Exists, Forall)):
+        check_type(st.I, t.ty, allow_vars=False)
+        if t.var in st.scope or t.var in st.sig or t.var in INTERPRETED:
+            raise TypingError(f"binder {t.var} shadows a declared symbol")
+        st.scope[t.var] = (t.ty, ())
+        st.path.append(0)
+        tb = _infer(t.body, st)
+        st.path.pop()
+        del st.scope[t.var]
+        if isinstance(t, Lam):
+            return Arrow(t.ty, tb)
+        st.unify(tb, PROP, "quantifier body")
+        return PROP
+    if isinstance(t, PiType):
+        raise TypingError("type quantifier occurs under another constructor")
+    raise TypeError(f"unknown term node {t!r}")
 
 
 def check_signature(I: TypeSignature, sig: Signature) -> None:

@@ -14,6 +14,7 @@ from .core import (
     PROP,
     RESERVED,
     App,
+    Arrow,
     BinOp,
     Exists,
     Forall,
@@ -21,6 +22,7 @@ from .core import (
     Lam,
     Not,
     PiType,
+    TApp,
     TVar,
     Term,
     Type,
@@ -454,7 +456,7 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
         if not alpha_equal(g1[name], g2[name]):
             return False
     # alpha-equal premises use the same declarations of equal tuples
-    if T1.types == T2.types and T1.sig == T2.sig:
+    if T1.types == T2.types and _same_sig(T1.sig, T2.sig):
         return True
     types1, sig1 = used_declarations(T1)
     types2, sig2 = used_declarations(T2)
@@ -462,7 +464,38 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
         return False
     s1, s2 = dict(sig1), dict(sig2)
     return s1.keys() == s2.keys() and all(
-        _scheme_canon(s1[name]) == _scheme_canon(s2[name]) for name in s1)
+        _type_equal(_scheme_canon(s1[name]), _scheme_canon(s2[name]))
+        for name in s1)
+
+
+def _same_sig(s1: tuple[tuple[Ident, Type], ...],
+              s2: tuple[tuple[Ident, Type], ...]) -> bool:
+    """s1 == s2, with each declared type compared by _type_equal."""
+    return s1 is s2 or len(s1) == len(s2) and all(
+        e1 is e2 or e1[0] == e2[0] and _type_equal(e1[1], e2[1])
+        for e1, e2 in zip(s1, s2))
+
+
+def _type_equal(a: Type, b: Type) -> bool:
+    """a == b, on an explicit stack: the dataclass __eq__ recurses through
+    C, so comparing two deep declared types that way overflows the
+    interpreter's stack under a raised recursion limit."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Arrow):
+            todo += ((x.left, y.left), (x.right, y.right))
+        elif isinstance(x, TApp):
+            if x.head != y.head or len(x.args) != len(y.args):
+                return False
+            todo += zip(x.args, y.args)
+        elif x != y:  # TVar or Prop: no type below
+            return False
+    return True
 
 
 def task_list_alpha_equal(L1: list[Task] | tuple[Task, ...], L2: list[Task] | tuple[Task, ...]) -> bool:

@@ -1,7 +1,7 @@
 import importlib
 import pkgutil
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -33,3 +33,22 @@ def annotate_calls(monkeypatch):
 
         monkeypatch.setattr(module, "annotate", recording)
     return calls
+
+
+@pytest.fixture
+def unifier_counts(monkeypatch):
+    """How many metavariables (`fresh`) and unifications (`unify`, each
+    recursive call included) annotate makes while the test runs.
+
+    A Counter keyed "fresh" and "unify"; clear it to start afresh.
+    """
+    counts: Counter = Counter()
+    for name in ("fresh", "unify"):
+        method = getattr(core._Unifier, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(core._Unifier, name, counting)
+    return counts

@@ -14,6 +14,7 @@ from certforge.core import (
     Bottom,
     Exists,
     Forall,
+    Ident,
     IntLit,
     Lam,
     Not,
@@ -130,3 +131,266 @@ def brute_force_valid(hyps: list, goals: list) -> bool:
             if not any(eval_prop(g, assignment) for g in goals):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Typing: one metavariable per application
+
+
+class Refused(Exception):
+    """The reference typechecker found no derivation."""
+
+
+class RefMeta:
+    """A metavariable of the reference typechecker; prints as ?."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __str__(self) -> str:
+        return "?"
+
+
+_INT = TApp(Ident("int"), ())
+_REF_A = TVar(Ident("a"))
+_REF_INTERPRETED_TYPES = {Ident("int"): 0}
+_REF_INTERPRETED = {
+    Ident("="): Arrow(_REF_A, Arrow(_REF_A, Prop())),
+    **{Ident(op): Arrow(_INT, Arrow(_INT, _INT)) for op in "+*-"},
+    **{Ident(op): Arrow(_INT, Arrow(_INT, Prop()))
+       for op in (">", "<", ">=", "<=")},
+}
+
+
+def _ref_type_vars(ty: Type) -> list:
+    """Type variable names of ty in order of first occurrence."""
+    if isinstance(ty, TVar):
+        return [ty.name]
+    parts = [ty.left, ty.right] if isinstance(ty, Arrow) else \
+        list(ty.args) if isinstance(ty, TApp) else []
+    out: list = []
+    for p in parts:
+        out += [v for v in _ref_type_vars(p) if v not in out]
+    return out
+
+
+def _ref_subst(ty, mapping: dict):
+    """ty with each type variable in mapping replaced."""
+    if isinstance(ty, TVar):
+        return mapping.get(ty.name, ty)
+    if isinstance(ty, Arrow):
+        return Arrow(_ref_subst(ty.left, mapping), _ref_subst(ty.right, mapping))
+    if isinstance(ty, TApp):
+        return TApp(ty.head, tuple(_ref_subst(a, mapping) for a in ty.args))
+    return ty
+
+
+def _ref_check_type(I: dict, ty, allow_vars: bool) -> None:
+    if isinstance(ty, TVar):
+        if not allow_vars:
+            raise Refused(f"type variable {ty.name} not allowed here")
+    elif isinstance(ty, Arrow):
+        _ref_check_type(I, ty.left, allow_vars)
+        _ref_check_type(I, ty.right, allow_vars)
+    elif isinstance(ty, TApp):
+        arity = _REF_INTERPRETED_TYPES.get(ty.head, I.get(ty.head))
+        if arity is None:
+            raise Refused(f"undeclared type symbol {ty.head}")
+        if arity != len(ty.args):
+            raise Refused(f"type symbol {ty.head} has arity {arity}, "
+                          f"applied to {len(ty.args)}")
+        for a in ty.args:
+            _ref_check_type(I, a, allow_vars)
+    elif not isinstance(ty, Prop):
+        raise Refused(f"malformed type {ty!r}")
+
+
+def _ref_idents(t: Term) -> set:
+    """Every ident in t: term names, binders, and names in annotations."""
+    def of_type(ty):
+        if isinstance(ty, TVar):
+            return {ty.name}
+        if isinstance(ty, Arrow):
+            return of_type(ty.left) | of_type(ty.right)
+        if isinstance(ty, TApp):
+            return {ty.head}.union(*map(of_type, ty.args))
+        return set()
+
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Not):
+        return _ref_idents(t.body)
+    if isinstance(t, BinOp):
+        return _ref_idents(t.left) | _ref_idents(t.right)
+    if isinstance(t, App):
+        return _ref_idents(t.fn) | _ref_idents(t.arg)
+    if isinstance(t, (Lam, Exists, Forall)):
+        return {t.var} | of_type(t.ty) | _ref_idents(t.body)
+    if isinstance(t, PiType):
+        return {t.var} | _ref_idents(t.body)
+    return set()
+
+
+def _ref_subst_annotations(t: Term, alpha, tau) -> Term:
+    """t with the type variable alpha replaced by tau in every annotation."""
+    if isinstance(t, Not):
+        return Not(_ref_subst_annotations(t.body, alpha, tau))
+    if isinstance(t, BinOp):
+        return BinOp(t.op, _ref_subst_annotations(t.left, alpha, tau),
+                     _ref_subst_annotations(t.right, alpha, tau))
+    if isinstance(t, App):
+        return App(_ref_subst_annotations(t.fn, alpha, tau),
+                   _ref_subst_annotations(t.arg, alpha, tau))
+    if isinstance(t, (Lam, Exists, Forall)):
+        return type(t)(t.var, _ref_subst(t.ty, {alpha: tau}),
+                       _ref_subst_annotations(t.body, alpha, tau))
+    if isinstance(t, PiType) and t.var != alpha:
+        return PiType(t.var, _ref_subst_annotations(t.body, alpha, tau))
+    return t
+
+
+class _RefUnifier:
+    """Bindings applied in full before every comparison."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.subst: dict = {}
+
+    def fresh(self) -> RefMeta:
+        self.count += 1
+        return RefMeta(self.count)
+
+    def apply(self, ty):
+        if isinstance(ty, RefMeta):
+            return self.apply(self.subst[ty.n]) if ty.n in self.subst else ty
+        if isinstance(ty, Arrow):
+            return Arrow(self.apply(ty.left), self.apply(ty.right))
+        if isinstance(ty, TApp):
+            return TApp(ty.head, tuple(self.apply(a) for a in ty.args))
+        return ty
+
+    def metas(self, ty) -> set:
+        ty = self.apply(ty)
+        if isinstance(ty, RefMeta):
+            return {ty.n}
+        if isinstance(ty, Arrow):
+            return self.metas(ty.left) | self.metas(ty.right)
+        if isinstance(ty, TApp):
+            return set().union(*map(self.metas, ty.args))
+        return set()
+
+    def unify(self, a, b, where: str) -> None:
+        a, b = self.apply(a), self.apply(b)
+        if isinstance(a, RefMeta):
+            if isinstance(b, RefMeta) and a.n == b.n:
+                return
+            if a.n in self.metas(b):
+                raise Refused(f"occurs check failed in {where}")
+            self.subst[a.n] = b
+        elif isinstance(b, RefMeta):
+            self.unify(b, a, where)
+        elif isinstance(a, Arrow) and isinstance(b, Arrow):
+            self.unify(a.left, b.left, where)
+            self.unify(a.right, b.right, where)
+        elif isinstance(a, TApp) and isinstance(b, TApp) and \
+                a.head == b.head and len(a.args) == len(b.args):
+            for x, y in zip(a.args, b.args):
+                self.unify(x, y, where)
+        elif not (isinstance(a, Prop) and isinstance(b, Prop)) and not (
+                isinstance(a, TVar) and isinstance(b, TVar)
+                and a.name == b.name):
+            raise Refused(f"cannot unify {a} with {b} in {where}")
+
+    def ground(self, ty):
+        """ty resolved, every meta left unbound read as int()."""
+        ty = self.apply(ty)
+        if isinstance(ty, RefMeta):
+            return _INT
+        if isinstance(ty, Arrow):
+            return Arrow(self.ground(ty.left), self.ground(ty.right))
+        if isinstance(ty, TApp):
+            return TApp(ty.head, tuple(self.ground(a) for a in ty.args))
+        return ty
+
+
+def ref_annotate(I: dict, sig: dict, t: Term, expected=None) -> tuple:
+    """(type, inst, iotas, body) as core.annotate's Typing holds them, or
+    Refused with annotate's message (a meta printing as ?).
+
+    The typing rules as annotate implemented them before applications were
+    checked: every application makes a fresh meta ?r and unifies the
+    head's type with (argument's type) -> ?r.
+    """
+    alphas = []
+    while isinstance(t, PiType):
+        alphas.append(t.var)
+        t = t.body
+    I = dict(I)
+    iotas = []
+    if len(set(alphas)) != len(alphas):
+        raise Refused("duplicate type variable in prenex prefix")
+    taken = set(I) | set(_REF_INTERPRETED_TYPES) | _ref_idents(t) | set(alphas)
+    for a in alphas:
+        iota, k = a, 0
+        while iota in taken:
+            k += 1
+            iota = Ident(a.name, k)
+        taken.add(iota)
+        I[iota] = 0
+        iotas.append(iota)
+        t = _ref_subst_annotations(t, a, TApp(iota, ()))
+    u = _RefUnifier()
+    inst: dict = {}
+
+    def infer(s: Term, path: tuple, env: dict):
+        if isinstance(s, Var):
+            if s.name in sig:
+                scheme = sig[s.name]
+            elif s.name in _REF_INTERPRETED:
+                scheme = _REF_INTERPRETED[s.name]
+            elif s.name in env:
+                scheme = env[s.name]
+            else:
+                raise Refused(f"unbound variable {s.name}")
+            tvs = _ref_type_vars(scheme)
+            if not tvs:
+                return scheme
+            metas = [u.fresh() for _ in tvs]
+            inst[path] = metas
+            return _ref_subst(scheme, dict(zip(tvs, metas)))
+        if isinstance(s, IntLit):
+            return _INT
+        if isinstance(s, (Top, Bottom)):
+            return Prop()
+        if isinstance(s, Not):
+            u.unify(infer(s.body, path + (0,), env), Prop(), "negation")
+            return Prop()
+        if isinstance(s, BinOp):
+            u.unify(infer(s.left, path + (0,), env), Prop(), f"{s.op} left")
+            u.unify(infer(s.right, path + (1,), env), Prop(), f"{s.op} right")
+            return Prop()
+        if isinstance(s, App):
+            fn = infer(s.fn, path + (0,), env)
+            arg = infer(s.arg, path + (1,), env)
+            res = u.fresh()
+            u.unify(fn, Arrow(arg, res), "application")
+            return res
+        if isinstance(s, (Lam, Exists, Forall)):
+            _ref_check_type(I, s.ty, False)
+            if s.var in env or s.var in sig or s.var in _REF_INTERPRETED:
+                raise Refused(f"binder {s.var} shadows a declared symbol")
+            body = infer(s.body, path + (0,), {**env, s.var: s.ty})
+            if isinstance(s, Lam):
+                return Arrow(s.ty, body)
+            u.unify(body, Prop(), "quantifier body")
+            return Prop()
+        raise Refused("type quantifier occurs under another constructor")
+
+    top = infer(t, (), {})
+    if alphas:
+        u.unify(top, Prop(), "type quantifier body")
+    if expected is not None:
+        u.unify(top, expected, "required type")
+    return (u.ground(top),
+            {p: tuple(u.ground(m) for m in ms) for p, ms in inst.items()},
+            tuple(iotas), t)

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import gc
 import itertools
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import typing_cases
 from typing_cases import typecheck
+from certforge import sexpr
 from certforge.core import (
     INT,
     PROP,
@@ -43,6 +46,7 @@ from certforge.core import (
     subst_term,
     subst_type,
     type_vars,
+    var,
 )
 from oracles import db_term
 
@@ -457,3 +461,240 @@ def test_prenex_quantification_scopes_body():
     # the same body without the prefix leaves a free type variable
     with pytest.raises(TypingError):
         typecheck({}, {}, Forall(x, TVar(a), eq(Var(x), Var(x))))
+
+
+# ---------------------------------------------------------------------------
+# Checking applications against the naive reference
+
+
+_ELEM = TApp(ident("elem"), ())
+_TA, _TB = TVar(ident("a")), TVar(ident("b"))
+
+
+def _box(ty):
+    return TApp(ident("box"), (ty,))
+
+
+_REF_TYPES = {ident("elem"): 0, ident("box"): 1}
+_REF_SIG = {
+    ident("wrap"): arrow(_TA, _box(_TA)),
+    ident("unwrap"): arrow(_box(_TA), _TA),
+    ident("choose"): _TA,
+    ident("rel"): arrow(_TA, _TB, PROP),
+    ident("p"): arrow(_ELEM, PROP),
+    ident("g"): arrow(_ELEM, _ELEM, _ELEM),
+    ident("h"): arrow(arrow(INT, PROP), PROP),
+    ident("c"): _ELEM,
+    ident("q"): PROP,
+}
+_GROUND = [INT, PROP, _ELEM, _box(_ELEM), _box(INT), arrow(INT, PROP),
+           arrow(_ELEM, _ELEM)]
+
+
+@st.composite
+def _typed(draw, ty, depth, env, tvars=()):
+    """A term of type ty whose bound names are env's (name -> type);
+    annotations range over the ground types and the type variables tvars."""
+    anns = _GROUND + [TVar(a) for a in tvars] + [_box(TVar(a)) for a in tvars]
+    # the leaves of type ty: choose fits any type, at an instance left to
+    # inference, and a bound name fits its own
+    leaves = [var("choose")] + [Var(x) for x, t in env.items() if t == ty]
+    if ty == INT:
+        leaves.append(IntLit(draw(st.integers(-2, 9))))
+    elif ty == PROP:
+        leaves += [Top(), Bottom(), var("q")]
+    elif ty == _ELEM:
+        leaves.append(var("c"))
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(leaves))
+
+    def sub(t, extra=None):
+        inner = env if extra is None else {**env, **extra}
+        return draw(_typed(t, depth - 1, inner, tvars))
+
+    x = ident(f"x{len(env)}")  # fresh: the binders above use x0 .. x{n-1}
+    some = draw(st.sampled_from(anns))
+    kinds = ["unwrap", "redex", "over"]
+    if ty == PROP:
+        kinds += ["not", "binop", "eq", "lt", "p", "quant", "h", "rel"]
+    elif ty == INT:
+        kinds.append("plus")
+    elif ty == _ELEM:
+        kinds.append("g")
+    elif isinstance(ty, TApp) and ty.head == ident("box"):
+        kinds.append("wrap")
+    elif isinstance(ty, Arrow):
+        kinds += ["lam", "partial"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unwrap":
+        return app(var("unwrap"), sub(_box(ty)))
+    if kind == "redex":  # a lambda head: its arrow is known
+        return app(Lam(x, some, sub(ty, {x: some})), sub(some))
+    if kind == "over":  # a head whose type inference has yet to find
+        return app(var("choose"), sub(some))
+    if kind == "not":
+        return Not(sub(PROP))
+    if kind == "binop":
+        return BinOp(draw(st.sampled_from(["and", "or", "imp", "iff"])),
+                     sub(PROP), sub(PROP))
+    if kind == "eq":
+        return eq(sub(some), sub(some))
+    if kind == "lt":
+        return app(var("<"), sub(INT), sub(INT))
+    if kind == "p":
+        return app(var("p"), sub(_ELEM))
+    if kind == "quant":
+        return draw(st.sampled_from([Forall, Exists]))(
+            x, some, sub(PROP, {x: some}))
+    if kind == "h":
+        return app(var("h"), sub(arrow(INT, PROP)))
+    if kind == "rel":
+        return app(var("rel"), sub(some), sub(draw(st.sampled_from(anns))))
+    if kind == "plus":
+        return app(var("+"), sub(INT), sub(INT))
+    if kind == "g":
+        return app(var("g"), sub(_ELEM), sub(_ELEM))
+    if kind == "wrap":
+        return app(var("wrap"), sub(ty.args[0]))
+    if kind == "lam":
+        return Lam(x, ty.left, sub(ty.right, {x: ty.left}))
+    # a partial application of a two-argument symbol; the arrows of
+    # _GROUND are int -> prop and elem -> elem
+    if ty == arrow(_ELEM, _ELEM):
+        return app(var("g"), sub(_ELEM))
+    return app(draw(st.sampled_from([var("<"), var("="), var("rel")])),
+               sub(INT))
+
+
+@st.composite
+def _well_typed(draw):
+    """(term, its type): a formula under a prenex prefix of zero to two
+    type variables, or a term of any ground type."""
+    tvars = draw(st.sampled_from([(), (), (ident("a"),),
+                                  (ident("a"), ident("b"))]))
+    if tvars:
+        body = draw(_typed(PROP, 5, {}, tvars))
+        for a in reversed(tvars):
+            body = PiType(a, body)
+        return body, PROP
+    ty = draw(st.sampled_from(_GROUND))
+    return draw(_typed(ty, 5, {})), ty
+
+
+def _kids(t):
+    return (t.body,) if isinstance(t, (Not, Lam, Exists, Forall, PiType)) \
+        else (t.left, t.right) if isinstance(t, BinOp) \
+        else (t.fn, t.arg) if isinstance(t, App) else ()
+
+
+def _paths(t, path=()):
+    yield path
+    for i, k in enumerate(_kids(t)):
+        yield from _paths(k, path + (i,))
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(t, BinOp):
+        return BinOp(t.op, _replace(t.left, rest, new) if i == 0 else t.left,
+                     _replace(t.right, rest, new) if i == 1 else t.right)
+    if isinstance(t, App):
+        return App(_replace(t.fn, rest, new) if i == 0 else t.fn,
+                   _replace(t.arg, rest, new) if i == 1 else t.arg)
+    if isinstance(t, Not):
+        return Not(_replace(t.body, rest, new))
+    if isinstance(t, PiType):
+        return PiType(t.var, _replace(t.body, rest, new))
+    return type(t)(t.var, t.ty, _replace(t.body, rest, new))
+
+
+_MUTANT_LEAVES = [IntLit(1), Top(), var("c"), var("q"), var("p"),
+                  var("wrap"), var("choose"), var("x0"), var("nope")]
+
+
+@st.composite
+def _mutant(draw):
+    """A well-typed term with one subterm replaced, applied to one more
+    argument, or put under a type quantifier: mostly ill-typed."""
+    t, _ = draw(_well_typed())
+    path = draw(st.sampled_from(list(_paths(t))))
+    old = t
+    for i in path:
+        old = _kids(old)[i]
+    how = draw(st.sampled_from(["leaf", "over", "pi", "ann"]))
+    if how == "leaf":
+        new = draw(st.sampled_from(_MUTANT_LEAVES))
+    elif how == "over":
+        new = App(old, draw(st.sampled_from(_MUTANT_LEAVES)))
+    elif how == "pi":
+        new = PiType(ident("a"), old)
+    elif isinstance(old, (Lam, Exists, Forall)):
+        new = type(old)(old.var, draw(st.sampled_from(
+            [TVar(ident("z")), TApp(ident("box"), ()), TApp(ident("nope"), ()),
+             arrow(_ELEM, _box(_TA))])), old.body)
+    else:
+        new = app(var("p"), old)
+    return _replace(t, path, new)
+
+
+def _agree(types, sig, t, expected=None) -> bool:
+    """annotate and the reference accept t alike, with equal Typings, or
+    refuse it alike, with one message up to the numbering of metas."""
+    try:
+        want = oracles.ref_annotate(types, sig, t, expected)
+    except oracles.Refused as refused:
+        with pytest.raises(TypingError) as got:
+            annotate(types, sig, t, expected)
+        assert re.sub(r"_Meta\(id=\d+\)", "?", str(got.value)) == str(refused)
+        return False
+    info = annotate(types, sig, t, expected)
+    assert (info.type, info.inst, info.iotas, info.body) == want
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_typed(), st.booleans())
+def test_annotate_accepts_what_the_reference_accepts(case, against):
+    t, ty = case
+    assert _agree(_REF_TYPES, _REF_SIG, t, ty if against else None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_mutant(), terms), st.sampled_from([None, PROP, INT]))
+def test_annotate_refuses_what_the_reference_refuses(t, expected):
+    _agree(_REF_TYPES, _REF_SIG, t, expected)
+
+
+@pytest.mark.parametrize(
+    "case", typing_cases.POSITIVE + typing_cases.NEGATIVE,
+    ids=[f"{c[0]}-{k}" for k, c in enumerate(
+        typing_cases.POSITIVE + typing_cases.NEGATIVE)])
+def test_annotate_agrees_with_the_reference_on_the_case_tables(case):
+    _, types, sig, term = case[:4]
+    assert _agree(types, sig, term) == (len(case) == 5)
+
+
+def test_an_application_checks_against_a_known_domain(unifier_counts):
+    # every head has an arrow type: its argument is checked against the
+    # domain, and no metavariable is made (five when each application
+    # made one); the two unifications are the binder's
+    # own int() against the interpreted int() of *, and the quantifier's
+    # body against prop
+    t = sexpr.term_from_sexpr(sexpr.loads(
+        "(forall (z (int)) (p (+ (* z 3) 7)))"))
+    assert annotate({}, {ident("p"): arrow(INT, PROP)}, t).type == PROP
+    assert (unifier_counts["fresh"], unifier_counts["unify"]) == (0, 2)
+    # a polymorphic occurrence makes one meta per type variable of its
+    # scheme, and each argument is checked against one of them
+    unifier_counts.clear()
+    info = annotate({}, _REF_SIG, app(var("rel"), IntLit(1), Top()))
+    assert info.inst == {(0, 0): (INT, PROP)}
+    assert (unifier_counts["fresh"], unifier_counts["unify"]) == (2, 2)
+    # a head whose type is still a meta is applied as before: one meta for
+    # its result, unified with the required type
+    unifier_counts.clear()
+    info = annotate({}, _REF_SIG, app(var("choose"), IntLit(1)), PROP)
+    assert info.inst == {(0,): (arrow(INT, PROP),)}
+    assert (unifier_counts["fresh"], unifier_counts["unify"]) == (2, 2)

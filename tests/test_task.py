@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certforge import cli, core
+from certforge import cli, core, sexpr
 from certforge import transforms as tr
 from certforge.cert import KHole, cert_dumps, cert_loads, elaborate
 from certforge.checker import ccheck
@@ -351,6 +355,49 @@ def test_well_typed_judges_premises_against_prop():
     T = Task(sig=((f, arrow(TVar(ident("a")), TVar(ident("a")))),),
              goals=(Premise(ident("G"), app(Var(f), Var(f))),))
     assert not well_typed(T)
+
+
+def test_judging_a_task_leaves_no_cyclic_garbage():
+    # annotate's walker takes its state as an argument and all_idents
+    # walks types in module functions: no closure refers to itself, so a
+    # judgment frees what it built without the cycle collector (116
+    # objects for this task while both were nested functions)
+    T = sexpr.task_from_sexpr(sexpr.loads(_FOL_TASK))
+    gc.collect()
+    gc.disable()
+    try:
+        assert well_typed(T)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_DEEP_DECLARATIONS = """
+import sys
+sys.setrecursionlimit(40000)
+from certforge.core import INT, PROP, arrow, eq, ident, var
+from certforge.task import Premise, Task, task_alpha_equal
+
+def task(*extra):
+    deep = arrow(*[INT] * 30_000, PROP)
+    return Task(sig=((ident("f"), deep), *extra),
+                goals=(Premise(ident("G"), eq(var("f"), var("f"))),))
+
+# equal declarations, then declarations that differ in an unused symbol
+assert task_alpha_equal(task(), task())
+assert task_alpha_equal(task(), task((ident("g"), INT)))
+"""
+
+
+def test_tasks_declaring_a_deep_type_compare_without_crashing():
+    # the dataclass __eq__ recurses through C: comparing these two tasks
+    # with it killed the interpreter (SIGSEGV) under the recursion limit
+    # the CLI sets, and at depth 10 000 returned True
+    src = Path(core.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _DEEP_DECLARATIONS],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_kernel_types_no_operand_of_a_judged_premise_again(annotate_calls):
