@@ -870,33 +870,38 @@ def _symmetry(a: Term, b: Term, ty: Type, goal: Ident,
 def _abstract(formula: Term, needle: Term, ty: Type) -> Term:
     """The rewriting context: formula with every free occurrence of needle
     (of type ty) abstracted into a fresh bound variable."""
-    needed = free_vars(needle)
     z = fresh_ident("z", all_idents(formula) | all_idents(needle))
-    count = 0
-
-    def walk(t: Term, blocked: frozenset[Ident]) -> Term:
-        nonlocal count
-        if not (needed & blocked) and alpha_equal(t, needle):
-            count += 1
-            return Var(z)
-        if isinstance(t, (Var, Top, Bottom, IntLit)):
-            return t
-        if isinstance(t, Not):
-            return Not(walk(t.body, blocked))
-        if isinstance(t, BinOp):
-            return BinOp(t.op, walk(t.left, blocked), walk(t.right, blocked))
-        if isinstance(t, App):
-            return App(walk(t.fn, blocked), walk(t.arg, blocked))
-        if isinstance(t, (Lam, Exists, Forall)):
-            return type(t)(t.var, t.ty, walk(t.body, blocked | {t.var}))
-        if isinstance(t, PiType):
-            return PiType(t.var, walk(t.body, blocked))
-        raise CertError(f"cannot rewrite inside {t!r}")
-
-    body = walk(formula, frozenset())
-    if count == 0:
+    hits: list[Term] = []
+    body = _abstract_in(formula, needle, free_vars(needle), z, frozenset(), hits)
+    if not hits:
         raise CertError("no occurrence of the equation side in the premise")
     return Lam(z, ty, body)
+
+
+def _abstract_in(t: Term, needle: Term, needed: frozenset[Ident], z: Ident,
+                 blocked: frozenset[Ident], hits: list[Term]) -> Term:
+    """_abstract's walk below binders of the names in blocked; each
+    occurrence replaced is added to hits. A module function: a nested
+    walker that calls itself is a reference cycle."""
+    if not (needed & blocked) and alpha_equal(t, needle):
+        hits.append(t)
+        return Var(z)
+    if isinstance(t, (Var, Top, Bottom, IntLit)):
+        return t
+    if isinstance(t, Not):
+        return Not(_abstract_in(t.body, needle, needed, z, blocked, hits))
+    if isinstance(t, BinOp):
+        return BinOp(t.op, _abstract_in(t.left, needle, needed, z, blocked, hits),
+                     _abstract_in(t.right, needle, needed, z, blocked, hits))
+    if isinstance(t, App):
+        return App(_abstract_in(t.fn, needle, needed, z, blocked, hits),
+                   _abstract_in(t.arg, needle, needed, z, blocked, hits))
+    if isinstance(t, (Lam, Exists, Forall)):
+        return type(t)(t.var, t.ty, _abstract_in(
+            t.body, needle, needed, z, blocked | {t.var}, hits))
+    if isinstance(t, PiType):
+        return PiType(t.var, _abstract_in(t.body, needle, needed, z, blocked, hits))
+    raise CertError(f"cannot rewrite inside {t!r}")
 
 
 def _replay(c, T: Task) -> KernelCert:

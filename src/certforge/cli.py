@@ -55,7 +55,9 @@ def parse_task(text: str) -> Task:
     """One (task ...) datum, checked: every premise must be a proposition.
     TaskError for text that spells no task. The task is judged by
     well_typed, so the kernel finds its premises already recorded; a
-    refusal is worded by typing it again."""
+    refusal is worded by typing it again: it names the type a premise has
+    instead of prop, or, when no type is determined, the first occurrence
+    whose instance is ambiguous."""
     try:
         T = sexpr.task_from_sexpr(sexpr.loads(text))
     except SexprError as e:

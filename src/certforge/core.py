@@ -598,8 +598,9 @@ class _Unifier:
         self.next_id = 0
         self.bind: dict[int, Type] = {}
         self.I, self.sig = I, sig
-        # the instances picked so far, as metas resolved when the walk ends
-        self.inst: dict[tuple[int, ...], tuple[Type, ...]] = {}
+        # each polymorphic occurrence's name and the instances picked for
+        # it, as metas resolved when the walk ends
+        self.inst: dict[tuple[int, ...], tuple[Ident, tuple[Type, ...]]] = {}
         # the occurrence path of the node at hand: _infer extends it by a
         # child index before descending and cuts it back after, and takes
         # a tuple of it only where it records an instance
@@ -623,21 +624,16 @@ class _Unifier:
             ty = self.bind[ty.id]
         return ty
 
-    def resolve(self, ty: Type, default: Type | None = None) -> Type:
-        """ty with every binding followed. With a default, each meta left
-        unbound is bound to it on the way (see the defaulting note in
-        annotate); without one, as for a refusal's message, nothing is
-        bound. A part that changes in neither way is returned as it is,
-        not rebuilt."""
+    def resolve(self, ty: Type) -> Type:
+        """ty with every binding followed; a meta left unbound stays a
+        meta, and nothing is bound (see the note on ambiguity in annotate).
+        A part without a bound meta is returned as it is, not rebuilt."""
         ty = self.walk(ty)
-        if isinstance(ty, _Meta) and default is not None:
-            self.bind[ty.id] = default
-            return default
         if isinstance(ty, Arrow):
-            l, r = self.resolve(ty.left, default), self.resolve(ty.right, default)
+            l, r = self.resolve(ty.left), self.resolve(ty.right)
             return ty if l is ty.left and r is ty.right else Arrow(l, r)
         if isinstance(ty, TApp):
-            args = tuple(self.resolve(a, default) for a in ty.args)
+            args = tuple(map(self.resolve, ty.args))
             return ty if all(map(operator.is_, args, ty.args)) else TApp(ty.head, args)
         return ty
 
@@ -689,30 +685,29 @@ def check_type(I: TypeSignature, ty: Type, *, allow_vars: bool) -> None:
 
     Type symbols must be declared (int is interpreted) and fully applied at
     their declared arity; with allow_vars=False the type must be ground.
+    The parts are checked left to right on an explicit stack, so a deep
+    declared type is no deeper a recursion.
     """
-    if isinstance(ty, TVar):
-        if not allow_vars:
-            raise TypingError(f"type variable {ty.name} not allowed here")
-        return
-    if isinstance(ty, Prop):
-        return
-    if isinstance(ty, Arrow):
-        check_type(I, ty.left, allow_vars=allow_vars)
-        check_type(I, ty.right, allow_vars=allow_vars)
-        return
-    if isinstance(ty, TApp):
-        arity = INTERPRETED_TYPES.get(ty.head)
-        if arity is None:
-            arity = I.get(ty.head)
-        if arity is None:
-            raise TypingError(f"undeclared type symbol {ty.head}")
-        if arity != len(ty.args):
-            raise TypingError(
-                f"type symbol {ty.head} has arity {arity}, applied to {len(ty.args)}")
-        for a in ty.args:
-            check_type(I, a, allow_vars=allow_vars)
-        return
-    raise TypingError(f"malformed type {ty!r}")
+    todo = [ty]
+    while todo:
+        ty = todo.pop()
+        if isinstance(ty, TApp):
+            arity = INTERPRETED_TYPES.get(ty.head)
+            if arity is None:
+                arity = I.get(ty.head)
+            if arity is None:
+                raise TypingError(f"undeclared type symbol {ty.head}")
+            if arity != len(ty.args):
+                raise TypingError(
+                    f"type symbol {ty.head} has arity {arity}, applied to {len(ty.args)}")
+            todo += ty.args[::-1]
+        elif isinstance(ty, Arrow):
+            todo += (ty.right, ty.left)
+        elif isinstance(ty, TVar):
+            if not allow_vars:
+                raise TypingError(f"type variable {ty.name} not allowed here")
+        elif not isinstance(ty, Prop):
+            raise TypingError(f"malformed type {ty!r}")
 
 
 def annotate(I: TypeSignature, sig: Signature, t: Term,
@@ -723,12 +718,23 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     arity-0 type symbols and the body must be prop; a variable's type is a
     ground instance of its scheme; binder annotations are variable-free,
     and a binder may shadow neither the signature nor an outer binder.
-    Instances an occurrence leaves unconstrained are defaulted to int(),
-    which always yields a valid ground derivation and keeps results
-    deterministic.
 
-    With `expected` given, the result must unify with it, so instance
-    choices are made against the required type instead of the default.
+    Ambiguity is a type error. Every instance must be fixed by the
+    constraints of t (and `expected`, when given, which the result must
+    unify with): annotate refuses the first occurrence, in walk order,
+    whose instance is still open, with "instance of <symbol> at [<path>]
+    is ambiguous"; no instance is guessed. Every meta of the result's type
+    occurs in some instance, so a result with no open instance is ground.
+
+    This is what makes substitution keep instances, in the kernel rules
+    that substitute a term u for x : tau in a body (KInstQuant, KRewrite,
+    KIntroQuant, KInduction). The substituted formula's constraints are
+    those of the body with x : tau plus those of u at tau, as the two
+    share no meta. The redex's instances (the body typed with x : tau and
+    u typed at tau) satisfy them. If annotate accepts the substituted
+    formula, no instance is open, so its instances are the unique
+    solution of its constraints, and they coincide with the redex's: a
+    rule cannot change which instance a premise means.
 
     An application checks its argument where the head's type is known and
     infers only where it is not. _infer types the head, then the
@@ -746,7 +752,7 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
     the two names of one type, so every later unification succeeds or
     fails as before, in the same order. The mgu is the same up to that
     renaming, so resolving the result and the instances at the end picks
-    the same types, the defaulting to int() included. A refusal is
+    the same types, and leaves the same instances open. A refusal is
     raised at the same step with the same message, up to the numbers of
     the unresolved metas it prints. A variable's type is still a fresh
     instance of its scheme at each occurrence; only the scheme's type
@@ -775,9 +781,19 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
         st.unify(top, PROP, "type quantifier body")
     if expected is not None:
         st.unify(top, expected, "required type")
-    return Typing(st.resolve(top, INT),
-                  {p: tuple(st.resolve(m, INT) for m in ms) for p, ms in st.inst.items()},
-                  tuple(iotas), body)
+    inst = {p: tuple(map(st.resolve, metas)) for p, (_, metas) in st.inst.items()}
+    if len(st.bind) < st.next_id:  # a meta is unbound: is an instance open?
+        for p, (name, _) in st.inst.items():
+            if any(map(_has_meta, inst[p])):
+                raise TypingError(f"instance of {name} at {list(p)} is ambiguous")
+    return Typing(st.resolve(top), inst, tuple(iotas), body)
+
+
+def _has_meta(ty: Type) -> bool:
+    """A resolved type still holds a metavariable."""
+    if isinstance(ty, Arrow):
+        return _has_meta(ty.left) or _has_meta(ty.right)
+    return isinstance(ty, _Meta) or isinstance(ty, TApp) and any(map(_has_meta, ty.args))
 
 
 def _infer(t: Term, st: _Unifier) -> Type:
@@ -793,7 +809,7 @@ def _infer(t: Term, st: _Unifier) -> Type:
         if not tvs:
             return scheme
         metas = {v: st.fresh() for v in tvs}
-        st.inst[tuple(st.path)] = tuple(metas.values())
+        st.inst[tuple(st.path)] = (t.name, tuple(metas.values()))
         return subst_in_type(scheme, metas)
     if isinstance(t, App):
         st.path.append(0)

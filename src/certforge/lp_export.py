@@ -567,9 +567,11 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
                     st.premise_var(node.hyp), st.premise_var(node.goal))
 
     if isinstance(node, cert.KEqRefl):
-        info = annotate(task.types_map(), task.sig_map(), node.term)
-        witness = lapp(LConst("eq_refl"), _encode_type(info.type),
-                       _encode_typing(info, task.sig_map()))
+        # the goal's instances, as the task's typing context judged them
+        # (cert._eq_type reads = there too): the term is not typed again
+        info, at = typing_of(task, task.find(node.name)[2].formula)
+        witness = lapp(LConst("eq_refl"), _encode_type(info.inst[at + (0, 0)][0]),
+                       _encode(node.term, at + (0, 1), info, task.sig_map()))
         return LApp(st.premise_var(node.name), witness)
 
     if isinstance(node, cert.KAssert):

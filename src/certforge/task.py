@@ -292,7 +292,11 @@ def well_typed(T: Task) -> bool:
 
     Each premise is judged against prop (annotate with expected=PROP), so a
     premise such as `choose` with choose : 'a is prop at the instance prop,
-    not ill-typed at the defaulted instance int.
+    which the requirement fixes. A premise with an instance nothing fixes,
+    such as `r c c` with c : 'a and r : 'a -> 'a -> prop, is ill-typed:
+    annotate refuses the ambiguity instead of guessing an instance, which
+    is what lets the kernel's substitutions keep every premise's instances
+    (see annotate).
 
     Incremental in two ways, so a derived task pays for what its edit
     added. First, through T's typing context, which the tasks replace and

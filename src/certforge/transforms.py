@@ -256,28 +256,29 @@ def _match_pattern(pat: Term, t: Term, pvars: frozenset[Ident],
 
 def _find_instantiation(pattern: Term, pvars: frozenset[Ident],
                         formula: Term) -> dict[Ident, Term] | None:
-    """Leftmost-outermost subterm of `formula` matching `pattern`."""
+    """Leftmost-outermost subterm of `formula` matching `pattern`.
 
-    def walk(t: Term, blocked: frozenset[Ident]) -> dict[Ident, Term] | None:
+    Searched on an explicit stack, in preorder, each subterm with the
+    binders above it: a nested walker that calls itself would be a
+    reference cycle."""
+    todo = [(formula, frozenset())]
+    while todo:
+        t, blocked = todo.pop()
         binds: dict[Ident, Term] = {}
         if _match_pattern(pattern, t, pvars, binds):
             # a witness mentioning a locally bound variable cannot leave
             # its binder, so keep scanning
             if all(not (free_vars(u) & blocked) for u in binds.values()):
                 return binds
-        if isinstance(t, Not):
-            return walk(t.body, blocked)
-        if isinstance(t, BinOp):
-            return walk(t.left, blocked) or walk(t.right, blocked)
-        if isinstance(t, App):
-            return walk(t.fn, blocked) or walk(t.arg, blocked)
-        if isinstance(t, (Lam, Forall, Exists)):
-            return walk(t.body, blocked | {t.var})
-        if isinstance(t, PiType):
-            return walk(t.body, blocked)
-        return None
-
-    return walk(formula, frozenset())
+        if isinstance(t, (Not, PiType)):
+            todo.append((t.body, blocked))
+        elif isinstance(t, BinOp):
+            todo += ((t.right, blocked), (t.left, blocked))
+        elif isinstance(t, App):
+            todo += ((t.arg, blocked), (t.fn, blocked))
+        elif isinstance(t, (Lam, Forall, Exists)):
+            todo.append((t.body, blocked | {t.var}))
+    return None
 
 
 def t_rewrite(T: Task, Heq: Ident, P: Ident, right_to_left: bool = False,

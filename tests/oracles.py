@@ -301,17 +301,6 @@ class _RefUnifier:
                 and a.name == b.name):
             raise Refused(f"cannot unify {a} with {b} in {where}")
 
-    def ground(self, ty):
-        """ty resolved, every meta left unbound read as int()."""
-        ty = self.apply(ty)
-        if isinstance(ty, RefMeta):
-            return _INT
-        if isinstance(ty, Arrow):
-            return Arrow(self.ground(ty.left), self.ground(ty.right))
-        if isinstance(ty, TApp):
-            return TApp(ty.head, tuple(self.ground(a) for a in ty.args))
-        return ty
-
 
 def ref_annotate(I: dict, sig: dict, t: Term, expected=None) -> tuple:
     """(type, inst, iotas, body) as core.annotate's Typing holds them, or
@@ -319,7 +308,8 @@ def ref_annotate(I: dict, sig: dict, t: Term, expected=None) -> tuple:
 
     The typing rules as annotate implemented them before applications were
     checked: every application makes a fresh meta ?r and unifies the
-    head's type with (argument's type) -> ?r.
+    head's type with (argument's type) -> ?r. An instance no constraint
+    fixes is refused at the first such occurrence in walk order.
     """
     alphas = []
     while isinstance(t, PiType):
@@ -356,7 +346,7 @@ def ref_annotate(I: dict, sig: dict, t: Term, expected=None) -> tuple:
             if not tvs:
                 return scheme
             metas = [u.fresh() for _ in tvs]
-            inst[path] = metas
+            inst[path] = (s.name, metas)
             return _ref_subst(scheme, dict(zip(tvs, metas)))
         if isinstance(s, IntLit):
             return _INT
@@ -391,6 +381,34 @@ def ref_annotate(I: dict, sig: dict, t: Term, expected=None) -> tuple:
         u.unify(top, Prop(), "type quantifier body")
     if expected is not None:
         u.unify(top, expected, "required type")
-    return (u.ground(top),
-            {p: tuple(u.ground(m) for m in ms) for p, ms in inst.items()},
+    for p, (name, metas) in inst.items():
+        if any(u.metas(m) for m in metas):
+            raise Refused(f"instance of {name} at {list(p)} is ambiguous")
+    return (u.apply(top),
+            {p: tuple(map(u.apply, ms)) for p, (_, ms) in inst.items()},
             tuple(iotas), t)
+
+
+def _ref_occurrences(t: Term, x, path: tuple = ()) -> list:
+    """Paths of the occurrences of the variable x in t (t binds no x)."""
+    if isinstance(t, Var):
+        return [path] if t.name == x else []
+    kids = [t.body] if isinstance(t, (Not, Lam, Exists, Forall, PiType)) \
+        else [t.left, t.right] if isinstance(t, BinOp) \
+        else [t.fn, t.arg] if isinstance(t, App) else []
+    return [p for i, k in enumerate(kids)
+            for p in _ref_occurrences(k, x, path + (i,))]
+
+
+def redex_instances(I: dict, sig: dict, ctx: Lam, u: Term) -> dict:
+    """The instances the redex (ctx u) gives each symbol occurrence of
+    ctx.body[ctx.var -> u], by path: ctx.body's own, typed against prop
+    with ctx.var : ctx.ty, and at each occurrence of ctx.var, u's, typed
+    at ctx.ty. Substitution renames binders only, so paths line up.
+    Refused if either typing is."""
+    _, body, _, _ = ref_annotate(I, {**sig, ctx.var: ctx.ty}, ctx.body, Prop())
+    _, arg, _, _ = ref_annotate(I, sig, u, ctx.ty)
+    out = dict(body)
+    for q in _ref_occurrences(ctx.body, ctx.var):
+        out.update({q + p: tys for p, tys in arg.items()})
+    return out

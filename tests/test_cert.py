@@ -33,6 +33,7 @@ from certforge.core import (
     PiType,
     TVar,
     Top,
+    TypingError,
     alpha_equal,
     app,
     conj,
@@ -44,7 +45,8 @@ from certforge.core import (
     var,
 )
 from certforge.task import Premise, Task, gen_chain_task
-from certforge.transforms import TransformError, t_blast, t_rewrite
+from certforge.transforms import (TransformError, t_blast, t_instantiate,
+                                  t_rewrite)
 from test_acceptance import (_FOL_TASK, _fol_script, _rand_application,
                              _rand_task)
 
@@ -420,29 +422,58 @@ _POLY_SIDE = """(task (types (box 1) (elem 0))
     (hyps {}) (goals {}))"""
 
 
-@pytest.mark.parametrize("hyps, goals, apply", [
+# the goal case of SEqSym rewrites the goal e = f into e = e, whose
+# instance of = nothing fixes (e : box 'a): the task it derives is
+# ill-typed, and elaboration refuses it rather than guess an instance
+_AMBIGUOUS_GOAL = "produced an ill-typed task"
+
+
+@pytest.mark.parametrize("hyps, goals, apply, refused", [
     ("(E (= e f)) (H (p e))", "(G (p f))",
-     lambda T: t_rewrite(T, ident("E"), H)[1]),
+     lambda T: t_rewrite(T, ident("E"), H)[1], None),
     ("(E (= e f)) (H (p e))", "(G (p f))",
-     lambda T: t_rewrite(T, ident("E"), G, right_to_left=True)[1]),
+     lambda T: t_rewrite(T, ident("E"), G, right_to_left=True)[1], None),
     ("(E (= e f))", "(G (= f e))",
-     lambda T: cert.SEqSym(ident("E"), cert.SAxiom(ident("E"), G))),
+     lambda T: cert.SEqSym(ident("E"), cert.SAxiom(ident("E"), G)), None),
     ("(E (= f e))", "(G (= e f))",
-     lambda T: cert.SEqSym(G, cert.SAxiom(ident("E"), G))),
+     lambda T: cert.SEqSym(G, cert.SAxiom(ident("E"), G)), _AMBIGUOUS_GOAL),
     ("(E (= e f)) (F (= f f))", "(G (= e f))",
-     lambda T: cert.SEqTrans(ident("E"), ident("F"), H, cert.SAxiom(H, G))),
+     lambda T: cert.SEqTrans(ident("E"), ident("F"), H, cert.SAxiom(H, G)),
+     None),
 ], ids=["rewrite_left_to_right", "rewrite_right_to_left", "eq_sym_hyp",
         "eq_sym_goal", "eq_trans"])
 def test_an_equation_is_rewritten_at_the_type_of_its_equality(hyps, goals,
-                                                              apply):
-    # e : box 'a typed on its own defaults to box int; the equation with
+                                                              apply, refused):
+    # e : box 'a typed on its own is ambiguous; the equation with
     # f : box elem fixes it, and every context abstracts a box elem
     T = parse_task(_POLY_SIDE.format(hyps, goals))
+    if refused:
+        with pytest.raises(CertError, match=refused):
+            elaborate(apply(T), T)
+        return
     k = elaborate(apply(T), T)
     assert checker.ccheck(k, T).ok
     wire = cert_dumps(k)
     assert wire.count("(lam (z (box (elem))) ") == wire.count("(KRewrite ")
     assert "int" not in wire
+
+
+_OPEN_WITNESS = """(task (types (elem 0)) (sig (c a) (d (elem)) (r (-> a a prop)))
+    (hyps (H (forall (x (elem)) (r x x)))) (goals (G (r c {}))))"""
+
+
+def test_instantiating_at_a_witness_the_instance_loses_is_refused():
+    # H_inst : r c c would be typed at no instance: the transformation
+    # fails, and it made no task. Item 1's task itself (goal r c c) is
+    # refused before any rule runs
+    T = parse_task(_OPEN_WITNESS.format("d"))
+    with pytest.raises(TransformError, match="ill-typed"):
+        t_instantiate(T, H, var("c"))
+    (t,), s = t_instantiate(T, H, var("d"))
+    assert t.hyps[-1].formula == app(var("r"), var("d"), var("d"))
+    assert checker.ccheck(elaborate(s, T), T).ok
+    with pytest.raises(TypingError, match="is ambiguous"):
+        parse_task(_OPEN_WITNESS.format("c"))
 
 
 _E, _F = ident("E"), ident("F")
@@ -455,8 +486,9 @@ _E, _F = ident("E"), ident("F")
      cert.SRewrite(True, _E, G, cert.SAxiom(H, G)), lambda T: T.hyps[0]),
     ("(E (= e f))", "(G (= f e))",
      cert.SEqSym(_E, cert.SAxiom(_E, G)), lambda T: T.hyps[0]),
+    # refused before any equation is read (see _AMBIGUOUS_GOAL)
     ("(E (= f e))", "(G (= e f))",
-     cert.SEqSym(G, cert.SAxiom(_E, G)), lambda T: T.goals[0]),
+     cert.SEqSym(G, cert.SAxiom(_E, G)), None),
     ("(E (= e f)) (F (= f f))", "(G (= e f))",
      cert.SEqTrans(_E, _F, H, cert.SAxiom(H, G)), lambda T: T.hyps[0]),
     # the equation is an operand of the goal, read at its path there
@@ -471,6 +503,10 @@ def test_elaboration_reads_the_equality_instance_the_task_judged(
     # is typed is a premise the replay creates, judged by well_typed, or a
     # rewrite side the kernel types against the context's type
     T = parse_task(_POLY_SIDE.format(hyps, goals))
+    if equation is None:
+        with pytest.raises(CertError, match=_AMBIGUOUS_GOAL):
+            elaborate(surface, T)
+        return
     annotate_calls.clear()
     k = elaborate(surface, T)
     calls = dict(annotate_calls)

@@ -1,9 +1,14 @@
 """Kernel rule replay: one positive and at least one negative per rule."""
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 import certforge.cert as c
 from certforge.checker import CheckError, ccheck, check_application, step
+from certforge.cli import parse_task
 from certforge.core import (
     INT,
     PROP,
@@ -18,7 +23,10 @@ from certforge.core import (
     TApp,
     TVar,
     Top,
+    TypingError,
+    Var,
     alpha_equal,
+    annotate,
     app,
     conj,
     disj,
@@ -26,6 +34,7 @@ from certforge.core import (
     iff,
     ident,
     imp,
+    subst_term,
     var,
 )
 from certforge.task import Premise, Task, task_alpha_equal, well_typed
@@ -384,8 +393,8 @@ def test_inst_quant_witness_typing():
 
 
 def test_inst_quant_polymorphic_witness():
-    # the witness only has to be typable at the carried type, defaulting
-    # plays no part: here empty : set(a) is instantiated at set(int)
+    # the witness only has to be typable at the carried type, which fixes
+    # its instance: here empty : set(a) is instantiated at set(int)
     setint = TApp(ident("set"), (INT,))
     seta = TApp(ident("set"), (TVar(ident("a")),))
     T = Task(types=((ident("set"), 1),),
@@ -660,3 +669,147 @@ def test_instantiate_walkthrough():
     assert check_application(
         T, [t_inst],
         c.KInstQuant(False, INT, pred, H, hinst, witness, c.KHole(t_inst)))
+
+
+# -- substitution keeps a premise's instances ----------------------------------
+#
+# Terms carry no instances: c : 'a alone fixes none. A premise whose instance
+# nothing fixes is ill-typed, so a rule that substitutes c cannot make a
+# premise at elem mean one at another type.
+
+ELEM = TApp(ident("elem"), ())
+_A = TVar(ident("a"))
+_R = Arrow(_A, Arrow(_A, PROP))
+RXX = Lam(x, ELEM, app(var("r"), var("x"), var("x")))
+
+
+def poly_task(hyps, goals):
+    return Task(types=((ident("elem"), 0),),
+                sig=((ident("c"), _A), (ident("d"), ELEM), (ident("r"), _R)),
+                hyps=tuple(Premise(ident(nm), f) for nm, f in hyps),
+                goals=tuple(Premise(ident(nm), f) for nm, f in goals))
+
+
+def test_a_task_with_an_open_instance_is_refused_when_read():
+    # r c c fixes no instance of r or c; it was typed at int, and the
+    # instance of H at c closed it
+    text = """(task (types (elem 0)) (sig (c a) (r (-> a a prop)))
+        (hyps (H (forall (x (elem)) (r x x)))) (goals (G (r c c))))"""
+    with pytest.raises(TypingError,
+                       match=r"^instance of r at \[0, 0\] is ambiguous$"):
+        parse_task(text)
+    T = Task(types=((ident("elem"), 0),),
+             sig=((ident("c"), _A), (ident("r"), _R)),
+             hyps=(Premise(H, Forall(x, ELEM, app(var("r"), var("x"),
+                                                  var("x")))),),
+             goals=(Premise(G, app(var("r"), var("c"), var("c"))),))
+    assert not well_typed(T)
+    f = bad(T, c.KHole(T), "the initial task is not well-typed")
+    assert f.path == ()
+
+
+def test_inst_quant_refuses_a_witness_whose_instance_the_body_loses():
+    # c is typed at elem against the carried type, but in r c c nothing
+    # fixes it: the instance would mean r at another type
+    T = poly_task([("H", Forall(x, ELEM, app(var("r"), var("x"), var("x"))))],
+                  [("G", app(var("r"), var("c"), var("d")))])
+    assert well_typed(T)
+    node = c.KInstQuant(False, ELEM, RXX, H, H1, var("c"), c.KHole(T))
+    f = bad(T, node, "produced an ill-typed task")
+    assert (f.rule, f.path) == ("KInstQuant", ())
+    # a witness whose type fixes the instance is kept
+    (t,) = step(T, c.KInstQuant(False, ELEM, RXX, H, H1, var("d"),
+                                c.KHole(T)), ())
+    assert alpha_equal(t.hyps[-1].formula, app(var("r"), var("d"), var("d")))
+
+
+def test_rewrite_refuses_a_rewritten_premise_with_an_open_instance():
+    # E fixes c at elem, but rewriting r d d into r c c leaves the
+    # instance of the rewritten premise open
+    T = poly_task([("E", eq(var("d"), var("c"))),
+                   ("H", app(var("r"), var("d"), var("d")))],
+                  [("G", Bottom())])
+    assert well_typed(T)
+    z = ident("z")
+    every = Lam(z, ELEM, app(var("r"), var("z"), var("z")))
+    f = bad(T, c.KRewrite(False, var("d"), var("c"), every, H, ident("E"),
+                          c.KHole(T)), "produced an ill-typed task")
+    assert f.rule == "KRewrite"
+    # rewriting one occurrence keeps d, which fixes the instance
+    one = Lam(z, ELEM, app(var("r"), var("z"), var("d")))
+    (t,) = step(T, c.KRewrite(False, var("d"), var("c"), one, H, ident("E"),
+                              c.KHole(T)), ())
+    assert alpha_equal(t.hyps[-1].formula, app(var("r"), var("c"), var("d")))
+
+
+# The argument annotate states for this (see its docstring), checked on
+# small polymorphic tasks: a child premise that the kernel accepts means, at
+# every symbol occurrence, the instance the redex gives it. This compares
+# the instance maps path by path against the naive reference.
+
+_BOXED_ELEM = TApp(ident("box"), (ELEM,))
+_TAUS = [ELEM, INT, _BOXED_ELEM]
+_POLY_TYPES = ((ident("elem"), 0), (ident("box"), 1))
+_POLY_SIG = tuple((ident(n), ty) for n, ty in (
+    ("c", _A), ("d", ELEM), ("e", TApp(ident("box"), (_A,))),
+    ("f", _BOXED_ELEM), ("k", INT), ("choose", _A), ("r", _R),
+    ("p", Arrow(ELEM, PROP)), ("wrap", Arrow(_A, TApp(ident("box"), (_A,))))))
+
+
+@st.composite
+def _operand(draw, bound):
+    """A symbol, a literal or a bound name, perhaps wrapped."""
+    t = draw(st.sampled_from([var(n) for n in ("c", "d", "e", "f", "k",
+                                               "choose")]
+                             + [IntLit(1)] + [Var(b) for b in bound] * 2))
+    return app(var("wrap"), t) if draw(st.integers(0, 3)) == 0 else t
+
+
+@st.composite
+def _formula(draw, bound, depth=2):
+    kinds = ["r", "p", "eq"] + (["not", "and", "forall"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "r":
+        return app(var("r"), draw(_operand(bound)), draw(_operand(bound)))
+    if kind == "p":
+        return app(var("p"), draw(_operand(bound)))
+    if kind == "eq":
+        return eq(draw(_operand(bound)), draw(_operand(bound)))
+    if kind == "not":
+        return Not(draw(_formula(bound, depth - 1)))
+    if kind == "and":
+        return conj(draw(_formula(bound, depth - 1)),
+                    draw(_formula(bound, depth - 1)))
+    y = ident(f"y{depth}")
+    return Forall(y, ELEM, draw(_formula(bound + (y,), depth - 1)))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from(_TAUS), st.sampled_from(["KInstQuant", "KRewrite"]),
+       st.data())
+def test_substitution_keeps_the_redex_instances(tau, rule, data):
+    ctx = Lam(x, tau, data.draw(_formula((x,))))
+    u = data.draw(_operand(()))
+    if rule == "KInstQuant":
+        hyps = (Premise(H, Forall(x, tau, ctx.body)),)
+        node = c.KInstQuant(False, tau, ctx, H, H1, u, None)
+        new = H1
+    else:
+        left = data.draw(_operand(()))
+        hyps = (Premise(ident("E"), eq(left, u)),
+                Premise(H, subst_term(ctx.body, x, left)))
+        node = c.KRewrite(False, left, u, ctx, H, ident("E"), None)
+        new = H
+    T = Task(types=_POLY_TYPES, sig=_POLY_SIG, hyps=hyps,
+             goals=(Premise(G, Bottom()),))
+    assume(well_typed(T))
+    try:
+        (child,) = step(T, node, ())
+    except CheckError:
+        return  # a refused step derives nothing
+    event("accepted")
+    formula = child.find(new)[2].formula
+    got = annotate(child.types_map(), child.sig_map(), formula, PROP).inst
+    assert got == oracles.redex_instances(dict(child.types_map()),
+                                          dict(child.sig_map()), ctx, u)

@@ -1,12 +1,16 @@
 """The command-line driver: parsing, the pipeline commands, bench shapes."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import lp_parser as lpp
 from certforge import cli, sexpr
+from certforge.cert import KHole, cert_dumps
 from certforge.cli import (
     BenchRow,
     bench_ladder,
@@ -93,6 +97,26 @@ def test_parse_command_prints_a_deeply_nested_goal(tmp_path, capsys):
     assert printed == text + "\n", "not the canonical form"
 
 
+def test_parse_and_check_a_deeply_declared_type(tmp_path):
+    # check_type walks a declared type on an explicit stack: at this depth
+    # its recursion ended both commands in an uncaught RecursionError
+    # (exit 1). Run in a subprocess, as a crash there fails this test alone
+    depth = 60_000
+    text = ("(task (types) (sig (f " + "(-> (int) " * depth + "prop"
+            + ")" * depth + ")) (hyps) (goals (G true)))")
+    task_file, cert_file = tmp_path / "deep.tsk", tmp_path / "deep.cert"
+    task_file.write_text(text, encoding="utf-8")
+    cert_file.write_text(cert_dumps(KHole(parse_task(text))), encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    for args in (["parse", str(task_file)],
+                 ["check", str(task_file), "--cert", str(cert_file)]):
+        proc = subprocess.run([sys.executable, "-m", "certforge.cli", *args],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (args[0], proc.stderr[-2000:])
+    assert proc.stdout.startswith("ok")
+
+
 def test_parse_rejects_reserved_int(tmp_path, capsys):
     f = tmp_path / "t.tsk"
     f.write_text("(task (types (int 0)) (sig) (hyps) (goals))",
@@ -119,9 +143,14 @@ def test_parse_rejects_non_propositional_premise(tmp_path, capsys):
 def test_parse_task_judges_premises_against_prop():
     T = parse_task("(task (types) (sig (choose a)) (hyps) (goals (G choose)))")
     assert T.goals[0].formula == var("choose")
-    # a premise no instance makes prop still names the type it has
+    # a premise no instance makes prop names the type it has when that
+    # type is determined, and the open instance when it is not
     with pytest.raises(TypingError,
                        match=r"premise G has type \(-> \(int\) \(int\)\), not prop"):
+        parse_task("(task (types) (sig (f (-> a a))) (hyps) "
+                   "(goals (G (f (lam (x (int)) x)))))")
+    with pytest.raises(TypingError,
+                       match=r"^instance of f at \[0\] is ambiguous$"):
         parse_task("(task (types) (sig (f (-> a a))) (hyps) (goals (G (f f))))")
 
 

@@ -444,14 +444,26 @@ def test_annotate_types_a_deep_binder_nest():
     assert info.inst == {(0,) * depth + (0, 0): (INT,)}
 
 
-def test_annotate_defaults_unconstrained_to_int():
+def test_annotate_refuses_an_ambiguous_instance():
+    # nothing fixes the type empty = empty equates at: the first occurrence
+    # in walk order whose instance is still open is named, with its path
     a = TVar(ident("a"))
-    sig = {ident("empty"): TApp(ident("set"), (a,))}
-    info = annotate({ident("set"): 1}, sig, eq(Var(ident("empty")), Var(ident("empty"))))
+    sig = {ident("empty"): TApp(ident("set"), (a,)),
+           ident("evens"): TApp(ident("set"), (INT,))}
+    I = {ident("set"): 1}
+    with pytest.raises(TypingError,
+                       match=r"^instance of = at \[0, 0\] is ambiguous$"):
+        annotate(I, sig, eq(Var(ident("empty")), Var(ident("empty"))))
+    # one side of known type fixes every instance; none is guessed
+    info = annotate(I, sig, eq(Var(ident("empty")), Var(ident("evens"))))
     assert info.type == PROP
-    for inst in info.inst.values():
-        for ty in inst:
-            assert not type_vars(ty)
+    assert info.inst == {(0, 0): (TApp(ident("set"), (INT,)),),
+                         (0, 1): (INT,)}
+    # the required type fixes what the term leaves open
+    with pytest.raises(TypingError, match=r"instance of empty at \[\]"):
+        annotate(I, sig, Var(ident("empty")))
+    assert annotate(I, sig, Var(ident("empty")),
+                    TApp(ident("set"), (INT,))).inst == {(): (INT,)}
 
 
 def test_prenex_quantification_scopes_body():
@@ -492,13 +504,19 @@ _GROUND = [INT, PROP, _ELEM, _box(_ELEM), _box(INT), arrow(INT, PROP),
 
 
 @st.composite
-def _typed(draw, ty, depth, env, tvars=()):
+def _typed(draw, ty, depth, env, tvars=(), known=False):
     """A term of type ty whose bound names are env's (name -> type);
-    annotations range over the ground types and the type variables tvars."""
+    annotations range over the ground types and the type variables tvars.
+    known: the term's context fixes its type, as a monomorphic head fixes
+    its argument's; otherwise the term alone determines every instance in
+    it, so it is accepted with or without a required type."""
     anns = _GROUND + [TVar(a) for a in tvars] + [_box(TVar(a)) for a in tvars]
+    x = ident(f"x{len(env)}")  # fresh: the binders above use x0 .. x{n-1}
     # the leaves of type ty: choose fits any type, at an instance left to
-    # inference, and a bound name fits its own
-    leaves = [var("choose")] + [Var(x) for x, t in env.items() if t == ty]
+    # inference, where the context fixes it, and otherwise under an
+    # identity redex annotated with ty; a bound name fits its own type
+    leaves = [var("choose") if known else app(Lam(x, ty, Var(x)), var("choose"))]
+    leaves += [Var(x) for x, t in env.items() if t == ty]
     if ty == INT:
         leaves.append(IntLit(draw(st.integers(-2, 9))))
     elif ty == PROP:
@@ -508,13 +526,13 @@ def _typed(draw, ty, depth, env, tvars=()):
     if depth == 0 or draw(st.integers(0, 4)) == 0:
         return draw(st.sampled_from(leaves))
 
-    def sub(t, extra=None):
+    def sub(t, extra=None, known=True):
         inner = env if extra is None else {**env, **extra}
-        return draw(_typed(t, depth - 1, inner, tvars))
+        return draw(_typed(t, depth - 1, inner, tvars, known))
 
-    x = ident(f"x{len(env)}")  # fresh: the binders above use x0 .. x{n-1}
     some = draw(st.sampled_from(anns))
-    kinds = ["unwrap", "redex", "over"]
+    # choose applied: only its context can fix the type of its result
+    kinds = ["unwrap", "redex"] + (["over"] if known else [])
     if ty == PROP:
         kinds += ["not", "binop", "eq", "lt", "p", "quant", "h", "rel"]
     elif ty == INT:
@@ -527,18 +545,18 @@ def _typed(draw, ty, depth, env, tvars=()):
         kinds += ["lam", "partial"]
     kind = draw(st.sampled_from(kinds))
     if kind == "unwrap":
-        return app(var("unwrap"), sub(_box(ty)))
+        return app(var("unwrap"), sub(_box(ty), known=known))
     if kind == "redex":  # a lambda head: its arrow is known
-        return app(Lam(x, some, sub(ty, {x: some})), sub(some))
+        return app(Lam(x, some, sub(ty, {x: some}, known)), sub(some))
     if kind == "over":  # a head whose type inference has yet to find
-        return app(var("choose"), sub(some))
+        return app(var("choose"), sub(some, known=False))
     if kind == "not":
         return Not(sub(PROP))
     if kind == "binop":
         return BinOp(draw(st.sampled_from(["and", "or", "imp", "iff"])),
                      sub(PROP), sub(PROP))
-    if kind == "eq":
-        return eq(sub(some), sub(some))
+    if kind == "eq":  # one side fixes the instance of =
+        return eq(sub(some, known=False), sub(some))
     if kind == "lt":
         return app(var("<"), sub(INT), sub(INT))
     if kind == "p":
@@ -549,21 +567,23 @@ def _typed(draw, ty, depth, env, tvars=()):
     if kind == "h":
         return app(var("h"), sub(arrow(INT, PROP)))
     if kind == "rel":
-        return app(var("rel"), sub(some), sub(draw(st.sampled_from(anns))))
+        return app(var("rel"), sub(some, known=False),
+                   sub(draw(st.sampled_from(anns)), known=False))
     if kind == "plus":
         return app(var("+"), sub(INT), sub(INT))
     if kind == "g":
         return app(var("g"), sub(_ELEM), sub(_ELEM))
     if kind == "wrap":
-        return app(var("wrap"), sub(ty.args[0]))
+        return app(var("wrap"), sub(ty.args[0], known=known))
     if kind == "lam":
-        return Lam(x, ty.left, sub(ty.right, {x: ty.left}))
+        return Lam(x, ty.left, sub(ty.right, {x: ty.left}, known))
     # a partial application of a two-argument symbol; the arrows of
-    # _GROUND are int -> prop and elem -> elem
+    # _GROUND are int -> prop and elem -> elem. Only the context can fix
+    # the type of rel's second argument
     if ty == arrow(_ELEM, _ELEM):
         return app(var("g"), sub(_ELEM))
-    return app(draw(st.sampled_from([var("<"), var("="), var("rel")])),
-               sub(INT))
+    heads = [var("<"), var("=")] + ([var("rel")] if known else [])
+    return app(draw(st.sampled_from(heads)), sub(INT, known=False))
 
 
 @st.composite
@@ -573,7 +593,7 @@ def _well_typed(draw):
     tvars = draw(st.sampled_from([(), (), (ident("a"),),
                                   (ident("a"), ident("b"))]))
     if tvars:
-        body = draw(_typed(PROP, 5, {}, tvars))
+        body = draw(_typed(PROP, 5, {}, tvars, known=True))
         for a in reversed(tvars):
             body = PiType(a, body)
         return body, PROP

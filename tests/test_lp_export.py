@@ -516,7 +516,7 @@ def _instantiate_at_a_polymorphic_witness():
      "rewrite_hyp (box elem) (e elem) f (λ z : box elem, p z) E H"),
 ], ids=["instantiate", "rewrite"])
 def test_carried_terms_are_typed_at_the_carried_type(make, want):
-    # typed on its own, e : box 'a defaults to box int, an ill-typed witness
+    # typed on its own, e : box 'a is ambiguous; the carried type fixes it
     T, k = make()
     L = checked(T, k)
     _agrees_with_the_oracle(T, L, k)

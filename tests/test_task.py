@@ -345,8 +345,8 @@ def test_well_typed_rejects_non_prop_premise():
 
 
 def test_well_typed_judges_premises_against_prop():
-    # choose : 'a is prop at the instance prop; typed alone it would default
-    # to int and fail
+    # choose : 'a is prop at the instance prop; typed alone it would be
+    # ambiguous
     choose = Var(ident("choose"))
     sig = ((ident("choose"), TVar(ident("a"))),)
     for goal in (choose, conj(choose, Top()), Not(choose)):

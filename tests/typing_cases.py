@@ -56,9 +56,11 @@ I_SETS = {ident("color"): 0, ident("set"): 1}
 POSITIVE = [
     ("var", {}, {ident("x"): INT}, var("x"), INT),
     ("var", {}, {ident("p"): PROP}, var("p"), PROP),
-    # instance typing: unconstrained scheme variables default to int()
-    ("var-instance", {ident("set"): 1}, {ident("empty"): set_of(A)},
-     var("empty"), set_of(INT)),
+    # instance typing: each occurrence's instance is fixed by the
+    # constraints around it
+    ("var-instance", I_SETS, {ident("empty"): set_of(A),
+                              ident("reds"): set_of(COLOR)},
+     eq(var("empty"), var("reds")), PROP),
     ("var-instance", I_COLOR, {ident("red"): COLOR, ident("green"): COLOR},
      eq(var("red"), var("green")), PROP),
     ("var-instance", {}, {ident("x"): INT}, eq(var("x"), IntLit(0)), PROP),
@@ -131,6 +133,9 @@ NEGATIVE = [
     ("pi", {}, {ident("p"): arrow(PROP, PROP)},
      app(var("p"), PiType(ident("a"), Top()))),
     ("pi", {}, {}, PiType(ident("a"), conj(Top(), PiType(ident("b"), Top())))),
+    # an instance no constraint fixes is ambiguous, not guessed
+    ("var-instance", {ident("set"): 1}, {ident("empty"): set_of(A)},
+     var("empty")),
 ]
 
 RULES = sorted({c[0] for c in POSITIVE} | {c[0] for c in NEGATIVE})
