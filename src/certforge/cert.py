@@ -727,7 +727,7 @@ def cert_to_sexpr(c):
     return done[0]
 
 
-def _decode_field(form, kind: type, reader: sexpr.Reader):
+def _decode_field(form, kind: type):
     if kind is bool:
         if not isinstance(form, bool):
             raise CertError(f"expected #t/#f, got {form!r}")
@@ -737,11 +737,11 @@ def _decode_field(form, kind: type, reader: sexpr.Reader):
             raise CertError(f"expected an identifier, got {form!r}")
         return ident(form)
     if kind is Term:
-        return reader.term(form)
+        return sexpr.term_from_sexpr(form)
     if kind is Type:
-        return reader.type(form)
+        return sexpr.type_from_sexpr(form)
     if kind is Task:
-        return reader.task(form)
+        return sexpr.task_from_sexpr(form)
     raise CertError(f"unhandled payload kind {kind!r}")
 
 
@@ -758,9 +758,9 @@ assert all(tuple(f.name for f in dataclasses.fields(cls))
 
 def cert_from_sexpr(form):
     """The certificate the parsed form spells, read with an explicit stack.
-    One sexpr.Reader builds all of its formulas, so structurally identical
-    subterms anywhere in it are one object."""
-    reader = sexpr.Reader()
+    Its formulas are read through sexpr's shared tables, so a subterm
+    structurally identical to one in a live value read before, such as the
+    parsed task it is checked against, is that very object."""
     done: list = []
     # (form, kind the result must have) reads a subcertificate: its other
     # payloads at once, then its children; (cls, payloads, kind) builds the
@@ -784,7 +784,7 @@ def cert_from_sexpr(form):
                 raise CertError(f"{form[0]} takes {len(kinds)} payloads, "
                                 f"got {len(form) - 1}")
             split = len(form) - len(_CHILD_FIELDS[cls])
-            args = [_decode_field(f, kind, reader)
+            args = [_decode_field(f, kind)
                     for f, kind in zip(form[1:split], kinds)]
             todo.append((cls, args, want))
             todo.extend(zip(reversed(form[split:]),

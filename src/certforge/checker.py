@@ -14,8 +14,11 @@ where the parent's premise formulas, and every operand along their
 negation/connective spines, are already recorded as of type prop. So a
 formula is typed only if the rule built it anew (an asserted formula, an
 instantiated body, a rewritten premise) or it is KIntroImp's: a rule leaves
-the matched premise's operands, found recorded, but KIntroImp the node's,
-which the next node of a loaded chain matches by identity, not by a walk. A
+the matched premise's operands, found recorded, but KIntroImp the node's.
+Those are the premise's own objects when the certificate was elaborated on
+the task, or loaded while the task it is checked against, read from text,
+was alive (sexpr shares what it reads), so they too are found recorded,
+and the next node matches them by identity, not by a walk. A
 child whose declarations grew by one name keeps only the judgments the name
 cannot change: a kept premise that mentions it is typechecked again (a
 binder may not shadow a declared symbol; see well_typed). By induction from
@@ -60,8 +63,8 @@ from .core import (
     subst_type,
     var,
 )
-from .task import (Premise, Task, TaskError, task_alpha_equal,
-                   task_list_alpha_equal, well_typed)
+from .task import (Premise, Task, TaskError, ill_typed_reason,
+                   task_alpha_equal, task_list_alpha_equal, well_typed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +130,8 @@ def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
     try:
         children = _apply(T, node)
         if not all(map(well_typed, children)):
-            raise _Refused("produced an ill-typed task")
+            raise _Refused("produced an ill-typed task: "
+                           + ill_typed_reason(children))
     except (_Refused, TaskError, TypingError) as e:
         raise CheckError(CheckFailure(type(node).__name__, path, str(e))) from e
     return children

@@ -26,11 +26,10 @@ from . import sexpr
 from . import transforms as tr
 from .cert import CertError, KHole, cert_dumps, cert_loads, elaborate, leaves
 from .checker import CheckFailure, ccheck
-from .core import (PROP, Ident, Term, Type, TypingError, annotate,
-                   check_signature, ident)
+from .core import Ident, Term, Type, TypingError, ident
 from .lp_export import ExportError, emit_module, emit_preamble
 from .sexpr import SexprError
-from .task import (Task, TaskError, gen_chain_task,
+from .task import (Task, TaskError, gen_chain_task, ill_typed_reason,
                    task_list_alpha_equal, well_typed)
 from .transforms import TransformError
 
@@ -55,27 +54,15 @@ def parse_task(text: str) -> Task:
     """One (task ...) datum, checked: every premise must be a proposition.
     TaskError for text that spells no task. The task is judged by
     well_typed, so the kernel finds its premises already recorded; a
-    refusal is worded by typing it again: it names the type a premise has
-    instead of prop, or, when no type is determined, the first occurrence
-    whose instance is ambiguous."""
+    refusal names the first premise that is not prop and why (see
+    ill_typed_reason)."""
     try:
         T = sexpr.task_from_sexpr(sexpr.loads(text))
     except SexprError as e:
         raise TaskError(f"malformed task text: {e}") from e
     if well_typed(T):
         return T
-    I, sig = T.types_map(), T.sig_map()
-    check_signature(I, sig)
-    for p in T.premises():
-        try:
-            annotate(I, sig, p.formula, PROP)
-        except TypingError:
-            # name the type the premise has, if it has one
-            ty = annotate(I, sig, p.formula).type
-            raise TypingError(
-                f"premise {p.name} has type "
-                f"{sexpr.dumps(sexpr.type_to_sexpr(ty))}, not prop") from None
-    raise TypingError("task is not well-typed")
+    raise TypingError(ill_typed_reason([T]))
 
 
 def read_task_file(path: str) -> Task:

@@ -69,7 +69,8 @@ def fresh_ident(base: str | Ident, avoid: frozenset[Ident] | set[Ident]) -> Iden
 # Types
 
 class Type:
-    __slots__ = ()
+    # weakly referable, so that sexpr can share what it reads across reads
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +176,7 @@ def subst_in_type(ty: Type, mapping: Mapping[Ident, Type]) -> Type:
 # Terms
 
 class Term:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True, slots=True)

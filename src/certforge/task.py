@@ -394,6 +394,37 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     return ctx.paths[id(f)]
 
 
+def ill_typed_reason(tasks) -> str:
+    """Why the first of tasks that well_typed refuses is ill-typed, found
+    by typing it again once: the signature's fault, or the first premise
+    that is not prop, with the type it has instead or, when no type is
+    determined, why (say, `premise G: instance of f at [0] is ambiguous`).
+    For a refusal's message only; well_typed is the judgment."""
+    from .sexpr import dumps, type_to_sexpr  # sexpr imports this module
+
+    T = next(t for t in tasks if not well_typed(t))
+    I, sig = T.types_map(), T.sig_map()
+    try:
+        check_signature(I, sig)
+    except TypingError as e:
+        return str(e)
+    for p in T.premises():
+        try:
+            annotate(I, sig, p.formula, PROP)
+            continue
+        except TypingError as e:
+            refusal = e
+        try:
+            ty = annotate(I, sig, p.formula).type
+        except TypingError as e:
+            return f"premise {p.name}: {e}"
+        if ty != PROP:
+            return (f"premise {p.name} has type "
+                    f"{dumps(type_to_sexpr(ty))}, not prop")
+        return f"premise {p.name}: {refusal}"
+    return "task is not well-typed"
+
+
 # ---------------------------------------------------------------------------
 # Alpha-equality of whole tasks
 

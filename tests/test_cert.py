@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import certforge.cert as cert
-from certforge import checker, sexpr
+from certforge import checker, core, sexpr
 from certforge.cert import (
     CertError,
     KHole,
@@ -424,8 +424,10 @@ _POLY_SIDE = """(task (types (box 1) (elem 0))
 
 # the goal case of SEqSym rewrites the goal e = f into e = e, whose
 # instance of = nothing fixes (e : box 'a): the task it derives is
-# ill-typed, and elaboration refuses it rather than guess an instance
-_AMBIGUOUS_GOAL = "produced an ill-typed task"
+# ill-typed, and elaboration refuses it rather than guess an instance,
+# naming the premise and the open occurrence
+_AMBIGUOUS_GOAL = (r"produced an ill-typed task: "
+                   r"premise G: instance of = at \[0, 0\] is ambiguous")
 
 
 @pytest.mark.parametrize("hyps, goals, apply, refused", [
@@ -757,6 +759,34 @@ def test_a_loaded_chain_shares_the_operands_each_node_matches():
             assert node.rest.right is node.right.right
             pairs += 1
     assert pairs == 11
+
+
+def test_a_certificate_loaded_against_its_parsed_task_checks_at_in_memory_cost(
+        annotate_calls, monkeypatch):
+    # while the parsed task is alive, the load gets back its own formulas
+    # for every subterm it has, so the kernel finds each operand recorded
+    # (no typing) and matches it by identity (no longer alpha walk), as on
+    # the certificate elaboration built
+    T = parse_task(sexpr.dumps(sexpr.task_to_sexpr(gen_chain_task(20))))
+    _, s = t_blast(T)
+    k = elaborate(s, T)
+    alpha_calls = []
+    walk = core._alpha
+
+    def counting(*args):
+        alpha_calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(core, "_alpha", counting)
+    costs = []
+    for c in (k, cert_loads(cert_dumps(k))):
+        annotate_calls.clear()
+        alpha_calls.clear()
+        assert checker.ccheck(c, T).ok
+        costs.append((dict(annotate_calls), len(alpha_calls)))
+    in_memory, loaded = costs
+    assert loaded == in_memory
+    assert loaded[0] == {} and loaded[1] > 0
 
 
 def test_parsed_data_shares_no_list():

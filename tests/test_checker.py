@@ -695,8 +695,9 @@ def test_a_task_with_an_open_instance_is_refused_when_read():
     # instance of H at c closed it
     text = """(task (types (elem 0)) (sig (c a) (r (-> a a prop)))
         (hyps (H (forall (x (elem)) (r x x)))) (goals (G (r c c))))"""
-    with pytest.raises(TypingError,
-                       match=r"^instance of r at \[0, 0\] is ambiguous$"):
+    with pytest.raises(
+            TypingError,
+            match=r"^premise G: instance of r at \[0, 0\] is ambiguous$"):
         parse_task(text)
     T = Task(types=((ident("elem"), 0),),
              sig=((ident("c"), _A), (ident("r"), _R)),
@@ -715,7 +716,8 @@ def test_inst_quant_refuses_a_witness_whose_instance_the_body_loses():
                   [("G", app(var("r"), var("c"), var("d")))])
     assert well_typed(T)
     node = c.KInstQuant(False, ELEM, RXX, H, H1, var("c"), c.KHole(T))
-    f = bad(T, node, "produced an ill-typed task")
+    f = bad(T, node, "produced an ill-typed task: "
+                     "premise H1: instance of r at [0, 0] is ambiguous")
     assert (f.rule, f.path) == ("KInstQuant", ())
     # a witness whose type fixes the instance is kept
     (t,) = step(T, c.KInstQuant(False, ELEM, RXX, H, H1, var("d"),
@@ -733,7 +735,9 @@ def test_rewrite_refuses_a_rewritten_premise_with_an_open_instance():
     z = ident("z")
     every = Lam(z, ELEM, app(var("r"), var("z"), var("z")))
     f = bad(T, c.KRewrite(False, var("d"), var("c"), every, H, ident("E"),
-                          c.KHole(T)), "produced an ill-typed task")
+                          c.KHole(T)),
+            "produced an ill-typed task: "
+            "premise H: instance of r at [0, 0] is ambiguous")
     assert f.rule == "KRewrite"
     # rewriting one occurrence keeps d, which fixes the instance
     one = Lam(z, ELEM, app(var("r"), var("z"), var("d")))

@@ -150,7 +150,7 @@ def test_parse_task_judges_premises_against_prop():
         parse_task("(task (types) (sig (f (-> a a))) (hyps) "
                    "(goals (G (f (lam (x (int)) x)))))")
     with pytest.raises(TypingError,
-                       match=r"^instance of f at \[0\] is ambiguous$"):
+                       match=r"^premise G: instance of f at \[0\] is ambiguous$"):
         parse_task("(task (types) (sig (f (-> a a))) (hyps) (goals (G (f f))))")
 
 

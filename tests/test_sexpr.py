@@ -1,10 +1,15 @@
 """S-expression reader, printer and the AST converters."""
 
+import gc
+import itertools
 import sys
+import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from certforge import sexpr
 
 from certforge.core import (
     INT,
@@ -278,6 +283,89 @@ def test_task_sexpr_sections_checked():
         task_from_sexpr(loads("(task (types) (sig) (hyps) (oops))"))
     with pytest.raises(SexprError):
         task_from_sexpr(loads("(job (types) (sig) (hyps) (goals))"))
+
+
+# -- the shared hash-cons tables --------------------------------------------
+
+# one atom no other read has: a goal made of it dies with its task
+_PROBES = (f"probe_{k}" for k in itertools.count())
+
+
+@st.composite
+def _tasks(draw):
+    """A task built with core's constructors, apart from any read, and its
+    text."""
+    hyps = draw(st.lists(_terms, max_size=3))
+    goals = draw(st.lists(_terms, max_size=2)) + [var(next(_PROBES))]
+    sig = draw(st.lists(_types, max_size=2))
+    T = Task(sig=tuple((ident(f"s{i}"), ty) for i, ty in enumerate(sig)),
+             hyps=tuple(Premise(ident(f"H{i}"), t) for i, t in enumerate(hyps)),
+             goals=tuple(Premise(ident(f"G{i}"), t)
+                         for i, t in enumerate(goals)))
+    return dumps(task_to_sexpr(T)), T
+
+
+def _table_size():
+    return len(sexpr._TYPES) + len(sexpr._TERMS)
+
+
+def _shared(T, U):
+    return all(p.formula is q.formula for p, q in zip(T.premises(),
+                                                      U.premises())) \
+        and all(a[1] is b[1] for a, b in zip(T.sig, U.sig))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_tasks(), st.booleans()), min_size=1, max_size=6))
+def test_reads_share_one_table_and_let_go_of_what_they_dropped(steps):
+    # each text is read, read again while the first read is held, and
+    # either held or dropped and read again; at the end every read is
+    # dropped
+    gc.collect()
+    gc.disable()
+    try:
+        held, refs = [], []
+        for (text, built), keep in steps:
+            T = task_from_sexpr(loads(text))
+            assert dumps(task_to_sexpr(T)) == text and T == built
+            again = task_from_sexpr(loads(text))
+            assert _shared(T, again)
+            # the probe goal: no value read elsewhere holds it
+            refs.append(weakref.ref(T.goals[-1].formula))
+            if keep:
+                held.append((text, T))
+            del T, again
+            if not keep:
+                # its probe's entry is dead now: a miss, overwritten
+                assert task_from_sexpr(loads(text)) == built
+        # read again after other reads and drops: still the same value
+        assert all(_shared(task_from_sexpr(loads(text)), T)
+                   for text, T in held)
+        held.clear()
+        # no cycle holds a read: dropping it frees it at once
+        assert all(r() is None for r in refs)
+        before = _table_size()
+        sexpr._sweep()
+        # the probes' entries at least are dead, and a sweep leaves none
+        assert _table_size() < before
+        assert all(r() is not None for table in (sexpr._TYPES, sexpr._TERMS)
+                   for r in table.values())
+    finally:
+        gc.enable()
+
+
+def test_the_tables_are_swept_once_they_have_doubled():
+    sexpr._sweep()
+    live, mark = _table_size(), sexpr._sweep_at
+    assert mark == max(2 * live, sexpr._SWEEP_FLOOR)
+    sizes = []
+    for k in range(mark - live):
+        term_from_sexpr(f"sweep_probe_{k}")
+        sizes.append(_table_size())
+    # each read leaves one dead entry, until the read that reaches the mark
+    # sweeps them all but its own, which it still holds while it sweeps
+    assert sizes[:-1] == list(range(live + 1, mark))
+    assert sizes[-1] == live + 1
 
 
 # ---------------------------------------------------------------------------

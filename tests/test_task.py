@@ -50,6 +50,7 @@ from certforge.task import (
     Task,
     TaskError,
     gen_chain_task,
+    ill_typed_reason,
     task_alpha_equal,
     task_list_alpha_equal,
     typing_of,
@@ -493,18 +494,43 @@ _WRAPPED = """(task (types (box 1) (elem 0))
   (goals (G (imp choose (or (= e0 e0) (q (wrap (wrap e0))))))))"""
 
 
+def test_an_ill_typed_task_is_refused_at_its_first_failing_premise():
+    A = TVar(ident("a"))
+    sig = ((ident("f"), arrow(A, A)), (ident("p"), PROP))
+    ok = Task(sig=sig, goals=(Premise(ident("G"), var("p")),))
+    ambiguous = ok.append(False, Premise(ident("H"), app(var("f"), var("f"))))
+    not_prop = ambiguous.append(False, Premise(ident("K"), IntLit(3)))
+    assert well_typed(ok)
+    # the first task well_typed refuses, and in it the first premise
+    assert ill_typed_reason([ok, not_prop, ambiguous]) == \
+        "premise H: instance of f at [0] is ambiguous"
+    assert ill_typed_reason([Task(sig=sig, hyps=not_prop.hyps[1:])]) == \
+        "premise K has type (int), not prop"
+    # or the signature's fault
+    undeclared = Task(sig=((ident("e"), TApp(ident("set"), (A,))),))
+    assert ill_typed_reason([undeclared]) == "undeclared type symbol set"
+
+
 def test_typing_of_answers_only_for_what_the_context_judged(annotate_calls):
     T = cli.parse_task(_WRAPPED)
     H = T.hyps[0].formula
     assert typing_of(T, H)[1] == ()
     assert typing_of(T, H.right.body)[1] == (1, 0)
-    # an equal copy, a formula below an atom and a task never judged
-    copy = cli.parse_task(_WRAPPED)
-    for f in (copy.hyps[0].formula, H.left.arg):
+    # an equal copy built apart, a formula below an atom and a task never
+    # judged
+    wrapped = app(var("wrap"), var("e0"))
+    copy = conj(app(var("q"), wrapped), Not(eq(wrapped, wrapped)))
+    assert copy == H and copy is not H
+    for f in (copy, H.left.arg):
         assert typing_of(T, f) is None
-    assert typing_of(copy, copy.hyps[0].formula) is not None
     fresh = Task(types=T.types, sig=T.sig, hyps=T.hyps)
     assert typing_of(fresh, H) is None
+    # reading the text again while T is alive gives T's own formula, which
+    # T's context answers for; the new task's context judges it anew
+    again = cli.parse_task(_WRAPPED)
+    assert again.hyps[0].formula is H
+    assert typing_of(T, again.hyps[0].formula)[1] == ()
+    assert typing_of(again, H) is not None
     # answering reads the judgment: it types nothing
     assert dict(annotate_calls) == {"task": [H, T.goals[0].formula] * 2}
 
