@@ -765,7 +765,7 @@ def test_a_certificate_loaded_against_its_parsed_task_checks_at_in_memory_cost(
         annotate_calls, monkeypatch):
     # while the parsed task is alive, the load gets back its own formulas
     # for every subterm it has, so the kernel finds each operand recorded
-    # (no typing) and matches it by identity (no longer alpha walk), as on
+    # (no typing) and matches it by identity (no alpha_equal walk), as on
     # the certificate elaboration built
     T = parse_task(sexpr.dumps(sexpr.task_to_sexpr(gen_chain_task(20))))
     _, s = t_blast(T)

@@ -1013,8 +1013,8 @@ def test_encoder_agrees_with_the_per_formula_encoding_on_the_fol_script():
 
 @pytest.mark.parametrize("parse", [False, True], ids=["built", "parsed"])
 def test_encoder_agrees_with_the_per_formula_encoding_on_chain(parse):
-    # a parsed task holds one object per distinct subterm (sexpr.Reader
-    # shares repeats), a built one shares only the atoms it reuses
+    # a parsed task holds one object per distinct subterm (sexpr's tables
+    # share repeats), a built one shares only the atoms it reuses
     T = gen_chain_task(12)
     if parse:
         T = cli.parse_task(sexpr.dumps(sexpr.task_to_sexpr(T)))
