@@ -15,21 +15,25 @@ emit_module raises ExportError for every certificate ccheck refuses and
 every L that differs from the leaves the certificate derives.
 
 One Encoder per emit_module call serves the proof term and every task
-statement, and encodes each formula object once per typing context. Its
-key is (the task's typing context, the formula object, the type it is
-judged against: prop for a formula, the type its node gives a carried
-term). The Encoder reads the typing the replay already did instead of
-typing again: task.typing_of gives the Typing under which the task's
-typing context judged a formula and the formula's path in its premise,
-and the formula is encoded from that Typing at that path, a negation or
-connective from its operands' encodings. Only the terms a certificate
-carries (witnesses, predicates, rewrite sides, a reflexivity term) and
-formulas no context judged are typed, whole; a chain export types nothing.
+statement, and encodes each judgment once. The Encoder reads the typing
+the replay already did instead of typing again: task.typing_of gives the
+Typing under which the task's typing context judged a formula and the
+formula's path in its premise, and the formula is encoded from that Typing
+at that path, a negation or connective from its operands' encodings; that
+answer is its key, so a premise every task keeps is encoded once. Only the
+terms a certificate carries (witnesses, predicates, rewrite sides, a
+reflexivity term) and formulas no context judged are typed, whole, keyed
+on (the task's typing context, the term, the type it is judged against); a
+chain export types nothing. Each signature scheme is encoded once.
+
+emit_module prints each encoding the Encoder returned once: its text and
+the names free in it are kept for the call, and every later occurrence
+reuses them, adding the parentheses its place requires.
 
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, premise λs named apart from every symbol, the free-name audit
-of the walk that prints each statement, and optionally an external checker
-(see tests). The preamble's trust surface is three axioms: excluded middle,
+of the walk that prints each statement (exact at every occurrence of a
+shared encoding), and optionally an external checker (see tests). The preamble's trust surface is three axioms: excluded middle,
 totality of <= versus > on int, and bounded course-of-values induction;
 every other combinator is a definition.
 """
@@ -153,32 +157,65 @@ def lp_format(t: LpTerm) -> str:
     return _format(t, 0, {}, set())
 
 
-def _format(t: LpTerm, prec: int, bound: dict[str, int], free: set[str]) -> str:
+# What emit_module's printer knows of each node it prints once, by the
+# node's id: None before its first occurrence, then its text at precedence
+# 0 and the names free in it. The caller keeps the nodes alive.
+_PrintMemo = dict[int, tuple[str, set[str]] | None]
+_UNSHARED = object()
+
+
+def _format(t: LpTerm, prec: int, bound: dict[str, int], free: set[str],
+            memo: _PrintMemo | None = None) -> str:
     """lp_format, adding to free every name t uses that no binder above it
-    binds; bound counts the open binders of each name."""
+    binds; bound counts the open binders of each name.
+
+    A node memo lists is walked at its first occurrence only, in the same
+    frame, so the recursion is as deep as the tree walk's. Every
+    occurrence adds the parentheses prec requires, and adds to free those
+    of the node's free names that no binder open there binds: the text and
+    the free names are the tree walk's."""
     if isinstance(t, (LConst, LVar)):
         if not bound.get(t.name):
             free.add(t.name)
         return t.name
+    hit = _UNSHARED if memo is None else memo.get(id(t), _UNSHARED)
+    if hit is not _UNSHARED:
+        if hit is not None:
+            s, names = hit
+            for name in names:
+                if not bound.get(name):
+                    free.add(name)
+            return f"({s})" if prec > (2 if isinstance(t, LApp) else 0) else s
+        # the first occurrence: walk t on its own, then add as above
+        outer_bound, outer_free = bound, free
+        bound, free = {}, set()
     if isinstance(t, LApp):
-        s = f"{_format(t.fn, 2, bound, free)} {_format(t.arg, 3, bound, free)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(t, LSort):
+        s = (f"{_format(t.fn, 2, bound, free, memo)} "
+             f"{_format(t.arg, 3, bound, free, memo)}")
+        opens = 2
+    elif isinstance(t, LSort):
         return "TYPE"
-    if isinstance(t, LArrow):
-        s = (f"{_format(t.left, 1, bound, free)} → "
-             f"{_format(t.right, 0, bound, free)}")
+    elif isinstance(t, LArrow):
+        s = (f"{_format(t.left, 1, bound, free, memo)} → "
+             f"{_format(t.right, 0, bound, free, memo)}")
+        opens = 0
     elif isinstance(t, (LProd, LLam)):
         # Π x : dom, body; λ x, body or λ x : ann, body
         ann = t.dom if isinstance(t, LProd) else t.ann
-        ann = "" if ann is None else f" : {_format(ann, 1, bound, free)}"
+        ann = "" if ann is None else f" : {_format(ann, 1, bound, free, memo)}"
         bound[t.var] = bound.get(t.var, 0) + 1
         s = (f"{'Π' if isinstance(t, LProd) else 'λ'} {t.var}{ann}, "
-             f"{_format(t.body, 0, bound, free)}")
+             f"{_format(t.body, 0, bound, free, memo)}")
         bound[t.var] -= 1
+        opens = 0
     else:
         raise TypeError(f"unknown λΠ node {t!r}")
-    return f"({s})" if prec > 0 else s
+    if hit is None:
+        memo[id(t)] = (s, free)
+        for name in free:
+            if not outer_bound.get(name):
+                outer_free.add(name)
+    return f"({s})" if prec > opens else s
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +412,46 @@ def _encode_typing(info: Typing, sig: Mapping[Ident, Type]) -> LpTerm:
 
 
 class Encoder:
-    """The encodings of one export, each formula object encoded once.
+    """The encodings of one export, each judgment encoded once.
 
     Called as enc(f, task) for a formula judged against prop, and as
     enc(t, task, expected) for a term a node carries, judged against the
-    type the node gives it. The memo key is (task's typing context, id of
-    f, expected): tasks that share a typing context have the same types and
-    sig tuples, and the memo holds f, so the same key always stands for the
-    same judgment.
+    type the node gives it.
 
     A formula judged against prop that task's typing context judged (see
     task.typing_of) is not typed again: it is encoded from the Typing
     typing_of gives at its path, a negation or connective from its
-    operands' encodings. Every other formula, and every term a node
-    carries, is typed whole by encode_term, so annotate refuses what the
-    context never judged.
+    operands' encodings. Its memo key is that answer, (the Typing's
+    identity, the path), and the memo holds the Typing. A premise that
+    extend_sig/extend_types keeps keeps its Typing (see well_typed), so it
+    is encoded once for every task that holds it; one that the new
+    declaration could change is judged again, under a new Typing. Every
+    other formula, and every term a node carries, is typed whole by
+    encode_term, under the key (task's typing context, id of f, expected):
+    tasks that share a typing context have the same types and sig tuples,
+    and the memo holds f, so the same key always stands for the same
+    judgment.
+
+    scheme(ty) encodes a signature entry, once per scheme object.
+    encodings() lists every encoding returned so far.
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_memo", "_schemes")
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, tuple[Term, LpTerm]] = {}
+        self._memo: dict[tuple, tuple[object, LpTerm]] = {}
+        self._schemes: dict[int, tuple[Type, LpTerm]] = {}
 
     def __call__(self, f: Term, task: Task,
                  expected: Type | None = PROP) -> LpTerm:
-        key = (task._ctx, id(f), expected)
+        judged = typing_of(task, f) if expected == PROP else None
+        if judged is None:
+            key: tuple = (task._ctx, id(f), expected)
+        else:
+            key = (id(judged[0]), judged[1])
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        judged = typing_of(task, f) if expected == PROP else None
         if judged is None:
             out = encode_term(f, task.types_map(), task.sig_map(), expected)
         elif isinstance(f, Not):
@@ -415,8 +463,20 @@ class Encoder:
             # an operand's premise has no type prefix: it is no PiType
             out = (_encode(f, path, info, task.sig_map()) if path
                    else _encode_typing(info, task.sig_map()))
-        self._memo[key] = (f, out)
+        self._memo[key] = (f if judged is None else judged[0], out)
         return out
+
+    def scheme(self, scheme: Type) -> LpTerm:
+        hit = self._schemes.get(id(scheme))
+        if hit is None:
+            hit = self._schemes[id(scheme)] = (scheme, _encode_scheme(scheme))
+        return hit[1]
+
+    def encodings(self) -> Iterator[LpTerm]:
+        for _, out in self._memo.values():
+            yield out
+        for _, out in self._schemes.values():
+            yield out
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +490,10 @@ def encode_task(T: Task, *, prune: bool = False,
     quantified; hole tasks are encoded that way so their statements stay
     minimal, while an initial task keeps its full declaration list (a
     certificate may introduce formulas over symbols no premise mentions).
-    Each premise is encoded as a formula judged against prop, through
-    encoder (a fresh Encoder by default): emit_module encodes its task
-    statements with the one its proof term used, so a formula the
-    certificate already encoded under this task's typing context is not
+    Each premise is encoded as a formula judged against prop, and each
+    scheme as a signature entry, through encoder (a fresh Encoder by
+    default): emit_module encodes its task statements with the one its
+    proof term used, so a judgment the certificate already encoded is not
     encoded again.
     """
     decls = used_declarations(T) if prune else (T.types, T.sig)
@@ -450,7 +510,7 @@ def _task_type(T: Task, decls: _Decls, enc: Encoder) -> LpTerm:
                  *(neg(enc(g.formula, T)) for g in T.goals),
                  LP_BOT)
     for name, scheme in reversed(ssyms):
-        out = LProd(mangle(name), _encode_scheme(scheme), out)
+        out = LProd(mangle(name), enc.scheme(scheme), out)
     for name, arity in reversed(tsyms):
         out = LProd(mangle(name), arrows(*[SORT] * (arity + 1)), out)
     return out
@@ -508,6 +568,8 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
         mangle(node.fresh if isinstance(node, cert.KIntroQuant) else node.iota)
         for _, node, _ in replay
         if isinstance(node, (cert.KIntroQuant, cert.KIntroType)))
+    # the walk takes each node's task out of tasks (see _walk)
+    del replay
     st = _Walk(tasks, enc, iter(enumerate(L, 1)), used, symbols)
     out = _under(st, c, (), *(p.name for p in T.premises()))
     for name in reversed([f"s{i + 1}" for i in range(len(L))] + declared):
@@ -546,8 +608,10 @@ def _under(st: _Walk, child: cert.KernelCert, path: tuple[int, ...],
 
 
 def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
-    """The proof term of node, the certificate at path."""
-    task, first, second = st.tasks[path], path + (0,), path + (1,)
+    """The proof term of node, the certificate at path. It takes the
+    node's task out of st.tasks, so the walk holds only the tasks of the
+    nodes it is inside and of those it has yet to reach."""
+    task, first, second = st.tasks.pop(path), path + (0,), path + (1,)
 
     if isinstance(node, cert.KHole):
         # holes come in leaf order, each checked against its task above
@@ -614,8 +678,11 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KSplitImp):
-        return lapp(LConst("split_imp"), st.enc(node.left, task),
-                    st.enc(node.right, task),
+        # the premise's operands, which the replay judged with it and the
+        # children hold; node.left/right are only alpha-equal to them
+        split = task.find(node.name)[2].formula
+        return lapp(LConst("split_imp"), st.enc(split.left, task),
+                    st.enc(split.right, task),
                     _under(st, node.side, first, node.goal_name),
                     _under(st, node.rest, second, node.name),
                     st.premise_var(node.name))
@@ -643,7 +710,8 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KIntroType):
-        # the child task declares iota and holds the opened goal
+        # the child task declares iota and holds the opened goal; read
+        # before the child's walk takes it out of st.tasks
         child = st.tasks[first]
         iota = mangle(node.iota)
         pred = LLam(iota, None,
@@ -697,8 +765,10 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     refuses, or whose leaves differ from L, raises ExportError before any
     task is encoded. The proof term and the task statements share one
     Encoder, which lives for this call only, and the declarations each
-    resulting task uses, computed once. Printing a statement collects
-    its free names: ExportError if the preamble and earlier ones bind none.
+    resulting task uses, computed once. Each encoding the Encoder returned
+    is printed once for all statements (see _format). Printing a
+    statement collects its free names: ExportError if the preamble and
+    earlier ones bind none.
     """
     enc = Encoder()
     body, used = _proof_term(c, T, L, enc)
@@ -707,6 +777,9 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     statements.append(("initial", SORT, encode_task(T, encoder=enc)))
     statements.append(("proof", arrows(*(LConst(name) for name, _, _ in
                                          statements)), body))
+    # every encoding the statements share is printed once (see _format)
+    memo: _PrintMemo = {id(t): None for t in (LP_BOT, LP_TOP, *enc.encodings())
+                        if not isinstance(t, (LConst, LVar, LSort))}
     lines = [
         "// generated by certforge; edit the source task, not this file",
         "require open certforge.preamble;",
@@ -715,8 +788,8 @@ def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     known = set(PREAMBLE_NAMES)
     for name, ty, term in statements:
         free: set[str] = set()
-        lines.append(f"symbol {name} : {_format(ty, 0, {}, free)} ≔ "
-                     f"{_format(term, 0, {}, free)};")
+        lines.append(f"symbol {name} : {_format(ty, 0, {}, free, memo)} ≔ "
+                     f"{_format(term, 0, {}, free, memo)};")
         if free - known:
             raise ExportError(
                 f"{name} escapes its scope: {sorted(free - known)}")

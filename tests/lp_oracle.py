@@ -7,10 +7,14 @@ occurrence at its path. That definition is frozen here. The only change is
 the judgment: a formula is annotated against prop, as well_typed judges
 premises, and a term a node carries against the type the node gives it.
 
-per_formula has the Encoder's call signature, so proof_term and
-encode_task can be run with either and their results compared. It borrows
-the λΠ term classes and the leaf renderings (mangle, types, numerals) from
-lp_export, and nothing of the encoder it judges.
+per_formula has the Encoder's interface, so proof_term and encode_task
+can be run with either and their results compared. It borrows the λΠ term
+classes and the leaf renderings (mangle, types, signature schemes,
+numerals) from lp_export, and nothing of the encoder it judges.
+
+tree_format is the printer as it was before emit_module printed each
+shared encoding once: a walk of the term as a tree, collecting the names
+no binder above binds. It imports nothing of the printer it judges.
 
 app_correctness_type states what a proof term proves: the resulting
 tasks entail the initial one.
@@ -43,7 +47,9 @@ from certforge.lp_export import (
     LConst,
     LLam,
     LProd,
+    LSort,
     LVar,
+    _encode_scheme,
     _encode_type,
     _int_term,
     arrows,
@@ -112,9 +118,47 @@ def encode_whole(t, I, sig, expected=None):
     return out
 
 
-def per_formula(f, task, expected=PROP):
-    """The Encoder's call signature: f encoded as a whole, every time."""
-    return encode_whole(f, task.types_map(), task.sig_map(), expected)
+class _PerFormula:
+    """The Encoder's interface, each formula and scheme encoded as a whole,
+    every time."""
+
+    def __call__(self, f, task, expected=PROP):
+        return encode_whole(f, task.types_map(), task.sig_map(), expected)
+
+    def scheme(self, scheme):
+        return _encode_scheme(scheme)
+
+
+per_formula = _PerFormula()
+
+
+def tree_format(t, prec, bound, free):
+    """t's text at precedence prec (0 admits everything, 1 an arrow
+    operand, 2 an application head, 3 an application argument), adding to
+    free every name t uses that no binder above it binds; bound counts the
+    open binders of each name."""
+    if isinstance(t, (LConst, LVar)):
+        if not bound.get(t.name):
+            free.add(t.name)
+        return t.name
+    if isinstance(t, LApp):
+        s = f"{tree_format(t.fn, 2, bound, free)} {tree_format(t.arg, 3, bound, free)}"
+        return f"({s})" if prec > 2 else s
+    if isinstance(t, LSort):
+        return "TYPE"
+    if isinstance(t, LArrow):
+        s = (f"{tree_format(t.left, 1, bound, free)} → "
+             f"{tree_format(t.right, 0, bound, free)}")
+    elif isinstance(t, (LProd, LLam)):
+        ann = t.dom if isinstance(t, LProd) else t.ann
+        ann = "" if ann is None else f" : {tree_format(ann, 1, bound, free)}"
+        bound[t.var] = bound.get(t.var, 0) + 1
+        s = (f"{'Π' if isinstance(t, LProd) else 'λ'} {t.var}{ann}, "
+             f"{tree_format(t.body, 0, bound, free)}")
+        bound[t.var] -= 1
+    else:
+        raise TypeError(f"unknown λΠ node {t!r}")
+    return f"({s})" if prec > 0 else s
 
 
 def app_correctness_type(T, L):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import os
 import random
 import re
@@ -43,7 +44,7 @@ from certforge.core import (
     var,
 )
 from certforge.task import Premise, Task, gen_chain_task
-from lp_oracle import app_correctness_type, per_formula
+from lp_oracle import app_correctness_type, per_formula, tree_format
 from test_acceptance import _FOL_TASK, _fol_script
 
 sys.setrecursionlimit(40000)
@@ -635,6 +636,68 @@ def test_a_name_used_after_its_binder_closes_is_reported(monkeypatch):
     assert free == {"y"}
 
 
+def test_a_shared_encoding_is_audited_at_each_occurrence(monkeypatch):
+    # emit_module prints the encoding of x1 ∨ x2 once, under the initial
+    # statement's binders of x1 and x2; its occurrence outside them in the
+    # proof must still report both names
+    T, L, c = split_application()
+    real_proof = lp._proof_term
+
+    def leak(c, T, L, enc):
+        term, used = real_proof(c, T, L, enc)
+        shared = enc(T.hyps[0].formula, T)
+        closed = lp.LLam("x1", None, lp.LLam("x2", None, shared))
+        return lp.lapp(term, closed, shared), used
+
+    monkeypatch.setattr(lp, "_proof_term", leak)
+    with pytest.raises(lp.ExportError) as e:
+        lp.emit_module(T, L, c)
+    assert str(e.value) == "proof escapes its scope: ['x1', 'x2']"
+
+
+_LP_VARS = "xyz"
+
+
+@st.composite
+def _shared_lp_terms(draw):
+    """Terms over one pool of nodes, so subterms are shared objects; the
+    nodes to print once; and the statements to print, each shared node
+    occurring under binders of all its names and outside any binder."""
+    pool = [lp.LVar(v) for v in _LP_VARS] + [lp.LConst("c"), lp.SORT]
+    atoms = len(pool)
+    for _ in range(draw(st.integers(1, 14))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        v = draw(st.sampled_from(_LP_VARS))
+        pool.append(draw(st.sampled_from([
+            lp.LApp(a, b), lp.LArrow(a, b), lp.LProd(v, a, b),
+            lp.LLam(v, None, b), lp.LLam(v, a, b)])))
+    shared = draw(st.lists(st.sampled_from(pool[atoms:]), max_size=5))
+    statements = [pool[-1]]
+    for t in shared:
+        closed = t
+        for v in _LP_VARS:
+            closed = lp.LLam(v, None, closed)
+        pair = [closed, t] if draw(st.booleans()) else [t, closed]
+        statements.append(lp.lapp(lp.LConst("f"), *pair))
+    statements.append(pool[-1])
+    return pool, shared, statements
+
+
+@given(_shared_lp_terms(), st.integers(0, 3),
+       st.dictionaries(st.sampled_from(_LP_VARS), st.integers(0, 1)))
+@settings(max_examples=400, deadline=None)
+def test_the_memo_printer_agrees_with_the_tree_walk(terms, prec, bound):
+    # one memo across statements, as emit_module uses it: each statement's
+    # text and free names are the tree walk's at every occurrence
+    pool, shared, statements = terms
+    memo = {id(t): None for t in shared}
+    for t in statements:
+        free, want_free = set(), set()
+        got = lp._format(t, prec, dict(bound), free, memo)
+        assert got == tree_format(t, prec, dict(bound), want_free)
+        assert free == want_free
+
+
 # ---------------------------------------------------------------------------
 # the preamble
 
@@ -910,6 +973,22 @@ def test_modules_parse_and_roundtrip():
             assert lpp.lp_alpha_equal(d.body, again)
 
 
+def test_module_bytes_are_pinned():
+    # lp_bytes counts bytes, so a same-length change to the text would pass
+    # the benchmark; this digest was taken before emit_module printed each
+    # shared encoding once, and must not move
+    h = hashlib.sha256()
+    for mod in MODULES:
+        h.update(mod.encode("utf-8"))
+    for n in [*range(1, 40), 150]:
+        T = gen_chain_task(n)
+        k, leaves = via_transform(T, tr.t_blast(T))
+        h.update(lp.emit_module(T, leaves, k).encode("utf-8"))
+    h.update(lp.emit_preamble().encode("utf-8"))
+    assert h.hexdigest() == \
+        "bff2854d59a30e84420b76c31f307e968fb5fd25d92123cc4c9ed926e3b8bb81"
+
+
 def test_module_bytes_are_deterministic():
     T = gen_chain_task(10)
     k, leaves = via_transform(T, tr.t_blast(T))
@@ -1087,6 +1166,22 @@ def test_the_memo_key_separates_typing_contexts():
     assert "(Π b_u1 : TYPE, Π u : b_u1, q b_u1 u) → ((Π b_u1" in module
 
 
+def test_a_premise_kept_across_a_declaration_is_encoded_once():
+    # opening G declares n#1, which H does not mention: the resulting task
+    # keeps H's Typing, so one encoding (and one printed text) serves both
+    # tasks, as one scheme encoding serves each signature entry
+    T = cli.parse_task("""(task (types) (sig (p (-> (int) prop)) (q prop))
+        (hyps (H (and q (p 1))))
+        (goals (G (forall (n (int)) (p n)))))""")
+    k, L = via_transform(T, tr.t_intro(T, ident("G")))
+    h = T.hyps[0].formula
+    assert L[0].hyps[0].formula is h and L[0].sig[:2] == T.sig
+    enc = lp.Encoder()
+    assert enc(h, T) is enc(h, L[0])
+    assert enc.scheme(T.sig[0][1]) is enc.scheme(L[0].sig[0][1])
+    _agrees_with_the_oracle(T, L, k)
+
+
 @pytest.mark.parametrize("n", [20, 40])
 def test_emit_module_annotates_no_chain_formula(n, annotate_calls):
     # every formula of a chain export is a premise the replay judged, or an
@@ -1153,6 +1248,29 @@ def test_emit_module_annotates_only_carried_terms_on_a_first_order_script(
         _agrees_with_the_oracle(T, L, k)
         T = L[feed]
     assert {cert.KIntroQuant, cert.KInstType, cert.KRewrite} <= rules
+
+
+def test_a_loaded_rewrite_certificate_exports_at_in_memory_cost(
+        annotate_calls):
+    # KSplitImp encodes the operands of the premise it splits, which the
+    # replay judged. The certificate's own copies are only alpha-equal to
+    # them: loaded, they are other objects than the instance KInstQuant
+    # builds by substitution, and typing them cost 2 annotate calls more
+    calls = annotate_calls["lp_export"]
+    T = cli.parse_task(_FOL_TASK)
+    rules = set()
+    for apply, feed in _fol_script():
+        k, L = via_transform(T, apply(T))
+        rules |= {type(node) for _, node, _ in checker.derive(k, T)}
+        calls.clear()
+        module = lp.emit_module(T, L, k)
+        in_memory = len(calls)
+        calls.clear()
+        assert lp.emit_module(T, L, cert.cert_loads(cert.cert_dumps(k))) \
+            == module
+        assert len(calls) <= in_memory
+        T = L[feed]
+    assert cert.KSplitImp in rules
 
 
 # ---------------------------------------------------------------------------
