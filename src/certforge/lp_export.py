@@ -33,9 +33,10 @@ reuses them, adding the parentheses its place requires.
 Nothing here typechecks λΠ terms; emitted text is kept honest by structural
 golden tests, premise λs named apart from every symbol, the free-name audit
 of the walk that prints each statement (exact at every occurrence of a
-shared encoding), and optionally an external checker (see tests). The preamble's trust surface is three axioms: excluded middle,
-totality of <= versus > on int, and bounded course-of-values induction;
-every other combinator is a definition.
+shared encoding), and optionally an external checker (see tests). The
+preamble's trust surface is three axioms: excluded middle, totality of <=
+versus > on int, and bounded course-of-values induction; every other
+combinator is a definition.
 """
 
 from __future__ import annotations

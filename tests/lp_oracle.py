@@ -142,7 +142,8 @@ def tree_format(t, prec, bound, free):
             free.add(t.name)
         return t.name
     if isinstance(t, LApp):
-        s = f"{tree_format(t.fn, 2, bound, free)} {tree_format(t.arg, 3, bound, free)}"
+        s = (f"{tree_format(t.fn, 2, bound, free)} "
+             f"{tree_format(t.arg, 3, bound, free)}")
         return f"({s})" if prec > 2 else s
     if isinstance(t, LSort):
         return "TYPE"
