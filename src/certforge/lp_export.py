@@ -429,9 +429,9 @@ class Encoder:
     declaration could change is judged again, under a new Typing. Every
     other formula, and every term a node carries, is typed whole by
     encode_term, under the key (task's typing context, id of f, expected):
-    tasks that share a typing context have the same types and sig tuples,
-    and the memo holds f, so the same key always stands for the same
-    judgment.
+    tasks that share a typing context have the same declarations (see
+    task.well_typed), and the memo holds f, so the same key always stands
+    for the same judgment.
 
     scheme(ty) encodes a signature entry, once per scheme object.
     encodings() lists every encoding returned so far.

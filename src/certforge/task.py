@@ -2,6 +2,25 @@
 
 Gamma and Delta are ordered so serialization and export are deterministic;
 set semantics is recovered by name-keyed lookup wherever equality matters.
+
+Every live task with the same declarations shares one typing context, found
+through one weak table of contexts (_CONTEXTS) when Task(...) builds the
+task: same declarations, same judgment. Task(...), extend_sig and
+extend_types register the contexts they start there. So a task read again from its text
+while an earlier reading is alive, whose formulas sexpr's reader shares,
+finds them judged. The table's key lists each type declaration as (name,
+uid, arity) and each signature entry as (name, uid, id of its type), in
+order.
+
+Sharing is sound. A judgment (see well_typed) depends only on the
+declarations and on the formula object. Two keys are equal only for equal
+declarations: the names, uids and arities are compared as values, and a
+signature entry's type by identity. The context's sig_map holds each keyed
+type, so while the context a key maps to is alive, each id in that key
+names the very type declared. The table holds contexts weakly: a dead
+context reads as a miss, so an id reused after its death never matches. And
+the context's props holds each judged premise, so the formula ids it is
+keyed on stay valid while it lives.
 """
 
 from __future__ import annotations
@@ -9,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import KeysView, Mapping
+from weakref import WeakValueDictionary
 
 from .core import (
     PROP,
@@ -54,18 +74,20 @@ class Premise:
 
 
 class _TypingContext:
-    """Typing facts about one (types, sig) pair of tuples.
+    """Typing facts about one list of declarations.
 
-    Every task derived by Task.replace/append keeps its parent's tuples and
-    shares its parent's context, so a fact recorded here holds for all of
-    them: same tuples, same judgment. The memo lives as long as the context.
-    A context that Task.extend_sig/extend_types starts for one declaration
-    more begins with the judgments of its parent's context that the new
-    declaration cannot change (see well_typed).
+    Every task derived by Task.replace/append keeps its parent's
+    declarations and shares its parent's context, and Task(...) shares the
+    context of any live task with the same declarations (see the module
+    docstring), so a fact recorded here holds for all of them: same
+    declarations, same judgment. The memo lives as long as any task holding
+    the context. A context that Task.extend_sig/extend_types starts for one
+    declaration more begins with the judgments of its parent's context that
+    the new declaration cannot change (see well_typed).
     """
 
     __slots__ = ("types_map", "sig_map", "sig_checked", "props", "paths",
-                 "mentions")
+                 "mentions", "__weakref__")
 
     def __init__(self, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
@@ -112,6 +134,18 @@ class _TypingContext:
             elif isinstance(g, BinOp):
                 todo += (g.left, g.right)
         return out
+
+
+# declaration key (see _decl_key) -> the live context of those declarations
+_CONTEXTS: WeakValueDictionary[tuple, _TypingContext] = WeakValueDictionary()
+
+
+def _decl_key(types: tuple[tuple[Ident, int], ...],
+              sig: tuple[tuple[Ident, Type], ...]) -> tuple:
+    """The key of these declarations in _CONTEXTS, built from each name's
+    fields so that no Ident is hashed."""
+    return (tuple([(n.name, n.uid, arity) for n, arity in types]),
+            tuple([(n.name, n.uid, id(ty)) for n, ty in sig]))
 
 
 def _check_decl(sig: Mapping[Ident, Type], name: Ident) -> None:
@@ -162,9 +196,17 @@ class Task:
                 if p.name in by_name:
                     raise TaskError(f"premise name {p.name} used twice")
                 by_name[p.name] = (is_goal, p)
-        object.__setattr__(self, "_ctx", _TypingContext(types, sig))
+        unjudged = self.hyps + self.goals
+        key = _decl_key(self.types, self.sig)
+        ctx = _CONTEXTS.get(key)
+        if ctx is None:
+            ctx = _CONTEXTS[key] = _TypingContext(types, sig)
+        else:
+            unjudged = tuple(p for p in unjudged
+                             if id(p.formula) not in ctx.props)
+        object.__setattr__(self, "_ctx", ctx)
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_unjudged", self.hyps + self.goals)
+        object.__setattr__(self, "_unjudged", unjudged)
 
     # -- lookups ------------------------------------------------------------
 
@@ -200,7 +242,8 @@ class Task:
     # the premise names they add are checked. extend_sig and extend_types
     # add one declaration: the task they build keeps this task's premises
     # and starts a context of its own with the judgments the new
-    # declaration cannot change.
+    # declaration cannot change, which Task(...) then finds for those
+    # declarations.
 
     def replace(self, is_goal: bool, index: int, new: tuple[Premise, ...]) -> Task:
         """Splice `new` in place of the premise at `index` on the given side."""
@@ -245,7 +288,11 @@ class Task:
                 sig: tuple[tuple[Ident, Type], ...], name: Ident) -> Task:
         """These premises under declarations that add name to this task's."""
         premises = self.premises()
+        # registered, not looked up first: a live context of these
+        # declarations may hold other Typings of the kept premises than
+        # the ones carried over, and the exporter encodes once per Typing
         ctx = self._ctx.extended(dict(types), dict(sig), name, premises)
+        _CONTEXTS[_decl_key(types, sig)] = ctx
         unjudged = tuple(p for p in premises if id(p.formula) not in ctx.props)
         return _build(types, sig, self.hyps, self.goals, ctx, self._by_name,
                       unjudged)
@@ -299,16 +346,19 @@ def well_typed(T: Task) -> bool:
     (see annotate).
 
     Incremental in two ways, so a derived task pays for what its edit
-    added. First, through T's typing context, which the tasks replace and
-    append derive share since they keep the same types and sig tuples: the
-    signature is checked once per context, and each formula object is typed
-    once per context. Same tuples, same judgment; the memo lives as long as
-    the context. Second, T knows which of its premises may be unrecorded
-    in that context: all of them for a task built by Task(...), none once
-    well_typed(T) has held, and for a task replace or append derived, its
-    parent's unrecorded premises it keeps plus the ones the edit added. So
-    only those are looked at; a kept premise is the same object under the
-    same tuples, recorded when the parent was judged.
+    added. First, through T's typing context, which every live task with
+    T's declarations shares: the tasks replace and append derive keep
+    them, and Task(...) finds the context of any live task with the same
+    declarations (see the module docstring). The signature is checked once
+    per context, and each formula object is typed once per context. Same
+    declarations, same judgment; the memo lives as long as any task
+    holding the context. Second, T knows which of its premises may be
+    unrecorded in that context: for a task built by Task(...), those the
+    context had not recorded then, none once well_typed(T) has held, and
+    for a task replace or append derived, its parent's unrecorded premises
+    it keeps plus the ones the edit added. So only those are looked at; a
+    kept premise is the same object under the same declarations, recorded
+    when the parent was judged.
 
     extend_sig and extend_types add one declaration of a name x and start
     a context of their own, which begins with every judgment of the
@@ -372,10 +422,11 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     path in the premise it was judged as; None if the context never did.
 
     f is judged when well_typed judged it as a premise or recorded it as
-    an operand on a premise's Not/BinOp spine (see well_typed): its
+    an operand on a premise's Not/BinOp spine (see well_typed), for T or
+    for any task sharing T's context, which has T's declarations: its
     instances are those the Typing holds at the path. The first question
     about a premise's spine walks that spine once and keeps every
-    operand's path in the context.
+    operand's path in the context, as long as any task holds it.
     """
     ctx = T._ctx
     if id(f) not in ctx.paths:

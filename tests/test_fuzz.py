@@ -4,7 +4,10 @@ Random, truncated and mutated task texts through cli.parse_task end in a
 task, a TaskError or a TypingError. Truncated and mutated serializations of
 checked certificates end in a certificate or a CertError, and ccheck on a
 certificate that loads returns a CheckReport. Certificates forged the
-three ways below are always refused.
+three ways below are always refused. Tasks built, extended, judged and
+dropped in any order judge each premise as the reference typechecker does
+under the task's own declarations, though tasks with the same declarations
+share one typing context.
 """
 
 from __future__ import annotations
@@ -16,12 +19,36 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from certforge import cert, sexpr
 from certforge.cert import CertError, cert_dumps, cert_loads, elaborate
 from certforge.checker import CheckReport, ccheck, check_application
 from certforge.cli import parse_task
-from certforge.core import TypingError
-from certforge.task import TaskError, gen_chain_task
+from certforge.core import (
+    INT,
+    PROP,
+    Forall,
+    Not,
+    PiType,
+    TApp,
+    TVar,
+    TypingError,
+    Var,
+    app,
+    arrow,
+    conj,
+    eq,
+    ident,
+    var,
+)
+from certforge.task import (
+    Premise,
+    Task,
+    TaskError,
+    gen_chain_task,
+    typing_of,
+    well_typed,
+)
 from certforge.transforms import t_blast
 from test_acceptance import _FOL_TASK, _fol_script
 
@@ -190,3 +217,112 @@ def test_a_forged_certificate_is_refused(data):
         assert not check_application(T, L, cert_loads(forged))
     except CertError:
         pass
+
+
+# A small pool of declaration lists, each rebuilt as new tuples of the same
+# type objects whenever a task is built, so that keys collide; the last is
+# the first extended by r, as Task.extend_sig builds it.
+_ELEM, _A = TApp(ident("elem"), ()), TVar(ident("a"))
+_P, _WRAP = arrow(_ELEM, PROP), arrow(_A, TApp(ident("box"), (_A,)))
+_T1 = ((ident("elem"), 0),)
+_T2 = ((ident("elem"), 0), (ident("box"), 1))
+_S1 = ((ident("p"), _P), (ident("c"), _ELEM), (ident("q"), PROP))
+_DECLS = [
+    (_T1, _S1),
+    (_T1, ((ident("p"), _P), (ident("c"), INT), (ident("q"), PROP))),
+    (_T1, _S1[::-1]),
+    (_T2, _S1 + ((ident("wrap"), _WRAP),)),
+    (_T1, _S1 + ((ident("r"), PROP),)),
+]
+# extend_sig or extend_types: a new symbol, a binder's name, and a type
+# symbol that moves the iota a type quantifier over a picks
+_EXTENSIONS = [("sig", ident("r"), PROP), ("sig", ident("x"), _ELEM),
+               ("types", ident("a#1"), 0), ("types", ident("box"), 1)]
+# formulas over those declarations, sharing operands, so that a premise may
+# be judged as an operand of another; some are ill-typed under some lists
+_PC, _Q, _X = app(var("p"), var("c")), var("q"), ident("x")
+_FORMULAS = [
+    _PC, _Q, Not(_PC), conj(_Q, _PC), eq(var("c"), var("c")),
+    Forall(_X, _ELEM, app(var("p"), Var(_X))),
+    PiType(ident("a"), Forall(_X, _A, eq(Var(_X), Var(_X)))),
+    var("r"), app(var("q"), var("c")),
+    eq(app(var("wrap"), var("c")), app(var("wrap"), var("c"))),
+]
+
+
+def _reference(T, f):
+    """f's judgment against prop under T's declarations, as ref_annotate
+    gives it, or None if the reference refuses f."""
+    try:
+        return oracles.ref_annotate(dict(T.types), dict(T.sig), f, PROP)
+    except oracles.Refused:
+        return None
+
+
+def _answer(T, f):
+    """typing_of's answer for f in T, read at f's path as the reference
+    gives it: a recorded operand is prop with the instances below it."""
+    got = typing_of(T, f)
+    if got is None:
+        return None
+    info, path = got
+    if not path:
+        return info.type, info.inst, info.iotas, info.body
+    return PROP, {p[len(path):]: tys for p, tys in info.inst.items()
+                  if p[:len(path)] == path}, (), f
+
+
+def _agrees(T, judge):
+    """Every answer typing_of gives for T's premises is the reference's;
+    with judge, well_typed's verdict is too, and then every premise of a
+    well-typed T is answered."""
+    for p in T.premises():
+        got = _answer(T, p.formula)
+        assert got is None or got == _reference(T, p.formula), p
+    if judge:
+        ok = well_typed(T)
+        assert ok == all(_reference(T, p.formula) is not None
+                         for p in T.premises())
+        if ok:
+            assert all(_answer(T, p.formula) is not None
+                       for p in T.premises())
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("build", "build", "append", "extend", "judge", "drop")),
+    st.integers(0, 99),
+    st.lists(st.integers(0, len(_FORMULAS) - 1), min_size=1, max_size=4)),
+    max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPS)
+def test_tasks_sharing_declarations_judge_as_the_reference_does(ops):
+    live: list[Task] = []
+    for n, (op, i, picks) in enumerate(ops):
+        if op == "build":
+            types, sig = _DECLS[i % len(_DECLS)]
+            premises = tuple(Premise(ident(f"H{j}"), _FORMULAS[k])
+                             for j, k in enumerate(picks))
+            live.append(Task(types=tuple(list(types)), sig=tuple(list(sig)),
+                             hyps=tuple(premises[1:]), goals=premises[:1]))
+        elif live and op == "append":
+            T = live[i % len(live)]
+            live.append(T.append(False, Premise(ident(f"A{n}"),
+                                                _FORMULAS[picks[0]])))
+        elif live and op == "extend":
+            T = live[i % len(live)]
+            kind, name, decl = _EXTENSIONS[picks[0] % len(_EXTENSIONS)]
+            try:
+                live.append(T.extend_sig(name, decl) if kind == "sig"
+                            else T.extend_types(name, decl))
+            except TaskError:
+                pass
+        elif live and op == "judge":
+            _agrees(live[i % len(live)], judge=True)
+        elif live:
+            del live[i % len(live)]
+        for T in live:
+            _agrees(T, judge=False)
+    for T in live:
+        _agrees(T, judge=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import os
 import subprocess
@@ -267,8 +268,9 @@ def _spine(f):
                            st.integers(0, 1))))
 def test_an_extension_judges_as_a_fresh_context(T, judged, extension):
     # the extended task starts from its parent's judgments; a fresh
-    # context over the same tuples must reach the same verdict and type
-    # every premise and operand the same way
+    # context over the same declarations must reach the same verdict and
+    # type every premise and operand the same way. Equal copies of the
+    # declared types keep fresh from finding E's context
     if judged == "judged":
         well_typed(T)
     kind, name, decl = extension
@@ -281,7 +283,9 @@ def test_an_extension_judges_as_a_fresh_context(T, judged, extension):
                  T.sig + ((name, decl),) if kind == "sig" else T.sig,
                  T.hyps, T.goals)
         return
-    fresh = Task(E.types, E.sig, E.hyps, E.goals)
+    fresh = Task(E.types, tuple((n, copy.deepcopy(ty)) for n, ty in E.sig),
+                 E.hyps, E.goals)
+    assert typing_of(fresh, E.premises()[0].formula) is None
     assert well_typed(E) == well_typed(fresh)
     if well_typed(fresh):
         for p in E.premises():
@@ -523,16 +527,130 @@ def test_typing_of_answers_only_for_what_the_context_judged(annotate_calls):
     assert copy == H and copy is not H
     for f in (copy, H.left.arg):
         assert typing_of(T, f) is None
+    # a task never judged, built with T's declarations while T lives,
+    # shares T's context: same declarations, same judgment
     fresh = Task(types=T.types, sig=T.sig, hyps=T.hyps)
-    assert typing_of(fresh, H) is None
-    # reading the text again while T is alive gives T's own formula, which
-    # T's context answers for; the new task's context judges it anew
+    assert typing_of(fresh, H) is typing_of(T, H)
+    # one declaration more is another context, which judged nothing
+    more = Task(types=T.types, sig=T.sig + ((ident("c"), PROP),),
+                hyps=T.hyps)
+    assert typing_of(more, H) is None
+    # reading the text again while T is alive gives T's own formula under
+    # T's declarations, so the new task shares T's context too
     again = cli.parse_task(_WRAPPED)
     assert again.hyps[0].formula is H
     assert typing_of(T, again.hyps[0].formula)[1] == ()
-    assert typing_of(again, H) is not None
+    assert typing_of(again, H) is typing_of(T, H)
     # answering reads the judgment: it types nothing
-    assert dict(annotate_calls) == {"task": [H, T.goals[0].formula] * 2}
+    assert dict(annotate_calls) == {"task": [H, T.goals[0].formula]}
+
+
+def _read(text):
+    return sexpr.task_from_sexpr(sexpr.loads(text))
+
+
+def test_a_task_read_again_while_the_first_lives_is_not_judged_again(
+        annotate_calls):
+    T = _read(_WRAPPED)
+    assert well_typed(T)
+    annotate_calls.clear()
+    again = _read(_WRAPPED)
+    assert well_typed(again)
+    assert dict(annotate_calls) == {}
+    for p, q in zip(T.premises(), again.premises()):
+        assert typing_of(again, q.formula)[0] is typing_of(T, p.formula)[0]
+    # so is a task a transformation derived, read back from its text
+    L, _ = tr.t_destruct(T, ident("H"), ident("H1"), ident("H2"))
+    annotate_calls.clear()
+    for t in L:
+        assert well_typed(_read(sexpr.dumps(sexpr.task_to_sexpr(t))))
+    assert dict(annotate_calls) == {}
+
+
+def test_a_task_read_again_after_the_first_died_is_judged_again(
+        annotate_calls):
+    # declarations no other test uses, so no other live task shares them
+    text = """(task (types (lone 0)) (sig (u (lone)) (pl (-> (lone) prop)))
+      (hyps (H (pl u))) (goals (G (not (pl u)))))"""
+    T = _read(text)
+    assert well_typed(T)
+    # the formulas and declared types stay alive, so the re-read key is the
+    # dropped task's: only the context's death makes it a miss
+    kept = [p.formula for p in T.premises()], T.sig
+    del T
+    annotate_calls.clear()
+    again = _read(text)
+    assert all(p.formula is f for p, f in zip(again.premises(), kept[0]))
+    assert well_typed(again)
+    assert annotate_calls["task"] == kept[0]
+
+
+def test_tasks_share_a_context_only_for_the_same_declarations(
+        annotate_calls):
+    box, elem, x = ident("box"), ident("elem"), ident("x")
+    types = ((box, 1), (elem, 0))
+    sig = ((ident("q"), PROP), (x, PROP),
+           (ident("p"), arrow(TVar(ident("a")), PROP)))
+    goal = Premise(ident("G"), imp(var("q"), var("q")))
+    T = Task(types=types, sig=sig, goals=(goal,))
+    assert well_typed(T)
+    variants = {
+        "arity": (((box, 2), (elem, 0)), sig),
+        "uid": (types, (sig[0], (ident("x#1"), PROP), sig[2])),
+        "type": (types, (sig[0], (x, INT), sig[2])),
+        "sig order": (types, (sig[1], sig[0], sig[2])),
+        "types order": (types[::-1], sig),
+    }
+    # new tuples of the same declarations share T's context
+    same = Task(types=tuple(list(types)), sig=tuple(list(sig)), goals=(goal,))
+    assert typing_of(same, goal.formula) is typing_of(T, goal.formula)
+    annotate_calls.clear()
+    assert well_typed(same)
+    for why, (ts, ss) in variants.items():
+        U = Task(types=ts, sig=ss, goals=(goal,))
+        assert typing_of(U, goal.formula) is None, why
+        assert well_typed(U), why
+    assert annotate_calls["task"] == [goal.formula] * len(variants)
+
+
+def test_an_extension_is_shared_only_under_its_own_declarations(
+        annotate_calls):
+    q, r = Premise(ident("G"), var("q")), Premise(ident("R"), var("r"))
+    T = Task(sig=((ident("q"), PROP),), goals=(q,))
+    assert well_typed(T)
+    U = T.extend_sig(ident("r"), PROP)
+    assert well_typed(U.append(False, r))
+    # a task of U's declarations finds U's context; one of T's does not,
+    # and r stays undeclared there
+    annotate_calls.clear()
+    assert typing_of(Task(types=U.types, sig=U.sig, hyps=(r,)),
+                     r.formula) is not None
+    assert typing_of(Task(types=T.types, sig=T.sig, hyps=(r,)),
+                     r.formula) is None
+    assert not well_typed(Task(types=T.types, sig=T.sig, hyps=(r,)))
+    assert annotate_calls["task"] == [r.formula]
+
+
+@pytest.mark.parametrize("formula, reason", [
+    (var("e0"), "premise K has type (elem), not prop"),
+    (app(var("e0"), var("e0")),
+     "premise K: cannot unify elem() with elem() ~> _Meta(id=1) in "
+     "application"),
+    (eq(var("choose"), var("choose")),
+     "premise K: instance of = at [0, 0] is ambiguous"),
+])
+def test_an_ill_typed_premise_is_refused_under_a_shared_context(formula,
+                                                                 reason):
+    T = cli.parse_task(_WRAPPED)
+    bad = Task(types=T.types, sig=T.sig,
+               hyps=T.hyps + (Premise(ident("K"), formula),), goals=T.goals)
+    H = T.hyps[0].formula
+    assert typing_of(bad, H) is typing_of(T, H)
+    assert not well_typed(bad)
+    assert ill_typed_reason([bad]) == reason
+    # the refusal records nothing: it is refused every time
+    assert not well_typed(bad)
+    assert typing_of(T, formula) is None
 
 
 def test_an_operand_is_read_at_the_instances_typing_it_alone_picks(
