@@ -305,7 +305,7 @@ def test_tasks_sharing_declarations_judge_as_the_reference_does(ops):
             premises = tuple(Premise(ident(f"H{j}"), _FORMULAS[k])
                              for j, k in enumerate(picks))
             live.append(Task(types=tuple(list(types)), sig=tuple(list(sig)),
-                             hyps=tuple(premises[1:]), goals=premises[:1]))
+                             hyps=premises[1:], goals=premises[:1]))
         elif live and op == "append":
             T = live[i % len(live)]
             live.append(T.append(False, Premise(ident(f"A{n}"),
