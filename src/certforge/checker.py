@@ -8,24 +8,23 @@ step(), which also checks each KHole's stored task against the task at hand.
 
 Every task a rule produces is judged by well_typed on the spot, one typing
 rule for all children. well_typed is incremental through the task's typing
-context, which every live task with the same declarations shares: a child
-that keeps its parent's signature and type signature (edited by
+context: a child that keeps its parent's declarations (edited by
 Task.replace/append) shares the parent's context, where the parent's
 premise formulas, and every operand along their negation/connective spines,
-are already recorded as of type prop, for as long as any task holds the
-context. So a formula is typed only if the rule built it anew (an asserted
-formula, an instantiated body, a rewritten premise) or it is KIntroImp's: a
-rule leaves the matched premise's operands, found recorded, but KIntroImp
-the node's. Those are the premise's own objects when the certificate was
-elaborated on the task, or loaded while the task it is checked against,
-read from text, was alive (sexpr shares what it reads), so they too are
-found recorded, and the next node matches them by identity, not by a walk.
-A child whose declarations grew by one name keeps only the judgments the
-name cannot change: a kept premise that mentions it is typechecked again (a
+are already recorded as of type prop for as long as any task holds the
+context: same declarations, same judgment. So a
+formula is typed only if the rule built it anew (an asserted formula, an
+instantiated body, a rewritten premise) or it is KIntroImp's: a rule leaves
+the matched premise's operands, found recorded, but KIntroImp the node's.
+Those are the premise's own objects when the certificate was elaborated on
+the task, or loaded while the task it is checked against, read from text,
+was alive (sexpr shares what it reads), so they too are found recorded,
+and the next node matches them by identity, not by a walk. A
+child whose declarations grew by one name keeps only the judgments the name
+cannot change: a kept premise that mentions it is typechecked again (a
 binder may not shadow a declared symbol; see well_typed). By induction from
-the initial task, every task of the replay is well-typed, so a defect in
-the rule logic fails at the offending node instead of as a bogus derived
-leaf.
+the initial task, every task of the replay is well-typed, so a defect in the
+rule logic fails at the offending node instead of as a bogus derived leaf.
 """
 
 from __future__ import annotations

@@ -424,9 +424,12 @@ class Encoder:
     typing_of gives at its path, a negation or connective from its
     operands' encodings. Its memo key is that answer, (the Typing's
     identity, the path), and the memo holds the Typing. A premise that
-    extend_sig/extend_types keeps keeps its Typing (see well_typed), so it
-    is encoded once for every task that holds it; one that the new
-    declaration could change is judged again, under a new Typing. Every
+    extend_sig/extend_types keeps keeps its Typing (see well_typed), as
+    does one that a task built with the same declarations found judged
+    (say, a certificate's leaf task read while the task it derives from
+    lives; see the task module docstring), so it is encoded once for every
+    task that holds it; one that the new declaration could change is
+    judged again, under a new Typing. Every
     other formula, and every term a node carries, is typed whole by
     encode_term, under the key (task's typing context, id of f, expected):
     tasks that share a typing context have the same declarations (see

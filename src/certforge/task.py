@@ -3,24 +3,32 @@
 Gamma and Delta are ordered so serialization and export are deterministic;
 set semantics is recovered by name-keyed lookup wherever equality matters.
 
-Every live task with the same declarations shares one typing context, found
-through one weak table of contexts (_CONTEXTS) when Task(...) builds the
-task: same declarations, same judgment. Task(...), extend_sig and
-extend_types register the contexts they start there. So a task read again from its text
-while an earlier reading is alive, whose formulas sexpr's reader shares,
-finds them judged. The table's key lists each type declaration as (name,
-uid, arity) and each signature entry as (name, uid, id of its type), in
-order.
+A task built by Task(...) starts from the judgments of a live task with the
+same declarations: same declarations, same judgment. One weak table
+(_CONTEXTS) maps a declaration list to the typing context that last judged
+a task with it (well_typed registers it). Task(...) looks its declarations
+up and, on a hit, starts a context of its own that holds the found
+context's judgments of its premises and of the operands along their
+spines. So a task read again from its text while a judged task holding
+those formulas is alive (sexpr's reader shares what it reads) finds them
+judged; and the leaf tasks a certificate stores, read while the task it is
+checked against lives, find that task's judgments of the premises they
+keep. The table's key lists each type declaration as (name, uid, arity) and
+each signature entry as (name, uid, id of its type), in order.
 
-Sharing is sound. A judgment (see well_typed) depends only on the
-declarations and on the formula object. Two keys are equal only for equal
-declarations: the names, uids and arities are compared as values, and a
-signature entry's type by identity. The context's sig_map holds each keyed
-type, so while the context a key maps to is alive, each id in that key
-names the very type declared. The table holds contexts weakly: a dead
+Starting from a found context is sound. A judgment (see well_typed) depends
+only on the declarations and on the formula object. Two keys are equal only
+for equal declarations: the names, uids and arities are compared as values,
+and a signature entry's type by identity. The context's sig_map holds each
+keyed type, so while the context a key maps to is alive, each id in that
+key names the very type declared. The table holds contexts weakly: a dead
 context reads as a miss, so an id reused after its death never matches. And
-the context's props holds each judged premise, so the formula ids it is
-keyed on stay valid while it lives.
+a context's props holds each judged premise, so the formula ids it is keyed
+on stay valid while it lives; the new context holds the judgments it takes.
+
+A context takes only what its own premises need, not the found context, so
+a chain of readings, each read while the one before lives, keeps about one
+step's judgments alive instead of every step's.
 """
 
 from __future__ import annotations
@@ -77,20 +85,22 @@ class _TypingContext:
     """Typing facts about one list of declarations.
 
     Every task derived by Task.replace/append keeps its parent's
-    declarations and shares its parent's context, and Task(...) shares the
-    context of any live task with the same declarations (see the module
-    docstring), so a fact recorded here holds for all of them: same
-    declarations, same judgment. The memo lives as long as any task holding
-    the context. A context that Task.extend_sig/extend_types starts for one
-    declaration more begins with the judgments of its parent's context that
-    the new declaration cannot change (see well_typed).
+    declarations and shares its parent's context, so a fact recorded here
+    holds for all of them: same declarations, same judgment. The memo lives
+    as long as any task holding the context. A context that Task(...)
+    starts begins with the judgments of its premises that a live context of
+    the same declarations holds (see the module docstring); one that
+    Task.extend_sig/extend_types starts for one declaration more, with the
+    judgments of its parent's context that the new declaration cannot
+    change (see well_typed).
     """
 
-    __slots__ = ("types_map", "sig_map", "sig_checked", "props", "paths",
-                 "mentions", "__weakref__")
+    __slots__ = ("key", "types_map", "sig_map", "sig_checked", "props",
+                 "paths", "mentions", "__weakref__")
 
-    def __init__(self, types_map: dict[Ident, int],
+    def __init__(self, key: tuple, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
+        self.key = key  # of these declarations in _CONTEXTS (see _decl_key)
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
@@ -107,28 +117,32 @@ class _TypingContext:
         # its Typing picked, filled when a declaration extends the context
         self.mentions: dict[int, frozenset[Ident]] = {}
 
-    def extended(self, types_map: dict[Ident, int], sig_map: dict[Ident, Type],
-                 name: Ident, premises: tuple[Premise, ...]) -> _TypingContext:
-        """A context for these declarations, which add name to this
-        context's: it holds this context's judgments of premises, and of
-        the operands along their spines, whose judged premise neither
-        mentions name nor picked it as an iota (see well_typed)."""
-        out = _TypingContext(types_map, sig_map)
+    def carried(self, key: tuple, types_map: dict[Ident, int],
+                sig_map: dict[Ident, Type], premises: tuple[Premise, ...],
+                name: Ident | None = None) -> _TypingContext:
+        """A context for these declarations, which are this context's or
+        add name to them: it holds this context's judgments of premises,
+        and of the operands along their spines, whose judged premise
+        neither mentions name nor picked it as an iota (see well_typed);
+        with no name, all of them and the signature check."""
+        out = _TypingContext(key, types_map, sig_map)
+        out.sig_checked = name is None and self.sig_checked
         todo = [p.formula for p in premises]
         while todo:
             g = todo.pop()
             judged = self.props.get(id(g))
             if judged is None or id(g) in out.props:
                 continue
-            root, info = judged
-            mentions = self.mentions.get(id(root))
-            if mentions is None:
-                mentions = all_idents(root).union(info.iotas)
-                self.mentions[id(root)] = mentions
-            if name in mentions:
-                continue
+            if name is not None:
+                root, info = judged
+                mentions = self.mentions.get(id(root))
+                if mentions is None:
+                    mentions = all_idents(root).union(info.iotas)
+                    self.mentions[id(root)] = mentions
+                if name in mentions:
+                    continue
+                out.mentions[id(root)] = mentions
             out.props[id(g)] = judged
-            out.mentions[id(root)] = mentions
             if isinstance(g, Not):
                 todo.append(g.body)
             elif isinstance(g, BinOp):
@@ -136,7 +150,8 @@ class _TypingContext:
         return out
 
 
-# declaration key (see _decl_key) -> the live context of those declarations
+# declaration key (see _decl_key) -> the context that last judged a task with
+# those declarations, while it lives
 _CONTEXTS: WeakValueDictionary[tuple, _TypingContext] = WeakValueDictionary()
 
 
@@ -196,17 +211,16 @@ class Task:
                 if p.name in by_name:
                     raise TaskError(f"premise name {p.name} used twice")
                 by_name[p.name] = (is_goal, p)
-        unjudged = self.hyps + self.goals
+        premises = self.hyps + self.goals
         key = _decl_key(self.types, self.sig)
-        ctx = _CONTEXTS.get(key)
-        if ctx is None:
-            ctx = _CONTEXTS[key] = _TypingContext(types, sig)
+        found = _CONTEXTS.get(key)
+        if found is None:
+            ctx = _TypingContext(key, types, sig)
         else:
-            unjudged = tuple(p for p in unjudged
-                             if id(p.formula) not in ctx.props)
+            ctx = found.carried(key, types, sig, premises)
         object.__setattr__(self, "_ctx", ctx)
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_unjudged", unjudged)
+        object.__setattr__(self, "_unjudged", premises)
 
     # -- lookups ------------------------------------------------------------
 
@@ -242,8 +256,7 @@ class Task:
     # the premise names they add are checked. extend_sig and extend_types
     # add one declaration: the task they build keeps this task's premises
     # and starts a context of its own with the judgments the new
-    # declaration cannot change, which Task(...) then finds for those
-    # declarations.
+    # declaration cannot change.
 
     def replace(self, is_goal: bool, index: int, new: tuple[Premise, ...]) -> Task:
         """Splice `new` in place of the premise at `index` on the given side."""
@@ -288,11 +301,11 @@ class Task:
                 sig: tuple[tuple[Ident, Type], ...], name: Ident) -> Task:
         """These premises under declarations that add name to this task's."""
         premises = self.premises()
-        # registered, not looked up first: a live context of these
-        # declarations may hold other Typings of the kept premises than
-        # the ones carried over, and the exporter encodes once per Typing
-        ctx = self._ctx.extended(dict(types), dict(sig), name, premises)
-        _CONTEXTS[_decl_key(types, sig)] = ctx
+        # not looked up in _CONTEXTS: a live context of these declarations
+        # may hold other Typings of the kept premises than the ones carried
+        # over, and the exporter encodes once per Typing
+        ctx = self._ctx.carried(_decl_key(types, sig), dict(types),
+                                dict(sig), premises, name)
         unjudged = tuple(p for p in premises if id(p.formula) not in ctx.props)
         return _build(types, sig, self.hyps, self.goals, ctx, self._by_name,
                       unjudged)
@@ -346,19 +359,20 @@ def well_typed(T: Task) -> bool:
     (see annotate).
 
     Incremental in two ways, so a derived task pays for what its edit
-    added. First, through T's typing context, which every live task with
-    T's declarations shares: the tasks replace and append derive keep
-    them, and Task(...) finds the context of any live task with the same
-    declarations (see the module docstring). The signature is checked once
-    per context, and each formula object is typed once per context. Same
-    declarations, same judgment; the memo lives as long as any task
-    holding the context. Second, T knows which of its premises may be
-    unrecorded in that context: for a task built by Task(...), those the
-    context had not recorded then, none once well_typed(T) has held, and
+    added. First, through T's typing context, which the tasks replace and
+    append derive share since they keep T's declarations, and which for a
+    task built by Task(...) begins with the judgments of its premises that
+    the context last judging a task with those declarations holds, if it
+    lives (see the module docstring; a judged task's context is registered
+    for that). The signature is checked once per context, and each formula
+    object is typed once per context. Same declarations, same judgment; the
+    memo lives as long as any task holding the context. Second, T knows
+    which of its premises may be unrecorded in that context: all of them
+    for a task built by Task(...), none once well_typed(T) has held, and
     for a task replace or append derived, its parent's unrecorded premises
-    it keeps plus the ones the edit added. So only those are looked at; a
-    kept premise is the same object under the same declarations, recorded
-    when the parent was judged.
+    it keeps plus the ones the edit added. So only those are looked at,
+    and one found recorded is skipped; a kept premise is the same object
+    under the same declarations, recorded when the parent was judged.
 
     extend_sig and extend_types add one declaration of a name x and start
     a context of their own, which begins with every judgment of the
@@ -396,6 +410,8 @@ def well_typed(T: Task) -> bool:
         except TypingError:
             return False
         ctx.sig_checked = True
+    if not T._unjudged:
+        return True
     for p in T._unjudged:
         f = p.formula
         if id(f) in ctx.props:
@@ -414,6 +430,8 @@ def well_typed(T: Task) -> bool:
                 elif isinstance(g, BinOp):
                     todo += (g.left, g.right)
     object.__setattr__(T, "_unjudged", ())
+    if _CONTEXTS.get(ctx.key) is not ctx:
+        _CONTEXTS[ctx.key] = ctx
     return True
 
 
@@ -422,11 +440,12 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     path in the premise it was judged as; None if the context never did.
 
     f is judged when well_typed judged it as a premise or recorded it as
-    an operand on a premise's Not/BinOp spine (see well_typed), for T or
-    for any task sharing T's context, which has T's declarations: its
-    instances are those the Typing holds at the path. The first question
-    about a premise's spine walks that spine once and keeps every
-    operand's path in the context, as long as any task holds it.
+    an operand on a premise's Not/BinOp spine (see well_typed), for T, for
+    a task sharing T's context, or for a task with T's declarations whose
+    judgment T's context began with: its instances are those the Typing
+    holds at the path. The first question about a premise's spine walks
+    that spine once and keeps every operand's path in the context, as long
+    as any task holds it.
     """
     ctx = T._ctx
     if id(f) not in ctx.paths:

@@ -6,10 +6,19 @@ from collections import Counter, defaultdict
 import pytest
 
 import certforge
-from certforge import core
+from certforge import core, task
 
 # deep blast certificates recurse past the default interpreter limit
 sys.setrecursionlimit(40000)
+
+
+@pytest.fixture(autouse=True)
+def _no_context_left_to_find():
+    """Each test starts with no typing context to find by its declarations
+    (task._CONTEXTS), so what a test counts does not hang on which tasks
+    earlier tests left alive. Clearing only turns later lookups into
+    misses; a live task keeps its context."""
+    task._CONTEXTS.clear()
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ checked certificates end in a certificate or a CertError, and ccheck on a
 certificate that loads returns a CheckReport. Certificates forged the
 three ways below are always refused. Tasks built, extended, judged and
 dropped in any order judge each premise as the reference typechecker does
-under the task's own declarations, though tasks with the same declarations
-share one typing context.
+under the task's own declarations, though a task built with the same
+declarations as a live judged one starts from its judgments.
 """
 
 from __future__ import annotations

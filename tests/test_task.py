@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -528,21 +529,26 @@ def test_typing_of_answers_only_for_what_the_context_judged(annotate_calls):
     for f in (copy, H.left.arg):
         assert typing_of(T, f) is None
     # a task never judged, built with T's declarations while T lives,
-    # shares T's context: same declarations, same judgment
+    # starts from T's judgments: same declarations, same judgment
     fresh = Task(types=T.types, sig=T.sig, hyps=T.hyps)
-    assert typing_of(fresh, H) is typing_of(T, H)
+    assert _same_answer(typing_of(fresh, H), typing_of(T, H))
     # one declaration more is another context, which judged nothing
     more = Task(types=T.types, sig=T.sig + ((ident("c"), PROP),),
                 hyps=T.hyps)
     assert typing_of(more, H) is None
     # reading the text again while T is alive gives T's own formula under
-    # T's declarations, so the new task shares T's context too
+    # T's declarations, so the new task starts from T's judgments too
     again = cli.parse_task(_WRAPPED)
     assert again.hyps[0].formula is H
     assert typing_of(T, again.hyps[0].formula)[1] == ()
-    assert typing_of(again, H) is typing_of(T, H)
+    assert _same_answer(typing_of(again, H), typing_of(T, H))
     # answering reads the judgment: it types nothing
     assert dict(annotate_calls) == {"task": [H, T.goals[0].formula]}
+
+
+def _same_answer(got, want):
+    """typing_of gave both the same Typing object at the same path."""
+    return got is not None and got[0] is want[0] and got[1] == want[1]
 
 
 def _read(text):
@@ -569,23 +575,20 @@ def test_a_task_read_again_while_the_first_lives_is_not_judged_again(
 
 def test_a_task_read_again_after_the_first_died_is_judged_again(
         annotate_calls):
-    # declarations no other test uses, so no other live task shares them
-    text = """(task (types (lone 0)) (sig (u (lone)) (pl (-> (lone) prop)))
-      (hyps (H (pl u))) (goals (G (not (pl u)))))"""
-    T = _read(text)
+    T = _read(_WRAPPED)
     assert well_typed(T)
     # the formulas and declared types stay alive, so the re-read key is the
     # dropped task's: only the context's death makes it a miss
     kept = [p.formula for p in T.premises()], T.sig
     del T
     annotate_calls.clear()
-    again = _read(text)
+    again = _read(_WRAPPED)
     assert all(p.formula is f for p, f in zip(again.premises(), kept[0]))
     assert well_typed(again)
     assert annotate_calls["task"] == kept[0]
 
 
-def test_tasks_share_a_context_only_for_the_same_declarations(
+def test_a_task_starts_from_live_judgments_only_for_the_same_declarations(
         annotate_calls):
     box, elem, x = ident("box"), ident("elem"), ident("x")
     types = ((box, 1), (elem, 0))
@@ -601,9 +604,10 @@ def test_tasks_share_a_context_only_for_the_same_declarations(
         "sig order": (types, (sig[1], sig[0], sig[2])),
         "types order": (types[::-1], sig),
     }
-    # new tuples of the same declarations share T's context
+    # new tuples of the same declarations find T's judgments
     same = Task(types=tuple(list(types)), sig=tuple(list(sig)), goals=(goal,))
-    assert typing_of(same, goal.formula) is typing_of(T, goal.formula)
+    assert _same_answer(typing_of(same, goal.formula),
+                        typing_of(T, goal.formula))
     annotate_calls.clear()
     assert well_typed(same)
     for why, (ts, ss) in variants.items():
@@ -613,7 +617,7 @@ def test_tasks_share_a_context_only_for_the_same_declarations(
     assert annotate_calls["task"] == [goal.formula] * len(variants)
 
 
-def test_an_extension_is_shared_only_under_its_own_declarations(
+def test_an_extension_is_found_only_under_its_own_declarations(
         annotate_calls):
     q, r = Premise(ident("G"), var("q")), Premise(ident("R"), var("r"))
     T = Task(sig=((ident("q"), PROP),), goals=(q,))
@@ -631,6 +635,37 @@ def test_an_extension_is_shared_only_under_its_own_declarations(
     assert annotate_calls["task"] == [r.formula]
 
 
+def test_a_task_never_judged_does_not_hide_a_judged_one(annotate_calls):
+    # the table keeps the context that last judged: tasks built and
+    # dropped unjudged, as a loaded certificate's leaf tasks are, leave
+    # T's judgments to be found
+    T = _read(_WRAPPED)
+    assert well_typed(T)
+    for _ in range(2):
+        Task(types=T.types, sig=T.sig, goals=T.goals)
+    gc.collect()
+    annotate_calls.clear()
+    assert well_typed(_read(_WRAPPED))
+    assert dict(annotate_calls) == {}
+
+
+def test_a_chain_of_readings_lets_each_earlier_context_go():
+    # each reading is made while the one before lives, and finds its
+    # judgments; it takes them, not the context, so that context dies with
+    # the tasks holding it
+    T = _read(_WRAPPED)
+    assert well_typed(T)
+    first = weakref.ref(T._ctx)
+    for name in ("H1", "H2", "H3"):
+        text = sexpr.dumps(sexpr.task_to_sexpr(
+            T.append(False, Premise(ident(name), T.goals[0].formula))))
+        T = _read(text)
+        assert typing_of(T, T.hyps[-1].formula) is not None
+        assert well_typed(T)
+    gc.collect()
+    assert first() is None
+
+
 @pytest.mark.parametrize("formula, reason", [
     (var("e0"), "premise K has type (elem), not prop"),
     (app(var("e0"), var("e0")),
@@ -639,13 +674,13 @@ def test_an_extension_is_shared_only_under_its_own_declarations(
     (eq(var("choose"), var("choose")),
      "premise K: instance of = at [0, 0] is ambiguous"),
 ])
-def test_an_ill_typed_premise_is_refused_under_a_shared_context(formula,
+def test_an_ill_typed_premise_is_refused_beside_found_judgments(formula,
                                                                  reason):
     T = cli.parse_task(_WRAPPED)
     bad = Task(types=T.types, sig=T.sig,
                hyps=T.hyps + (Premise(ident("K"), formula),), goals=T.goals)
     H = T.hyps[0].formula
-    assert typing_of(bad, H) is typing_of(T, H)
+    assert _same_answer(typing_of(bad, H), typing_of(T, H))
     assert not well_typed(bad)
     assert ill_typed_reason([bad]) == reason
     # the refusal records nothing: it is refused every time
