@@ -4,31 +4,35 @@ Gamma and Delta are ordered so serialization and export are deterministic;
 set semantics is recovered by name-keyed lookup wherever equality matters.
 
 A task built by Task(...) starts from the judgments of a live task with the
-same declarations: same declarations, same judgment. One weak table
-(_CONTEXTS) maps a declaration list to the typing context that last judged
-a task with it (well_typed registers it). Task(...) looks its declarations
-up and, on a hit, starts a context of its own that holds the found
-context's judgments of its premises and of the operands along their
-spines. So a task read again from its text while a judged task holding
-those formulas is alive (sexpr's reader shares what it reads) finds them
-judged; and the leaf tasks a certificate stores, read while the task it is
-checked against lives, find that task's judgments of the premises they
-keep. The table's key lists each type declaration as (name, uid, arity) and
-each signature entry as (name, uid, id of its type), in order.
+same declarations: same declarations, same judgment. One table of weak
+references (_CONTEXTS) maps a declaration list to the typing context that
+last judged a task with it (well_typed registers it). Task(...) looks its
+declarations up and starts a context of its own; on a hit, when
+well_typed or typing_of first asks that context, it takes the found
+context's judgments of the task's premises and of the operands along their
+spines, if the found context still lives. So a task read again from its
+text while a judged task holding those formulas is alive (sexpr's reader
+shares what it reads) finds them judged; and the leaf tasks a certificate
+stores, read while the task it is checked against lives, find that task's
+judgments of the premises they keep. A task that is never asked, such as a
+leaf that ccheck only compares, takes nothing. The table's key lists each
+type declaration as (name, uid, arity) and each signature entry as (name,
+uid, id of its type), in order.
 
-Starting from a found context is sound. A judgment (see well_typed) depends
-only on the declarations and on the formula object. Two keys are equal only
-for equal declarations: the names, uids and arities are compared as values,
-and a signature entry's type by identity. The context's sig_map holds each
-keyed type, so while the context a key maps to is alive, each id in that
-key names the very type declared. The table holds contexts weakly: a dead
-context reads as a miss, so an id reused after its death never matches. And
-a context's props holds each judged premise, so the formula ids it is keyed
-on stay valid while it lives; the new context holds the judgments it takes.
+Taking a found context's judgments is sound. A judgment (see well_typed)
+depends only on the declarations and on the formula object. Two keys are
+equal only for equal declarations: the names, uids and arities are compared
+as values, and a signature entry's type by identity. The context's sig_map
+holds each keyed type, so while the context a key maps to is alive, each id
+in that key names the very type declared. The table holds contexts weakly:
+a dead context reads as a miss, so an id reused after its death never
+matches. And a context's props holds each judged premise, so the formula
+ids it is keyed on stay valid while it lives; the taking context then holds
+the judgments it took.
 
 A context takes only what its own premises need, not the found context, so
-a chain of readings, each read while the one before lives, keeps about one
-step's judgments alive instead of every step's.
+a chain of readings, each judged while the one before lives, keeps about
+one step's judgments alive instead of every step's.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import KeysView, Mapping
-from weakref import WeakValueDictionary
+from weakref import ReferenceType, ref
 
 from .core import (
     PROP,
@@ -88,15 +92,15 @@ class _TypingContext:
     declarations and shares its parent's context, so a fact recorded here
     holds for all of them: same declarations, same judgment. The memo lives
     as long as any task holding the context. A context that Task(...)
-    starts begins with the judgments of its premises that a live context of
-    the same declarations holds (see the module docstring); one that
-    Task.extend_sig/extend_types starts for one declaration more, with the
-    judgments of its parent's context that the new declaration cannot
-    change (see well_typed).
+    starts takes the judgments of its premises that a live context of the
+    same declarations holds (see the module docstring); one that
+    Task.extend_sig/extend_types starts for one declaration more begins
+    with the judgments of its parent's context that the new declaration
+    cannot change (see well_typed).
     """
 
     __slots__ = ("key", "types_map", "sig_map", "sig_checked", "props",
-                 "paths", "mentions", "__weakref__")
+                 "paths", "mentions", "pending", "__weakref__")
 
     def __init__(self, key: tuple, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
@@ -116,17 +120,28 @@ class _TypingContext:
         # id of a premise in props -> every ident it mentions and the iotas
         # its Typing picked, filled when a declaration extends the context
         self.mentions: dict[int, frozenset[Ident]] = {}
+        # a weak reference to a context of the same declarations and the
+        # premises of the task that started this one: the judgments of them
+        # to take from it when well_typed or typing_of first asks (see take)
+        self.pending: tuple[ReferenceType, tuple[Premise, ...]] | None = None
 
-    def carried(self, key: tuple, types_map: dict[Ident, int],
-                sig_map: dict[Ident, Type], premises: tuple[Premise, ...],
-                name: Ident | None = None) -> _TypingContext:
-        """A context for these declarations, which are this context's or
-        add name to them: it holds this context's judgments of premises,
-        and of the operands along their spines, whose judged premise
-        neither mentions name nor picked it as an iota (see well_typed);
-        with no name, all of them and the signature check."""
-        out = _TypingContext(key, types_map, sig_map)
-        out.sig_checked = name is None and self.sig_checked
+    def take(self) -> None:
+        """Take the pending judgments, if their context still lives."""
+        source, premises = self.pending
+        self.pending = None
+        found = source()
+        if found is not None:
+            found.carry(self, premises)
+
+    def carry(self, out: _TypingContext, premises: tuple[Premise, ...],
+              name: Ident | None = None) -> None:
+        """Record in out, a context for these declarations or for these and
+        name, this context's judgments of premises, and of the operands
+        along their spines, whose judged premise neither mentions name nor
+        picked it as an iota (see well_typed); with no name, all of them
+        and the signature check."""
+        if name is None and self.sig_checked:
+            out.sig_checked = True
         todo = [p.formula for p in premises]
         while todo:
             g = todo.pop()
@@ -147,12 +162,25 @@ class _TypingContext:
                 todo.append(g.body)
             elif isinstance(g, BinOp):
                 todo += (g.left, g.right)
-        return out
 
 
-# declaration key (see _decl_key) -> the context that last judged a task with
-# those declarations, while it lives
-_CONTEXTS: WeakValueDictionary[tuple, _TypingContext] = WeakValueDictionary()
+# declaration key (see _decl_key) -> a weak reference, with no callback, to
+# the context that last judged a task with those declarations. A dead
+# reference reads as a miss; _register drops the dead entries once the table
+# has doubled in size since the last sweep, as sexpr's tables do.
+_CONTEXTS: dict[tuple, ReferenceType] = {}
+_SWEEP_FLOOR = 1024
+_sweep_at = _SWEEP_FLOOR
+
+
+def _register(ctx: _TypingContext) -> None:
+    """Make ctx the context Task(...) finds for its declarations."""
+    global _sweep_at
+    _CONTEXTS[ctx.key] = ref(ctx)
+    if len(_CONTEXTS) >= _sweep_at:
+        for key in [k for k, r in _CONTEXTS.items() if r() is None]:
+            del _CONTEXTS[key]
+        _sweep_at = max(2 * len(_CONTEXTS), _SWEEP_FLOOR)
 
 
 def _decl_key(types: tuple[tuple[Ident, int], ...],
@@ -213,11 +241,10 @@ class Task:
                 by_name[p.name] = (is_goal, p)
         premises = self.hyps + self.goals
         key = _decl_key(self.types, self.sig)
+        ctx = _TypingContext(key, types, sig)
         found = _CONTEXTS.get(key)
-        if found is None:
-            ctx = _TypingContext(key, types, sig)
-        else:
-            ctx = found.carried(key, types, sig, premises)
+        if found is not None:
+            ctx.pending = (found, premises)
         object.__setattr__(self, "_ctx", ctx)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_unjudged", premises)
@@ -304,8 +331,8 @@ class Task:
         # not looked up in _CONTEXTS: a live context of these declarations
         # may hold other Typings of the kept premises than the ones carried
         # over, and the exporter encodes once per Typing
-        ctx = self._ctx.carried(_decl_key(types, sig), dict(types),
-                                dict(sig), premises, name)
+        ctx = _TypingContext(_decl_key(types, sig), dict(types), dict(sig))
+        self._ctx.carry(ctx, premises, name)
         unjudged = tuple(p for p in premises if id(p.formula) not in ctx.props)
         return _build(types, sig, self.hyps, self.goals, ctx, self._by_name,
                       unjudged)
@@ -361,7 +388,7 @@ def well_typed(T: Task) -> bool:
     Incremental in two ways, so a derived task pays for what its edit
     added. First, through T's typing context, which the tasks replace and
     append derive share since they keep T's declarations, and which for a
-    task built by Task(...) begins with the judgments of its premises that
+    task built by Task(...) first takes the judgments of its premises that
     the context last judging a task with those declarations holds, if it
     lives (see the module docstring; a judged task's context is registered
     for that). The signature is checked once per context, and each formula
@@ -403,6 +430,8 @@ def well_typed(T: Task) -> bool:
     any recorded formula was typed, so no caller types it again.
     """
     ctx = T._ctx
+    if ctx.pending is not None:
+        ctx.take()
     I, sig = ctx.types_map, ctx.sig_map
     if not ctx.sig_checked:
         try:
@@ -430,8 +459,7 @@ def well_typed(T: Task) -> bool:
                 elif isinstance(g, BinOp):
                     todo += (g.left, g.right)
     object.__setattr__(T, "_unjudged", ())
-    if _CONTEXTS.get(ctx.key) is not ctx:
-        _CONTEXTS[ctx.key] = ctx
+    _register(ctx)
     return True
 
 
@@ -442,13 +470,15 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     f is judged when well_typed judged it as a premise or recorded it as
     an operand on a premise's Not/BinOp spine (see well_typed), for T, for
     a task sharing T's context, or for a task with T's declarations whose
-    judgment T's context began with: its instances are those the Typing
+    judgment T's context took: its instances are those the Typing
     holds at the path. The first question about a premise's spine walks
     that spine once and keeps every operand's path in the context, as long
     as any task holds it.
     """
     ctx = T._ctx
     if id(f) not in ctx.paths:
+        if id(f) not in ctx.props and ctx.pending is not None:
+            ctx.take()
         if id(f) not in ctx.props:
             return None
         premise, info = ctx.props[id(f)]

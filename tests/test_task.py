@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certforge import cli, core, sexpr
+from certforge import task as task_module
 from certforge import transforms as tr
 from certforge.cert import KHole, cert_dumps, cert_loads, elaborate
 from certforge.checker import ccheck
@@ -556,13 +557,17 @@ def _read(text):
 
 
 def test_a_task_read_again_while_the_first_lives_is_not_judged_again(
-        annotate_calls):
+        annotate_calls, monkeypatch):
     T = _read(_WRAPPED)
     assert well_typed(T)
     annotate_calls.clear()
+    # nor is its signature checked again
+    checked = []
+    monkeypatch.setattr(task_module, "check_signature",
+                        lambda I, sig: checked.append(sig))
     again = _read(_WRAPPED)
     assert well_typed(again)
-    assert dict(annotate_calls) == {}
+    assert dict(annotate_calls) == {} and checked == []
     for p, q in zip(T.premises(), again.premises()):
         assert typing_of(again, q.formula)[0] is typing_of(T, p.formula)[0]
     # so is a task a transformation derived, read back from its text
@@ -649,6 +654,30 @@ def test_a_task_never_judged_does_not_hide_a_judged_one(annotate_calls):
     assert dict(annotate_calls) == {}
 
 
+def test_a_task_takes_judgments_only_from_a_context_still_alive(
+        annotate_calls):
+    # a task built while T lives takes T's judgments when first asked; by
+    # then T, and with it the context it would take them from, has died
+    T = _read(_WRAPPED)
+    assert well_typed(T)
+    U = Task(types=T.types, sig=T.sig, hyps=T.hyps, goals=T.goals)
+    del T
+    gc.collect()
+    annotate_calls.clear()
+    assert typing_of(U, U.hyps[0].formula) is None
+    assert well_typed(U)
+    assert annotate_calls["task"] == [p.formula for p in U.premises()]
+
+
+def test_the_context_table_lets_go_of_dead_contexts():
+    # each task has declarations of its own and dies once judged; the
+    # table keeps no more than twice its live entries past its floor
+    for i in range(3 * task_module._SWEEP_FLOOR):
+        assert well_typed(Task(sig=((ident(f"c{i}"), PROP),),
+                               goals=(Premise(ident("G"), var(f"c{i}")),)))
+    assert len(task_module._CONTEXTS) < 2 * task_module._SWEEP_FLOOR
+
+
 def test_a_chain_of_readings_lets_each_earlier_context_go():
     # each reading is made while the one before lives, and finds its
     # judgments; it takes them, not the context, so that context dies with
@@ -657,11 +686,12 @@ def test_a_chain_of_readings_lets_each_earlier_context_go():
     assert well_typed(T)
     first = weakref.ref(T._ctx)
     for name in ("H1", "H2", "H3"):
-        text = sexpr.dumps(sexpr.task_to_sexpr(
-            T.append(False, Premise(ident(name), T.goals[0].formula))))
-        T = _read(text)
-        assert typing_of(T, T.hyps[-1].formula) is not None
-        assert well_typed(T)
+        U = T.append(False, Premise(ident(name), T.goals[0].formula))
+        V = _read(sexpr.dumps(sexpr.task_to_sexpr(U)))
+        assert typing_of(V, V.hyps[-1].formula) is not None
+        assert well_typed(V)
+        T = V
+    del U, V
     gc.collect()
     assert first() is None
 
