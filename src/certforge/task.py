@@ -5,12 +5,12 @@ set semantics is recovered by name-keyed lookup wherever equality matters.
 
 A task built by Task(...) starts from the judgments of a live task with the
 same declarations: same declarations, same judgment. One table of weak
-references (_CONTEXTS) maps a declaration list to the typing context that
-last judged a task with it (well_typed registers it). Task(...) looks its
-declarations up and starts a context of its own; on a hit, when
-well_typed or typing_of first asks that context, it takes the found
-context's judgments of the task's premises and of the operands along their
-spines, if the found context still lives. So a task read again from its
+references (_CONTEXTS) maps a declaration list to the last typing context
+that began judging a task with it (well_typed registers each context once).
+Task(...) looks its declarations up and starts a context of its own; on a
+hit, when well_typed or typing_of first asks that context, it takes the
+found context's judgments of the task's premises and of the operands along
+their spines, if the found context still lives. So a task read again from its
 text while a judged task holding those formulas is alive (sexpr's reader
 shares what it reads) finds them judged; and the leaf tasks a certificate
 stores, read while the task it is checked against lives, find that task's
@@ -100,7 +100,7 @@ class _TypingContext:
     """
 
     __slots__ = ("key", "types_map", "sig_map", "sig_checked", "props",
-                 "paths", "mentions", "pending", "__weakref__")
+                 "paths", "mentions", "pending", "registered", "__weakref__")
 
     def __init__(self, key: tuple, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
@@ -124,6 +124,9 @@ class _TypingContext:
         # premises of the task that started this one: the judgments of them
         # to take from it when well_typed or typing_of first asks (see take)
         self.pending: tuple[ReferenceType, tuple[Premise, ...]] | None = None
+        # set once well_typed has first judged a task of this context and
+        # entered it in _CONTEXTS (see _register)
+        self.registered = False
 
     def take(self) -> None:
         """Take the pending judgments, if their context still lives."""
@@ -165,7 +168,7 @@ class _TypingContext:
 
 
 # declaration key (see _decl_key) -> a weak reference, with no callback, to
-# the context that last judged a task with those declarations. A dead
+# the last context that began judging a task with those declarations. A dead
 # reference reads as a miss; _register drops the dead entries once the table
 # has doubled in size since the last sweep, as sexpr's tables do.
 _CONTEXTS: dict[tuple, ReferenceType] = {}
@@ -176,6 +179,7 @@ _sweep_at = _SWEEP_FLOOR
 def _register(ctx: _TypingContext) -> None:
     """Make ctx the context Task(...) finds for its declarations."""
     global _sweep_at
+    ctx.registered = True
     _CONTEXTS[ctx.key] = ref(ctx)
     if len(_CONTEXTS) >= _sweep_at:
         for key in [k for k, r in _CONTEXTS.items() if r() is None]:
@@ -389,9 +393,9 @@ def well_typed(T: Task) -> bool:
     added. First, through T's typing context, which the tasks replace and
     append derive share since they keep T's declarations, and which for a
     task built by Task(...) first takes the judgments of its premises that
-    the context last judging a task with those declarations holds, if it
-    lives (see the module docstring; a judged task's context is registered
-    for that). The signature is checked once per context, and each formula
+    the last context that began judging a task with those declarations
+    holds, if it lives (see the module docstring; a context is registered
+    when a task of it is first judged). The signature is checked once per context, and each formula
     object is typed once per context. Same declarations, same judgment; the
     memo lives as long as any task holding the context. Second, T knows
     which of its premises may be unrecorded in that context: all of them
@@ -459,7 +463,8 @@ def well_typed(T: Task) -> bool:
                 elif isinstance(g, BinOp):
                     todo += (g.left, g.right)
     object.__setattr__(T, "_unjudged", ())
-    _register(ctx)
+    if not ctx.registered:
+        _register(ctx)
     return True
 
 

@@ -641,7 +641,7 @@ def test_an_extension_is_found_only_under_its_own_declarations(
 
 
 def test_a_task_never_judged_does_not_hide_a_judged_one(annotate_calls):
-    # the table keeps the context that last judged: tasks built and
+    # the table keeps the last context that began judging: tasks built and
     # dropped unjudged, as a loaded certificate's leaf tasks are, leave
     # T's judgments to be found
     T = _read(_WRAPPED)
