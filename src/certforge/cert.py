@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 from . import sexpr
 from .core import (
@@ -609,7 +610,7 @@ def cert_children(node):
     return tuple(getattr(node, n) for n in _CHILD_FIELDS[type(node)])
 
 
-def _with_children(node, new):
+def with_children(node, new):
     cls = type(node)
     assert len(_CHILD_FIELDS[cls]) == len(new)
     return cls(*[getattr(node, n) for n in _OTHER_FIELDS[cls]], *new)
@@ -628,39 +629,58 @@ def leaves(c: KernelCert) -> list[Task]:
     return out
 
 
+_FINISH = object()
+
+
+def rebuild(root, expand, finish):
+    """The value of the tree below root, built bottom-up on an explicit
+    stack. expand(item) returns (head, items) and is called on every item
+    in preorder, left to right; items is a sequence. An item whose items
+    are empty is a leaf and its value is head; any other item's value is
+    finish(head, the values of its items)."""
+    done: list = []
+    # _FINISH, under the item count and head, ends an item once the values
+    # of its items are the last entries of done
+    todo: list = [root]
+    while todo:
+        item = todo.pop()
+        if item is _FINISH:
+            n, head = todo.pop(), todo.pop()
+            split = len(done) - n
+            value = finish(head, done[split:])
+            del done[split:]
+            done.append(value)
+            continue
+        head, items = expand(item)
+        if items:
+            todo += (head, len(items), _FINISH)
+            todo += reversed(items)
+        else:
+            done.append(head)
+    return done[0]
+
+
 def fill_holes(c, fillers):
-    """Replace the i-th hole (in-order) by fillers[i]: the SHole nodes of a
-    surface certificate, the KHole nodes of a kernel one. An explicit stack
-    walks c, and never enters a filler."""
+    """Replace the i-th hole (in preorder) by fillers[i]: the SHole nodes of a
+    surface certificate, the KHole nodes of a kernel one. The walk never
+    enters a filler."""
     hole = SHole if isinstance(c, SurfaceCert) else KHole
     fillers = list(fillers)
     it = iter(fillers)
-    done: list = []
-    # (node, n) rebuilds node from its n children, the last entries of done
-    todo: list = [c]
     used = 0
-    while todo:
-        node = todo.pop()
-        if type(node) is tuple:
-            node, n = node
-            split = len(done) - n
-            kids = done[split:]
-            del done[split:]
-            done.append(_with_children(node, kids))
-        elif isinstance(node, hole):
+
+    def fill(node):
+        nonlocal used
+        if isinstance(node, hole):
             used += 1
-            done.append(next(it, None))
-        else:
-            names = _CHILD_FIELDS[type(node)]
-            if names:
-                todo.append((node, len(names)))
-                todo.extend(getattr(node, name) for name in reversed(names))
-            else:
-                done.append(node)
+            return next(it, None), ()
+        return node, cert_children(node)
+
+    out = rebuild(c, fill, with_children)
     if used != len(fillers):
         raise CertError(
             f"certificate has {used} holes, got {len(fillers)} fillers")
-    return done[0]
+    return out
 
 
 def keep_kernel(s: SurfaceCert, T: Task, k: KernelCert) -> None:
@@ -698,33 +718,20 @@ def _encode_field(v):
     raise CertError(f"cannot serialize payload {v!r}")
 
 
+def _sexpr_node(node):
+    """cert_to_sexpr's expand: a node's form without its subcertificates,
+    which are its last fields, and those."""
+    if isinstance(node, SHole):
+        return "SHole", ()
+    form = [type(node).__name__]
+    form += [_encode_field(getattr(node, name))
+             for name in _OTHER_FIELDS[type(node)]]
+    return form, cert_children(node)
+
+
 def cert_to_sexpr(c):
-    """The form cert_from_sexpr reads back as c, built with an explicit
-    stack as that reads it: a node's other payloads at once, then its
-    subcertificates, which are its last fields."""
-    done: list = []
-    # a certificate is printed; (form, n) completes a node's form with its
-    # n subcertificates' forms, the last entries of done
-    todo: list = [c]
-    while todo:
-        node = todo.pop()
-        if type(node) is tuple:
-            form, n = node
-            split = len(done) - n
-            form += done[split:]
-            del done[split:]
-            done.append(form)
-        elif isinstance(node, SHole):
-            done.append("SHole")
-        else:
-            names = _CHILD_FIELDS[type(node)]
-            fields = dataclasses.fields(node)
-            form = [type(node).__name__]
-            form += [_encode_field(getattr(node, f.name))
-                     for f in fields[:len(fields) - len(names)]]
-            todo.append((form, len(names)))
-            todo.extend(getattr(node, name) for name in reversed(names))
-    return done[0]
+    """The form cert_from_sexpr reads back as c."""
+    return rebuild(c, _sexpr_node, list.__add__)
 
 
 def _decode_field(form, kind: type):
@@ -756,48 +763,43 @@ assert all(tuple(f.name for f in dataclasses.fields(cls))
            for cls, names in _CHILD_FIELDS.items())
 
 
+def _cert_node(item):
+    """cert_from_sexpr's expand: item is a form and the kind its node must
+    have (None at the root). The node, or for a node with subcertificates
+    its constructor applied to its other payloads, and the subcertificates'
+    forms with their kinds."""
+    form, want = item
+    if form == "SHole":
+        cls, args, kids = SHole, (), ()
+    else:
+        if not (isinstance(form, list) and form and isinstance(form[0], str)):
+            raise CertError(f"bad certificate syntax {form!r}")
+        cls = _BY_NAME.get(form[0])
+        if cls is None:
+            raise CertError(f"unknown certificate constructor {form[0]}")
+        kinds = _PAYLOADS[cls]
+        if len(form) != len(kinds) + 1:
+            raise CertError(f"{form[0]} takes {len(kinds)} payloads, "
+                            f"got {len(form) - 1}")
+        split = len(form) - len(_CHILD_FIELDS[cls])
+        args = [_decode_field(f, kind)
+                for f, kind in zip(form[1:split], kinds)]
+        kids = list(zip(form[split:], kinds[split - 1:]))
+    if want is not None and not issubclass(cls, want):
+        raise CertError(f"{cls.__name__} is not a {want.__name__}")
+    return (partial(cls, *args), kids) if kids else (cls(*args), kids)
+
+
+def _called(make, args):
+    return make(*args)
+
+
 def cert_from_sexpr(form):
-    """The certificate the parsed form spells, read with an explicit stack.
-    Its formulas are read through sexpr's shared tables, so a subterm
-    structurally identical to one in a live value read before, such as the
-    parsed task it is checked against, is that very object."""
-    done: list = []
-    # (form, kind the result must have) reads a subcertificate: its other
-    # payloads at once, then its children; (cls, payloads, kind) builds the
-    # node once its children are the last entries of done
-    todo: list[tuple] = [(form, None)]
-    while todo:
-        step = todo.pop()
-        if len(step) == 2:
-            form, want = step
-            if form == "SHole":
-                todo.append((SHole, (), want))
-                continue
-            if not (isinstance(form, list) and form
-                    and isinstance(form[0], str)):
-                raise CertError(f"bad certificate syntax {form!r}")
-            cls = _BY_NAME.get(form[0])
-            if cls is None:
-                raise CertError(f"unknown certificate constructor {form[0]}")
-            kinds = _PAYLOADS[cls]
-            if len(form) != len(kinds) + 1:
-                raise CertError(f"{form[0]} takes {len(kinds)} payloads, "
-                                f"got {len(form) - 1}")
-            split = len(form) - len(_CHILD_FIELDS[cls])
-            args = [_decode_field(f, kind)
-                    for f, kind in zip(form[1:split], kinds)]
-            todo.append((cls, args, want))
-            todo.extend(zip(reversed(form[split:]),
-                            reversed(kinds[split - 1:])))
-            continue
-        cls, args, want = step
-        split = len(done) - len(_CHILD_FIELDS[cls])
-        c = cls(*args, *done[split:])
-        del done[split:]
-        if want is not None and not isinstance(c, want):
-            raise CertError(f"{cls.__name__} is not a {want.__name__}")
-        done.append(c)
-    return done[0]
+    """The certificate the parsed form spells. Its formulas are read through
+    sexpr's shared tables, so a subterm structurally identical to one in a
+    live value read before, such as the parsed task it is checked against,
+    is that very object."""
+    return rebuild((form, None), _cert_node, _called)
 
 
 def cert_dumps(c) -> str:
@@ -904,23 +906,22 @@ def _abstract_in(t: Term, needle: Term, needed: frozenset[Ident], z: Ident,
     raise CertError(f"cannot rewrite inside {t!r}")
 
 
-def _replay(c, T: Task) -> KernelCert:
-    """Step the skeleton c against T and elaborate its children in turn."""
+def elaborate_node(item):
+    """elaborate's expand: item is a certificate c and the task T it
+    applies to. A surface c is expanded into its kernel skeleton at T (an
+    SHole into the KHole of T); the kernel node is stepped once by
+    checker.step, and each of its children is paired with the task that
+    step derives for it."""
+    c, T = item
     if isinstance(c, SurfaceCert):
         if isinstance(c, SHole):
-            return KHole(T)
+            return KHole(T), ()
         c = c.kernel(T)
     try:
         tasks = checker.step(T, c, ())
     except checker.CheckError as e:
         raise CertError(e.failure.message) from e
-    names = _CHILD_FIELDS[type(c)]
-    if not names:
-        return c
-    kids = []
-    for name, t in zip(names, tasks):
-        kids.append(_replay(getattr(c, name), t))
-    return _with_children(c, kids)
+    return c, list(zip(cert_children(c), tasks))
 
 
 def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
@@ -932,14 +933,15 @@ def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
 
     T is judged first (CertError if it is not well-typed), so its premises
     and their operands are recorded in its typing context before any rule
-    leaves one of them as a premise of its own. Each surface node is
-    expanded into its kernel skeleton at the task it applies to, and every
-    kernel node of the skeleton is stepped once by checker.step; its
-    children are elaborated against the tasks that step derives. Raises
-    CertError at the first failing rule in depth-first, left-to-right
-    order: a missing premise, a premise of the wrong shape for the
-    certificate applied to it, or a failed side condition. The resulting
-    kernel certificate passes ccheck against T.
+    leaves one of them as a premise of its own. The replay is rebuild with
+    elaborate_node, so it takes no interpreter stack per level: each
+    surface node is expanded into its kernel skeleton at the task it
+    applies to, every kernel node of the skeleton is stepped once by
+    checker.step, and its children are elaborated against the tasks that
+    step derives. Raises CertError at the first failing rule in
+    depth-first, left-to-right order: a missing premise, a premise of the
+    wrong shape for the certificate applied to it, or a failed side
+    condition. The resulting kernel certificate passes ccheck against T.
     """
     kept = kept_kernel(s, T)
     if kept is not None:
@@ -948,7 +950,7 @@ def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
         raise CertError(f"unknown surface certificate {s!r}")
     if not well_typed(T):
         raise CertError("the task is not well-typed")
-    return _replay(s, T)
+    return rebuild((s, T), elaborate_node, with_children)
 
 
 # checker imports this module, so it is bound last; elaboration only reads

@@ -2,11 +2,12 @@
 
 Every operation either returns (resulting tasks, surface certificate) or
 raises TransformError and returns nothing.  The pair always comes out of
-one code path: build the surface certificate, replay it with cert.elaborate
-against the input task, and read the resulting tasks off the kernel
-certificate's leaves.  A successful return has therefore already survived
-the rule-by-rule validation; the leaves and the task list cannot drift
-apart.  The kernel certificate is kept on the surface one returned
+one code path: build the surface certificate, replay it against the input
+task (cert.elaborate; t_blast elaborates each search step with
+cert.elaborate_node as it takes it), and read the resulting tasks off the
+kernel certificate's leaves.  A successful return has therefore already
+survived the rule-by-rule validation; the leaves and the task list cannot
+drift apart.  The kernel certificate is kept on the surface one returned
 (cert.keep_kernel), so the caller's elaborate on the same pair returns it
 instead of replaying it again.
 """
@@ -42,7 +43,7 @@ from .core import (
     ident,
     subst_term,
 )
-from .task import Premise, Task
+from .task import Premise, Task, well_typed
 
 Result = tuple[list[Task], SurfaceCert]
 
@@ -514,6 +515,24 @@ def _blast_step(T: Task, parent: Task | None) -> SurfaceCert:
     raise TransformError("t_blast: cannot close the task")
 
 
+def _blast_node(item):
+    """t_blast's expand: item is a task and the task whose step derived it
+    (None at the root). One search step, elaborated against the task: its
+    surface node, which elaborates to one kernel node, and the tasks that
+    node leaves, each with the task it came from."""
+    t, parent = item
+    s = _blast_step(t, parent)
+    k, kids = cert.elaborate_node((s, t))
+    return (s, k), [(sub, t) for _, sub in kids]
+
+
+def _splice(step, kids):
+    """A step's surface and kernel nodes with the certificates of the tasks
+    it leaves in their holes."""
+    (s, k), (subs, kernels) = step, zip(*kids)
+    return cert.with_children(s, subs), cert.with_children(k, kernels)
+
+
 def t_blast(T: Task) -> Result:
     """Close a propositional task outright, or fail.
 
@@ -521,32 +540,17 @@ def t_blast(T: Task) -> Result:
     axiom or truth/falsity, then decomposes the leftmost compound goal,
     then the leftmost compound hypothesis.  Each step is an elementary
     certifying step; the blast of each task it leaves fills the matching
-    hole, so the certificate is exactly the trace.  The search runs on an
-    explicit stack and builds the kernel certificate as it goes: each
-    step's skeleton is replayed once, against the task at hand, and the
-    kernel certificates of the tasks it leaves replace its KHole nodes.
+    hole, so the certificate is exactly the trace.  The search runs on
+    cert.rebuild and builds the kernel certificate as it goes: T is judged
+    once, each step's surface node is elaborated once, against the task at
+    hand, and both nodes take their children's certificates in their
+    holes.
     """
-    done: list[tuple[SurfaceCert, KernelCert]] = []
-    # (task, parent) takes a step; (s, k, n) fills the holes of a step's
-    # certificates with the n last entries of done
-    todo: list[tuple] = [(T, None)]
-    while todo:
-        entry = todo.pop()
-        if len(entry) == 2:
-            t, parent = entry
-            s = _blast_step(t, parent)
-            k = _elaborate(t, s)
-            tasks = cert.leaves(k)
-            todo.append((s, k, len(tasks)))
-            todo.extend((sub, t) for sub in reversed(tasks))
-            continue
-        s, k, n = entry
-        if n:
-            kids = done[len(done) - n:]
-            del done[len(done) - n:]
-            s = cert.fill_holes(s, [kid[0] for kid in kids])
-            k = cert.fill_holes(k, [kid[1] for kid in kids])
-        done.append((s, k))
-    s, k = done[0]
+    if not well_typed(T):
+        raise TransformError("the task is not well-typed")
+    try:
+        s, k = cert.rebuild((T, None), _blast_node, _splice)
+    except CertError as e:
+        raise TransformError(str(e)) from e
     cert.keep_kernel(s, T, k)
     return [], s

@@ -699,6 +699,23 @@ def test_blast_searches_without_recursion():
         assert ccheck(c.elaborate(s, T), T).ok
 
 
+def test_elaboration_replays_deeper_than_the_recursion_limit():
+    # blast's certificate for a chain of 520 is 1 040 nodes deep; a task
+    # read back from its text is another object, so the kept kernel does
+    # not apply and elaborate replays every node
+    T = gen_chain_task(520)
+    _, s = tr.t_blast(T)
+    again = reparsed(T)
+    with _recursion_limit(1000):
+        try:
+            k = c.elaborate(s, again)
+        except RecursionError as e:
+            k = type(e).__name__
+    assert k != "RecursionError"
+    assert ccheck(k, again).ok
+    assert c.cert_dumps(k) == c.cert_dumps(c.kept_kernel(s, T))
+
+
 def test_only_the_cli_and_the_exporter_set_the_recursion_limit():
     # library code leaves interpreter-global state alone; the two left
     # are still to go
