@@ -356,14 +356,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    limit = sys.getrecursionlimit()
     sys.setrecursionlimit(40000)
-    ns = _build_parser().parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         return ns.func(ns)
     except (OSError, ValueError, SexprError, TaskError, TypingError,
             CertError, TransformError, ExportError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

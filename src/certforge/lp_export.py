@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -152,10 +153,25 @@ def neg(t: LpTerm) -> LpTerm:
     return LArrow(t, LP_BOT)
 
 
+@contextmanager
+def _raised_recursion_limit():
+    """The proof term's walk (_walk through _under) and the printer
+    (_format) call themselves once per level of the certificate and of each
+    term, so the public entry points run them under a limit of at least
+    40 000, and give the caller's limit back on the way out."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 40000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # printing precedence: 0 admits everything, 1 an arrow operand (arrows and
 # binders get parentheses), 2 an application head, 3 an application argument
+@_raised_recursion_limit()
 def lp_format(t: LpTerm) -> str:
-    return _format(t, 0, {}, set())
+    return _format(t, 0, {}, set(), {})
 
 
 # What emit_module's printer knows of each node it prints once, by the
@@ -166,7 +182,7 @@ _UNSHARED = object()
 
 
 def _format(t: LpTerm, prec: int, bound: dict[str, int], free: set[str],
-            memo: _PrintMemo | None = None) -> str:
+            memo: _PrintMemo) -> str:
     """lp_format, adding to free every name t uses that no binder above it
     binds; bound counts the open binders of each name.
 
@@ -179,7 +195,7 @@ def _format(t: LpTerm, prec: int, bound: dict[str, int], free: set[str],
         if not bound.get(t.name):
             free.add(t.name)
         return t.name
-    hit = _UNSHARED if memo is None else memo.get(id(t), _UNSHARED)
+    hit = memo.get(id(t), _UNSHARED)
     if hit is not _UNSHARED:
         if hit is not None:
             s, names = hit
@@ -523,6 +539,7 @@ def _task_type(T: Task, decls: _Decls, enc: Encoder) -> LpTerm:
 # ---------------------------------------------------------------------------
 # proof terms
 
+@_raised_recursion_limit()
 def proof_term(c: cert.KernelCert, T: Task, L: list[Task],
                encoder: Encoder | None = None) -> LpTerm:
     """The certificate as a λ-term of the type stating that the tasks of L
@@ -552,7 +569,6 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
     """proof_term, and the declarations each task of L uses (see
     used_declarations), in L's order, computed once for the proof term
     and the task statements."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 40000))
     try:
         replay = list(checker.derive(c, T))
     except checker.CheckError as e:
@@ -760,6 +776,7 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
 # ---------------------------------------------------------------------------
 # module emission
 
+@_raised_recursion_limit()
 def emit_module(T: Task, L: list[Task], c: cert.KernelCert) -> str:
     """One self-contained λΠ module for a checked application.
 

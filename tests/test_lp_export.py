@@ -46,6 +46,7 @@ from certforge.core import (
 from certforge.task import Premise, Task, gen_chain_task
 from lp_oracle import app_correctness_type, per_formula, tree_format
 from test_acceptance import _FOL_TASK, _fol_script
+from test_cert import _recursion_limit
 
 sys.setrecursionlimit(40000)
 
@@ -276,6 +277,22 @@ def split_application():
     c = cert.KSplit(False, var("x1"), var("x2"), ident("H"),
                     cert.KHole(T1), cert.KHole(T2))
     return T, [T1, T2], c
+
+
+def test_the_exporter_and_the_cli_give_the_recursion_limit_back(tmp_path):
+    # both raise it for their walks that call themselves, and restore the
+    # caller's limit when they return
+    T, L, c = split_application()
+    f = tmp_path / "t.task"
+    f.write_text(sexpr.dumps(sexpr.task_to_sexpr(T)), encoding="utf-8")
+    with _recursion_limit(1500):
+        lp.emit_module(T, L, c)
+        after_export = sys.getrecursionlimit()
+        lp.proof_term(c, T, L)
+        after_proof = sys.getrecursionlimit()
+        assert cli.main(["parse", str(f)]) == 0
+        after_main = sys.getrecursionlimit()
+    assert (after_export, after_proof, after_main) == (1500, 1500, 1500)
 
 
 def test_split_application_type():
@@ -631,7 +648,7 @@ def test_a_name_used_after_its_binder_closes_is_reported(monkeypatch):
     twice = lp.LLam("x", None, lp.LApp(lp.LLam("x", None, lp.LVar("x")),
                                        lp.LVar("x")))
     free: set[str] = set()
-    assert lp._format(lp.LApp(twice, lp.LVar("y")), 0, {}, free) == \
+    assert lp._format(lp.LApp(twice, lp.LVar("y")), 0, {}, free, {}) == \
         "(λ x, (λ x, x) x) y"
     assert free == {"y"}
 
