@@ -121,6 +121,21 @@ def _match(actual: Term, expected: Term, what: str) -> None:
         raise _Refused(f"{what} does not match the task")
 
 
+def _quantified(T: Task, node, make) -> tuple[bool, int]:
+    """The side and index of the premise a quantifier rule opens: node's
+    predicate is a lambda over its ground carried type, and the premise
+    reads make(var, type, body) of it."""
+    if not isinstance(node.pred, Lam):
+        raise _Refused("the predicate is not a lambda abstraction")
+    if node.pred.ty != node.ty:
+        raise _Refused("the predicate's annotation differs from the carried type")
+    check_type(T.types_map(), node.ty, allow_vars=False)
+    side, idx, prem = _find(T, node.name, node.goal)
+    _match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
+           f"premise {node.name}")
+    return side, idx
+
+
 def step(T: Task, node: cert.KernelCert, path: tuple[int, ...]) -> list[Task]:
     """One rule application: the tasks the node's children must discharge.
 
@@ -234,15 +249,7 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
         return [T.replace(False, hidx, ()).replace(True, gidx, (merged,))]
 
     if isinstance(node, cert.KIntroQuant):
-        if not isinstance(node.pred, Lam):
-            raise _Refused("the predicate is not a lambda abstraction")
-        if node.pred.ty != node.ty:
-            raise _Refused("the predicate's annotation differs from the carried type")
-        check_type(T.types_map(), node.ty, allow_vars=False)
-        side, idx, prem = _find(T, node.name, node.goal)
-        make = Forall if node.goal else Exists
-        _match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
-               f"premise {node.name}")
+        side, idx = _quantified(T, node, Forall if node.goal else Exists)
         y = node.fresh
         if y.name in RESERVED:
             raise _Refused(f"{y} is interpreted and reserved")
@@ -252,15 +259,7 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
         return [T.extend_sig(y, node.ty).replace(side, idx, (opened,))]
 
     if isinstance(node, cert.KInstQuant):
-        if not isinstance(node.pred, Lam):
-            raise _Refused("the predicate is not a lambda abstraction")
-        if node.pred.ty != node.ty:
-            raise _Refused("the predicate's annotation differs from the carried type")
-        check_type(T.types_map(), node.ty, allow_vars=False)
-        side, idx, prem = _find(T, node.name, node.goal)
-        make = Exists if node.goal else Forall
-        _match(prem.formula, make(node.pred.var, node.ty, node.pred.body),
-               f"premise {node.name}")
+        side, idx = _quantified(T, node, Exists if node.goal else Forall)
         _fresh_premise(T, node.inst_name)
         annotate(T.types_map(), T.sig_map(), node.witness, node.ty)
         inst = Premise(node.inst_name, _apply_context(node.pred, node.witness))
