@@ -629,35 +629,32 @@ def leaves(c: KernelCert) -> list[Task]:
     return out
 
 
-_FINISH = object()
-
-
 def rebuild(root, expand, finish):
     """The value of the tree below root, built bottom-up on an explicit
     stack. expand(item) returns (head, items) and is called on every item
     in preorder, left to right; items is a sequence. An item whose items
     are empty is a leaf and its value is head; any other item's value is
     finish(head, the values of its items)."""
-    done: list = []
-    # _FINISH, under the item count and head, ends an item once the values
-    # of its items are the last entries of done
-    todo: list = [root]
-    while todo:
-        item = todo.pop()
-        if item is _FINISH:
-            n, head = todo.pop(), todo.pop()
-            split = len(done) - n
-            value = finish(head, done[split:])
-            del done[split:]
-            done.append(value)
-            continue
-        head, items = expand(item)
-        if items:
-            todo += (head, len(items), _FINISH)
-            todo += reversed(items)
+    head, items = expand(root)
+    if not items:
+        return head
+    # one frame per item being built: its head, the values of its items so
+    # far, and its items still to expand
+    stack = [(head, [], iter(items))]
+    while True:
+        head, values, todo = stack[-1]
+        for item in todo:
+            sub, items = expand(item)
+            if items:
+                stack.append((sub, [], iter(items)))
+                break
+            values.append(sub)
         else:
-            done.append(head)
-    return done[0]
+            stack.pop()
+            value = finish(head, values)
+            if not stack:
+                return value
+            stack[-1][1].append(value)
 
 
 def fill_holes(c, fillers):
@@ -921,7 +918,8 @@ def elaborate_node(item):
         tasks = checker.step(T, c, ())
     except checker.CheckError as e:
         raise CertError(e.failure.message) from e
-    return c, list(zip(cert_children(c), tasks))
+    return c, [(getattr(c, name), t)
+               for name, t in zip(_CHILD_FIELDS[type(c)], tasks)]
 
 
 def elaborate(s: SurfaceCert, T: Task) -> KernelCert:

@@ -529,7 +529,8 @@ def _blast_node(item):
 def _splice(step, kids):
     """A step's surface and kernel nodes with the certificates of the tasks
     it leaves in their holes."""
-    (s, k), (subs, kernels) = step, zip(*kids)
+    s, k = step
+    subs, kernels = zip(*kids)
     return cert.with_children(s, subs), cert.with_children(k, kernels)
 
 
