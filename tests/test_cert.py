@@ -200,6 +200,9 @@ def test_cert_loads_rejects_garbage():
         cert_loads("(KClear #t p G SHole)")
     with pytest.raises(CertError, match="KTrivial is not a SurfaceCert"):
         cert_loads("(SClear G (KTrivial #t G))")
+    # errors come in preorder: a node's kind before its subcertificates
+    with pytest.raises(CertError, match="SClear is not a KernelCert"):
+        cert_loads("(KClear #t p G (SClear G (KNothing)))")
     # so is a carried task that Task() refuses
     with pytest.raises(CertError, match="premise name H used twice"):
         cert_loads("(KHole (task (types) (sig) (hyps (H true)) "
