@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 
 from . import sexpr
 from .core import (
@@ -731,72 +730,147 @@ def cert_to_sexpr(c):
     return rebuild(c, _sexpr_node, list.__add__)
 
 
-def _decode_field(form, kind: type):
-    if kind is bool:
-        if not isinstance(form, bool):
-            raise CertError(f"expected #t/#f, got {form!r}")
-        return form
-    if kind is Ident:
-        if not isinstance(form, str):
-            raise CertError(f"expected an identifier, got {form!r}")
-        return ident(form)
-    if kind is Term:
-        return sexpr.term_from_sexpr(form)
-    if kind is Type:
-        return sexpr.type_from_sexpr(form)
-    if kind is Task:
-        return sexpr.task_from_sexpr(form)
-    raise CertError(f"unhandled payload kind {kind!r}")
-
-
 # field annotations name the payload kinds; this is the wire schema
 _KINDS = {"bool": bool, "Ident": Ident, "Term": Term, "Type": Type,
           "Task": Task, "KernelCert": KernelCert, "SurfaceCert": SurfaceCert}
 _PAYLOADS = {cls: tuple(_KINDS[f.type] for f in dataclasses.fields(cls))
              for cls in _BY_NAME.values()}
-# cert_from_sexpr passes a node's subcertificates after its other payloads
+# a node's subcertificates come after its other payloads
 assert all(tuple(f.name for f in dataclasses.fields(cls))
            [len(_PAYLOADS[cls]) - len(names):] == names
            for cls, names in _CHILD_FIELDS.items())
 
 
-def _cert_node(item):
-    """cert_from_sexpr's expand: item is a form and the kind its node must
-    have (None at the root). The node, or for a node with subcertificates
-    its constructor applied to its other payloads, and the subcertificates'
-    forms with their kinds."""
-    form, want = item
-    if form == "SHole":
-        cls, args, kids = SHole, (), ()
-    else:
-        if not (isinstance(form, list) and form and isinstance(form[0], str)):
-            raise CertError(f"bad certificate syntax {form!r}")
-        cls = _BY_NAME.get(form[0])
-        if cls is None:
-            raise CertError(f"unknown certificate constructor {form[0]}")
-        kinds = _PAYLOADS[cls]
-        if len(form) != len(kinds) + 1:
-            raise CertError(f"{form[0]} takes {len(kinds)} payloads, "
-                            f"got {len(form) - 1}")
-        split = len(form) - len(_CHILD_FIELDS[cls])
-        args = [_decode_field(f, kind)
-                for f, kind in zip(form[1:split], kinds)]
-        kids = list(zip(form[split:], kinds[split - 1:]))
-    if want is not None and not issubclass(cls, want):
-        raise CertError(f"{cls.__name__} is not a {want.__name__}")
-    return (partial(cls, *args), kids) if kids else (cls(*args), kids)
+def _read_bool(tokens, i, cache):
+    tok = tokens[i]
+    if tok == "#t":
+        return True, i + 1
+    if tok == "#f":
+        return False, i + 1
+    raise CertError(f"expected #t/#f, got {sexpr.form_at(tokens, i)!r}")
 
 
-def _called(make, args):
-    return make(*args)
+def _read_ident(tokens, i, cache):
+    name = cache[2].get(tokens[i]) or sexpr.read_ident(tokens, i, cache)
+    if name is None:
+        raise CertError(
+            f"expected an identifier, got {sexpr.form_at(tokens, i)!r}")
+    return name, i + 1
+
+
+_READERS = {bool: _read_bool, Ident: _read_ident, Term: sexpr.read_term,
+            Type: sexpr.read_type, Task: sexpr.read_task}
+
+
+def _schema(cls):
+    """The readers of cls's payloads before its subcertificates, the kinds
+    of its subcertificates, its number of payloads, and its own kind."""
+    kinds = _PAYLOADS[cls]
+    split = len(kinds) - len(_CHILD_FIELDS[cls])
+    return (tuple(_READERS[k] for k in kinds[:split]), kinds[split:],
+            len(kinds),
+            KernelCert if issubclass(cls, KernelCert) else SurfaceCert)
+
+
+_SCHEMA = {cls: _schema(cls) for cls in _BY_NAME.values()}
+
+
+def _node_misfit(tokens, o, widths) -> str | None:
+    name = tokens[o + 1]
+    n = _SCHEMA[_BY_NAME[name]][2]
+    if widths[o] == n + 1:
+        return None
+    return f"{name} takes {n} payloads, got {widths[o] - 1}"
+
+
+def _head_error(tokens, i) -> CertError:
+    """The error for a list at tokens[i] that names no constructor."""
+    head = tokens[i + 1]
+    if head in "()" or not isinstance(sexpr.form_at(tokens, i + 1), str):
+        return CertError(
+            f"bad certificate syntax {sexpr.form_at(tokens, i)!r}")
+    return CertError(f"unknown certificate constructor {head}")
+
+
+def _closed(tokens, i, frames) -> int:
+    """Close the innermost open node, whose payloads are all read: the
+    index after its )."""
+    if tokens[i] != ")":
+        raise CertError(sexpr.first_misfit(tokens, [frames[-1][3]],
+                                           _node_misfit))
+    frames.pop()
+    return i + 1
+
+
+def _read_cert(tokens, i, cache):
+    """The certificate at tokens[i] and the index after it (a reader as
+    sexpr's are). A node's payloads are read with sexpr's readers, then its
+    kind is checked against the one its parent's field wants, then its
+    subcertificates are read, so errors come in preorder."""
+    # per open node: its constructor, its values so far, its schema and
+    # its index
+    frames: list[tuple] = []
+    want = None  # the kind the next node must have; None at the root
+    try:
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                cls = _BY_NAME.get(tokens[i + 1])
+                if cls is None:
+                    raise _head_error(tokens, i)
+                schema = _SCHEMA[cls]
+                args: list = []
+                frames.append((cls, args, schema, i))
+                i += 2
+                for read in schema[0]:
+                    value, i = read(tokens, i, cache)
+                    args.append(value)
+                if want is not None and schema[3] is not want:
+                    raise CertError(f"{cls.__name__} is not a {want.__name__}")
+                if schema[1]:
+                    want = schema[1][0]
+                    continue
+                i = _closed(tokens, i, frames)
+                node = cls(*args)
+            elif tok == "SHole":
+                if want is KernelCert:
+                    raise CertError("SHole is not a KernelCert")
+                i += 1
+                node = SHole()
+            else:
+                raise CertError(
+                    f"bad certificate syntax {sexpr.form_at(tokens, i)!r}")
+            # give node to its parent, and close each node that completes
+            while frames:
+                cls, args, schema, _ = frames[-1]
+                args.append(node)
+                left = schema[2] - len(args)
+                if left:
+                    want = schema[1][-left]
+                    break
+                i = _closed(tokens, i, frames)
+                node = cls(*args)
+            else:
+                return node, i
+    except (CertError, sexpr.SexprError, TaskError, IndexError):
+        message = sexpr.first_misfit(tokens, [f[3] for f in frames],
+                                     _node_misfit)
+        if message is not None:
+            raise CertError(message) from None
+        raise
+
+
+def _read(read, data):
+    try:
+        return read(_read_cert, data)
+    except (sexpr.SexprError, TaskError) as e:
+        raise CertError(f"malformed certificate text: {e}") from e
 
 
 def cert_from_sexpr(form):
-    """The certificate the parsed form spells. Its formulas are read through
-    sexpr's shared tables, so a subterm structurally identical to one in a
-    live value read before, such as the parsed task it is checked against,
-    is that very object."""
-    return rebuild((form, None), _cert_node, _called)
+    """The certificate the parsed form spells, read as cert_loads reads
+    its text (the same reader, over the form's tokens)."""
+    return _read(sexpr.read_form, form)
 
 
 def cert_dumps(c) -> str:
@@ -805,11 +879,13 @@ def cert_dumps(c) -> str:
 
 def cert_loads(text: str):
     """The certificate `text` spells; CertError for text that spells none,
-    truncated or unbalanced text included."""
-    try:
-        return cert_from_sexpr(sexpr.loads(text))
-    except (sexpr.SexprError, TaskError) as e:
-        raise CertError(f"malformed certificate text: {e}") from e
+    truncated or unbalanced text included.
+
+    One pass over the text's tokens builds each node when its ) arrives.
+    Formulas are read through sexpr's shared tables, so a subterm
+    structurally identical to one in a live value read before, such as the
+    parsed task the certificate is checked against, is that very object."""
+    return _read(sexpr.read_text, text)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def parse_task(text: str) -> Task:
     refusal names the first premise that is not prop and why (see
     ill_typed_reason)."""
     try:
-        T = sexpr.task_from_sexpr(sexpr.loads(text))
+        T = sexpr.task_loads(text)
     except SexprError as e:
         raise TaskError(f"malformed task text: {e}") from e
     if well_typed(T):

@@ -11,11 +11,15 @@ Types:   prop  |  a (type variable)  |  (color)  |  (set ty)  |  (-> a b c)
 Tasks:   (task (types (c 0) ...) (sig (x ty) ...)
                (hyps (H t) ...) (goals (G t) ...))
 
-Text is split into tokens by one compiled regular expression; a line:col
-position is computed from a token's offset only for an error. The reader,
-the printer and the conversions between data and types, terms and tasks,
-both ways, work with explicit stacks, so nesting depth costs no Python
-recursion.
+Text is split into tokens by one compiled regular expression, in one
+pass, and one reader builds types, terms and tasks straight from the
+tokens (cert reads certificates with it): each node is built when its )
+arrives, on an explicit stack, so nesting depth costs no Python recursion.
+The form entries (type_from_sexpr, term_from_sexpr, task_from_sexpr) run
+the same reader over the tokens of a datum. loads and dumps read and print
+plain data, and the printer turns types, terms and tasks back into data,
+with explicit stacks too. A line:col position is computed from a token's
+offset only for an error, once the read has failed.
 
 Reading hash-conses types and terms through one weak table each, shared by
 every read (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006):
@@ -310,206 +314,497 @@ def _swept(value):
     return value
 
 
+
+
+# ---------------------------------------------------------------------------
+# The reader: one pass over a token list, building each type, term, task or
+# certificate node when its ) arrives, with an explicit stack per reader so
+# that nesting depth costs no recursion. read_type, read_term and read_task
+# (and cert's certificate reader) take (tokens, i, cache) and return the
+# value that starts at tokens[i] and the index after it; cache is the
+# per-read map of atom tokens to the term, type and Ident objects they
+# spell, as a tuple of three dicts. A reader checks a list's shape once it
+# has read the list; on an error it reports instead the first list open
+# around it, outermost first, whose shape is wrong (see first_misfit), so
+# errors come in preorder as a top-down reader finds them.
+
+def tokens(text: str) -> list[str]:
+    """The tokens of text, without its comments."""
+    toks = _TOKEN.findall(text)
+    if ";" in text:
+        toks = [t for t in toks if t[0] != ";"]
+    return toks
+
+
+def flatten(form) -> list[str]:
+    """The tokens of a datum: for data loads gives, tokens(dumps(form))."""
+    out: list[str] = []
+    append = out.append
+    # the iterators over the lists open around the one being walked
+    stack: list = []
+    items = iter((form,))
+    while True:
+        for v in items:
+            t = type(v)
+            if t is str:
+                append(v)
+            elif t is list or t is tuple:
+                append("(")
+                stack.append(items)
+                items = iter(v)
+                break
+            elif t is int:
+                append(str(v))
+            elif v is True:
+                append("#t")
+            elif v is False:
+                append("#f")
+            else:
+                raise SexprError(f"cannot read {v!r}")
+        else:
+            if not stack:
+                return out
+            append(")")
+            items = stack.pop()
+
+
+def read_form(read, form):
+    """The value read finds in the datum form, with a fresh cache; the
+    tables are swept after, if they have doubled."""
+    toks = flatten(form)
+    try:
+        value, i = read(toks, 0, ({}, {}, {}))
+    except IndexError:
+        # only a symbol ( or ) in form unbalances its tokens
+        raise SexprError(f"cannot read {form!r}") from None
+    if i != len(toks):
+        raise SexprError(f"cannot read {form!r}")
+    return _swept(value)
+
+
+def read_text(read, text: str):
+    """The value read finds in text, which must hold exactly one datum;
+    for text that does not, loads' error (an unbalanced parenthesis at its
+    line:col, or the number of data), checked on the error path only."""
+    toks = tokens(text)
+    try:
+        value, i = read(toks, 0, ({}, {}, {}))
+        if i != len(toks):
+            raise SexprError("expected one datum")
+    except Exception:
+        # whatever the read found, loads' error comes first
+        loads(text)
+        raise
+    return _swept(value)
+
+
+def form_at(tokens: list[str], i: int):
+    """The datum at tokens[i], as loads gives it; a list the tokens leave
+    open ends with them. For error messages."""
+    tok = tokens[i]
+    if tok != "(":
+        return tok if tok == ")" else _atom(tok)
+    out: list = []
+    top, stack = out, []
+    for j in range(i, len(tokens)):
+        tok = tokens[j]
+        if tok == "(":
+            inner: list = []
+            top.append(inner)
+            stack.append(top)
+            top = inner
+        elif tok == ")":
+            top = stack.pop()
+            if not stack:
+                break
+        else:
+            top.append(_atom(tok))
+    return out[0]
+
+
+def _widths(tokens: list[str], start: int) -> dict[int, int]:
+    """The number of elements of each list within the one opened at
+    tokens[start], by the index of its (; a list the tokens leave open
+    has the elements they give it."""
+    out: dict[int, int] = {}
+    opens: list[int] = []
+    for j in range(start, len(tokens)):
+        tok = tokens[j]
+        if opens and tok != ")":
+            out[opens[-1]] += 1
+        if tok == "(":
+            opens.append(j)
+            out[j] = 0
+        elif tok == ")":
+            opens.pop()
+            if not opens:
+                break
+    return out
+
+
+def first_misfit(tokens: list[str], opens: list[int], check) -> str | None:
+    """check(tokens, o, widths) for each list opened at an index o in
+    opens, nested and outermost first: the first message it gives (a list
+    of the wrong shape), or None. widths is _widths of the outermost."""
+    if opens:
+        widths = _widths(tokens, opens[0])
+        for o in opens:
+            message = check(tokens, o, widths)
+            if message is not None:
+                return message
+    return None
+
+
+# a token that starts with none of these is a symbol: a parenthesis, #t,
+# #f and every integer start with one
+_MAYBE_NO_SYMBOL = "()#+-0123456789"
+
+
+def _is_symbol(tok: str) -> bool:
+    return tok[0] not in _MAYBE_NO_SYMBOL \
+        or tok not in "()" and type(_atom(tok)) is str
+
+
+def read_ident(tokens: list[str], i: int, cache) -> Ident | None:
+    """The identifier the symbol at tokens[i] names; None if no symbol is
+    there."""
+    tok = tokens[i]
+    name = cache[2].get(tok)
+    if name is None and _is_symbol(tok):
+        name = cache[2][tok] = ident(tok)
+    return name
+
+
 def type_from_sexpr(form) -> Type:
-    return _swept(_type(form))
+    return read_form(read_type, form)
 
 
 def term_from_sexpr(form) -> Term:
-    return _swept(_term(form))
+    return read_form(read_term, form)
 
 
 def task_from_sexpr(form) -> Task:
-    return _swept(_task(form))
+    return read_form(read_task, form)
 
 
-_BINOPS = {"and", "or", "imp", "iff"}
-_BINDERS = {"forall": Forall, "exists": Exists, "lam": Lam}
-
-# Steps on a reader's stack: each sits above the form it applies to. _READ
-# reads the form; the others build the node of an already read list form
-# from the finished nodes the form's elements left. Reading is bottom-up
-# with an explicit stack, so nesting depth costs no recursion.
-_READ, _ARROWS, _TAPP, _NOT, _BINOP, _BINDER, _PI, _APP = range(8)
+def task_loads(text: str) -> Task:
+    """The task text spells; SexprError for text that spells none,
+    TaskError for a task that Task() refuses."""
+    return read_text(read_task, text)
 
 
-def _type(form) -> Type:
+# ---------------------------------------------------------------------------
+# Types
+
+def _type_atom(tok: str, atoms: dict) -> Type:
+    if tok == ")":
+        raise SexprError("expected a type, found )")
+    a = tok if tok[0] not in _MAYBE_NO_SYMBOL else _atom(tok)
+    if a == "prop":
+        ty = PROP
+    elif type(a) is str:
+        ty = _TYPES.get(a, _MISS)()
+        if ty is None:
+            ty = TVar(ident(a))
+            _TYPES[a] = ref(ty)
+    else:
+        raise SexprError(f"bad type syntax {a!r}")
+    atoms[tok] = ty
+    return ty
+
+
+def _type_misfit(tokens, o, widths) -> str | None:
+    if tokens[o + 1] == "->" and widths[o] < 3:
+        return "-> needs at least two types"
+    return None
+
+
+def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
+    atoms = cache[1]
+    tok = tokens[i]
+    if tok != "(":
+        ty = atoms.get(tok)
+        return (ty if ty is not None else _type_atom(tok, atoms)), i + 1
     memo = _TYPES
     done: list[Type] = []
-    todo = [form, _READ]
-    while todo:
-        step = todo.pop()
-        f = todo.pop()
-        if step == _READ:
-            if f == "prop":
-                done.append(PROP)
-            elif isinstance(f, str):
-                ty = memo.get(f, _MISS)()
-                if ty is None:
-                    ty = TVar(ident(f))
-                    memo[f] = ref(ty)
-                done.append(ty)
-            elif not (isinstance(f, list) and f):
-                raise SexprError(f"bad type syntax {f!r}")
-            elif f[0] == "->":
-                if len(f) < 3:
-                    raise SexprError("-> needs at least two types")
-                todo += (f, _ARROWS)
-                for g in reversed(f[1:]):
-                    todo += (g, _READ)
-            elif not isinstance(f[0], str):
-                raise SexprError(f"bad type head {f[0]!r}")
+    # per open list: its head, where its elements start in done, its index
+    frames: list[tuple[str, int, int]] = []
+    try:
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                head = tokens[i + 1]
+                if not _is_symbol(head):
+                    if head == ")":
+                        raise SexprError("bad type syntax []")
+                    raise SexprError(
+                        f"bad type head {form_at(tokens, i + 1)!r}")
+                frames.append((head, len(done), i))
+                i += 2
+                continue
+            i += 1
+            if tok != ")":
+                ty = atoms.get(tok)
+                done.append(ty if ty is not None else _type_atom(tok, atoms))
+                continue
+            head, start, o = frames.pop()
+            args = done[start:]
+            del done[start:]
+            if head == "->":
+                if len(args) < 2:
+                    raise SexprError(_type_misfit(tokens, o, _widths(tokens, o)))
+                ty = args[-1]
+                for left in reversed(args[:-1]):
+                    key = (Arrow, id(left), id(ty))
+                    got = memo.get(key, _MISS)()
+                    if got is None:
+                        got = Arrow(left, ty)
+                        memo[key] = ref(got)
+                    ty = got
             else:
-                todo += (f, _TAPP)
-                for g in reversed(f[1:]):
-                    todo += (g, _READ)
-            continue
-        n = len(f) - 1
-        args = done[-n:] if n else []
-        del done[len(done) - n:]
-        if step == _ARROWS:
-            ty = args[-1]
-            for left in reversed(args[:-1]):
-                key = (Arrow, id(left), id(ty))
-                got = memo.get(key, _MISS)()
-                if got is None:
-                    got = Arrow(left, ty)
-                    memo[key] = ref(got)
-                ty = got
-        else:
-            key = (f[0], *map(id, args))
-            ty = memo.get(key, _MISS)()
-            if ty is None:
-                ty = TApp(ident(f[0]), tuple(args))
-                memo[key] = ref(ty)
-        done.append(ty)
-    return done[0]
+                key = (head, *map(id, args))
+                ty = memo.get(key, _MISS)()
+                if ty is None:
+                    ty = TApp(ident(head), tuple(args))
+                    memo[key] = ref(ty)
+            if not frames:
+                return ty, i
+            done.append(ty)
+    except (SexprError, IndexError):
+        message = first_misfit(tokens, [f[2] for f in frames], _type_misfit)
+        if message is not None:
+            raise SexprError(message) from None
+        raise
 
 
-def _term(form) -> Term:
+# ---------------------------------------------------------------------------
+# Terms
+
+_BINDERS = {"forall": Forall, "exists": Exists, "lam": Lam}
+# What a list does, by its head: the keyword ones read their head as a
+# keyword, any other list is an application of its first element.
+_NOT, _BINOP, _BINDER, _PI, _APP, _EQ = range(6)
+_HEADS = {"not": _NOT, "and": _BINOP, "or": _BINOP, "imp": _BINOP,
+          "iff": _BINOP, "forall": _BINDER, "exists": _BINDER,
+          "lam": _BINDER, "pi": _PI, "=": _EQ}
+
+
+def _term_atom(tok: str, atoms: dict) -> Term:
+    if tok == ")":
+        raise SexprError("expected a term, found )")
+    a = tok if tok[0] not in _MAYBE_NO_SYMBOL else _atom(tok)
+    if type(a) is bool:
+        raise SexprError("booleans are not terms; use true/false")
+    t = _TERMS.get(a, _MISS)()
+    if t is None:
+        t = (IntLit(a) if type(a) is int
+             else Top() if a == "true"
+             else Bottom() if a == "false"
+             else Var(ident(a)))
+        _TERMS[a] = ref(t)
+    atoms[tok] = t
+    return t
+
+
+def _term_misfit(tokens, o, widths) -> str | None:
+    head = tokens[o + 1]
+    step = _HEADS.get(head, _APP)
+    width = widths[o]
+    if step == _NOT:
+        return None if width == 2 else "not takes one argument"
+    if step == _BINOP or step == _EQ:
+        return None if width == 3 else f"{head} takes two arguments"
+    if step == _PI:
+        return None if width == 3 else "pi expects (pi a body)"
+    if step == _BINDER and not (width == 3 and widths.get(o + 2) == 2):
+        return f"{head} expects ({head} (x type) body)"
+    return None
+
+
+def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
+    atoms = cache[0]
+    tok = tokens[i]
+    if tok != "(":
+        t = atoms.get(tok)
+        return (t if t is not None else _term_atom(tok, atoms)), i + 1
     memo = _TERMS
     done: list[Term] = []
-    todo = [form, _READ]
-    while todo:
-        step = todo.pop()
-        f = todo.pop()
-        if step == _READ:
-            if isinstance(f, bool):
-                raise SexprError("booleans are not terms; use true/false")
-            if isinstance(f, (int, str)):
-                t = memo.get(f, _MISS)()
-                if t is None:
-                    t = (IntLit(f) if isinstance(f, int)
-                         else Top() if f == "true"
-                         else Bottom() if f == "false"
-                         else Var(ident(f)))
-                    memo[f] = ref(t)
-                done.append(t)
+    # per open list: its step, what the step builds with besides the
+    # elements, where its elements start in done, its index
+    frames: list[tuple] = []
+    try:
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                head = tokens[i + 1]
+                step = _HEADS.get(head, _APP)
+                if step <= _BINOP:
+                    frames.append((step, head, len(done), i))
+                    i += 2
+                elif step >= _APP:
+                    if head == ")":
+                        raise SexprError("bad term syntax []")
+                    # the head is the first element
+                    frames.append((step, None, len(done), i))
+                    i += 1
+                elif step == _PI:
+                    if not _is_symbol(tokens[i + 2]):
+                        raise SexprError("pi expects (pi a body)")
+                    frames.append((_PI, tokens[i + 2], len(done), i))
+                    i += 3
+                else:
+                    # (forall (x type) body): its type goes before its body
+                    frames.append((_BINDER, head, len(done), i))
+                    if tokens[i + 2] != "(" or not _is_symbol(tokens[i + 3]):
+                        raise SexprError(
+                            f"{head} expects ({head} (x type) body)")
+                    ty, i = read_type(tokens, i + 4, cache)
+                    if tokens[i] != ")":
+                        raise SexprError(
+                            f"{head} expects ({head} (x type) body)")
+                    done.append(ty)
+                    i += 1
                 continue
-            if not isinstance(f, list) or not f:
-                raise SexprError(f"bad term syntax {f!r}")
-            head = f[0]
-            if head == "not":
-                if len(f) != 2:
-                    raise SexprError("not takes one argument")
-                todo += (f, _NOT, f[1], _READ)
-            elif isinstance(head, str) and head in _BINOPS:
-                if len(f) != 3:
-                    raise SexprError(f"{head} takes two arguments")
-                todo += (f, _BINOP, f[2], _READ, f[1], _READ)
-            elif isinstance(head, str) and head in _BINDERS:
-                if len(f) != 3 or not (isinstance(f[1], list)
-                                       and len(f[1]) == 2
-                                       and isinstance(f[1][0], str)):
-                    raise SexprError(
-                        f"{head} expects ({head} (x type) body)")
-                binder = (_BINDERS[head], f[1][0], _type(f[1][1]))
-                todo += (binder, _BINDER, f[2], _READ)
-            elif head == "pi":
-                if len(f) != 3 or not isinstance(f[1], str):
-                    raise SexprError("pi expects (pi a body)")
-                todo += (f[1], _PI, f[2], _READ)
-            else:
-                if head == "=" and len(f) != 3:
+            i += 1
+            if tok != ")":
+                t = atoms.get(tok)
+                done.append(t if t is not None else _term_atom(tok, atoms))
+                continue
+            step, data, start, o = frames.pop()
+            n = len(done) - start
+            if step == _BINOP:
+                if n != 2:
+                    raise SexprError(f"{data} takes two arguments")
+                right = done.pop()
+                left = done.pop()
+                key = (data, id(left), id(right))
+                t = memo.get(key, _MISS)()
+                if t is None:
+                    t = BinOp(data, left, right)
+                    memo[key] = ref(t)
+            elif step >= _APP:
+                if step == _EQ and n != 3:
                     raise SexprError("= takes two arguments")
-                # plain application, left-associated
-                todo += (f, _APP)
-                for g in reversed(f):
-                    todo += (g, _READ)
-            continue
-        if step == _APP:
-            n = len(f)
-            args = done[-n:]
-            del done[-n:]
-            t = args[0]
-            for a in args[1:]:
-                key = (App, id(t), id(a))
-                got = memo.get(key, _MISS)()
-                if got is None:
-                    got = App(t, a)
-                    memo[key] = ref(got)
-                t = got
-            done.append(t)
-            continue
-        body = done.pop()
-        if step == _NOT:
-            key = (Not, id(body))
-        elif step == _BINOP:
-            left = done.pop()
-            key = (f[0], id(left), id(body))
-        elif step == _BINDER:
-            key = (f[0], f[1], id(f[2]), id(body))
-        else:
-            key = (PiType, f, id(body))
-        t = memo.get(key, _MISS)()
-        if t is None:
-            if step == _NOT:
-                t = Not(body)
-            elif step == _BINOP:
-                t = BinOp(f[0], left, body)
-            elif step == _BINDER:
-                t = f[0](ident(f[1]), f[2], body)
+                # application, left-associated
+                t = done[start]
+                for k in range(start + 1, len(done)):
+                    a = done[k]
+                    key = (App, id(t), id(a))
+                    got = memo.get(key, _MISS)()
+                    if got is None:
+                        got = App(t, a)
+                        memo[key] = ref(got)
+                    t = got
+                del done[start:]
             else:
-                t = PiType(ident(f), body)
-            memo[key] = ref(t)
-        done.append(t)
-    return done[0]
+                if n != (2 if step == _BINDER else 1):
+                    raise SexprError(
+                        _term_misfit(tokens, o, _widths(tokens, o)))
+                body = done.pop()
+                if step == _NOT:
+                    key = (Not, id(body))
+                elif step == _BINDER:
+                    ty = done.pop()
+                    cls, x = _BINDERS[data], tokens[o + 3]
+                    key = (cls, x, id(ty), id(body))
+                else:
+                    key = (PiType, data, id(body))
+                t = memo.get(key, _MISS)()
+                if t is None:
+                    t = (Not(body) if step == _NOT
+                         else cls(ident(x), ty, body) if step == _BINDER
+                         else PiType(ident(data), body))
+                    memo[key] = ref(t)
+            if not frames:
+                return t, i
+            done.append(t)
+    except (SexprError, IndexError):
+        message = first_misfit(tokens, [f[3] for f in frames], _term_misfit)
+        if message is not None:
+            raise SexprError(message) from None
+        raise
 
 
-def _task(form) -> Task:
+# ---------------------------------------------------------------------------
+# Tasks
+
+_SECTIONS = ("types", "sig", "hyps", "goals")
+
+
+def _task_misfit(form) -> str | None:
     if not (isinstance(form, list) and form and form[0] == "task"):
-        raise SexprError("task form must start with (task ...)")
-    seen = []
+        return "task form must start with (task ...)"
     for part in form[1:]:
-        if not (isinstance(part, list) and part
-                and part[0] in ("types", "sig", "hyps", "goals")):
-            raise SexprError(f"unknown task section {part!r}")
-        seen.append(part[0])
-    if seen != ["types", "sig", "hyps", "goals"]:
-        raise SexprError("a task needs exactly the sections "
-                         "(types ...) (sig ...) (hyps ...) (goals ...)")
-    types_f, sig_f, hyps_f, goals_f = (part[1:] for part in form[1:])
-    types = []
-    for entry in types_f:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str)
-                and isinstance(entry[1], int)):
-            raise SexprError(f"bad type declaration {entry!r}")
-        types.append((ident(entry[0]), entry[1]))
-    sig = []
-    for entry in sig_f:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str)):
-            raise SexprError(f"bad signature entry {entry!r}")
-        sig.append((ident(entry[0]), _type(entry[1])))
+        if not (isinstance(part, list) and part and part[0] in _SECTIONS):
+            return f"unknown task section {part!r}"
+    if [part[0] for part in form[1:]] != list(_SECTIONS):
+        return ("a task needs exactly the sections "
+                "(types ...) (sig ...) (hyps ...) (goals ...)")
+    return None
 
-    def premises(entries):
-        out = []
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and isinstance(entry[0], str)):
-                raise SexprError(f"bad premise {entry!r}")
-            out.append(Premise(ident(entry[0]), _term(entry[1])))
-        return tuple(out)
 
-    return Task(types=tuple(types), sig=tuple(sig),
-                hyps=premises(hyps_f), goals=premises(goals_f))
+def _entry_misfit(section: str, entry) -> str | None:
+    if isinstance(entry, list) and len(entry) == 2 \
+            and isinstance(entry[0], str) \
+            and (section != "types" or isinstance(entry[1], int)):
+        return None
+    what = {"types": "bad type declaration", "sig": "bad signature entry"}
+    return f"{what.get(section, 'bad premise')} {entry!r}"
+
+
+def _task_error(tokens, start, section, entry) -> str | None:
+    """The first misfit of the task at tokens[start]: its sections, then
+    the entry at tokens[entry] of that section, if any."""
+    message = _task_misfit(form_at(tokens, start))
+    if message is None and entry is not None:
+        message = _entry_misfit(section, form_at(tokens, entry))
+    return message
+
+
+def read_task(tokens: list[str], i: int, cache) -> tuple[Task, int]:
+    start, section, entry = i, None, None
+    parts: list[list] = []
+    try:
+        if tokens[i] != "(" or tokens[i + 1] != "task":
+            raise SexprError("task form must start with (task ...)")
+        i += 2
+        for section in _SECTIONS:
+            if tokens[i] != "(" or tokens[i + 1] != section:
+                raise SexprError(_task_error(tokens, start, None, None))
+            i += 2
+            entries: list = []
+            entry = None
+            while tokens[i] != ")":
+                entry = i
+                name = (read_ident(tokens, i + 1, cache)
+                        if tokens[i] == "(" else None)
+                if name is None:
+                    raise SexprError(_task_error(tokens, start, section, entry))
+                i += 2
+                if section == "types":
+                    arity = _atom(tokens[i]) if tokens[i] not in "()" else None
+                    if not isinstance(arity, int):
+                        raise SexprError(
+                            _task_error(tokens, start, section, entry))
+                    entries.append((name, arity))
+                    i += 1
+                elif section == "sig":
+                    ty, i = read_type(tokens, i, cache)
+                    entries.append((name, ty))
+                else:
+                    t, i = read_term(tokens, i, cache)
+                    entries.append(Premise(name, t))
+                if tokens[i] != ")":
+                    raise SexprError(_task_error(tokens, start, section, entry))
+                i += 1
+            i += 1
+            parts.append(entries)
+        if tokens[i] != ")":
+            raise SexprError(_task_error(tokens, start, None, None))
+    except (SexprError, IndexError):
+        message = _task_error(tokens, start, section, entry)
+        if message is not None:
+            raise SexprError(message) from None
+        raise
+    types, sig, hyps, goals = map(tuple, parts)
+    return Task(types=types, sig=sig, hyps=hyps, goals=goals), i + 1

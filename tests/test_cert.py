@@ -807,6 +807,87 @@ def test_parsed_data_shares_no_list():
     assert k.left is k.right
 
 
+def _one_reader_cases():
+    """Name -> (task, certificate text): the samples (task None), blast's
+    kernel certificates for the chains 1..12, and a t_instantiate and a
+    t_rewrite kernel certificate on polymorphic tasks, each with the task
+    it applies to, read from its text."""
+    cases = {type(c).__name__: (None, cert_dumps(c))
+             for c in KERNEL_SAMPLES + SURFACE_SAMPLES}
+    for n in range(1, 13):
+        T = parse_task(sexpr.dumps(sexpr.task_to_sexpr(gen_chain_task(n))))
+        cases[f"chain_{n}"] = (T, cert_dumps(elaborate(t_blast(T)[1], T)))
+    T = parse_task(_OPEN_WITNESS.format("d"))
+    _, s = t_instantiate(T, H, var("d"))
+    cases["instantiate"] = (T, cert_dumps(elaborate(s, T)))
+    T = parse_task(_POLY_SIDE.format("(E (= e f)) (H (p e))", "(G (p f))"))
+    cases["rewrite"] = (T, cert_dumps(elaborate(t_rewrite(T, _E, H)[1], T)))
+    return cases
+
+
+def _payloads(c):
+    """The formulas and types c carries, its holes' tasks' included."""
+    for node in _nodes(c):
+        for f in dataclasses.fields(node):
+            v = getattr(node, f.name)
+            if isinstance(v, (core.Term, core.Type)):
+                yield v
+            elif isinstance(v, Task):
+                yield from (ty for _, ty in v.sig)
+                yield from (p.formula for p in v.premises())
+
+
+def _from_form(text):
+    """cert_from_sexpr on the data of text, loads' error as cert_loads
+    words it."""
+    try:
+        form = sexpr.loads(text)
+    except sexpr.SexprError as e:
+        raise CertError(f"malformed certificate text: {e}") from e
+    return cert.cert_from_sexpr(form)
+
+
+def test_the_text_and_the_form_entry_are_one_reader():
+    shared = 0
+    for T, text in _one_reader_cases().values():
+        loaded, from_form = cert_loads(text), _from_form(text)
+        assert loaded == from_form
+        # read while the first read lives: the very same objects
+        assert all(a is b for a, b in zip(_payloads(loaded),
+                                          _payloads(from_form)))
+        if T is None:
+            continue
+        held = {t: t for p in T.premises() for t in core.subterms(p.formula)}
+        for t in _payloads(loaded):
+            if t in held:
+                assert t is held[t]
+                shared += 1
+    assert shared > 100
+
+
+def _outcome(read, text):
+    try:
+        return cert_dumps(read(text))
+    except CertError as e:
+        return f"CertError: {e}"
+
+
+@pytest.mark.parametrize("name", ["chain_3", "instantiate", "rewrite"])
+def test_the_text_and_the_form_entry_refuse_damage_alike(name):
+    # every truncation and every one-token deletion: the same certificate
+    # or the same CertError from both
+    text = _one_reader_cases()[name][1]
+    tokens = sexpr.tokens(text)
+    truncated = [text[:n] for n in range(len(text))]
+    deleted = [" ".join(tokens[:k] + tokens[k + 1:])
+               for k in range(len(tokens))]
+    for t in truncated + deleted:
+        got = _outcome(cert_loads, t)
+        assert got == _outcome(_from_form, t)
+        if t in truncated:
+            assert got.startswith("CertError: ")
+
+
 @contextlib.contextmanager
 def _recursion_limit(limit):
     old = sys.getrecursionlimit()
@@ -830,6 +911,10 @@ _DEEP_TEXTS = {
     "application": "(KAxiom " + _deep("(f ", "x") + " H G)",
     "binder": "(KAxiom " + _deep("(forall (x (int)) ", "p") + " H G)",
     "type": "(SInstType H H1 " + _deep("(set ", "(int)") + " SHole)",
+    "hole_goal": "(KHole (task (types) (sig (p prop)) (hyps) (goals (G "
+                 + _deep("(not ", "p") + "))))",
+    "hole_signature": "(KHole (task (types (set 1)) (sig (s "
+                      + _deep("(set ", "prop") + ")) (hyps) (goals (G true))))",
 }
 
 

@@ -140,6 +140,22 @@ def test_parse_rejects_non_propositional_premise(tmp_path, capsys):
     assert "premise G has type (int), not prop" in capsys.readouterr().err
 
 
+def test_parse_task_words_the_readers_errors_as_task_errors():
+    # the text is read in one pass; its faults keep the reader's wording
+    for text, message in [
+        ("(task (types) (sig) (hyps (H (and true))) (goals))",
+         "and takes two arguments"),
+        ("(task (types) (sig) (hyps) (goals (G true))", "1:1: unclosed ("),
+        ("(task (types) (sig) (hyps)) (goals))", "1:36: unmatched )"),
+        ("(task (types) (sig) (hyps) (goals)) x", "expected one datum, found 2"),
+        ("(task (types (c x)) (sig) (hyps) (goals))",
+         "bad type declaration ['c', 'x']"),
+    ]:
+        with pytest.raises(TaskError) as e:
+            parse_task(text)
+        assert str(e.value) == f"malformed task text: {message}"
+
+
 def test_parse_task_judges_premises_against_prop():
     T = parse_task("(task (types) (sig (choose a)) (hyps) (goals (G choose)))")
     assert T.goals[0].formula == var("choose")

@@ -426,3 +426,25 @@ def test_a_deep_term_prints_without_recursion(term, text):
 def test_a_deep_type_prints_without_recursion(ty, text):
     assert _print_under_default_limit(
         lambda ty: dumps(type_to_sexpr(ty)), ty) == text
+
+
+@pytest.mark.parametrize("text", [
+    "(task (types) (sig (p prop)) (hyps) (goals (G "
+    + "(not " * _DEEP + "p" + ")" * _DEEP + ")))",
+    "(task (types (set 1)) (sig (s " + "(set " * _DEEP + "prop"
+    + ")" * _DEEP + ")) (hyps) (goals (G true)))",
+], ids=["goal", "signature"])
+def test_task_loads_reads_deep_nesting_without_recursion(text):
+    # a reader that recursed per level fails under the default limit
+    outcomes = []
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for t in (text, text[:-1]):
+            try:
+                outcomes.append(type(sexpr.task_loads(t)).__name__)
+            except (SexprError, RecursionError) as e:
+                outcomes.append(type(e).__name__)
+    finally:
+        sys.setrecursionlimit(old)
+    assert outcomes == ["Task", "SexprError"]
