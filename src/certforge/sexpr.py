@@ -465,13 +465,26 @@ def _is_symbol(tok: str) -> bool:
         or tok not in "()" and type(_atom(tok)) is str
 
 
+# Identifiers by symbol, across reads: an Ident is a value, so one object
+# serves every read of its name. Cleared once it holds _IDENTS_MAX names.
+_IDENTS: dict[str, Ident] = {}
+_IDENTS_MAX = 4096
+
+
 def read_ident(tokens: list[str], i: int, cache) -> Ident | None:
     """The identifier the symbol at tokens[i] names; None if no symbol is
     there."""
     tok = tokens[i]
     name = cache[2].get(tok)
-    if name is None and _is_symbol(tok):
-        name = cache[2][tok] = ident(tok)
+    if name is None:
+        name = _IDENTS.get(tok)
+        if name is None:
+            if not _is_symbol(tok):
+                return None
+            if len(_IDENTS) >= _IDENTS_MAX:
+                _IDENTS.clear()
+            name = _IDENTS[tok] = ident(tok)
+        cache[2][tok] = name
     return name
 
 
@@ -520,6 +533,7 @@ def _type_misfit(tokens, o, widths) -> str | None:
 
 
 def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
+    """The type at tokens[i] and the index after it."""
     atoms = cache[1]
     tok = tokens[i]
     if tok != "(":
@@ -552,7 +566,8 @@ def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
             del done[start:]
             if head == "->":
                 if len(args) < 2:
-                    raise SexprError(_type_misfit(tokens, o, _widths(tokens, o)))
+                    raise SexprError(
+                        _type_misfit(tokens, o, _widths(tokens, o)))
                 ty = args[-1]
                 for left in reversed(args[:-1]):
                     key = (Arrow, id(left), id(ty))
@@ -622,6 +637,7 @@ def _term_misfit(tokens, o, widths) -> str | None:
 
 
 def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
+    """The term at tokens[i] and the index after it."""
     atoms = cache[0]
     tok = tokens[i]
     if tok != "(":
@@ -762,6 +778,8 @@ def _task_error(tokens, start, section, entry) -> str | None:
 
 
 def read_task(tokens: list[str], i: int, cache) -> tuple[Task, int]:
+    """The task at tokens[i] and the index after it; TaskError for one
+    that Task() refuses."""
     start, section, entry = i, None, None
     parts: list[list] = []
     try:
