@@ -751,7 +751,7 @@ def _read_bool(tokens, i, cache):
 
 
 def _read_ident(tokens, i, cache):
-    name = cache[2].get(tokens[i]) or sexpr.read_ident(tokens, i, cache)
+    name = sexpr.read_ident(tokens, i)
     if name is None:
         raise CertError(
             f"expected an identifier, got {sexpr.form_at(tokens, i)!r}")
@@ -775,12 +775,11 @@ def _schema(cls):
 _SCHEMA = {cls: _schema(cls) for cls in _BY_NAME.values()}
 
 
-def _node_misfit(tokens, o, widths) -> str | None:
+def _node_misfit(tokens, o, lists) -> str | None:
     name = tokens[o + 1]
     n = _SCHEMA[_BY_NAME[name]][2]
-    if widths[o] == n + 1:
-        return None
-    return f"{name} takes {n} payloads, got {widths[o] - 1}"
+    got = len(lists[o]) - 1
+    return None if got == n else f"{name} takes {n} payloads, got {got}"
 
 
 def _head_error(tokens, i) -> CertError:

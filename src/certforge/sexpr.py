@@ -108,6 +108,14 @@ def _unbalanced(text: str) -> SexprError:
     return SexprError(f"{_pos(text, opens[-1])}: unclosed (")
 
 
+def tokens(text: str) -> list[str]:
+    """The tokens of text, without its comments."""
+    toks = _TOKEN.findall(text)
+    if ";" in text:
+        toks = [t for t in toks if t[0] != ";"]
+    return toks
+
+
 def _atom(tok: str):
     if tok == "#t":
         return True
@@ -119,31 +127,41 @@ def _atom(tok: str):
     return tok
 
 
-def loads_many(text: str) -> list:
-    """All toplevel data in text. Symbols come back as plain strings, lists
-    as fresh lists: no two share a list object."""
+def _data(toks: list[str], made: list | None = None):
+    """The data the tokens toks spell, lists as fresh lists, and the number
+    of lists the tokens leave open; None for a ) that closes no list. Each
+    list is also appended to made, if given, as its ( is read."""
     out: list = []
     top = out
     stack: list[list] = []
     atoms: dict[str, object] = {}
-    for tok in _TOKEN.findall(text):
+    for tok in toks:
         if tok == "(":
             inner: list = []
             top.append(inner)
             stack.append(top)
             top = inner
+            if made is not None:
+                made.append(inner)
         elif tok == ")":
             if not stack:
-                raise _unbalanced(text)
+                return None
             top = stack.pop()
-        elif tok[0] != ";":
+        else:
             a = atoms.get(tok)
             if a is None:
                 a = atoms[tok] = _atom(tok)
             top.append(a)
-    if stack:
+    return out, len(stack)
+
+
+def loads_many(text: str) -> list:
+    """All toplevel data in text. Symbols come back as plain strings, lists
+    as fresh lists: no two share a list object."""
+    got = _data(tokens(text))
+    if got is None or got[1]:
         raise _unbalanced(text)
-    return out
+    return got[0]
 
 
 def loads(text: str):
@@ -322,19 +340,11 @@ def _swept(value):
 # that nesting depth costs no recursion. read_type, read_term and read_task
 # (and cert's certificate reader) take (tokens, i, cache) and return the
 # value that starts at tokens[i] and the index after it; cache is the
-# per-read map of atom tokens to the term, type and Ident objects they
-# spell, as a tuple of three dicts. A reader checks a list's shape once it
+# per-read map of atom tokens to the term and type objects they spell, as
+# a pair of dicts. A reader checks a list's shape once it
 # has read the list; on an error it reports instead the first list open
 # around it, outermost first, whose shape is wrong (see first_misfit), so
 # errors come in preorder as a top-down reader finds them.
-
-def tokens(text: str) -> list[str]:
-    """The tokens of text, without its comments."""
-    toks = _TOKEN.findall(text)
-    if ";" in text:
-        toks = [t for t in toks if t[0] != ";"]
-    return toks
-
 
 def flatten(form) -> list[str]:
     """The tokens of a datum: for data loads gives, tokens(dumps(form))."""
@@ -373,7 +383,7 @@ def read_form(read, form):
     tables are swept after, if they have doubled."""
     toks = flatten(form)
     try:
-        value, i = read(toks, 0, ({}, {}, {}))
+        value, i = read(toks, 0, ({}, {}))
     except IndexError:
         # only a symbol ( or ) in form unbalances its tokens
         raise SexprError(f"cannot read {form!r}") from None
@@ -388,7 +398,7 @@ def read_text(read, text: str):
     line:col, or the number of data), checked on the error path only."""
     toks = tokens(text)
     try:
-        value, i = read(toks, 0, ({}, {}, {}))
+        value, i = read(toks, 0, ({}, {}))
         if i != len(toks):
             raise SexprError("expected one datum")
     except Exception:
@@ -398,58 +408,41 @@ def read_text(read, text: str):
     return _swept(value)
 
 
+def _lists(tokens: list[str], start: int) -> dict[int, list]:
+    """The lists within the one opened at tokens[start], as loads gives
+    them, by the index of their (; a list the tokens leave open has the
+    elements they give it. For error messages."""
+    opens, depth = [], 0
+    for j in range(start, len(tokens)):
+        if tokens[j] == "(":
+            opens.append(j)
+            depth += 1
+        elif tokens[j] == ")":
+            depth -= 1
+            if not depth:
+                break
+    made: list[list] = []
+    _data(tokens[start:j + 1], made)
+    return dict(zip(opens, made))
+
+
 def form_at(tokens: list[str], i: int):
     """The datum at tokens[i], as loads gives it; a list the tokens leave
     open ends with them. For error messages."""
     tok = tokens[i]
     if tok != "(":
         return tok if tok == ")" else _atom(tok)
-    out: list = []
-    top, stack = out, []
-    for j in range(i, len(tokens)):
-        tok = tokens[j]
-        if tok == "(":
-            inner: list = []
-            top.append(inner)
-            stack.append(top)
-            top = inner
-        elif tok == ")":
-            top = stack.pop()
-            if not stack:
-                break
-        else:
-            top.append(_atom(tok))
-    return out[0]
-
-
-def _widths(tokens: list[str], start: int) -> dict[int, int]:
-    """The number of elements of each list within the one opened at
-    tokens[start], by the index of its (; a list the tokens leave open
-    has the elements they give it."""
-    out: dict[int, int] = {}
-    opens: list[int] = []
-    for j in range(start, len(tokens)):
-        tok = tokens[j]
-        if opens and tok != ")":
-            out[opens[-1]] += 1
-        if tok == "(":
-            opens.append(j)
-            out[j] = 0
-        elif tok == ")":
-            opens.pop()
-            if not opens:
-                break
-    return out
+    return _lists(tokens, i)[i]
 
 
 def first_misfit(tokens: list[str], opens: list[int], check) -> str | None:
-    """check(tokens, o, widths) for each list opened at an index o in
+    """check(tokens, o, lists) for each list opened at an index o in
     opens, nested and outermost first: the first message it gives (a list
-    of the wrong shape), or None. widths is _widths of the outermost."""
+    of the wrong shape), or None. lists is _lists of the outermost."""
     if opens:
-        widths = _widths(tokens, opens[0])
+        lists = _lists(tokens, opens[0])
         for o in opens:
-            message = check(tokens, o, widths)
+            message = check(tokens, o, lists)
             if message is not None:
                 return message
     return None
@@ -465,26 +458,29 @@ def _is_symbol(tok: str) -> bool:
         or tok not in "()" and type(_atom(tok)) is str
 
 
-# Identifiers by symbol, across reads: an Ident is a value, so one object
-# serves every read of its name. Cleared once it holds _IDENTS_MAX names.
+# Identifiers by symbol, shared by every read: an Ident is a value, so one
+# object serves every read of its name, and tables keyed by names (a task's
+# premises, its typing context's declarations) then compare them by
+# identity. Names repeat across reads (the same premises and symbols in
+# task after task), so a read mostly finds its names here. The table is
+# cleared once it holds _IDENTS_MAX names, far more than the names of any
+# benchmark workload (79 at most), so that a process that reads ever new
+# names keeps no more than that.
 _IDENTS: dict[str, Ident] = {}
 _IDENTS_MAX = 4096
 
 
-def read_ident(tokens: list[str], i: int, cache) -> Ident | None:
+def read_ident(tokens: list[str], i: int) -> Ident | None:
     """The identifier the symbol at tokens[i] names; None if no symbol is
     there."""
     tok = tokens[i]
-    name = cache[2].get(tok)
+    name = _IDENTS.get(tok)
     if name is None:
-        name = _IDENTS.get(tok)
-        if name is None:
-            if not _is_symbol(tok):
-                return None
-            if len(_IDENTS) >= _IDENTS_MAX:
-                _IDENTS.clear()
-            name = _IDENTS[tok] = ident(tok)
-        cache[2][tok] = name
+        if not _is_symbol(tok):
+            return None
+        if len(_IDENTS) >= _IDENTS_MAX:
+            _IDENTS.clear()
+        name = _IDENTS[tok] = ident(tok)
     return name
 
 
@@ -526,8 +522,8 @@ def _type_atom(tok: str, atoms: dict) -> Type:
     return ty
 
 
-def _type_misfit(tokens, o, widths) -> str | None:
-    if tokens[o + 1] == "->" and widths[o] < 3:
+def _type_misfit(tokens, o, lists) -> str | None:
+    if tokens[o + 1] == "->" and len(lists[o]) < 3:
         return "-> needs at least two types"
     return None
 
@@ -566,8 +562,7 @@ def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
             del done[start:]
             if head == "->":
                 if len(args) < 2:
-                    raise SexprError(
-                        _type_misfit(tokens, o, _widths(tokens, o)))
+                    raise SexprError(first_misfit(tokens, [o], _type_misfit))
                 ty = args[-1]
                 for left in reversed(args[:-1]):
                     key = (Arrow, id(left), id(ty))
@@ -621,17 +616,20 @@ def _term_atom(tok: str, atoms: dict) -> Term:
     return t
 
 
-def _term_misfit(tokens, o, widths) -> str | None:
+def _term_misfit(tokens, o, lists) -> str | None:
     head = tokens[o + 1]
     step = _HEADS.get(head, _APP)
-    width = widths[o]
+    form = lists[o]
+    width = len(form)
     if step == _NOT:
         return None if width == 2 else "not takes one argument"
     if step == _BINOP or step == _EQ:
         return None if width == 3 else f"{head} takes two arguments"
-    if step == _PI:
-        return None if width == 3 else "pi expects (pi a body)"
-    if step == _BINDER and not (width == 3 and widths.get(o + 2) == 2):
+    if step == _PI and not (width == 3 and isinstance(form[1], str)):
+        return "pi expects (pi a body)"
+    if step == _BINDER and not (width == 3 and isinstance(form[1], list)
+                                and len(form[1]) == 2
+                                and isinstance(form[1][0], str)):
         return f"{head} expects ({head} (x type) body)"
     return None
 
@@ -665,7 +663,8 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
                     i += 1
                 elif step == _PI:
                     if not _is_symbol(tokens[i + 2]):
-                        raise SexprError("pi expects (pi a body)")
+                        raise SexprError(
+                            first_misfit(tokens, [i], _term_misfit))
                     frames.append((_PI, tokens[i + 2], len(done), i))
                     i += 3
                 else:
@@ -673,13 +672,13 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
                     frames.append((_BINDER, head, len(done), i))
                     if tokens[i + 2] != "(" or not _is_symbol(tokens[i + 3]):
                         raise SexprError(
-                            f"{head} expects ({head} (x type) body)")
-                    ty, i = read_type(tokens, i + 4, cache)
-                    if tokens[i] != ")":
+                            first_misfit(tokens, [i], _term_misfit))
+                    ty, j = read_type(tokens, i + 4, cache)
+                    if tokens[j] != ")":
                         raise SexprError(
-                            f"{head} expects ({head} (x type) body)")
+                            first_misfit(tokens, [i], _term_misfit))
                     done.append(ty)
-                    i += 1
+                    i = j + 1
                 continue
             i += 1
             if tok != ")":
@@ -690,7 +689,7 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
             n = len(done) - start
             if step == _BINOP:
                 if n != 2:
-                    raise SexprError(f"{data} takes two arguments")
+                    raise SexprError(first_misfit(tokens, [o], _term_misfit))
                 right = done.pop()
                 left = done.pop()
                 key = (data, id(left), id(right))
@@ -700,7 +699,7 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
                     memo[key] = ref(t)
             elif step >= _APP:
                 if step == _EQ and n != 3:
-                    raise SexprError("= takes two arguments")
+                    raise SexprError(first_misfit(tokens, [o], _term_misfit))
                 # application, left-associated
                 t = done[start]
                 for k in range(start + 1, len(done)):
@@ -714,8 +713,7 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
                 del done[start:]
             else:
                 if n != (2 if step == _BINDER else 1):
-                    raise SexprError(
-                        _term_misfit(tokens, o, _widths(tokens, o)))
+                    raise SexprError(first_misfit(tokens, [o], _term_misfit))
                 body = done.pop()
                 if step == _NOT:
                     key = (Not, id(body))
@@ -784,7 +782,7 @@ def read_task(tokens: list[str], i: int, cache) -> tuple[Task, int]:
     parts: list[list] = []
     try:
         if tokens[i] != "(" or tokens[i + 1] != "task":
-            raise SexprError("task form must start with (task ...)")
+            raise SexprError(_task_error(tokens, start, None, None))
         i += 2
         for section in _SECTIONS:
             if tokens[i] != "(" or tokens[i + 1] != section:
@@ -794,7 +792,7 @@ def read_task(tokens: list[str], i: int, cache) -> tuple[Task, int]:
             entry = None
             while tokens[i] != ")":
                 entry = i
-                name = (read_ident(tokens, i + 1, cache)
+                name = (read_ident(tokens, i + 1)
                         if tokens[i] == "(" else None)
                 if name is None:
                     raise SexprError(_task_error(tokens, start, section, entry))

@@ -241,6 +241,32 @@ def test_term_sexpr_bad():
         term_from_sexpr(loads("()"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(not)", "not takes one argument"),
+    ("(not a b)", "not takes one argument"),
+    ("(and true)", "and takes two arguments"),
+    ("(or a b c)", "or takes two arguments"),
+    ("(= x)", "= takes two arguments"),
+    ("(pi (a) true)", "pi expects (pi a body)"),
+    ("(pi a)", "pi expects (pi a body)"),
+    ("(forall x true)", "forall expects (forall (x type) body)"),
+    ("(forall (1 (int)) true)", "forall expects (forall (x type) body)"),
+    ("(forall (x (int) y) true)", "forall expects (forall (x type) body)"),
+    ("(lam (x (int)))", "lam expects (lam (x type) body)"),
+    ("(exists (x (-> prop)) true)", "-> needs at least two types"),
+    # the outermost list of the wrong shape is named first
+    ("(not (and true) x)", "not takes one argument"),
+])
+def test_a_term_of_the_wrong_shape_is_named_alike_by_both_entries(
+        text, message):
+    with pytest.raises(SexprError) as e:
+        term_from_sexpr(loads(text))
+    assert str(e.value) == message
+    with pytest.raises(SexprError) as e:
+        sexpr.task_loads(f"(task (types) (sig) (hyps) (goals (G {text})))")
+    assert str(e.value) == message
+
+
 # -- tasks -------------------------------------------------------------------
 
 
@@ -352,6 +378,21 @@ def test_reads_share_one_table_and_let_go_of_what_they_dropped(steps):
                    for r in table.values())
     finally:
         gc.enable()
+
+
+def test_reads_share_one_ident_per_name_and_keep_at_most_the_cap():
+    text = "(task (types (c 0)) (sig (k (c))) (hyps (H true)) (goals (G k)))"
+    a, b = sexpr.task_loads(text), sexpr.task_loads(text)
+    assert a.types[0][0] is b.types[0][0]
+    assert a.sig[0][0] is b.sig[0][0]
+    assert a.hyps[0].name is b.hyps[0].name
+    # one read of more new names than the table keeps
+    names = [f"cap_probe_{k}" for k in range(sexpr._IDENTS_MAX + 10)]
+    T = sexpr.task_loads("(task (types) (sig "
+                         + " ".join(f"({n} prop)" for n in names)
+                         + ") (hyps) (goals))")
+    assert [str(n) for n, _ in T.sig] == names
+    assert len(sexpr._IDENTS) <= sexpr._IDENTS_MAX
 
 
 def test_the_tables_are_swept_once_they_have_doubled():
