@@ -341,10 +341,10 @@ def _swept(value):
 # (and cert's certificate reader) take (tokens, i, cache) and return the
 # value that starts at tokens[i] and the index after it; cache is the
 # per-read map of atom tokens to the term and type objects they spell, as
-# a pair of dicts. A reader checks a list's shape once it
-# has read the list; on an error it reports instead the first list open
-# around it, outermost first, whose shape is wrong (see first_misfit), so
-# errors come in preorder as a top-down reader finds them.
+# a pair of dicts. A reader checks a list's shape once it has read the
+# list; on an error it reports instead the first list open around it,
+# outermost first, whose shape is wrong (see first_misfit), so errors come
+# in preorder as a top-down reader finds them.
 
 def flatten(form) -> list[str]:
     """The tokens of a datum: for data loads gives, tokens(dumps(form))."""
