@@ -747,14 +747,14 @@ def _read_bool(tokens, i, cache):
         return True, i + 1
     if tok == "#f":
         return False, i + 1
-    raise CertError(f"expected #t/#f, got {sexpr.form_at(tokens, i)!r}")
+    raise CertError(f"expected #t/#f, got {sexpr.quote_at(tokens, i)}")
 
 
 def _read_ident(tokens, i, cache):
     name = sexpr.read_ident(tokens, i)
     if name is None:
         raise CertError(
-            f"expected an identifier, got {sexpr.form_at(tokens, i)!r}")
+            f"expected an identifier, got {sexpr.quote_at(tokens, i)}")
     return name, i + 1
 
 
@@ -786,8 +786,7 @@ def _head_error(tokens, i) -> CertError:
     """The error for a list at tokens[i] that names no constructor."""
     head = tokens[i + 1]
     if head in "()" or not isinstance(sexpr.form_at(tokens, i + 1), str):
-        return CertError(
-            f"bad certificate syntax {sexpr.form_at(tokens, i)!r}")
+        return CertError(f"bad certificate syntax {sexpr.quote_at(tokens, i)}")
     return CertError(f"unknown certificate constructor {head}")
 
 
@@ -838,7 +837,7 @@ def _read_cert(tokens, i, cache):
                 node = SHole()
             else:
                 raise CertError(
-                    f"bad certificate syntax {sexpr.form_at(tokens, i)!r}")
+                    f"bad certificate syntax {sexpr.quote_at(tokens, i)}")
             # give node to its parent, and close each node that completes
             while frames:
                 cls, args, schema, _ = frames[-1]

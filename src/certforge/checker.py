@@ -62,6 +62,7 @@ from .core import (
     imp,
     subst_term,
     subst_type,
+    type_equal,
     var,
 )
 from .task import (Premise, Task, TaskError, ill_typed_reason,
@@ -127,7 +128,7 @@ def _quantified(T: Task, node, make) -> tuple[bool, int]:
     reads make(var, type, body) of it."""
     if not isinstance(node.pred, Lam):
         raise _Refused("the predicate is not a lambda abstraction")
-    if node.pred.ty != node.ty:
+    if not type_equal(node.pred.ty, node.ty):
         raise _Refused("the predicate's annotation differs from the carried type")
     check_type(T.types_map(), node.ty, allow_vars=False)
     side, idx, prem = _find(T, node.name, node.goal)

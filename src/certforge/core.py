@@ -43,7 +43,7 @@ def ident(name: str | Ident) -> Ident:
         return name
     if "#" in name:
         base, _, tail = name.rpartition("#")
-        if base and tail.isdigit():
+        if base and tail.isascii() and tail.isdigit():
             return Ident(base, int(tail))
     return Ident(name)
 
@@ -72,19 +72,20 @@ class Type:
     # weakly referable, so that sexpr can share what it reads across reads
     __slots__ = ("__weakref__",)
 
+    def __str__(self) -> str:
+        """The type in task-file syntax, printed by sexpr without recursion."""
+        from .sexpr import dumps, type_to_sexpr  # sexpr imports this module
+        return dumps(type_to_sexpr(self))
+
 
 @dataclass(frozen=True, slots=True)
 class TVar(Type):
     name: Ident
 
-    def __str__(self) -> str:
-        return str(self.name)
-
 
 @dataclass(frozen=True, slots=True)
 class Prop(Type):
-    def __str__(self) -> str:
-        return "prop"
+    """The type of formulas."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,20 +93,11 @@ class Arrow(Type):
     left: Type
     right: Type
 
-    def __str__(self) -> str:
-        l = f"({self.left})" if isinstance(self.left, Arrow) else str(self.left)
-        return f"{l} ~> {self.right}"
-
 
 @dataclass(frozen=True, slots=True)
 class TApp(Type):
     head: Ident
     args: tuple[Type, ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return f"{self.head}()"
-        return f"{self.head}({', '.join(map(str, self.args))})"
 
 
 PROP = Prop()
@@ -146,7 +138,7 @@ def _type_vars(t: Type, out: list[Ident]) -> None:
 
 
 def type_heads(ty: Type) -> set[Ident]:
-    """Heads of the type-symbol applications in `ty`, int() included."""
+    """Heads of the type-symbol applications in `ty`, (int) included."""
     out: set[Ident] = set()
     _type_heads(ty, out)
     return out
@@ -178,41 +170,35 @@ def subst_in_type(ty: Type, mapping: Mapping[Ident, Type]) -> Type:
 class Term:
     __slots__ = ("__weakref__",)
 
+    def __str__(self) -> str:
+        """The term in task-file syntax, printed by sexpr without recursion."""
+        from .sexpr import dumps, term_to_sexpr  # sexpr imports this module
+        return dumps(term_to_sexpr(self))
+
 
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: Ident
-
-    def __str__(self) -> str:
-        return str(self.name)
 
 
 @dataclass(frozen=True, slots=True)
 class IntLit(Term):
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class Top(Term):
-    def __str__(self) -> str:
-        return "true"
+    """The formula true."""
 
 
 @dataclass(frozen=True, slots=True)
 class Bottom(Term):
-    def __str__(self) -> str:
-        return "false"
+    """The formula false."""
 
 
 @dataclass(frozen=True, slots=True)
 class Not(Term):
     body: Term
-
-    def __str__(self) -> str:
-        return f"(not {self.body})"
 
 
 AND, OR, IMP, IFF = "and", "or", "imp", "iff"
@@ -229,17 +215,11 @@ class BinOp(Term):
         if self.op not in BINOPS:
             raise ValueError(f"unknown connective {self.op!r}")
 
-    def __str__(self) -> str:
-        return f"({self.op} {self.left} {self.right})"
-
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
-
-    def __str__(self) -> str:
-        return f"({self.fn} {self.arg})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,18 +228,12 @@ class Lam(Term):
     ty: Type
     body: Term
 
-    def __str__(self) -> str:
-        return f"(lam ({self.var} {self.ty}) {self.body})"
-
 
 @dataclass(frozen=True, slots=True)
 class Exists(Term):
     var: Ident
     ty: Type
     body: Term
-
-    def __str__(self) -> str:
-        return f"(exists ({self.var} {self.ty}) {self.body})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,9 +242,6 @@ class Forall(Term):
     ty: Type
     body: Term
 
-    def __str__(self) -> str:
-        return f"(forall ({self.var} {self.ty}) {self.body})"
-
 
 @dataclass(frozen=True, slots=True)
 class PiType(Term):
@@ -278,9 +249,6 @@ class PiType(Term):
 
     var: Ident
     body: Term
-
-    def __str__(self) -> str:
-        return f"(pi {self.var} {self.body})"
 
 
 # Smart constructors used throughout the package and the tests.
@@ -468,23 +436,36 @@ def _subst_type(t: Term, alpha: Ident, mapping: Mapping[Ident, Type]) -> Term:
 _Depths = dict[Ident, int | None]
 
 
-def _type_alpha(a: Type, b: Type, env_a: _Depths, env_b: _Depths) -> bool:
-    if isinstance(a, TVar) and isinstance(b, TVar):
-        la, lb = env_a.get(a.name), env_b.get(b.name)
-        if la is None and lb is None:
-            return a.name == b.name
-        return la is not None and la == lb
-    if isinstance(a, Prop) and isinstance(b, Prop):
-        return True
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
-        return _type_alpha(a.left, b.left, env_a, env_b) and _type_alpha(a.right, b.right, env_a, env_b)
-    if isinstance(a, TApp) and isinstance(b, TApp):
-        return (
-            a.head == b.head
-            and len(a.args) == len(b.args)
-            and all(_type_alpha(x, y, env_a, env_b) for x, y in zip(a.args, b.args))
-        )
-    return False
+def _type_alpha(a: Type, b: Type, ta: _Depths, tb: _Depths, same: bool) -> bool:
+    """a and b are one type up to each side's binder map of type variables
+    (see _alpha, whose same this is), compared on an explicit stack."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y and same:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, TApp):
+            if x.head != y.head or len(x.args) != len(y.args):
+                return False
+            todo += zip(x.args, y.args)
+        elif isinstance(x, Arrow):
+            todo += ((x.left, y.left), (x.right, y.right))
+        elif isinstance(x, TVar):
+            lx, ly = ta.get(x.name), tb.get(y.name)
+            if lx != ly or lx is None and x.name != y.name:
+                return False
+        elif not isinstance(x, Prop):
+            return False
+    return True
+
+
+def type_equal(a: Type, b: Type) -> bool:
+    """a == b, on an explicit stack: the dataclass __eq__ recurses through
+    C, so comparing two deep types that way overflows the interpreter's
+    stack under a raised recursion limit."""
+    return _type_alpha(a, b, {}, {}, True)
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -522,7 +503,7 @@ def _alpha(a: Term, b: Term, va: _Depths, vb: _Depths, ta: _Depths,
         return _alpha(a.fn, b.fn, va, vb, ta, tb, depth, same) \
             and _alpha(a.arg, b.arg, va, vb, ta, tb, depth, same)
     if isinstance(a, (Lam, Exists, Forall)):
-        if not _type_alpha(a.ty, b.ty, ta, tb):
+        if not _type_alpha(a.ty, b.ty, ta, tb, same):
             return False
         da, db = va, vb
     elif isinstance(a, PiType):
@@ -568,6 +549,9 @@ class _Meta(Type):
     """Inference-internal metavariable; never escapes this module."""
 
     id: int
+
+    def __str__(self) -> str:
+        return f"?{self.id}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -638,14 +622,16 @@ class _Unifier:
             return ty if all(map(operator.is_, args, ty.args)) else TApp(ty.head, args)
         return ty
 
-    def _occurs(self, m: _Meta, ty: Type) -> bool:
+    def occurs(self, m: _Meta | None, ty: Type) -> bool:
+        """m occurs in ty, its bindings followed; any unbound meta does,
+        when m is None."""
         ty = self.walk(ty)
         if isinstance(ty, _Meta):
-            return ty.id == m.id
+            return m is None or ty.id == m.id
         if isinstance(ty, Arrow):
-            return self._occurs(m, ty.left) or self._occurs(m, ty.right)
+            return self.occurs(m, ty.left) or self.occurs(m, ty.right)
         if isinstance(ty, TApp):
-            return any(self._occurs(m, a) for a in ty.args)
+            return any(self.occurs(m, a) for a in ty.args)
         return False
 
     def unify(self, a: Type, b: Type, where: str) -> None:
@@ -657,7 +643,7 @@ class _Unifier:
         if a is b:
             return
         if isinstance(a, _Meta):
-            if self._occurs(a, b):
+            if self.occurs(a, b):
                 raise TypingError(f"occurs check failed in {where}")
             self.bind[a.id] = b
             return
@@ -784,17 +770,10 @@ def annotate(I: TypeSignature, sig: Signature, t: Term,
         st.unify(top, expected, "required type")
     inst = {p: tuple(map(st.resolve, metas)) for p, (_, metas) in st.inst.items()}
     if len(st.bind) < st.next_id:  # a meta is unbound: is an instance open?
-        for p, (name, _) in st.inst.items():
-            if any(map(_has_meta, inst[p])):
+        for p, (name, metas) in st.inst.items():
+            if any(st.occurs(None, m) for m in metas):
                 raise TypingError(f"instance of {name} at {list(p)} is ambiguous")
     return Typing(st.resolve(top), inst, tuple(iotas), body)
-
-
-def _has_meta(ty: Type) -> bool:
-    """A resolved type still holds a metavariable."""
-    if isinstance(ty, Arrow):
-        return _has_meta(ty.left) or _has_meta(ty.right)
-    return isinstance(ty, _Meta) or isinstance(ty, TApp) and any(map(_has_meta, ty.args))
 
 
 def _infer(t: Term, st: _Unifier) -> Type:

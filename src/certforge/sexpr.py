@@ -42,7 +42,6 @@ shortcut can accept anything that a structurally equal copy would not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from weakref import ref
 
 from .core import (
@@ -73,24 +72,17 @@ class SexprError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Pos:
-    line: int
-    col: int
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
-
-
 # One token per match: a parenthesis, a symbol, or a comment to skip. Only
 # the characters " \t\r\n;()" end a symbol, not everything \s matches.
 _TOKEN = re.compile(r"[()]|[^ \t\r\n;()]+|;[^\n]*")
 _UNPRINTABLE = re.compile(r"[ \t\r\n;()]")
 
 
-def _pos(text: str, offset: int) -> Pos:
-    return Pos(text.count("\n", 0, offset) + 1,
-               offset - text.rfind("\n", 0, offset))
+def _pos(text: str, offset: int) -> str:
+    """The line:col of offset in text."""
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return f"{line}:{col}"
 
 
 def _unbalanced(text: str) -> SexprError:
@@ -236,6 +228,10 @@ def type_to_sexpr(ty: Type):
             form[i] = sub = [head] + [None] * len(parts)
             for j in range(len(parts), 0, -1):
                 todo.append((sub, j, parts[j - 1]))
+        elif type(t).__str__ not in (object.__str__, Type.__str__):
+            # a type of its own printing, such as a metavariable in a
+            # typing error's message
+            form[i] = str(t)
         else:
             raise SexprError(f"cannot print type {t!r}")
     return out[0]
@@ -435,6 +431,13 @@ def form_at(tokens: list[str], i: int):
     return _lists(tokens, i)[i]
 
 
+def quote_at(tokens: list[str], i: int) -> str:
+    """The datum at tokens[i] in task-file syntax, as form_at gives it; a
+    ) that closes no datum is quoted as itself. For error messages."""
+    form = form_at(tokens, i)
+    return form if form == ")" else dumps(form)
+
+
 def first_misfit(tokens: list[str], opens: list[int], check) -> str | None:
     """check(tokens, o, lists) for each list opened at an index o in
     opens, nested and outermost first: the first message it gives (a list
@@ -517,7 +520,7 @@ def _type_atom(tok: str, atoms: dict) -> Type:
             ty = TVar(ident(a))
             _TYPES[a] = ref(ty)
     else:
-        raise SexprError(f"bad type syntax {a!r}")
+        raise SexprError(f"bad type syntax {dumps(a)}")
     atoms[tok] = ty
     return ty
 
@@ -546,9 +549,8 @@ def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
                 head = tokens[i + 1]
                 if not _is_symbol(head):
                     if head == ")":
-                        raise SexprError("bad type syntax []")
-                    raise SexprError(
-                        f"bad type head {form_at(tokens, i + 1)!r}")
+                        raise SexprError("bad type syntax ()")
+                    raise SexprError(f"bad type head {quote_at(tokens, i + 1)}")
                 frames.append((head, len(done), i))
                 i += 2
                 continue
@@ -657,7 +659,7 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
                     i += 2
                 elif step >= _APP:
                     if head == ")":
-                        raise SexprError("bad term syntax []")
+                        raise SexprError("bad term syntax ()")
                     # the head is the first element
                     frames.append((step, None, len(done), i))
                     i += 1
@@ -750,7 +752,7 @@ def _task_misfit(form) -> str | None:
         return "task form must start with (task ...)"
     for part in form[1:]:
         if not (isinstance(part, list) and part and part[0] in _SECTIONS):
-            return f"unknown task section {part!r}"
+            return f"unknown task section {dumps(part)}"
     if [part[0] for part in form[1:]] != list(_SECTIONS):
         return ("a task needs exactly the sections "
                 "(types ...) (sig ...) (hyps ...) (goals ...)")
@@ -763,7 +765,7 @@ def _entry_misfit(section: str, entry) -> str | None:
             and (section != "types" or isinstance(entry[1], int)):
         return None
     what = {"types": "bad type declaration", "sig": "bad signature entry"}
-    return f"{what.get(section, 'bad premise')} {entry!r}"
+    return f"{what.get(section, 'bad premise')} {dumps(entry)}"
 
 
 def _task_error(tokens, start, section, entry) -> str | None:

@@ -46,7 +46,6 @@ from .core import (
     PROP,
     RESERVED,
     App,
-    Arrow,
     BinOp,
     Exists,
     Forall,
@@ -54,7 +53,6 @@ from .core import (
     Lam,
     Not,
     PiType,
-    TApp,
     TVar,
     Term,
     Type,
@@ -69,6 +67,7 @@ from .core import (
     ident,
     imp,
     subst_in_type,
+    type_equal,
     type_heads,
     type_vars,
     var,
@@ -505,8 +504,6 @@ def ill_typed_reason(tasks) -> str:
     that is not prop, with the type it has instead or, when no type is
     determined, why (say, `premise G: instance of f at [0] is ambiguous`).
     For a refusal's message only; well_typed is the judgment."""
-    from .sexpr import dumps, type_to_sexpr  # sexpr imports this module
-
     T = next(t for t in tasks if not well_typed(t))
     I, sig = T.types_map(), T.sig_map()
     try:
@@ -524,8 +521,7 @@ def ill_typed_reason(tasks) -> str:
         except TypingError as e:
             return f"premise {p.name}: {e}"
         if ty != PROP:
-            return (f"premise {p.name} has type "
-                    f"{dumps(type_to_sexpr(ty))}, not prop")
+            return f"premise {p.name} has type {ty}, not prop"
         return f"premise {p.name}: {refusal}"
     return "task is not well-typed"
 
@@ -604,38 +600,16 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
         return False
     s1, s2 = dict(sig1), dict(sig2)
     return s1.keys() == s2.keys() and all(
-        _type_equal(_scheme_canon(s1[name]), _scheme_canon(s2[name]))
+        type_equal(_scheme_canon(s1[name]), _scheme_canon(s2[name]))
         for name in s1)
 
 
 def _same_sig(s1: tuple[tuple[Ident, Type], ...],
               s2: tuple[tuple[Ident, Type], ...]) -> bool:
-    """s1 == s2, with each declared type compared by _type_equal."""
+    """s1 == s2, with each declared type compared by type_equal."""
     return s1 is s2 or len(s1) == len(s2) and all(
-        e1 is e2 or e1[0] == e2[0] and _type_equal(e1[1], e2[1])
+        e1 is e2 or e1[0] == e2[0] and type_equal(e1[1], e2[1])
         for e1, e2 in zip(s1, s2))
-
-
-def _type_equal(a: Type, b: Type) -> bool:
-    """a == b, on an explicit stack: the dataclass __eq__ recurses through
-    C, so comparing two deep declared types that way overflows the
-    interpreter's stack under a raised recursion limit."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Arrow):
-            todo += ((x.left, y.left), (x.right, y.right))
-        elif isinstance(x, TApp):
-            if x.head != y.head or len(x.args) != len(y.args):
-                return False
-            todo += zip(x.args, y.args)
-        elif x != y:  # TVar or Prop: no type below
-            return False
-    return True
 
 
 def task_list_alpha_equal(L1: list[Task] | tuple[Task, ...], L2: list[Task] | tuple[Task, ...]) -> bool:

@@ -954,3 +954,16 @@ def test_cert_dumps_prints_deep_nesting_without_recursion():
         except RecursionError as e:
             printed = type(e).__name__
     assert printed == text
+
+
+def test_a_deep_form_is_quoted_without_recursion():
+    # a refusal quotes the form it refused in certificate syntax, printed
+    # on an explicit stack: its repr recursed per level
+    form = _deep("(", "(a)", 60_000)
+    with _recursion_limit(1000):
+        try:
+            cert_loads(f"(KAxiom x {form} G)")
+        except (CertError, RecursionError) as e:
+            got = e
+    assert type(got) is CertError
+    assert str(got) == f"expected an identifier, got {form}"

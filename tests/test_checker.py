@@ -1,5 +1,10 @@
 """Kernel rule replay: one positive and at least one negative per rule."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
@@ -37,6 +42,7 @@ from certforge.core import (
     subst_term,
     var,
 )
+from certforge.sexpr import dumps, task_to_sexpr
 from certforge.task import Premise, Task, task_alpha_equal, well_typed
 
 H, G = ident("H"), ident("G")
@@ -149,7 +155,7 @@ def test_assert_judges_the_formula_against_prop():
                                c.KHole(T), c.KHole(T)), ())
     assert t2.hyps[-1].formula == var("choose")
     bad(T, c.KAssert(H1, app(var("+"), var("choose"), IntLit(1)),
-                     c.KHole(T), c.KHole(T)), "has type int(), not prop")
+                     c.KHole(T), c.KHole(T)), "has type (int), not prop")
 
 
 def test_stepping_an_assertion_types_its_formula_once(annotate_calls):
@@ -165,7 +171,7 @@ def test_stepping_an_assertion_types_its_formula_once(annotate_calls):
     # a refusal types the formula once more, for the type it names
     three = IntLit(3)
     annotate_calls.clear()
-    bad(T, c.KAssert(H1, three, c.KHole(T), c.KHole(T)), "int(), not prop")
+    bad(T, c.KAssert(H1, three, c.KHole(T), c.KHole(T)), "(int), not prop")
     assert dict(annotate_calls) == {"task": [three], "checker": [three]}
 
 
@@ -364,6 +370,54 @@ def test_intro_quant_shape_checks():
     av = TVar(ident("av"))
     badpred = Lam(x, av, Top())
     bad(T, c.KIntroQuant(True, av, badpred, G, y, c.KHole(T)), "av")
+
+
+def _sets(depth, leaf):
+    for _ in range(depth):
+        leaf = TApp(ident("set"), (leaf,))
+    return leaf
+
+
+def _forged_deep_annotation(depth):
+    """A task and a KIntroQuant whose annotation and carried type are
+    distinct depth-deep types: they differ only at the bottom."""
+    elem = TApp(ident("elem"), ())
+    T = Task(types=((ident("set"), 1), (ident("elem"), 0)),
+             goals=(Premise(G, Forall(x, elem, Top())),))
+    pred = Lam(x, _sets(depth, INT), Top())
+    return T, c.KIntroQuant(True, _sets(depth, elem), pred, G, y, c.KHole(T))
+
+
+_DIFFERS = "the predicate's annotation differs from the carried type"
+
+
+def test_a_forged_deep_annotation_is_refused_without_recursion(tmp_path):
+    # the types are compared on an explicit stack: the dataclass __eq__
+    # recursed through C, a RecursionError under the default limit here
+    T, node = _forged_deep_annotation(500)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = ccheck(node, T).failure.message
+    except RecursionError as e:
+        got = type(e).__name__
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == _DIFFERS
+    # and under the command's raised limit, where it overflowed the C
+    # stack (a crash, so in a subprocess)
+    T, node = _forged_deep_annotation(20_000)
+    task_file, cert_file = tmp_path / "t.tsk", tmp_path / "t.cert"
+    task_file.write_text(dumps(task_to_sexpr(T)), encoding="utf-8")
+    cert_file.write_text(c.cert_dumps(node), encoding="utf-8")
+    src = Path(c.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "certforge.cli", "check", str(task_file),
+         "--cert", str(cert_file)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: certificate rejected: KIntroQuant at []: {_DIFFERS}\n")
 
 
 def test_inst_quant_hyp():

@@ -10,7 +10,7 @@ import pytest
 
 import lp_parser as lpp
 from certforge import cli, sexpr
-from certforge.cert import KHole, cert_dumps
+from certforge.cert import KHole, cert_dumps, cert_loads
 from certforge.cli import (
     BenchRow,
     bench_ladder,
@@ -117,6 +117,49 @@ def test_parse_and_check_a_deeply_declared_type(tmp_path):
     assert proc.stdout.startswith("ok")
 
 
+_QUOTED = "(" * 60_000 + "(a)" + ")" * 60_000
+_DEEP_HEAD = "(task (types) (sig (x " + _QUOTED + ")) (hyps) (goals))"
+_DEEP_HEAD_ERROR = "malformed task text: bad type head " + _QUOTED[1:-1]
+
+
+@pytest.mark.parametrize("text, message", [
+    (_DEEP_HEAD, _DEEP_HEAD_ERROR),
+    ("(task (types) (sig) (hyps) (goals (G true " + _QUOTED + ")))",
+     "malformed task text: bad premise (G true " + _QUOTED + ")"),
+], ids=["type head", "premise"])
+def test_parse_task_quotes_a_deep_form_without_recursion(text, message):
+    # the refused form is quoted in task-file syntax, printed on an
+    # explicit stack: its repr recursed per level
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        parse_task(text)
+    except (TaskError, RecursionError) as e:
+        got = e
+    finally:
+        sys.setrecursionlimit(old)
+    assert type(got) is TaskError
+    assert str(got) == message
+
+
+def test_parse_command_refuses_a_deep_bad_type_head_in_one_line(tmp_path):
+    f = tmp_path / "deep.tsk"
+    f.write_text(_DEEP_HEAD, encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "certforge.cli", "parse",
+                           str(f)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (1, f"error: {_DEEP_HEAD_ERROR}\n")
+
+
+def test_a_name_with_non_ascii_digits_after_its_hash_reads_back():
+    text = "(KTrivial #t x#\u00b2)"
+    assert cert_dumps(cert_loads(text)) == text
+    text = "(task (types) (sig) (hyps) (goals (G#\u00b2 true)))"
+    assert sexpr.dumps(sexpr.task_to_sexpr(parse_task(text))) == text
+
+
 def test_parse_rejects_reserved_int(tmp_path, capsys):
     f = tmp_path / "t.tsk"
     f.write_text("(task (types (int 0)) (sig) (hyps) (goals))",
@@ -149,7 +192,7 @@ def test_parse_task_words_the_readers_errors_as_task_errors():
         ("(task (types) (sig) (hyps)) (goals))", "1:36: unmatched )"),
         ("(task (types) (sig) (hyps) (goals)) x", "expected one datum, found 2"),
         ("(task (types (c x)) (sig) (hyps) (goals))",
-         "bad type declaration ['c', 'x']"),
+         "bad type declaration (c x)"),
     ]:
         with pytest.raises(TaskError) as e:
             parse_task(text)

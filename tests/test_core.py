@@ -61,6 +61,8 @@ def test_ident_parsing():
     assert str(Ident("x", 3)) == "x#3"
     # a non-numeric tail is just part of the name
     assert ident("x#y") == Ident("x#y", 0)
+    # and so is a tail of digits that are not ASCII, which int() refuses
+    assert ident("x#\u00b2") == Ident("x#\u00b2", 0)
     i = Ident("z", 1)
     assert ident(i) is i
 
@@ -667,7 +669,7 @@ def _agree(types, sig, t, expected=None) -> bool:
     except oracles.Refused as refused:
         with pytest.raises(TypingError) as got:
             annotate(types, sig, t, expected)
-        assert re.sub(r"_Meta\(id=\d+\)", "?", str(got.value)) == str(refused)
+        assert re.sub(r"\?\d+", "?", str(got.value)) == str(refused)
         return False
     info = annotate(types, sig, t, expected)
     assert (info.type, info.inst, info.iotas, info.body) == want

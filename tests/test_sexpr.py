@@ -172,6 +172,7 @@ def test_type_sexpr_hand():
 
 @given(_types)
 def test_type_sexpr_roundtrip(ty):
+    assert str(ty) == dumps(type_to_sexpr(ty))
     assert type_from_sexpr(type_to_sexpr(ty)) == ty
     assert type_from_sexpr(loads(dumps(type_to_sexpr(ty)))) == ty
 
@@ -228,6 +229,7 @@ def test_term_sexpr_arith():
 
 @given(_terms)
 def test_term_sexpr_roundtrip(t):
+    assert str(t) == dumps(term_to_sexpr(t))
     assert term_from_sexpr(term_to_sexpr(t)) == t
     assert term_from_sexpr(loads(dumps(term_to_sexpr(t)))) == t
 
@@ -456,6 +458,7 @@ def _nest(wrap, leaf):
 def test_a_deep_term_prints_without_recursion(term, text):
     assert _print_under_default_limit(
         lambda t: dumps(term_to_sexpr(t)), term) == text
+    assert _print_under_default_limit(str, term) == text
 
 
 @pytest.mark.parametrize("ty, text", [
@@ -467,6 +470,7 @@ def test_a_deep_term_prints_without_recursion(term, text):
 def test_a_deep_type_prints_without_recursion(ty, text):
     assert _print_under_default_limit(
         lambda ty: dumps(type_to_sexpr(ty)), ty) == text
+    assert _print_under_default_limit(str, ty) == text
 
 
 @pytest.mark.parametrize("text", [
