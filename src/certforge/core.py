@@ -105,7 +105,7 @@ INT = TApp(Ident("int"), ())
 
 
 def arrow(*types: Type) -> Type:
-    """Right-fold arrow: arrow(a, b, c) == a ~> (b ~> c)."""
+    """Right-fold arrow: arrow(a, b, c) == Arrow(a, Arrow(b, c))."""
     if not types:
         raise ValueError("arrow needs at least one type")
     out = types[-1]
