@@ -700,34 +700,18 @@ def kept_kernel(s, T: Task) -> KernelCert | None:
 # Serialization
 
 
-def _encode_field(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, Ident):
-        return str(v)
-    if isinstance(v, Term):
-        return sexpr.term_to_sexpr(v)
-    if isinstance(v, Type):
-        return sexpr.type_to_sexpr(v)
-    if isinstance(v, Task):
-        return sexpr.task_to_sexpr(v)
-    raise CertError(f"cannot serialize payload {v!r}")
+# Every field, the subcertificates last, per constructor: the order the
+# text lists them in.
+_FIELDS = {cls: _OTHER_FIELDS[cls] + _CHILD_FIELDS[cls]
+           for cls in _BY_NAME.values()}
 
 
-def _sexpr_node(node):
-    """cert_to_sexpr's expand: a node's form without its subcertificates,
-    which are its last fields, and those."""
-    if isinstance(node, SHole):
-        return "SHole", ()
-    form = [type(node).__name__]
-    form += [_encode_field(getattr(node, name))
-             for name in _OTHER_FIELDS[type(node)]]
-    return form, cert_children(node)
-
-
-def cert_to_sexpr(c):
-    """The form cert_from_sexpr reads back as c."""
-    return rebuild(c, _sexpr_node, list.__add__)
+def _node_text(node):
+    """cert_dumps' expand: a node's constructor name and its fields."""
+    names = _FIELDS.get(type(node))
+    if names is None:
+        raise CertError(f"cannot serialize payload {node!r}")
+    return type(node).__name__, [getattr(node, n) for n in names]
 
 
 # field annotations name the payload kinds; this is the wire schema
@@ -872,7 +856,10 @@ def cert_from_sexpr(form):
 
 
 def cert_dumps(c) -> str:
-    return sexpr.dumps(cert_to_sexpr(c))
+    """The text cert_loads reads back as c, printed by sexpr's printer in
+    one pass: each formula, type or task object is walked once per call,
+    and its later occurrences copy the text it printed."""
+    return sexpr.to_text(c, _node_text)
 
 
 def cert_loads(text: str):

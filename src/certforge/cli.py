@@ -176,7 +176,7 @@ _TRANSFORMS = {
 
 def cmd_parse(ns) -> int:
     T = read_task_file(ns.file)
-    print(sexpr.dumps(sexpr.task_to_sexpr(T)))
+    print(sexpr.to_text(T))
     return 0
 
 
@@ -211,7 +211,7 @@ def cmd_transform(ns) -> int:
     out_dir = Path(ns.out_dir) if ns.out_dir else src.parent
     for i, t in enumerate(tasks, 1):
         _write(out_dir / f"{src.stem}.{i}.tsk",
-               sexpr.dumps(sexpr.task_to_sexpr(t)) + "\n")
+               sexpr.to_text(t) + "\n")
     if ns.emit_cert:
         _write(Path(ns.emit_cert), cert_dumps(k) + "\n")
     if ns.emit_lp:

@@ -16,10 +16,13 @@ pass, and one reader builds types, terms and tasks straight from the
 tokens (cert reads certificates with it): each node is built when its )
 arrives, on an explicit stack, so nesting depth costs no Python recursion.
 The form entries (type_from_sexpr, term_from_sexpr, task_from_sexpr) run
-the same reader over the tokens of a datum. loads and dumps read and print
-plain data, and the printer turns types, terms and tasks back into data,
-with explicit stacks too. A line:col position is computed from a token's
-offset only for an error, once the read has failed.
+the same reader over the tokens of a datum. One printer, to_text, writes
+types, terms and tasks (and certificates, for cert) back as text in one
+pass, on an explicit stack too, and prints each shared subterm once. loads
+and dumps read and print plain data; the form printers (type_to_sexpr,
+term_to_sexpr, task_to_sexpr) turn types, terms and tasks into data. A
+line:col position is computed from a token's offset only for an error,
+once the read has failed.
 
 Reading hash-conses types and terms through one weak table each, shared by
 every read (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006):
@@ -51,6 +54,7 @@ from .core import (
     Bottom,
     Exists,
     Forall,
+    Ident,
     IntLit,
     Lam,
     Not,
@@ -196,6 +200,208 @@ def dumps(value) -> str:
                 todo.append(v[0])
         else:
             raise SexprError(f"cannot print {v!r}")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Printing text: one pass over the value, on an explicit stack, into one
+# list of tokens that is joined once. The stack holds text to append as it
+# is, values to print, and markers that close a compound value's first
+# occurrence: its text is then out[start:len(out)], and every later
+# occurrence of the same object in the call appends a copy of that slice
+# (pointer copies in C) instead of walking it again. So the text is the
+# tree's, as dumps of the form printers' data gives it, but each shared
+# formula costs one walk per call.
+
+_OPEN_OP = {op: f"({op} " for op in ("and", "or", "imp", "iff")}
+_OPEN_BINDER = {Lam: "(lam (", Exists: "(exists (", Forall: "(forall ("}
+_CONSTANTS = {Top: "true", Bottom: "false", Prop: "prop"}
+
+
+class _Text(str):
+    """Text the printer appends as it is. Any other str on its stack is a
+    value, and one where a formula or a name belongs is refused."""
+
+
+_SP, _RP, _RP_SP, _ENTRY = map(_Text, (" ", ")", ") ", " ("))
+_SIG, _HYPS, _GOALS, _END_TASK = map(
+    _Text, (") (sig", ") (hyps", ") (goals", "))"))
+# on the stack, the end of the compound whose (id, start) is last in opened
+_END = object()
+
+
+def _scalar(v) -> str:
+    return str(v) if type(v) is int else dumps(v)
+
+
+def _name_text(name: Ident, names: dict[int, str]) -> str:
+    """The text of name, recorded in names by its id; SexprError for a
+    name that the reader would not read back as this very identifier.
+    A name checked once is noted in the reader's table, as a read notes
+    it, so that a later call finds it there."""
+    s = str(name)
+    got = _IDENTS.get(s)
+    if got is None:
+        if not s or _UNPRINTABLE.search(s) or not _is_symbol(s) \
+                or ident(s) != name:
+            raise SexprError(f"not a printable symbol: {s!r}")
+        _note_ident(s, name)
+    elif got is not name and got != name:
+        raise SexprError(f"not a printable symbol: {s!r}")
+    names[id(name)] = s
+    return s
+
+
+def to_text(value, expand=None) -> str:
+    """The text of value, a type, term or task, as dumps prints the data
+    type_to_sexpr, term_to_sexpr or task_to_sexpr give for it; but a name
+    that the reader would not read back as that very identifier, such as
+    12, #t or Ident("x#3") (which reads as x with uid 3), is refused with
+    SexprError.
+
+    expand(x) is called on any other value x, and gives (head, elements):
+    x prints as the text head alone when elements is empty, else as the
+    list of head and elements, each printed by this printer in turn. An
+    identifier prints as its name, and a bool as #t or #f."""
+    out: list[str] = []
+    append = out.append
+    todo = [value]
+    push = todo.append
+    pop = todo.pop
+    # the (start, end) of each compound's first occurrence, by its id, and
+    # the (id, start) of each first occurrence being printed
+    seen: dict[int, tuple[int, int]] = {}
+    opened: list[tuple[int, int]] = []
+    # the text of each identifier, checked once, by its id
+    names: dict[int, str] = {}
+    while todo:
+        x = pop()
+        cls = type(x)
+        if cls is _Text:
+            append(x)
+            continue
+        if cls is Var or cls is TVar:
+            x = x.name
+            append(names.get(id(x)) or _name_text(x, names))
+            continue
+        if x is _END:
+            key, start = opened.pop()
+            seen[key] = start, len(out)
+            continue
+        if cls is Ident:
+            append(names.get(id(x)) or _name_text(x, names))
+            continue
+        if cls is IntLit:
+            append(_scalar(x.value))
+            continue
+        text = _CONSTANTS.get(cls)
+        if text is not None:
+            append(text)
+            continue
+        if cls is bool:
+            append("#t" if x else "#f")
+            continue
+        key = id(x)
+        got = seen.get(key)
+        if got is not None:
+            out += out[got[0]:got[1]]
+            continue
+        if cls is App:
+            push(_END)
+            opened.append((key, len(out)))
+            append("(")
+            push(_RP)
+            while cls is App:
+                push(x.arg)
+                push(_SP)
+                x = x.fn
+                cls = type(x)
+            push(x)
+        elif cls is BinOp:
+            push(_END)
+            opened.append((key, len(out)))
+            append(_OPEN_OP[x.op])
+            push(_RP)
+            push(x.right)
+            push(_SP)
+            push(x.left)
+        elif cls is Not:
+            push(_END)
+            opened.append((key, len(out)))
+            append("(not ")
+            push(_RP)
+            push(x.body)
+        elif cls is Forall or cls is Exists or cls is Lam:
+            push(_END)
+            opened.append((key, len(out)))
+            append(_OPEN_BINDER[cls])
+            push(_RP)
+            push(x.body)
+            push(_RP_SP)
+            push(x.ty)
+            push(_SP)
+            push(x.var)
+        elif cls is PiType:
+            push(_END)
+            opened.append((key, len(out)))
+            append("(pi ")
+            push(_RP)
+            push(x.body)
+            push(_SP)
+            push(x.var)
+        elif cls is Arrow:
+            push(_END)
+            opened.append((key, len(out)))
+            append("(->")
+            parts = []
+            while cls is Arrow:
+                parts.append(x.left)
+                x = x.right
+                cls = type(x)
+            push(_RP)
+            push(x)
+            push(_SP)
+            for part in reversed(parts):
+                push(part)
+                push(_SP)
+        elif cls is TApp:
+            push(_END)
+            opened.append((key, len(out)))
+            append("(")
+            push(_RP)
+            for arg in reversed(x.args):
+                push(arg)
+                push(_SP)
+            push(x.head)
+        elif cls is Task:
+            push(_END)
+            opened.append((key, len(out)))
+            append("(task (types")
+            items: list = []
+            for name, arity in x.types:
+                items += (_ENTRY, name, _SP, _Text(_scalar(arity)), _RP)
+            items.append(_SIG)
+            for name, ty in x.sig:
+                items += (_ENTRY, name, _SP, ty, _RP)
+            for section, premises in ((_HYPS, x.hyps), (_GOALS, x.goals)):
+                items.append(section)
+                for p in premises:
+                    items += (_ENTRY, p.name, _SP, p.formula, _RP)
+            items.append(_END_TASK)
+            todo += reversed(items)
+        elif expand is not None and not isinstance(x, (Term, Type, str)):
+            head, elements = expand(x)
+            if not elements:
+                append(head)
+                continue
+            append("(")
+            append(head)
+            push(_RP)
+            for v in reversed(elements):
+                push(v)
+                push(_SP)
+        else:
+            raise SexprError(f"cannot print {x!r}")
     return "".join(out)
 
 
@@ -461,7 +667,7 @@ def _is_symbol(tok: str) -> bool:
         or tok not in "()" and type(_atom(tok)) is str
 
 
-# Identifiers by symbol, shared by every read: an Ident is a value, so one
+# Identifiers by symbol, shared by every read and print: an Ident is a value, so one
 # object serves every read of its name, and tables keyed by names (a task's
 # premises, its typing context's declarations) then compare them by
 # identity. Names repeat across reads (the same premises and symbols in
@@ -481,10 +687,16 @@ def read_ident(tokens: list[str], i: int) -> Ident | None:
     if name is None:
         if not _is_symbol(tok):
             return None
-        if len(_IDENTS) >= _IDENTS_MAX:
-            _IDENTS.clear()
-        name = _IDENTS[tok] = ident(tok)
+        name = ident(tok)
+        _note_ident(tok, name)
     return name
+
+
+def _note_ident(tok: str, name: Ident) -> None:
+    """Note in _IDENTS that the symbol tok names name."""
+    if len(_IDENTS) >= _IDENTS_MAX:
+        _IDENTS.clear()
+    _IDENTS[tok] = name
 
 
 def type_from_sexpr(form) -> Type:

@@ -2,11 +2,15 @@
 
 These are deliberately written in the most naive way possible and must not
 import anything from certforge beyond the plain AST constructors. They were
-written and frozen before the implementations they test.
+written and frozen before the implementations they test. The reference
+certificate printer at the end is the one exception (see there).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from certforge import cert, sexpr
 from certforge.core import (
     App,
     Arrow,
@@ -27,6 +31,7 @@ from certforge.core import (
     Type,
     Var,
 )
+from certforge.task import Task
 
 
 def db_type(ty: Type, tenv: tuple) -> tuple:
@@ -412,3 +417,41 @@ def redex_instances(I: dict, sig: dict, ctx: Lam, u: Term) -> dict:
     for q in _ref_occurrences(ctx.body, ctx.var):
         out.update({q + p: tys for p, tys in arg.items()})
     return out
+
+
+# ---------------------------------------------------------------------------
+# The reference certificate printer: the form printer cert_dumps was before
+# it printed in one pass. It builds the list form of every node and payload
+# with sexpr's form printers, walking a shared formula again at each
+# occurrence, and prints the whole form with sexpr.dumps; the one-pass
+# printer (sexpr.to_text) shares none of that code.
+
+def _cert_form_node(node):
+    """ref_cert_dumps' expand for cert.rebuild: a node's form without its
+    subcertificates, which are its last fields, and those."""
+    if isinstance(node, cert.SHole):
+        return "SHole", ()
+    form, children = [type(node).__name__], []
+    for f in dataclasses.fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, (cert.KernelCert, cert.SurfaceCert)):
+            children.append(v)
+        elif isinstance(v, bool):
+            form.append(v)
+        elif isinstance(v, Ident):
+            form.append(str(v))
+        elif isinstance(v, Term):
+            form.append(sexpr.term_to_sexpr(v))
+        elif isinstance(v, Type):
+            form.append(sexpr.type_to_sexpr(v))
+        elif isinstance(v, Task):
+            form.append(sexpr.task_to_sexpr(v))
+        else:
+            raise AssertionError(f"cannot serialize payload {v!r}")
+    return form, children
+
+
+def ref_cert_dumps(c) -> str:
+    """The text of certificate c: its list form, built bottom-up with
+    cert.rebuild, printed by sexpr.dumps."""
+    return sexpr.dumps(cert.rebuild(c, _cert_form_node, list.__add__))

@@ -81,6 +81,40 @@ def test_parse_command_prints_canonical_form(tmp_path, capsys):
     assert out == sexpr.dumps(sexpr.task_to_sexpr(parse_task(SPLIT)))
 
 
+# the text parse and transform printed before they printed through
+# sexpr.to_text, pinned byte for byte
+_EX2_PRINTED = (
+    "(task (types (color 0) (set 1)) (sig (red (color)) (green (color)) "
+    "(blue (color)) (empty (set a)) (add (-> a (set a) (set a))) "
+    "(mem (-> a (set a) prop))) (hyps (H1 (pi b (forall (x b) (forall (y b) "
+    "(forall (s (set b)) (imp (mem x s) (mem x (add y s)))))))) "
+    "(H2 (pi b (forall (x b) (forall (s (set b)) (mem x (add x s))))))) "
+    "(goals (G (mem green (add red (add green empty))))))")
+_EX1_INSTANTIATED = (
+    "(task (types) (sig (y (int)) (x (int)) (p (-> (int) prop))) "
+    "(hyps (H1 (= y (+ (* 2 x) 1))) (H (forall (i (int)) (p (+ (* 4 i) 1)))) "
+    "(H_inst (p (+ (* 4 (+ (* x x) x)) 1)))) (goals (G (p (* y y)))))")
+
+
+def test_parse_command_output_is_pinned(tmp_path, capsys):
+    f = tmp_path / "ex2.tsk"
+    f.write_text(EX2, encoding="utf-8")
+    assert main(["parse", str(f)]) == 0
+    assert capsys.readouterr().out == _EX2_PRINTED + "\n"
+    assert sexpr.to_text(parse_task(EX2)) == \
+        sexpr.dumps(sexpr.task_to_sexpr(parse_task(EX2)))
+
+
+def test_transform_command_output_is_pinned(tmp_path, capsys):
+    f = tmp_path / "ex1.tsk"
+    f.write_text(EX1, encoding="utf-8")
+    assert main(["transform", str(f), "--name", "instantiate",
+                 "--premise", "H", "--with", "(+ (* x x) x)"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "ex1.1.tsk").read_text(encoding="utf-8") == \
+        _EX1_INSTANTIATED + "\n"
+
+
 def test_parse_command_prints_a_deeply_nested_goal(tmp_path, capsys):
     depth = 30_000
     text = ("(task (types) (sig (p prop)) (hyps) (goals (G "
