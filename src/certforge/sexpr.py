@@ -252,12 +252,30 @@ def _name_text(name: Ident, names: dict[int, str]) -> str:
     return s
 
 
+# The names the reader reads as constants where a term or a type goes.
+_CONSTANT_NAMES = {Var: ("true", "false"), TVar: ("prop",)}
+
+
+def _var_text(v: Var | TVar, names: dict[int, str]) -> str:
+    """The text of a term or type variable, recorded in names by its id:
+    its name's, but SexprError for a name that the reader reads as a
+    constant there (true, false; prop). Elsewhere, as a premise or a
+    binder's name, the reader reads such a name back."""
+    s = names.get(id(v.name)) or _name_text(v.name, names)
+    if s in _CONSTANT_NAMES[type(v)]:
+        raise SexprError(f"not a printable symbol: {s!r}")
+    names[id(v)] = s
+    return s
+
+
 def to_text(value, expand=None) -> str:
     """The text of value, a type, term or task, as dumps prints the data
     type_to_sexpr, term_to_sexpr or task_to_sexpr give for it; but a name
     that the reader would not read back as that very identifier, such as
     12, #t or Ident("x#3") (which reads as x with uid 3), is refused with
-    SexprError.
+    SexprError, and so is a value whose text reads back as another: a term
+    variable true or false, a type variable prop, an application headed by
+    a keyword (but = applied to two arguments), a type applying ->.
 
     expand(x) is called on any other value x, and gives (head, elements):
     x prints as the text head alone when elements is empty, else as the
@@ -281,8 +299,7 @@ def to_text(value, expand=None) -> str:
             append(x)
             continue
         if cls is Var or cls is TVar:
-            x = x.name
-            append(names.get(id(x)) or _name_text(x, names))
+            append(names.get(id(x)) or _var_text(x, names))
             continue
         if x is _END:
             key, start = opened.pop()
@@ -311,11 +328,18 @@ def to_text(value, expand=None) -> str:
             opened.append((key, len(out)))
             append("(")
             push(_RP)
+            start = len(todo)
             while cls is App:
                 push(x.arg)
                 push(_SP)
                 x = x.fn
                 cls = type(x)
+            # a keyword heading the list reads as its form: only (= a b),
+            # an application of = to two arguments, reads back as one
+            if cls is Var and x.name.name in _HEADS and not x.name.uid \
+                    and not (x.name.name == "=" and len(todo) - start == 4):
+                raise SexprError(
+                    f"an application of {x.name} reads as a {x.name} form")
             push(x)
         elif cls is BinOp:
             push(_END)
@@ -365,6 +389,8 @@ def to_text(value, expand=None) -> str:
                 push(part)
                 push(_SP)
         elif cls is TApp:
+            if x.head.name == "->" and not x.head.uid:
+                raise SexprError("a type applying -> reads as an arrow")
             push(_END)
             opened.append((key, len(out)))
             append("(")

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass
-from itertools import compress
-from operator import is_, not_
+from operator import is_
 
 from . import cert
 from .cert import CertError, KernelCert, SurfaceCert
@@ -447,83 +446,264 @@ def _prop_kind(p: Premise) -> str:
     raise TransformError(f"t_blast: premise {p.name} is not propositional")
 
 
-def _added(old: tuple[Premise, ...],
-           new: tuple[Premise, ...]) -> list[Premise]:
-    """The premises of new that old lacks, in order: by identity, in C."""
-    kept = set(map(id, old))
-    return list(compress(new, map(not_, map(kept.__contains__,
-                                            map(id, new)))))
+# The step that takes a compound premise apart, by its side and connective:
+# the surface node, the suffixes of the fresh names it takes (on the bases
+# P.1, then P.2, for the premise P), and its holes. The holes are shared:
+# the search puts the certificates of the tasks a step leaves in their
+# place (_splice).
+_NO, _ONE, _TWO = (), (".1",), (".1", ".2")
+_HOLE = cert.SHole()
+_HOLES1, _HOLES2 = (_HOLE,), (_HOLE, _HOLE)
+_GOAL_STEPS = {"and": (cert.SSplit, _NO, _HOLES2),
+               "or": (cert.SDestruct, _TWO, _HOLES1),
+               "imp": (cert.SIntroImp, _ONE, _HOLES1),
+               "not": (cert.SSwapNeg, _NO, _HOLES1),
+               "iff": (cert.SUnfoldIff, _NO, _HOLES1),
+               "bottom": (cert.SClear, _NO, _HOLES1)}
+_HYP_STEPS = {"and": (cert.SDestruct, _TWO, _HOLES1),
+              "or": (cert.SSplit, _NO, _HOLES2),
+              "imp": (cert.SSplitImp, _ONE, _HOLES2),
+              "not": (cert.SSwapNeg, _NO, _HOLES1),
+              "iff": (cert.SUnfoldIff, _NO, _HOLES1),
+              "top": (cert.SClear, _NO, _HOLES1)}
 
 
-def _blast_step(T: Task, parent: Task | None) -> SurfaceCert:
-    """One tableau step: close if possible, else decompose goals, then hyps.
+def _head(t: Term):
+    """What alpha-equal terms share at t, a subterm under no binder: the
+    name of the variable heading an application spine, an integer's
+    value, a connective, or else the kind of node."""
+    while type(t) is App:
+        t = t.fn
+    cls = type(t)
+    if cls is Var:
+        return t.name.name
+    if cls is BinOp:
+        return t.op
+    if cls is IntLit:
+        return t.value
+    return cls
 
-    parent is the task whose step derived T, if any. It was decomposed, so
-    it had no falsity hypothesis, no truth goal and no hypothesis equal to
-    a goal; T keeps the rest of its premises as the same objects on the
-    same sides, so only a premise the step added can close T. The axiom
-    scan keeps its hypothesis-major order over the pairs left.
+
+def _key(f: Term):
+    """A key that alpha-equal formulas share, read off their top two
+    levels, none of which is under a binder."""
+    cls = type(f)
+    if cls is BinOp:
+        return f.op, _head(f.left), _head(f.right)
+    if cls is Not:
+        return cls, _head(f.body)
+    return _head(f)
+
+
+def _free_name(names, base: str, k: int) -> Ident:
+    """The first of base#k, base#(k+1), ... (base itself for suffix 0) that
+    is not in names."""
+    name = Ident(base, k)
+    while name in names:
+        k += 1
+        name = Ident(base, k)
+    return name
+
+
+# A side of at most this many premises is scanned whole for the premises
+# that may close against an added one; a wider side is looked up in an
+# index of its premises by _key, built when first needed.
+_WIDE = 8
+
+_GONE = object()  # on the trail: the entry was not in its dict
+
+
+class _Search:
+    """t_blast's search state: what each step reads of the task at hand,
+    kept up to date from the edits the steps make.
+
+    - by_key: per side (False for the hypotheses), None or an index of
+      the side's premises by _key of their formula, each by its id. A
+      side gets its index when the axiom scan first looks at it wide.
+    - low: per fresh-name base, a suffix below which every name of the
+      base is a premise's; a fresh name is probed for from there.
+    - trail: each change to by_key, its indexes and low, as (the dict or
+      list changed, the key, the value before or _GONE), so that it can
+      be undone.
+
+    cert.rebuild expands the search's tasks depth first, in preorder, so
+    one state serves every branch. A task is expanded with the length of
+    the trail after its parent's step: the expansion first undoes the
+    changes made since (its siblings' subtrees), then applies the edit of
+    the parent's step, and the tasks the step leaves get the length after.
+
+    The edit that made a task from its parent names the side and premise
+    the parent's step took apart and the fresh names it gave. The task
+    holds the premises of those names, and of the name of the premise
+    taken apart, that it has; they are all the premises it has and its
+    parent lacks. Every other premise is its parent's, the same object on
+    the same side. The parent was taken apart, so it had no falsity
+    hypothesis, no truth goal and no hypothesis alpha-equal to a goal:
+    only an added premise can close the task, and the axiom scan looks
+    only at pairs with one. It keeps the hypothesis-major order of the
+    whole scan among the pairs it finds.
+
+    The edit also gives the index of the leftmost premise on each side
+    that may be compound. Every premise left of it is an atom that no step
+    changes: a step replaces the premise it takes apart, the leftmost
+    compound one, where it stands, or adds premises at the end.
     """
-    if parent is None:
-        hyps, goals = T.hyps, T.goals
-    else:
-        hyps, goals = _added(parent.hyps, T.hyps), _added(parent.goals, T.goals)
-    for p in hyps:
-        if isinstance(p.formula, Bottom):
-            return cert.STrivial(p.name)
-    for p in goals:
-        if isinstance(p.formula, Top):
-            return cert.STrivial(p.name)
-    added = set(map(id, hyps))
-    for h in T.hyps if goals else hyps:
-        for g in T.goals if id(h) in added else goals:
-            if alpha_equal(h.formula, g.formula):
-                return cert.SAxiom(h.name, g.name)
-    names = T.premise_names()
-    for p in T.goals:
-        kind = _prop_kind(p)
-        if kind == "and":
-            return cert.SSplit(p.name, cert.SHole(), cert.SHole())
-        if kind == "or":
-            return cert.SDestruct(p.name, _fresh(f"{p.name}.1", names),
-                                  _fresh(f"{p.name}.2", names), cert.SHole())
-        if kind == "imp":
-            return cert.SIntroImp(p.name, _fresh(f"{p.name}.1", names),
-                                  cert.SHole())
-        if kind == "not":
-            return cert.SSwapNeg(p.name, cert.SHole())
-        if kind == "iff":
-            return cert.SUnfoldIff(p.name, cert.SHole())
-        if kind == "bottom":
-            return cert.SClear(p.name, cert.SHole())
-    for p in T.hyps:
-        kind = _prop_kind(p)
-        if kind == "and":
-            return cert.SDestruct(p.name, _fresh(f"{p.name}.1", names),
-                                  _fresh(f"{p.name}.2", names), cert.SHole())
-        if kind == "or":
-            return cert.SSplit(p.name, cert.SHole(), cert.SHole())
-        if kind == "imp":
-            return cert.SSplitImp(p.name, _fresh(f"{p.name}.1", names),
-                                  cert.SHole(), cert.SHole())
-        if kind == "not":
-            return cert.SSwapNeg(p.name, cert.SHole())
-        if kind == "iff":
-            return cert.SUnfoldIff(p.name, cert.SHole())
-        if kind == "top":
-            return cert.SClear(p.name, cert.SHole())
-    raise TransformError("t_blast: cannot close the task")
 
+    __slots__ = ("by_key", "low", "trail")
 
-def _blast_node(item):
-    """t_blast's expand: item is a task and the task whose step derived it
-    (None at the root). One search step, elaborated against the task: its
-    surface node, which elaborates to one kernel node, and the tasks that
-    node leaves, each with the task it came from."""
-    t, parent = item
-    s = _blast_step(t, parent)
-    k, kids = cert.elaborate_node((s, t))
-    return (s, k), [(sub, t) for _, sub in kids]
+    def __init__(self) -> None:
+        self.by_key: list[dict | None] = [None, None]
+        self.low: dict[str, int] = {}
+        self.trail: list[tuple] = []
+
+    def node(self, item):
+        """t_blast's expand: item is a task, the edit that made it (None at
+        the root) and the length of the trail after its parent's step. One
+        search step, elaborated against the task: its surface node, which
+        elaborates to one kernel node, and the tasks that node leaves, each
+        as an item."""
+        t, edit, mark = item
+        if edit is None:
+            s, edit = self._step(t, t.hyps, t.goals, 0, 0)
+        else:
+            hyps, goals = self._enter(t, edit, mark)
+            s, edit = self._step(t, hyps, goals, edit[3], edit[4])
+        k, kids = cert.elaborate_node((s, t))
+        mark = len(self.trail)
+        return (s, k), [(sub, edit, mark) for _, sub in kids]
+
+    def _enter(self, t: Task, edit, mark: int):
+        """Bring the state from where the trail's first mark entries leave it
+        to t, which edit made, and return the premises edit added to t's
+        hypotheses and goals, in order."""
+        trail = self.trail
+        while len(trail) > mark:
+            d, key, old = trail.pop()
+            if old is _GONE:
+                del d[key]
+            else:
+                d[key] = old
+        is_goal, gone, fresh, _, _ = edit
+        by_key, low = self.by_key, self.low
+        index = by_key[is_goal]
+        if index is not None:
+            bucket = index[_key(gone.formula)]
+            del bucket[id(gone)]
+            trail.append((bucket, id(gone), gone))
+        hyps, goals = [], []
+        by_name = t._by_name
+        for name in (gone.name, *fresh):
+            found = by_name.get(name)
+            if found is None:
+                continue
+            side, p = found
+            (goals if side else hyps).append(p)
+            if by_key[side] is not None:
+                self._put(by_key[side], p)
+            # a name at its base's mark moves the mark past it
+            if low.get(name.name) == name.uid:
+                trail.append((low, name.name, name.uid))
+                low[name.name] = name.uid + 1
+        name = gone.name
+        if low.get(name.name, 0) > name.uid and name not in by_name:
+            trail.append((low, name.name, low[name.name]))
+            low[name.name] = name.uid
+        return hyps, goals
+
+    def _put(self, index: dict, p: Premise) -> None:
+        key = _key(p.formula)
+        bucket = index.get(key)
+        if bucket is None:
+            bucket = index[key] = {}
+        bucket[id(p)] = p
+        self.trail.append((bucket, id(p), _GONE))
+
+    def _step(self, t: Task, hyps, goals, goal_at: int, hyp_at: int):
+        """The step for t, whose step-added hypotheses and goals are hyps and
+        goals, and whose compound premises start at goal_at and hyp_at at
+        the earliest: close it if possible, else take apart the leftmost
+        compound goal, else the leftmost compound hypothesis. Returns the
+        surface node and the edit it makes (None if it closes t)."""
+        for p in hyps:
+            if isinstance(p.formula, Bottom):
+                return cert.STrivial(p.name), None
+        for p in goals:
+            if isinstance(p.formula, Top):
+                return cert.STrivial(p.name), None
+        pair = self._axiom(t, hyps, goals)
+        if pair is not None:
+            return cert.SAxiom(pair[0].name, pair[1].name), None
+        side = t.goals
+        for i in range(goal_at, len(side)):
+            step = _GOAL_STEPS.get(_prop_kind(side[i]))
+            if step is not None:
+                return self._take_apart(t, side[i], step, True, i, hyp_at)
+        goal_at, side = len(side), t.hyps
+        for i in range(hyp_at, len(side)):
+            step = _HYP_STEPS.get(_prop_kind(side[i]))
+            if step is not None:
+                return self._take_apart(t, side[i], step, False, goal_at, i)
+        raise TransformError("t_blast: cannot close the task")
+
+    def _axiom(self, t: Task, hyps, goals) -> tuple[Premise, Premise] | None:
+        """The first hypothesis-goal pair of t, hypothesis-major, whose
+        formulas are alpha-equal, among the pairs with a step-added
+        premise."""
+        found = []
+        for h in hyps:
+            for g in self._candidates(t.goals, True, h.formula):
+                if alpha_equal(h.formula, g.formula):
+                    found.append((h, g))
+        if goals:
+            added = set(map(id, hyps))
+            for g in goals:
+                for h in self._candidates(t.hyps, False, g.formula):
+                    if id(h) not in added \
+                            and alpha_equal(h.formula, g.formula):
+                        found.append((h, g))
+        if len(found) > 1:
+            at_h, at_g = list(map(id, t.hyps)), list(map(id, t.goals))
+            return min(found, key=lambda pair: (at_h.index(id(pair[0])),
+                                                at_g.index(id(pair[1]))))
+        return found[0] if found else None
+
+    def _candidates(self, side, is_goal: bool, f: Term):
+        """The premises of side, the goals or else the hypotheses of the
+        task at hand, that may be alpha-equal to f: all of them if the side
+        is narrow, else the ones that share f's key."""
+        if len(side) <= _WIDE:
+            return side
+        index = self.by_key[is_goal]
+        if index is None:
+            index = {}
+            self.trail.append((self.by_key, is_goal, None))
+            self.by_key[is_goal] = index
+            for p in side:
+                self._put(index, p)
+        bucket = index.get(_key(f))
+        return bucket.values() if bucket else ()
+
+    def _take_apart(self, t: Task, p: Premise, step, is_goal: bool,
+                    goal_at: int, hyp_at: int):
+        """The surface node that takes p apart, and its edit."""
+        make, suffixes, holes = step
+        fresh = ()
+        for suffix in suffixes:
+            fresh += (self._fresh(t, f"{p.name}{suffix}"),)
+        return (make(p.name, *fresh, *holes),
+                (is_goal, p, fresh, goal_at, hyp_at))
+
+    def _fresh(self, t: Task, base: str) -> Ident:
+        """_fresh(base, t.premise_names()), probed for from base's mark. A
+        base here ends in .1 or .2: ident reads it with uid 0, and no
+        reserved name ends so."""
+        low = self.low
+        at = low.get(base)
+        name = _free_name(t._by_name, base, at or 0)
+        if name.uid != at:
+            self.trail.append((low, base, _GONE if at is None else at))
+            low[base] = name.uid
+        return name
 
 
 def _splice(step, kids):
@@ -545,12 +725,14 @@ def t_blast(T: Task) -> Result:
     cert.rebuild and builds the kernel certificate as it goes: T is judged
     once, each step's surface node is elaborated once, against the task at
     hand, and both nodes take their children's certificates in their
-    holes.
+    holes. A step reads the task through the search state (_Search), which
+    each step brings up to date from its own edit, so it costs what the
+    step added, not the width of the task.
     """
     if not well_typed(T):
         raise TransformError("the task is not well-typed")
     try:
-        s, k = cert.rebuild((T, None), _blast_node, _splice)
+        s, k = cert.rebuild((T, None, 0), _Search().node, _splice)
     except CertError as e:
         raise TransformError(str(e)) from e
     cert.keep_kernel(s, T, k)

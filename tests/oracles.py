@@ -3,7 +3,8 @@
 These are deliberately written in the most naive way possible and must not
 import anything from certforge beyond the plain AST constructors. They were
 written and frozen before the implementations they test. The reference
-certificate printer at the end is the one exception (see there).
+certificate printer and the reference blast search at the end are the
+exceptions (see there).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 
 from certforge import cert, sexpr
 from certforge.core import (
+    RESERVED,
     App,
     Arrow,
     BinOp,
@@ -30,6 +32,8 @@ from certforge.core import (
     Top,
     Type,
     Var,
+    fresh_ident,
+    ident,
 )
 from certforge.task import Task
 
@@ -455,3 +459,97 @@ def ref_cert_dumps(c) -> str:
     """The text of certificate c: its list form, built bottom-up with
     cert.rebuild, printed by sexpr.dumps."""
     return sexpr.dumps(cert.rebuild(c, _cert_form_node, list.__add__))
+
+
+# ---------------------------------------------------------------------------
+# The reference blast search: t_blast's search as it was before it carried
+# state from step to step, written naively. Each step scans every premise:
+# falsity and truth, then every hypothesis-goal pair, hypothesis-major,
+# compared by their nameless normal forms, then the goals and the
+# hypotheses from the first for a compound one; each fresh name is found by
+# fresh_ident over all the task's premise names. It builds the tasks a step
+# leaves with cert.elaborate_node, the rules t_blast elaborates with.
+
+def _ref_fresh(base: str, T: Task):
+    base = ident(base)
+    if base.name in RESERVED | {"prop"}:
+        base = ident(base.name + "_")
+    return fresh_ident(base, set(T.premise_names()))
+
+
+def _ref_kind(p) -> str:
+    f = p.formula
+    if isinstance(f, BinOp):
+        return f.op
+    if isinstance(f, Not):
+        return "not"
+    if isinstance(f, Top):
+        return "top"
+    if isinstance(f, Bottom):
+        return "bottom"
+    if isinstance(f, (Var, App, IntLit)):
+        return "atom"
+    raise Refused(f"premise {p.name} is not propositional")
+
+
+def _ref_blast_step(T: Task, parent: Task | None):
+    """One step of the search on T, which parent's step left (None at the
+    root). Every hypothesis-goal pair is compared, and none of two premises
+    that parent had too, the same objects on the same sides, may close T:
+    parent did not close."""
+    kept = set() if parent is None else (
+        {(False, id(p)) for p in parent.hyps}
+        | {(True, id(p)) for p in parent.goals})
+    for h in T.hyps:
+        if isinstance(h.formula, Bottom):
+            return cert.STrivial(h.name)
+    for g in T.goals:
+        if isinstance(g.formula, Top):
+            return cert.STrivial(g.name)
+    pairs = [(h, g) for h in T.hyps for g in T.goals
+             if db_term(h.formula) == db_term(g.formula)]
+    for h, g in pairs:
+        assert (False, id(h)) not in kept or (True, id(g)) not in kept, \
+            f"{h.name} and {g.name}, kept from the parent, close the task"
+    if pairs:
+        return cert.SAxiom(pairs[0][0].name, pairs[0][1].name)
+    hole = cert.SHole
+    for p in T.goals:
+        kind, n = _ref_kind(p), p.name
+        if kind == "and":
+            return cert.SSplit(n, hole(), hole())
+        if kind == "or":
+            return cert.SDestruct(n, _ref_fresh(f"{n}.1", T),
+                                  _ref_fresh(f"{n}.2", T), hole())
+        if kind == "imp":
+            return cert.SIntroImp(n, _ref_fresh(f"{n}.1", T), hole())
+        if kind == "not":
+            return cert.SSwapNeg(n, hole())
+        if kind == "iff":
+            return cert.SUnfoldIff(n, hole())
+        if kind == "bottom":
+            return cert.SClear(n, hole())
+    for p in T.hyps:
+        kind, n = _ref_kind(p), p.name
+        if kind == "and":
+            return cert.SDestruct(n, _ref_fresh(f"{n}.1", T),
+                                  _ref_fresh(f"{n}.2", T), hole())
+        if kind == "or":
+            return cert.SSplit(n, hole(), hole())
+        if kind == "imp":
+            return cert.SSplitImp(n, _ref_fresh(f"{n}.1", T), hole(), hole())
+        if kind == "not":
+            return cert.SSwapNeg(n, hole())
+        if kind == "iff":
+            return cert.SUnfoldIff(n, hole())
+        if kind == "top":
+            return cert.SClear(n, hole())
+    raise Refused("cannot close the task")
+
+
+def ref_blast(T: Task, parent: Task | None = None):
+    """The surface certificate the reference search builds for T, a
+    well-typed task; Refused if it cannot close T."""
+    s = _ref_blast_step(T, parent)
+    _, kids = cert.elaborate_node((s, T))
+    return cert.with_children(s, [ref_blast(sub, T) for _, sub in kids])

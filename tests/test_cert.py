@@ -1078,6 +1078,29 @@ def test_a_name_the_reader_would_not_read_back_is_refused(name):
         sexpr.to_text(T)
 
 
+@pytest.mark.parametrize("formula, name", [
+    (var("true"), "true"),
+    (Not(var("false")), "false"),
+    (Forall(ident("x"), TVar(ident("prop")), _P), "prop"),
+])
+def test_a_variable_the_reader_reads_as_a_constant_is_refused(formula, name):
+    # (KAxiom true H G) would load as KAxiom(Top(), H, G), and a binder
+    # typed by the type variable prop as one typed Prop()
+    with pytest.raises(sexpr.SexprError,
+                       match="not a printable symbol: " + repr(name)):
+        cert_dumps(cert.KAxiom(formula, H, G))
+
+
+def test_a_premise_or_variable_named_like_a_constant_elsewhere_reads_back():
+    # as a premise's name, a term variable prop or a type variable true,
+    # the reader reads each name back
+    T = Task(sig=((ident("prop"), TVar(ident("true"))),),
+             hyps=(Premise(ident("true"), _P),), goals=(Premise(G, _P),))
+    for c in (cert.KAxiom(_P, ident("true"), G), KHole(T),
+              cert.KAxiom(var("prop"), ident("false"), ident("prop"))):
+        assert cert_loads(cert_dumps(c)) == c
+
+
 @pytest.mark.parametrize("bad", [3, (1, 2), "p", "a b", None])
 def test_a_payload_or_subterm_that_is_no_value_is_refused(bad):
     # a str is not printed as it is, and a tuple is not taken for the

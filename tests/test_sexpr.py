@@ -243,6 +243,44 @@ def test_term_sexpr_bad():
         term_from_sexpr(loads("()"))
 
 
+@pytest.mark.parametrize("t", [
+    app(var("not"), var("p")),
+    app(var("and"), var("p"), var("q")),
+    app(var("forall"), var("p")),
+    app(var("pi"), var("a"), var("p")),
+    app(var("="), var("p")),
+    app(var("="), var("p"), var("q"), var("r")),
+])
+def test_an_application_of_a_keyword_is_refused(t):
+    # (not p) would read back as Not(p); (= p) and (= p q r) not at all
+    head = t
+    while isinstance(head, App):
+        head = head.fn
+    with pytest.raises(SexprError, match=f"an application of {head.name} "):
+        sexpr.to_text(t)
+
+
+@pytest.mark.parametrize("t", [
+    app(var("="), var("p"), var("q")),
+    app(var("f"), var("not"), var("lam")),
+    var("and"),
+    app(var("not#1"), var("p")),
+    Not(var("iff")),
+])
+def test_a_keyword_name_the_reader_reads_back_is_printed(t):
+    # a keyword is read as a name anywhere but at the head of a list, and
+    # = heads its application to two arguments
+    text = sexpr.to_text(t)
+    assert text == str(t)
+    assert sexpr.read_text(sexpr.read_term, text) == t
+
+
+def test_a_type_applying_the_arrow_is_refused():
+    # (-> prop prop) reads back as Arrow(prop, prop)
+    with pytest.raises(SexprError, match="reads as an arrow"):
+        sexpr.to_text(TApp(ident("->"), (PROP, PROP)))
+
+
 @pytest.mark.parametrize("text, message", [
     ("(not)", "not takes one argument"),
     ("(not a b)", "not takes one argument"),

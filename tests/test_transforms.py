@@ -1,6 +1,7 @@
 """Certifying transformations: every application is re-checked end to end."""
 
 import gc
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -47,7 +48,7 @@ from certforge.task import (
     well_typed,
 )
 from certforge.transforms import TransformError
-from oracles import brute_force_valid
+from oracles import Refused, brute_force_valid, ref_blast
 from test_acceptance import _c2_corpus
 from test_cert import _recursion_limit
 
@@ -612,6 +613,131 @@ def test_blast_agrees_with_oracle(seed):
     except TransformError:
         got = False
     assert got == want
+
+
+# Premise names for blast's random tasks: ones that collide with the bases
+# blast draws fresh names from (G.1, G.1#1, G.2, H.1, H.1#1), names of the
+# interpreted symbols (int, =), and plain ones.
+_BLAST_NAMES = ("G", "G.1", "G.1#1", "G.2", "H", "H.1", "H.1#1", "int", "=",
+                "K")
+
+
+def _blast_task(rng, wide=False):
+    """A random propositional task over p, q, r: one to four premises with
+    names from _BLAST_NAMES, every connective, true and false on both
+    sides. A wide one has eight to eleven more premises on each side,
+    atoms and negated atoms, among the others: hypotheses over p and q,
+    goals over r, so that what the search adds closes against them."""
+    picked = rng.sample(_BLAST_NAMES, rng.randint(1, 4))
+    cut = rng.randint(1, min(2, len(picked)))
+    sides = [[(nm, _formula(rng, rng.randint(0, 3))) for nm in names]
+             for names in (picked[cut:], picked[:cut])]
+    if wide:
+        for side, atoms, tag in ((sides[0], (P, Q), "A"),
+                                 (sides[1], (R,), "B")):
+            for i in range(rng.randint(8, 11)):
+                f = rng.choice(atoms)
+                side.insert(rng.randint(0, len(side)),
+                            (f"{tag}{i}", f if rng.random() < 0.7 else Not(f)))
+    return ptask(hyps=sides[0], goals=sides[1])
+
+
+def _blast_tasks():
+    """Blast's pinned tasks: random ones, narrow and wide, and ones whose
+    search reuses a fresh-name base after a premise of that base was
+    removed."""
+    rng = random.Random(20261020)
+    out = [_blast_task(rng, wide=i % 4 == 3) for i in range(240)]
+    # G.1 is taken, so the intro names G.1#1; destructing G.1 drops the
+    # name, and the intro after the swap takes G.1 again
+    out.append(ptask(hyps=[("G.1", conj(P, Q))],
+                     goals=[("G", imp(conj(Q, P), Not(Not(imp(P, Q)))))]))
+    # the intro names G.1#2; SClear drops G.1#1, which the intro after the
+    # swap takes
+    out.append(ptask(hyps=[("G.1", P), ("G.1#1", Top())],
+                     goals=[("G", imp(Q, Not(Not(imp(Q, Q)))))]))
+    # each branch of the split names its intro G.1#3
+    out.append(ptask(hyps=[("G.1", P), ("G.1#1", Top())],
+                     goals=[("G", imp(Q, conj(imp(P, P), imp(Q, Q))))]))
+    return out
+
+
+def test_blast_certificates_on_random_tasks_are_pinned():
+    # blast's surface and kernel certificates, or its refusal, on tasks
+    # that take every step kind; the digest was taken before blast carried
+    # its search state from step to step, and must not move
+    h = hashlib.sha256()
+    for T in _blast_tasks():
+        try:
+            s = tr.t_blast(T)[1]
+        except TransformError as e:
+            h.update(f"refused: {e}\n".encode("utf-8"))
+            continue
+        for cert in (s, c.elaborate(s, T)):
+            h.update(c.cert_dumps(cert).encode("utf-8") + b"\n")
+    assert h.hexdigest() == \
+        "44d7ee4de65a3ac319a884a67273409146866c2b86746daaa170479a584ad163"
+
+
+def _surface_text(blast, refusal, T):
+    """cert_dumps of the surface certificate blast builds for T, or None if
+    it raises refusal."""
+    try:
+        return c.cert_dumps(blast(T))
+    except refusal:
+        return None
+
+
+def assert_blast_as_reference(T):
+    assert _surface_text(lambda T: tr.t_blast(T)[1], TransformError, T) \
+        == _surface_text(ref_blast, Refused, T)
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_blast_searches_as_the_reference_does(seed, wide):
+    assert_blast_as_reference(_blast_task(random.Random(seed), wide))
+
+
+def test_blast_searches_the_pinned_tasks_as_the_reference_does():
+    for T in [*_blast_tasks(), *map(gen_chain_task, (1, 2, 9, 10, 30))]:
+        assert_blast_as_reference(T)
+
+
+def _blast_work(monkeypatch, n):
+    """The alpha_equal calls, fresh-name suffix probes and premise-kind
+    inspections of one t_blast on the chain of n."""
+    work = dict.fromkeys(("alpha_equal", "probes", "kinds"), 0)
+    alpha_equal, free_name, prop_kind = (tr.alpha_equal, tr._free_name,
+                                         tr._prop_kind)
+
+    def counted_alpha_equal(a, b):
+        work["alpha_equal"] += 1
+        return alpha_equal(a, b)
+
+    def counted_free_name(names, base, k):
+        name = free_name(names, base, k)
+        work["probes"] += name.uid - k + 1
+        return name
+
+    def counted_prop_kind(p):
+        work["kinds"] += 1
+        return prop_kind(p)
+
+    monkeypatch.setattr(tr, "alpha_equal", counted_alpha_equal)
+    monkeypatch.setattr(tr, "_free_name", counted_free_name)
+    monkeypatch.setattr(tr, "_prop_kind", counted_prop_kind)
+    assert tr.t_blast(gen_chain_task(n))[0] == []
+    monkeypatch.undo()
+    return work
+
+
+def test_blast_work_per_step_does_not_grow_with_the_chain(monkeypatch):
+    # a step pays for what it added, so doubling the chain about doubles
+    # the work; a scan of the whole task per step would quadruple it
+    w100, w200 = _blast_work(monkeypatch, 100), _blast_work(monkeypatch, 200)
+    for what in w100:
+        assert 0 < w200[what] <= 2.2 * w100[what], (what, w100, w200)
 
 
 def test_every_transformation_keeps_the_kernel_a_replay_builds():
