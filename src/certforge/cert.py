@@ -842,19 +842,6 @@ def _read_cert(tokens, i, cache):
         raise
 
 
-def _read(read, data):
-    try:
-        return read(_read_cert, data)
-    except (sexpr.SexprError, TaskError) as e:
-        raise CertError(f"malformed certificate text: {e}") from e
-
-
-def cert_from_sexpr(form):
-    """The certificate the parsed form spells, read as cert_loads reads
-    its text (the same reader, over the form's tokens)."""
-    return _read(sexpr.read_form, form)
-
-
 def cert_dumps(c) -> str:
     """The text cert_loads reads back as c, printed by sexpr's printer in
     one pass: each formula, type or task object is walked once per call,
@@ -870,7 +857,10 @@ def cert_loads(text: str):
     Formulas are read through sexpr's shared tables, so a subterm
     structurally identical to one in a live value read before, such as the
     parsed task the certificate is checked against, is that very object."""
-    return _read(sexpr.read_text, text)
+    try:
+        return sexpr.read_text(_read_cert, text)
+    except (sexpr.SexprError, TaskError) as e:
+        raise CertError(f"malformed certificate text: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +871,10 @@ _OPNAME = {"and": "a conjunction", "or": "a disjunction",
 
 
 def _premise(T: Task, name: Ident, want_goal: bool | None = None):
-    found = T.find(name)
+    found = T._by_name.get(name)
     if found is None:
         raise CertError(f"no premise named {name}")
-    is_goal, _, prem = found
+    is_goal, prem = found
     if want_goal is not None and is_goal != want_goal:
         raise CertError(f"premise {name} is not a "
                         f"{'goal' if want_goal else 'hypothesis'}")

@@ -73,9 +73,10 @@ class Type:
     __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
-        """The type in task-file syntax, printed by sexpr without recursion."""
-        from .sexpr import dumps, type_to_sexpr  # sexpr imports this module
-        return dumps(type_to_sexpr(self))
+        """The type in task-file syntax, printed by sexpr without recursion;
+        no name is refused, so a message that quotes a type never raises."""
+        from .sexpr import _text  # sexpr imports this module
+        return _text(self, None, False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,9 +172,10 @@ class Term:
     __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
-        """The term in task-file syntax, printed by sexpr without recursion."""
-        from .sexpr import dumps, term_to_sexpr  # sexpr imports this module
-        return dumps(term_to_sexpr(self))
+        """The term in task-file syntax, printed by sexpr without recursion;
+        no name is refused, so a message that quotes a term never raises."""
+        from .sexpr import _text  # sexpr imports this module
+        return _text(self, None, False)
 
 
 @dataclass(frozen=True, slots=True)

@@ -167,13 +167,6 @@ def _raised_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
-# printing precedence: 0 admits everything, 1 an arrow operand (arrows and
-# binders get parentheses), 2 an application head, 3 an application argument
-@_raised_recursion_limit()
-def lp_format(t: LpTerm) -> str:
-    return _format(t, 0, {}, set(), {})
-
-
 # What emit_module's printer knows of each node it prints once, by the
 # node's id: None before its first occurrence, then its text at precedence
 # 0 and the names free in it. The caller keeps the nodes alive.
@@ -183,8 +176,10 @@ _UNSHARED = object()
 
 def _format(t: LpTerm, prec: int, bound: dict[str, int], free: set[str],
             memo: _PrintMemo) -> str:
-    """lp_format, adding to free every name t uses that no binder above it
-    binds; bound counts the open binders of each name.
+    """t's text at precedence prec (0 admits everything, 1 an arrow
+    operand, whose arrows and binders get parentheses, 2 an application
+    head, 3 an application argument), adding to free every name t uses that
+    no binder above it binds; bound counts the open binders of each name.
 
     A node memo lists is walked at its first occurrence only, in the same
     frame, so the recursion is as deep as the tree walk's. Every

@@ -18,11 +18,11 @@ arrives, on an explicit stack, so nesting depth costs no Python recursion.
 The form entries (type_from_sexpr, term_from_sexpr, task_from_sexpr) run
 the same reader over the tokens of a datum. One printer, to_text, writes
 types, terms and tasks (and certificates, for cert) back as text in one
-pass, on an explicit stack too, and prints each shared subterm once. loads
-and dumps read and print plain data; the form printers (type_to_sexpr,
-term_to_sexpr, task_to_sexpr) turn types, terms and tasks into data. A
-line:col position is computed from a token's offset only for an error,
-once the read has failed.
+pass, on an explicit stack too, and prints each shared subterm once; str()
+of a type or term prints through it without its read-back checks. loads
+and dumps read and print plain data; term_to_sexpr and task_to_sexpr give
+the data of a term's or task's text. A line:col position is computed from
+a token's offset only for an error, once the read has failed.
 
 Reading hash-conses types and terms through one weak table each, shared by
 every read (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006):
@@ -210,8 +210,7 @@ def dumps(value) -> str:
 # occurrence: its text is then out[start:len(out)], and every later
 # occurrence of the same object in the call appends a copy of that slice
 # (pointer copies in C) instead of walking it again. So the text is the
-# tree's, as dumps of the form printers' data gives it, but each shared
-# formula costs one walk per call.
+# tree's, but each shared formula costs one walk per call.
 
 _OPEN_OP = {op: f"({op} " for op in ("and", "or", "imp", "iff")}
 _OPEN_BINDER = {Lam: "(lam (", Exists: "(exists (", Forall: "(forall ("}
@@ -234,20 +233,21 @@ def _scalar(v) -> str:
     return str(v) if type(v) is int else dumps(v)
 
 
-def _name_text(name: Ident, names: dict[int, str]) -> str:
-    """The text of name, recorded in names by its id; SexprError for a
-    name that the reader would not read back as this very identifier.
-    A name checked once is noted in the reader's table, as a read notes
-    it, so that a later call finds it there."""
+def _name_text(name: Ident, names: dict[int, str], check: bool) -> str:
+    """The text of name, str(name), recorded in names by its id. With
+    check, SexprError for a name that the reader would not read back as
+    this very identifier, and a name checked once is noted in the reader's
+    table, as a read notes it, so that a later call finds it there."""
     s = str(name)
-    got = _IDENTS.get(s)
-    if got is None:
-        if not s or _UNPRINTABLE.search(s) or not _is_symbol(s) \
-                or ident(s) != name:
+    if check:
+        got = _IDENTS.get(s)
+        if got is None:
+            if not s or _UNPRINTABLE.search(s) or not _is_symbol(s) \
+                    or ident(s) != name:
+                raise SexprError(f"not a printable symbol: {s!r}")
+            _note_ident(s, name)
+        elif got is not name and got != name:
             raise SexprError(f"not a printable symbol: {s!r}")
-        _note_ident(s, name)
-    elif got is not name and got != name:
-        raise SexprError(f"not a printable symbol: {s!r}")
     names[id(name)] = s
     return s
 
@@ -256,31 +256,43 @@ def _name_text(name: Ident, names: dict[int, str]) -> str:
 _CONSTANT_NAMES = {Var: ("true", "false"), TVar: ("prop",)}
 
 
-def _var_text(v: Var | TVar, names: dict[int, str]) -> str:
+def _var_text(v: Var | TVar, names: dict[int, str], check: bool) -> str:
     """The text of a term or type variable, recorded in names by its id:
-    its name's, but SexprError for a name that the reader reads as a
-    constant there (true, false; prop). Elsewhere, as a premise or a
-    binder's name, the reader reads such a name back."""
-    s = names.get(id(v.name)) or _name_text(v.name, names)
-    if s in _CONSTANT_NAMES[type(v)]:
+    its name's, but with check, SexprError for a name that the reader
+    reads as a constant there (true, false; prop). Elsewhere, as a premise
+    or a binder's name, the reader reads such a name back."""
+    s = names.get(id(v.name)) or _name_text(v.name, names, check)
+    if check and s in _CONSTANT_NAMES[type(v)]:
         raise SexprError(f"not a printable symbol: {s!r}")
     names[id(v)] = s
     return s
 
 
 def to_text(value, expand=None) -> str:
-    """The text of value, a type, term or task, as dumps prints the data
-    type_to_sexpr, term_to_sexpr or task_to_sexpr give for it; but a name
-    that the reader would not read back as that very identifier, such as
-    12, #t or Ident("x#3") (which reads as x with uid 3), is refused with
-    SexprError, and so is a value whose text reads back as another: a term
-    variable true or false, a type variable prop, an application headed by
-    a keyword (but = applied to two arguments), a type applying ->.
+    """The text of value, a type, term or task, in task-file syntax; but a
+    name that the reader would not read back as that very identifier, such
+    as 12, #t or Ident("x#3") (which reads as x with uid 3), is refused
+    with SexprError, and so is a value whose text reads back as another: a
+    term variable true or false, a type variable prop, an application
+    headed by a keyword (but = applied to two arguments), a type applying
+    ->.
 
     expand(x) is called on any other value x, and gives (head, elements):
     x prints as the text head alone when elements is empty, else as the
     list of head and elements, each printed by this printer in turn. An
     identifier prints as its name, and a bool as #t or #f."""
+    return _text(value, expand, True)
+
+
+# the __str__ of a value with no text of its own but the one _text gives
+_PRINTED_HERE = (object.__str__, Type.__str__, Term.__str__)
+
+
+def _text(value, expand, check: bool) -> str:
+    """to_text's printer; without check (for str(), whose messages must
+    not raise) it refuses no name and no value for how it reads back, and
+    a value of its own __str__ (a metavariable in a typing error) prints
+    through that."""
     out: list[str] = []
     append = out.append
     todo = [value]
@@ -299,14 +311,14 @@ def to_text(value, expand=None) -> str:
             append(x)
             continue
         if cls is Var or cls is TVar:
-            append(names.get(id(x)) or _var_text(x, names))
+            append(names.get(id(x)) or _var_text(x, names, check))
             continue
         if x is _END:
             key, start = opened.pop()
             seen[key] = start, len(out)
             continue
         if cls is Ident:
-            append(names.get(id(x)) or _name_text(x, names))
+            append(names.get(id(x)) or _name_text(x, names, check))
             continue
         if cls is IntLit:
             append(_scalar(x.value))
@@ -336,7 +348,8 @@ def to_text(value, expand=None) -> str:
                 cls = type(x)
             # a keyword heading the list reads as its form: only (= a b),
             # an application of = to two arguments, reads back as one
-            if cls is Var and x.name.name in _HEADS and not x.name.uid \
+            if check and cls is Var and x.name.name in _HEADS \
+                    and not x.name.uid \
                     and not (x.name.name == "=" and len(todo) - start == 4):
                 raise SexprError(
                     f"an application of {x.name} reads as a {x.name} form")
@@ -389,7 +402,7 @@ def to_text(value, expand=None) -> str:
                 push(part)
                 push(_SP)
         elif cls is TApp:
-            if x.head.name == "->" and not x.head.uid:
+            if check and x.head.name == "->" and not x.head.uid:
                 raise SexprError("a type applying -> reads as an arrow")
             push(_END)
             opened.append((key, len(out)))
@@ -426,105 +439,21 @@ def to_text(value, expand=None) -> str:
             for v in reversed(elements):
                 push(v)
                 push(_SP)
+        elif not check and type(x).__str__ not in _PRINTED_HERE:
+            append(str(x))
         else:
             raise SexprError(f"cannot print {x!r}")
     return "".join(out)
 
 
-# ---------------------------------------------------------------------------
-# Types
-
-# type_to_sexpr and term_to_sexpr print with an explicit stack of
-# (form, index, node): the node's form goes into form[index]. A list form is
-# made with a slot per element as soon as its node is popped, and its
-# children are pushed to fill the slots, leftmost on top.
-
-def type_to_sexpr(ty: Type):
-    out = [None]
-    todo: list = [(out, 0, ty)]
-    while todo:
-        form, i, t = todo.pop()
-        if isinstance(t, Prop):
-            form[i] = "prop"
-        elif isinstance(t, TVar):
-            form[i] = str(t.name)
-        elif isinstance(t, (TApp, Arrow)):
-            if isinstance(t, TApp):
-                head, parts = str(t.head), t.args
-            else:
-                head, parts = "->", []
-                while isinstance(t, Arrow):
-                    parts.append(t.left)
-                    t = t.right
-                parts.append(t)
-            form[i] = sub = [head] + [None] * len(parts)
-            for j in range(len(parts), 0, -1):
-                todo.append((sub, j, parts[j - 1]))
-        elif type(t).__str__ not in (object.__str__, Type.__str__):
-            # a type of its own printing, such as a metavariable in a
-            # typing error's message
-            form[i] = str(t)
-        else:
-            raise SexprError(f"cannot print type {t!r}")
-    return out[0]
-
-
-# ---------------------------------------------------------------------------
-# Terms
-
-_BINDER_KEYWORDS = {Lam: "lam", Exists: "exists", Forall: "forall"}
-
-
 def term_to_sexpr(t: Term):
-    out = [None]
-    todo: list = [(out, 0, t)]
-    while todo:
-        form, i, t = todo.pop()
-        if isinstance(t, Var):
-            form[i] = str(t.name)
-        elif isinstance(t, App):
-            args = []
-            while isinstance(t, App):
-                args.append(t.arg)
-                t = t.fn
-            form[i] = sub = [None] * (len(args) + 1)
-            # args runs from the last argument back to the first
-            for j, a in enumerate(args):
-                todo.append((sub, len(args) - j, a))
-            todo.append((sub, 0, t))
-        elif isinstance(t, BinOp):
-            form[i] = sub = [t.op, None, None]
-            todo += ((sub, 2, t.right), (sub, 1, t.left))
-        elif isinstance(t, Not):
-            form[i] = sub = ["not", None]
-            todo.append((sub, 1, t.body))
-        elif isinstance(t, IntLit):
-            form[i] = t.value
-        elif isinstance(t, Top):
-            form[i] = "true"
-        elif isinstance(t, Bottom):
-            form[i] = "false"
-        elif isinstance(t, (Lam, Exists, Forall)):
-            form[i] = sub = [_BINDER_KEYWORDS[type(t)],
-                             [str(t.var), type_to_sexpr(t.ty)], None]
-            todo.append((sub, 2, t.body))
-        elif isinstance(t, PiType):
-            form[i] = sub = ["pi", str(t.var), None]
-            todo.append((sub, 2, t.body))
-        else:
-            raise SexprError(f"cannot print term {t!r}")
-    return out[0]
+    """The data of t's text: loads(to_text(t))."""
+    return loads(to_text(t))
 
-
-# ---------------------------------------------------------------------------
-# Tasks
 
 def task_to_sexpr(T: Task):
-    return ["task",
-            ["types"] + [[str(n), a] for n, a in T.types],
-            ["sig"] + [[str(n), type_to_sexpr(ty)] for n, ty in T.sig],
-            ["hyps"] + [[str(p.name), term_to_sexpr(p.formula)] for p in T.hyps],
-            ["goals"] + [[str(p.name), term_to_sexpr(p.formula)] for p in T.goals]]
+    """The data of T's text: loads(to_text(T))."""
+    return loads(to_text(T))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,10 @@ def _decl_key(types: tuple[tuple[Ident, int], ...],
 def _check_decl(sig: Mapping[Ident, Type], name: Ident) -> None:
     if name.name in RESERVED:
         raise TaskError(f"symbol {name} is interpreted and reserved")
+    if name.name in ("true", "false") and not name.uid:
+        # no formula could name it: the reader reads true and false as
+        # the constants
+        raise TaskError(f"symbol {name} names a constant")
     if name in sig:
         raise TaskError(f"symbol {name} declared twice")
 
@@ -205,6 +209,8 @@ def _check_type_decl(types: Mapping[Ident, int], name: Ident,
                      arity: int) -> None:
     if name.name in RESERVED:
         raise TaskError(f"type symbol {name} is interpreted and reserved")
+    if name.name == "prop":
+        raise TaskError(f"type symbol {name} names the type of formulas")
     if name in types:
         raise TaskError(f"type symbol {name} declared twice")
     if arity < 0:

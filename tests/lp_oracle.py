@@ -15,6 +15,8 @@ numerals) from lp_export, and nothing of the encoder it judges.
 tree_format is the printer as it was before emit_module printed each
 shared encoding once: a walk of the term as a tree, collecting the names
 no binder above binds. It imports nothing of the printer it judges.
+lp_format prints a whole term with it, for the tests that read a term's
+text.
 
 app_correctness_type states what a proof term proves: the resulting
 tasks entail the initial one.
@@ -160,6 +162,11 @@ def tree_format(t, prec, bound, free):
     else:
         raise TypeError(f"unknown λΠ node {t!r}")
     return f"({s})" if prec > 0 else s
+
+
+def lp_format(t) -> str:
+    """t's text as a whole statement: tree_format at precedence 0."""
+    return tree_format(t, 0, {}, set())
 
 
 def app_correctness_type(T, L):

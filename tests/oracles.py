@@ -3,8 +3,8 @@
 These are deliberately written in the most naive way possible and must not
 import anything from certforge beyond the plain AST constructors. They were
 written and frozen before the implementations they test. The reference
-certificate printer and the reference blast search at the end are the
-exceptions (see there).
+form and certificate printers and the reference blast search at the end
+are the exceptions (see there).
 """
 
 from __future__ import annotations
@@ -424,10 +424,103 @@ def redex_instances(I: dict, sig: dict, ctx: Lam, u: Term) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The reference form printers: sexpr's printers from types, terms and tasks
+# to list forms, as they were before str() and the form printers went
+# through sexpr.to_text. dumps of a form they give is the text to_text (and
+# str()) must print; they share no code with that printer.
+
+# ref_type_form and ref_term_form print with an explicit stack of
+# (form, index, node): the node's form goes into form[index]. A list form is
+# made with a slot per element as soon as its node is popped, and its
+# children are pushed to fill the slots, leftmost on top.
+
+def ref_type_form(ty: Type):
+    out = [None]
+    todo: list = [(out, 0, ty)]
+    while todo:
+        form, i, t = todo.pop()
+        if isinstance(t, Prop):
+            form[i] = "prop"
+        elif isinstance(t, TVar):
+            form[i] = str(t.name)
+        elif isinstance(t, (TApp, Arrow)):
+            if isinstance(t, TApp):
+                head, parts = str(t.head), t.args
+            else:
+                head, parts = "->", []
+                while isinstance(t, Arrow):
+                    parts.append(t.left)
+                    t = t.right
+                parts.append(t)
+            form[i] = sub = [head] + [None] * len(parts)
+            for j in range(len(parts), 0, -1):
+                todo.append((sub, j, parts[j - 1]))
+        elif type(t).__str__ not in (object.__str__, Type.__str__):
+            # a type of its own printing, such as a metavariable in a
+            # typing error's message
+            form[i] = str(t)
+        else:
+            raise sexpr.SexprError(f"cannot print type {t!r}")
+    return out[0]
+
+
+_BINDER_KEYWORDS = {Lam: "lam", Exists: "exists", Forall: "forall"}
+
+
+def ref_term_form(t: Term):
+    out = [None]
+    todo: list = [(out, 0, t)]
+    while todo:
+        form, i, t = todo.pop()
+        if isinstance(t, Var):
+            form[i] = str(t.name)
+        elif isinstance(t, App):
+            args = []
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fn
+            form[i] = sub = [None] * (len(args) + 1)
+            # args runs from the last argument back to the first
+            for j, a in enumerate(args):
+                todo.append((sub, len(args) - j, a))
+            todo.append((sub, 0, t))
+        elif isinstance(t, BinOp):
+            form[i] = sub = [t.op, None, None]
+            todo += ((sub, 2, t.right), (sub, 1, t.left))
+        elif isinstance(t, Not):
+            form[i] = sub = ["not", None]
+            todo.append((sub, 1, t.body))
+        elif isinstance(t, IntLit):
+            form[i] = t.value
+        elif isinstance(t, Top):
+            form[i] = "true"
+        elif isinstance(t, Bottom):
+            form[i] = "false"
+        elif isinstance(t, (Lam, Exists, Forall)):
+            form[i] = sub = [_BINDER_KEYWORDS[type(t)],
+                             [str(t.var), ref_type_form(t.ty)], None]
+            todo.append((sub, 2, t.body))
+        elif isinstance(t, PiType):
+            form[i] = sub = ["pi", str(t.var), None]
+            todo.append((sub, 2, t.body))
+        else:
+            raise sexpr.SexprError(f"cannot print term {t!r}")
+    return out[0]
+
+
+def ref_task_form(T: Task):
+    return ["task",
+            ["types"] + [[str(n), a] for n, a in T.types],
+            ["sig"] + [[str(n), ref_type_form(ty)] for n, ty in T.sig],
+            ["hyps"] + [[str(p.name), ref_term_form(p.formula)] for p in T.hyps],
+            ["goals"] + [[str(p.name), ref_term_form(p.formula)] for p in T.goals]]
+
+
+# ---------------------------------------------------------------------------
 # The reference certificate printer: the form printer cert_dumps was before
 # it printed in one pass. It builds the list form of every node and payload
-# with sexpr's form printers, walking a shared formula again at each
-# occurrence, and prints the whole form with sexpr.dumps; the one-pass
+# with the reference form printers above, walking a shared formula again at
+# each occurrence, and prints the whole form with sexpr.dumps; the one-pass
 # printer (sexpr.to_text) shares none of that code.
 
 def _cert_form_node(node):
@@ -445,11 +538,11 @@ def _cert_form_node(node):
         elif isinstance(v, Ident):
             form.append(str(v))
         elif isinstance(v, Term):
-            form.append(sexpr.term_to_sexpr(v))
+            form.append(ref_term_form(v))
         elif isinstance(v, Type):
-            form.append(sexpr.type_to_sexpr(v))
+            form.append(ref_type_form(v))
         elif isinstance(v, Task):
-            form.append(sexpr.task_to_sexpr(v))
+            form.append(ref_task_form(v))
         else:
             raise AssertionError(f"cannot serialize payload {v!r}")
     return form, children

@@ -16,7 +16,7 @@ import pytest
 import lp_parser as lpp
 import oracles
 import typing_cases
-from lp_oracle import app_correctness_type
+from lp_oracle import app_correctness_type, lp_format
 from typing_cases import typecheck
 
 from certforge import cert, checker, cli, sexpr
@@ -438,7 +438,7 @@ def _blast_closes(T: Task) -> bool:
     assert check_application(T, [], k)
     # the kernel t_blast built step by step is the one a replay of its
     # surface certificate on a copy of T builds
-    copy = cli.parse_task(sexpr.dumps(sexpr.task_to_sexpr(T)))
+    copy = cli.parse_task(sexpr.to_text(T))
     assert cert.cert_dumps(cert.elaborate(s, copy)) == cert.cert_dumps(k)
     return True
 
@@ -514,7 +514,7 @@ def _c7_modules():
 
 def test_criterion_7_lambda_pi_goldens():
     s2 = {ident("x1"): PROP, ident("x2"): PROP}
-    fmt = lambda t: lp.lp_format(lp.encode_term(t, {}, s2))
+    fmt = lambda t: lp_format(lp.encode_term(t, {}, s2))
     assert fmt(Bottom()) == "Π C : TYPE, C"
     assert fmt(Top()) == "(Π C : TYPE, C) → Π C : TYPE, C"
     assert fmt(conj(var("x1"), var("x2"))) == \

@@ -777,7 +777,7 @@ def test_a_certificate_loaded_against_its_parsed_task_checks_at_in_memory_cost(
     # for every subterm it has, so the kernel finds each operand recorded
     # (no typing) and matches it by identity (no alpha_equal walk), as on
     # the certificate elaboration built
-    T = parse_task(sexpr.dumps(sexpr.task_to_sexpr(gen_chain_task(20))))
+    T = parse_task(sexpr.to_text(gen_chain_task(20)))
     _, s = t_blast(T)
     k = elaborate(s, T)
     alpha_calls = []
@@ -822,7 +822,7 @@ def _one_reader_cases():
     cases = {type(c).__name__: (None, cert_dumps(c))
              for c in KERNEL_SAMPLES + SURFACE_SAMPLES}
     for n in range(1, 13):
-        T = parse_task(sexpr.dumps(sexpr.task_to_sexpr(gen_chain_task(n))))
+        T = parse_task(sexpr.to_text(gen_chain_task(n)))
         cases[f"chain_{n}"] = (T, cert_dumps(elaborate(t_blast(T)[1], T)))
     T = parse_task(_OPEN_WITNESS.format("d"))
     _, s = t_instantiate(T, H, var("d"))
@@ -845,13 +845,13 @@ def _payloads(c):
 
 
 def _from_form(text):
-    """cert_from_sexpr on the data of text, loads' error as cert_loads
-    words it."""
+    """cert_loads of the datum text holds, printed back with dumps;
+    loads' error as cert_loads words it."""
     try:
         form = sexpr.loads(text)
     except sexpr.SexprError as e:
         raise CertError(f"malformed certificate text: {e}") from e
-    return cert.cert_from_sexpr(form)
+    return cert_loads(sexpr.dumps(form))
 
 
 def test_the_text_and_the_form_entry_are_one_reader():

@@ -42,7 +42,7 @@ from certforge.core import (
     subst_term,
     var,
 )
-from certforge.sexpr import dumps, task_to_sexpr
+from certforge.sexpr import to_text
 from certforge.task import Premise, Task, task_alpha_equal, well_typed
 
 H, G = ident("H"), ident("G")
@@ -408,7 +408,7 @@ def test_a_forged_deep_annotation_is_refused_without_recursion(tmp_path):
     # stack (a crash, so in a subprocess)
     T, node = _forged_deep_annotation(20_000)
     task_file, cert_file = tmp_path / "t.tsk", tmp_path / "t.cert"
-    task_file.write_text(dumps(task_to_sexpr(T)), encoding="utf-8")
+    task_file.write_text(to_text(T), encoding="utf-8")
     cert_file.write_text(c.cert_dumps(node), encoding="utf-8")
     src = Path(c.__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -20,6 +20,7 @@ from certforge.cli import (
 )
 from certforge.core import Top, TypingError, ident, var
 from certforge.task import Premise, TaskError, gen_chain_task, task_alpha_equal
+from oracles import ref_task_form
 
 EX1 = """
 (task (types)
@@ -55,10 +56,10 @@ SPLIT = """
                                   "(task (types) (sig) (hyps) (goals))"])
 def test_parse_print_parse_is_alpha_stable(text):
     T = parse_task(text)
-    printed = sexpr.dumps(sexpr.task_to_sexpr(T))
+    printed = sexpr.to_text(T)
     T2 = parse_task(printed)
     assert task_alpha_equal(T, T2)
-    assert sexpr.dumps(sexpr.task_to_sexpr(T2)) == printed
+    assert sexpr.to_text(T2) == printed
 
 
 def test_parse_task_refuses_every_truncation():
@@ -78,7 +79,7 @@ def test_parse_command_prints_canonical_form(tmp_path, capsys):
     f.write_text(SPLIT, encoding="utf-8")
     assert main(["parse", str(f)]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == sexpr.dumps(sexpr.task_to_sexpr(parse_task(SPLIT)))
+    assert out == sexpr.dumps(ref_task_form(parse_task(SPLIT)))
 
 
 # the text parse and transform printed before they printed through
@@ -102,7 +103,7 @@ def test_parse_command_output_is_pinned(tmp_path, capsys):
     assert main(["parse", str(f)]) == 0
     assert capsys.readouterr().out == _EX2_PRINTED + "\n"
     assert sexpr.to_text(parse_task(EX2)) == \
-        sexpr.dumps(sexpr.task_to_sexpr(parse_task(EX2)))
+        sexpr.dumps(ref_task_form(parse_task(EX2)))
 
 
 def test_transform_command_output_is_pinned(tmp_path, capsys):
@@ -191,7 +192,7 @@ def test_a_name_with_non_ascii_digits_after_its_hash_reads_back():
     text = "(KTrivial #t x#\u00b2)"
     assert cert_dumps(cert_loads(text)) == text
     text = "(task (types) (sig) (hyps) (goals (G#\u00b2 true)))"
-    assert sexpr.dumps(sexpr.task_to_sexpr(parse_task(text))) == text
+    assert sexpr.to_text(parse_task(text)) == text
 
 
 def test_parse_rejects_reserved_int(tmp_path, capsys):
@@ -287,7 +288,7 @@ def test_transform_split_on_wrong_shape_writes_nothing(tmp_path, capsys):
 
 def test_transform_blast_closes_chain_task(tmp_path, capsys):
     f = tmp_path / "chain2.tsk"
-    f.write_text(sexpr.dumps(sexpr.task_to_sexpr(gen_chain_task(2))) + "\n",
+    f.write_text(sexpr.to_text(gen_chain_task(2)) + "\n",
                  encoding="utf-8")
     assert main(["transform", str(f), "--name", "blast"]) == 0
     assert "ok: 0 resulting task(s)" in capsys.readouterr().out

@@ -82,7 +82,7 @@ def _applications():
 def _task_texts():
     texts = [_FOL_TASK]
     for T, L, _ in _applications()[:4]:
-        texts += [sexpr.dumps(sexpr.task_to_sexpr(t)) for t in (T, *L)]
+        texts += [sexpr.to_text(t) for t in (T, *L)]
     return texts
 
 

@@ -44,7 +44,8 @@ from certforge.core import (
     var,
 )
 from certforge.task import Premise, Task, gen_chain_task
-from lp_oracle import app_correctness_type, per_formula, tree_format
+from lp_oracle import (app_correctness_type, lp_format, per_formula,
+                       tree_format)
 from test_acceptance import _FOL_TASK, _fol_script
 from test_cert import _recursion_limit
 
@@ -71,27 +72,27 @@ def prop_sig(*names):
 # the encoding table
 
 def test_encode_bottom():
-    assert lp.lp_format(lp.encode_term(Bottom())) == "Π C : TYPE, C"
+    assert lp_format(lp.encode_term(Bottom())) == "Π C : TYPE, C"
 
 
 def test_encode_top():
-    assert lp.lp_format(lp.encode_term(Top())) == \
+    assert lp_format(lp.encode_term(Top())) == \
         "(Π C : TYPE, C) → Π C : TYPE, C"
 
 
 def test_encode_conj():
     t = lp.encode_term(conj(var("x1"), var("x2")), {}, dict(prop_sig("x1", "x2")))
-    assert lp.lp_format(t) == "Π C : TYPE, (x1 → x2 → C) → C"
+    assert lp_format(t) == "Π C : TYPE, (x1 → x2 → C) → C"
 
 
 def test_encode_disj():
     t = lp.encode_term(disj(var("x1"), var("x2")), {}, dict(prop_sig("x1", "x2")))
-    assert lp.lp_format(t) == "Π C : TYPE, (x1 → C) → (x2 → C) → C"
+    assert lp_format(t) == "Π C : TYPE, (x1 → C) → (x2 → C) → C"
 
 
 def test_encode_neg():
     t = lp.encode_term(Not(var("x1")), {}, dict(prop_sig("x1")))
-    assert lp.lp_format(t) == "x1 → Π C : TYPE, C"
+    assert lp_format(t) == "x1 → Π C : TYPE, C"
 
 
 def test_encode_imp_is_arrow():
@@ -110,9 +111,9 @@ def test_encode_iff_is_conj_of_arrows():
 def test_encode_quantifiers():
     s = {ident("p"): Arrow(INT, PROP)}
     fa = lp.encode_term(Forall(ident("y"), INT, app(var("p"), Var(ident("y")))), {}, s)
-    assert lp.lp_format(fa) == "Π y : int, p y"
+    assert lp_format(fa) == "Π y : int, p y"
     ex = lp.encode_term(Exists(ident("y"), INT, app(var("p"), Var(ident("y")))), {}, s)
-    assert lp.lp_format(ex) == "Π C : TYPE, (Π y : int, p y → C) → C"
+    assert lp_format(ex) == "Π C : TYPE, (Π y : int, p y → C) → C"
 
 
 def test_encode_binder_dodges_captured_c():
@@ -132,7 +133,7 @@ def test_encode_binder_dodges_captured_c():
 def test_encode_eq_carries_the_instance_type():
     s = {ident("a"): INT, ident("b"): INT}
     got = lp.encode_term(eq(Var(ident("a")), Var(ident("b"))), {}, s)
-    assert lp.lp_format(got) == "eq int a b"
+    assert lp_format(got) == "eq int a b"
 
 
 def test_encode_polymorphic_symbol_applications():
@@ -145,7 +146,7 @@ def test_encode_polymorphic_symbol_applications():
         ident("mem"): Arrow(TVar(a), Arrow(TApp(ident("set"), (TVar(a),)), PROP)),
     }
     got = lp.encode_term(app(var("mem"), var("green"), var("empty")), I, s)
-    assert lp.lp_format(got) == "mem color green (empty color)"
+    assert lp_format(got) == "mem color green (empty color)"
 
 
 def test_encode_int_literals():
@@ -154,7 +155,7 @@ def test_encode_int_literals():
                        (9, "Zpos (xI (xO (xO xH)))"), (-5, "Zneg (xI (xO xH))")]:
         got = lp.encode_term(app(var("p"), IntLit(n)), {}, s)
         want = f"p ({spelled})" if " " in spelled else f"p {spelled}"
-        assert lp.lp_format(got) == want
+        assert lp_format(got) == want
 
 
 def test_encode_interpreted_arithmetic():
@@ -162,7 +163,7 @@ def test_encode_interpreted_arithmetic():
     got = lp.encode_term(
         eq(app(var("+"), Var(ident("a")), IntLit(1)),
            app(var("*"), Var(ident("a")), IntLit(2))), {}, s)
-    assert lp.lp_format(got) == \
+    assert lp_format(got) == \
         "eq int (add a (Zpos xH)) (mul a (Zpos (xO xH)))"
 
 
@@ -187,7 +188,7 @@ def test_encode_prenex_prefix_uses_the_typecheckers_fresh_name():
     assert iota != al
     got = lp.encode_term(t, I, {})
     name = lp.mangle(iota)
-    assert lp.lp_format(got) == f"Π {name} : TYPE, Π u : {name}, eq {name} u u"
+    assert lp_format(got) == f"Π {name} : TYPE, Π u : {name}, eq {name} u u"
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def test_encode_task_empty_is_bottom():
 
 def test_encode_task_atom_goal():
     T = Task(sig=prop_sig("x"), goals=(Premise(ident("G"), var("x")),))
-    assert lp.lp_format(lp.encode_task(T)) == \
+    assert lp_format(lp.encode_task(T)) == \
         "Π x : TYPE, (x → Π C : TYPE, C) → Π C : TYPE, C"
 
 
@@ -251,8 +252,8 @@ def test_encode_task_pruning_drops_untouched_symbols():
     T = Task(sig=prop_sig("x1", "x2", "x"),
              hyps=(Premise(ident("H"), var("x1")),),
              goals=(Premise(ident("G"), var("x")),))
-    full = lp.lp_format(lp.encode_task(T))
-    lean = lp.lp_format(lp.encode_task(T, prune=True))
+    full = lp_format(lp.encode_task(T))
+    lean = lp_format(lp.encode_task(T, prune=True))
     assert "x2" in full and "x2" not in lean
     assert lean == "Π x1 : TYPE, Π x : TYPE, x1 → (x → Π C : TYPE, C) → Π C : TYPE, C"
 
@@ -284,7 +285,7 @@ def test_the_exporter_and_the_cli_give_the_recursion_limit_back(tmp_path):
     # caller's limit when they return
     T, L, c = split_application()
     f = tmp_path / "t.task"
-    f.write_text(sexpr.dumps(sexpr.task_to_sexpr(T)), encoding="utf-8")
+    f.write_text(sexpr.to_text(T), encoding="utf-8")
     with _recursion_limit(1500):
         lp.emit_module(T, L, c)
         after_export = sys.getrecursionlimit()
@@ -986,7 +987,7 @@ def test_modules_parse_and_roundtrip():
         assert decls[0].path == "certforge.preamble"
         for d in decls[1:]:
             assert isinstance(d, lpp.LpSymbol)
-            again = lpp.parse_lp_term(lp.lp_format(d.body))
+            again = lpp.parse_lp_term(lp_format(d.body))
             assert lpp.lp_alpha_equal(d.body, again)
 
 
@@ -1113,7 +1114,7 @@ def test_encoder_agrees_with_the_per_formula_encoding_on_chain(parse):
     # share repeats), a built one shares only the atoms it reuses
     T = gen_chain_task(12)
     if parse:
-        T = cli.parse_task(sexpr.dumps(sexpr.task_to_sexpr(T)))
+        T = cli.parse_task(sexpr.to_text(T))
     k, L = via_transform(T, tr.t_blast(T))
     _agrees_with_the_oracle(T, L, k)
 
@@ -1153,8 +1154,8 @@ def test_the_memo_key_separates_prop_from_term_judgments():
     assert k.witness is choose and T.goals[0].formula.left is choose
     _agrees_with_the_oracle(T, L, k)
     enc = lp.Encoder()
-    body = lp.lp_format(lp.proof_term(k, T, L, enc))
-    initial = lp.lp_format(lp.encode_task(T, encoder=enc))
+    body = lp_format(lp.proof_term(k, T, L, enc))
+    initial = lp_format(lp.encode_task(T, encoder=enc))
     assert "inst_all int (λ x : int, p x) (choose int)" in body
     assert "(choose TYPE → p (choose int) → C)" in initial
 
@@ -1239,7 +1240,7 @@ def test_emit_module_annotates_only_carried_terms_on_a_first_order_script(
     calls = annotate_calls["lp_export"]
 
     def fresh(task):
-        return sexpr.task_from_sexpr(sexpr.task_to_sexpr(task))
+        return sexpr.task_loads(sexpr.to_text(task))
 
     T = cli.parse_task(_POLY_TASK)
     script = [(lambda T: tr.t_intro(T, ident("G")), 0),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certforge import sexpr
+from certforge import core, sexpr
 
 from certforge.core import (
     INT,
@@ -20,6 +20,7 @@ from certforge.core import (
     Bottom,
     Exists,
     Forall,
+    Ident,
     IntLit,
     Lam,
     Not,
@@ -27,6 +28,7 @@ from certforge.core import (
     TApp,
     TVar,
     Top,
+    Var,
     app,
     eq,
     ident,
@@ -42,10 +44,11 @@ from certforge.sexpr import (
     task_to_sexpr,
     term_from_sexpr,
     term_to_sexpr,
+    to_text,
     type_from_sexpr,
-    type_to_sexpr,
 )
 from certforge.task import Premise, Task, gen_chain_task
+from oracles import ref_task_form, ref_term_form, ref_type_form
 
 # -- reader ------------------------------------------------------------------
 
@@ -162,19 +165,19 @@ _types = st.recursive(
 
 
 def test_type_sexpr_hand():
-    assert dumps(type_to_sexpr(PROP)) == "prop"
-    assert dumps(type_to_sexpr(INT)) == "(int)"
-    assert dumps(type_to_sexpr(TVar(ident("a")))) == "a"
+    assert to_text(PROP) == "prop"
+    assert to_text(INT) == "(int)"
+    assert to_text(TVar(ident("a"))) == "a"
     ty = Arrow(TVar(ident("a")), Arrow(TApp(ident("set"), (TVar(ident("a")),)), PROP))
-    assert dumps(type_to_sexpr(ty)) == "(-> a (set a) prop)"
+    assert to_text(ty) == "(-> a (set a) prop)"
     assert type_from_sexpr(loads("(-> a (set a) prop)")) == ty
 
 
 @given(_types)
 def test_type_sexpr_roundtrip(ty):
-    assert str(ty) == dumps(type_to_sexpr(ty))
-    assert type_from_sexpr(type_to_sexpr(ty)) == ty
-    assert type_from_sexpr(loads(dumps(type_to_sexpr(ty)))) == ty
+    assert str(ty) == to_text(ty) == dumps(ref_type_form(ty))
+    assert type_from_sexpr(ref_type_form(ty)) == ty
+    assert type_from_sexpr(loads(to_text(ty))) == ty
 
 
 def test_type_sexpr_bad():
@@ -212,26 +215,27 @@ _terms = st.recursive(
 
 def test_term_sexpr_hand():
     t = Forall(ident("x"), INT, imp(app(var("p"), var("x")), Bottom()))
-    assert dumps(term_to_sexpr(t)) == "(forall (x (int)) (imp (p x) false))"
+    assert to_text(t) == "(forall (x (int)) (imp (p x) false))"
     assert term_from_sexpr(loads("(forall (x (int)) (imp (p x) false))")) == t
-    assert dumps(term_to_sexpr(eq(var("x"), IntLit(1)))) == "(= x 1)"
+    assert to_text(eq(var("x"), IntLit(1))) == "(= x 1)"
     assert term_from_sexpr(loads("(= x 1)")) == eq(var("x"), IntLit(1))
-    assert dumps(term_to_sexpr(app(var("f"), var("x"), var("y")))) == "(f x y)"
-    assert dumps(term_to_sexpr(PiType(ident("a"), Top()))) == "(pi a true)"
+    assert to_text(app(var("f"), var("x"), var("y"))) == "(f x y)"
+    assert to_text(PiType(ident("a"), Top())) == "(pi a true)"
 
 
 def test_term_sexpr_arith():
     t = app(var("+"), app(var("*"), IntLit(4), var("i")), IntLit(1))
-    s = dumps(term_to_sexpr(t))
+    s = to_text(t)
     assert s == "(+ (* 4 i) 1)"
     assert term_from_sexpr(loads(s)) == t
 
 
 @given(_terms)
 def test_term_sexpr_roundtrip(t):
-    assert str(t) == dumps(term_to_sexpr(t))
+    assert str(t) == to_text(t) == dumps(ref_term_form(t))
+    assert term_to_sexpr(t) == ref_term_form(t)
     assert term_from_sexpr(term_to_sexpr(t)) == t
-    assert term_from_sexpr(loads(dumps(term_to_sexpr(t)))) == t
+    assert term_from_sexpr(loads(to_text(t))) == t
 
 
 def test_term_sexpr_bad():
@@ -271,7 +275,7 @@ def test_a_keyword_name_the_reader_reads_back_is_printed(t):
     # a keyword is read as a name anywhere but at the head of a list, and
     # = heads its application to two arguments
     text = sexpr.to_text(t)
-    assert text == str(t)
+    assert text == str(t) == dumps(ref_term_form(t))
     assert sexpr.read_text(sexpr.read_term, text) == t
 
 
@@ -279,6 +283,64 @@ def test_a_type_applying_the_arrow_is_refused():
     # (-> prop prop) reads back as Arrow(prop, prop)
     with pytest.raises(SexprError, match="reads as an arrow"):
         sexpr.to_text(TApp(ident("->"), (PROP, PROP)))
+
+
+# names to_text refuses or reads back as something else, built as they are
+# (Ident("x#3") has uid 0), beside ordinary ones
+_hostile = st.sampled_from(
+    ["12", "#t", "a b", "x#3", "", "true", "false", "prop", "not", "and",
+     "forall", "pi", "=", "->", "p", "q"]).map(Ident) \
+    | st.just(Ident("x", 3))
+_hostile_types = st.recursive(
+    st.one_of(st.just(PROP), _hostile.map(TVar),
+              st.integers(0, 9).map(core._Meta)),
+    lambda c: st.one_of(
+        st.tuples(c, c).map(lambda p: Arrow(*p)),
+        st.tuples(_hostile, st.lists(c, max_size=2)).map(
+            lambda p: TApp(p[0], tuple(p[1])))),
+    max_leaves=6)
+_hostile_terms = st.recursive(
+    st.one_of(_hostile.map(Var), st.integers(-9, 9).map(IntLit),
+              st.just(Top()), st.just(Bottom())),
+    lambda c: st.one_of(
+        c.map(Not),
+        st.tuples(st.sampled_from(["and", "or", "imp", "iff"]), c, c).map(
+            lambda p: BinOp(*p)),
+        st.tuples(c, c).map(lambda p: App(*p)),
+        st.tuples(st.sampled_from([Lam, Forall, Exists]), _hostile,
+                  _hostile_types, c).map(lambda p: p[0](*p[1:])),
+        st.tuples(_hostile, c).map(lambda p: PiType(*p))),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_hostile_types.map(lambda ty: (ty, ref_type_form)),
+                 _hostile_terms.map(lambda t: (t, ref_term_form))))
+def test_str_prints_any_name_and_notes_none(case):
+    # a message quotes a type or term with str(), which must not raise; it
+    # prints as the reference printed wherever that printed (not a name
+    # with whitespace or an empty one), and learns no name for the reader
+    value, ref_form = case
+    known = dict(sexpr._IDENTS)
+    text = str(value)
+    assert sexpr._IDENTS == known
+    try:
+        want = dumps(ref_form(value))
+    except SexprError:
+        return
+    assert text == want
+
+
+def test_str_prints_what_to_text_refuses():
+    for value, text in [
+            (app(var("not"), var("p")), "(not p)"),
+            (Var(Ident("x#3")), "x#3"),
+            (Forall(Ident("a b"), TVar(Ident("prop")), var("true")),
+             "(forall (a b prop) true)"),
+            (TApp(ident("->"), (PROP, core._Meta(3))), "(-> prop ?3)")]:
+        assert str(value) == text
+        with pytest.raises(SexprError):
+            sexpr.to_text(value)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -331,14 +393,16 @@ def _set_task() -> Task:
 
 def test_task_sexpr_roundtrip_hand():
     T = _set_task()
+    assert task_to_sexpr(T) == ref_task_form(T)
     assert task_from_sexpr(task_to_sexpr(T)) == T
-    text = dumps(task_to_sexpr(T))
+    text = to_text(T)
     assert task_from_sexpr(loads(text)) == T
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_task_sexpr_roundtrip_chain(n):
     T = gen_chain_task(n)
+    assert task_to_sexpr(T) == ref_task_form(T)
     assert task_from_sexpr(task_to_sexpr(T)) == T
 
 
@@ -368,7 +432,7 @@ def _tasks(draw):
              hyps=tuple(Premise(ident(f"H{i}"), t) for i, t in enumerate(hyps)),
              goals=tuple(Premise(ident(f"G{i}"), t)
                          for i, t in enumerate(goals)))
-    return dumps(task_to_sexpr(T)), T
+    return dumps(ref_task_form(T)), T
 
 
 def _table_size():
@@ -393,7 +457,7 @@ def test_reads_share_one_table_and_let_go_of_what_they_dropped(steps):
         held, refs = [], []
         for (text, built), keep in steps:
             T = task_from_sexpr(loads(text))
-            assert dumps(task_to_sexpr(T)) == text and T == built
+            assert to_text(T) == text and T == built
             again = task_from_sexpr(loads(text))
             assert _shared(T, again)
             # the probe goal: no value read elsewhere holds it
@@ -475,7 +539,7 @@ def test_a_deep_goal_prints_without_recursion():
         goal = Not(goal)
     T = Task(sig=((ident("p"), PROP),), goals=(Premise(ident("G"), goal),))
     printed = _print_under_default_limit(
-        lambda T: dumps(task_to_sexpr(T)), T)
+        to_text, T)
     assert printed == ("(task (types) (sig (p prop)) (hyps) (goals (G "
                        + "(not " * _DEEP + "p" + ")" * _DEEP + ")))")
 
@@ -494,8 +558,7 @@ def _nest(wrap, leaf):
      "(forall (x (int)) " * _DEEP + "true" + ")" * _DEEP),
 ], ids=["application", "binder"])
 def test_a_deep_term_prints_without_recursion(term, text):
-    assert _print_under_default_limit(
-        lambda t: dumps(term_to_sexpr(t)), term) == text
+    assert _print_under_default_limit(to_text, term) == text
     assert _print_under_default_limit(str, term) == text
 
 
@@ -506,8 +569,7 @@ def test_a_deep_term_prints_without_recursion(term, text):
      "(box " * _DEEP + "a" + ")" * _DEEP),
 ], ids=["arrow", "constructor"])
 def test_a_deep_type_prints_without_recursion(ty, text):
-    assert _print_under_default_limit(
-        lambda ty: dumps(type_to_sexpr(ty)), ty) == text
+    assert _print_under_default_limit(to_text, ty) == text
     assert _print_under_default_limit(str, ty) == text
 
 

@@ -89,6 +89,35 @@ def test_reserved_names_rejected():
             Task(sig=((name, arrow(INT, INT, PROP)),))
 
 
+@pytest.mark.parametrize("text, decls, message", [
+    ("(task (types (prop 0)) (sig (true prop)) (hyps) (goals (G true)))",
+     {"types": ((ident("prop"), 0),), "sig": ((ident("true"), PROP),)},
+     "type symbol prop names the type of formulas"),
+    ("(task (types) (sig (true prop)) (hyps) (goals (G true)))",
+     {"sig": ((ident("true"), PROP),)}, "symbol true names a constant"),
+    ("(task (types) (sig (false (int))) (hyps) (goals))",
+     {"sig": ((ident("false"), INT),)}, "symbol false names a constant"),
+    ("(task (types (prop#2 1)) (sig) (hyps) (goals))",
+     {"types": ((Ident("prop", 2), 1),)},
+     "type symbol prop#2 names the type of formulas"),
+])
+def test_a_symbol_named_like_a_constant_is_refused(text, decls, message):
+    # no formula can name a symbol true or false (the reader reads both as
+    # constants), nor a type name a type symbol prop
+    with pytest.raises(TaskError, match=message):
+        sexpr.task_loads(text)
+    with pytest.raises(TaskError, match=message):
+        Task(**decls)
+
+
+def test_a_symbol_named_like_a_constant_with_a_uid_is_declared():
+    # true#1 and false#2 read back as themselves
+    T = sexpr.task_loads("(task (types) (sig (true#1 prop) (false#2 prop)) "
+                         "(hyps (H true#1)) (goals (G false#2)))")
+    assert [str(n) for n, _ in T.sig] == ["true#1", "false#2"]
+    assert T.hyps[0].formula == var("true#1")
+
+
 def test_duplicate_declarations_rejected():
     with pytest.raises(TaskError):
         Task(types=((ident("c"), 0), (ident("c"), 0)))
@@ -574,7 +603,7 @@ def test_a_task_read_again_while_the_first_lives_is_not_judged_again(
     L, _ = tr.t_destruct(T, ident("H"), ident("H1"), ident("H2"))
     annotate_calls.clear()
     for t in L:
-        assert well_typed(_read(sexpr.dumps(sexpr.task_to_sexpr(t))))
+        assert well_typed(_read(sexpr.to_text(t)))
     assert dict(annotate_calls) == {}
 
 
@@ -687,7 +716,7 @@ def test_a_chain_of_readings_lets_each_earlier_context_go():
     first = weakref.ref(T._ctx)
     for name in ("H1", "H2", "H3"):
         U = T.append(False, Premise(ident(name), T.goals[0].formula))
-        V = _read(sexpr.dumps(sexpr.task_to_sexpr(U)))
+        V = _read(sexpr.to_text(U))
         assert typing_of(V, V.hyps[-1].formula) is not None
         assert well_typed(V)
         T = V

@@ -66,8 +66,7 @@ def ptask(hyps=(), goals=()):
 
 def reparsed(T):
     """A copy of T read back from its text: no object of T is in it."""
-    return sexpr.task_from_sexpr(sexpr.loads(sexpr.dumps(
-        sexpr.task_to_sexpr(T))))
+    return sexpr.task_loads(sexpr.to_text(T))
 
 
 def assert_kept_as_replayed(T, s):
