@@ -996,7 +996,7 @@ def elaborate(s: SurfaceCert, T: Task) -> KernelCert:
     if kept is not None:
         return kept
     if not isinstance(s, SurfaceCert):
-        raise CertError(f"unknown surface certificate {s!r}")
+        raise CertError(f"unknown surface certificate {type(s).__name__}")
     if not well_typed(T):
         raise CertError("the task is not well-typed")
     return rebuild((s, T), elaborate_node, with_children)

@@ -339,7 +339,7 @@ def _apply(T: Task, node: cert.KernelCert) -> list[Task]:
         rec_t = rec_t.append(False, Premise(node.rec_name, rec_f))
         return [base_t, rec_t]
 
-    raise _Refused(f"unknown kernel certificate {node!r}")
+    raise _Refused(f"unknown kernel certificate {type(node).__name__}")
 
 
 def derive(c: cert.KernelCert, T: Task) -> Iterator[

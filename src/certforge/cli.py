@@ -289,6 +289,8 @@ def bench_row(n: int, runs: int = 3) -> BenchRow:
 
 def cmd_bench(ns) -> int:
     ladder = bench_ladder(ns.max_n)
+    if ns.runs < 1:
+        raise ValueError("bench needs --runs >= 1")
     lines = ["n,transform_s,cert_bytes,check_s"]
     if not ns.out:
         print(lines[0], flush=True)

@@ -765,7 +765,7 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
                     LLam(v, None, rec), LVar(v),
                     st.premise_var(node.goal_name))
 
-    raise ExportError(f"untranslatable certificate node {node!r}")
+    raise ExportError(f"untranslatable certificate node {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -1116,18 +1116,5 @@ symbol sind : Π C : (int → TYPE), Π a : int,
         i hgt g);
 """
 
-PREAMBLE_NAMES = frozenset({
-    "eq", "eq_refl", "em", "dne", "triv", "axm", "cut",
-    "split", "split_goal", "destruct", "destruct_goal",
-    "intro_imp", "split_imp", "swapneg_goal", "revert",
-    "intro_all", "intro_ex", "inst_all", "inst_ex", "intro_ty", "inst_ty",
-    "rewrite_hyp", "rewrite_goal",
-    "cmp", "CEq", "CLt", "CGt",
-    "pos", "xH", "xO", "xI", "int", "Z0", "Zpos", "Zneg",
-    "psucc", "pdbl", "padd", "paddc", "pmul",
-    "mask", "MNul", "MPos", "MNeg", "dblm", "sdblm", "dpredm",
-    "smask", "smaskc", "mask_pos", "psub_pos",
-    "pcmpc", "pcmp", "zcmp", "zsign", "opp", "add", "sub", "mul",
-    "is_le", "is_lt", "le", "lt", "gt", "ge",
-    "le_gt_cases", "int_ind", "sind",
-})
+# the names the preamble declares, read off its `symbol <name> :` lines
+PREAMBLE_NAMES = frozenset(re.findall(r"^symbol (\S+) :", _PREAMBLE, re.M))

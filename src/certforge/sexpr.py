@@ -284,6 +284,11 @@ def to_text(value, expand=None) -> str:
     return _text(value, expand, True)
 
 
+# the classes _text prints as a list of parts that it may print again: the
+# first occurrence's text is kept by its id, and a later one copies it
+_COMPOUNDS = frozenset((App, BinOp, Not, Forall, Exists, Lam, PiType, Arrow,
+                        TApp, Task))
+
 # the __str__ of a value with no text of its own but the one _text gives
 _PRINTED_HERE = (object.__str__, Type.__str__, Term.__str__)
 
@@ -330,14 +335,15 @@ def _text(value, expand, check: bool) -> str:
         if cls is bool:
             append("#t" if x else "#f")
             continue
-        key = id(x)
-        got = seen.get(key)
-        if got is not None:
-            out += out[got[0]:got[1]]
-            continue
-        if cls is App:
+        if cls in _COMPOUNDS:
+            key = id(x)
+            got = seen.get(key)
+            if got is not None:
+                out += out[got[0]:got[1]]
+                continue
             push(_END)
             opened.append((key, len(out)))
+        if cls is App:
             append("(")
             push(_RP)
             start = len(todo)
@@ -355,22 +361,16 @@ def _text(value, expand, check: bool) -> str:
                     f"an application of {x.name} reads as a {x.name} form")
             push(x)
         elif cls is BinOp:
-            push(_END)
-            opened.append((key, len(out)))
             append(_OPEN_OP[x.op])
             push(_RP)
             push(x.right)
             push(_SP)
             push(x.left)
         elif cls is Not:
-            push(_END)
-            opened.append((key, len(out)))
             append("(not ")
             push(_RP)
             push(x.body)
         elif cls is Forall or cls is Exists or cls is Lam:
-            push(_END)
-            opened.append((key, len(out)))
             append(_OPEN_BINDER[cls])
             push(_RP)
             push(x.body)
@@ -379,16 +379,12 @@ def _text(value, expand, check: bool) -> str:
             push(_SP)
             push(x.var)
         elif cls is PiType:
-            push(_END)
-            opened.append((key, len(out)))
             append("(pi ")
             push(_RP)
             push(x.body)
             push(_SP)
             push(x.var)
         elif cls is Arrow:
-            push(_END)
-            opened.append((key, len(out)))
             append("(->")
             parts = []
             while cls is Arrow:
@@ -404,8 +400,6 @@ def _text(value, expand, check: bool) -> str:
         elif cls is TApp:
             if check and x.head.name == "->" and not x.head.uid:
                 raise SexprError("a type applying -> reads as an arrow")
-            push(_END)
-            opened.append((key, len(out)))
             append("(")
             push(_RP)
             for arg in reversed(x.args):
@@ -413,8 +407,6 @@ def _text(value, expand, check: bool) -> str:
                 push(_SP)
             push(x.head)
         elif cls is Task:
-            push(_END)
-            opened.append((key, len(out)))
             append("(task (types")
             items: list = []
             for name, arity in x.types:

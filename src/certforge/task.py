@@ -10,14 +10,15 @@ that began judging a task with it (well_typed registers each context once).
 Task(...) looks its declarations up and starts a context of its own; on a
 hit, when well_typed or typing_of first asks that context, it takes the
 found context's judgments of the task's premises and of the operands along
-their spines, if the found context still lives. So a task read again from its
-text while a judged task holding those formulas is alive (sexpr's reader
-shares what it reads) finds them judged; and the leaf tasks a certificate
-stores, read while the task it is checked against lives, find that task's
-judgments of the premises they keep. A task that is never asked, such as a
-leaf that ccheck only compares, takes nothing. The table's key lists each
-type declaration as (name, uid, arity) and each signature entry as (name,
-uid, id of its type), in order.
+their spines, each with the path well_typed recorded at judgment, if the
+found context still lives. So a task read again from its text while a
+judged task holding those formulas is alive (sexpr's reader shares what it
+reads) finds them judged; and the leaf tasks a certificate stores, read
+while the task it is checked against lives, find that task's judgments of
+the premises they keep. A task that is never asked, such as a leaf that
+ccheck only compares, takes nothing. The table's key lists each type
+declaration as (name, uid, arity) and each signature entry as (name, uid,
+id of its type), in order.
 
 Taking a found context's judgments is sound. A judgment (see well_typed)
 depends only on the declarations and on the formula object. Two keys are
@@ -99,7 +100,7 @@ class _TypingContext:
     """
 
     __slots__ = ("key", "types_map", "sig_map", "sig_checked", "props",
-                 "paths", "mentions", "pending", "registered", "__weakref__")
+                 "mentions", "pending", "registered", "__weakref__")
 
     def __init__(self, key: tuple, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
@@ -107,15 +108,13 @@ class _TypingContext:
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
-        # id of a formula judged prop -> the premise it was judged as, and
-        # the Typing annotate gave that premise: the premise is the formula
-        # itself, or the one along whose connective spine it is an operand
-        # (see well_typed); holding the premise keeps the ids of its
-        # subterms from being reused while the context lives
-        self.props: dict[int, tuple[Term, Typing]] = {}
-        # id of a formula in props -> the Typing it was judged under and its
-        # path there (see typing_of), filled one premise spine at a time
-        self.paths: dict[int, tuple[Typing, tuple[int, ...]]] = {}
+        # id of a formula judged prop -> the premise it was judged as, the
+        # Typing annotate gave that premise and the formula's path in it,
+        # all recorded at judgment: the premise is the formula itself, or
+        # the one along whose connective spine it is an operand (see
+        # well_typed); holding the premise keeps the ids of its subterms
+        # from being reused while the context lives
+        self.props: dict[int, tuple[Term, Typing, tuple[int, ...]]] = {}
         # id of a premise in props -> every ident it mentions and the iotas
         # its Typing picked, filled when a declaration extends the context
         self.mentions: dict[int, frozenset[Ident]] = {}
@@ -151,7 +150,7 @@ class _TypingContext:
             if judged is None or id(g) in out.props:
                 continue
             if name is not None:
-                root, info = judged
+                root, info, _ = judged
                 mentions = self.mentions.get(id(root))
                 if mentions is None:
                     mentions = all_idents(root).union(info.iotas)
@@ -429,14 +428,17 @@ def well_typed(T: Task) -> bool:
 
     A premise judged prop keeps the Typing annotate gave it, and records
     every operand along its Not/BinOp spine, stopping at binders and type
-    quantifiers, as judged with it; nothing is built per operand. Such an
+    quantifiers, as judged with it, together with the operand's path in
+    the premise; only the path is built per operand. Such an
     operand is prop under the same declarations with no binder above it,
     and the whole formula shares no metavariable between operands, so
     typing the operand alone against prop picks the instances typing the
     whole picks: the ones the premise's Typing holds at the operand's
     path. A rule that leaves an operand as a new premise (KIntroImp,
     KSplit, KDestruct, ...) finds it recorded, and typing_of answers how
-    any recorded formula was typed, so no caller types it again.
+    any recorded formula was typed, and where, from that one record, so no
+    caller types it again. An operand shared with a premise judged
+    earlier keeps that premise's record.
     """
     ctx = T._ctx
     if ctx.pending is not None:
@@ -455,18 +457,18 @@ def well_typed(T: Task) -> bool:
         if id(f) in ctx.props:
             continue
         try:
-            judged = (f, annotate(I, sig, f, PROP))
+            info = annotate(I, sig, f, PROP)
         except TypingError:
             return False
-        todo = [f]
+        todo: list[tuple[Term, tuple[int, ...]]] = [(f, ())]
         while todo:
-            g = todo.pop()
+            g, path = todo.pop()
             if id(g) not in ctx.props:
-                ctx.props[id(g)] = judged
+                ctx.props[id(g)] = (f, info, path)
                 if isinstance(g, Not):
-                    todo.append(g.body)
+                    todo.append((g.body, path + (0,)))
                 elif isinstance(g, BinOp):
-                    todo += (g.left, g.right)
+                    todo += ((g.left, path + (0,)), (g.right, path + (1,)))
     object.__setattr__(T, "_unjudged", ())
     if not ctx.registered:
         _register(ctx)
@@ -481,27 +483,15 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     an operand on a premise's Not/BinOp spine (see well_typed), for T, for
     a task sharing T's context, or for a task with T's declarations whose
     judgment T's context took: its instances are those the Typing
-    holds at the path. The first question about a premise's spine walks
-    that spine once and keeps every operand's path in the context, as long
-    as any task holds it.
+    holds at the path. well_typed records the path with the judgment, so
+    answering is one lookup, and a formula shared by two premises has one
+    answer whichever formula is asked about first.
     """
     ctx = T._ctx
-    if id(f) not in ctx.paths:
-        if id(f) not in ctx.props and ctx.pending is not None:
-            ctx.take()
-        if id(f) not in ctx.props:
-            return None
-        premise, info = ctx.props[id(f)]
-        todo: list[tuple[Term, tuple[int, ...]]] = [(premise, ())]
-        while todo:
-            g, path = todo.pop()
-            if id(g) not in ctx.paths:
-                ctx.paths[id(g)] = (info, path)
-                if isinstance(g, Not):
-                    todo.append((g.body, path + (0,)))
-                elif isinstance(g, BinOp):
-                    todo += ((g.left, path + (0,)), (g.right, path + (1,)))
-    return ctx.paths[id(f)]
+    if ctx.pending is not None:
+        ctx.take()
+    judged = ctx.props.get(id(f))
+    return None if judged is None else judged[1:]
 
 
 def ill_typed_reason(tasks) -> str:

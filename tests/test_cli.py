@@ -152,6 +152,29 @@ def test_parse_and_check_a_deeply_declared_type(tmp_path):
     assert proc.stdout.startswith("ok")
 
 
+def test_check_and_export_refuse_a_deep_surface_certificate_in_one_line(
+        tmp_path):
+    # the refusal quoted the node's repr, the whole subtree: 126 KB at
+    # 3 000 deep, and at this depth a RecursionError traceback from the
+    # dataclass __repr__
+    depth = 30_000
+    task_file, cert_file = tmp_path / "t.tsk", tmp_path / "deep.cert"
+    task_file.write_text("(task (types) (sig (p prop)) (hyps (H p)) "
+                         "(goals (G p)))", encoding="utf-8")
+    cert_file.write_text("(SClear H " * depth + "SHole" + ")" * depth,
+                         encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    for command in ("check", "export"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "certforge.cli", command, str(task_file),
+             "--cert", str(cert_file)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: certificate rejected: SClear at []: "
+               "unknown kernel certificate SClear\n"), command
+
+
 _QUOTED = "(" * 60_000 + "(a)" + ")" * 60_000
 _DEEP_HEAD = "(task (types) (sig (x " + _QUOTED + ")) (hyps) (goals))"
 _DEEP_HEAD_ERROR = "malformed task text: bad type head " + _QUOTED[1:-1]
@@ -453,6 +476,16 @@ def test_bench_prints_each_row_as_it_is_measured(monkeypatch, capsys):
     assert printed_before == ["n,transform_s,cert_bytes,check_s\n",
                               "5,0.500000,500,0.250000\n"]
     assert capsys.readouterr().out == "10,0.500000,1000,0.250000\n"
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_bench_refuses_fewer_than_one_run_before_any_output(
+        runs, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["bench", "--max-n", "5", "--runs", runs, *extra]) == 1
+        assert capsys.readouterr() == ("", "error: bench needs --runs >= 1\n")
+    assert not out.exists()
 
 
 def test_bench_csv_schema(tmp_path, capsys):

@@ -576,6 +576,21 @@ def test_typing_of_answers_only_for_what_the_context_judged(annotate_calls):
     assert dict(annotate_calls) == {"task": [H, T.goals[0].formula]}
 
 
+def test_typing_of_gives_one_answer_whichever_formula_is_asked_first():
+    # the reader shares what it reads, so p is one object in A and in B;
+    # A is judged first, so p is recorded as an operand of A
+    text = ("(task (types) (sig (p prop) (q prop) (r prop)) "
+            "(hyps (A (and p q)) (B (imp p r))) (goals))")
+    for first in ("B", "p"):
+        T = cli.parse_task(text)
+        A, B = (h.formula for h in T.hyps)
+        assert A.left is B.left
+        typing_of(T, B if first == "B" else A.left)
+        got = typing_of(T, A.left)
+        assert got[0] is typing_of(T, A)[0] and got[1] == (0,), first
+        assert got[0] is not typing_of(T, B)[0]
+
+
 def _same_answer(got, want):
     """typing_of gave both the same Typing object at the same path."""
     return got is not None and got[0] is want[0] and got[1] == want[1]
