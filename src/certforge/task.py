@@ -108,13 +108,16 @@ class _TypingContext:
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
-        # id of a formula judged prop -> the premise it was judged as, the
-        # Typing annotate gave that premise and the formula's path in it,
-        # all recorded at judgment: the premise is the formula itself, or
-        # the one along whose connective spine it is an operand (see
-        # well_typed); holding the premise keeps the ids of its subterms
-        # from being reused while the context lives
-        self.props: dict[int, tuple[Term, Typing, tuple[int, ...]]] = {}
+        # id of a formula judged prop -> (premise, Typing, up, i), recorded
+        # at judgment: the premise it was judged as, the Typing annotate
+        # gave that premise, and its path there as a link, the record of
+        # the operand one step up the spine and the formula's index under
+        # it (None and 0 for the premise itself; see typing_of). The
+        # premise is the formula itself, or the one along whose connective
+        # spine it is an operand (see well_typed); holding the premise
+        # keeps the ids of its subterms from being reused while the
+        # context lives
+        self.props: dict[int, tuple] = {}
         # id of a premise in props -> every ident it mentions and the iotas
         # its Typing picked, filled when a declaration extends the context
         self.mentions: dict[int, frozenset[Ident]] = {}
@@ -150,7 +153,7 @@ class _TypingContext:
             if judged is None or id(g) in out.props:
                 continue
             if name is not None:
-                root, info, _ = judged
+                root, info = judged[:2]
                 mentions = self.mentions.get(id(root))
                 if mentions is None:
                     mentions = all_idents(root).union(info.iotas)
@@ -296,21 +299,18 @@ class Task:
     def replace(self, is_goal: bool, index: int, new: tuple[Premise, ...]) -> Task:
         """Splice `new` in place of the premise at `index` on the given side."""
         side = self.goals if is_goal else self.hyps
-        spliced = side[:index] + new + side[index + 1:]
-        if is_goal:
-            return self._derive(self.hyps, spliced, is_goal, side[index], new)
-        return self._derive(spliced, self.goals, is_goal, side[index], new)
+        return self._derive(is_goal, side[:index] + new + side[index + 1:],
+                            side[index], new)
 
     def append(self, is_goal: bool, p: Premise) -> Task:
-        if is_goal:
-            return self._derive(self.hyps, self.goals + (p,), is_goal, None, (p,))
-        return self._derive(self.hyps + (p,), self.goals, is_goal, None, (p,))
+        side = self.goals if is_goal else self.hyps
+        return self._derive(is_goal, side + (p,), None, (p,))
 
-    def _derive(self, hyps: tuple[Premise, ...], goals: tuple[Premise, ...],
-                is_goal: bool, removed: Premise | None,
-                added: tuple[Premise, ...]) -> Task:
-        """This task's declarations over new premises: this task's without
-        `removed`, and `added` on the given side."""
+    def _derive(self, is_goal: bool, side: tuple[Premise, ...],
+                removed: Premise | None, added: tuple[Premise, ...]) -> Task:
+        """This task's declarations over new premises: this task's with the
+        given side replaced by `side`, which is that side without `removed`
+        and with `added`."""
         by_name = dict(self._by_name)
         unjudged = self._unjudged
         if removed is not None:
@@ -321,6 +321,7 @@ class Task:
             if p.name in by_name:
                 raise TaskError(f"premise name {p.name} used twice")
             by_name[p.name] = (is_goal, p)
+        hyps, goals = (self.hyps, side) if is_goal else (side, self.goals)
         return _build(self.types, self.sig, hyps, goals, self._ctx, by_name,
                       unjudged + added)
 
@@ -429,7 +430,8 @@ def well_typed(T: Task) -> bool:
     A premise judged prop keeps the Typing annotate gave it, and records
     every operand along its Not/BinOp spine, stopping at binders and type
     quantifiers, as judged with it, together with the operand's path in
-    the premise; only the path is built per operand. Such an
+    the premise, held as a link to the record one step up, so each
+    operand costs one record however deep it sits. Such an
     operand is prop under the same declarations with no binder above it,
     and the whole formula shares no metavariable between operands, so
     typing the operand alone against prop picks the instances typing the
@@ -460,15 +462,15 @@ def well_typed(T: Task) -> bool:
             info = annotate(I, sig, f, PROP)
         except TypingError:
             return False
-        todo: list[tuple[Term, tuple[int, ...]]] = [(f, ())]
+        todo: list[tuple[Term, tuple | None, int]] = [(f, None, 0)]
         while todo:
-            g, path = todo.pop()
+            g, up, i = todo.pop()
             if id(g) not in ctx.props:
-                ctx.props[id(g)] = (f, info, path)
+                judged = ctx.props[id(g)] = (f, info, up, i)
                 if isinstance(g, Not):
-                    todo.append((g.body, path + (0,)))
+                    todo.append((g.body, judged, 0))
                 elif isinstance(g, BinOp):
-                    todo += ((g.left, path + (0,)), (g.right, path + (1,)))
+                    todo += ((g.left, judged, 0), (g.right, judged, 1))
     object.__setattr__(T, "_unjudged", ())
     if not ctx.registered:
         _register(ctx)
@@ -483,15 +485,22 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     an operand on a premise's Not/BinOp spine (see well_typed), for T, for
     a task sharing T's context, or for a task with T's declarations whose
     judgment T's context took: its instances are those the Typing
-    holds at the path. well_typed records the path with the judgment, so
-    answering is one lookup, and a formula shared by two premises has one
-    answer whichever formula is asked about first.
+    holds at the path. well_typed records the path with the judgment, as
+    a link to the record one step up, so answering is one lookup and a
+    walk up those links as long as the path, and a formula shared by two
+    premises has one answer whichever formula is asked about first.
     """
     ctx = T._ctx
     if ctx.pending is not None:
         ctx.take()
     judged = ctx.props.get(id(f))
-    return None if judged is None else judged[1:]
+    if judged is None:
+        return None
+    path, up = [], judged
+    while up[2] is not None:
+        path.append(up[3])
+        up = up[2]
+    return judged[1], tuple(reversed(path))
 
 
 def ill_typed_reason(tasks) -> str:
@@ -571,21 +580,17 @@ def used_declarations(T: Task) -> tuple[tuple[tuple[Ident, int], ...],
 def task_alpha_equal(T1: Task, T2: Task) -> bool:
     """Name-keyed, support-based task equality.
 
-    Premises must match by name with alpha-equal formulas (order within a
-    side is irrelevant); signatures and type signatures must agree on the
+    Premises must match by name, read off each task's name table, on the
+    same side with alpha-equal formulas (order within a side is
+    irrelevant); signatures and type signatures must agree on the
     symbols the formulas actually use. Unused declarations are ignored.
     """
-    h1 = {p.name: p.formula for p in T1.hyps}
-    h2 = {p.name: p.formula for p in T2.hyps}
-    g1 = {p.name: p.formula for p in T1.goals}
-    g2 = {p.name: p.formula for p in T2.goals}
-    if set(h1) != set(h2) or set(g1) != set(g2):
+    by_name = T2._by_name
+    if T1._by_name.keys() != by_name.keys():
         return False
-    for name in h1:
-        if not alpha_equal(h1[name], h2[name]):
-            return False
-    for name in g1:
-        if not alpha_equal(g1[name], g2[name]):
+    for name, (is_goal, p) in T1._by_name.items():
+        other_is_goal, q = by_name[name]
+        if is_goal != other_is_goal or not alpha_equal(p.formula, q.formula):
             return False
     # alpha-equal premises use the same declarations of equal tuples
     if T1.types == T2.types and _same_sig(T1.sig, T2.sig):

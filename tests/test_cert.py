@@ -273,6 +273,18 @@ def test_elaborate_refuses_an_ill_typed_task():
             elaborate(s, T)
 
 
+def test_elaborate_names_only_the_class_of_a_node_it_cannot_replay():
+    # the refusal quoted the node's repr, the whole subtree, which at this
+    # depth overflows the stack
+    T = goal_task(var("p"))
+    k = KHole(T)
+    for _ in range(3_000):
+        k = cert.KClear(True, var("p"), G, k)
+    with pytest.raises(CertError) as caught:
+        elaborate(k, T)
+    assert str(caught.value) == "unknown surface certificate KClear"
+
+
 def test_elaborate_missing_premise():
     with pytest.raises(CertError, match="no premise"):
         elaborate(cert.STrivial(ident("nope")), goal_task(Top()))

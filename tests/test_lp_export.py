@@ -352,6 +352,20 @@ def test_proof_term_hole_count_mismatch():
         lp.proof_term(c, T, L[:1])
 
 
+def test_walk_names_only_the_class_of_a_node_it_cannot_translate():
+    # derive refuses such a node before the walk, so call the walk on one;
+    # its refusal quoted the node's repr, the whole subtree, which at this
+    # depth overflows the stack
+    T = Task(sig=prop_sig("p"), goals=(Premise(ident("G"), var("p")),))
+    s = cert.SHole()
+    for _ in range(3_000):
+        s = cert.SClear(ident("G"), s)
+    st = lp._Walk({(): T}, lp.Encoder(), iter(()), [], frozenset())
+    with pytest.raises(lp.ExportError) as caught:
+        lp._walk(st, s, ())
+    assert str(caught.value) == "untranslatable certificate node SClear"
+
+
 def _split_with_bystander():
     # H : x1 \/ x2, K : y |- G : x, split on H
     T = Task(sig=prop_sig("x1", "x2", "y", "x"),

@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -591,6 +592,36 @@ def test_typing_of_gives_one_answer_whichever_formula_is_asked_first():
         assert got[0] is not typing_of(T, B)[0]
 
 
+def test_judging_a_deep_spine_holds_memory_linear_in_its_depth():
+    # well_typed records every operand of a premise's Not spine, with its
+    # path. Built as a tuple per operand, the paths held O(depth**2) slots:
+    # about 3.6 GB for the 30 000-deep goal certforge parse prints
+    # (test_parse_command_prints_a_deeply_nested_goal). So measure at
+    # depths where that shows plainly but stays small, and compare
+    def peak(depth):
+        text = ("(task (types) (sig (p prop)) (hyps) (goals (G "
+                + "(not " * depth + "p" + ")" * depth + ")))")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            T = cli.parse_task(text)
+            return tracemalloc.get_traced_memory()[1], T
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(2_000)
+    large, T = peak(6_000)
+    # about 400 bytes a level at either depth; the tuple paths held 8 KB a
+    # level at 2 000 deep and 24 KB at 6 000
+    assert large < 2_000 * 6_000, large
+    assert large < 4.5 * small, (small, large)
+    # the innermost p still answers with its whole path
+    g = T.goals[0].formula
+    while isinstance(g, Not):
+        g = g.body
+    assert typing_of(T, g)[1] == (0,) * 6_000
+
+
 def _same_answer(got, want):
     """typing_of gave both the same Typing object at the same path."""
     return got is not None and got[0] is want[0] and got[1] == want[1]
@@ -956,6 +987,10 @@ def test_task_alpha_equal_basic():
     renamed_premise = Task(
         sig=T.sig, hyps=(Premise(ident("other"), conj(P, Q)),), goals=T.goals)
     assert not task_alpha_equal(T, renamed_premise)
+    # the same names and formulas, with the premises on the other sides
+    swapped = Task(sig=T.sig, hyps=T.goals, goals=T.hyps)
+    assert not task_alpha_equal(T, swapped)
+    assert not task_alpha_equal(swapped, T)
 
 
 def test_task_alpha_equal_on_equal_declarations():
