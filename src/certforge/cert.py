@@ -594,15 +594,17 @@ class SInduction(SurfaceCert):
 
 _BY_NAME = {cls.__name__: cls for base in (KernelCert, SurfaceCert)
             for cls in base.__subclasses__()}
+# Every field, per constructor, in the order the text lists them.
+_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls))
+           for cls in _BY_NAME.values()}
 # Subcertificate fields per constructor, read off the declared field types:
 # a skeleton's kernel nodes hold surface certificates there.
 _CHILD_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)
                             if f.type in ("KernelCert", "SurfaceCert"))
                  for cls in _BY_NAME.values()}
-# The other fields, which come first (asserted below, for the wire schema).
-_OTHER_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)
-                            if f.name not in names)
-                 for cls, names in _CHILD_FIELDS.items()}
+# a node's subcertificates come after its other fields
+assert all(_FIELDS[cls][len(_FIELDS[cls]) - len(names):] == names
+           for cls, names in _CHILD_FIELDS.items())
 
 
 def cert_children(node):
@@ -612,7 +614,9 @@ def cert_children(node):
 def with_children(node, new):
     cls = type(node)
     assert len(_CHILD_FIELDS[cls]) == len(new)
-    return cls(*[getattr(node, n) for n in _OTHER_FIELDS[cls]], *new)
+    names = _FIELDS[cls]
+    return cls(*[getattr(node, n) for n in names[:len(names) - len(new)]],
+               *new)
 
 
 def leaves(c: KernelCert) -> list[Task]:
@@ -699,13 +703,6 @@ def kept_kernel(s, T: Task) -> KernelCert | None:
 # ---------------------------------------------------------------------------
 # Serialization
 
-
-# Every field, the subcertificates last, per constructor: the order the
-# text lists them in.
-_FIELDS = {cls: _OTHER_FIELDS[cls] + _CHILD_FIELDS[cls]
-           for cls in _BY_NAME.values()}
-
-
 def _node_text(node):
     """cert_dumps' expand: a node's constructor name and its fields."""
     names = _FIELDS.get(type(node))
@@ -717,12 +714,6 @@ def _node_text(node):
 # field annotations name the payload kinds; this is the wire schema
 _KINDS = {"bool": bool, "Ident": Ident, "Term": Term, "Type": Type,
           "Task": Task, "KernelCert": KernelCert, "SurfaceCert": SurfaceCert}
-_PAYLOADS = {cls: tuple(_KINDS[f.type] for f in dataclasses.fields(cls))
-             for cls in _BY_NAME.values()}
-# a node's subcertificates come after its other payloads
-assert all(tuple(f.name for f in dataclasses.fields(cls))
-           [len(_PAYLOADS[cls]) - len(names):] == names
-           for cls, names in _CHILD_FIELDS.items())
 
 
 def _read_bool(tokens, i, cache):
@@ -749,7 +740,7 @@ _READERS = {bool: _read_bool, Ident: _read_ident, Term: sexpr.read_term,
 def _schema(cls):
     """The readers of cls's payloads before its subcertificates, the kinds
     of its subcertificates, its number of payloads, and its own kind."""
-    kinds = _PAYLOADS[cls]
+    kinds = tuple(_KINDS[f.type] for f in dataclasses.fields(cls))
     split = len(kinds) - len(_CHILD_FIELDS[cls])
     return (tuple(_READERS[k] for k in kinds[:split]), kinds[split:],
             len(kinds),

@@ -16,15 +16,19 @@ every L that differs from the leaves the certificate derives.
 
 One Encoder per emit_module call serves the proof term and every task
 statement, and encodes each judgment once. The Encoder reads the typing
-the replay already did instead of typing again: task.typing_of gives the
-Typing under which the task's typing context judged a formula and the
-formula's path in its premise, and the formula is encoded from that Typing
-at that path, a negation or connective from its operands' encodings; that
-answer is its key, so a premise every task keeps is encoded once. Only the
-terms a certificate carries (witnesses, predicates, rewrite sides, a
-reflexivity term) and formulas no context judged are typed, whole, keyed
-on (the task's typing context, the term, the type it is judged against); a
-chain export types nothing. Each signature scheme is encoded once.
+the replay already did instead of typing again: task.judgment gives the
+record the task's typing context keeps of a formula it judged, which is
+its key, so a premise every task keeps is encoded once; on a miss,
+task.typing_of gives the Typing and the formula's path in its premise, and
+the formula is encoded from that Typing at that path, a negation or
+connective from its operands' encodings. Only the terms a certificate
+carries (witnesses, predicates, rewrite sides, a reflexivity term) and
+formulas no context judged are typed, whole, keyed on (the task's typing
+context, the term, the type it is judged against); a chain export types
+nothing. Each signature scheme is encoded once.
+
+The proof term is built in one pass over checker.derive's list of nodes,
+from last to first, so each node finds its children's terms made.
 
 emit_module prints each encoding the Encoder returned once: its text and
 the names free in it are kept for the call, and every later occurrence
@@ -75,7 +79,8 @@ from .core import (
     type_heads,
     type_vars,
 )
-from .task import Task, task_alpha_equal, typing_of, used_declarations
+from .task import (Task, judgment, task_alpha_equal, typing_of,
+                   used_declarations)
 
 
 class ExportError(Exception):
@@ -155,10 +160,10 @@ def neg(t: LpTerm) -> LpTerm:
 
 @contextmanager
 def _raised_recursion_limit():
-    """The proof term's walk (_walk through _under) and the printer
-    (_format) call themselves once per level of the certificate and of each
-    term, so the public entry points run them under a limit of at least
-    40 000, and give the caller's limit back on the way out."""
+    """The printer (_format) and the encoders (_encode, _encode_type and
+    the Encoder along a formula's spine) call themselves once per level of
+    each term, so the public entry points run them under a limit of at
+    least 40 000, and give the caller's limit back on the way out."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 40000))
     try:
@@ -431,66 +436,68 @@ class Encoder:
     type the node gives it.
 
     A formula judged against prop that task's typing context judged (see
-    task.typing_of) is not typed again: it is encoded from the Typing
+    task.judgment) is not typed again: it is encoded from the Typing
     typing_of gives at its path, a negation or connective from its
-    operands' encodings. Its memo key is that answer, (the Typing's
-    identity, the path), and the memo holds the Typing. A premise that
-    extend_sig/extend_types keeps keeps its Typing (see well_typed), as
-    does one that a task built with the same declarations found judged
-    (say, a certificate's leaf task read while the task it derives from
-    lives; see the task module docstring), so it is encoded once for every
-    task that holds it; one that the new declaration could change is
-    judged again, under a new Typing. Every
+    operands' encodings. Its memo key is the judgment's record, one object
+    per judgment, and the memo holds the record; its path is built only on
+    a miss. A premise that extend_sig/extend_types keeps keeps its record
+    (see well_typed), as does one that a task built with the same
+    declarations found judged (say, a certificate's leaf task read while
+    the task it derives from lives; see the task module docstring), so it
+    is encoded once for every task that holds it; one that the new
+    declaration could change is judged again, under a new record. Every
     other formula, and every term a node carries, is typed whole by
     encode_term, under the key (task's typing context, id of f, expected):
     tasks that share a typing context have the same declarations (see
     task.well_typed), and the memo holds f, so the same key always stands
     for the same judgment.
 
-    scheme(ty) encodes a signature entry, once per scheme object.
-    encodings() lists every encoding returned so far.
+    scheme(ty) encodes a signature entry, once per scheme object, in the
+    same memo. encodings() lists every encoding returned so far.
     """
 
-    __slots__ = ("_memo", "_schemes")
+    __slots__ = ("_memo",)
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, tuple[object, LpTerm]] = {}
-        self._schemes: dict[int, tuple[Type, LpTerm]] = {}
+        # key -> (the object whose id the key holds, kept so that no other
+        # object takes that id while the memo lives, and its encoding)
+        self._memo: dict[object, tuple[object, LpTerm]] = {}
 
     def __call__(self, f: Term, task: Task,
                  expected: Type | None = PROP) -> LpTerm:
-        judged = typing_of(task, f) if expected == PROP else None
-        if judged is None:
-            key: tuple = (task._ctx, id(f), expected)
-        else:
-            key = (id(judged[0]), judged[1])
+        return self._encoding(f, task, expected)
+
+    def _encoding(self, f: Term, task: Task, expected: Type | None) -> LpTerm:
+        # a plain method, so each level of a negation or connective spine
+        # costs one interpreter frame, not two through the call slot
+        judged = judgment(task, f) if expected == PROP else None
+        key = (task._ctx, id(f), expected) if judged is None else id(judged)
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
         if judged is None:
             out = encode_term(f, task.types_map(), task.sig_map(), expected)
         elif isinstance(f, Not):
-            out = neg(self(f.body, task))
+            out = neg(self._encoding(f.body, task, PROP))
         elif isinstance(f, BinOp):
-            out = _connective(f.op, self(f.left, task), self(f.right, task))
+            out = _connective(f.op, self._encoding(f.left, task, PROP),
+                              self._encoding(f.right, task, PROP))
         else:
-            info, path = judged
+            info, path = typing_of(task, f)
             # an operand's premise has no type prefix: it is no PiType
             out = (_encode(f, path, info, task.sig_map()) if path
                    else _encode_typing(info, task.sig_map()))
-        self._memo[key] = (f if judged is None else judged[0], out)
+        self._memo[key] = (f if judged is None else judged, out)
         return out
 
     def scheme(self, scheme: Type) -> LpTerm:
-        hit = self._schemes.get(id(scheme))
+        hit = self._memo.get(id(scheme))
         if hit is None:
-            hit = self._schemes[id(scheme)] = (scheme, _encode_scheme(scheme))
+            hit = self._memo[id(scheme)] = (scheme, _encode_scheme(scheme))
         return hit[1]
 
     def encodings(self) -> Iterator[LpTerm]:
         for _, out in self._memo.values():
-            yield out
-        for _, out in self._schemes.values():
             yield out
 
 
@@ -568,13 +575,13 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
         replay = list(checker.derive(c, T))
     except checker.CheckError as e:
         raise ExportError(f"certificate rejected: {e.failure}") from e
-    tasks = {path: task for path, _, task in replay}
-    holes = [path for path, node, _ in replay if isinstance(node, cert.KHole)]
+    holes = [(path, task) for path, node, task in replay
+             if isinstance(node, cert.KHole)]
     if len(holes) != len(L):
         raise ExportError(
             f"certificate has {len(holes)} holes, {len(L)} tasks given")
-    for i, path in enumerate(holes):
-        if not task_alpha_equal(tasks[path], L[i]):
+    for i, (path, task) in enumerate(holes):
+        if not task_alpha_equal(task, L[i]):
             raise ExportError(f"task {i + 1} differs from the task the "
                               f"certificate derives at {list(path)}")
     used = [used_declarations(leaf) for leaf in L]
@@ -583,28 +590,36 @@ def _proof_term(c: cert.KernelCert, T: Task, L: list[Task],
         mangle(node.fresh if isinstance(node, cert.KIntroQuant) else node.iota)
         for _, node, _ in replay
         if isinstance(node, (cert.KIntroQuant, cert.KIntroType)))
-    # the walk takes each node's task out of tasks (see _walk)
-    del replay
-    st = _Walk(tasks, enc, iter(enumerate(L, 1)), used, symbols)
-    out = _under(st, c, (), *(p.name for p in T.premises()))
+    st = _Walk(enc, L, used, symbols)
+    # derive lists a node before its children, so taken from last to
+    # first each node finds its children's terms made, the first on top;
+    # a node's entry goes as it is taken
+    while replay:
+        _, node, task = replay.pop()
+        st.made.append((_walk(st, node, task), task))
+    out = _under(st, *(p.name for p in T.premises()))
     for name in reversed([f"s{i + 1}" for i in range(len(L))] + declared):
         out = LLam(name, None, out)
     return out, used
 
 
 class _Walk:
-    """What _walk reads while it builds one proof term, and the λ variable
-    it names each premise by. The walkers are module functions that take
-    it as an argument: nested ones would close over each other, and the
-    cycle would keep the whole replay alive until the cycle collector ran."""
+    """What _walk reads while it builds one proof term: the term and the
+    task of each subtree made and not yet taken by its parent, the number
+    of the last hole not yet reached, and the λ variable it names each
+    premise by. The walker is a module function that takes it as an
+    argument: a nested one would close over it, and the cycle would keep
+    the replay alive until the cycle collector ran."""
 
-    __slots__ = ("tasks", "enc", "leaves", "used", "symbols", "premise_vars")
+    __slots__ = ("enc", "leaves", "used", "symbols", "made", "holes",
+                 "premise_vars")
 
-    def __init__(self, tasks: dict[tuple[int, ...], Task], enc: Encoder,
-                 leaves: Iterator[tuple[int, Task]], used: list[_Decls],
+    def __init__(self, enc: Encoder, leaves: list[Task], used: list[_Decls],
                  symbols: frozenset[str]) -> None:
-        self.tasks, self.enc, self.leaves = tasks, enc, leaves
+        self.enc, self.leaves = enc, leaves
         self.used, self.symbols = used, symbols
+        self.made: list[tuple[LpTerm, Task]] = []
+        self.holes = len(leaves)
         self.premise_vars: dict[Ident, LVar] = {}
 
     def premise_var(self, name: Ident) -> LVar:
@@ -613,28 +628,26 @@ class _Walk:
         return self.premise_vars[name]
 
 
-def _under(st: _Walk, child: cert.KernelCert, path: tuple[int, ...],
-           *names: Ident) -> LpTerm:
-    """The child's term under one λ per premise it binds, in order."""
-    out = _walk(st, child, path)
+def _under(st: _Walk, *names: Ident) -> LpTerm:
+    """The next child's term, taken off st.made, under one λ per premise
+    it binds, in order."""
+    out = st.made.pop()[0]
     for n in reversed(names):
         out = LLam(st.premise_var(n).name, None, out)
     return out
 
 
-def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
-    """The proof term of node, the certificate at path. It takes the
-    node's task out of st.tasks, so the walk holds only the tasks of the
-    nodes it is inside and of those it has yet to reach."""
-    task, first, second = st.tasks.pop(path), path + (0,), path + (1,)
-
+def _walk(st: _Walk, node: cert.KernelCert, task: Task) -> LpTerm:
+    """The proof term of node, whose task is task, from its children's
+    terms, which it takes off st.made in order (see _under)."""
     if isinstance(node, cert.KHole):
-        # holes come in leaf order, each checked against its task above
-        i, leaf = next(st.leaves)
+        # holes come last to first, each checked against its task above
+        i, st.holes = st.holes, st.holes - 1
         tsyms, ssyms = st.used[i - 1]
         return lapp(LVar(f"s{i}"),
                     *(LVar(mangle(n)) for n, _ in tsyms + ssyms),
-                    *(st.premise_var(p.name) for p in leaf.premises()))
+                    *(st.premise_var(p.name)
+                      for p in st.leaves[i - 1].premises()))
 
     if isinstance(node, cert.KTrivial):
         if node.goal:
@@ -655,23 +668,20 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
 
     if isinstance(node, cert.KAssert):
         return lapp(LConst("cut"), st.enc(node.formula, task),
-                    _under(st, node.proof, first, node.name),
-                    _under(st, node.rest, second, node.name))
+                    _under(st, node.name), _under(st, node.name))
 
     if isinstance(node, cert.KSplit):
         comb = "split_goal" if node.goal else "split"
         return lapp(LConst(comb), st.enc(node.left, task),
                     st.enc(node.right, task),
-                    _under(st, node.first, first, node.name),
-                    _under(st, node.second, second, node.name),
+                    _under(st, node.name), _under(st, node.name),
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KDestruct):
         comb = "destruct_goal" if node.goal else "destruct"
         return lapp(LConst(comb), st.enc(node.left, task),
                     st.enc(node.right, task),
-                    _under(st, node.rest, first, node.left_name,
-                           node.right_name),
+                    _under(st, node.left_name, node.right_name),
                     st.premise_var(node.name))
 
     if isinstance(node, (cert.KClear, cert.KUnfoldIff)) or (
@@ -679,17 +689,16 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
         # a cleared premise is named again only under a λ rebinding it;
         # the iff encoding is already both arrows' conjunction; a negated
         # hypothesis and the goal it becomes share the encoding
-        return _walk(st, node.rest, first)
+        return _under(st)
 
     if isinstance(node, cert.KSwapNeg):
         return lapp(LConst("swapneg_goal"), st.enc(node.formula, task),
-                    _under(st, node.rest, first, node.name),
-                    st.premise_var(node.name))
+                    _under(st, node.name), st.premise_var(node.name))
 
     if isinstance(node, cert.KIntroImp):
         return lapp(LConst("intro_imp"), st.enc(node.left, task),
                     st.enc(node.right, task),
-                    _under(st, node.rest, first, node.hyp_name, node.name),
+                    _under(st, node.hyp_name, node.name),
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KSplitImp):
@@ -698,20 +707,18 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
         split = task.find(node.name)[2].formula
         return lapp(LConst("split_imp"), st.enc(split.left, task),
                     st.enc(split.right, task),
-                    _under(st, node.side, first, node.goal_name),
-                    _under(st, node.rest, second, node.name),
+                    _under(st, node.goal_name), _under(st, node.name),
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KRevert):
         return lapp(LConst("revert"), st.enc(node.hyp_formula, task),
                     st.enc(node.goal_formula, task), st.premise_var(node.hyp),
                     st.premise_var(node.goal),
-                    _under(st, node.rest, first, node.goal))
+                    _under(st, node.goal))
 
     if isinstance(node, cert.KIntroQuant):
         comb = "intro_all" if node.goal else "intro_ex"
-        cont = LLam(mangle(node.fresh), None,
-                    _under(st, node.rest, first, node.name))
+        cont = LLam(mangle(node.fresh), None, _under(st, node.name))
         return lapp(LConst(comb), _encode_type(node.ty),
                     st.enc(node.pred, task, Arrow(node.ty, PROP)), cont,
                     st.premise_var(node.name))
@@ -721,17 +728,16 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
         return lapp(LConst(comb), _encode_type(node.ty),
                     st.enc(node.pred, task, Arrow(node.ty, PROP)),
                     st.enc(node.witness, task, node.ty),
-                    _under(st, node.rest, first, node.inst_name),
+                    _under(st, node.inst_name),
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KIntroType):
-        # the child task declares iota and holds the opened goal; read
-        # before the child's walk takes it out of st.tasks
-        child = st.tasks[first]
+        # the child task declares iota and holds the opened goal
+        child = st.made[-1][1]
         iota = mangle(node.iota)
         pred = LLam(iota, None,
                     st.enc(child.find(node.name)[2].formula, child))
-        cont = LLam(iota, None, _under(st, node.rest, first, node.name))
+        cont = LLam(iota, None, _under(st, node.name))
         return lapp(LConst("intro_ty"), pred, cont, st.premise_var(node.name))
 
     if isinstance(node, cert.KInstType):
@@ -740,7 +746,7 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
         judged = st.enc(node.formula, task)
         pred = LLam(judged.var, None, judged.body)
         return lapp(LConst("inst_ty"), pred, _encode_type(node.ty),
-                    _under(st, node.rest, first, node.inst_name),
+                    _under(st, node.inst_name),
                     st.premise_var(node.name))
 
     if isinstance(node, cert.KRewrite):
@@ -750,15 +756,14 @@ def _walk(st: _Walk, node: cert.KernelCert, path: tuple[int, ...]) -> LpTerm:
                     st.enc(node.left, task, ty), st.enc(node.right, task, ty),
                     st.enc(node.context, task, Arrow(ty, PROP)),
                     st.premise_var(node.eq_name), st.premise_var(node.name),
-                    _under(st, node.rest, first, node.name))
+                    _under(st, node.name))
 
     if isinstance(node, cert.KInduction):
         # the λ binders reuse the symbol's and the goal's own names, so
         # occurrences inside the branches rebind to the current case
         v = mangle(node.var)
-        base = _under(st, node.base, first, node.goal_name, node.hyp_name)
-        rec = _under(st, node.rec, second, node.goal_name,
-                     node.hyp_name, node.rec_name)
+        base = _under(st, node.goal_name, node.hyp_name)
+        rec = _under(st, node.goal_name, node.hyp_name, node.rec_name)
         return lapp(LConst("sind"),
                     st.enc(node.context, task, Arrow(INT, PROP)),
                     st.enc(node.bound, task, INT), LLam(v, None, base),

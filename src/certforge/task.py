@@ -477,6 +477,17 @@ def well_typed(T: Task) -> bool:
     return True
 
 
+def judgment(T: Task, f: Term) -> tuple | None:
+    """The record T's typing context keeps of its judgment of f prop, None
+    if it never judged f: (premise, Typing, up, i), as well_typed stored
+    it (see _TypingContext.props). One object per judgment, which carry
+    shares with every context that takes it, so a caller may key on it."""
+    ctx = T._ctx
+    if ctx.pending is not None:
+        ctx.take()
+    return ctx.props.get(id(f))
+
+
 def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     """The Typing under which T's typing context judged f prop, and f's
     path in the premise it was judged as; None if the context never did.
@@ -490,10 +501,7 @@ def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
     walk up those links as long as the path, and a formula shared by two
     premises has one answer whichever formula is asked about first.
     """
-    ctx = T._ctx
-    if ctx.pending is not None:
-        ctx.take()
-    judged = ctx.props.get(id(f))
+    judged = judgment(T, f)
     if judged is None:
         return None
     path, up = [], judged

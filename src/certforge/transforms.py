@@ -118,9 +118,6 @@ def t_identity(T: Task) -> Result:
     return _certify(T, cert.SHole())
 
 
-identity = CertifyingTransform("identity", t_identity)
-
-
 def t_trivial(T: Task, P: Ident) -> Result:
     return _certify(T, cert.STrivial(P))
 

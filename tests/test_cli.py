@@ -1,6 +1,7 @@
 """The command-line driver: parsing, the pipeline commands, bench shapes."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lp_parser as lpp
-from certforge import cli, sexpr
+from certforge import cli, sexpr, transforms as tr
 from certforge.cert import KHole, cert_dumps, cert_loads
 from certforge.cli import (
     BenchRow,
@@ -378,6 +379,102 @@ def test_transform_accepts_underscored_names(tmp_path, capsys):
     assert main(["transform", str(f), "--name", "swap_neg",
                  "--premise", "H"]) == 0
     capsys.readouterr()
+
+
+def _props(hyps: str, goals: str) -> str:
+    return (f"(task (types) (sig (x1 prop) (x2 prop) (x prop))"
+            f" (hyps {hyps}) (goals {goals}))")
+
+
+_INTS = "(types) (sig (y (int)) (x (int)) (c (int)) (f (-> (int) (int)))" \
+        " (p (-> (int) prop)))"
+
+
+def _term(text):
+    return sexpr.term_from_sexpr(sexpr.loads(text))
+
+
+# one case per use of each registry entry: its name, the task file, the
+# arguments its usage string names, and the library call they stand for
+_REGISTRY_CASES = [
+    ("identity", SPLIT, [], lambda T: tr.t_identity(T)),
+    ("trivial", _props("", "(G true)"), ["--premise", "G"],
+     lambda T: tr.t_trivial(T, ident("G"))),
+    ("axiom", _props("(H x)", "(G x)"), ["--premise", "H", "--goal", "G"],
+     lambda T: tr.t_axiom(T, ident("H"), ident("G"))),
+    ("assert", SPLIT, ["--as", "A", "--with", "(or x2 x1)"],
+     lambda T: tr.t_assert(T, ident("A"), _term("(or x2 x1)"))),
+    ("split", SPLIT, ["--premise", "H"],
+     lambda T: tr.t_split(T, ident("H"))),
+    ("destruct", _props("(H (and x1 x2))", "(G x)"),
+     ["--premise", "H", "--as", "H1", "H2"],
+     lambda T: tr.t_destruct(T, ident("H"), ident("H1"), ident("H2"))),
+    ("construct", _props("(H1 x1) (H2 x2)", "(G x)"),
+     ["--premise", "H1", "H2", "--as", "H"],
+     lambda T: tr.t_construct(T, ident("H1"), ident("H2"), ident("H"))),
+    ("clear", SPLIT, ["--premise", "H"],
+     lambda T: tr.t_clear(T, ident("H"))),
+    ("swap-neg", _props("(H (not x1))", "(G x)"), ["--premise", "H"],
+     lambda T: tr.t_swap_neg(T, ident("H"))),
+    ("intro-imp", _props("", "(G (imp x1 x))"), ["--premise", "G"],
+     lambda T: tr.t_intro_imp(T, ident("G"))),
+    ("split-imp", _props("(H (imp x1 x))", "(G x)"), ["--premise", "H"],
+     lambda T: tr.t_split_imp(T, ident("H"))),
+    ("unfold-iff", _props("(H (iff x1 x2))", "(G x)"), ["--premise", "H"],
+     lambda T: tr.t_unfold_iff(T, ident("H"))),
+    ("instantiate", EX1, ["--premise", "H", "--with", "(+ (* x x) x)"],
+     lambda T: tr.t_instantiate(T, ident("H"), _term("(+ (* x x) x)"))),
+    ("inst-type", EX2, ["--premise", "H2", "--with", "(color)"],
+     lambda T: tr.t_inst_type(T, ident("H2"), sexpr.type_from_sexpr(
+         sexpr.loads("(color)")))),
+    ("intro", f"(task {_INTS} (hyps) (goals (G (forall (n (int)) (p n)))))",
+     ["--premise", "G"], lambda T: tr.t_intro(T, ident("G"))),
+    ("rewrite", EX1, ["--eq", "H1", "--premise", "G"],
+     lambda T: tr.t_rewrite(T, ident("H1"), ident("G"))),
+    ("rewrite", f"(task {_INTS} (hyps (E (= y x))) (goals (G (p x))))",
+     ["--eq", "E", "--premise", "G", "--right-to-left"],
+     lambda T: tr.t_rewrite(T, ident("E"), ident("G"), right_to_left=True)),
+    ("rewrite", f"(task {_INTS} (hyps (E (forall (i (int)) (= (f i) i))))"
+                " (goals (G (p (f (f c))))))",
+     ["--eq", "E", "--premise", "G", "--with", "(f c)"],
+     lambda T: tr.t_rewrite(T, ident("E"), ident("G"),
+                            inst=[_term("(f c)")])),
+    ("induction", f"(task {_INTS} (hyps) (goals (G (p y))))",
+     ["--premise", "G", "--var", "y", "--bound", "0"],
+     lambda T: tr.t_induction(T, ident("G"), ident("y"), _term("0"))),
+    ("blast", sexpr.to_text(gen_chain_task(3)), [],
+     lambda T: tr.t_blast(T)),
+]
+
+
+def test_the_registry_cases_cover_every_transformation():
+    assert {name for name, *_ in _REGISTRY_CASES} == set(cli._TRANSFORMS)
+
+
+@pytest.mark.parametrize("name, text, args, call", _REGISTRY_CASES,
+                         ids=[" ".join([case[0], *case[2]])
+                              for case in _REGISTRY_CASES])
+def test_transform_runs_every_registry_entry(name, text, args, call,
+                                             tmp_path, capsys):
+    usage = cli._TRANSFORMS[name][1]
+    flags = {a for a in args if a.startswith("--")}
+    assert flags <= set(re.findall(r"--[a-z-]+", usage))
+    assert set(re.findall(r"--[a-z-]+", re.sub(r"\[.*?\]", "", usage))) \
+        <= flags
+    f = tmp_path / "t.tsk"
+    f.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["transform", str(f), "--name", name, *args,
+                 "--out-dir", str(out)]) == 0
+    tasks, _ = call(parse_task(text))
+    assert f"ok: {len(tasks)} resulting task(s)" in capsys.readouterr().out
+    written = sorted(out.iterdir())
+    assert [p.name for p in written] == [f"t.{i}.tsk"
+                                         for i in range(1, len(tasks) + 1)]
+    for p, want in zip(written, tasks):
+        assert task_alpha_equal(parse_task(p.read_text(encoding="utf-8")),
+                                want)
 
 
 # ---------------------------------------------------------------------------

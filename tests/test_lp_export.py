@@ -43,7 +43,8 @@ from certforge.core import (
     imp,
     var,
 )
-from certforge.task import Premise, Task, gen_chain_task
+from certforge.task import (Premise, Task, gen_chain_task, judgment, typing_of,
+                            well_typed)
 from lp_oracle import (app_correctness_type, lp_format, per_formula,
                        tree_format)
 from test_acceptance import _FOL_TASK, _fol_script
@@ -296,6 +297,32 @@ def test_the_exporter_and_the_cli_give_the_recursion_limit_back(tmp_path):
     assert (after_export, after_proof, after_main) == (1500, 1500, 1500)
 
 
+def test_the_proof_term_of_a_deep_certificate_builds_at_the_default_limit():
+    # blast's certificate for a 300-link chain is about 900 nodes deep; the
+    # proof term is built from derive's list, by no walk that calls itself
+    T = gen_chain_task(300)
+    k, L = via_transform(T, tr.t_blast(T))
+    with _recursion_limit(1000):
+        out, _ = lp._proof_term(k, T, L, lp.Encoder())
+    assert isinstance(out, lp.LLam)
+
+
+def test_the_encoder_spends_one_frame_per_negation():
+    # well_typed accepts a 900-deep negation at the default limit; the
+    # encoder reads it from that judgment one frame per level
+    goal = var("p")
+    for _ in range(900):
+        goal = Not(goal)
+    T = Task(sig=prop_sig("p"), goals=(Premise(ident("G"), goal),))
+    with _recursion_limit(1000):
+        assert well_typed(T)
+        out = lp.Encoder()(goal, T)
+    for _ in range(900):
+        assert out.right == lp.LP_BOT
+        out = out.left
+    assert out == lp.LVar("p")
+
+
 def test_split_application_type():
     T, L, c = split_application()
     checked(T, c)
@@ -360,9 +387,9 @@ def test_walk_names_only_the_class_of_a_node_it_cannot_translate():
     s = cert.SHole()
     for _ in range(3_000):
         s = cert.SClear(ident("G"), s)
-    st = lp._Walk({(): T}, lp.Encoder(), iter(()), [], frozenset())
+    st = lp._Walk(lp.Encoder(), [], [], frozenset())
     with pytest.raises(lp.ExportError) as caught:
-        lp._walk(st, s, ())
+        lp._walk(st, s, T)
     assert str(caught.value) == "untranslatable certificate node SClear"
 
 
@@ -1225,6 +1252,24 @@ def test_emit_module_annotates_no_chain_formula(n, annotate_calls):
     annotate_calls.clear()
     lp.emit_module(T, L, k)
     assert dict(annotate_calls) == {}
+
+
+def test_emit_module_asks_each_judgment_its_path_at_most_once(monkeypatch):
+    # the encoder's memo is keyed on the judgment's record, and the path is
+    # built only on a miss; keyed on the path, every lookup built it, and
+    # a premise every task of the chain keeps was asked for again each time
+    asked = []
+
+    def recording(T, f):
+        asked.append(judgment(T, f))
+        return typing_of(T, f)
+
+    monkeypatch.setattr(lp, "typing_of", recording)
+    T = gen_chain_task(20)
+    k, L = via_transform(T, tr.t_blast(T))
+    lp.emit_module(T, L, k)
+    assert asked and None not in asked
+    assert len({id(j) for j in asked}) == len(asked)
 
 
 _POLY_TASK = """(task (types (box 1) (elem 0))

@@ -467,6 +467,51 @@ def test_rewrite_arity_and_shape_errors():
         tr.t_rewrite(T, G, G)
 
 
+_RW_SIG = ("(types) (sig (c (int)) (e (int)) (s prop)"
+           " (f (-> (int) (int))) (g (-> (int) (int)))"
+           " (h (-> (int) (int) (int))) (p (-> (int) prop))"
+           " (q (-> (int) prop)))")
+
+
+@pytest.mark.parametrize("equation, goal, want", [
+    # the rewriting context reaches below a negation, into one operand of
+    # a connective, and under a type quantifier and a binder
+    ("(= (f c) c)", "(not (p (f c)))", "(not (p c))"),
+    ("(= (f c) c)", "(and s (p (f c)))", "(and s (p c))"),
+    ("(= (g e) e)", "(pi a (forall (x a) (q (g e))))",
+     "(pi a (forall (x a) (q e)))"),
+    # the matcher walks a negation, a connective, an integer literal, the
+    # constants and a binder in the pattern, and a repeated variable, which
+    # refuses (h e (h c c)) before it matches (h c c)
+    ("(forall (y (int)) (= (not (p y)) (q y)))", "(and s (not (p c)))",
+     "(and s (q c))"),
+    ("(forall (y (int)) (= (h y 1) y))", "(p (h c 1))", "(p c)"),
+    ("(forall (y (int)) (= (or (p y) false) (p y)))",
+     "(and s (or (p c) false))", "(and s (p c))"),
+    ("(forall (y (int)) (= (and (p y) true) (p y)))",
+     "(and s (and (p c) true))", "(and s (p c))"),
+    ("(forall (y (int)) (= (and (p y) (forall (k (int)) (q k))) (p y)))",
+     "(or s (and (p c) (forall (k (int)) (q k))))", "(or s (p c))"),
+    ("(forall (y (int)) (= (h y y) y))", "(p (h e (h c c)))",
+     "(p (h e c))"),
+])
+def test_rewrite_matches_and_abstracts_every_constructor(equation, goal,
+                                                         want):
+    T = sexpr.task_loads(
+        f"(task {_RW_SIG} (hyps (E {equation})) (goals (G {goal})))")
+    (t,) = certified(T, tr.t_rewrite(T, ident("E"), G))
+    assert t.find(G)[2].formula == sexpr.term_from_sexpr(sexpr.loads(want))
+
+
+def test_rewrite_refuses_a_match_whose_witness_a_binder_captures():
+    # the only match, (f k), would instantiate y with the bound k
+    T = sexpr.task_loads(
+        f"(task {_RW_SIG} (hyps (E (forall (y (int)) (= (f y) y))))"
+        " (goals (G (forall (k (int)) (p (f k))))))")
+    with pytest.raises(TransformError, match="matches the equation"):
+        tr.t_rewrite(T, ident("E"), G)
+
+
 # -- induction ---------------------------------------------------------------
 
 
@@ -532,7 +577,8 @@ def test_compose_split_then_trivial():
 def test_compose_identity_is_neutral():
     T = ptask(goals=[("G", conj(P, Q))])
     t = tr.transform(tr.t_split, G)
-    composed = tr.compose_transforms(tr.identity, lambda i, task: t)
+    composed = tr.compose_transforms(tr.transform(tr.t_identity),
+                                     lambda i, task: t)
     assert composed.apply(T) == t.apply(T)
 
 
@@ -582,7 +628,8 @@ def test_blast_through_compose():
     # blast is itself a composition of the elementary transformations
     T = gen_chain_task(3)
     blast = tr.CertifyingTransform("blast", tr.t_blast)
-    composed = tr.compose_transforms(tr.identity, lambda i, t: blast)
+    composed = tr.compose_transforms(tr.transform(tr.t_identity),
+                                     lambda i, t: blast)
     assert composed.apply(T) == tr.t_blast(T)
 
 
