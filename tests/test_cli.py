@@ -452,7 +452,9 @@ def test_the_registry_cases_cover_every_transformation():
 
 
 @pytest.mark.parametrize("name, text, args, call", _REGISTRY_CASES,
-                         ids=[" ".join([case[0], *case[2]])
+                         ids=["-".join([case[0], *(a.lstrip("-")
+                                                   for a in case[2]
+                                                   if a.startswith("--"))])
                               for case in _REGISTRY_CASES])
 def test_transform_runs_every_registry_entry(name, text, args, call,
                                              tmp_path, capsys):

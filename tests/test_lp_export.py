@@ -1256,8 +1256,8 @@ def test_emit_module_annotates_no_chain_formula(n, annotate_calls):
 
 def test_emit_module_asks_each_judgment_its_path_at_most_once(monkeypatch):
     # the encoder's memo is keyed on the judgment's record, and the path is
-    # built only on a miss; keyed on the path, every lookup built it, and
-    # a premise every task of the chain keeps was asked for again each time
+    # built only on a miss, so a premise every task of the chain keeps is
+    # asked for once
     asked = []
 
     def recording(T, f):

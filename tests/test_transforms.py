@@ -494,7 +494,8 @@ _RW_SIG = ("(types) (sig (c (int)) (e (int)) (s prop)"
      "(or s (and (p c) (forall (k (int)) (q k))))", "(or s (p c))"),
     ("(forall (y (int)) (= (h y y) y))", "(p (h e (h c c)))",
      "(p (h e c))"),
-])
+], ids=["under-not", "and-operand", "under-pi", "not-side", "int-literal",
+        "false", "true", "binder", "repeated-variable"])
 def test_rewrite_matches_and_abstracts_every_constructor(equation, goal,
                                                          want):
     T = sexpr.task_loads(
