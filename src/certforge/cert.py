@@ -845,9 +845,9 @@ def cert_loads(text: str):
     truncated or unbalanced text included.
 
     One pass over the text's tokens builds each node when its ) arrives.
-    Formulas are read through sexpr's shared tables, so a subterm
-    structurally identical to one in a live value read before, such as the
-    parsed task the certificate is checked against, is that very object."""
+    Formulas are built through core's constructors, which hash-cons them,
+    so a subterm structurally identical to a live one, such as a formula
+    of the task the certificate is checked against, is that very object."""
     try:
         return sexpr.read_text(_read_cert, text)
     except (sexpr.SexprError, TaskError) as e:

@@ -7,6 +7,33 @@ appear in prenex position and only over formulas. Equality and integer
 arithmetic are interpreted: their typing is fixed here, not declared by tasks.
 
 Everything here is immutable and hashable; all operations are pure.
+
+Identifiers, types and terms are hash-consed in their constructors
+(Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): while a
+value is alive, a constructor called with the same fields (defaults filled
+in) returns that very object. So two such values are equal exactly when
+they are one object, and == and hash are identity, which costs no walk
+however deep the value. Whatever builds them shares them: the readers,
+substitution, elaboration and the kernel's rules. A copy or a pickle of
+one gives back the object of its structure. Only the inference-internal
+metavariable (_Meta) is left out.
+
+The one table maps a key to a weak reference to its value, with no
+callback, so it keeps no value alive and costs no Python call when one
+dies. A key is the class and each field: a string or an integer as
+itself, an identifier, type or term by its id, and a tuple of types by
+the ids of its elements. A dead reference reads as a miss, and its entry
+is overwritten; the dead entries are swept once the table has doubled in
+size since the last sweep.
+
+Sharing is sound. A live value holds its fields, so while the value a
+key maps to is alive, the ids in that key are valid: they name that
+value's very fields, and the value has the structure asked for. An id is
+reused only once its object is gone, and then so is every value that held
+it: a key whose ids were reused finds a dead reference, which reads as a
+miss. And an identical object has an identical structure, so no identity
+shortcut (alpha_equal's `a is b`, a table keyed on a formula) can accept
+anything that a structurally equal value would not.
 """
 
 from __future__ import annotations
@@ -14,6 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
+from weakref import ReferenceType, ref
 
 
 class TypingError(Exception):
@@ -21,10 +49,89 @@ class TypingError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing (see the module docstring)
+
+_TABLE: dict[tuple, ReferenceType] = {}
+_SWEEP_FLOOR = 4096
+_sweep_at = _SWEEP_FLOOR
+
+
+def _dead() -> None:
+    """What a lookup calls for a key the table lacks, as it calls a dead
+    reference: both give None."""
+
+
+def _sweep() -> None:
+    """Drop the entries whose value has died."""
+    global _sweep_at
+    for key in [k for k, r in _TABLE.items() if r() is None]:
+        del _TABLE[key]
+    _sweep_at = max(2 * len(_TABLE), _SWEEP_FLOOR)
+
+
+def _made(key: tuple, cls: type, *fields):
+    """A new value of cls with these fields, entered under key."""
+    out = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(out, name, value)
+    _TABLE[key] = ref(out)
+    if len(_TABLE) >= _sweep_at:
+        _sweep()
+    return out
+
+
+# The constructors of the classes whose fields are all identifiers, types
+# or terms, by their number of fields; each class's __new__ is one of these.
+# Every value is true, so `or` builds one only where the lookup gave None.
+
+def _cons0(cls):
+    key = (cls,)
+    return _TABLE.get(key, _dead)() or _made(key, cls)
+
+
+def _cons1(cls, a):
+    key = (cls, id(a))
+    return _TABLE.get(key, _dead)() or _made(key, cls, a)
+
+
+def _cons2(cls, a, b):
+    key = (cls, id(a), id(b))
+    return _TABLE.get(key, _dead)() or _made(key, cls, a, b)
+
+
+def _cons3(cls, a, b, c):
+    key = (cls, id(a), id(b), id(c))
+    return _TABLE.get(key, _dead)() or _made(key, cls, a, b, c)
+
+
+class _HashConsed:
+    """A hash-consed value: a copy is the value itself, and a pickle
+    rebuilds it through its constructor. The weak reference slot is here
+    so that slotted dataclasses get it before Python 3.11."""
+
+    __slots__ = ("__weakref__",)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__,
+                                     self.__match_args__))
+
+
+# the decorator of every hash-consed class: __new__ builds the value, and
+# == and hash are identity
+_value = dataclass(frozen=True, slots=True, eq=False, init=False)
+
+
+# ---------------------------------------------------------------------------
 # Identifiers
 
-@dataclass(frozen=True, slots=True)
-class Ident:
+@_value
+class Ident(_HashConsed):
     """A named identifier with a numeric disambiguator.
 
     Two idents are equal iff both name and uid are equal; uid 0 prints
@@ -33,6 +140,10 @@ class Ident:
 
     name: str
     uid: int = 0
+
+    def __new__(cls, name: str, uid: int = 0):
+        key = (cls, name, uid)
+        return _TABLE.get(key, _dead)() or _made(key, cls, name, uid)
 
     def __str__(self) -> str:
         return self.name if self.uid == 0 else f"{self.name}#{self.uid}"
@@ -68,9 +179,8 @@ def fresh_ident(base: str | Ident, avoid: frozenset[Ident] | set[Ident]) -> Iden
 # ---------------------------------------------------------------------------
 # Types
 
-class Type:
-    # weakly referable, so that sexpr can share what it reads across reads
-    __slots__ = ("__weakref__",)
+class Type(_HashConsed):
+    __slots__ = ()
 
     def __str__(self) -> str:
         """The type in task-file syntax, printed by sexpr without recursion;
@@ -79,26 +189,34 @@ class Type:
         return _text(self, None, False)
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class TVar(Type):
     name: Ident
+    __new__ = _cons1
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Prop(Type):
     """The type of formulas."""
 
+    __new__ = _cons0
 
-@dataclass(frozen=True, slots=True)
+
+@_value
 class Arrow(Type):
     left: Type
     right: Type
+    __new__ = _cons2
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class TApp(Type):
     head: Ident
     args: tuple[Type, ...] = ()
+
+    def __new__(cls, head: Ident, args: tuple[Type, ...] = ()):
+        key = (cls, id(head), *map(id, args))
+        return _TABLE.get(key, _dead)() or _made(key, cls, head, args)
 
 
 PROP = Prop()
@@ -168,8 +286,8 @@ def subst_in_type(ty: Type, mapping: Mapping[Ident, Type]) -> Type:
 # ---------------------------------------------------------------------------
 # Terms
 
-class Term:
-    __slots__ = ("__weakref__",)
+class Term(_HashConsed):
+    __slots__ = ()
 
     def __str__(self) -> str:
         """The term in task-file syntax, printed by sexpr without recursion;
@@ -178,79 +296,96 @@ class Term:
         return _text(self, None, False)
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Var(Term):
     name: Ident
+    __new__ = _cons1
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class IntLit(Term):
     value: int
 
+    def __new__(cls, value: int):
+        key = (cls, value)
+        return _TABLE.get(key, _dead)() or _made(key, cls, value)
 
-@dataclass(frozen=True, slots=True)
+
+@_value
 class Top(Term):
     """The formula true."""
 
+    __new__ = _cons0
 
-@dataclass(frozen=True, slots=True)
+
+@_value
 class Bottom(Term):
     """The formula false."""
 
+    __new__ = _cons0
 
-@dataclass(frozen=True, slots=True)
+
+@_value
 class Not(Term):
     body: Term
+    __new__ = _cons1
 
 
 AND, OR, IMP, IFF = "and", "or", "imp", "iff"
 BINOPS = (AND, OR, IMP, IFF)
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class BinOp(Term):
     op: str
     left: Term
     right: Term
 
-    def __post_init__(self) -> None:
-        if self.op not in BINOPS:
-            raise ValueError(f"unknown connective {self.op!r}")
+    def __new__(cls, op: str, left: Term, right: Term):
+        if op not in BINOPS:
+            raise ValueError(f"unknown connective {op!r}")
+        key = (cls, op, id(left), id(right))
+        return _TABLE.get(key, _dead)() or _made(key, cls, op, left, right)
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class App(Term):
     fn: Term
     arg: Term
+    __new__ = _cons2
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Lam(Term):
     var: Ident
     ty: Type
     body: Term
+    __new__ = _cons3
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Exists(Term):
     var: Ident
     ty: Type
     body: Term
+    __new__ = _cons3
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Forall(Term):
     var: Ident
     ty: Type
     body: Term
+    __new__ = _cons3
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class PiType(Term):
     """Prenex quantification over a type variable."""
 
     var: Ident
     body: Term
+    __new__ = _cons2
 
 
 # Smart constructors used throughout the package and the tests.
@@ -464,10 +599,8 @@ def _type_alpha(a: Type, b: Type, ta: _Depths, tb: _Depths, same: bool) -> bool:
 
 
 def type_equal(a: Type, b: Type) -> bool:
-    """a == b, on an explicit stack: the dataclass __eq__ recurses through
-    C, so comparing two deep types that way overflows the interpreter's
-    stack under a raised recursion limit."""
-    return _type_alpha(a, b, {}, {}, True)
+    """a == b: one object, as types are hash-consed, so no walk is made."""
+    return a == b
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -639,8 +772,8 @@ class _Unifier:
     def unify(self, a: Type, b: Type, where: str) -> None:
         # bindings are followed one level at a time, at the head of each
         # part compared: no resolved copy of either side is built. Only
-        # fresh makes a _Meta, so a meta is one object, and a type unifies
-        # with itself binding nothing
+        # fresh makes a _Meta, and every other type is hash-consed, so two
+        # equal types are one object, which unifies binding nothing
         a, b = self.walk(a), self.walk(b)
         if a is b:
             return
@@ -651,10 +784,6 @@ class _Unifier:
             return
         if isinstance(b, _Meta):
             self.unify(b, a, where)
-            return
-        if isinstance(a, Prop) and isinstance(b, Prop):
-            return
-        if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
             return
         if isinstance(a, Arrow) and isinstance(b, Arrow):
             self.unify(a.left, b.left, where)

@@ -447,20 +447,21 @@ class Encoder:
     is encoded once for every task that holds it; one that the new
     declaration could change is judged again, under a new record. Every
     other formula, and every term a node carries, is typed whole by
-    encode_term, under the key (task's typing context, id of f, expected):
-    tasks that share a typing context have the same declarations (see
-    task.well_typed), and the memo holds f, so the same key always stands
-    for the same judgment.
+    encode_term, under the key (task's typing context, f, expected): tasks
+    that share a typing context have the same declarations (see
+    task.well_typed), and f is hash-consed (see core), so the same key
+    always stands for the same judgment.
 
-    scheme(ty) encodes a signature entry, once per scheme object, in the
-    same memo. encodings() lists every encoding returned so far.
+    scheme(ty) encodes a signature entry, once per scheme, in the same
+    memo. encodings() lists every encoding returned so far.
     """
 
     __slots__ = ("_memo",)
 
     def __init__(self) -> None:
-        # key -> (the object whose id the key holds, kept so that no other
-        # object takes that id while the memo lives, and its encoding)
+        # key -> (the judgment's record when the key is its id, kept so
+        # that no other record takes that id while the memo lives, and the
+        # encoding)
         self._memo: dict[object, tuple[object, LpTerm]] = {}
 
     def __call__(self, f: Term, task: Task,
@@ -471,7 +472,7 @@ class Encoder:
         # a plain method, so each level of a negation or connective spine
         # costs one interpreter frame, not two through the call slot
         judged = judgment(task, f) if expected == PROP else None
-        key = (task._ctx, id(f), expected) if judged is None else id(judged)
+        key = (task._ctx, f, expected) if judged is None else id(judged)
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
@@ -487,13 +488,13 @@ class Encoder:
             # an operand's premise has no type prefix: it is no PiType
             out = (_encode(f, path, info, task.sig_map()) if path
                    else _encode_typing(info, task.sig_map()))
-        self._memo[key] = (f if judged is None else judged, out)
+        self._memo[key] = (judged, out)
         return out
 
     def scheme(self, scheme: Type) -> LpTerm:
-        hit = self._memo.get(id(scheme))
+        hit = self._memo.get(scheme)
         if hit is None:
-            hit = self._memo[id(scheme)] = (scheme, _encode_scheme(scheme))
+            hit = self._memo[scheme] = (None, _encode_scheme(scheme))
         return hit[1]
 
     def encodings(self) -> Iterator[LpTerm]:

@@ -24,28 +24,18 @@ and dumps read and print plain data; term_to_sexpr and task_to_sexpr give
 the data of a term's or task's text. A line:col position is computed from
 a token's offset only for an error, once the read has failed.
 
-Reading hash-conses types and terms through one weak table each, shared by
-every read (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006):
-while a value read earlier is alive, a structurally identical subterm read
-later is that very object. So a certificate loaded after its task was
-parsed holds the task's own formulas, and the kernel's identity shortcuts
-(alpha_equal's `a is b`, the id-keyed record typing_of reads) serve it as
-they serve the trees elaboration builds in memory.
-
-Sharing is sound. A table's key is a node's constructor and the ids of its
-children, or an atom's text. A live node holds its children, so while the
-node a key maps to is alive, the ids in that key are valid: they name that
-node's very children, and the node has the structure read. An id is reused
-only once its object is gone, and then so is every node that held it: a
-key whose ids were reused finds a dead reference, which reads as a miss.
-And an identical object has an identical structure, so no identity
-shortcut can accept anything that a structurally equal copy would not.
+The reader builds every type and term through core's constructors, which
+hash-cons them (see core): while a value read earlier is alive, a
+structurally identical subterm read later is that very object. So a
+certificate loaded after its task was parsed holds the task's own
+formulas, and the kernel's identity shortcuts (alpha_equal's `a is b`, the
+judgments typing_of reads, keyed on the formula) serve it as they serve
+the trees elaboration builds in memory.
 """
 
 from __future__ import annotations
 
 import re
-from weakref import ref
 
 from .core import (
     App,
@@ -246,7 +236,7 @@ def _name_text(name: Ident, names: dict[int, str], check: bool) -> str:
                     or ident(s) != name:
                 raise SexprError(f"not a printable symbol: {s!r}")
             _note_ident(s, name)
-        elif got is not name and got != name:
+        elif got is not name:
             raise SexprError(f"not a printable symbol: {s!r}")
     names[id(name)] = s
     return s
@@ -449,41 +439,6 @@ def task_to_sexpr(T: Task):
 
 
 # ---------------------------------------------------------------------------
-# Reading: one hash-cons table for types and one for terms, shared by every
-# read. Each maps a key (see the module docstring) to a weakref.ref of the
-# node, with no callback, so the tables keep no node alive and cost no
-# Python call when one dies. A dead reference reads as a miss and its entry
-# is overwritten; _sweep drops the dead entries once the tables have
-# doubled in size since the last sweep.
-
-_TYPES: dict = {}
-_TERMS: dict = {}
-_SWEEP_FLOOR = 4096
-_sweep_at = _SWEEP_FLOOR
-# called on a miss, as a dead reference is: both give None
-_MISS = type(None)
-
-
-def _sweep() -> None:
-    """Drop the entries whose node has died."""
-    global _sweep_at
-    for table in (_TYPES, _TERMS):
-        dead = [key for key, r in table.items() if r() is None]
-        for key in dead:
-            del table[key]
-    _sweep_at = max(2 * (len(_TYPES) + len(_TERMS)), _SWEEP_FLOOR)
-
-
-def _swept(value):
-    """value, after a sweep if the tables have doubled since the last."""
-    if len(_TYPES) + len(_TERMS) >= _sweep_at:
-        _sweep()
-    return value
-
-
-
-
-# ---------------------------------------------------------------------------
 # The reader: one pass over a token list, building each type, term, task or
 # certificate node when its ) arrives, with an explicit stack per reader so
 # that nesting depth costs no recursion. read_type, read_term and read_task
@@ -528,8 +483,7 @@ def flatten(form) -> list[str]:
 
 
 def read_form(read, form):
-    """The value read finds in the datum form, with a fresh cache; the
-    tables are swept after, if they have doubled."""
+    """The value read finds in the datum form, with a fresh cache."""
     toks = flatten(form)
     try:
         value, i = read(toks, 0, ({}, {}))
@@ -538,7 +492,7 @@ def read_form(read, form):
         raise SexprError(f"cannot read {form!r}") from None
     if i != len(toks):
         raise SexprError(f"cannot read {form!r}")
-    return _swept(value)
+    return value
 
 
 def read_text(read, text: str):
@@ -554,7 +508,7 @@ def read_text(read, text: str):
         # whatever the read found, loads' error comes first
         loads(text)
         raise
-    return _swept(value)
+    return value
 
 
 def _lists(tokens: list[str], start: int) -> dict[int, list]:
@@ -614,14 +568,13 @@ def _is_symbol(tok: str) -> bool:
         or tok not in "()" and type(_atom(tok)) is str
 
 
-# Identifiers by symbol, shared by every read and print: an Ident is a value, so one
-# object serves every read of its name, and tables keyed by names (a task's
-# premises, its typing context's declarations) then compare them by
-# identity. Names repeat across reads (the same premises and symbols in
-# task after task), so a read mostly finds its names here. The table is
-# cleared once it holds _IDENTS_MAX names, far more than the names of any
-# benchmark workload (79 at most), so that a process that reads ever new
-# names keeps no more than that.
+# Identifiers by symbol, shared by every read and print: a parse cache, so
+# that a symbol read again is neither parsed nor looked up in core's table.
+# Names repeat across reads (the same premises and symbols in task after
+# task), so a read mostly finds its names here. The table is cleared once
+# it holds _IDENTS_MAX names, far more than the names of any benchmark
+# workload (79 at most), so that a process that reads ever new names keeps
+# no more than that.
 _IDENTS: dict[str, Ident] = {}
 _IDENTS_MAX = 4096
 
@@ -674,10 +627,7 @@ def _type_atom(tok: str, atoms: dict) -> Type:
     if a == "prop":
         ty = PROP
     elif type(a) is str:
-        ty = _TYPES.get(a, _MISS)()
-        if ty is None:
-            ty = TVar(ident(a))
-            _TYPES[a] = ref(ty)
+        ty = TVar(ident(a))
     else:
         raise SexprError(f"bad type syntax {dumps(a)}")
     atoms[tok] = ty
@@ -697,7 +647,6 @@ def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
     if tok != "(":
         ty = atoms.get(tok)
         return (ty if ty is not None else _type_atom(tok, atoms)), i + 1
-    memo = _TYPES
     done: list[Type] = []
     # per open list: its head, where its elements start in done, its index
     frames: list[tuple[str, int, int]] = []
@@ -726,18 +675,9 @@ def read_type(tokens: list[str], i: int, cache) -> tuple[Type, int]:
                     raise SexprError(first_misfit(tokens, [o], _type_misfit))
                 ty = args[-1]
                 for left in reversed(args[:-1]):
-                    key = (Arrow, id(left), id(ty))
-                    got = memo.get(key, _MISS)()
-                    if got is None:
-                        got = Arrow(left, ty)
-                        memo[key] = ref(got)
-                    ty = got
+                    ty = Arrow(left, ty)
             else:
-                key = (head, *map(id, args))
-                ty = memo.get(key, _MISS)()
-                if ty is None:
-                    ty = TApp(ident(head), tuple(args))
-                    memo[key] = ref(ty)
+                ty = TApp(read_ident(tokens, o + 1), tuple(args))
             if not frames:
                 return ty, i
             done.append(ty)
@@ -766,13 +706,10 @@ def _term_atom(tok: str, atoms: dict) -> Term:
     a = tok if tok[0] not in _MAYBE_NO_SYMBOL else _atom(tok)
     if type(a) is bool:
         raise SexprError("booleans are not terms; use true/false")
-    t = _TERMS.get(a, _MISS)()
-    if t is None:
-        t = (IntLit(a) if type(a) is int
-             else Top() if a == "true"
-             else Bottom() if a == "false"
-             else Var(ident(a)))
-        _TERMS[a] = ref(t)
+    t = (IntLit(a) if type(a) is int
+         else Top() if a == "true"
+         else Bottom() if a == "false"
+         else Var(ident(a)))
     atoms[tok] = t
     return t
 
@@ -802,7 +739,6 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
     if tok != "(":
         t = atoms.get(tok)
         return (t if t is not None else _term_atom(tok, atoms)), i + 1
-    memo = _TERMS
     done: list[Term] = []
     # per open list: its step, what the step builds with besides the
     # elements, where its elements start in done, its index
@@ -852,44 +788,26 @@ def read_term(tokens: list[str], i: int, cache) -> tuple[Term, int]:
                 if n != 2:
                     raise SexprError(first_misfit(tokens, [o], _term_misfit))
                 right = done.pop()
-                left = done.pop()
-                key = (data, id(left), id(right))
-                t = memo.get(key, _MISS)()
-                if t is None:
-                    t = BinOp(data, left, right)
-                    memo[key] = ref(t)
+                t = BinOp(data, done.pop(), right)
             elif step >= _APP:
                 if step == _EQ and n != 3:
                     raise SexprError(first_misfit(tokens, [o], _term_misfit))
                 # application, left-associated
                 t = done[start]
                 for k in range(start + 1, len(done)):
-                    a = done[k]
-                    key = (App, id(t), id(a))
-                    got = memo.get(key, _MISS)()
-                    if got is None:
-                        got = App(t, a)
-                        memo[key] = ref(got)
-                    t = got
+                    t = App(t, done[k])
                 del done[start:]
             else:
                 if n != (2 if step == _BINDER else 1):
                     raise SexprError(first_misfit(tokens, [o], _term_misfit))
                 body = done.pop()
                 if step == _NOT:
-                    key = (Not, id(body))
+                    t = Not(body)
                 elif step == _BINDER:
                     ty = done.pop()
-                    cls, x = _BINDERS[data], tokens[o + 3]
-                    key = (cls, x, id(ty), id(body))
+                    t = _BINDERS[data](read_ident(tokens, o + 3), ty, body)
                 else:
-                    key = (PiType, data, id(body))
-                t = memo.get(key, _MISS)()
-                if t is None:
-                    t = (Not(body) if step == _NOT
-                         else cls(ident(x), ty, body) if step == _BINDER
-                         else PiType(ident(data), body))
-                    memo[key] = ref(t)
+                    t = PiType(read_ident(tokens, o + 2), body)
             if not frames:
                 return t, i
             done.append(t)

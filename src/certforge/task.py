@@ -12,24 +12,17 @@ hit, when well_typed or typing_of first asks that context, it takes the
 found context's judgments of the task's premises and of the operands along
 their spines, each with the path well_typed recorded at judgment, if the
 found context still lives. So a task read again from its text while a
-judged task holding those formulas is alive (sexpr's reader shares what it
-reads) finds them judged; and the leaf tasks a certificate stores, read
-while the task it is checked against lives, find that task's judgments of
-the premises they keep. A task that is never asked, such as a leaf that
-ccheck only compares, takes nothing. The table's key lists each type
-declaration as (name, uid, arity) and each signature entry as (name, uid,
-id of its type), in order.
+judged task holding those formulas is alive (core hash-conses what the
+reader builds) finds them judged; and the leaf tasks a certificate stores,
+read while the task it is checked against lives, find that task's
+judgments of the premises they keep. A task that is never asked, such as a
+leaf that ccheck only compares, takes nothing. The table's key is the pair
+of the task's types and sig tuples.
 
 Taking a found context's judgments is sound. A judgment (see well_typed)
-depends only on the declarations and on the formula object. Two keys are
-equal only for equal declarations: the names, uids and arities are compared
-as values, and a signature entry's type by identity. The context's sig_map
-holds each keyed type, so while the context a key maps to is alive, each id
-in that key names the very type declared. The table holds contexts weakly:
-a dead context reads as a miss, so an id reused after its death never
-matches. And a context's props holds each judged premise, so the formula
-ids it is keyed on stay valid while it lives; the taking context then holds
-the judgments it took.
+depends only on the declarations and on the formula. Identifiers, types
+and formulas are hash-consed (see core), so two keys are equal exactly for
+equal declarations, and a formula judged is the very formula asked about.
 
 A context takes only what its own premises need, not the found context, so
 a chain of readings, each judged while the one before lives, keeps about
@@ -68,7 +61,6 @@ from .core import (
     ident,
     imp,
     subst_in_type,
-    type_equal,
     type_heads,
     type_vars,
     var,
@@ -104,23 +96,21 @@ class _TypingContext:
 
     def __init__(self, key: tuple, types_map: dict[Ident, int],
                  sig_map: dict[Ident, Type]) -> None:
-        self.key = key  # of these declarations in _CONTEXTS (see _decl_key)
+        self.key = key  # of these declarations in _CONTEXTS
         self.types_map: Mapping[Ident, int] = MappingProxyType(types_map)
         self.sig_map: Mapping[Ident, Type] = MappingProxyType(sig_map)
         self.sig_checked = False
-        # id of a formula judged prop -> (premise, Typing, up, i), recorded
-        # at judgment: the premise it was judged as, the Typing annotate
-        # gave that premise, and its path there as a link, the record of
-        # the operand one step up the spine and the formula's index under
-        # it (None and 0 for the premise itself; see typing_of). The
-        # premise is the formula itself, or the one along whose connective
-        # spine it is an operand (see well_typed); holding the premise
-        # keeps the ids of its subterms from being reused while the
-        # context lives
-        self.props: dict[int, tuple] = {}
-        # id of a premise in props -> every ident it mentions and the iotas
-        # its Typing picked, filled when a declaration extends the context
-        self.mentions: dict[int, frozenset[Ident]] = {}
+        # a formula judged prop -> (premise, Typing, up, i), recorded at
+        # judgment: the premise it was judged as, the Typing annotate gave
+        # that premise, and its path there as a link, the record of the
+        # operand one step up the spine and the formula's index under it
+        # (None and 0 for the premise itself; see typing_of). The premise
+        # is the formula itself, or the one along whose connective spine
+        # it is an operand (see well_typed)
+        self.props: dict[Term, tuple] = {}
+        # a premise in props -> every ident it mentions and the iotas its
+        # Typing picked, filled when a declaration extends the context
+        self.mentions: dict[Term, frozenset[Ident]] = {}
         # a weak reference to a context of the same declarations and the
         # premises of the task that started this one: the judgments of them
         # to take from it when well_typed or typing_of first asks (see take)
@@ -149,29 +139,29 @@ class _TypingContext:
         todo = [p.formula for p in premises]
         while todo:
             g = todo.pop()
-            judged = self.props.get(id(g))
-            if judged is None or id(g) in out.props:
+            judged = self.props.get(g)
+            if judged is None or g in out.props:
                 continue
             if name is not None:
                 root, info = judged[:2]
-                mentions = self.mentions.get(id(root))
+                mentions = self.mentions.get(root)
                 if mentions is None:
                     mentions = all_idents(root).union(info.iotas)
-                    self.mentions[id(root)] = mentions
+                    self.mentions[root] = mentions
                 if name in mentions:
                     continue
-                out.mentions[id(root)] = mentions
-            out.props[id(g)] = judged
+                out.mentions[root] = mentions
+            out.props[g] = judged
             if isinstance(g, Not):
                 todo.append(g.body)
             elif isinstance(g, BinOp):
                 todo += (g.left, g.right)
 
 
-# declaration key (see _decl_key) -> a weak reference, with no callback, to
-# the last context that began judging a task with those declarations. A dead
-# reference reads as a miss; _register drops the dead entries once the table
-# has doubled in size since the last sweep, as sexpr's tables do.
+# (types, sig) -> a weak reference, with no callback, to the last context
+# that began judging a task with those declarations. A dead reference reads
+# as a miss; _register drops the dead entries once the table has doubled in
+# size since the last sweep, as core's table does.
 _CONTEXTS: dict[tuple, ReferenceType] = {}
 _SWEEP_FLOOR = 1024
 _sweep_at = _SWEEP_FLOOR
@@ -186,14 +176,6 @@ def _register(ctx: _TypingContext) -> None:
         for key in [k for k, r in _CONTEXTS.items() if r() is None]:
             del _CONTEXTS[key]
         _sweep_at = max(2 * len(_CONTEXTS), _SWEEP_FLOOR)
-
-
-def _decl_key(types: tuple[tuple[Ident, int], ...],
-              sig: tuple[tuple[Ident, Type], ...]) -> tuple:
-    """The key of these declarations in _CONTEXTS, built from each name's
-    fields so that no Ident is hashed."""
-    return (tuple([(n.name, n.uid, arity) for n, arity in types]),
-            tuple([(n.name, n.uid, id(ty)) for n, ty in sig]))
 
 
 def _check_decl(sig: Mapping[Ident, Type], name: Ident) -> None:
@@ -251,7 +233,7 @@ class Task:
                     raise TaskError(f"premise name {p.name} used twice")
                 by_name[p.name] = (is_goal, p)
         premises = self.hyps + self.goals
-        key = _decl_key(self.types, self.sig)
+        key = (self.types, self.sig)
         ctx = _TypingContext(key, types, sig)
         found = _CONTEXTS.get(key)
         if found is not None:
@@ -340,9 +322,9 @@ class Task:
         # not looked up in _CONTEXTS: a live context of these declarations
         # may hold other Typings of the kept premises than the ones carried
         # over, and the exporter encodes once per Typing
-        ctx = _TypingContext(_decl_key(types, sig), dict(types), dict(sig))
+        ctx = _TypingContext((types, sig), dict(types), dict(sig))
         self._ctx.carry(ctx, premises, name)
-        unjudged = tuple(p for p in premises if id(p.formula) not in ctx.props)
+        unjudged = tuple(p for p in premises if p.formula not in ctx.props)
         return _build(types, sig, self.hyps, self.goals, ctx, self._by_name,
                       unjudged)
 
@@ -456,7 +438,7 @@ def well_typed(T: Task) -> bool:
         return True
     for p in T._unjudged:
         f = p.formula
-        if id(f) in ctx.props:
+        if f in ctx.props:
             continue
         try:
             info = annotate(I, sig, f, PROP)
@@ -465,8 +447,8 @@ def well_typed(T: Task) -> bool:
         todo: list[tuple[Term, tuple | None, int]] = [(f, None, 0)]
         while todo:
             g, up, i = todo.pop()
-            if id(g) not in ctx.props:
-                judged = ctx.props[id(g)] = (f, info, up, i)
+            if g not in ctx.props:
+                judged = ctx.props[g] = (f, info, up, i)
                 if isinstance(g, Not):
                     todo.append((g.body, judged, 0))
                 elif isinstance(g, BinOp):
@@ -485,7 +467,7 @@ def judgment(T: Task, f: Term) -> tuple | None:
     ctx = T._ctx
     if ctx.pending is not None:
         ctx.take()
-    return ctx.props.get(id(f))
+    return ctx.props.get(f)
 
 
 def typing_of(T: Task, f: Term) -> tuple[Typing, tuple[int, ...]] | None:
@@ -601,7 +583,7 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
         if is_goal != other_is_goal or not alpha_equal(p.formula, q.formula):
             return False
     # alpha-equal premises use the same declarations of equal tuples
-    if T1.types == T2.types and _same_sig(T1.sig, T2.sig):
+    if T1.types == T2.types and T1.sig == T2.sig:
         return True
     types1, sig1 = used_declarations(T1)
     types2, sig2 = used_declarations(T2)
@@ -609,16 +591,7 @@ def task_alpha_equal(T1: Task, T2: Task) -> bool:
         return False
     s1, s2 = dict(sig1), dict(sig2)
     return s1.keys() == s2.keys() and all(
-        type_equal(_scheme_canon(s1[name]), _scheme_canon(s2[name]))
-        for name in s1)
-
-
-def _same_sig(s1: tuple[tuple[Ident, Type], ...],
-              s2: tuple[tuple[Ident, Type], ...]) -> bool:
-    """s1 == s2, with each declared type compared by type_equal."""
-    return s1 is s2 or len(s1) == len(s2) and all(
-        e1 is e2 or e1[0] == e2[0] and type_equal(e1[1], e2[1])
-        for e1, e2 in zip(s1, s2))
+        _scheme_canon(s1[name]) == _scheme_canon(s2[name]) for name in s1)
 
 
 def task_list_alpha_equal(L1: list[Task] | tuple[Task, ...], L2: list[Task] | tuple[Task, ...]) -> bool:

@@ -466,9 +466,10 @@ _HYP_STEPS = {"and": (cert.SDestruct, _TWO, _HOLES1),
 
 
 def _head(t: Term):
-    """What alpha-equal terms share at t, a subterm under no binder: the
-    name of the variable heading an application spine, an integer's
-    value, a connective, or else the kind of node."""
+    """What alpha-equal terms share at t, a formula under no binder of a
+    well-typed task: the name of the variable heading an application
+    spine (no other term heads one of type prop), a connective, or else
+    the kind of node."""
     while type(t) is App:
         t = t.fn
     cls = type(t)
@@ -476,8 +477,6 @@ def _head(t: Term):
         return t.name.name
     if cls is BinOp:
         return t.op
-    if cls is IntLit:
-        return t.value
     return cls
 
 

@@ -38,6 +38,29 @@ from certforge.core import (
 from certforge.task import Task
 
 
+def ref_struct_equal(a, b) -> bool:
+    """a == b as it was before identifiers, types and terms were
+    hash-consed: the frozen dataclasses' ==, which compares the class and
+    then each field, walked here on an explicit stack. An Ident compares
+    by (name, uid), not by its text: Ident("x#3") and Ident("x", 3) print
+    alike. No identity shortcut is taken."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if dataclasses.is_dataclass(x) and not isinstance(x, type):
+            if type(x) is not type(y):
+                return False
+            todo += ((getattr(x, f.name), getattr(y, f.name))
+                     for f in dataclasses.fields(x))
+        elif isinstance(x, tuple):
+            if not isinstance(y, tuple) or len(x) != len(y):
+                return False
+            todo += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
 def db_type(ty: Type, tenv: tuple) -> tuple:
     """Nameless normal form of a type. tenv holds Pi-bound type variables."""
     if isinstance(ty, Prop):

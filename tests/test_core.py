@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
+import pickle
 import re
 import sys
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import typing_cases
 from typing_cases import typecheck
-from certforge import sexpr
+from certforge import cert, sexpr
 from certforge.core import (
     INT,
     PROP,
@@ -27,6 +29,7 @@ from certforge.core import (
     Lam,
     Not,
     PiType,
+    Prop,
     TApp,
     TVar,
     Top,
@@ -48,7 +51,8 @@ from certforge.core import (
     type_vars,
     var,
 )
-from oracles import db_term
+from certforge.task import Premise, Task
+from oracles import db_term, ref_struct_equal
 
 # ---------------------------------------------------------------------------
 # Identifiers
@@ -701,13 +705,14 @@ def test_annotate_agrees_with_the_reference_on_the_case_tables(case):
 def test_an_application_checks_against_a_known_domain(unifier_counts):
     # every head has an arrow type: its argument is checked against the
     # domain, and no metavariable is made (five when each application
-    # made one); the two unifications are the binder's
-    # own int() against the interpreted int() of *, and the quantifier's
-    # body against prop
+    # made one); the one unification is the quantifier's body against
+    # prop, as the binder's int(), read from text, is the interpreted
+    # int() of * itself, so z is checked against it without unifying
     t = sexpr.term_from_sexpr(sexpr.loads(
         "(forall (z (int)) (p (+ (* z 3) 7)))"))
+    assert t.ty is INT
     assert annotate({}, {ident("p"): arrow(INT, PROP)}, t).type == PROP
-    assert (unifier_counts["fresh"], unifier_counts["unify"]) == (0, 2)
+    assert (unifier_counts["fresh"], unifier_counts["unify"]) == (0, 1)
     # a polymorphic occurrence makes one meta per type variable of its
     # scheme, and each argument is checked against one of them
     unifier_counts.clear()
@@ -720,3 +725,169 @@ def test_an_application_checks_against_a_known_domain(unifier_counts):
     info = annotate({}, _REF_SIG, app(var("choose"), IntLit(1)), PROP)
     assert info.inst == {(0,): (arrow(INT, PROP),)}
     assert (unifier_counts["fresh"], unifier_counts["unify"]) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: each identifier, type and term is one object per structure
+
+_HC_ELEM = ident("elem")
+_HC_TYPES = [PROP, INT, TVar(ident("a")), TApp(_HC_ELEM, (TVar(ident("a")),))]
+
+
+def _hc_ident(name):
+    # uid 0, given or left out, and uid 1
+    return st.sampled_from([Ident(name), Ident(name, 0), Ident(name, 1)])
+
+
+_hc_types = st.recursive(
+    st.one_of(st.sampled_from(_HC_TYPES), st.builds(TApp, st.just(_HC_ELEM)),
+              st.builds(TApp, st.just(_HC_ELEM), st.just(()))),
+    lambda inner: st.tuples(inner, inner).map(lambda p: Arrow(*p)),
+    max_leaves=3)
+
+_hc_terms = st.recursive(
+    st.one_of(st.sampled_from([Top(), Bottom(), IntLit(1), IntLit(-2)]),
+              st.one_of(_hc_ident("x"), _hc_ident("p")).map(Var)),
+    lambda inner: st.one_of(
+        inner.map(Not),
+        st.tuples(st.sampled_from(["and", "imp"]), inner, inner).map(
+            lambda p: BinOp(*p)),
+        st.tuples(inner, inner).map(lambda p: App(*p)),
+        st.tuples(st.sampled_from([Lam, Forall, Exists]), _hc_ident("x"),
+                  _hc_types, inner).map(lambda p: p[0](*p[1:])),
+        st.tuples(_hc_ident("a"), inner).map(lambda p: PiType(*p))),
+    max_leaves=4)
+
+
+def _rebuilt(x):
+    """x built again, bottom up, through the constructors."""
+    if isinstance(x, tuple):
+        return tuple(map(_rebuilt, x))
+    if isinstance(x, (str, int)):
+        return x
+    return type(x)(*(_rebuilt(getattr(x, f)) for f in x.__match_args__))
+
+
+_HOLE, _ALPHA_HOLE, _Z, _FRESH = map(ident, ("hole", "tv", "z", "fresh"))
+_X, _A = ident("x"), ident("a")
+
+
+# formulas well-typed under _HC_SIG, which the kernel's rules take
+_HC_SIG = ((ident("p"), PROP), (ident("f"), arrow(INT, PROP)))
+_hc_formulas = st.recursive(
+    st.sampled_from([Top(), Bottom(), var("p"), app(var("f"), IntLit(1)),
+                     eq(IntLit(1), IntLit(2)),
+                     Forall(_X, INT, app(var("f"), Var(_X))),
+                     Exists(_X, INT, eq(Var(_X), IntLit(1)))]),
+    lambda inner: st.one_of(
+        inner.map(Not),
+        st.tuples(st.sampled_from(["and", "imp"]), inner, inner).map(
+            lambda p: BinOp(*p))),
+    max_leaves=4)
+
+
+def _elaborated(t):
+    """t, a formula of _hc_formulas, as the goal that elaborating an
+    introduction of a vacuous universal over t leaves, which the kernel
+    builds by substitution."""
+    T = Task(sig=_HC_SIG, goals=(Premise(ident("G"), Forall(_Z, INT, t)),))
+    _, ((_, child),) = cert.elaborate_node(
+        (cert.SIntroQuant(ident("G"), _FRESH, cert.SHole()), T))
+    return child.goals[0].formula
+
+
+# each builds a term equal to its argument, apart from it
+_ROUTES = {
+    "constructors": _rebuilt,
+    "reader": lambda t: sexpr.term_from_sexpr(oracles.ref_term_form(t)),
+    "subst_term": lambda t: subst_term(subst_term(t, _X, Var(_HOLE)),
+                                       _HOLE, Var(_X)),
+    "subst_type": lambda t: subst_type(subst_type(t, _A, TVar(_ALPHA_HOLE)),
+                                       _ALPHA_HOLE, TVar(_A)),
+    "elaboration": _elaborated,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.booleans())
+def test_terms_built_apart_are_one_object_exactly_when_equal(data, typed):
+    # any term through every route but elaboration, which takes only
+    # well-typed formulas; half the time both routes build one term
+    terms = _hc_formulas if typed else _hc_terms
+    routes = sorted(_ROUTES) if typed else sorted(set(_ROUTES) - {
+        "elaboration"})
+    s = data.draw(terms)
+    t = s if data.draw(st.booleans()) else data.draw(terms)
+    r1, r2 = data.draw(st.sampled_from(routes)), data.draw(
+        st.sampled_from(routes))
+    a, b = _ROUTES[r1](s), _ROUTES[r2](t)
+    assert ref_struct_equal(a, s) and ref_struct_equal(b, t)
+    assert (a is b) == ref_struct_equal(a, b)
+    assert (a == b) == (a is b)
+    assert a is s and b is t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hc_types, _hc_types, st.booleans(), st.booleans())
+def test_types_built_apart_are_one_object_exactly_when_equal(s, t, read_s,
+                                                             read_t):
+    def build(ty, read):
+        if read:
+            return sexpr.type_from_sexpr(oracles.ref_type_form(ty))
+        return subst_in_type(_rebuilt(ty), {_A: TVar(_A)})
+    a, b = build(s, read_s), build(t, read_t)
+    assert (a is b) == ref_struct_equal(a, b) == ref_struct_equal(s, t)
+
+
+def test_a_default_given_or_left_out_is_one_object():
+    assert Ident("x") is Ident("x", 0) is ident("x")
+    assert TApp(_HC_ELEM) is TApp(_HC_ELEM, ())
+    assert Prop() is PROP and TApp(Ident("int")) is INT
+    # a name that prints like another identifier is not that identifier
+    assert Ident("x#3") is not Ident("x", 3)
+    assert str(Ident("x#3")) == str(Ident("x", 3))
+    assert not ref_struct_equal(Ident("x#3"), Ident("x", 3))
+
+
+@pytest.mark.parametrize("value", [
+    Ident("x"), Ident("x", 2), PROP, INT, TVar(_A), TApp(_HC_ELEM),
+    Arrow(INT, TApp(_HC_ELEM, (TVar(_A),))), Var(_X), IntLit(-7), Top(),
+    Bottom(), Not(Var(_X)), conj(Top(), Bottom()), app(var("f"), IntLit(1)),
+    Lam(_X, INT, Var(_X)), Forall(_X, PROP, Var(_X)),
+    Exists(_X, INT, eq(Var(_X), IntLit(0))), PiType(_A, Top())],
+    ids=lambda v: type(v).__name__)
+def test_copies_and_pickles_give_back_the_value(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value, (value,)])[1][0] is value
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+
+
+_DEEP_HC = 60_000
+
+
+def test_equality_and_hash_of_deep_values_need_no_recursion():
+    def chain():
+        t = Var(_X)
+        for _ in range(_DEEP_HC):
+            t = Not(t)
+        return t
+
+    def arrows():
+        ty = INT
+        for _ in range(_DEEP_HC):
+            ty = Arrow(PROP, ty)
+        return ty
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for build in (chain, arrows):
+            a, b = build(), build()
+            assert a == b and a is b and hash(a) == hash(b)
+            assert a != a.right if build is arrows else a != a.body
+            assert {a: 1}[b] == 1
+            assert ref_struct_equal(a, b)
+    finally:
+        sys.setrecursionlimit(old)

@@ -415,7 +415,7 @@ def test_task_sexpr_sections_checked():
         task_from_sexpr(loads("(job (types) (sig) (hyps) (goals))"))
 
 
-# -- the shared hash-cons tables --------------------------------------------
+# -- sharing through core's hash-cons table ----------------------------------
 
 # one atom no other read has: a goal made of it dies with its task
 _PROBES = (f"probe_{k}" for k in itertools.count())
@@ -423,20 +423,21 @@ _PROBES = (f"probe_{k}" for k in itertools.count())
 
 @st.composite
 def _tasks(draw):
-    """A task built with core's constructors, apart from any read, and its
-    text."""
+    """The text of a task built with core's constructors, apart from any
+    read, and a function that builds it again. Its last goal is a probe
+    that nothing holds but the task."""
     hyps = draw(st.lists(_terms, max_size=3))
-    goals = draw(st.lists(_terms, max_size=2)) + [var(next(_PROBES))]
+    goals = draw(st.lists(_terms, max_size=2))
     sig = draw(st.lists(_types, max_size=2))
-    T = Task(sig=tuple((ident(f"s{i}"), ty) for i, ty in enumerate(sig)),
-             hyps=tuple(Premise(ident(f"H{i}"), t) for i, t in enumerate(hyps)),
-             goals=tuple(Premise(ident(f"G{i}"), t)
-                         for i, t in enumerate(goals)))
-    return dumps(ref_task_form(T)), T
+    probe = next(_PROBES)
 
-
-def _table_size():
-    return len(sexpr._TYPES) + len(sexpr._TERMS)
+    def build():
+        return Task(
+            sig=tuple((ident(f"s{i}"), ty) for i, ty in enumerate(sig)),
+            hyps=tuple(Premise(ident(f"H{i}"), t) for i, t in enumerate(hyps)),
+            goals=tuple(Premise(ident(f"G{i}"), t)
+                        for i, t in enumerate(goals + [var(probe)])))
+    return dumps(ref_task_form(build())), build
 
 
 def _shared(T, U):
@@ -450,14 +451,15 @@ def _shared(T, U):
 def test_reads_share_one_table_and_let_go_of_what_they_dropped(steps):
     # each text is read, read again while the first read is held, and
     # either held or dropped and read again; at the end every read is
-    # dropped
+    # dropped. Reads build through core's constructors, so a read and a
+    # task built apart while it lives share every formula and type
     gc.collect()
     gc.disable()
     try:
         held, refs = [], []
-        for (text, built), keep in steps:
+        for (text, build), keep in steps:
             T = task_from_sexpr(loads(text))
-            assert to_text(T) == text and T == built
+            assert to_text(T) == text and _shared(T, build())
             again = task_from_sexpr(loads(text))
             assert _shared(T, again)
             # the probe goal: no value read elsewhere holds it
@@ -467,19 +469,18 @@ def test_reads_share_one_table_and_let_go_of_what_they_dropped(steps):
             del T, again
             if not keep:
                 # its probe's entry is dead now: a miss, overwritten
-                assert task_from_sexpr(loads(text)) == built
+                assert task_from_sexpr(loads(text)) == build()
         # read again after other reads and drops: still the same value
         assert all(_shared(task_from_sexpr(loads(text)), T)
                    for text, T in held)
         held.clear()
         # no cycle holds a read: dropping it frees it at once
         assert all(r() is None for r in refs)
-        before = _table_size()
-        sexpr._sweep()
+        before = len(core._TABLE)
+        core._sweep()
         # the probes' entries at least are dead, and a sweep leaves none
-        assert _table_size() < before
-        assert all(r() is not None for table in (sexpr._TYPES, sexpr._TERMS)
-                   for r in table.values())
+        assert len(core._TABLE) < before
+        assert all(r() is not None for r in core._TABLE.values())
     finally:
         gc.enable()
 
@@ -500,13 +501,14 @@ def test_reads_share_one_ident_per_name_and_keep_at_most_the_cap():
 
 
 def test_the_tables_are_swept_once_they_have_doubled():
-    sexpr._sweep()
-    live, mark = _table_size(), sexpr._sweep_at
-    assert mark == max(2 * live, sexpr._SWEEP_FLOOR)
+    core._sweep()
+    live, mark = len(core._TABLE), core._sweep_at
+    assert mark == max(2 * live, core._SWEEP_FLOOR)
     sizes = []
     for k in range(mark - live):
-        term_from_sexpr(f"sweep_probe_{k}")
-        sizes.append(_table_size())
+        # an integer no other value holds: one entry, dead once read
+        term_from_sexpr(10**12 + k)
+        sizes.append(len(core._TABLE))
     # each read leaves one dead entry, until the read that reaches the mark
     # sweeps them all but its own, which it still holds while it sweeps
     assert sizes[:-1] == list(range(live + 1, mark))

@@ -18,6 +18,7 @@ from certforge.core import (
     INT,
     PROP,
     RESERVED,
+    App,
     Arrow,
     Bottom,
     Forall,
@@ -26,6 +27,7 @@ from certforge.core import (
     Not,
     BinOp,
     PiType,
+    TApp,
     TVar,
     Top,
     Var,
@@ -65,7 +67,8 @@ def ptask(hyps=(), goals=()):
 
 
 def reparsed(T):
-    """A copy of T read back from its text: no object of T is in it."""
+    """A copy of T read back from its text: another Task, which holds T's
+    own formulas (core hash-conses them)."""
     return sexpr.task_loads(sexpr.to_text(T))
 
 
@@ -634,9 +637,9 @@ def test_blast_through_compose():
     assert composed.apply(T) == tr.t_blast(T)
 
 
-def _formula(rng, depth, atoms=("p", "q", "r")):
+def _formula(rng, depth, atoms=(P, Q, R)):
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice([var(a) for a in atoms] + [Top(), Bottom()])
+        return rng.choice([*atoms, Top(), Bottom()])
     kind = rng.choice(["and", "or", "imp", "iff", "not"])
     if kind == "not":
         return Not(_formula(rng, depth - 1, atoms))
@@ -749,6 +752,64 @@ def test_blast_searches_as_the_reference_does(seed, wide):
 def test_blast_searches_the_pinned_tasks_as_the_reference_does():
     for T in [*_blast_tasks(), *map(gen_chain_task, (1, 2, 9, 10, 30))]:
         assert_blast_as_reference(T)
+
+
+# Atoms that are no variable: applications of declared predicates and
+# integer comparisons. A wide side's index keys such an atom on the head
+# of its application spine.
+_P_ATOMS = (app(var("p"), var("c")), app(var("p"), var("d")),
+            app(var("<"), IntLit(1), IntLit(2)))
+_S_ATOMS = (app(var("s"), var("c"), var("d")), app(var("s"), var("d"), var("c")),
+            app(var("<="), IntLit(2), IntLit(1)))
+_ELEM = TApp(ident("elem"))
+_SPINE_SIG = ((ident("p"), arrow(_ELEM, PROP)),
+              (ident("s"), arrow(_ELEM, _ELEM, PROP)),
+              (ident("c"), _ELEM), (ident("d"), _ELEM))
+
+
+def _spine_task(rng):
+    """A random task over _P_ATOMS and _S_ATOMS, built as _blast_task
+    builds a wide one: one or two random premises on each side, and nine
+    to twelve more atoms and negated atoms on each side, hypotheses over
+    _P_ATOMS and goals over _S_ATOMS."""
+    atoms = _P_ATOMS + _S_ATOMS
+    sides = [[(f"{tag}{i}", _formula(rng, rng.randint(0, 3), atoms))
+              for i in range(rng.randint(1, 2))] for tag in "HG"]
+    for side, pick, tag in ((sides[0], _P_ATOMS, "A"),
+                            (sides[1], _S_ATOMS, "B")):
+        for i in range(rng.randint(9, 12)):
+            f = rng.choice(pick)
+            side.insert(rng.randint(0, len(side)),
+                        (f"{tag}{i}", f if rng.random() < 0.7 else Not(f)))
+    return Task(types=((ident("elem"), 0),), sig=_SPINE_SIG,
+                hyps=tuple(Premise(ident(n), f) for n, f in sides[0]),
+                goals=tuple(Premise(ident(n), f) for n, f in sides[1]))
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_blast_searches_wide_tasks_of_applied_atoms_as_the_reference_does(
+        seed):
+    assert_blast_as_reference(_spine_task(random.Random(seed)))
+
+
+def test_blast_indexes_applied_atoms(monkeypatch):
+    # the pinned seeds close tasks through a wide side's index, looked up
+    # by applications and comparisons, as the reference search does
+    keyed, closed = [], 0
+    key = tr._key
+    monkeypatch.setattr(tr, "_key", lambda f: keyed.append(f) or key(f))
+    for seed in range(40):
+        T = _spine_task(random.Random(seed))
+        assert well_typed(T)
+        assert_blast_as_reference(T)
+        try:
+            closed += tr.t_blast(T)[0] == []
+        except TransformError:
+            pass
+    assert closed
+    assert {type(f) for f in keyed} >= {App, Not, BinOp}
+    assert any(f in (_P_ATOMS[2], _S_ATOMS[2]) for f in keyed)
 
 
 def _blast_work(monkeypatch, n):
